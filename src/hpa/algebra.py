@@ -12,7 +12,9 @@ from .quiver import (Arrow, PathWord, Quiver, QuiverError, enumerate_paths,
 
 
 class RelationError(ValueError):
-    pass
+    def __init__(self, message, group):
+        super().__init__(message)
+        self.group = group  # index of the offending relation group
 
 
 class RelationSet:
@@ -22,28 +24,30 @@ class RelationSet:
     def __init__(self, quiver, groups):
         self.quiver = quiver
         norm = []
-        for g in groups:
+        for i, g in enumerate(groups):
             g = tuple(g)
             if len(g) < 2:
-                raise RelationError("relation group needs at least two words")
+                raise RelationError("relation group needs at least two words", i)
             t, h = g[0].tail, g[0].head
             for w in g:
                 if not isinstance(w, PathWord):
-                    raise RelationError(f"not a path word: {w!r}")
+                    raise RelationError(f"not a path word: {w!r}", i)
                 if (w.tail, w.head) != (t, h):
                     raise RelationError(
-                        f"relation endpoints mismatch: {_fmt(g[0])} vs {_fmt(w)}")
+                        f"relation endpoints mismatch: {_fmt(g[0])} vs {_fmt(w)}",
+                        i)
                 quiver.word(w.tail, w.labels)  # validates composability
             if len(set(g)) != len(g):
-                raise RelationError(f"repeated word in relation group {_fmt(g[0])}")
+                raise RelationError(
+                    f"repeated word in relation group {_fmt(g[0])}", i)
             norm.append(g)
         seen = {}
-        for g in norm:
+        for i, g in enumerate(norm):
             key = (g[0].tail, g[0].head)
             for w in g:
                 if w in seen.get(key, set()):
                     raise RelationError(
-                        f"word {_fmt(w)} appears in two relation groups")
+                        f"word {_fmt(w)} appears in two relation groups", i)
                 seen.setdefault(key, set()).add(w)
         self.groups = tuple(norm)
 
@@ -92,11 +96,14 @@ class HPA:
             self.arrow_class[a.label] = self.class_of_word[
                 PathWord(a.tail, a.head, (a.label,))]
         self.classes_by_tail = {v: [] for v in quiver.vertices}
+        self.classes_by_head = {v: [] for v in quiver.vertices}
         self.classes_by_pair = {}
         for c in self.classes:
             self.classes_by_tail[c.tail].append(c.id)
+            self.classes_by_head[c.head].append(c.id)
             self.classes_by_pair.setdefault((c.tail, c.head), []).append(c.id)
         self._mult = {}
+        self._quot = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -133,6 +140,36 @@ class HPA:
 
     def word_class(self, w):
         return self.class_of_word[w]
+
+    # -- left divisibility: p <= q iff q = p.r for some class r ---------------
+
+    def quotients(self, p):
+        """Row {p.r: r} of the right-quotient table, over every class r that
+        starts where p ends.  The quotient r is unique when the algebra is
+        cancellative; rows are built on first use and shared by all callers."""
+        row = self._quot.get(p)
+        if row is None:
+            row = {}
+            for r in self.classes_by_tail[self.head(p)]:
+                row.setdefault(self.mult(p, r), r)
+            self._quot[p] = row
+        return row
+
+    def divide(self, p, q):
+        """The class r with p.r = q; raises ValueError('not a subpath') if p
+        does not left-divide q."""
+        r = self.quotients(p).get(q)
+        if r is None:
+            raise ValueError("not a subpath")
+        return r
+
+    def leq(self, p, q):
+        return q in self.quotients(p)
+
+    def open_interval(self, p):
+        """Classes strictly between the trivial path at tail(p) and p."""
+        return [c for c in self.classes_by_tail[self.tail(p)]
+                if c != p and not self.is_trivial(c) and self.leq(c, p)]
 
     def class_table(self):
         """JSON-ready class table."""
@@ -250,105 +287,25 @@ class CheckReport:
 
 
 def check_hpa(a):
-    """Left/right cancellativity of the congruence, checked exhaustively:
-    rp ~ rp' must imply p ~ p', and pr ~ p'r must imply p ~ p'."""
-    q = a.quiver
-    words_by_tail = {v: [] for v in q.vertices}
-    words_by_head = {v: [] for v in q.vertices}
-    for w in a.class_of_word:
-        words_by_tail[w.tail].append(w)
-        words_by_head[w.head].append(w)
-    for v in q.vertices:
-        words_by_tail[v].sort(key=q.word_key)
-        words_by_head[v].sort(key=q.word_key)
-
-    cls = a.class_of_word
+    """Left/right cancellativity of the congruence: rp ~ rp' must imply
+    p ~ p', and pr ~ p'r must imply p ~ p'.  Cancelling a path r cancels
+    its arrows one at a time, so it suffices that multiplication by each
+    arrow class, on either side, is injective on classes."""
     violations = []
-    for r in a.class_of_word:
-        if not r.labels:
-            continue
-        ps = words_by_tail[r.head]
-        for i, p in enumerate(ps):
-            rp = cls[PathWord(r.tail, p.head, r.labels + p.labels)]
-            for p2 in ps[i + 1:]:
-                if p2.head != p.head or cls[p] == cls[p2]:
-                    continue
-                if rp == cls[PathWord(r.tail, p2.head, r.labels + p2.labels)]:
-                    violations.append(Violation('left', r, p, p2))
-        ps = words_by_head[r.tail]
-        for i, p in enumerate(ps):
-            pr = cls[PathWord(p.tail, r.head, p.labels + r.labels)]
-            for p2 in ps[i + 1:]:
-                if p2.tail != p.tail or cls[p] == cls[p2]:
-                    continue
-                if pr == cls[PathWord(p2.tail, r.head, p2.labels + r.labels)]:
-                    violations.append(Violation('right', r, p, p2))
+    for ar in a.quiver.arrows:
+        r = PathWord(ar.tail, ar.head, (ar.label,))
+        x = a.arrow_class[ar.label]
+        for side, cs, times in (
+                ('left', a.classes_by_tail[ar.head], lambda c: a.mult(x, c)),
+                ('right', a.classes_by_head[ar.tail], lambda c: a.mult(c, x))):
+            preimages = {}
+            for c in cs:
+                same = preimages.setdefault(times(c), [])
+                for c0 in same:
+                    violations.append(
+                        Violation(side, r, a.cls(c0).rep, a.cls(c).rep))
+                same.append(c)
     return CheckReport(violations)
-
-
-# -- path poset --------------------------------------------------------------
-
-
-class PathPoset:
-    """Classes of an HPA ordered by left divisibility: p <= q iff q = p.r for
-    some class r.  Quotients are unique by cancellativity."""
-
-    def __init__(self, hpa):
-        self.hpa = hpa
-        self._div = {}
-
-    def divide(self, p, q):
-        """The unique class r with p.r = q; raises ValueError('not a subpath')
-        if p does not left-divide q."""
-        r = self.divide_or_none(p, q)
-        if r is None:
-            raise ValueError("not a subpath")
-        return r
-
-    def divide_or_none(self, p, q):
-        key = (p, q)
-        if key in self._div:
-            return self._div[key]
-        a = self.hpa
-        result = None
-        pc, qc = a.cls(p), a.cls(q)
-        if pc.tail == qc.tail:
-            if pc.is_trivial:
-                result = q
-            else:
-                plen = sorted({len(w.labels) for w in pc.words})
-                for w in qc.words:
-                    for k in plen:
-                        if k > len(w.labels):
-                            continue
-                        pre = a.quiver.word(w.tail, w.labels[:k])
-                        if a.class_of_word.get(pre) == p:
-                            suf = PathWord(pre.head, w.head, w.labels[k:])
-                            result = a.class_of_word[suf]
-                            break
-                    if result is not None:
-                        break
-        self._div[key] = result
-        return result
-
-    def leq(self, p, q):
-        return self.divide_or_none(p, q) is not None
-
-    def less(self, p, q):
-        return p != q and self.leq(p, q)
-
-    def open_interval(self, p):
-        """Classes strictly between the trivial path at tail(p) and p."""
-        a = self.hpa
-        out = []
-        for c in a.classes_by_tail[a.tail(p)]:
-            if c != p and not a.is_trivial(c) and self.leq(c, p):
-                out.append(c)
-        return out
-
-
-def path_poset(a):
-    return PathPoset(a)
 
 
 # -- tensor product ----------------------------------------------------------

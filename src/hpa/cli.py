@@ -8,7 +8,8 @@ give byte-identical output.  Each report is validated against the schema of
 the same name shipped under hpa/schemas/ before it is written.
 
 Exit codes: 0 success, 1 mathematical failure (axiom violation, rejected
-matching, failed verification), 2 usage or I/O errors.
+matching, failed verification), 2 usage or I/O errors.  Every subcommand
+that builds on the algebra first refuses a non-cancellative one (exit 1).
 """
 
 import argparse
@@ -30,7 +31,7 @@ from .realization import (RING_Z, build_realization, cw_chain_complex,
                           euler_characteristic, homology, parse_ring,
                           ring_name)
 from .resolution import (cellular_resolution, contracting_homotopy_check,
-                         tensor_simples, verify_d_squared)
+                         simple_tensor_complex, verify_d_squared)
 from .toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
                     check_cohomologically_proper, check_directable,
                     degree_name, image_phi, weight_data_from_json)
@@ -67,6 +68,16 @@ def _load(path):
         return from_document(f.read())
 
 
+def _load_hpa(path):
+    """Load an algebra and refuse it unless it is cancellative: division,
+    and so every construction after it, is only defined then."""
+    a = _load(path)
+    rep = check_hpa(a)
+    if not rep.ok:
+        raise ValueError(f"not a homotopy path algebra: {rep.summary()}")
+    return a
+
+
 def _homology_json(h):
     return {str(k): [rank, list(tors)] for k, (rank, tors) in sorted(h.items())}
 
@@ -80,7 +91,7 @@ def cmd_check(args):
 
 
 def cmd_realize(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     payload = {'counts': x.counts(),
                'euler': euler_characteristic(x),
@@ -91,7 +102,7 @@ def cmd_realize(args):
 
 
 def cmd_homology(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     h = homology(cw_chain_complex(x, ring=args.ring))
     payload = {'ring': ring_name(args.ring),
@@ -102,7 +113,7 @@ def cmd_homology(args):
 
 
 def cmd_resolve(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     c = cellular_resolution(a, x)
     d2 = verify_d_squared(c)
@@ -129,7 +140,7 @@ def _build_matching(args, a, x):
 
 
 def cmd_morse(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     m, strategy = _build_matching(args, a, x)
     internal = check_internal(m, a)
@@ -147,8 +158,8 @@ def cmd_morse(args):
     d2 = verify_d_squared(mc)
     pairs = [(v, w) for v in a.quiver.vertices for w in a.quiver.vertices]
     quasi_ok = all(
-        homology(tensor_simples(c, v, w, ring=args.ring)) ==
-        homology(tensor_simples(mc, v, w, ring=args.ring))
+        homology(simple_tensor_complex(c, v, w, ring=args.ring)) ==
+        homology(simple_tensor_complex(mc, v, w, ring=args.ring))
         for v, w in pairs)
     minimal = check_minimal(mc)
     try:
@@ -168,7 +179,7 @@ def cmd_morse(args):
 
 
 def cmd_betti(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     bt = betti_table(a)
     if args.out and args.out.endswith('.csv'):
         _write(args, bt.to_csv())
@@ -177,7 +188,7 @@ def cmd_betti(args):
 
 
 def cmd_koszul(args):
-    a = _load(args.input)
+    a = _load_hpa(args.input)
     verdict = koszul_check(a)
     return _emit(args, 'koszul', verdict.to_json())
 
@@ -229,13 +240,20 @@ def cmd_tensor(args):
     return _emit(args, 'tensor', payload)
 
 
+def _max_dim(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_common(sub, ring=False, max_dim=False, matching=False):
     sub.add_argument('input', help='quiver document')
     if ring:
         sub.add_argument('--ring', type=parse_ring, default=RING_Z,
                          help='Z, Q or Fp:<p> (default Z)')
     if max_dim:
-        sub.add_argument('--max-dim', type=int, default=None,
+        sub.add_argument('--max-dim', type=_max_dim, default=None,
                          help='cap the realization dimension')
     if matching:
         sub.add_argument('--matching', default='bh',

@@ -115,7 +115,7 @@ def parse_quiver(text):
     try:
         rels = RelationSet(quiver, groups)
     except RelationError as e:
-        raise ParseError(str(e), relation_specs[0][1] if relation_specs else 0)
+        raise ParseError(str(e), relation_specs[e.group][1])
     return quiver, rels
 
 

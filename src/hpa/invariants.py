@@ -14,7 +14,7 @@ import json
 
 from .linalg import SparseMat
 from .realization import RING_Z, ChainComplex, homology
-from .resolution import cellular_resolution, tensor_simples
+from .resolution import cellular_resolution, simple_tensor_complex
 from .morse import (_maximal_chains, babson_hersh_matching, morse_complex,
                     check_minimal, check_linear)
 
@@ -74,9 +74,7 @@ def interval_order_complex(a, p):
     proper nontrivial subpath classes of p."""
     if a.is_trivial(p):
         raise ValueError("interval of a trivial class")
-    from .algebra import path_poset
-    poset = path_poset(a)
-    return OrderComplex(poset.open_interval(p), poset.leq)
+    return OrderComplex(a.open_interval(p), a.leq)
 
 
 def _elementary_divisors(factors):
@@ -102,15 +100,13 @@ def _elementary_divisors(factors):
 def tor_via_intervals(a, v, w, ring=RING_Z):
     """Tor_i(S_v, S_w) assembled from interval homology; sparse dict
     {degree: (rank, elementary divisors)}."""
-    from .algebra import path_poset
-    poset = path_poset(a)
     acc = {}
     if v == w:
         acc[0] = [1, []]
     for p in a.classes_by_pair.get((v, w), ()):
         if a.is_trivial(p):
             continue
-        oc = OrderComplex(poset.open_interval(p), poset.leq)
+        oc = OrderComplex(a.open_interval(p), a.leq)
         for k, (rank, tors) in reduced_homology(oc, ring).items():
             i = k + 2
             cur = acc.setdefault(i, [0, []])
@@ -123,7 +119,7 @@ def tor_via_intervals(a, v, w, ring=RING_Z):
 def tor_via_resolution(a, c, v, w, ring=RING_Z):
     """Homology of S_v (x) c (x) S_w; same sparse shape as
     tor_via_intervals.  c is a cellular resolution or a Morse complex."""
-    h = homology(tensor_simples(c, v, w, ring))
+    h = homology(simple_tensor_complex(c, v, w, ring))
     return {i: (rank, _elementary_divisors(tors))
             for i, (rank, tors) in sorted(h.items()) if rank or tors}
 
@@ -204,21 +200,16 @@ def el_shellability_certificate(a, p, labeling):
     ('unknown', not a disproof), except that an antichain interval is
     certified outright as a finite set of points.
     """
-    from .algebra import path_poset
-    poset = path_poset(a)
-    interval = poset.open_interval(p)
+    interval = a.open_interval(p)
     ranks = _rank_map(a, labeling)
     elems = [a.trivial_class[a.tail(p)]] + sorted(interval) + [p]
-
-    def leq(x, y):
-        return x == y or poset.leq(x, y)
 
     def chain_ranks(chain):
         out = []
         for z1, z2 in zip(chain, chain[1:]):
-            q = poset.divide(z1, z2)
-            arrow_labels = sorted(w.labels[0] for w in a.cls(q).words
-                                  if len(w.labels) == 1)
+            q = a.divide(z1, z2)
+            arrow_labels = sorted(label for label, c in a.arrow_class.items()
+                                  if c == q)
             if not arrow_labels:
                 raise ValueError(
                     f"cover relation {a.cls(z1).rep.labels} < "
@@ -233,10 +224,10 @@ def el_shellability_certificate(a, p, labeling):
     witness = None
     for u in elems:
         for w in elems:
-            if u == w or not poset.leq(u, w):
+            if u == w or not a.leq(u, w):
                 continue
-            sub = [z for z in elems if leq(u, z) and leq(z, w)]
-            chains = _maximal_chains(sub, poset.leq)
+            sub = [z for z in elems if a.leq(u, z) and a.leq(z, w)]
+            chains = _maximal_chains(sub, a.leq)
             labeled = [(chain_ranks(ch), ch) for ch in chains]
             increasing = [lc for lc in labeled
                           if all(x <= y for x, y in zip(lc[0], lc[0][1:]))]
@@ -250,7 +241,7 @@ def el_shellability_certificate(a, p, labeling):
     if witness is None:
         return {'method': 'el-labeling', 'intervals_checked': checked,
                 'ranks': ranks}
-    if all(not poset.less(x, y)
+    if all(not a.leq(x, y)
            for x in interval for y in interval if x != y):
         return {'method': 'point-set', 'points': len(interval)}
     return None
@@ -309,8 +300,6 @@ def koszul_check(a, labelings=None):
                                  {'variable_order': res.order,
                                   'exhaustive': res.exhaustive})
 
-    from .algebra import path_poset
-    poset = path_poset(a)
     candidates = list(labelings) if labelings is not None \
         else list(_default_labelings(a))
     all_certified = True
@@ -318,13 +307,13 @@ def koszul_check(a, labelings=None):
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        interval = poset.open_interval(p)
+        interval = a.open_interval(p)
         # structural shellability, independent of any labeling
         if not interval:
             cert_count += 1
             continue
-        if len(_maximal_chains(interval, poset.leq)) == 1 or \
-                all(not poset.less(x, y)
+        if len(_maximal_chains(interval, a.leq)) == 1 or \
+                all(not a.leq(x, y)
                     for x in interval for y in interval if x != y):
             cert_count += 1
             continue

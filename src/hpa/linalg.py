@@ -215,6 +215,15 @@ class SparseMat:
         return len(self.entries)
 
 
+def accumulate(acc, key, v):
+    """acc[key] += v on a sparse dict, dropping the entry when it cancels."""
+    nv = acc.get(key, 0) + v
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
+
+
 def _elim_state(mat, p=None):
     rows = {}
     cols = {}
@@ -328,42 +337,9 @@ def invariant_factors(mat):
     return [1] * units + rest
 
 
-def integer_rank(mat):
-    """Rank over Z (equivalently over Q) of a SparseMat."""
-    rows, cols = _elim_state(mat)
-    units = _eliminate_units(rows, cols)
-    core = _core_dense(rows)
-    return units + sum(1 for d in snf_diagonal(core) if d != 0)
-
-
 def modp_rank(mat, p):
     rows, cols = _elim_state(mat, p)
     return _eliminate_units(rows, cols, p)
-
-
-def homology_of_pair(n_k, d_k, d_k1, ring):
-    """Homology at degree k of ... -> C_{k+1} --d_k1--> C_k --d_k--> C_{k-1}.
-
-    n_k = dim C_k; d_k, d_k1 are SparseMat (maps out of C_k and into C_k).
-    ring is ('Z',), ('Q',) or ('Fp', p).  Returns (rank, torsion list).
-    """
-    kind = ring[0]
-    if kind in ('Z', 'Q'):
-        r_out = integer_rank(d_k) if d_k is not None else 0
-        if d_k1 is not None:
-            facs = invariant_factors(d_k1)
-            r_in = len(facs)
-        else:
-            facs, r_in = [], 0
-        rank = n_k - r_out - r_in
-        torsion = [d for d in facs if d > 1] if kind == 'Z' else []
-        return rank, torsion
-    if kind == 'Fp':
-        p = ring[1]
-        r_out = modp_rank(d_k, p) if d_k is not None else 0
-        r_in = modp_rank(d_k1, p) if d_k1 is not None else 0
-        return n_k - r_out - r_in, []
-    raise ValueError(f"unknown ring {ring!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ composes its boundary terms with these flows.
 import json
 from collections import deque
 
+from .linalg import accumulate
 from .realization import build_realization
 
 
@@ -73,9 +74,7 @@ class InternalReport:
 
 def _is_arrow_cell(hpa, cell):
     """1-cell [e_v < p] with p the class of an arrow."""
-    if len(cell) != 2:
-        return False
-    return any(len(w.labels) == 1 for w in hpa.cls(cell[1]).words)
+    return len(cell) == 2 and cell[1] in hpa.arrow_class.values()
 
 
 def check_internal(m, a=None):
@@ -230,62 +229,30 @@ def morse_complex(c, m):
 
     a = c.hpa
     x = c.complex
-    critical = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-                for k in range(x.max_dim + 1)]
+    critical = _critical_cells(x, m)
+
+    # a flow is {(l, critical target, r): coefficient}
+    def critical_flow(s):
+        return {(a.trivial_class[x.tail(s)], s, a.trivial_class[x.head(s)]): 1}
+
+    def compose(scale, deps):
+        # sum of scale.sign.l.(flow of f).r over the terms (sign, l, flow, r)
+        acc = {}
+        for sign, l, flow, r in deps:
+            for (l2, tgt, r2), cf in flow.items():
+                accumulate(acc, (a.mult(l, l2), tgt, a.mult(r2, r)),
+                           scale * sign * cf)
+        return acc
+
+    def matched_flow(tau, s, deps):
+        return compose(-_matched_entry(c, tau, s), deps)
 
     terms = {}
     for k in range(1, x.max_dim + 1):
-        flow = {}
-
-        def flow_of(s0):
-            # iterative post-order; flow of a (k-1)-cell as
-            # {(l, critical target, r): coefficient}
-            stack = [s0]
-            while stack:
-                s = stack[-1]
-                if s in flow:
-                    stack.pop()
-                    continue
-                if not m.is_matched(s):
-                    flow[s] = {(a.trivial_class[x.tail(s)], s,
-                                a.trivial_class[x.head(s)]): 1}
-                    stack.pop()
-                    continue
-                if s in m.bottom_of:  # matched downward: paths end, not critical
-                    flow[s] = {}
-                    stack.pop()
-                    continue
-                tau = m.top_of[s]
-                deps = [(sign, l, f, r) for sign, l, f, r in c.terms(tau)
-                        if f != s]
-                missing = [f for _, _, f, _ in deps if f not in flow]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                eps = _matched_entry(c, tau, s)
-                acc = {}
-                for sign, l, f, r in deps:
-                    for (l2, tgt, r2), cf in flow[f].items():
-                        key = (a.mult(l, l2), tgt, a.mult(r2, r))
-                        nv = acc.get(key, 0) + (-eps) * sign * cf
-                        if nv:
-                            acc[key] = nv
-                        else:
-                            acc.pop(key, None)
-                flow[s] = acc
-                stack.pop()
-            return flow[s0]
-
+        flow_of = _gradient_flow(c, m, critical_flow, matched_flow)
         for tau in critical[k]:
-            acc = {}
-            for sign, l, f, r in c.terms(tau):
-                for (l2, tgt, r2), cf in flow_of(f).items():
-                    key = (a.mult(l, l2), tgt, a.mult(r2, r))
-                    nv = acc.get(key, 0) + sign * cf
-                    if nv:
-                        acc[key] = nv
-                    else:
-                        acc.pop(key, None)
+            acc = compose(1, [(sign, l, flow_of(f), r)
+                              for sign, l, f, r in c.terms(tau)])
             terms[tau] = [(cf, l, tgt, r)
                           for (l, tgt, r), cf in sorted(acc.items())]
 
@@ -294,49 +261,65 @@ def morse_complex(c, m):
     return MorseComplex(a, critical, terms, m)
 
 
+def _critical_cells(x, m):
+    return [[cell for cell in x.cells[k] if not m.is_matched(cell)]
+            for k in range(x.max_dim + 1)]
+
+
+def _gradient_flow(c, m, critical_flow, matched_flow):
+    """Memoized flow of cells along gradient paths, by an iterative
+    post-order walk.  A critical cell s flows to critical_flow(s), a cell
+    matched downward to nothing, and a cell s matched up with tau to
+    matched_flow(tau, s, deps), where deps lists (sign, l, flow of f, r) for
+    the other faces f of tau.  Acyclicity makes the walk terminate."""
+    flow = {}
+
+    def flow_of(s0):
+        stack = [s0]
+        while stack:
+            s = stack[-1]
+            if s in flow:
+                stack.pop()
+                continue
+            if not m.is_matched(s):
+                flow[s] = critical_flow(s)
+            elif s in m.bottom_of:  # matched downward: paths end, not critical
+                flow[s] = {}
+            else:
+                tau = m.top_of[s]
+                deps = [t for t in c.terms(tau) if t[2] != s]
+                missing = [f for _, _, f, _ in deps if f not in flow]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                flow[s] = matched_flow(
+                    tau, s, [(sign, l, flow[f], r) for sign, l, f, r in deps])
+            stack.pop()
+        return flow[s0]
+
+    return flow_of
+
+
 def gradient_path_counts(c, m):
     """Audit: number of alternating gradient paths between critical cells,
     as {(top cell, target cell): count}."""
     x = c.complex
     counts = {}
-    critical = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-                for k in range(x.max_dim + 1)]
+    critical = _critical_cells(x, m)
+
+    def matched_flow(tau, s, deps):
+        acc = {}
+        for _, _, flow, _ in deps:
+            for tgt, n in flow.items():
+                accumulate(acc, tgt, n)
+        return acc
+
     for k in range(1, x.max_dim + 1):
-        flow = {}
-
-        def count_of(s0):
-            stack = [s0]
-            while stack:
-                s = stack[-1]
-                if s in flow:
-                    stack.pop()
-                    continue
-                if not m.is_matched(s):
-                    flow[s] = {s: 1}
-                    stack.pop()
-                    continue
-                if s in m.bottom_of:
-                    flow[s] = {}
-                    stack.pop()
-                    continue
-                tau = m.top_of[s]
-                deps = [f for _, _, f, _ in c.terms(tau) if f != s]
-                missing = [f for f in deps if f not in flow]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                acc = {}
-                for f in deps:
-                    for tgt, n in flow[f].items():
-                        acc[tgt] = acc.get(tgt, 0) + n
-                flow[s] = acc
-                stack.pop()
-            return flow[s0]
-
+        count_of = _gradient_flow(c, m, lambda s: {s: 1}, matched_flow)
         for tau in critical[k]:
             for _, _, f, _ in c.terms(tau):
                 for tgt, n in count_of(f).items():
-                    counts[tau, tgt] = counts.get((tau, tgt), 0) + n
+                    accumulate(counts, (tau, tgt), n)
     return counts
 
 
@@ -487,18 +470,17 @@ def babson_hersh_matching(a, chain_order=None, complex_=None):
     if chain_order is None:
         chain_order = default_chain_order
     x = complex_ if complex_ is not None else build_realization(a)
-    poset = x.poset
     pairs = []
     fallbacks = []
 
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        interval = poset.open_interval(p)
+        interval = a.open_interval(p)
         if not interval:
             continue  # the 1-cell [e < p] stays critical
         pos = {}
-        chains = _maximal_chains(interval, poset.leq)
+        chains = _maximal_chains(interval, a.leq)
         chains.sort(key=lambda ch: chain_order(a, ch))
         for ch in chains:
             for i, e in enumerate(ch):
@@ -638,11 +620,10 @@ def _cell_from_json(x, data):
         classes.append(a.word_class(w))
     if not a.is_trivial(classes[0]):
         # rebase a chain written with a nontrivial first entry
-        poset = x.poset
         c0 = classes[0]
         rebased = [a.trivial_class[a.head(c0)]]
         for c in classes[1:]:
-            rebased.append(poset.divide(c0, c))
+            rebased.append(a.divide(c0, c))
         classes = rebased
     cell = tuple(classes)
     if cell not in x.index:
@@ -673,8 +654,3 @@ def load_matching(path, complex_):
     with open(path) as f:
         return matching_from_json(json.load(f), complex_)
 
-
-def save_matching(path, m):
-    with open(path, 'w') as f:
-        json.dump(matching_to_json(m), f, indent=1, sort_keys=True)
-        f.write('\n')

@@ -8,8 +8,7 @@ chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
 """
 
-from .algebra import path_poset
-from .linalg import SparseMat, homology_of_pair
+from .linalg import SparseMat, invariant_factors, modp_rank
 
 
 RING_Z = ('Z',)
@@ -47,7 +46,6 @@ class CellComplex:
 
     def __init__(self, hpa, cells_by_dim, truncated=False):
         self.hpa = hpa
-        self.poset = path_poset(hpa)
         self.cells = [sorted(cs) for cs in cells_by_dim]
         while self.cells and not self.cells[-1]:
             self.cells.pop()
@@ -90,7 +88,7 @@ class CellComplex:
                 p1 = cell[1]
                 rebased = [self.hpa.trivial_class[self.hpa.head(p1)]]
                 for p in cell[2:]:
-                    rebased.append(self.poset.divide(p1, p))
+                    rebased.append(self.hpa.divide(p1, p))
                 out.append(tuple(rebased))
             else:
                 out.append(cell[:i] + cell[i + 1:])
@@ -116,16 +114,12 @@ def build_realization(a, max_dim=None):
     max_dim caps the dimension (the complex is then a truncation; homology
     above the cap is not defined from it).
     """
-    poset = path_poset(a)
     cells = []
     truncated = False
 
     for v in a.quiver.vertices:
         nontrivial = [c for c in a.classes_by_tail[v] if not a.is_trivial(c)]
-        ups = {}
-        for p in nontrivial:
-            ups[p] = [q for q in nontrivial
-                      if q != p and poset.leq(p, q)]
+        ups = {p: [q for q in a.quotients(p) if q != p] for p in nontrivial}
         e_v = a.trivial_class[v]
         # DFS over strictly increasing chains
         stack = [(e_v,)]
@@ -206,21 +200,31 @@ def homology(chain):
     bad = chain.verify_d_squared()
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
-    out = {}
+    kind = chain.ring[0]
+    if kind not in ('Z', 'Q', 'Fp'):
+        raise ValueError(f"unknown ring {chain.ring!r}")
     top = chain.top
+    # rank[k] and torsion[k] of d_k: C_k -> C_{k-1}, each d_k eliminated once
+    rank = [0] * (top + 2)
+    torsion = [[] for _ in range(top + 2)]
+    for k in range(1, top + 1):
+        d = chain.differential(k)
+        if d is None:
+            continue
+        if kind == 'Fp':
+            rank[k] = modp_rank(d, chain.ring[1])
+        else:
+            facs = invariant_factors(d)
+            rank[k] = len(facs)
+            if kind == 'Z':
+                torsion[k] = [f for f in facs if f > 1]
     limit = top if not chain.truncated else top - 1
-    for k in range(limit + 1):
-        out[k] = homology_of_pair(chain.dims[k], chain.differential(k),
-                                  chain.differential(k + 1), chain.ring)
-    return out
+    return {k: (chain.dims[k] - rank[k] - rank[k + 1], torsion[k + 1])
+            for k in range(limit + 1)}
 
 
 def euler_characteristic(complex_):
     return sum((-1) ** k * n for k, n in enumerate(complex_.counts()))
-
-
-def tree_stratum(complex_, cell):
-    return complex_.tree_stratum(cell)
 
 
 def check_semisimplicial(complex_):

@@ -8,7 +8,7 @@ sign of face i is (-1)^i.  Elements are stored as dicts
 {(left class, cell, right class): integer coefficient}.
 """
 
-from .linalg import SparseMat
+from .linalg import SparseMat, accumulate
 from .realization import RING_Z, ChainComplex, build_realization
 
 
@@ -45,7 +45,7 @@ class BimoduleComplex:
                 elif i == k:
                     l = a.trivial_class[a.tail(cell[0])]
                     prev = cell[k - 1]
-                    r = self.complex.poset.divide(prev, cell[k])
+                    r = a.divide(prev, cell[k])
                 else:
                     l = a.trivial_class[a.tail(cell[0])]
                     r = a.trivial_class[a.head(cell[-1])]
@@ -61,12 +61,8 @@ class BimoduleComplex:
         out = {}
         for (ac, cell, bc), coef in elem.items():
             for sign, l, face, r in self.terms(cell):
-                key = (a.mult(ac, l), face, a.mult(r, bc))
-                nv = out.get(key, 0) + sign * coef
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+                accumulate(out, (a.mult(ac, l), face, a.mult(r, bc)),
+                           sign * coef)
         return out
 
     def h_element(self, elem):
@@ -84,27 +80,17 @@ class BimoduleComplex:
             if new not in self.complex.index:
                 raise AssertionError(
                     f"homotopy left the complex: {new}")
-            key = (a.trivial_class[a.tail(ac)], new, bc)
-            nv = out.get(key, 0) + coef
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
+            accumulate(out, (a.trivial_class[a.tail(ac)], new, bc), coef)
         return out
 
     def basis(self, k):
         """All degree-k module basis triples (a, cell, b)."""
         a = self.hpa
-        into = {v: [] for v in a.quiver.vertices}
-        outof = {v: [] for v in a.quiver.vertices}
-        for c in a.classes:
-            into[c.head].append(c.id)
-            outof[c.tail].append(c.id)
         for cell in self.generators(k):
             t = a.tail(cell[0])
             h = a.head(cell[-1])
-            for ac in into[t]:
-                for bc in outof[h]:
+            for ac in a.classes_by_head[t]:
+                for bc in a.classes_by_tail[h]:
                     yield (ac, cell, bc)
 
 
@@ -161,12 +147,7 @@ def multiply_augmentation(c, elem):
     a = c.hpa
     out = {}
     for (ac, cell, bc), coef in elem.items():
-        cls = a.mult(a.mult(ac, cell[0]), bc)
-        nv = out.get(cls, 0) + coef
-        if nv:
-            out[cls] = nv
-        else:
-            out.pop(cls, None)
+        accumulate(out, a.mult(a.mult(ac, cell[0]), bc), coef)
     return out
 
 
@@ -237,10 +218,6 @@ def simple_tensor_complex(source, v, w, ring=RING_Z):
         dims.pop()
         d.pop()
     return ChainComplex(dims, d, ring)
-
-
-def tensor_simples(c, v, w, ring=RING_Z):
-    return simple_tensor_complex(c, v, w, ring)
 
 
 def bimodule_chain_complex(c, ring=RING_Z):

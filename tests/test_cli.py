@@ -178,3 +178,27 @@ def test_console_script():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)['homology']['1'] == [2, []]
+
+
+def test_non_cancellative_refused(capsys, tmp_path):
+    doc = ("vertices: u m v\n"
+           "arrows:\n  x: u -> m\n  y: u -> m\n  z: m -> v\n"
+           "relations:\n  x z = y z\n")
+    p = tmp_path / 'noncancellative.quiver'
+    p.write_text(doc)
+    for cmd in ('realize', 'homology', 'resolve', 'morse', 'betti', 'koszul'):
+        assert main([cmd, str(p)]) == 1, cmd
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert "right cancellation fails for r=z with p=x, p'=y" in err
+    code, data = run_json(capsys, 'check', str(p))
+    assert code == 1
+    assert data['report']['violations'] == [
+        {'side': 'right', 'r': ['z'], 'r_tail': 'm', 'p': ['x'], 'p2': ['y'],
+         'p_tail': 'u'}]
+
+
+def test_negative_max_dim_is_usage_error():
+    with pytest.raises(SystemExit) as e:
+        main(['realize', P2, '--max-dim', '-1'])
+    assert e.value.code == 2

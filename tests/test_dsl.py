@@ -89,3 +89,21 @@ def test_content_before_section():
 def test_bad_relation_line():
     with pytest.raises(ParseError, match="bad relation line"):
         parse_quiver("vertices: v0 v1\narrows:\n a: v0->v1\nrelations:\n a =")
+
+
+def test_relation_error_reports_its_own_line():
+    doc = ("vertices: v0 v1 v2\n"
+           "arrows:\n"
+           " a: v0 -> v1\n"
+           " b: v0 -> v1\n"
+           " c: v1 -> v2\n"
+           " d: v1 -> v2\n"
+           "relations:\n"
+           " a c = b d\n"
+           " a d = b c = a d\n")
+    with pytest.raises(ParseError, match="repeated word") as e:
+        parse_quiver(doc)
+    assert e.value.line == 9
+    with pytest.raises(ParseError, match="two relation groups") as e:
+        parse_quiver(doc.replace("a d = b c = a d", "a d = a c"))
+    assert e.value.line == 9

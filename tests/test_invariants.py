@@ -1,6 +1,6 @@
 import pytest
 
-from hpa.algebra import from_document, free_algebra, path_poset
+from hpa.algebra import from_document, free_algebra
 from hpa.quiver import linear_quiver
 from hpa.realization import build_realization, euler_characteristic
 from hpa.resolution import cellular_resolution

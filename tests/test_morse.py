@@ -5,7 +5,8 @@ import pytest
 from hpa.algebra import free_algebra
 from hpa.quiver import linear_quiver, Quiver
 from hpa.realization import build_realization, homology
-from hpa.resolution import cellular_resolution, tensor_simples, verify_d_squared
+from hpa.resolution import (cellular_resolution, simple_tensor_complex,
+                            verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
@@ -128,8 +129,8 @@ def test_babson_hersh_quasi_isomorphism(p2):
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
-                full = homology(tensor_simples(c, v, w, ring))
-                small = homology(tensor_simples(mc, v, w, ring))
+                full = homology(simple_tensor_complex(c, v, w, ring))
+                small = homology(simple_tensor_complex(mc, v, w, ring))
                 ks = set(full) | set(small)
                 for k in ks:
                     assert full.get(k, (0, [])) == small.get(k, (0, [])), \
@@ -158,8 +159,8 @@ def test_greedy_p2_agrees_with_resolution_homology(p2):
     assert verify_d_squared(mc).ok
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
-            full = homology(tensor_simples(c, v, w))
-            small = homology(tensor_simples(mc, v, w))
+            full = homology(simple_tensor_complex(c, v, w))
+            small = homology(simple_tensor_complex(mc, v, w))
             for k in set(full) | set(small):
                 assert full.get(k, (0, [])) == small.get(k, (0, []))
 

@@ -6,7 +6,7 @@ from hpa.quiver import Quiver, linear_quiver
 from hpa.realization import (ChainComplex, RING_Q, RING_Z, build_realization,
                              check_semisimplicial, cw_chain_complex,
                              euler_characteristic, face_poset_dot, homology,
-                             parse_ring, ring_fp, tree_stratum)
+                             parse_ring, ring_fp)
 
 
 def test_parse_ring():
@@ -60,8 +60,8 @@ def test_free_parallel_arrows_graph_homology():
 def test_tree_stratum(p2):
     x = build_realization(p2)
     cell = x.cells[1][0]
-    assert tree_stratum(x, cell) == p2.tail(cell[0])
-    strata = {tree_stratum(x, c) for c in x.cells[2]}
+    assert x.tree_stratum(cell) == p2.tail(cell[0])
+    strata = {x.tree_stratum(c) for c in x.cells[2]}
     assert strata == {'v0'}  # all 2-cells live over the root vertex
 
 

@@ -5,8 +5,8 @@ from hpa.quiver import linear_quiver
 from hpa.realization import RING_Q, RING_Z, build_realization, homology, ring_fp
 from hpa.resolution import (BimoduleComplex, bimodule_chain_complex,
                             cellular_resolution, contracting_homotopy_check,
-                            h_minus_one, multiply_augmentation, tensor_simples,
-                            verify_d_squared)
+                            h_minus_one, multiply_augmentation,
+                            simple_tensor_complex, verify_d_squared)
 
 
 @pytest.fixture(scope='module')
@@ -97,15 +97,15 @@ def test_augmentation_h_identity(p2, res_p2):
 
 
 def test_tensor_simples_p2(p2, res_p2):
-    same = tensor_simples(res_p2, 'v0', 'v0', RING_Z)
+    same = simple_tensor_complex(res_p2, 'v0', 'v0', RING_Z)
     assert homology(same)[0] == (1, [])
 
-    step = tensor_simples(res_p2, 'v0', 'v1', RING_Z)
+    step = simple_tensor_complex(res_p2, 'v0', 'v1', RING_Z)
     h = homology(step)
     assert h[1] == (3, [])  # one generator per arrow
     assert h[0] == (0, [])
 
-    two = tensor_simples(res_p2, 'v0', 'v2', RING_Z)
+    two = simple_tensor_complex(res_p2, 'v0', 'v2', RING_Z)
     h = homology(two)
     assert h[2] == (3, [])  # one generator per relation group
     assert h[1] == (0, [])
@@ -116,9 +116,9 @@ def test_tensor_simples_free_quiver():
     # v0 -> v2 has no arrow, so all degrees die
     a = free_algebra(linear_quiver(2))
     c = cellular_resolution(a)
-    h = homology(tensor_simples(c, 'v0', 'v2', RING_Z))
+    h = homology(simple_tensor_complex(c, 'v0', 'v2', RING_Z))
     assert h == {0: (0, []), 1: (0, []), 2: (0, [])}
-    h = homology(tensor_simples(c, 'v0', 'v1', RING_Z))
+    h = homology(simple_tensor_complex(c, 'v0', 'v1', RING_Z))
     assert h[1] == (1, [])
 
 
