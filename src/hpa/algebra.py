@@ -104,6 +104,7 @@ class HPA:
             self.classes_by_pair.setdefault((c.tail, c.head), []).append(c.id)
         self._mult = {}
         self._quot = {}
+        self._covers = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -166,21 +167,24 @@ class HPA:
     def leq(self, p, q):
         return q in self.quotients(p)
 
+    def covers(self, p):
+        """Upper covers of p, sorted: the minimal classes among p.x over the
+        arrows x leaving head(p).  In a cancellative algebra every q > p lies
+        above some p.x; minimality matters when the algebra is not graded
+        (with x = s t, p.x lies above p.s).  Cached like the quotient rows."""
+        row = self._covers.get(p)
+        if row is None:
+            ups = {self.mult(p, self.arrow_class[ar.label])
+                   for ar in self.quiver.out[self.head(p)]}
+            row = sorted(c for c in ups
+                         if not any(d != c and self.leq(d, c) for d in ups))
+            self._covers[p] = row
+        return row
+
     def open_interval(self, p):
         """Classes strictly between the trivial path at tail(p) and p."""
         return [c for c in self.classes_by_tail[self.tail(p)]
                 if c != p and not self.is_trivial(c) and self.leq(c, p)]
-
-    def class_table(self):
-        """JSON-ready class table."""
-        return [{
-            'id': c.id,
-            'canonical': list(c.rep.labels),
-            'tail': c.tail,
-            'head': c.head,
-            'lengths': sorted(c.lengths),
-            'size': len(c.words),
-        } for c in self.classes]
 
 
 def congruence_closure(paths, rels):
@@ -253,37 +257,53 @@ def from_document(text):
 
 # -- HPA axiom check --------------------------------------------------------
 
-Violation = namedtuple('Violation', ['side', 'r', 'p', 'p2'])
+class Report:
+    """Outcome of a check: `witnesses` lists what failed (empty when `ok`)
+    and `checked` counts the items examined."""
 
-
-class CheckReport:
-    def __init__(self, violations):
-        self.violations = violations
-        self.ok = not violations
+    def __init__(self, witnesses, checked):
+        self.witnesses = witnesses
+        self.checked = checked
+        self.ok = not witnesses
 
     def __bool__(self):
         return self.ok
 
-    def summary(self):
-        if self.ok:
-            return "cancellative: passes both axioms"
-        v = self.violations[0]
-        return (f"{len(self.violations)} violation(s); first: "
-                f"{v.side} cancellation fails for r={_fmt(v.r)} with "
-                f"p={_fmt(v.p)}, p'={_fmt(v.p2)}")
+
+class Violation(namedtuple('Violation', ['side', 'r', 'p', 'p2'])):
+    """r p ~ r p' (side 'left') or p r ~ p' r (side 'right') with p, p' not
+    congruent; r is an arrow word, p and p' class representatives."""
+
+    def __str__(self):
+        return (f"{self.side} cancellation fails for r={_fmt(self.r)} with "
+                f"p={_fmt(self.p)}, p'={_fmt(self.p2)}")
 
     def to_json(self):
-        return {
-            'ok': self.ok,
-            'violations': [{
-                'side': v.side,
-                'r': list(v.r.labels),
-                'r_tail': v.r.tail,
-                'p': list(v.p.labels),
-                'p2': list(v.p2.labels),
-                'p_tail': v.p.tail,
-            } for v in self.violations],
-        }
+        return {'side': self.side, 'r': list(self.r.labels),
+                'r_tail': self.r.tail, 'p': list(self.p.labels),
+                'p2': list(self.p2.labels), 'p_tail': self.p.tail}
+
+
+def cancellation_summary(rep):
+    """One line on a check_hpa report: the verdict and the first violation."""
+    if rep.ok:
+        return "cancellative: passes both axioms"
+    return f"{len(rep.witnesses)} violation(s); first: {rep.witnesses[0]}"
+
+
+class NotCancellativeError(ValueError):
+    """The algebra fails a cancellation axiom."""
+
+
+def require_cancellative(a):
+    """Return a, or raise NotCancellativeError with the first violation.
+    Quotients of classes, and so every construction built on division, are
+    only unique in a cancellative algebra."""
+    rep = check_hpa(a)
+    if not rep.ok:
+        raise NotCancellativeError(
+            f"not a homotopy path algebra: {cancellation_summary(rep)}")
+    return a
 
 
 def check_hpa(a):
@@ -292,6 +312,7 @@ def check_hpa(a):
     its arrows one at a time, so it suffices that multiplication by each
     arrow class, on either side, is injective on classes."""
     violations = []
+    checked = 0
     for ar in a.quiver.arrows:
         r = PathWord(ar.tail, ar.head, (ar.label,))
         x = a.arrow_class[ar.label]
@@ -299,13 +320,14 @@ def check_hpa(a):
                 ('left', a.classes_by_tail[ar.head], lambda c: a.mult(x, c)),
                 ('right', a.classes_by_head[ar.tail], lambda c: a.mult(c, x))):
             preimages = {}
+            checked += len(cs)
             for c in cs:
                 same = preimages.setdefault(times(c), [])
                 for c0 in same:
                     violations.append(
                         Violation(side, r, a.cls(c0).rep, a.cls(c).rep))
                 same.append(c)
-    return CheckReport(violations)
+    return Report(violations, checked)
 
 
 # -- tensor product ----------------------------------------------------------

@@ -20,12 +20,13 @@ import sys
 import jsonschema
 
 from . import __version__
-from .algebra import check_hpa, from_document, tensor
+from .algebra import (cancellation_summary, check_hpa, from_document,
+                      require_cancellative, tensor)
 from .dsl import ParseError, emit_quiver
 from .invariants import betti_table, koszul_check
-from .morse import (MatchingError, babson_hersh_matching, check_acyclic,
-                    check_internal, check_linear, check_minimal,
-                    greedy_internal_matching, load_matching, morse_complex)
+from .morse import (MatchingError, babson_hersh_matching, check_linear,
+                    check_minimal, greedy_internal_matching, load_matching,
+                    morse_complex)
 from .quiver import QuiverError
 from .realization import (RING_Z, build_realization, cw_chain_complex,
                           euler_characteristic, homology, parse_ring,
@@ -69,13 +70,13 @@ def _load(path):
 
 
 def _load_hpa(path):
-    """Load an algebra and refuse it unless it is cancellative: division,
-    and so every construction after it, is only defined then."""
-    a = _load(path)
-    rep = check_hpa(a)
-    if not rep.ok:
-        raise ValueError(f"not a homotopy path algebra: {rep.summary()}")
-    return a
+    """Load an algebra and refuse it unless it is cancellative."""
+    return require_cancellative(_load(path))
+
+
+def _check_json(rep, label):
+    return {'ok': rep.ok, 'checked': rep.checked, 'label': label,
+            'failures': [repr(f) for f in rep.witnesses[:20]]}
 
 
 def _homology_json(h):
@@ -85,8 +86,9 @@ def _homology_json(h):
 def cmd_check(args):
     a = _load(args.input)
     rep = check_hpa(a)
-    payload = {'ok': rep.ok, 'summary': rep.summary(),
-               'report': rep.to_json()}
+    payload = {'ok': rep.ok, 'summary': cancellation_summary(rep),
+               'report': {'ok': rep.ok, 'violations': [
+                   v.to_json() for v in rep.witnesses]}}
     return _emit(args, 'check', payload, 0 if rep.ok else 1)
 
 
@@ -124,9 +126,9 @@ def cmd_resolve(args):
         homotopy = contracting_homotopy_check(a, c)
     payload = {'generators': x.counts(),
                'truncated': x.truncated,
-               'd_squared': d2.to_json(),
-               'contracting_homotopy':
-                   None if homotopy is None else homotopy.to_json()}
+               'd_squared': _check_json(d2, "d^2 = 0"),
+               'contracting_homotopy': None if homotopy is None else
+                   _check_json(homotopy, "d h + h d = id")}
     ok = d2.ok and (homotopy is None or homotopy.ok)
     return _emit(args, 'resolve', payload, 0 if ok else 1)
 
@@ -143,12 +145,14 @@ def cmd_morse(args):
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     m, strategy = _build_matching(args, a, x)
-    internal = check_internal(m, a)
-    acyclic = check_acyclic(m)
+    acyclic = {'ok': m.acyclic.ok}
+    if not m.acyclic.ok:
+        acyclic['cycle'] = [x.format_cell(c) for c in m.acyclic.witnesses[0]]
     payload = {'matching': {'strategy': strategy, 'pairs': len(m.pairs)},
-               'internal': internal.to_json(),
-               'acyclic': acyclic.to_json()}
-    if not (internal.ok and acyclic.ok):
+               'internal': {'ok': m.internal.ok,
+                            'witnesses': m.internal.witnesses},
+               'acyclic': acyclic}
+    if not (m.internal.ok and m.acyclic.ok):
         payload.update({'criticals': None, 'd_squared': None,
                         'quasi_iso': None, 'minimal': None, 'linear': None})
         return _emit(args, 'morse', payload, 1)
@@ -163,12 +167,12 @@ def cmd_morse(args):
         for v, w in pairs)
     minimal = check_minimal(mc)
     try:
-        linear = check_linear(mc, a).ok
+        linear = check_linear(mc).ok
     except ValueError:
         linear = None
     payload.update({
         'criticals': mc.counts(),
-        'd_squared': d2.to_json(),
+        'd_squared': _check_json(d2, "d^2 = 0"),
         'quasi_iso': {'ok': quasi_ok, 'ring': ring_name(args.ring),
                       'vertex_pairs': len(pairs)},
         'minimal': minimal.ok,

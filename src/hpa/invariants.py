@@ -12,6 +12,7 @@ import csv
 import io
 import json
 
+from .algebra import require_cancellative
 from .linalg import SparseMat
 from .realization import RING_Z, ChainComplex, homology
 from .resolution import cellular_resolution, simple_tensor_complex
@@ -106,7 +107,7 @@ def tor_via_intervals(a, v, w, ring=RING_Z):
     for p in a.classes_by_pair.get((v, w), ()):
         if a.is_trivial(p):
             continue
-        oc = OrderComplex(a.open_interval(p), a.leq)
+        oc = interval_order_complex(a, p)
         for k, (rank, tors) in reduced_homology(oc, ring).items():
             i = k + 2
             cur = acc.setdefault(i, [0, []])
@@ -159,7 +160,9 @@ class BettiTable:
 def betti_table(a):
     """Predicted generator counts of the minimal resolution, from interval
     homology over Z.  Torsion anywhere is flagged: a minimal projective
-    bimodule resolution cannot exist over Z then."""
+    bimodule resolution cannot exist over Z then.  Refuses a non-cancellative
+    algebra."""
+    require_cancellative(a)
     table = {}
     warnings = []
     for v in a.quiver.vertices:
@@ -200,21 +203,17 @@ def el_shellability_certificate(a, p, labeling):
     ('unknown', not a disproof), except that an antichain interval is
     certified outright as a finite set of points.
     """
-    interval = a.open_interval(p)
+    e = a.trivial_class[a.tail(p)]
     ranks = _rank_map(a, labeling)
-    elems = [a.trivial_class[a.tail(p)]] + sorted(interval) + [p]
+    elems = [e] + sorted(a.open_interval(p)) + [p]
+    label_of = {}  # arrow class -> its least arrow label
+    for label in sorted(a.arrow_class):
+        label_of.setdefault(a.arrow_class[label], label)
 
     def chain_ranks(chain):
         out = []
         for z1, z2 in zip(chain, chain[1:]):
-            q = a.divide(z1, z2)
-            arrow_labels = sorted(label for label, c in a.arrow_class.items()
-                                  if c == q)
-            if not arrow_labels:
-                raise ValueError(
-                    f"cover relation {a.cls(z1).rep.labels} < "
-                    f"{a.cls(z2).rep.labels} is not division by an arrow")
-            label = arrow_labels[0]
+            label = label_of[a.divide(z1, z2)]
             if label not in ranks:
                 raise ValueError(f"arrow {label} has no rank in the labeling")
             out.append(ranks[label])
@@ -226,8 +225,7 @@ def el_shellability_certificate(a, p, labeling):
         for w in elems:
             if u == w or not a.leq(u, w):
                 continue
-            sub = [z for z in elems if a.leq(u, z) and a.leq(z, w)]
-            chains = _maximal_chains(sub, a.leq)
+            chains = [(u,) + ch + (w,) for ch in _maximal_chains(a, u, w)]
             labeled = [(chain_ranks(ch), ch) for ch in chains]
             increasing = [lc for lc in labeled
                           if all(x <= y for x, y in zip(lc[0], lc[0][1:]))]
@@ -241,9 +239,9 @@ def el_shellability_certificate(a, p, labeling):
     if witness is None:
         return {'method': 'el-labeling', 'intervals_checked': checked,
                 'ranks': ranks}
-    if all(not a.leq(x, y)
-           for x in interval for y in interval if x != y):
-        return {'method': 'point-set', 'points': len(interval)}
+    chains = _maximal_chains(a, e, p)
+    if all(len(ch) == 1 for ch in chains):
+        return {'method': 'point-set', 'points': len(chains)}
     return None
 
 
@@ -286,6 +284,7 @@ def koszul_check(a, labelings=None):
     set under some candidate labeling, (iii) the lexicographic Morse complex
     is minimal, in which case linearity decides outright.
     """
+    require_cancellative(a)
     if not a.graded:
         raise ValueError("koszul_check requires a length-graded algebra")
 
@@ -307,14 +306,10 @@ def koszul_check(a, labelings=None):
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        interval = a.open_interval(p)
-        # structural shellability, independent of any labeling
-        if not interval:
-            cert_count += 1
-            continue
-        if len(_maximal_chains(interval, a.leq)) == 1 or \
-                all(not a.leq(x, y)
-                    for x in interval for y in interval if x != y):
+        # structural shellability, independent of any labeling: a single
+        # maximal chain (the empty interval included) or an antichain
+        chains = _maximal_chains(a, a.trivial_class[a.tail(p)], p)
+        if len(chains) == 1 or all(len(ch) == 1 for ch in chains):
             cert_count += 1
             continue
         got = None
@@ -337,7 +332,7 @@ def koszul_check(a, labelings=None):
     m = babson_hersh_matching(a, complex_=c.complex)
     mc = morse_complex(c, m)
     if check_minimal(mc).ok:
-        lin = check_linear(mc, a)
+        lin = check_linear(mc)
         if lin.ok:
             return KoszulVerdict('koszul-certified', 'minimal-linear',
                                  {'criticals': mc.counts()})

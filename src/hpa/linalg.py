@@ -205,12 +205,6 @@ class SparseMat:
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
-    def to_dense(self):
-        M = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            M[i][j] = v
-        return M
-
     def nnz(self):
         return len(self.entries)
 

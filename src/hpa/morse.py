@@ -14,9 +14,11 @@ makes the recursion well founded.  The Morse differential of a critical cell
 composes its boundary terms with these flows.
 """
 
+import functools
 import json
 from collections import deque
 
+from .algebra import Report, require_cancellative
 from .linalg import accumulate
 from .realization import build_realization
 
@@ -27,7 +29,9 @@ class MatchingError(ValueError):
 
 class Matching:
     """A set of (top, bottom) cell pairs, bottom a facet of top, no cell used
-    twice.  Holds a reference to the complex it lives on."""
+    twice.  Holds a reference to the complex it lives on, and the reports of
+    check_internal and check_acyclic, run once here, as `internal` and
+    `acyclic`."""
 
     def __init__(self, complex_, pairs):
         self.complex = complex_
@@ -52,6 +56,8 @@ class Matching:
         self.top_of = {b: t for t, b in self.pairs}
         self.bottom_of = {t: b for t, b in self.pairs}
         self.cells = seen
+        self.internal = check_internal(self)
+        self.acyclic = check_acyclic(self)
 
     def __len__(self):
         return len(self.pairs)
@@ -59,17 +65,17 @@ class Matching:
     def is_matched(self, cell):
         return cell in self.cells
 
-
-class InternalReport:
-    def __init__(self, witnesses):
-        self.witnesses = witnesses
-        self.ok = not witnesses
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {'ok': self.ok, 'witnesses': self.witnesses}
+    def require_valid(self):
+        """Return self, or raise MatchingError with the first witness unless
+        the matching is internal and acyclic."""
+        if not self.internal.ok:
+            raise MatchingError(
+                f"matching not internal: {self.internal.witnesses[0]}")
+        if not self.acyclic.ok:
+            raise MatchingError("matching not acyclic: " + ' -> '.join(
+                self.complex.format_cell(c)
+                for c in self.acyclic.witnesses[0]))
+        return self
 
 
 def _is_arrow_cell(hpa, cell):
@@ -77,10 +83,9 @@ def _is_arrow_cell(hpa, cell):
     return len(cell) == 2 and cell[1] in hpa.arrow_class.values()
 
 
-def check_internal(m, a=None):
-    """Internality: no Q_0 or Q_1 cell matched; pairs share tail and head."""
-    if a is None:
-        a = m.complex.hpa
+def check_internal(m):
+    """Internality: no Q_0 or Q_1 cell matched; pairs share tail and head.
+    A witness is (reason, formatted cell or pair)."""
     x = m.complex
     witnesses = []
     for top, bottom in m.pairs:
@@ -88,87 +93,69 @@ def check_internal(m, a=None):
             if len(cell) == 1:
                 witnesses.append(
                     ('vertex cell matched', x.format_cell(cell)))
-            elif _is_arrow_cell(a, cell):
+            elif _is_arrow_cell(x.hpa, cell):
                 witnesses.append(
                     ('arrow cell matched', x.format_cell(cell)))
         if x.tail(top) != x.tail(bottom) or x.head(top) != x.head(bottom):
             witnesses.append(
                 ('pair changes stratum',
                  f"{x.format_cell(top)} ~ {x.format_cell(bottom)}"))
-    return InternalReport(witnesses)
+    return Report(witnesses, len(m.pairs))
 
 
-class AcyclicReport:
-    def __init__(self, cycle, complex_=None):
-        self.cycle = cycle
-        self.ok = cycle is None
-        self._complex = complex_
+def _stratum(x, cell):
+    return (len(cell), x.tail(cell), x.head(cell))
 
-    def __bool__(self):
-        return self.ok
 
-    def to_json(self):
-        out = {'ok': self.ok}
-        if not self.ok:
-            out['cycle'] = [self._complex.format_cell(c) if self._complex
-                            else str(c) for c in self.cycle]
-        return out
+def _find_cycle(x, top_of, start, key, color):
+    """Depth-first search from the matched bottom `start` along the steps
+    s -> f, f a face of top_of[s] other than s that is a matched bottom with
+    key(f) == key(s).  `color` marks cells on the current path (1) or done
+    (2) and carries over between calls.  Returns the first cycle closed, as
+    the alternating list bottom, top, ..., bottom, or None."""
+    def steps(s):
+        k = key(s)
+        return iter([f for f in x.faces(top_of[s])
+                     if f != s and f in top_of and key(f) == k])
+
+    if color.get(start):
+        return None
+    color[start] = 1
+    path = [start]
+    stack = [steps(start)]
+    while stack:
+        for nxt in stack[-1]:
+            state = color.get(nxt, 0)
+            if state == 1:
+                loop = path[path.index(nxt):]
+                return [c for s in loop for c in (s, top_of[s])] + [nxt]
+            if state == 0:
+                color[nxt] = 1
+                path.append(nxt)
+                stack.append(steps(nxt))
+                break
+        else:
+            color[path.pop()] = 2
+            stack.pop()
+    return None
 
 
 def check_acyclic(m):
     """Cycle detection on the Hasse digraph with matched edges upward.
 
     A directed cycle alternates matched-up and facet-down steps, so it only
-    visits matched bottoms of a fixed dimension; for internal matchings it
-    also stays inside one (tail, head) stratum, which we use to cut the
-    search space.  Returns a replayable alternating cycle on failure.
+    visits matched bottoms of a fixed dimension; for internal matchings
+    (read from m.internal) it also stays inside one (tail, head) stratum,
+    which cuts the search.  The witness is a replayable alternating cycle.
     """
     x = m.complex
-    internal = check_internal(m).ok
-
-    groups = {}
-    for bottom, top in m.top_of.items():
-        if internal:
-            key = (len(bottom), x.tail(bottom), x.head(bottom))
-        else:
-            key = len(bottom)
-        groups.setdefault(key, []).append(bottom)
-
-    for _, bottoms in sorted(groups.items()):
-        bset = set(bottoms)
-        succ = {}
-        for s in bottoms:
-            top = m.top_of[s]
-            succ[s] = [f for f in x.faces(top) if f != s and f in bset]
-        color = {}
-        for start in sorted(bottoms):
-            if color.get(start):
-                continue
-            stack = [(start, iter(succ[start]))]
-            color[start] = 1
-            path = [start]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt, 0) == 1:
-                        cycle = path[path.index(nxt):] + [nxt]
-                        full = []
-                        for sb in cycle[:-1]:
-                            full.extend([sb, m.top_of[sb]])
-                        full.append(cycle[-1])
-                        return AcyclicReport(full, x)
-                    if color.get(nxt, 0) == 0:
-                        color[nxt] = 1
-                        path.append(nxt)
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    path.pop()
-                    stack.pop()
-    return AcyclicReport(None)
+    key = functools.partial(_stratum, x) if m.internal.ok else len
+    color = {}
+    for s in sorted(m.top_of, key=lambda c: (key(c), c)):
+        cycle = _find_cycle(x, m.top_of, s, key, color)
+        if cycle:
+            return Report([cycle], len(m.top_of))
+    return Report([], len(m.top_of))
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +206,7 @@ def morse_complex(c, m):
     Raises MatchingError unless m is internal and acyclic.  With the empty
     matching this reproduces c itself.
     """
-    rep = check_internal(m, c.hpa)
-    if not rep.ok:
-        raise MatchingError(f"matching not internal: {rep.witnesses[0]}")
-    rep = check_acyclic(m)
-    if not rep.ok:
-        raise MatchingError("matching not acyclic: " + ' -> '.join(
-            c.complex.format_cell(x) for x in rep.cycle))
-
+    m.require_valid()
     a = c.hpa
     x = c.complex
     critical = _critical_cells(x, m)
@@ -327,38 +307,28 @@ def gradient_path_counts(c, m):
 # Matching constructions
 
 
-def default_chain_order(hpa, chain):
-    """Lexicographic key: the sequence of canonical words along the chain."""
-    return tuple(hpa.quiver.word_key(hpa.cls(c).rep) for c in chain)
-
-
-def _maximal_chains(elements, leq):
-    """All maximal chains of a finite poset given as element list + leq."""
-    elems = list(elements)
-    below = {e: [f for f in elems if f != e and leq(f, e)] for e in elems}
-    above = {e: [f for f in elems if f != e and leq(e, f)] for e in elems}
-    minimals = [e for e in elems if not below[e]]
+def _maximal_chains(a, u, w):
+    """Maximal chains of the open interval (u, w) of the division order, for
+    u < w: the walks from u to w along upper covers, without their ends.
+    The chain () means that w covers u."""
     chains = []
-    stack = [(e, (e,)) for e in minimals]
+    stack = [(u, ())]
     while stack:
-        last, chain = stack.pop()
-        covers = [f for f in above[last]
-                  if not any(g != f and leq(g, f) for g in above[last])]
-        if not covers:
-            chains.append(chain)
-        else:
-            for f in covers:
-                stack.append((f, chain + (f,)))
+        z, chain = stack.pop()
+        for c in a.covers(z):
+            if c == w:
+                chains.append(chain)
+            elif a.leq(c, w):
+                stack.append((c, chain + (c,)))
     return chains
 
 
-def _component_cells(x, p):
-    """Cells whose maximal chain element is p (dimension >= 1)."""
-    out = []
+def _cells_by_max(x):
+    """{p: the cells of dimension >= 1 whose chain ends at p}."""
+    out = {}
     for k in range(1, x.max_dim + 1):
         for cell in x.cells[k]:
-            if cell[-1] == p:
-                out.append(cell)
+            out.setdefault(cell[-1], []).append(cell)
     return out
 
 
@@ -389,7 +359,6 @@ def _greedy_on_cells(x, cells):
                 if count[f] == 1 and f in available:
                     queue.append(f)
 
-    critical = []
     while available:
         while queue:
             s = queue.popleft()
@@ -403,72 +372,67 @@ def _greedy_on_cells(x, cells):
             remove(s)
             remove(t)
         if available:
-            # deterministically give up on one cell
-            s = min(available, key=lambda cell: (len(cell), cell))
-            critical.append(s)
-            remove(s)
-    return pairs, critical
+            # deterministically give up on one cell (it stays critical)
+            remove(min(available, key=lambda cell: (len(cell), cell)))
+    return pairs
 
 
 def greedy_internal_matching(a, complex_=None):
     """Internal acyclic matching by coreduction, stratified by the maximal
     chain element (pairs always share it), then augmented to be maximal by
-    inclusion."""
+    inclusion.  Raises MatchingError when the result is not internal: in an
+    ungraded algebra coreduction can pair an arrow cell."""
+    require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
     pairs = []
-    for p in range(len(a.classes)):
-        if a.is_trivial(p):
-            continue
-        cells = _component_cells(x, p)
-        if cells:
-            got, _ = _greedy_on_cells(x, cells)
-            pairs.extend(got)
-    m = Matching(x, pairs)
-    m = _augment(a, x, m)
-    assert check_internal(m, a).ok and check_acyclic(m).ok
-    return m
+    for cells in _cells_by_max(x).values():
+        pairs.extend(_greedy_on_cells(x, cells))
+    return _augment(a, x, pairs).require_valid()
 
 
-def _augment(a, x, m):
-    """Try to add remaining internal pairs while preserving acyclicity."""
-    pairs = list(m.pairs)
-    matched = set(m.cells)
+def _augment(a, x, pairs):
+    """The matching of `pairs` plus every internal pair (top, middle facet)
+    that keeps it acyclic, tried in cell order until none fits.  `pairs`
+    must be an acyclic matching, so a new pair can only close a cycle
+    through its own bottom, inside that bottom's stratum: only that search
+    is run."""
+    top_of = {b: t for t, b in pairs}
+    matched = set(top_of) | set(top_of.values())
+    stratum = functools.partial(_stratum, x)
     changed = True
     while changed:
         changed = False
         for k in range(2, x.max_dim + 1):
             for top in x.cells[k]:
-                if top in matched or _is_arrow_cell(a, top):
+                if top in matched:
                     continue
                 for f in x.faces(top)[1:-1]:
-                    if f in matched or len(f) < 2 or _is_arrow_cell(a, f):
+                    if f in matched or _is_arrow_cell(a, f):
                         continue
-                    candidate = Matching(x, pairs + [(top, f)])
-                    if check_acyclic(candidate).ok:
-                        pairs.append((top, f))
-                        matched.add(top)
-                        matched.add(f)
+                    top_of[f] = top
+                    if _find_cycle(x, top_of, f, stratum, {}) is None:
+                        matched.update((top, f))
                         changed = True
                         break
-    return Matching(x, pairs)
+                    del top_of[f]
+    return Matching(x, [(t, b) for b, t in top_of.items()])
 
 
-def babson_hersh_matching(a, chain_order=None, complex_=None):
+def babson_hersh_matching(a, complex_=None):
     """Lexicographic interval matching.
 
     For each nontrivial class p, the maximal chains of the open interval
-    (e_{t(p)}, p) are ordered (default: lexicographically by canonical
-    words); the shelling restriction sets R_j yield a perfect matching on
-    the non-critical faces, with the empty face matched into the first
-    facet — that reproduces the extra pairing [e < p] ~ [e < t < p] with t
-    the lexicographically least toggle.  Interval faces lift to cells by
-    sandwiching between e_{t(p)} and p.  When the chosen order fails the
-    shelling condition for some p (a non-shellable interval), that class
-    falls back to greedy coreduction on its own cells.  Internality and
-    acyclicity of the result are asserted, not assumed.
+    (e_{t(p)}, p) are ordered lexicographically by canonical words; the
+    shelling restriction sets R_j yield a perfect matching on the
+    non-critical faces, with the empty face matched into the first facet —
+    that reproduces the extra pairing [e < p] ~ [e < t < p] with t the
+    lexicographically least toggle.  Interval faces lift to cells by
+    sandwiching between e_{t(p)} and p.  When that order fails the shelling
+    condition for some p (a non-shellable interval), that class falls back
+    to greedy coreduction on its own cells.  Internality and acyclicity of
+    the result are checked, not assumed (MatchingError).
     """
-    if chain_order is None:
-        chain_order = default_chain_order
+    require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
     pairs = []
     fallbacks = []
@@ -476,19 +440,16 @@ def babson_hersh_matching(a, chain_order=None, complex_=None):
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        interval = a.open_interval(p)
-        if not interval:
-            continue  # the 1-cell [e < p] stays critical
-        pos = {}
-        chains = _maximal_chains(interval, a.leq)
-        chains.sort(key=lambda ch: chain_order(a, ch))
-        for ch in chains:
-            for i, e in enumerate(ch):
-                pos[e] = i
+        e = a.trivial_class[a.tail(p)]
+        chains = _maximal_chains(a, e, p)
+        if chains == [()]:
+            continue  # empty interval: the 1-cell [e < p] stays critical
+        chains.sort(key=lambda ch: tuple(a.quiver.word_key(a.cls(c).rep)
+                                         for c in ch))
 
         def lift(face_set, chain):
-            ordered = tuple(sorted(face_set, key=lambda e: chain.index(e)))
-            return (a.trivial_class[a.tail(p)],) + ordered + (p,)
+            ordered = tuple(sorted(face_set, key=chain.index))
+            return (e,) + ordered + (p,)
 
         facet_sets = [frozenset(ch) for ch in chains]
         new_pairs = []
@@ -514,7 +475,7 @@ def babson_hersh_matching(a, chain_order=None, complex_=None):
             if not ok:
                 break
             free = sorted(fj - rj,
-                          key=lambda e: a.quiver.word_key(a.cls(e).rep))
+                          key=lambda z: a.quiver.word_key(a.cls(z).rep))
             if not free:
                 pass  # R_j = F_j: single new face, critical
             else:
@@ -531,71 +492,51 @@ def babson_hersh_matching(a, chain_order=None, complex_=None):
         if ok:
             pairs.extend(new_pairs)
         else:
-            got, _ = _greedy_on_cells(x, _component_cells(x, p))
-            pairs.extend(got)
             fallbacks.append(p)
 
-    m = Matching(x, pairs)
     if fallbacks:
+        by_max = _cells_by_max(x)
+        for p in fallbacks:
+            pairs.extend(_greedy_on_cells(x, by_max[p]))
         # greedy leftovers may admit further pairs; keep the matching as
         # large as possible so minimality still has a chance
-        m = _augment(a, x, m)
+        m = _augment(a, x, pairs)
+    else:
+        m = Matching(x, pairs)
     m.fallback_classes = fallbacks
-    internal = check_internal(m, a)
-    assert internal.ok, internal.witnesses
-    acyclic = check_acyclic(m)
-    assert acyclic.ok, acyclic.to_json()
-    return m
+    return m.require_valid()
 
 
 # ---------------------------------------------------------------------------
 # Minimality / linearity
 
 
-class TermReport:
-    def __init__(self, witnesses, checked):
-        self.witnesses = witnesses
-        self.checked = checked
-        self.ok = not witnesses
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {'ok': self.ok, 'checked': self.checked,
-                'witnesses': self.witnesses[:20]}
+def _morse_terms(mc):
+    """Every differential term of a Morse complex: (cell, coef, l, target,
+    r)."""
+    return [(cell, coef, l, tgt, r) for k in range(1, mc.top + 1)
+            for cell in mc.generators(k)
+            for coef, l, tgt, r in mc.terms(cell)]
 
 
 def check_minimal(mc):
     """Minimal iff no differential term has both coefficients trivial."""
     a = mc.hpa
-    witnesses = []
-    checked = 0
-    for k in range(1, mc.top + 1):
-        for cell in mc.generators(k):
-            for coef, l, tgt, r in mc.terms(cell):
-                checked += 1
-                if a.is_trivial(l) and a.is_trivial(r):
-                    witnesses.append((cell, tgt, coef))
-    return TermReport(witnesses, checked)
+    terms = _morse_terms(mc)
+    return Report([(cell, tgt, coef) for cell, coef, l, tgt, r in terms
+                   if a.is_trivial(l) and a.is_trivial(r)], len(terms))
 
 
-def check_linear(mc, a=None):
+def check_linear(mc):
     """Linear iff every term has len(l) + len(r) = 1.  Refuses ungraded
     algebras (length of a class is ill defined there)."""
-    if a is None:
-        a = mc.hpa
+    a = mc.hpa
     if not a.graded:
         raise ValueError("algebra is not graded by path length")
-    witnesses = []
-    checked = 0
-    for k in range(1, mc.top + 1):
-        for cell in mc.generators(k):
-            for coef, l, tgt, r in mc.terms(cell):
-                checked += 1
-                if a.length(l) + a.length(r) != 1:
-                    witnesses.append((cell, tgt, a.length(l), a.length(r)))
-    return TermReport(witnesses, checked)
+    terms = _morse_terms(mc)
+    return Report([(cell, tgt, a.length(l), a.length(r))
+                   for cell, _, l, tgt, r in terms
+                   if a.length(l) + a.length(r) != 1], len(terms))
 
 
 # ---------------------------------------------------------------------------

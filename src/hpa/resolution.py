@@ -8,6 +8,7 @@ sign of face i is (-1)^i.  Elements are stored as dicts
 {(left class, cell, right class): integer coefficient}.
 """
 
+from .algebra import Report, require_cancellative
 from .linalg import SparseMat, accumulate
 from .realization import RING_Z, ChainComplex, build_realization
 
@@ -96,30 +97,11 @@ class BimoduleComplex:
 
 def cellular_resolution(a, x=None):
     """Bimodule resolution supported on the cell complex x (built from a when
-    omitted)."""
+    omitted).  Refuses a non-cancellative algebra."""
+    require_cancellative(a)
     if x is None:
         x = build_realization(a)
     return BimoduleComplex(a, x)
-
-
-class Report:
-    def __init__(self, ok, checked, failures, label):
-        self.ok = ok
-        self.checked = checked
-        self.failures = failures
-        self.label = label
-
-    def __bool__(self):
-        return self.ok
-
-    def summary(self):
-        state = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return f"{self.label}: {state} ({self.checked} checked)"
-
-    def to_json(self):
-        return {'ok': self.ok, 'checked': self.checked,
-                'failures': [repr(f) for f in self.failures[:20]],
-                'label': self.label}
 
 
 def verify_d_squared(c):
@@ -138,7 +120,7 @@ def verify_d_squared(c):
             bad = {k2: v for k2, v in acc.items() if v}
             if bad:
                 failures.append((cell, bad))
-    return Report(not failures, checked, failures, "d^2 = 0")
+    return Report(failures, checked)
 
 
 def multiply_augmentation(c, elem):
@@ -187,7 +169,7 @@ def contracting_homotopy_check(a, c):
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))
         if out != {cls: 1}:
             failures.append((('algebra', cls), out))
-    return Report(not failures, checked, failures, "d h + h d = id")
+    return Report(failures, checked)
 
 
 def simple_tensor_complex(source, v, w, ring=RING_Z):

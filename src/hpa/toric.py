@@ -12,7 +12,7 @@ import re
 
 from .linalg import lp_maximize, lp_feasible, solve_integer, integer_kernel_basis
 from .quiver import Quiver
-from .algebra import RelationSet, congruence_closure, check_hpa
+from .algebra import RelationSet, congruence_closure, require_cancellative
 from .quiver import enumerate_paths
 
 
@@ -195,7 +195,7 @@ def image_phi(w):
     return out
 
 
-def hom_monomials(w, d, e, bound=None):
+def hom_monomials(w, d, e):
     """All exponent vectors m >= 0 with mu(m) = e - d."""
     g = w.sub(e, d)
     caps = []
@@ -208,8 +208,7 @@ def hom_monomials(w, d, e, bound=None):
             return set()
         if status == 'unbounded':
             raise ValueError("infinite hom space: weight data not proper")
-        cap = int(value)
-        caps.append(min(cap, bound) if bound is not None else cap)
+        caps.append(int(value))
 
     out = set()
     m = [0] * w.ncols
@@ -258,8 +257,8 @@ def build_toric_hpa(w, degrees):
     Arrows are the monomials indecomposable relative to the list: a monomial
     from d to e is dropped exactly when a proper piece of it lands on
     another listed degree.  The congruence is 'same endpoints, same
-    monomial'; the union-find closure is asserted to agree with that, and
-    both cancellation axioms are asserted afterwards.
+    monomial'; the union-find closure is checked to agree with that, and
+    both cancellation axioms are checked afterwards (ValueError otherwise).
     """
     degrees = [d if isinstance(d, Degree) else w.degree(d) for d in degrees]
     if len(set(degrees)) != len(degrees):
@@ -318,12 +317,12 @@ def build_toric_hpa(w, degrees):
     class_of_key = {}
     for key, ws in by_monomial.items():
         ids = {a.word_class(word) for word in ws}
-        assert len(ids) == 1, f"monomial class split: {key}"
+        if len(ids) != 1:
+            raise ValueError(f"monomial class split: {key}")
         class_of_key[key] = ids.pop()
-    assert len(set(class_of_key.values())) == len(class_of_key), \
-        "distinct monomials merged by the congruence"
-    report = check_hpa(a)
-    assert report.ok, report.summary()
+    if len(set(class_of_key.values())) != len(class_of_key):
+        raise ValueError("distinct monomials merged by the congruence")
+    require_cancellative(a)
 
     a.toric_weights = w
     a.toric_degrees = degrees
@@ -333,12 +332,13 @@ def build_toric_hpa(w, degrees):
 
 def bondal_ruan_hpa(w):
     """Toric HPA on the full half-open-zonotope degree collection; all its
-    arrows are single variables (asserted)."""
+    arrows are single variables (checked)."""
     degrees = sorted(image_phi(w))
     a = build_toric_hpa(w, degrees)
     for label, m in a.toric_monomials.items():
-        assert sum(m) == 1, \
-            f"arrow {label} is not a linear monomial on the canonical collection"
+        if sum(m) != 1:
+            raise ValueError(f"arrow {label} is not a linear monomial on the "
+                             "canonical collection")
     return a
 
 

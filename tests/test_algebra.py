@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import (RelationSet, bhk_algebra, check_hpa,
-                         congruence_closure, free_algebra, from_document,
-                         tensor)
+from hpa.algebra import (NotCancellativeError, RelationSet, bhk_algebra,
+                         check_hpa, congruence_closure, free_algebra,
+                         from_document, tensor)
+from hpa.invariants import betti_table, koszul_check
+from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
 from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, enumerate_paths,
                         linear_quiver, trivial_word)
+from hpa.resolution import cellular_resolution
 
 
 def test_single_arrow_words():
@@ -62,7 +65,7 @@ def test_left_cancellation_violation():
     """)
     report = check_hpa(a)
     assert not report.ok
-    v = report.violations[0]
+    v = report.witnesses[0]
     assert v.side == 'left'
     assert v.r.labels == ('a',)
     assert {v.p.labels, v.p2.labels} == {('b',), ('c',)}
@@ -80,11 +83,28 @@ def test_right_cancellation_violation():
     """)
     report = check_hpa(a)
     assert not report.ok
-    v = report.violations[0]
+    v = report.witnesses[0]
     assert v.side == 'right'
     assert v.r.labels == ('c',)
     assert {v.p.labels, v.p2.labels} == {('a',), ('b',)}
 
+
+
+def test_library_entry_points_refuse_non_cancellative():
+    a = from_document("""
+        vertices: u m v
+        arrows:
+          x: u -> m
+          y: u -> m
+          z: m -> v
+        relations:
+          x z = y z
+    """)
+    for entry in (cellular_resolution, babson_hersh_matching,
+                  greedy_internal_matching, betti_table, koszul_check):
+        with pytest.raises(NotCancellativeError,
+                           match="right cancellation fails for r=z"):
+            entry(a)
 
 def test_two_square_quiver():
     a = from_document("""

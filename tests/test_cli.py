@@ -202,3 +202,49 @@ def test_negative_max_dim_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(['realize', P2, '--max-dim', '-1'])
     assert e.value.code == 2
+
+
+UNGRADED = ("vertices: u m v w\n"
+            "arrows:\n  s: u -> m\n  t: m -> v\n  x: u -> v\n  y: v -> w\n"
+            "relations:\n  x = s t\n")
+
+
+@pytest.mark.parametrize('matching', ['bh', 'greedy'])
+def test_morse_refuses_matching_of_arrow_cell(capsys, tmp_path, matching):
+    # cancellative but ungraded: both constructions pair the arrow cell
+    # [e_u < s t] with [e_u < s < s t], which is not internal
+    p = tmp_path / 'ungraded.quiver'
+    p.write_text(UNGRADED)
+    assert main(['check', str(p)]) == 0
+    capsys.readouterr()
+    assert main(['morse', str(p), '--matching', matching]) == 1
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err == ("error: matching not internal: "
+                   "('arrow cell matched', '[e_u < s t]')\n")
+
+
+def test_morse_refusal_survives_optimized_python(tmp_path):
+    p = tmp_path / 'ungraded.quiver'
+    p.write_text(UNGRADED)
+    proc = subprocess.run([sys.executable, '-O', '-m', 'hpa.cli', 'morse',
+                           str(p)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ''
+    assert proc.stderr.startswith('error: matching not internal')
+
+
+@pytest.mark.parametrize('name, matching', [('p2', 'bh'), ('p2', 'greedy'),
+                                            ('f1', 'bh')])
+def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
+    # F1 has a non-shellable interval, so its matching is also augmented
+    from hpa import morse
+    calls = {}
+    for check in ('check_internal', 'check_acyclic'):
+        def counted(m, fn=getattr(morse, check), check=check):
+            calls[check] = calls.get(check, 0) + 1
+            return fn(m)
+        monkeypatch.setattr(morse, check, counted)
+    main(['morse', str(FIXTURES / f'{name}.quiver'), '--matching', matching])
+    capsys.readouterr()
+    assert calls == {'check_internal': 1, 'check_acyclic': 1}

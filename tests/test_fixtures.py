@@ -37,7 +37,7 @@ def test_f3_matching_fixture(f3):
     raw = json.loads((FIXTURES / 'f3_matching.json').read_text())
     assert len(raw['pairs']) == 30
     assert len(m.pairs) == 26
-    assert check_internal(m, f3).ok
+    assert check_internal(m).ok
     assert check_acyclic(m).ok
     mc = morse_complex(cellular_resolution(f3, x), m)
     assert mc.counts() == [4, 9, 6, 1]

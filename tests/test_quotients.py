@@ -1,10 +1,15 @@
-"""The class-level axiom check and quotient table against word-level
-brute force on random acyclic quivers with random relation groups."""
+"""The class-level axiom check, quotient table, cover walk and matching
+growth against brute-force references on random acyclic quivers with
+random relation groups."""
 
 from hypothesis import given, settings, strategies as st
 
 from hpa.algebra import RelationSet, check_hpa, congruence_closure
+from hpa.morse import (Matching, MatchingError, _greedy_on_cells,
+                       _is_arrow_cell, _maximal_chains,
+                       greedy_internal_matching)
 from hpa.quiver import PathWord, Quiver, enumerate_paths
+from hpa.realization import build_realization
 
 
 def brute_force_cancellative(a):
@@ -90,3 +95,76 @@ def test_arrow_check_and_quotients_match_word_scans(a):
             except ValueError:
                 r = None
             assert r == prefix_quotient(a, p, q)
+
+
+def poset_maximal_chains(elements, leq):
+    """All maximal chains of a finite poset given as element list + leq."""
+    elems = list(elements)
+    below = {e: [f for f in elems if f != e and leq(f, e)] for e in elems}
+    above = {e: [f for f in elems if f != e and leq(e, f)] for e in elems}
+    minimals = [e for e in elems if not below[e]]
+    chains = []
+    stack = [(e, (e,)) for e in minimals]
+    while stack:
+        last, chain = stack.pop()
+        covers = [f for f in above[last]
+                  if not any(g != f and leq(g, f) for g in above[last])]
+        if not covers:
+            chains.append(chain)
+        else:
+            for f in covers:
+                stack.append((f, chain + (f,)))
+    return chains
+
+
+def augment_by_rechecking(a, x, pairs):
+    """Grow a matching by rebuilding and fully rechecking it for every
+    candidate pair (top, middle facet), in cell order until none fits."""
+    pairs = list(pairs)
+    matched = {c for pair in pairs for c in pair}
+    changed = True
+    while changed:
+        changed = False
+        for k in range(2, x.max_dim + 1):
+            for top in x.cells[k]:
+                if top in matched or _is_arrow_cell(a, top):
+                    continue
+                for f in x.faces(top)[1:-1]:
+                    if f in matched or len(f) < 2 or _is_arrow_cell(a, f):
+                        continue
+                    if Matching(x, pairs + [(top, f)]).acyclic.ok:
+                        pairs.append((top, f))
+                        matched.update((top, f))
+                        changed = True
+                        break
+    return Matching(x, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_cover_walk_and_greedy_growth_match_references(a):
+    if not check_hpa(a).ok:
+        return
+    n = len(a.classes)
+    for u in range(n):
+        for w in range(n):
+            if u == w or not a.leq(u, w):
+                continue
+            inner = [z for z in range(n)
+                     if z not in (u, w) and a.leq(u, z) and a.leq(z, w)]
+            expect = poset_maximal_chains(inner, a.leq) or [()]
+            assert sorted(_maximal_chains(a, u, w)) == sorted(expect)
+
+    x = build_realization(a)
+    pairs = []
+    for p in range(n):
+        cells = [c for k in range(1, x.max_dim + 1) for c in x.cells[k]
+                 if c[-1] == p]
+        pairs += _greedy_on_cells(x, cells)
+    ref = augment_by_rechecking(a, x, pairs)
+    try:
+        got = greedy_internal_matching(a, complex_=x)
+    except MatchingError:
+        assert not (ref.internal.ok and ref.acyclic.ok)
+    else:
+        assert got.pairs == ref.pairs

@@ -71,7 +71,7 @@ def test_d_squared_sign_flip_detected(p2, res_p2):
     broken = _SignFlipped(res_p2, victim)
     report = verify_d_squared(broken)
     assert not report.ok
-    assert report.failures[0][0] == victim
+    assert report.witnesses[0][0] == victim
 
 
 def test_contracting_homotopy_p2(p2, res_p2):
