@@ -2,13 +2,15 @@
 
 An algebra here is kQ/I where I is generated by differences p - p' of path
 words listed in relation groups.  We only ever manipulate the induced
-congruence on path words; coefficients never leave {0, +-1, q-classes}.
+congruence, and only through its classes: `HPA` builds them in one
+topological sweep as the states of a path automaton, so multiplication and
+the class of a word are walks along its transitions, never scans of words.
+Coefficients never leave {0, +-1, q-classes}.
 """
 
 from collections import namedtuple
 
-from .quiver import (Arrow, PathWord, Quiver, QuiverError, enumerate_paths,
-                     linear_quiver, trivial_word)
+from .quiver import Arrow, PathWord, Quiver, linear_quiver
 
 
 class RelationError(ValueError):
@@ -59,44 +61,84 @@ def _fmt(w):
     return ' '.join(w.labels) if w.labels else f"e_{w.tail}"
 
 
-PathClass = namedtuple('PathClass', ['id', 'rep', 'tail', 'head', 'words',
-                                     'lengths', 'is_trivial'])
+PathClass = namedtuple('PathClass', ['id', 'rep', 'tail', 'head', 'lengths',
+                                     'is_trivial'])
 
 
 class HPA:
-    """A quiver with a path congruence; built by congruence_closure.
+    """A quiver modulo the path congruence that its relation groups generate.
 
-    Classes are indexed 0..n-1 sorted by their canonical representative
-    (lexicographically least word under the arrow declaration order).
+    The classes are the states of a deterministic path automaton: one state
+    per class and one transition per arrow leaving its head, so the class of
+    a word is read by walking its labels from the trivial class at its tail.
+    Classes are indexed 0..n-1 sorted by their canonical representative, the
+    least word of the class under `Quiver.word_key`.
     """
 
-    def __init__(self, quiver, relations, classes_words):
-        self.quiver = quiver
+    def __init__(self, relations):
+        q = self.quiver = relations.quiver
         self.relations = relations
-        # classes_words: list of lists of PathWord
-        keyed = []
-        for ws in classes_words:
-            ws = sorted(ws, key=quiver.word_key)
-            keyed.append((quiver.word_key(ws[0]), ws))
-        keyed.sort(key=lambda t: t[0])
+        # The sweep: from each vertex v, visit the vertices u after v in
+        # topological order.  The candidate states at u are the pairs (s, x)
+        # of a finished state s and an arrow x from head(s) to u.  Each
+        # relation group ending at u, walked from every state at its tail,
+        # merges the candidates where its words end; the steps before the
+        # last land on finished states.  No arrow leads back to an earlier
+        # vertex, so every merge at u is final.  A state is (rank of its
+        # tail, least word as arrow indices, tail, head, word lengths): two
+        # words of one class are never prefixes of each other, so the least
+        # rep(s) + (x,) over the merged candidates is the least word.
+        groups_at = {}
+        for g in relations.groups:
+            groups_at.setdefault(g[0].head, []).append(g)
+        order = sorted(q.vertices, key=q.topo_rank.__getitem__)
+        states, self._step = [], {}
+
+        def find(c):
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        for i, v in enumerate(order):
+            at = {v: [len(states)]}   # the states from v, by head
+            states.append((i, (), v, v, frozenset({0})))
+            for u in order[i + 1:]:
+                parent = {(s, x.label): (s, x.label)
+                          for x in q.inc[u] for s in at.get(x.tail, ())}
+                for g in groups_at.get(u, ()):
+                    for s in at.get(g[0].tail, ()):
+                        ends = [find((self._walk(s, w.labels[:-1]),
+                                      w.labels[-1])) for w in g]
+                        for e in ends[1:]:
+                            parent[find(e)] = find(ends[0])
+                members = {}
+                for c in parent:
+                    members.setdefault(find(c), []).append(c)
+                at[u] = []
+                for cs in members.values():
+                    new = len(states)
+                    at[u].append(new)
+                    self._step.update(dict.fromkeys(cs, new))
+                    rep = min(states[s][1] + (q.arrow_index[x],)
+                              for s, x in cs)
+                    lengths = frozenset(n + 1 for s, _ in cs
+                                        for n in states[s][4])
+                    states.append((i, rep, v, u, lengths))
+        ranked = sorted(range(len(states)), key=states.__getitem__)
+        cid = {s: k for k, s in enumerate(ranked)}
+        self._step = {(cid[s], x): cid[t] for (s, x), t in self._step.items()}
         self.classes = []
-        self.class_of_word = {}
-        for cid, (_, ws) in enumerate(keyed):
-            rep = ws[0]
-            lengths = frozenset(len(w.labels) for w in ws)
-            pc = PathClass(cid, rep, rep.tail, rep.head, tuple(ws), lengths,
-                           lengths == frozenset({0}))
-            self.classes.append(pc)
-            for w in ws:
-                self.class_of_word[w] = cid
+        for k, s in enumerate(ranked):
+            _, rep, v, u, lengths = states[s]
+            word = PathWord(v, u, tuple(q.arrows[n].label for n in rep))
+            self.classes.append(PathClass(k, word, v, u, lengths, not rep))
         self.graded = all(len(c.lengths) == 1 for c in self.classes)
         self.trivial_class = {c.tail: c.id for c in self.classes if c.is_trivial}
-        self.arrow_class = {}
-        for a in quiver.arrows:
-            self.arrow_class[a.label] = self.class_of_word[
-                PathWord(a.tail, a.head, (a.label,))]
-        self.classes_by_tail = {v: [] for v in quiver.vertices}
-        self.classes_by_head = {v: [] for v in quiver.vertices}
+        self.arrow_class = {x.label: self._step[self.trivial_class[x.tail],
+                                                x.label] for x in q.arrows}
+        self.classes_by_tail = {v: [] for v in q.vertices}
+        self.classes_by_head = {v: [] for v in q.vertices}
         self.classes_by_pair = {}
         for c in self.classes:
             self.classes_by_tail[c.tail].append(c.id)
@@ -134,13 +176,18 @@ class HPA:
             if a.head != b.tail:
                 raise ValueError(
                     f"classes not composable: head {a.head!r} != tail {b.tail!r}")
-            w = PathWord(a.tail, b.head, a.rep.labels + b.rep.labels)
-            r = self.class_of_word[w]
+            r = self._walk(c1, b.rep.labels)
             self._mult[key] = r
         return r
 
     def word_class(self, w):
-        return self.class_of_word[w]
+        """Class of a path word."""
+        return self._walk(self.trivial_class[w.tail], w.labels)
+
+    def _walk(self, c, labels):
+        for label in labels:
+            c = self._step[c, label]
+        return c
 
     # -- left divisibility: p <= q iff q = p.r for some class r ---------------
 
@@ -187,72 +234,14 @@ class HPA:
                 if c != p and not self.is_trivial(c) and self.leq(c, p)]
 
 
-def congruence_closure(paths, rels):
-    """Smallest congruence on the path words containing the relation groups
-    and closed under left/right concatenation by arbitrary paths."""
-    q = rels.quiver
-    words = sorted(paths, key=q.word_key)
-    wid = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return (rx, ry)
-
-    work = []
-    for g in rels.groups:
-        first = wid[g[0]]
-        for w in g[1:]:
-            m = union(first, wid[w])
-            if m:
-                work.append(m)
-
-    # closure under single-arrow extension on both sides suffices: any longer
-    # extension is a chain of single-arrow ones.
-    while work:
-        x, y = work.pop()
-        u, v = words[x], words[y]
-        for a in q.out[u.head]:
-            xu = wid[PathWord(u.tail, a.head, u.labels + (a.label,))]
-            xv = wid[PathWord(v.tail, a.head, v.labels + (a.label,))]
-            m = union(xu, xv)
-            if m:
-                work.append(m)
-        for a in q.inc[u.tail]:
-            xu = wid[PathWord(a.tail, u.head, (a.label,) + u.labels)]
-            xv = wid[PathWord(a.tail, v.head, (a.label,) + v.labels)]
-            m = union(xu, xv)
-            if m:
-                work.append(m)
-
-    groups = {}
-    for i, w in enumerate(words):
-        groups.setdefault(find(i), []).append(w)
-    return HPA(q, rels, list(groups.values()))
-
-
 def free_algebra(q):
-    return congruence_closure(enumerate_paths(q), RelationSet(q, []))
+    return HPA(RelationSet(q, []))
 
 
 def from_document(text):
-    """Parse a DSL document and run the congruence; convenience wrapper."""
+    """Parse a DSL document and build its algebra; convenience wrapper."""
     from .dsl import parse_quiver
-    q, rels = parse_quiver(text)
-    return congruence_closure(enumerate_paths(q), rels)
+    return HPA(parse_quiver(text)[1])
 
 
 # -- HPA axiom check --------------------------------------------------------
@@ -401,8 +390,7 @@ def tensor(a, b):
                            aname['L', ar.label, br.head]))
             groups.append([w1, w2])
 
-    rels = RelationSet(q, groups)
-    return congruence_closure(enumerate_paths(q), rels)
+    return HPA(RelationSet(q, groups))
 
 
 def bhk_algebra(d_total, charges):

@@ -16,7 +16,7 @@ concatenation order (left to right).
 
 import re
 
-from .quiver import Quiver, QuiverError, PathWord
+from .quiver import CycleError, Quiver, QuiverError
 from .algebra import RelationSet, RelationError
 
 
@@ -91,7 +91,13 @@ def parse_quiver(text):
 
     try:
         quiver = Quiver(vertices, [(l, t, h) for l, t, h, _ in arrow_specs])
-    except QuiverError as e:
+    except CycleError as e:
+        # the line of the first declared arrow on the cycle
+        steps = set(zip(e.cycle, e.cycle[1:]))
+        raise ParseError(str(e), next(
+            lineno for _, tail, head, lineno in arrow_specs
+            if (tail, head) in steps))
+    except QuiverError:
         # re-raise with a line number when it is attributable to one arrow
         for label, tail, head, lineno in arrow_specs:
             if tail not in vertices or head not in vertices:

@@ -12,7 +12,7 @@ import re
 
 from .linalg import lp_maximize, lp_feasible, solve_integer, integer_kernel_basis
 from .quiver import Quiver
-from .algebra import RelationSet, congruence_closure, require_cancellative
+from .algebra import HPA, RelationSet, require_cancellative
 from .quiver import enumerate_paths
 
 
@@ -310,8 +310,7 @@ def build_toric_hpa(w, degrees):
         by_monomial.setdefault((word.tail, word.head, tuple(total)),
                                []).append(word)
     groups = [ws for ws in by_monomial.values() if len(ws) > 1]
-    rels = RelationSet(q, groups)
-    a = congruence_closure(enumerate_paths(q), rels)
+    a = HPA(RelationSet(q, groups))
 
     # the congruence must be exactly 'same endpoints and same monomial'
     class_of_key = {}

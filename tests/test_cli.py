@@ -57,6 +57,15 @@ def test_parse_error_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_cyclic_quiver_is_input_error(capsys, tmp_path):
+    p = tmp_path / 'cyclic.quiver'
+    p.write_text("vertices: a b\narrows:\n  x: a -> b\n  y: b -> a\n")
+    code = main(['check', str(p)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: quiver has an oriented cycle: a -> b -> a\n")
+
+
 def test_bad_ring_rejected():
     with pytest.raises(SystemExit) as e:
         main(['homology', P2, '--ring', 'F4'])

@@ -1,15 +1,21 @@
 import pytest
+from hypothesis import given, settings
 
-from hpa.algebra import from_document, free_algebra
+from hpa.algebra import check_hpa, from_document, free_algebra
 from hpa.quiver import linear_quiver
-from hpa.realization import build_realization, euler_characteristic
-from hpa.resolution import cellular_resolution
-from hpa.morse import babson_hersh_matching, morse_complex
+from hpa.realization import (RING_Z, build_realization, euler_characteristic,
+                             ring_fp)
+from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
+                            verify_d_squared)
+from hpa.morse import (MatchingError, babson_hersh_matching,
+                       greedy_internal_matching, morse_complex)
 from hpa.invariants import (OrderComplex, reduced_homology,
                             interval_order_complex, tor_via_intervals,
                             tor_via_resolution, betti_table,
                             el_shellability_certificate, koszul_check,
                             _elementary_divisors)
+
+from conftest import algebras
 
 
 CUBIC = """
@@ -88,6 +94,30 @@ def test_oracle_triangle_p2(p2):
                 ref = tor_via_intervals(p2, v, w, ring)
                 assert tor_via_resolution(p2, c, v, w, ring) == ref
                 assert tor_via_resolution(p2, mc, v, w, ring) == ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(with_relations=True))
+def test_oracle_triangle_on_random_algebras(a):
+    if not check_hpa(a).ok:
+        return
+    x = build_realization(a)
+    c = cellular_resolution(a, x)
+    assert verify_d_squared(c).ok
+    assert contracting_homotopy_check(a, c).ok
+    morse = []
+    for build in (babson_hersh_matching, greedy_internal_matching):
+        try:
+            morse.append(morse_complex(c, build(a, complex_=x)))
+        except MatchingError:
+            assert not a.graded
+    for ring in (RING_Z, ring_fp(2)):
+        for v in a.quiver.vertices:
+            for w in a.quiver.vertices:
+                ref = tor_via_intervals(a, v, w, ring)
+                assert tor_via_resolution(a, c, v, w, ring) == ref
+                for mc in morse:
+                    assert tor_via_resolution(a, mc, v, w, ring) == ref
 
 
 def test_betti_table_p2(p2):

@@ -1,21 +1,96 @@
-"""The class-level axiom check, quotient table, cover walk and matching
-growth against brute-force references on random acyclic quivers with
-random relation groups."""
+"""Path classes, the class-level axiom check, quotient table, cover walk
+and matching growth against brute-force references on random acyclic
+quivers with random relation groups."""
 
 from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import RelationSet, check_hpa, congruence_closure
+from hpa.algebra import HPA, RelationSet, check_hpa
 from hpa.morse import (Matching, MatchingError, _greedy_on_cells,
                        _is_arrow_cell, _maximal_chains,
                        greedy_internal_matching)
-from hpa.quiver import PathWord, Quiver, enumerate_paths
+from hpa.quiver import PathWord, enumerate_paths
 from hpa.realization import build_realization
+
+from conftest import algebras, words_by_class
+
+
+def word_level_closure(rels):
+    """Classes of the congruence the relation groups generate, found by
+    union-find over every path word and closed under one-arrow extension on
+    both sides; each class is a word_key-sorted list, and the classes are
+    sorted by their least word."""
+    q = rels.quiver
+    words = enumerate_paths(q)
+    wid = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return None
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        return (rx, ry)
+
+    work = []
+    for g in rels.groups:
+        for w in g[1:]:
+            m = union(wid[g[0]], wid[w])
+            if m:
+                work.append(m)
+    while work:
+        x, y = work.pop()
+        u, v = words[x], words[y]
+        for a in q.out[u.head]:
+            m = union(wid[PathWord(u.tail, a.head, u.labels + (a.label,))],
+                      wid[PathWord(v.tail, a.head, v.labels + (a.label,))])
+            if m:
+                work.append(m)
+        for a in q.inc[u.tail]:
+            m = union(wid[PathWord(a.tail, u.head, (a.label,) + u.labels)],
+                      wid[PathWord(a.tail, v.head, (a.label,) + v.labels)])
+            if m:
+                work.append(m)
+    groups = {}
+    for i, w in enumerate(words):
+        groups.setdefault(find(i), []).append(w)
+    return sorted(groups.values(), key=lambda ws: q.word_key(ws[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_sweep_matches_word_level_closure(a):
+    ref = word_level_closure(a.relations)
+    words = words_by_class(a)
+    assert [words[c.id] for c in a.classes] == ref
+    for c, ws in zip(a.classes, ref):
+        assert c.rep == ws[0]
+        assert (c.tail, c.head) == (ws[0].tail, ws[0].head)
+        assert c.lengths == frozenset(len(w.labels) for w in ws)
+        assert c.is_trivial == (not ws[0].labels)
+    assert a.graded == all(len({len(w.labels) for w in ws}) == 1
+                           for ws in ref)
+    ref_class = {w: i for i, ws in enumerate(ref) for w in ws}
+    for c in a.classes:
+        for d in a.classes_by_tail[c.head]:
+            assert a.mult(c.id, d) == ref_class[PathWord(
+                c.tail, a.head(d), c.rep.labels + a.cls(d).rep.labels)]
+    b = HPA(RelationSet(a.quiver, a.relations.groups[::-1]))
+    assert b.classes == a.classes and b.graded == a.graded
+    assert words_by_class(b) == words
 
 
 def brute_force_cancellative(a):
     """Every word r and every pair of non-congruent parallel words p, p'
     with r p ~ r p' (or p r ~ p' r) is a violation."""
-    cls = a.class_of_word
+    cls = {w: c for c, ws in words_by_class(a).items() for w in ws}
     parallel = {}
     for w in cls:
         parallel.setdefault((w.tail, w.head), []).append(w)
@@ -38,47 +113,23 @@ def brute_force_cancellative(a):
     return True
 
 
-def prefix_quotient(a, p, q):
-    """The class r with p r = q, found by scanning the words of q for a
-    prefix in p; None when p does not left-divide q."""
+def prefix_quotient(a, words, p, q):
+    """The class r with p r = q, found by scanning the words of q (from
+    words_by_class) for a prefix in p; None when p does not left-divide q."""
     pc, qc = a.cls(p), a.cls(q)
     if pc.tail != qc.tail:
         return None
     if pc.is_trivial:
         return q
-    for w in qc.words:
+    for w in words[q]:
         for k in sorted(pc.lengths):
             if k > len(w.labels):
                 continue
             pre = a.quiver.word(w.tail, w.labels[:k])
-            if a.class_of_word.get(pre) == p:
-                return a.class_of_word[PathWord(pre.head, w.head,
-                                                w.labels[k:])]
+            if a.word_class(pre) == p:
+                return a.word_class(PathWord(pre.head, w.head,
+                                             w.labels[k:]))
     return None
-
-
-@st.composite
-def algebras(draw):
-    n = draw(st.integers(1, 5))
-    vertices = [f"v{i}" for i in range(n)]
-    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda e: e[0] < e[1]) if n > 1 else st.nothing()
-    pairs = draw(st.lists(edges, max_size=7)) if n > 1 else []
-    q = Quiver(vertices, [(f"a{i}", vertices[s], vertices[t])
-                          for i, (s, t) in enumerate(pairs)])
-    parallel = {}
-    for w in sorted(enumerate_paths(q), key=q.word_key):
-        parallel.setdefault((w.tail, w.head), []).append(w)
-    keys = sorted(k for k, ws in parallel.items() if len(ws) >= 2)
-    groups = []
-    if keys:
-        for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
-            used = {w for g in groups for w in g}
-            free = [w for w in parallel[key] if w not in used]
-            if len(free) >= 2:
-                groups.append(draw(st.lists(st.sampled_from(free), min_size=2,
-                                            max_size=len(free), unique=True)))
-    return congruence_closure(enumerate_paths(q), RelationSet(q, groups))
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,13 +139,14 @@ def test_arrow_check_and_quotients_match_word_scans(a):
     assert check_hpa(a).ok == ok
     if not ok:
         return
+    words = words_by_class(a)
     for p in range(len(a.classes)):
         for q in range(len(a.classes)):
             try:
                 r = a.divide(p, q)
             except ValueError:
                 r = None
-            assert r == prefix_quotient(a, p, q)
+            assert r == prefix_quotient(a, words, p, q)
 
 
 def poset_maximal_chains(elements, leq):

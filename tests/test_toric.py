@@ -9,6 +9,8 @@ from hpa.dsl import emit_quiver
 from hpa.realization import build_realization, cw_chain_complex, homology
 from hpa.invariants import koszul_check, betti_table
 
+from conftest import words_by_class
+
 
 P2 = WeightData([[1, 1, 1]])
 P113 = WeightData([[1, 1, 3]])
@@ -126,7 +128,7 @@ def test_f3_collection():
     labels = sorted(ar.label for ar in a.quiver.arrows)
     assert sum(1 for lab in labels if lab.startswith('x4')) == 2
     assert len(a.classes) == 28
-    assert sum(len(c.words) for c in a.classes) == 41
+    assert sum(map(len, words_by_class(a).values())) == 41
     assert betti_table(a).totals() == [4, 9, 6, 1]
 
 
