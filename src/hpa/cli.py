@@ -32,7 +32,8 @@ from .realization import (RING_Z, build_realization, cw_chain_complex,
                           euler_characteristic, homology, parse_ring,
                           ring_name)
 from .resolution import (cellular_resolution, contracting_homotopy_check,
-                         simple_tensor_complex, verify_d_squared)
+                         generators_by_ends, simple_tensor_complex,
+                         verify_d_squared)
 from .toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
                     check_cohomologically_proper, check_directable,
                     degree_name, image_phi, weight_data_from_json)
@@ -161,9 +162,10 @@ def cmd_morse(args):
     mc = morse_complex(c, m)
     d2 = verify_d_squared(mc)
     pairs = [(v, w) for v in a.quiver.vertices for w in a.quiver.vertices]
+    c_ends, mc_ends = generators_by_ends(c), generators_by_ends(mc)
     quasi_ok = all(
-        homology(simple_tensor_complex(c, v, w, ring=args.ring)) ==
-        homology(simple_tensor_complex(mc, v, w, ring=args.ring))
+        homology(simple_tensor_complex(c, v, w, args.ring, c_ends)) ==
+        homology(simple_tensor_complex(mc, v, w, args.ring, mc_ends))
         for v, w in pairs)
     minimal = check_minimal(mc)
     try:

@@ -13,8 +13,7 @@ import io
 import json
 
 from .algebra import require_cancellative
-from .linalg import SparseMat
-from .realization import RING_Z, ChainComplex, homology
+from .realization import RING_Z, chain_complex, homology
 from .resolution import cellular_resolution, simple_tensor_complex
 from .morse import (_maximal_chains, babson_hersh_matching, morse_complex,
                     check_minimal, check_linear)
@@ -45,29 +44,14 @@ class OrderComplex:
 
 
 def reduced_homology(oc, ring=RING_Z):
-    """{k: (rank, torsion)} for k >= -1, including the empty simplex, so an
-    empty complex has H~_{-1} = R."""
-    counts = oc.counts()
-    dims = [1] + counts  # degree j holds the (j-1)-simplices
-    index = [{s: i for i, s in enumerate(sims)} for sims in oc.simplices]
-    d = [None]
-    for j in range(1, len(dims)):
-        mat = SparseMat(dims[j - 1], dims[j])
-        for col, s in enumerate(oc.simplices[j - 1]):
-            if j == 1:
-                mat[0, col] = 1  # augmentation
-            else:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    row = index[j - 2][face]
-                    mat[row, col] = mat[row, col] + (-1) ** i
-        d.append(mat)
-    ch = ChainComplex(dims, d, ring)
-    out = {}
-    for j, (rank, tors) in homology(ch).items():
-        if rank or tors:
-            out[j - 1] = (rank, tors)
-    return out
+    """{k: (rank, torsion)} for k >= -1.  Degree j of the chain complex holds
+    the (j-1)-simplices, degree 0 the empty simplex alone, so a vertex's
+    boundary is the augmentation and an empty complex has H~_{-1} = R."""
+    def boundary(s):
+        return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))]
+    ch = chain_complex([[()]] + oc.simplices, boundary, ring)
+    return {j - 1: (rank, tors) for j, (rank, tors) in homology(ch).items()
+            if rank or tors}
 
 
 def interval_order_complex(a, p):

@@ -271,32 +271,29 @@ def _eliminate_units(rows, cols, p=None):
             for j, pv in prow.items():
                 if j == pj:
                     continue
-                nv = ri.get(j, 0) - factor * pv
+                old = ri.get(j, 0)
+                nv = old - factor * pv
                 if p is not None:
                     nv %= p
-                if nv:
-                    if j not in ri:
-                        cols.setdefault(j, set()).add(i)
-                        if p is not None or nv in (1, -1):
-                            heapq.heappush(
-                                heap, ((len(ri)) * (len(cols[j]) - 1), i, j))
-                    ri[j] = nv
-                else:
-                    if j in ri:
+                if not nv:
+                    if old:
                         del ri[j]
                         cols[j].discard(i)
+                    continue
+                if not old:
+                    cols.setdefault(j, set()).add(i)
+                ri[j] = nv
+                # push new pivot candidates only: a fill-in, or over Z an
+                # entry that has just become a unit; a candidate already on
+                # the heap has its cost refreshed when it is popped
+                if (not old if p is not None
+                        else nv in (1, -1) and old not in (1, -1)):
+                    heapq.heappush(
+                        heap, ((len(ri) - 1) * (len(cols[j]) - 1), i, j))
             del ri[pj]
             cols[pj].discard(i)
             if not ri:
                 del rows[i]
-            else:
-                # entries may have become units
-                if p is None:
-                    for j, nv in ri.items():
-                        if nv in (1, -1):
-                            heapq.heappush(
-                                heap,
-                                ((len(ri) - 1) * (len(cols[j]) - 1), i, j))
         cols.pop(pj, None)
     return done
 

@@ -8,7 +8,7 @@ chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
 """
 
-from .linalg import SparseMat, invariant_factors, modp_rank
+from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
 
 
 RING_Z = ('Z',)
@@ -95,10 +95,6 @@ class CellComplex:
         self._faces[cell] = out
         return out
 
-    def boundary_terms(self, cell):
-        """Signed facets: [(sign, face)] with sign = (-1)^i."""
-        return [((-1) ** i, f) for i, f in enumerate(self.faces(cell))]
-
     def format_cell(self, cell):
         names = []
         for c in cell:
@@ -180,18 +176,30 @@ class ChainComplex:
         return None
 
 
-def cw_chain_complex(complex_, ring=RING_Z):
-    """Cellular chain complex of a CellComplex over the given ring."""
-    dims = complex_.counts()
+def chain_complex(cells, boundary, ring, truncated=False):
+    """ChainComplex with basis cells[k] in degree k, trailing empty degrees
+    dropped; boundary(cell) returns (coefficient, face) pairs, each face a
+    cell of the degree below."""
+    cells = list(cells)
+    while len(cells) > 1 and not cells[-1]:
+        cells.pop()
     d = [None]
-    for k in range(1, len(dims)):
-        mat = SparseMat(dims[k - 1], dims[k])
-        for j, cell in enumerate(complex_.cells[k]):
-            for sign, face in complex_.boundary_terms(cell):
-                i = complex_.index[face][1]
-                mat[i, j] = mat[i, j] + sign
+    for k in range(1, len(cells)):
+        index = {cell: i for i, cell in enumerate(cells[k - 1])}
+        mat = SparseMat(len(cells[k - 1]), len(cells[k]))
+        for j, cell in enumerate(cells[k]):
+            for coef, face in boundary(cell):
+                accumulate(mat.entries, (index[face], j), coef)
         d.append(mat)
-    return ChainComplex(dims, d, ring, truncated=complex_.truncated)
+    return ChainComplex([len(cs) for cs in cells], d, ring, truncated)
+
+
+def cw_chain_complex(complex_, ring=RING_Z):
+    """Cellular chain complex of a CellComplex over the given ring: the
+    facet i of a cell enters its boundary with sign (-1)^i."""
+    def boundary(cell):
+        return [((-1) ** i, f) for i, f in enumerate(complex_.faces(cell))]
+    return chain_complex(complex_.cells, boundary, ring, complex_.truncated)
 
 
 def homology(chain):

@@ -9,8 +9,8 @@ sign of face i is (-1)^i.  Elements are stored as dicts
 """
 
 from .algebra import Report, require_cancellative
-from .linalg import SparseMat, accumulate
-from .realization import RING_Z, ChainComplex, build_realization
+from .linalg import accumulate
+from .realization import RING_Z, build_realization, chain_complex
 
 
 class BimoduleComplex:
@@ -115,11 +115,10 @@ def verify_d_squared(c):
             acc = {}
             for s1, l1, f1, r1 in c.terms(cell):
                 for s2, l2, f2, r2 in c.terms(f1):
-                    key = (c.hpa.mult(l1, l2), f2, c.hpa.mult(r2, r1))
-                    acc[key] = acc.get(key, 0) + s1 * s2
-            bad = {k2: v for k2, v in acc.items() if v}
-            if bad:
-                failures.append((cell, bad))
+                    accumulate(acc, (c.hpa.mult(l1, l2), f2,
+                                     c.hpa.mult(r2, r1)), s1 * s2)
+            if acc:
+                failures.append((cell, acc))
     return Report(failures, checked)
 
 
@@ -139,8 +138,7 @@ def h_minus_one(c, alg_elem):
     out = {}
     for cls, coef in alg_elem.items():
         v = a.tail(cls)
-        key = (a.trivial_class[v], (a.trivial_class[v],), cls)
-        out[key] = out.get(key, 0) + coef
+        accumulate(out, (a.trivial_class[v], (a.trivial_class[v],), cls), coef)
     return out
 
 
@@ -153,15 +151,13 @@ def contracting_homotopy_check(a, c):
         for triple in c.basis(k):
             checked += 1
             x = {triple: 1}
+            lhs = c.d_element(c.h_element(x))
             if k == 0:
-                lhs = c.d_element(c.h_element(x))
-                for key, coef in h_minus_one(c, multiply_augmentation(c, x)).items():
-                    lhs[key] = lhs.get(key, 0) + coef
+                other = h_minus_one(c, multiply_augmentation(c, x))
             else:
-                lhs = c.d_element(c.h_element(x))
-                for key, coef in c.h_element(c.d_element(x)).items():
-                    lhs[key] = lhs.get(key, 0) + coef
-            lhs = {k2: v for k2, v in lhs.items() if v}
+                other = c.h_element(c.d_element(x))
+            for key, coef in other.items():
+                accumulate(lhs, key, coef)
             if lhs != x:
                 failures.append((triple, lhs))
     for cls in range(len(a.classes)):
@@ -172,54 +168,43 @@ def contracting_homotopy_check(a, c):
     return Report(failures, checked)
 
 
-def simple_tensor_complex(source, v, w, ring=RING_Z):
+def generators_by_ends(source):
+    """{(tail, head): [generators of degree k for k = 0..top]} of a complex
+    with a generators() interface, in one pass."""
+    a = source.hpa
+    out = {}
+    for k in range(source.top + 1):
+        for cell in source.generators(k):
+            ends = (a.tail(cell[0]), a.head(cell[-1]))
+            if ends not in out:
+                out[ends] = [[] for _ in range(source.top + 1)]
+            out[ends][k].append(cell)
+    return out
+
+
+def simple_tensor_complex(source, v, w, ring=RING_Z, by_ends=None):
     """S_v (x) C (x) S_w for a complex with a terms() interface: keep
     generators with tail v and head w, and differential terms whose two
-    coefficients are both trivial."""
+    coefficients are both trivial.  by_ends, from generators_by_ends(source),
+    saves the scan over all generators when many pairs are wanted."""
     a = source.hpa
-    gens = []
-    index = []
-    for k in range(source.top + 1):
-        sel = [cell for cell in source.generators(k)
-               if a.tail(cell[0]) == v and a.head(cell[-1]) == w]
-        gens.append(sel)
-        index.append({cell: i for i, cell in enumerate(sel)})
-    dims = [len(g) for g in gens]
-    d = [None]
-    for k in range(1, source.top + 1):
-        mat = SparseMat(dims[k - 1], dims[k])
-        for j, cell in enumerate(gens[k]):
-            for sign, l, face, r in source.terms(cell):
-                if a.is_trivial(l) and a.is_trivial(r):
-                    i = index[k - 1].get(face)
-                    if i is None:
-                        continue
-                    mat[i, j] = mat[i, j] + sign
-        d.append(mat)
-    while len(dims) > 1 and dims[-1] == 0:
-        dims.pop()
-        d.pop()
-    return ChainComplex(dims, d, ring)
+    if by_ends is None:
+        by_ends = generators_by_ends(source)
+
+    def boundary(cell):
+        return [(sign, face) for sign, l, face, r in source.terms(cell)
+                if a.is_trivial(l) and a.is_trivial(r)]
+    return chain_complex(by_ends.get((v, w), [[]]), boundary, ring)
 
 
 def bimodule_chain_complex(c, ring=RING_Z):
     """The underlying chain complex of free k-modules with basis all triples
     (a, cell, b); used for augmentation/exactness rank checks."""
-    bases = []
-    index = []
-    for k in range(c.top + 1):
-        b = list(c.basis(k))
-        bases.append(b)
-        index.append({t: i for i, t in enumerate(b)})
-    dims = [len(b) for b in bases]
-    d = [None]
     a = c.hpa
-    for k in range(1, c.top + 1):
-        mat = SparseMat(dims[k - 1], dims[k])
-        for j, (ac, cell, bc) in enumerate(bases[k]):
-            for sign, l, face, r in c.terms(cell):
-                key = (a.mult(ac, l), face, a.mult(r, bc))
-                i = index[k - 1][key]
-                mat[i, j] = mat[i, j] + sign
-        d.append(mat)
-    return ChainComplex(dims, d, ring)
+
+    def boundary(triple):
+        ac, cell, bc = triple
+        return [(sign, (a.mult(ac, l), face, a.mult(r, bc)))
+                for sign, l, face, r in c.terms(cell)]
+    return chain_complex([list(c.basis(k)) for k in range(c.top + 1)],
+                         boundary, ring)

@@ -133,7 +133,7 @@ def prefix_quotient(a, words, p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(algebras())
+@given(st.one_of(algebras(), algebras(with_relations=True)))
 def test_arrow_check_and_quotients_match_word_scans(a):
     ok = brute_force_cancellative(a)
     assert check_hpa(a).ok == ok
@@ -193,7 +193,7 @@ def augment_by_rechecking(a, x, pairs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(algebras())
+@given(st.one_of(algebras(), algebras(with_relations=True)))
 def test_cover_walk_and_greedy_growth_match_references(a):
     if not check_hpa(a).ok:
         return
