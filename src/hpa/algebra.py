@@ -10,7 +10,7 @@ Coefficients never leave {0, +-1, q-classes}.
 
 from collections import namedtuple
 
-from .quiver import Arrow, PathWord, Quiver, linear_quiver
+from .quiver import Arrow, PathWord, Quiver
 
 
 class RelationError(ValueError):
@@ -391,23 +391,3 @@ def tensor(a, b):
             groups.append([w1, w2])
 
     return HPA(RelationSet(q, groups))
-
-
-def bhk_algebra(d_total, charges):
-    """Tensor of linear quivers A_{d_total/r - 1}, one factor per charge r.
-    Each charge must divide d_total."""
-    if not charges:
-        raise ValueError("need at least one charge")
-    factors = []
-    for i, r in enumerate(charges):
-        if r <= 0 or d_total % r:
-            raise ValueError(f"charge {r} does not divide {d_total}")
-        k = d_total // r - 1
-        if k < 1:
-            raise ValueError(f"charge {r} gives an empty factor")
-        factors.append(free_algebra(
-            linear_quiver(k, vertex_prefix=f"u{i}_", arrow_prefix=f"s{i}_")))
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out

@@ -26,7 +26,7 @@ from .dsl import ParseError, emit_quiver
 from .invariants import betti_table, koszul_check
 from .morse import (MatchingError, babson_hersh_matching, check_linear,
                     check_minimal, greedy_internal_matching, load_matching,
-                    morse_complex)
+                    morse_complex, morse_homology)
 from .quiver import QuiverError
 from .realization import (RING_Z, build_realization, cw_chain_complex,
                           euler_characteristic, homology, parse_ring,
@@ -104,10 +104,24 @@ def cmd_realize(args):
     return _emit(args, 'realize', payload)
 
 
+def _cw_homology(a, x, ring):
+    """Homology of the realization x through the Morse complex of the
+    Babson-Hersh matching; by elimination over every cell when x is truncated
+    or the matching is refused (MatchingError)."""
+    if not x.truncated:
+        try:
+            m = babson_hersh_matching(a, complex_=x)
+        except MatchingError:
+            pass
+        else:
+            return morse_homology(m, ring)
+    return homology(cw_chain_complex(x, ring=ring))
+
+
 def cmd_homology(args):
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
-    h = homology(cw_chain_complex(x, ring=args.ring))
+    h = _cw_homology(a, x, args.ring)
     payload = {'ring': ring_name(args.ring),
                'homology': _homology_json(h),
                'euler': euler_characteristic(x),

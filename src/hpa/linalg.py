@@ -8,6 +8,7 @@ Everything here is exact (Python ints / fractions.Fraction); no floats.
 from dataclasses import dataclass
 from fractions import Fraction
 import heapq
+import math
 
 
 # ---------------------------------------------------------------------------
@@ -24,21 +25,6 @@ class SNFResult:
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(A, B):
-    n, m, k = len(A), len(B[0]) if B else 0, len(B)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
 
 
 def _swap_rows(M, i, j):
@@ -152,31 +138,6 @@ def smith_normal_form(M):
 
     diag = [D[i][i] for i in range(min(nrows, ncols))]
     return SNFResult(D=D, U=U, V=V, diagonal=diag)
-
-
-def determinant(M):
-    """Exact determinant (Bareiss fraction-free); used to test unimodularity."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(map(int, row)) for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +274,69 @@ def _core_dense(rows):
     return out
 
 
+def _rank_and_minor(A):
+    """Rank r of a dense integer matrix and |det| of one of its nonsingular
+    r x r submatrices (1 when r = 0), by fraction-free (Bareiss) elimination
+    with full pivoting.  A is overwritten."""
+    n, m = len(A), len(A[0])
+    prev = 1
+    for r in range(min(n, m)):
+        pivot = next(((i, j) for i in range(r, n) for j in range(r, m)
+                      if A[i][j]), None)
+        if pivot is None:
+            return r, abs(prev)
+        _swap_rows(A, r, pivot[0])
+        _swap_cols(A, r, pivot[1])
+        for Ai in A[r + 1:]:
+            Ai[r + 1:] = [(v * A[r][r] - Ai[r] * w) // prev
+                          for v, w in zip(Ai[r + 1:], A[r][r + 1:])]
+        prev = A[r][r]
+    return min(n, m), abs(prev)
+
+
 def snf_diagonal(M):
-    """Invariant factors of a dense integer matrix, without transforms."""
+    """Invariant factors d_1 | d_2 | ... of a dense integer matrix, one per
+    row or column (whichever is fewer), zeros last; no transforms.
+
+    With r the rank and D the determinant of a nonsingular r x r submatrix,
+    d_1 ... d_r divides D, so the columns plus D Z^n span a lattice with the
+    invariant factors gcd(d_i, D) = d_i.  Its Smith form is computed on the
+    entries modulo D, which stay below D (Domich, Kannan and Trotter, 1987).
+    """
     if not M or not M[0]:
         return []
-    return smith_normal_form(M).diagonal
+    n, m = len(M), len(M[0])
+    r, D = _rank_and_minor([list(row) for row in M])
+    A = [[v % D for v in row] for row in M]
+    diag = []
+    while len(diag) < r:
+        t = len(diag)
+        pivot = min(((A[i][j], i, j) for i in range(t, n)
+                     for j in range(t, m) if A[i][j]), default=None)
+        if pivot is None:
+            break  # the rest of the block is 0 mod D: factors equal to D
+        p, i, j = pivot
+        _swap_rows(A, t, i)
+        _swap_cols(A, t, j)
+        for i in range(t + 1, n):
+            if A[i][t]:
+                q = A[i][t] // p
+                A[i] = [(v - q * w) % D for v, w in zip(A[i], A[t])]
+        for j in range(t + 1, m):
+            q = A[t][j] // p
+            for row in A[t:]:
+                row[j] = (row[j] - q * row[t]) % D
+        if any(row[t] for row in A[t + 1:]) or any(A[t][t + 1:]):
+            continue  # a remainder below p is the next pivot
+        g = math.gcd(p, D)
+        bad = next((j for row in A[t + 1:] for j in range(t + 1, m)
+                    if row[j] % g), None)
+        if bad is None:
+            diag.append(g)
+        else:  # fold that column in: its remainder is the next pivot
+            for row in A[t:]:
+                row[t] = (row[t] + row[bad]) % D
+    return diag + [D] * (r - len(diag)) + [0] * (min(n, m) - r)
 
 
 def invariant_factors(mat):

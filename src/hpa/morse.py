@@ -1,4 +1,5 @@
-"""Internal acyclic matchings and the Morse complex of projective bimodules.
+"""Internal acyclic matchings and the Morse complexes they give of the
+bimodule resolution and of the cellular chain complex.
 
 A matching pairs k-cells with (k-1)-facets.  Internality (no cell from Q_0 or
 Q_1 matched, matched pairs share tail and head) forces every matched facet to
@@ -11,7 +12,9 @@ Gradient flow: a non-critical bottom sigma matched with top tau satisfies
 0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
 -eps^{-1} sum s_f . l_f [f] r_f and the rewriting is iterated; acyclicity
 makes the recursion well founded.  The Morse differential of a critical cell
-composes its boundary terms with these flows.
+composes its boundary terms with these flows.  One walk serves both
+complexes through a boundary rule of (coefficient, face) pairs: coefficients
+are (sign, l, r) on the bimodule resolution and signs on the cells.
 """
 
 import functools
@@ -20,7 +23,7 @@ from collections import deque
 
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import build_realization
+from .realization import RING_Z, build_realization, chain_complex, homology
 
 
 class MatchingError(ValueError):
@@ -58,9 +61,6 @@ class Matching:
         self.cells = seen
         self.internal = check_internal(self)
         self.acyclic = check_acyclic(self)
-
-    def __len__(self):
-        return len(self.pairs)
 
     def is_matched(self, cell):
         return cell in self.cells
@@ -188,16 +188,36 @@ class MorseComplex:
         return [len(cs) for cs in self.cells]
 
 
-def _matched_entry(c, top, bottom):
-    """Incidence of a matched pair; must be a bare +-1 (middle face)."""
-    hits = [(s, l, r) for s, l, f, r in c.terms(top) if f == bottom]
+def _matched_entry(boundary, top, bottom, sign_of):
+    """Sign +-1 of the matched facet `bottom` in boundary(top), read from its
+    coefficient by sign_of (0 if not invertible).  Raises MatchingError
+    unless the facet occurs once, with an invertible coefficient."""
+    hits = [coef for coef, f in boundary(top) if f == bottom]
     if len(hits) != 1:
-        raise AssertionError("matched facet not unique in boundary")
-    s, l, r = hits[0]
-    if not (c.hpa.is_trivial(l) and c.hpa.is_trivial(r) and s in (1, -1)):
-        raise AssertionError(
+        raise MatchingError("matched facet not unique in boundary")
+    s = sign_of(hits[0])
+    if s not in (1, -1):
+        raise MatchingError(
             "matched pair has a non-invertible incidence coefficient")
     return s
+
+
+def _morse_differential(boundary, m, critical, sign_of, critical_flow,
+                        compose):
+    """{critical cell tau of dimension >= 1: flow of boundary(tau)}.  A flow
+    is a sparse dict {target: integer}; critical_flow(s) is that of a
+    critical cell s, and compose(scale, [(coefficient, flow), ...]) sums
+    scale times each coefficient applied to its flow."""
+    def matched_flow(tau, s, deps):
+        return compose(-_matched_entry(boundary, tau, s, sign_of), deps)
+
+    out = {}
+    for k in range(1, len(critical)):
+        flow_of = _gradient_flow(boundary, m, critical_flow, matched_flow)
+        for tau in critical[k]:
+            out[tau] = compose(1, [(coef, flow_of(f))
+                                   for coef, f in boundary(tau)])
+    return out
 
 
 def morse_complex(c, m):
@@ -211,34 +231,73 @@ def morse_complex(c, m):
     x = c.complex
     critical = _critical_cells(x, m)
 
+    def boundary(cell):
+        return [((sign, l, r), f) for sign, l, f, r in c.terms(cell)]
+
+    def sign_of(coef):
+        sign, l, r = coef
+        return sign if a.is_trivial(l) and a.is_trivial(r) else 0
+
     # a flow is {(l, critical target, r): coefficient}
     def critical_flow(s):
         return {(a.trivial_class[x.tail(s)], s, a.trivial_class[x.head(s)]): 1}
 
     def compose(scale, deps):
-        # sum of scale.sign.l.(flow of f).r over the terms (sign, l, flow, r)
         acc = {}
-        for sign, l, flow, r in deps:
+        for (sign, l, r), flow in deps:
             for (l2, tgt, r2), cf in flow.items():
                 accumulate(acc, (a.mult(l, l2), tgt, a.mult(r2, r)),
                            scale * sign * cf)
         return acc
 
-    def matched_flow(tau, s, deps):
-        return compose(-_matched_entry(c, tau, s), deps)
-
-    terms = {}
-    for k in range(1, x.max_dim + 1):
-        flow_of = _gradient_flow(c, m, critical_flow, matched_flow)
-        for tau in critical[k]:
-            acc = compose(1, [(sign, l, flow_of(f), r)
-                              for sign, l, f, r in c.terms(tau)])
-            terms[tau] = [(cf, l, tgt, r)
-                          for (l, tgt, r), cf in sorted(acc.items())]
-
+    d = _morse_differential(boundary, m, critical, sign_of, critical_flow,
+                            compose)
+    terms = {tau: [(cf, l, tgt, r) for (l, tgt, r), cf in sorted(acc.items())]
+             for tau, acc in d.items()}
     while critical and not critical[-1]:
         critical.pop()
     return MorseComplex(a, critical, terms, m)
+
+
+def cw_morse_complex(m, ring=RING_Z):
+    """The cellular chain complex of m.complex reduced by m: critical cells,
+    with the differential along gradient paths.
+
+    m.require_valid() tests acyclicity within (tail, head) strata, and that
+    covers the whole face graph: face 0 moves a cell to a later tail, the top
+    face to an earlier head, middle faces keep both, so a gradient path that
+    leaves a stratum never returns.  Every cycle lies in one stratum (the
+    patchwork theorem, Kozlov, Combinatorial Algebraic Topology, Thm 11.10).
+    """
+    m.require_valid()
+    x = m.complex
+    critical = _critical_cells(x, m)
+
+    def compose(scale, deps):
+        acc = {}
+        for coef, flow in deps:
+            for tgt, n in flow.items():
+                accumulate(acc, tgt, scale * coef * n)
+        return acc
+
+    d = _morse_differential(x.boundary, m, critical, lambda coef: coef,
+                            lambda s: {s: 1}, compose)
+    return chain_complex(
+        critical, lambda tau: [(n, tgt) for tgt, n in d[tau].items()], ring)
+
+
+def morse_homology(m, ring=RING_Z):
+    """homology() of the untruncated complex m.complex, computed on
+    cw_morse_complex(m, ring), with (0, []) in the degrees it lacks.  d^2 = 0
+    is checked symbolically on every cell first."""
+    x = m.complex
+    if x.truncated:
+        raise ValueError("the Morse path needs an untruncated realization")
+    bad = x.d_squared_degree()
+    if bad is not None:
+        raise ValueError(f"d^2 != 0 at degree {bad}")
+    h = homology(cw_morse_complex(m, ring))
+    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1)}
 
 
 def _critical_cells(x, m):
@@ -246,12 +305,13 @@ def _critical_cells(x, m):
             for k in range(x.max_dim + 1)]
 
 
-def _gradient_flow(c, m, critical_flow, matched_flow):
+def _gradient_flow(boundary, m, critical_flow, matched_flow):
     """Memoized flow of cells along gradient paths, by an iterative
-    post-order walk.  A critical cell s flows to critical_flow(s), a cell
-    matched downward to nothing, and a cell s matched up with tau to
-    matched_flow(tau, s, deps), where deps lists (sign, l, flow of f, r) for
-    the other faces f of tau.  Acyclicity makes the walk terminate."""
+    post-order walk; boundary(cell) gives (coefficient, face) pairs.  A
+    critical cell s flows to critical_flow(s), a cell matched downward to
+    nothing, and a cell s matched up with tau to matched_flow(tau, s, deps),
+    where deps lists (coefficient, flow of f) for the other faces f of tau.
+    Acyclicity makes the walk terminate."""
     flow = {}
 
     def flow_of(s0):
@@ -267,40 +327,17 @@ def _gradient_flow(c, m, critical_flow, matched_flow):
                 flow[s] = {}
             else:
                 tau = m.top_of[s]
-                deps = [t for t in c.terms(tau) if t[2] != s]
-                missing = [f for _, _, f, _ in deps if f not in flow]
+                deps = [(coef, f) for coef, f in boundary(tau) if f != s]
+                missing = [f for _, f in deps if f not in flow]
                 if missing:
                     stack.extend(missing)
                     continue
                 flow[s] = matched_flow(
-                    tau, s, [(sign, l, flow[f], r) for sign, l, f, r in deps])
+                    tau, s, [(coef, flow[f]) for coef, f in deps])
             stack.pop()
         return flow[s0]
 
     return flow_of
-
-
-def gradient_path_counts(c, m):
-    """Audit: number of alternating gradient paths between critical cells,
-    as {(top cell, target cell): count}."""
-    x = c.complex
-    counts = {}
-    critical = _critical_cells(x, m)
-
-    def matched_flow(tau, s, deps):
-        acc = {}
-        for _, _, flow, _ in deps:
-            for tgt, n in flow.items():
-                accumulate(acc, tgt, n)
-        return acc
-
-    for k in range(1, x.max_dim + 1):
-        count_of = _gradient_flow(c, m, lambda s: {s: 1}, matched_flow)
-        for tau in critical[k]:
-            for _, _, f, _ in c.terms(tau):
-                for tgt, n in count_of(f).items():
-                    accumulate(counts, (tau, tgt), n)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +580,6 @@ def check_linear(mc):
 # Fixture serialization
 
 
-def _cell_to_json(x, cell):
-    a = x.hpa
-    return {'tail': x.tail(cell),
-            'chain': [list(a.cls(c).rep.labels) for c in cell]}
-
-
 def _cell_from_json(x, data):
     a = x.hpa
     tail = data['tail']
@@ -570,12 +601,6 @@ def _cell_from_json(x, data):
     if cell not in x.index:
         raise MatchingError(f"not a cell of the realization: {cell}")
     return cell
-
-
-def matching_to_json(m):
-    x = m.complex
-    return {'pairs': [{'top': _cell_to_json(x, t), 'bottom': _cell_to_json(x, b)}
-                      for t, b in m.pairs]}
 
 
 def matching_from_json(data, complex_):

@@ -63,18 +63,11 @@ class CellComplex:
     def counts(self):
         return [len(cs) for cs in self.cells]
 
-    def dim(self, cell):
-        return len(cell) - 1
-
     def tail(self, cell):
         return self.hpa.tail(cell[0])
 
     def head(self, cell):
         return self.hpa.head(cell[-1])
-
-    def tree_stratum(self, cell):
-        """Tail vertex of the cell: the tree stratum of X_A it lies in."""
-        return self.tail(cell)
 
     def faces(self, cell):
         """List of the k+1 facets, position i giving the i-th face."""
@@ -94,6 +87,24 @@ class CellComplex:
                 out.append(cell[:i] + cell[i + 1:])
         self._faces[cell] = out
         return out
+
+    def boundary(self, cell):
+        """The cellular boundary rule: (sign (-1)^i, facet i) pairs."""
+        return [(-1 if i % 2 else 1, f) for i, f in enumerate(self.faces(cell))]
+
+    def d_squared_degree(self):
+        """The first degree k with d(d(cell)) != 0 for some k-cell, or None.
+        Symbolic: the faces of faces that enter with sign +1 and those with
+        sign -1 must agree as multisets."""
+        for k in range(2, self.max_dim + 1):
+            for cell in self.cells[k]:
+                signed = ([], [])
+                for i, f in enumerate(self.faces(cell)):
+                    for j, g in enumerate(self.faces(f)):
+                        signed[(i + j) % 2].append(g)
+                if sorted(signed[0]) != sorted(signed[1]):
+                    return k
+        return None
 
     def format_cell(self, cell):
         names = []
@@ -197,9 +208,8 @@ def chain_complex(cells, boundary, ring, truncated=False):
 def cw_chain_complex(complex_, ring=RING_Z):
     """Cellular chain complex of a CellComplex over the given ring: the
     facet i of a cell enters its boundary with sign (-1)^i."""
-    def boundary(cell):
-        return [((-1) ** i, f) for i, f in enumerate(complex_.faces(cell))]
-    return chain_complex(complex_.cells, boundary, ring, complex_.truncated)
+    return chain_complex(complex_.cells, complex_.boundary, ring,
+                         complex_.truncated)
 
 
 def homology(chain):
@@ -233,42 +243,3 @@ def homology(chain):
 
 def euler_characteristic(complex_):
     return sum((-1) ** k * n for k, n in enumerate(complex_.counts()))
-
-
-def check_semisimplicial(complex_):
-    """Exhaustively verify the face identities d_i d_j = d_{j-1} d_i (i < j)
-    and regularity (pairwise distinct facets).  Returns list of violations."""
-    bad = []
-    for k in range(2, complex_.max_dim + 1):
-        for cell in complex_.cells[k]:
-            faces = complex_.faces(cell)
-            if len(set(faces)) != len(faces):
-                bad.append(('facets not distinct', cell))
-            for j in range(1, k + 1):
-                fj = complex_.faces(faces[j])
-                for i in range(j):
-                    fi = complex_.faces(faces[i])
-                    if fj[i] != fi[j - 1]:
-                        bad.append(('identity fails', cell, i, j))
-    for cell in complex_.cells[1] if complex_.max_dim >= 1 else []:
-        faces = complex_.faces(cell)
-        if len(set(faces)) != len(faces):
-            bad.append(('facets not distinct', cell))
-    return bad
-
-
-def face_poset_dot(complex_):
-    """Graphviz digraph of the face poset (cell -> facet edges)."""
-    lines = ["digraph faces {"]
-    ids = {}
-    for k, cs in enumerate(complex_.cells):
-        for cell in cs:
-            ids[cell] = f"c{k}_{complex_.index[cell][1]}"
-            label = complex_.format_cell(cell).replace('"', "'")
-            lines.append(f'  {ids[cell]} [label="{label}"];')
-    for k in range(1, complex_.max_dim + 1):
-        for cell in complex_.cells[k]:
-            for f in complex_.faces(cell):
-                lines.append(f"  {ids[cell]} -> {ids[f]};")
-    lines.append("}")
-    return '\n'.join(lines) + '\n'

@@ -13,6 +13,10 @@ from .linalg import accumulate
 from .realization import RING_Z, build_realization, chain_complex
 
 
+class ResolutionError(ValueError):
+    pass
+
+
 class BimoduleComplex:
     def __init__(self, hpa, complex_):
         self.hpa = hpa
@@ -79,8 +83,7 @@ class BimoduleComplex:
                 chain.append(a.mult(ac, p))
             new = tuple(chain)
             if new not in self.complex.index:
-                raise AssertionError(
-                    f"homotopy left the complex: {new}")
+                raise ResolutionError(f"homotopy left the complex: {new}")
             accumulate(out, (a.trivial_class[a.tail(ac)], new, bc), coef)
         return out
 
@@ -195,16 +198,3 @@ def simple_tensor_complex(source, v, w, ring=RING_Z, by_ends=None):
         return [(sign, face) for sign, l, face, r in source.terms(cell)
                 if a.is_trivial(l) and a.is_trivial(r)]
     return chain_complex(by_ends.get((v, w), [[]]), boundary, ring)
-
-
-def bimodule_chain_complex(c, ring=RING_Z):
-    """The underlying chain complex of free k-modules with basis all triples
-    (a, cell, b); used for augmentation/exactness rank checks."""
-    a = c.hpa
-
-    def boundary(triple):
-        ac, cell, bc = triple
-        return [(sign, (a.mult(ac, l), face, a.mult(r, bc)))
-                for sign, l, face, r in c.terms(cell)]
-    return chain_complex([list(c.basis(k)) for k in range(c.top + 1)],
-                         boundary, ring)

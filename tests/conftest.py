@@ -3,9 +3,12 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from hpa.algebra import HPA, RelationSet, free_algebra
+from hpa.algebra import HPA, RelationSet, free_algebra, tensor
 from hpa.dsl import parse_quiver
+from hpa.linalg import accumulate
+from hpa.morse import _critical_cells, _gradient_flow
 from hpa.quiver import Quiver, enumerate_paths, linear_quiver
+from hpa.realization import RING_Z, chain_complex
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 
@@ -21,6 +24,128 @@ def words_by_class(a):
     for w in enumerate_paths(a.quiver):
         groups.setdefault(a.word_class(w), []).append(w)
     return groups
+
+
+def matmul(A, B):
+    """Product of two dense integer matrices (lists of rows)."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def determinant(M):
+    """Exact determinant (Bareiss fraction-free), to test unimodularity."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(map(int, row)) for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def check_semisimplicial(complex_):
+    """Exhaustively verify the face identities d_i d_j = d_{j-1} d_i (i < j)
+    and regularity (pairwise distinct facets).  Returns list of violations."""
+    bad = []
+    for k in range(2, complex_.max_dim + 1):
+        for cell in complex_.cells[k]:
+            faces = complex_.faces(cell)
+            if len(set(faces)) != len(faces):
+                bad.append(('facets not distinct', cell))
+            for j in range(1, k + 1):
+                fj = complex_.faces(faces[j])
+                for i in range(j):
+                    fi = complex_.faces(faces[i])
+                    if fj[i] != fi[j - 1]:
+                        bad.append(('identity fails', cell, i, j))
+    for cell in complex_.cells[1] if complex_.max_dim >= 1 else []:
+        faces = complex_.faces(cell)
+        if len(set(faces)) != len(faces):
+            bad.append(('facets not distinct', cell))
+    return bad
+
+
+def gradient_path_counts(c, m):
+    """Number of alternating gradient paths between critical cells, as
+    {(top cell, target cell): count}, from the gradient-flow walk with every
+    coefficient read as 1."""
+    x = c.complex
+    counts = {}
+    critical = _critical_cells(x, m)
+
+    def matched_flow(tau, s, deps):
+        acc = {}
+        for _, flow in deps:
+            for tgt, n in flow.items():
+                accumulate(acc, tgt, n)
+        return acc
+
+    for k in range(1, x.max_dim + 1):
+        count_of = _gradient_flow(x.boundary, m, lambda s: {s: 1},
+                                  matched_flow)
+        for tau in critical[k]:
+            for f in x.faces(tau):
+                for tgt, n in count_of(f).items():
+                    accumulate(counts, (tau, tgt), n)
+    return counts
+
+
+def matching_to_json(m):
+    """The matching file format that hpa.morse.matching_from_json reads."""
+    x = m.complex
+
+    def cell_json(cell):
+        return {'tail': x.tail(cell),
+                'chain': [list(x.hpa.cls(c).rep.labels) for c in cell]}
+    return {'pairs': [{'top': cell_json(t), 'bottom': cell_json(b)}
+                      for t, b in m.pairs]}
+
+
+def bhk_algebra(d_total, charges):
+    """Tensor of linear quivers A_{d_total/r - 1}, one factor per charge r.
+    Each charge must divide d_total."""
+    if not charges:
+        raise ValueError("need at least one charge")
+    factors = []
+    for i, r in enumerate(charges):
+        if r <= 0 or d_total % r:
+            raise ValueError(f"charge {r} does not divide {d_total}")
+        k = d_total // r - 1
+        if k < 1:
+            raise ValueError(f"charge {r} gives an empty factor")
+        factors.append(free_algebra(
+            linear_quiver(k, vertex_prefix=f"u{i}_", arrow_prefix=f"s{i}_")))
+    out = factors[0]
+    for f in factors[1:]:
+        out = tensor(out, f)
+    return out
+
+
+def bimodule_chain_complex(c, ring=RING_Z):
+    """The underlying chain complex of free k-modules with basis all triples
+    (a, cell, b); used for augmentation/exactness rank checks."""
+    a = c.hpa
+
+    def boundary(triple):
+        ac, cell, bc = triple
+        return [(sign, (a.mult(ac, l), face, a.mult(r, bc)))
+                for sign, l, face, r in c.terms(cell)]
+    return chain_complex([list(c.basis(k)) for k in range(c.top + 1)],
+                         boundary, ring)
 
 
 @st.composite

@@ -6,7 +6,8 @@ import sys
 import jsonschema
 import pytest
 
-from hpa.cli import main, _schema
+from hpa.cli import main, _load, _schema
+from hpa.realization import build_realization
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
@@ -257,3 +258,65 @@ def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
     main(['morse', str(FIXTURES / f'{name}.quiver'), '--matching', matching])
     capsys.readouterr()
     assert calls == {'check_internal': 1, 'check_acyclic': 1}
+
+
+def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
+    # a 1-skeleton that claims to be whole sends the contracting homotopy
+    # out of the complex
+    from hpa import cli
+    real = cli.build_realization
+
+    def skeleton(a, max_dim=None):
+        x = real(a, max_dim=1)
+        x.truncated = False
+        return x
+    monkeypatch.setattr(cli, 'build_realization', skeleton)
+    assert main(['resolve', P2]) == 1
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err.startswith('error: homotopy left the complex')
+    assert err.count('\n') == 1
+
+
+def _homology_paths(monkeypatch):
+    """Record which homology path cmd_homology takes."""
+    from hpa import cli
+    calls = []
+    for name in ('morse_homology', 'cw_chain_complex'):
+        def recorded(*args, fn=getattr(cli, name), name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def _elimination_homology(path, ring, max_dim=None):
+    from hpa.realization import cw_chain_complex, homology, parse_ring
+    x = build_realization(_load(path), max_dim=max_dim)
+    h = homology(cw_chain_complex(x, parse_ring(ring)))
+    return {str(k): [r, t] for k, (r, t) in h.items()}
+
+
+@pytest.mark.parametrize('ring', ['Z', 'Fp:2'])
+def test_homology_takes_the_morse_path(monkeypatch, capsys, ring):
+    calls = _homology_paths(monkeypatch)
+    code, data = run_json(capsys, 'homology', F3, '--ring', ring)
+    assert code == 0 and calls == ['morse_homology']
+    assert data['homology'] == _elimination_homology(F3, ring)
+
+
+@pytest.mark.parametrize('ungraded, max_dim', [(False, 1), (True, None)])
+def test_homology_falls_back_to_elimination(monkeypatch, capsys, tmp_path,
+                                            ungraded, max_dim):
+    # a truncated realization, or a matching refused on an ungraded algebra
+    path = F3
+    if ungraded:
+        path = str(tmp_path / 'ungraded.quiver')
+        pathlib.Path(path).write_text(UNGRADED)
+    argv = ['homology', path]
+    if max_dim is not None:
+        argv += ['--max-dim', str(max_dim)]
+    calls = _homology_paths(monkeypatch)
+    code, data = run_json(capsys, *argv)
+    assert code == 0 and calls == ['cw_chain_complex']
+    assert data['homology'] == _elimination_homology(path, 'Z', max_dim)

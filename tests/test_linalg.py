@@ -1,14 +1,16 @@
 from fractions import Fraction
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa.linalg import (
-    SparseMat, determinant, integer_kernel_basis, invariant_factors,
-    lp_feasible, lp_maximize, matmul, modp_rank, smith_normal_form,
-    snf_diagonal, solve_integer,
+    SparseMat, integer_kernel_basis, invariant_factors, lp_feasible,
+    lp_maximize, modp_rank, smith_normal_form, snf_diagonal, solve_integer,
 )
 from hpa.realization import ChainComplex, homology
+
+from conftest import determinant, matmul
 
 
 def test_snf_diag_2_3():
@@ -69,6 +71,39 @@ def test_snf_properties_random(n, m, data):
     S = sympy_snf(sympy.Matrix(M))
     ref = sorted(abs(S[i, i]) for i in range(min(n, m)))
     assert sorted(x for x in d) == ref
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_snf_diagonal_matches_smith_form(n, m, data):
+    # rank-deficient and torsion-heavy draws: the modulus D of snf_diagonal
+    # is then a product of several non-unit pivots
+    M = [[data.draw(st.sampled_from((0, 0, 2, -2, 3, 4, 6, -9)))
+          for _ in range(m)] for _ in range(n)]
+    assert snf_diagonal(M) == smith_normal_form(M).diagonal
+
+
+# The core that unit elimination leaves of draw #1 of
+#   rnd = random.Random(1)
+#   n, m = rnd.randint(5, 25), rnd.randint(5, 25)
+#   [[rnd.choice((1, -1, 2, -2, 3)) if rnd.random() < 0.4 else 0
+#     for _ in range(m)] for _ in range(n)]
+# a 17 x 22 matrix.  A Smith form with unbounded entries ran for minutes on
+# it.
+DENSE_CORE = [
+    [96, -543, -509, 294, 104, 5, -42, 74, -181, 86, -335],
+    [3, 33, 20, -9, -2, 3, 8, -9, 5, -4, 20],
+    [-762, 4390, 4130, -2354, -869, 12, 338, -593, 1522, -637, 2692],
+    [129, -696, -660, 385, 143, -7, -49, 83, -245, 107, -428],
+    [438, -2483, -2339, 1339, 496, 2, -185, 331, -863, 371, -1529],
+    [372, -2141, -2013, 1152, 407, 2, -164, 294, -737, 319, -1318],
+]
+
+
+def test_snf_diagonal_of_a_dense_core_is_fast():
+    start = time.perf_counter()
+    assert snf_diagonal(DENSE_CORE) == [1] * 6
+    assert time.perf_counter() - start < 1
 
 
 def _sparse(dense):

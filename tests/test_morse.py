@@ -1,19 +1,22 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import free_algebra
+from hpa.algebra import check_hpa, free_algebra
 from hpa.quiver import linear_quiver, Quiver
-from hpa.realization import build_realization, homology
+from hpa.realization import (RING_Z, build_realization, cw_chain_complex,
+                             homology, ring_fp)
 from hpa.resolution import (cellular_resolution, simple_tensor_complex,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
-                       matching_to_json, matching_from_json,
-                       gradient_path_counts)
+                       matching_from_json, morse_homology, _matched_entry)
 
-from conftest import words_by_class
+from conftest import (algebras, gradient_path_counts, matching_to_json,
+                      words_by_class)
 
 
 def _cell(a, tail, *label_seqs):
@@ -213,3 +216,88 @@ def test_check_linear_requires_grading():
     mc = morse_complex(c, Matching(c.complex, []))
     with pytest.raises(ValueError):
         check_linear(mc)
+
+
+@pytest.mark.parametrize('boundary, sign_of', [
+    # a cellular boundary: coefficients are signs
+    (lambda cell: [(1, 'f'), (-1, 'g'), (1, 'f')], lambda coef: coef),
+    # a bimodule boundary: coefficients are (sign, l, r)
+    (lambda cell: [((1, 'l', 'r'), 'f'), ((-1, 'l', 'r'), 'f')],
+     lambda coef: coef[0]),
+])
+def test_matched_entry_refuses_a_repeated_facet(boundary, sign_of):
+    with pytest.raises(MatchingError, match="not unique"):
+        _matched_entry(boundary, 't', 'f', sign_of)
+
+
+@pytest.mark.parametrize('boundary, sign_of', [
+    (lambda cell: [(2, 'f'), (-1, 'g')], lambda coef: coef),
+    # a nontrivial left coefficient reads as sign 0
+    (lambda cell: [((1, 'x', 'e'), 'f')], lambda coef: 0),
+])
+def test_matched_entry_refuses_a_non_invertible_coefficient(boundary,
+                                                            sign_of):
+    with pytest.raises(MatchingError, match="non-invertible"):
+        _matched_entry(boundary, 't', 'f', sign_of)
+
+
+def _acyclic_on_face_graph(m):
+    """check_acyclic with its cycle search keyed by dimension alone, so that
+    it follows every face edge, across (tail, head) strata too."""
+    whole = SimpleNamespace(complex=m.complex, top_of=m.top_of,
+                            internal=SimpleNamespace(ok=False))
+    return check_acyclic(whole).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_morse_homology_matches_elimination(a):
+    if not check_hpa(a).ok:
+        return
+    x = build_realization(a)
+    try:
+        m = babson_hersh_matching(a, complex_=x)
+    except MatchingError:
+        assert not a.graded
+        return
+    assert _acyclic_on_face_graph(m)
+    for ring in (RING_Z, ring_fp(2)):
+        assert morse_homology(m, ring) == homology(cw_chain_complex(x, ring))
+
+
+@pytest.mark.parametrize('name', ['p2', 'f3', 'p113', 'a3a3'])
+def test_morse_homology_fixtures(request, name):
+    a = request.getfixturevalue(name)
+    m = babson_hersh_matching(a)
+    assert _acyclic_on_face_graph(m)
+    for ring in (RING_Z, ring_fp(2)):
+        assert morse_homology(m, ring) == \
+            homology(cw_chain_complex(m.complex, ring))
+
+
+def test_morse_homology_checks_d_squared_on_every_cell(p2, monkeypatch):
+    m = babson_hersh_matching(p2)
+    x = m.complex
+    seen = set()
+    faces = x.faces
+
+    def recorded(cell):
+        seen.add(cell)
+        return faces(cell)
+    monkeypatch.setattr(x, 'faces', recorded)
+    morse_homology(m)
+    assert seen >= {c for k in range(2, x.max_dim + 1) for c in x.cells[k]}
+
+    # facets 0 and 1 of a 2-cell in each other's place break d^2 = 0,
+    # and that is caught before any reduction
+    monkeypatch.setattr(x, 'faces', lambda cell: (
+        [faces(cell)[1], faces(cell)[0]] + faces(cell)[2:]
+        if len(cell) == 3 else faces(cell)))
+    with pytest.raises(ValueError, match="d\\^2 != 0 at degree 2"):
+        morse_homology(m)
+
+
+def test_morse_homology_refuses_truncation(p2):
+    x = build_realization(p2, max_dim=1)
+    with pytest.raises(ValueError, match="untruncated"):
+        morse_homology(Matching(x, []))

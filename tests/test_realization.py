@@ -4,9 +4,10 @@ from hpa.algebra import free_algebra, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver, linear_quiver
 from hpa.realization import (ChainComplex, RING_Q, RING_Z, build_realization,
-                             check_semisimplicial, cw_chain_complex,
-                             euler_characteristic, face_poset_dot, homology,
+                             cw_chain_complex, euler_characteristic, homology,
                              parse_ring, ring_fp)
+
+from conftest import check_semisimplicial
 
 
 def test_parse_ring():
@@ -60,8 +61,8 @@ def test_free_parallel_arrows_graph_homology():
 def test_tree_stratum(p2):
     x = build_realization(p2)
     cell = x.cells[1][0]
-    assert x.tree_stratum(cell) == p2.tail(cell[0])
-    strata = {x.tree_stratum(c) for c in x.cells[2]}
+    assert x.tail(cell) == p2.tail(cell[0])
+    strata = {x.tail(c) for c in x.cells[2]}
     assert strata == {'v0'}  # all 2-cells live over the root vertex
 
 
@@ -94,11 +95,13 @@ def test_d_squared_abort():
         homology(chain)
 
 
-def test_face_poset_dot(p2):
+def test_face_edges(p2):
     x = build_realization(p2)
-    dot = face_poset_dot(x)
-    assert dot.startswith('digraph')
-    assert dot.count('->') == 12 * 2 + 9 * 3
+    edges = [(cell, f) for k in range(1, x.max_dim + 1)
+             for cell in x.cells[k] for f in x.faces(cell)]
+    assert all(x.tail(f) in (x.tail(cell), p2.head(cell[1]))
+               for cell, f in edges)
+    assert len(edges) == 12 * 2 + 9 * 3
 
 
 def test_semisimplicial_identities_f3_would_go_here_small_grid():

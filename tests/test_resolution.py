@@ -3,10 +3,12 @@ import pytest
 from hpa.algebra import free_algebra, tensor
 from hpa.quiver import linear_quiver
 from hpa.realization import RING_Q, RING_Z, build_realization, homology, ring_fp
-from hpa.resolution import (BimoduleComplex, bimodule_chain_complex,
+from hpa.resolution import (BimoduleComplex, ResolutionError,
                             cellular_resolution, contracting_homotopy_check,
                             h_minus_one, multiply_augmentation,
                             simple_tensor_complex, verify_d_squared)
+
+from conftest import bimodule_chain_complex
 
 
 @pytest.fixture(scope='module')
@@ -128,3 +130,15 @@ def test_h0_is_the_algebra(p2, res_p2):
         h = homology(full)
         assert h[0] == (len(p2.classes), [])
         assert all(h[k] == (0, []) for k in range(1, len(h)))
+
+
+def test_homotopy_leaving_the_complex_is_a_typed_error(p2):
+    # on the 1-skeleton, h of x.[e_v1 < y'] is the missing 2-cell
+    # [e_v0 < x < x y']
+    c = cellular_resolution(p2, build_realization(p2, max_dim=1))
+    x = p2.arrow_class['x']
+    e1 = p2.trivial_class['v1']
+    cell = (e1, p2.arrow_class["y'"])
+    with pytest.raises(ResolutionError, match="homotopy left the complex"):
+        c.h_element({(x, cell, p2.trivial_class['v2']): 1})
+    assert issubclass(ResolutionError, ValueError)
