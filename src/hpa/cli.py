@@ -13,11 +13,9 @@ that builds on the algebra first refuses a non-cancellative one (exit 1).
 """
 
 import argparse
-import importlib.resources
 import json
+import os
 import sys
-
-import jsonschema
 
 from . import __version__
 from .algebra import (cancellation_summary, check_hpa, from_document,
@@ -34,6 +32,7 @@ from .realization import (RING_Z, build_realization, cw_chain_complex,
 from .resolution import (cellular_resolution, contracting_homotopy_check,
                          generators_by_ends, simple_tensor_complex,
                          verify_d_squared)
+from .schema import validate
 from .toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
                     check_cohomologically_proper, check_directable,
                     degree_name, image_phi, weight_data_from_json)
@@ -44,15 +43,16 @@ def _header(command):
 
 
 def _schema(command):
-    ref = importlib.resources.files('hpa') / 'schemas' / f'{command}.json'
-    return json.loads(ref.read_text())
+    path = os.path.join(os.path.dirname(__file__), 'schemas', f'{command}.json')
+    with open(path) as f:
+        return json.load(f)
 
 
 def _emit(args, command, payload, code=0):
     payload = {'header': _header(command), **payload}
     text = json.dumps(payload, indent=1, sort_keys=True) + '\n'
     # validate the serialized form (tuples become arrays there)
-    jsonschema.validate(json.loads(text), _schema(command))
+    validate(json.loads(text), _schema(command))
     _write(args, text)
     return code
 

@@ -5,7 +5,7 @@ rational simplex for feasibility questions.
 Everything here is exact (Python ints / fractions.Fraction); no floats.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 import heapq
 import math
@@ -15,12 +15,10 @@ import math
 # Smith normal form (dense, with unimodular transforms)
 
 
-@dataclass
-class SNFResult:
-    D: list          # diagonal matrix, same shape as input
-    U: list          # unimodular, rows x rows
-    V: list          # unimodular, cols x cols
-    diagonal: list   # the invariant factors d_1 | d_2 | ... (nonnegative)
+# D: diagonal matrix, same shape as input; U: unimodular, rows x rows;
+# V: unimodular, cols x cols; diagonal: the invariant factors d_1 | d_2 | ...
+# (nonnegative)
+SNFResult = namedtuple('SNFResult', 'D U V diagonal')
 
 
 def identity_matrix(n):

@@ -466,7 +466,8 @@ def babson_hersh_matching(a, complex_=None):
     lexicographically least toggle.  Interval faces lift to cells by
     sandwiching between e_{t(p)} and p.  When that order fails the shelling
     condition for some p (a non-shellable interval), that class falls back
-    to greedy coreduction on its own cells.  Internality and acyclicity of
+    to greedy coreduction on its own cells.  On a truncated complex only the
+    pairs whose top cell it holds are kept.  Internality and acyclicity of
     the result are checked, not assumed (MatchingError).
     """
     require_cancellative(a)
@@ -527,14 +528,14 @@ def babson_hersh_matching(a, complex_=None):
             seen_faces.update(subsets)
 
         if ok:
-            pairs.extend(new_pairs)
+            pairs.extend(pr for pr in new_pairs if pr[0] in x.index)
         else:
             fallbacks.append(p)
 
     if fallbacks:
         by_max = _cells_by_max(x)
         for p in fallbacks:
-            pairs.extend(_greedy_on_cells(x, by_max[p]))
+            pairs.extend(_greedy_on_cells(x, by_max.get(p, ())))
         # greedy leftovers may admit further pairs; keep the matching as
         # large as possible so minimality still has a chance
         m = _augment(a, x, pairs)

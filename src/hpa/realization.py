@@ -55,6 +55,7 @@ class CellComplex:
                 self.index[cell] = (k, pos)
         self.truncated = truncated
         self._faces = {}
+        self._names = None
 
     @property
     def max_dim(self):
@@ -107,12 +108,13 @@ class CellComplex:
         return None
 
     def format_cell(self, cell):
-        names = []
-        for c in cell:
-            pc = self.hpa.cls(c)
-            names.append(' '.join(pc.rep.labels) if pc.rep.labels
-                         else f"e_{pc.tail}")
-        return '[' + ' < '.join(names) + ']'
+        names = self._names
+        if names is None:
+            # one name per class, built on first use
+            names = self._names = [
+                ' '.join(c.rep.labels) if c.rep.labels else f"e_{c.tail}"
+                for c in self.hpa.classes]
+        return '[' + ' < '.join([names[c] for c in cell]) + ']'
 
 
 def build_realization(a, max_dim=None):

@@ -157,8 +157,10 @@ def algebras(draw, with_relations=False):
     relation group is drawn."""
     n = draw(st.integers(2 if with_relations else 1, 5))
     vertices = [f"v{i}" for i in range(n)]
-    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda e: e[0] < e[1]) if n > 1 else st.nothing()
+    # an arrow runs from a tail to a later vertex, so the quiver is acyclic
+    edges = st.integers(0, n - 2).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(s + 1, n - 1))
+    ) if n > 1 else st.nothing()
     pairs = draw(st.lists(edges, min_size=int(with_relations),
                           max_size=7)) if n > 1 else []
     if with_relations:

@@ -104,6 +104,18 @@ def test_morse_fixture_matching(capsys):
     assert data['minimal'] is True
 
 
+@pytest.mark.parametrize('max_dim', ['0', '1', '2'])
+def test_morse_max_dim_with_the_default_matching(capsys, max_dim):
+    # the capped complex drops Babson-Hersh pairs whose top lies above it
+    code, bh = run_json(capsys, 'morse', P2, '--max-dim', max_dim)
+    assert code == 0
+    _, greedy = run_json(capsys, 'morse', P2, '--max-dim', max_dim,
+                         '--matching', 'greedy')
+    assert bh['criticals'] == greedy['criticals']
+    assert bh['quasi_iso'] == greedy['quasi_iso']
+    assert bh['quasi_iso']['ok'] is True
+
+
 def test_morse_rejects_non_internal(capsys, tmp_path):
     bad = {'pairs': [{'top': {'tail': 'v0', 'chain': [[], ['x']]},
                       'bottom': {'tail': 'v0', 'chain': [[]]}}]}

@@ -113,6 +113,27 @@ def test_babson_hersh_p2_criticals(p2):
                      "[e_v0 < z < y z']"]
 
 
+@pytest.mark.parametrize('name', ['p2', 'f3', 'p113'])
+def test_babson_hersh_on_a_truncated_complex(request, name):
+    # a subset of the full matching: the pairs whose top the capped
+    # complex holds
+    a = request.getfixturevalue(name)
+    full = babson_hersh_matching(a)
+    for max_dim in range(full.complex.max_dim):
+        x = build_realization(a, max_dim=max_dim)
+        m = babson_hersh_matching(a, complex_=x)
+        assert m.pairs == [pr for pr in full.pairs if pr[0] in x.index]
+
+
+def test_babson_hersh_fallback_on_a_truncated_complex(f1):
+    # under --max-dim 0 F1's fallback class has no cell left; otherwise the
+    # greedy fallback runs on the capped cells and is checked as usual
+    for max_dim in range(3):
+        m = babson_hersh_matching(f1, complex_=build_realization(
+            f1, max_dim=max_dim))
+        assert m.fallback_classes and m.internal.ok and m.acyclic.ok
+
+
 def test_babson_hersh_p2_morse_complex(p2):
     c = cellular_resolution(p2)
     m = babson_hersh_matching(p2, complex_=c.complex)
