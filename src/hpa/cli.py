@@ -22,9 +22,9 @@ from .algebra import (cancellation_summary, check_hpa, from_document,
                       require_cancellative, tensor)
 from .dsl import ParseError, emit_quiver
 from .invariants import betti_table, koszul_check
-from .morse import (MatchingError, babson_hersh_matching, check_linear,
-                    check_minimal, greedy_internal_matching, load_matching,
-                    morse_complex, morse_homology)
+from .morse import (MatchingError, MatchingFileError, babson_hersh_matching,
+                    check_linear, check_minimal, greedy_internal_matching,
+                    load_matching, morse_complex, morse_homology)
 from .quiver import QuiverError
 from .realization import (RING_Z, build_realization, cw_chain_complex,
                           euler_characteristic, homology, parse_ring,
@@ -34,8 +34,8 @@ from .resolution import (cellular_resolution, contracting_homotopy_check,
                          verify_d_squared)
 from .schema import validate
 from .toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
-                    check_cohomologically_proper, check_directable,
-                    degree_name, image_phi, weight_data_from_json)
+                    check_cohomologically_proper, degree_name, image_phi,
+                    weight_data_from_json)
 
 
 def _header(command):
@@ -215,17 +215,15 @@ def cmd_koszul(args):
 
 def _weight_data(args):
     if args.weights.lstrip().startswith('['):
-        free = json.loads(args.weights)
-        degrees = json.loads(args.degrees) if args.degrees else None
-        w = WeightData(free)
+        w, degrees = WeightData(json.loads(args.weights)), None
     else:
         with open(args.weights) as f:
             w, degrees = weight_data_from_json(json.load(f))
-        if args.degrees:
-            degrees = [w.degree(tuple(d)) if not isinstance(d, int)
-                       else w.degree((d,)) for d in json.loads(args.degrees)]
-    if degrees and not isinstance(degrees[0], tuple):
-        degrees = [w.degree(tuple(d) if not isinstance(d, int) else (d,))
+    if args.degrees:
+        degrees = json.loads(args.degrees)
+        if not isinstance(degrees, list):
+            raise ValueError("--degrees must be a JSON list")
+        degrees = [w.degree(d if isinstance(d, list) else [d])
                    for d in degrees]
     return w, degrees
 
@@ -344,7 +342,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError) as e:
+    except (ParseError, MatchingFileError, json.JSONDecodeError) as e:
         print(f'error: {e}', file=sys.stderr)
         return 2
     except OSError as e:

@@ -1,5 +1,5 @@
-"""Tor/Betti invariants through interval homology, shellability
-certificates, and Koszulity verdicts.
+"""Tor/Betti invariants through interval homology, shellability of
+intervals, and Koszulity verdicts.
 
 The central fact: Tor_i(S_v, S_w) is the direct sum, over nontrivial path
 classes p from v to w, of the reduced homology H~_{i-2} of the order complex
@@ -10,11 +10,11 @@ with it.
 
 import csv
 import io
-import json
 
 from .algebra import require_cancellative
 from .realization import RING_Z, chain_complex, homology
 from .resolution import cellular_resolution, simple_tensor_complex
+from .toric import check_directable
 from .morse import (_maximal_chains, babson_hersh_matching, morse_complex,
                     check_minimal, check_linear)
 
@@ -160,73 +160,44 @@ def betti_table(a):
 
 
 # ---------------------------------------------------------------------------
-# Shellability certificates
+# Shellability
 
 
-def _rank_map(a, labeling):
-    """Normalize a labeling (list of labels, list of label groups, or dict)
-    to {arrow label: rank}."""
-    if isinstance(labeling, dict):
-        return dict(labeling)
-    ranks = {}
-    for i, item in enumerate(labeling):
-        if isinstance(item, str):
-            ranks[item] = i
-        else:
-            for label in item:
-                ranks[label] = i
-    return ranks
+def interval_chains(a):
+    """{p: the maximal chains of the open interval (e_{t(p)}, p)} over the
+    nontrivial classes p, as `_maximal_chains` gives them."""
+    return {p: _maximal_chains(a, a.trivial_class[a.tail(p)], p)
+            for p in range(len(a.classes)) if not a.is_trivial(p)}
 
 
-def el_shellability_certificate(a, p, labeling):
-    """EL-shellability of the closed interval [e_{t(p)}, p].
-
-    Covers are labeled by the rank of their dividing arrow.  Certified when
-    every closed subinterval has exactly one weakly increasing maximal chain
-    and it is lexicographically least.  A failed check returns None
-    ('unknown', not a disproof), except that an antichain interval is
-    certified outright as a finite set of points.
-    """
-    e = a.trivial_class[a.tail(p)]
-    ranks = _rank_map(a, labeling)
-    elems = [e] + sorted(a.open_interval(p)) + [p]
-    label_of = {}  # arrow class -> its least arrow label
+def el_shellable(a, ranks, chains):
+    """The predicate 'the closed interval [e_{t(p)}, p] is EL-shellable',
+    memoized per class: every closed subinterval has exactly one weakly
+    increasing maximal chain, and its labels are strictly lexicographically
+    least (Bjorner-Wachs).  A cover is labeled by the rank (`ranks`, keyed
+    by arrow label) of the least arrow label of its class; `chains` is
+    `interval_chains(a)`.  Division by u maps a subinterval [u, w] onto
+    [e, u\\w] and keeps the labels, so [e, p] passes when it does itself
+    and, recursively, [e, a\\p] does for each atom a and [e, c] for each
+    coatom c.  A failure means 'unknown', not a disproof."""
+    rank_of = {}
     for label in sorted(a.arrow_class):
-        label_of.setdefault(a.arrow_class[label], label)
+        rank_of.setdefault(a.arrow_class[label], ranks[label])
+    memo = {}
 
-    def chain_ranks(chain):
-        out = []
-        for z1, z2 in zip(chain, chain[1:]):
-            label = label_of[a.divide(z1, z2)]
-            if label not in ranks:
-                raise ValueError(f"arrow {label} has no rank in the labeling")
-            out.append(ranks[label])
-        return tuple(out)
-
-    checked = 0
-    witness = None
-    for u in elems:
-        for w in elems:
-            if u == w or not a.leq(u, w):
-                continue
-            chains = [(u,) + ch + (w,) for ch in _maximal_chains(a, u, w)]
-            labeled = [(chain_ranks(ch), ch) for ch in chains]
-            increasing = [lc for lc in labeled
-                          if all(x <= y for x, y in zip(lc[0], lc[0][1:]))]
-            checked += 1
-            if len(increasing) != 1 or min(labeled)[1] != increasing[0][1]:
-                witness = (u, w, [lc[0] for lc in labeled])
-                break
-        if witness:
-            break
-
-    if witness is None:
-        return {'method': 'el-labeling', 'intervals_checked': checked,
-                'ranks': ranks}
-    chains = _maximal_chains(a, e, p)
-    if all(len(ch) == 1 for ch in chains):
-        return {'method': 'point-set', 'points': len(chains)}
-    return None
+    def shellable(p):
+        if p not in memo:
+            e = a.trivial_class[a.tail(p)]
+            labels = [tuple(rank_of[a.divide(z1, z2)]
+                            for z1, z2 in zip((e,) + ch, ch + (p,)))
+                      for ch in chains[p]]
+            rising = [t for t in labels
+                      if all(x <= y for x, y in zip(t, t[1:]))]
+            memo[p] = (len(rising) == 1 and rising[0] == min(labels) and
+                       all(shellable(a.divide(ch[0], p)) and shellable(ch[-1])
+                           for ch in chains[p] if ch))
+        return memo[p]
+    return shellable
 
 
 # ---------------------------------------------------------------------------
@@ -248,69 +219,49 @@ class KoszulVerdict:
 
 
 def _default_labelings(a):
-    """Candidate arrow orders: declaration order, and arrows grouped by
-    their base name (label up to a trailing disambiguator)."""
+    """Candidate rank maps {arrow label: rank}: declaration order, and
+    arrows ranked by their base name (label up to a trailing
+    disambiguator)."""
     labels = [ar.label for ar in a.quiver.arrows]
-    yield labels
-    groups = {}
-    for label in labels:
-        base = label.split('@')[0].rstrip("'")
-        groups.setdefault(base, []).append(label)
-    if len(groups) < len(labels):
-        yield [groups[b] for b in sorted(groups)]
+    yield {label: i for i, label in enumerate(labels)}
+    bases = {label: label.split('@')[0].rstrip("'") for label in labels}
+    order = sorted(set(bases.values()))
+    if len(order) < len(labels):
+        yield {label: order.index(base) for label, base in bases.items()}
 
 
-def koszul_check(a, labelings=None):
+def koszul_check(a):
     """Sufficient-condition Koszulity verdict.
 
     Tried in order: (i) a directable toric presentation (when the algebra
-    was built from weight data), (ii) every interval EL-shellable or a point
-    set under some candidate labeling, (iii) the lexicographic Morse complex
-    is minimal, in which case linearity decides outright.
+    was built from weight data), (ii) every interval shellable: a single
+    maximal chain, an antichain, or EL-shellable under some candidate
+    labeling, (iii) the lexicographic Morse complex is minimal, in which
+    case linearity decides outright.
     """
     require_cancellative(a)
     if not a.graded:
         raise ValueError("koszul_check requires a length-graded algebra")
 
-    if getattr(a, 'toric_monomials', None) is not None:
-        from .toric import check_directable
-        try:
-            res = check_directable(a)
-        except ValueError:
-            res = None
-        if res:
-            return KoszulVerdict('koszul-certified', 'directable',
-                                 {'variable_order': res.order,
-                                  'exhaustive': res.exhaustive})
+    try:
+        res = check_directable(a)
+    except ValueError:  # not built from weight data, or nonlinear arrows
+        res = None
+    if res and res.order:
+        return KoszulVerdict('koszul-certified', 'directable',
+                             {'variable_order': res.order,
+                              'exhaustive': res.exhaustive})
 
-    candidates = list(labelings) if labelings is not None \
-        else list(_default_labelings(a))
-    all_certified = True
-    cert_count = 0
-    for p in range(len(a.classes)):
-        if a.is_trivial(p):
-            continue
-        # structural shellability, independent of any labeling: a single
-        # maximal chain (the empty interval included) or an antichain
-        chains = _maximal_chains(a, a.trivial_class[a.tail(p)], p)
-        if len(chains) == 1 or all(len(ch) == 1 for ch in chains):
-            cert_count += 1
-            continue
-        got = None
-        for cand in candidates:
-            try:
-                got = el_shellability_certificate(a, p, cand)
-            except ValueError:
-                got = None
-            if got is not None:
-                break
-        if got is None:
-            all_certified = False
-            break
-        cert_count += 1
-    if all_certified:
+    chains = interval_chains(a)
+    shellable = [el_shellable(a, ranks, chains)
+                 for ranks in _default_labelings(a)]
+    # structural shellability, independent of any labeling, is tested on
+    # the top interval only: a single maximal chain (the empty interval
+    # included) or an antichain
+    if all(len(chs) == 1 or all(len(ch) == 1 for ch in chs) or
+           any(el(p) for el in shellable) for p, chs in chains.items()):
         return KoszulVerdict('koszul-certified', 'shellable-intervals',
-                             {'intervals': cert_count})
+                             {'intervals': len(chains)})
 
     c = cellular_resolution(a)
     m = babson_hersh_matching(a, complex_=c.complex)

@@ -30,6 +30,10 @@ class MatchingError(ValueError):
     pass
 
 
+class MatchingFileError(ValueError):
+    """A matching file of the wrong shape."""
+
+
 class Matching:
     """A set of (top, bottom) cell pairs, bottom a facet of top, no cell used
     twice.  Holds a reference to the complex it lives on, and the reports of
@@ -581,10 +585,17 @@ def check_linear(mc):
 # Fixture serialization
 
 
+def _field(data, key):
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise MatchingFileError(f"matching file: missing {key!r}") from None
+
+
 def _cell_from_json(x, data):
     a = x.hpa
-    tail = data['tail']
-    chain = data['chain']
+    tail = _field(data, 'tail')
+    chain = _field(data, 'chain')
     if not chain:
         raise MatchingError("empty chain")
     classes = []
@@ -609,9 +620,9 @@ def matching_from_json(data, complex_):
     first entry (they are rebased to canonical cells).  Identical pairs
     collapse to one; the same cell in two different pairs is an error."""
     raw = []
-    for item in data['pairs']:
-        top = _cell_from_json(complex_, item['top'])
-        bottom = _cell_from_json(complex_, item['bottom'])
+    for item in _field(data, 'pairs'):
+        top = _cell_from_json(complex_, _field(item, 'top'))
+        bottom = _cell_from_json(complex_, _field(item, 'bottom'))
         raw.append((top, bottom))
     dedup = sorted(set(raw))
     return Matching(complex_, dedup)

@@ -8,7 +8,7 @@ half-open zonotope mu([0,1)^(n+k)) cuts out the canonical finite collection.
 """
 
 import itertools
-import re
+from collections import namedtuple
 
 from .linalg import lp_maximize, lp_feasible, solve_integer, integer_kernel_basis
 from .quiver import Quiver
@@ -35,12 +35,21 @@ class Degree(tuple):
         return f"Degree({self.free}, {self.tors})"
 
 
+def _ints(values, what):
+    """values as a list of ints; floats, bools and strings are refused."""
+    if not isinstance(values, (list, tuple)) or \
+            any(type(x) is not int for x in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return list(values)
+
+
 class WeightData:
     """free: r x (n+k) integer matrix; torsion: list of (modulus, row)."""
 
     def __init__(self, free, torsion=(), ncols=None):
-        self.free = [list(map(int, row)) for row in free]
-        self.torsion = [(int(m), list(map(int, row))) for m, row in torsion]
+        self.free = [_ints(row, 'a weight row') for row in free]
+        self.torsion = [(_ints([m], 'a torsion modulus')[0],
+                         _ints(row, 'a torsion row')) for m, row in torsion]
         widths = [len(r) for r in self.free] + \
                  [len(r) for _, r in self.torsion]
         if ncols is None:
@@ -58,7 +67,9 @@ class WeightData:
         self.r = len(self.free)
 
     def degree(self, free=(), tors=None):
-        tors = [0] * len(self.torsion) if tors is None else list(tors)
+        free = _ints(free, 'a degree')
+        tors = [0] * len(self.torsion) if tors is None else \
+            _ints(tors, 'torsion residues')
         if len(free) != self.r or len(tors) != len(self.torsion):
             raise ValueError("degree shape mismatch")
         tors = [t % m for t, (m, _) in zip(tors, self.torsion)]
@@ -92,9 +103,14 @@ class WeightData:
 def weight_data_from_json(data):
     """Parse {"free": [[...]], "torsion": [{"mod": m, "row": [...]}]} plus
     optional "ncols" and "degrees"; returns (WeightData, degrees or None)."""
-    w = WeightData(data.get('free', []),
-                   [(t['mod'], t['row']) for t in data.get('torsion', [])],
-                   ncols=data.get('ncols'))
+    if not isinstance(data, dict):
+        raise ValueError("weight data must be a JSON object")
+    torsion = []
+    for t in data.get('torsion', []):
+        if not isinstance(t, dict) or 'mod' not in t or 'row' not in t:
+            raise ValueError(f"a torsion entry needs 'mod' and 'row': {t!r}")
+        torsion.append((t['mod'], t['row']))
+    w = WeightData(data.get('free', []), torsion, ncols=data.get('ncols'))
     degs = None
     if 'degrees' in data:
         degs = []
@@ -341,42 +357,29 @@ def bondal_ruan_hpa(w):
     return a
 
 
-class Directability:
-    def __init__(self, order, exhaustive):
-        self.order = order
-        self.exhaustive = exhaustive
+# variable counts up to which check_directable tries every order
+EXHAUSTIVE_VARIABLES = 8
 
-    def __bool__(self):
-        return self.order is not None
-
-    def to_json(self):
-        return {'order': self.order, 'exhaustive': self.exhaustive}
+Directability = namedtuple('Directability', ['order', 'exhaustive'])
 
 
-def check_directable(a, limit=8):
+def check_directable(a):
     """Search for a variable order under which every out-of-order length-2
     composition also exists with its variables sorted (same endpoints, same
-    monomial).  Exhaustive over all orders for <= limit variables; beyond
-    that only a few heuristic orders are tried and the result says so."""
+    monomial).  Exhaustive over all orders for at most EXHAUSTIVE_VARIABLES
+    variables; beyond that only a few heuristic orders are tried and the
+    result says so.  Only an algebra built from weight data carries the
+    monomials of its arrows; any other raises ValueError."""
     monomials = getattr(a, 'toric_monomials', None)
     if monomials is None:
-        # an algebra reloaded from a quiver file keeps the monomials only
-        # in its labels ('x3', 'x3@d(0)', 'x1^2*x2', ...)
-        monomials = {}
-        for ar in a.quiver.arrows:
-            base = ar.label.split('@')[0]
-            if not re.fullmatch(r'x(\d+)', base):
-                raise ValueError("arrows not variable-labeled")
-            monomials[ar.label] = (int(base[1:]),)
-        var_of = {label: m[0] - 1 for label, m in monomials.items()}
-        nvars = max(var_of.values()) + 1
-    else:
-        var_of = {}
-        for label, m in monomials.items():
-            if sum(m) != 1:
-                raise ValueError(f"arrows not variable-labeled: {label}")
-            var_of[label] = m.index(1)
-        nvars = a.toric_weights.ncols
+        raise ValueError("directability needs an algebra built from weight "
+                         "data")
+    var_of = {}
+    for label, m in monomials.items():
+        if sum(m) != 1:
+            raise ValueError(f"arrows not variable-labeled: {label}")
+        var_of[label] = m.index(1)
+    nvars = a.toric_weights.ncols
 
     head_of = {}
     for ar in a.quiver.arrows:
@@ -396,7 +399,7 @@ def check_directable(a, limit=8):
                     return False
         return True
 
-    if nvars <= limit:
+    if nvars <= EXHAUSTIVE_VARIABLES:
         for perm in itertools.permutations(range(nvars)):
             if works(perm):
                 return Directability([f"x{v + 1}" for v in perm], True)

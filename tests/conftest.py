@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hpa.algebra import HPA, RelationSet, free_algebra, tensor
 from hpa.dsl import parse_quiver
 from hpa.linalg import accumulate
-from hpa.morse import _critical_cells, _gradient_flow
+from hpa.morse import _critical_cells, _gradient_flow, _maximal_chains
 from hpa.quiver import Quiver, enumerate_paths, linear_quiver
 from hpa.realization import RING_Z, chain_complex
 
@@ -146,6 +146,35 @@ def bimodule_chain_complex(c, ring=RING_Z):
                 for sign, l, face, r in c.terms(cell)]
     return chain_complex([list(c.basis(k)) for k in range(c.top + 1)],
                          boundary, ring)
+
+
+def el_every_subinterval(a, p, ranks):
+    """Reference for `invariants.el_shellable`, checked on every closed
+    subinterval [u, w] of [e_{t(p)}, p] directly: exactly one weakly
+    increasing maximal chain, and it is lexicographically least.  A cover
+    is ranked (`ranks`, keyed by arrow label) by the least arrow label of
+    its class."""
+    e = a.trivial_class[a.tail(p)]
+    elems = [e] + sorted(a.open_interval(p)) + [p]
+    label_of = {}  # arrow class -> its least arrow label
+    for label in sorted(a.arrow_class):
+        label_of.setdefault(a.arrow_class[label], label)
+
+    def chain_ranks(chain):
+        return tuple(ranks[label_of[a.divide(z1, z2)]]
+                     for z1, z2 in zip(chain, chain[1:]))
+
+    for u in elems:
+        for w in elems:
+            if u == w or not a.leq(u, w):
+                continue
+            chains = [(u,) + ch + (w,) for ch in _maximal_chains(a, u, w)]
+            labeled = [(chain_ranks(ch), ch) for ch in chains]
+            increasing = [lc for lc in labeled
+                          if all(x <= y for x, y in zip(lc[0], lc[0][1:]))]
+            if len(increasing) != 1 or min(labeled)[1] != increasing[0][1]:
+                return False
+    return True
 
 
 @st.composite

@@ -128,6 +128,27 @@ def test_morse_rejects_non_internal(capsys, tmp_path):
     assert data['criticals'] is None
 
 
+CELL = {'tail': 'v0', 'chain': [[]]}
+
+
+@pytest.mark.parametrize('doc', [
+    {},
+    {'pairs': [{'bottom': CELL}]},
+    {'pairs': [{'top': CELL}]},
+    {'pairs': [{'top': {'chain': [[], ['x']]}, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': 'v0'}, 'bottom': CELL}]},
+])
+def test_morse_refuses_malformed_matching_file(capsys, tmp_path, doc):
+    p = tmp_path / 'bad_matching.json'
+    p.write_text(json.dumps(doc))
+    code = main(['morse', P2, '--matching', str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ''
+    assert err.startswith('error: matching file: missing ')
+    assert err.count('\n') == 1
+
+
 def test_betti_csv(capsys, tmp_path):
     out = tmp_path / 'betti.csv'
     code = main(['betti', P2, '--out', str(out)])
@@ -169,6 +190,30 @@ def test_toric_report_mode(capsys):
     assert code == 0
     assert data['proper'] is True
     assert data['image'] == ['d(0)', 'd(1)', 'd(2)', 'd(3)', 'd(4)']
+
+
+@pytest.mark.parametrize('weights, extra', [
+    ('[[1.5,1,1]]', ['--bondal-ruan']),
+    ('[[true,1,1]]', ['--bondal-ruan']),
+    ('[[1,1,1]]', ['--degrees', '[["a"]]']),
+    ('[[1,1,1]]', ['--degrees', '[[0],["a"]]']),
+    ('[[1,1,1]]', ['--degrees', '[[0,1]]']),
+    ('[[1,1,1]]', ['--degrees', '5']),
+    ([[1, 1, 1]], []),
+    ({'free': [[1, 1]], 'torsion': [{'row': [0, 1]}]}, []),
+    ({'free': [[1, 1]], 'torsion': [{'mod': 2}]}, []),
+])
+def test_toric_refuses_malformed_weight_data(capsys, tmp_path, weights,
+                                             extra):
+    if not isinstance(weights, str):
+        path = tmp_path / 'bad.weights.json'
+        path.write_text(json.dumps(weights))
+        weights = str(path)
+    code = main(['toric', '--weights', weights, *extra])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ''
+    assert err.startswith('error: ') and err.count('\n') == 1
 
 
 def test_tensor_report_and_dsl(capsys):

@@ -5,7 +5,7 @@ from hpa.morse import (load_matching, check_internal, check_acyclic,
                        morse_complex)
 from hpa.realization import build_realization
 from hpa.resolution import cellular_resolution, verify_d_squared
-from hpa.toric import weight_data_from_json, image_phi, check_directable
+from hpa.toric import weight_data_from_json, image_phi
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 
@@ -21,7 +21,6 @@ def test_f3_fixture_shape(f3):
 def test_f1_fixture_shape(f1):
     assert len(f1.quiver.vertices) == 4
     assert len(f1.quiver.arrows) == 7
-    assert check_directable(f1).order is None
 
 
 def test_p113_fixture_shape(p113):

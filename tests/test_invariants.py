@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import check_hpa, from_document, free_algebra
+from hpa.algebra import check_hpa, from_document, free_algebra, tensor
 from hpa.quiver import linear_quiver
 from hpa.realization import (RING_Z, build_realization, euler_characteristic,
                              ring_fp)
@@ -12,10 +12,10 @@ from hpa.morse import (MatchingError, babson_hersh_matching,
 from hpa.invariants import (OrderComplex, reduced_homology,
                             interval_order_complex, tor_via_intervals,
                             tor_via_resolution, betti_table,
-                            el_shellability_certificate, koszul_check,
+                            el_shellable, interval_chains, koszul_check,
                             _elementary_divisors)
 
-from conftest import algebras
+from conftest import algebras, el_every_subinterval
 
 
 CUBIC = """
@@ -156,25 +156,71 @@ def test_elementary_divisors():
     assert _elementary_divisors([]) == []
 
 
+def _ranks(order):
+    """Rank map of an arrow order whose items are labels or label groups."""
+    return {label: i for i, item in enumerate(order)
+            for label in ([item] if isinstance(item, str) else item)}
+
+
 def test_el_certificate_p2(p2):
     xy = _class(p2, 'v0', ('x', "y'"))
-    grouped = [['x', "x'"], ['y', "y'"], ['z', "z'"]]
-    cert = el_shellability_certificate(p2, xy, grouped)
-    assert cert['method'] == 'el-labeling'
-    # a flat order on all six arrows makes both chains increasing; the
-    # interval is still certified, but only as a point set
-    flat = [ar.label for ar in p2.quiver.arrows]
-    cert2 = el_shellability_certificate(p2, xy, flat)
-    assert cert2['method'] == 'point-set'
+    chains = interval_chains(p2)
+    grouped = _ranks([['x', "x'"], ['y', "y'"], ['z', "z'"]])
+    assert el_shellable(p2, grouped, chains)(xy)
+    # a flat order on all six arrows makes both chains increasing, so the
+    # interval is not EL under it; it is certified structurally instead,
+    # as an antichain
+    flat = _ranks([ar.label for ar in p2.quiver.arrows])
+    assert not el_shellable(p2, flat, chains)(xy)
+    assert [len(ch) for ch in chains[xy]] == [1, 1]
+    assert koszul_check(p2).method == 'shellable-intervals'
 
 
 def test_el_certificate_unknown_on_cubic(cubic):
     p = _class(cubic, 'p0', ('a1', 'c', 'b2'))
+    chains = interval_chains(cubic)
     # the interval is two disjoint edges; both candidate orders leave two
     # increasing maximal chains in [bottom, top]
     for order in (['a1', 'b1', 'c', 'a2', 'b2'],
                   ['b1', 'a1', 'c', 'b2', 'a2']):
-        assert el_shellability_certificate(cubic, p, order) is None
+        assert not el_shellable(cubic, _ranks(order), chains)(p)
+
+
+def _check_el_against_every_subinterval(a, data):
+    ranks = {ar.label: data.draw(st.integers(0, 3))
+             for ar in a.quiver.arrows}
+    chains = interval_chains(a)
+    el = el_shellable(a, ranks, chains)
+    for p in chains:
+        assert el(p) == el_every_subinterval(a, p, ranks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)), st.data())
+def test_el_shellable_matches_every_subinterval(a, data):
+    # the recursion over atoms and coatoms gives the verdict of checking
+    # every subinterval, under random rank maps with ties
+    if a.graded and check_hpa(a).ok:
+        _check_el_against_every_subinterval(a, data)
+
+
+@pytest.fixture(scope='module')
+def larger(p2, f1, f3, p113):
+    """Algebras that often hold an interval passing at its top but not in
+    some subinterval, which random algebras seldom do."""
+    def a(k):
+        return free_algebra(linear_quiver(k, vertex_prefix='w',
+                                          arrow_prefix='b'))
+    return [f1, f3, p113, tensor(p2, a(1)),
+            tensor(free_algebra(linear_quiver(2)), a(2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_el_shellable_matches_every_subinterval_on_larger_algebras(larger,
+                                                                   data):
+    _check_el_against_every_subinterval(data.draw(st.sampled_from(larger)),
+                                        data)
 
 
 def test_babson_hersh_falls_back_on_cubic(cubic):

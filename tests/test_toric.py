@@ -141,6 +141,12 @@ def test_product_weights_directable():
     assert check_directable(a).order is not None
 
 
+def test_check_directable_refuses_loaded_quiver(f1):
+    # a quiver file keeps no monomials, and arrow names are not trusted
+    with pytest.raises(ValueError, match='weight data'):
+        check_directable(f1)
+
+
 def test_dsl_roundtrip():
     a = build_toric_hpa(F3, F3_DEGREES)
     text = emit_quiver(a.quiver, a.relations)
