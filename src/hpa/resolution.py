@@ -22,6 +22,7 @@ class BimoduleComplex:
         self.hpa = hpa
         self.complex = complex_
         self._diff = {}
+        self._h = {}
 
     @property
     def top(self):
@@ -58,17 +59,22 @@ class BimoduleComplex:
         self._diff[cell] = out
         return out
 
-    # -- element algebra ----------------------------------------------------
-
-    def d_element(self, elem):
-        """Differential of an element {(a, cell, b): coef}."""
-        a = self.hpa
-        out = {}
-        for (ac, cell, bc), coef in elem.items():
-            for sign, l, face, r in self.terms(cell):
-                accumulate(out, (a.mult(ac, l), face, a.mult(r, bc)),
-                           sign * coef)
-        return out
+    def h_cell(self, ac, cell):
+        """Target of the contracting homotopy on ac (x) cell: the chain
+        (e, ac, ac.p_1, ..., ac.p_k) for a nontrivial ac.  Memoized by
+        (ac, cell); raises ResolutionError when the chain is not a cell."""
+        key = (ac, cell)
+        new = self._h.get(key)
+        if new is None:
+            a = self.hpa
+            new = (a.trivial_class[a.tail(ac)], ac) + tuple(
+                [a.mult(ac, p) for p in cell[1:]])
+            at = self.complex.index.get(new)
+            if at is None:
+                raise ResolutionError(f"homotopy left the complex: {new}")
+            # keep the complex's own tuple, not a copy, in the memo
+            new = self._h[key] = self.complex.cells[at[0]][at[1]]
+        return new
 
     def h_element(self, elem):
         """Contracting homotopy: insert the left coefficient into the chain.
@@ -76,26 +82,10 @@ class BimoduleComplex:
         a = self.hpa
         out = {}
         for (ac, cell, bc), coef in elem.items():
-            if a.is_trivial(ac):
-                continue
-            chain = [a.trivial_class[a.tail(ac)], ac]
-            for p in cell[1:]:
-                chain.append(a.mult(ac, p))
-            new = tuple(chain)
-            if new not in self.complex.index:
-                raise ResolutionError(f"homotopy left the complex: {new}")
-            accumulate(out, (a.trivial_class[a.tail(ac)], new, bc), coef)
+            if not a.is_trivial(ac):
+                accumulate(out, (a.trivial_class[a.tail(ac)],
+                                 self.h_cell(ac, cell), bc), coef)
         return out
-
-    def basis(self, k):
-        """All degree-k module basis triples (a, cell, b)."""
-        a = self.hpa
-        for cell in self.generators(k):
-            t = a.tail(cell[0])
-            h = a.head(cell[-1])
-            for ac in a.classes_by_head[t]:
-                for bc in a.classes_by_tail[h]:
-                    yield (ac, cell, bc)
 
 
 def cellular_resolution(a, x=None):
@@ -109,7 +99,11 @@ def cellular_resolution(a, x=None):
 
 def verify_d_squared(c):
     """Symbolic d^2 = 0 on every generator, collecting like terms by
-    (left class, cell, right class)."""
+    (left class, cell, right class).  Works on any complex with a terms()
+    interface; a product with a trivial class is the other factor."""
+    a = c.hpa
+    mult = a.mult
+    trivial = [cl.is_trivial for cl in a.classes]
     failures = []
     checked = 0
     for k in range(2, c.top + 1):
@@ -118,8 +112,16 @@ def verify_d_squared(c):
             acc = {}
             for s1, l1, f1, r1 in c.terms(cell):
                 for s2, l2, f2, r2 in c.terms(f1):
-                    accumulate(acc, (c.hpa.mult(l1, l2), f2,
-                                     c.hpa.mult(r2, r1)), s1 * s2)
+                    l = l2 if trivial[l1] else l1 if trivial[l2] else \
+                        mult(l1, l2)
+                    r = r1 if trivial[r2] else r2 if trivial[r1] else \
+                        mult(r2, r1)
+                    key = (l, f2, r)
+                    v = acc.get(key, 0) + s1 * s2
+                    if v:
+                        acc[key] = v
+                    else:
+                        acc.pop(key, None)
             if acc:
                 failures.append((cell, acc))
     return Report(failures, checked)
@@ -145,24 +147,55 @@ def h_minus_one(c, alg_elem):
     return out
 
 
+def _homotopy_lhs(c, ac, cell, bc):
+    """(d h + h d)(ac (x) cell (x) bc), with d h + h_{-1} m in degree 0.
+    Terms are collected in the order that applying d and h element-wise
+    produces, so a failure witness reads the same either way."""
+    a = c.hpa
+    mult = a.mult
+    lhs = {}
+    if not a.is_trivial(ac):
+        e = a.trivial_class[a.tail(ac)]
+        for sign, l, face, r in c.terms(c.h_cell(ac, cell)):
+            accumulate(lhs, (mult(e, l), face, mult(r, bc)), sign)
+    if len(cell) == 1:
+        other = h_minus_one(c, multiply_augmentation(c, {(ac, cell, bc): 1}))
+    else:
+        dx = {}
+        for sign, l, face, r in c.terms(cell):
+            accumulate(dx, (mult(ac, l), face, mult(r, bc)), sign)
+        other = c.h_element(dx)
+    for key, coef in other.items():
+        accumulate(lhs, key, coef)
+    return lhs
+
+
 def contracting_homotopy_check(a, c):
-    """Verify d h + h d = id on every module basis element, plus
-    m h_{-1} = id on the algebra.  Exactness of the resolution follows."""
+    """Verify d h + h d = id on every module basis element (ac, cell, bc),
+    plus m h_{-1} = id on the algebra.  Exactness of the resolution follows.
+
+    d and h are maps of right modules (d sends r to r.bc, h passes bc
+    through) and class multiplication is associative, so the left side on
+    (ac, cell, bc) is the right translate by bc of its value L on
+    (ac, cell, e), e the trivial class at the head of the cell.  L is
+    evaluated once per (left class, cell); each triple's translate is
+    compared with the triple itself, and a failing triple is recomputed
+    directly for its witness."""
     failures = []
     checked = 0
     for k in range(0, c.top + 1):
-        for triple in c.basis(k):
-            checked += 1
-            x = {triple: 1}
-            lhs = c.d_element(c.h_element(x))
-            if k == 0:
-                other = h_minus_one(c, multiply_augmentation(c, x))
-            else:
-                other = c.h_element(c.d_element(x))
-            for key, coef in other.items():
-                accumulate(lhs, key, coef)
-            if lhs != x:
-                failures.append((triple, lhs))
+        for cell in c.generators(k):
+            h = a.head(cell[-1])
+            for ac in a.classes_by_head[a.tail(cell[0])]:
+                lhs = _homotopy_lhs(c, ac, cell, a.trivial_class[h])
+                for bc in a.classes_by_tail[h]:
+                    checked += 1
+                    moved = {}
+                    for (l, f, r), coef in lhs.items():
+                        accumulate(moved, (l, f, a.mult(r, bc)), coef)
+                    if moved != {(ac, cell, bc): 1}:
+                        failures.append(((ac, cell, bc),
+                                         _homotopy_lhs(c, ac, cell, bc)))
     for cls in range(len(a.classes)):
         checked += 1
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))

@@ -105,12 +105,18 @@ def weight_data_from_json(data):
     optional "ncols" and "degrees"; returns (WeightData, degrees or None)."""
     if not isinstance(data, dict):
         raise ValueError("weight data must be a JSON object")
+    for key in ('free', 'torsion', 'degrees'):
+        if not isinstance(data.get(key, []), list):
+            raise ValueError(f"'{key}' must be a JSON list, got {data[key]!r}")
+    ncols = data.get('ncols')
+    if ncols is not None and type(ncols) is not int:
+        raise ValueError(f"'ncols' must be an integer, got {ncols!r}")
     torsion = []
     for t in data.get('torsion', []):
         if not isinstance(t, dict) or 'mod' not in t or 'row' not in t:
             raise ValueError(f"a torsion entry needs 'mod' and 'row': {t!r}")
         torsion.append((t['mod'], t['row']))
-    w = WeightData(data.get('free', []), torsion, ncols=data.get('ncols'))
+    w = WeightData(data.get('free', []), torsion, ncols=ncols)
     degs = None
     if 'degrees' in data:
         degs = []

@@ -202,6 +202,10 @@ def test_toric_report_mode(capsys):
     ([[1, 1, 1]], []),
     ({'free': [[1, 1]], 'torsion': [{'row': [0, 1]}]}, []),
     ({'free': [[1, 1]], 'torsion': [{'mod': 2}]}, []),
+    ({'free': 5}, []),
+    ({'free': [[1, 1]], 'degrees': 5}, []),
+    ({'free': [[1, 1]], 'torsion': 5}, []),
+    ({'free': [], 'ncols': 'two'}, []),
 ])
 def test_toric_refuses_malformed_weight_data(capsys, tmp_path, weights,
                                              extra):

@@ -1,6 +1,7 @@
 """The README's examples run as written, from a directory that holds the
 fixtures."""
 
+import ast
 import pathlib
 import shlex
 
@@ -37,3 +38,14 @@ def test_readme_command_lines(tmp_path, monkeypatch, capsys):
     for line in lines:
         argv = shlex.split(line, comments=True)
         assert main(argv[1:]) == 0, line
+
+
+def test_library_has_no_assert_statement():
+    # the README promises that `python -O`, which strips asserts, changes
+    # nothing: invariants must be typed exceptions
+    paths = sorted((ROOT / 'src' / 'hpa').glob('*.py'))
+    assert paths
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import free_algebra, tensor
+from hpa.algebra import check_hpa, free_algebra, tensor
 from hpa.quiver import linear_quiver
 from hpa.realization import RING_Q, RING_Z, build_realization, homology, ring_fp
 from hpa.resolution import (BimoduleComplex, ResolutionError,
@@ -8,7 +9,8 @@ from hpa.resolution import (BimoduleComplex, ResolutionError,
                             h_minus_one, multiply_augmentation,
                             simple_tensor_complex, verify_d_squared)
 
-from conftest import bimodule_chain_complex
+from conftest import (algebras, bimodule_chain_complex, reference_d_squared,
+                      reference_homotopy_check)
 
 
 @pytest.fixture(scope='module')
@@ -74,6 +76,63 @@ def test_d_squared_sign_flip_detected(p2, res_p2):
     report = verify_d_squared(broken)
     assert not report.ok
     assert report.witnesses[0][0] == victim
+
+
+class _TopCoefficientSwapped(BimoduleComplex):
+    """Deliberately replace the top-face right coefficient of one cell by
+    another class with the same ends."""
+
+    def __init__(self, base, victim, wrong):
+        super().__init__(base.hpa, base.complex)
+        self.victim = victim
+        self.wrong = wrong
+
+    def terms(self, cell):
+        out = super().terms(cell)
+        if cell == self.victim:
+            s, l, f, _ = out[-1]
+            out = out[:-1] + [(s, l, f, self.wrong)]
+        return out
+
+
+def _same_report(got, ref):
+    # repr pins the witness dicts' key order, which the CLI report prints
+    return ((got.ok, got.checked, repr(got.witnesses)) ==
+            (ref.ok, ref.checked, repr(ref.witnesses)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)), st.data())
+def test_checks_match_references(a, data):
+    if not check_hpa(a).ok:
+        return
+    c = cellular_resolution(a)
+    assert _same_report(verify_d_squared(c), reference_d_squared(c))
+    assert _same_report(contracting_homotopy_check(a, c),
+                        reference_homotopy_check(a, c))
+    cells = [cell for k in range(1, c.top + 1) for cell in c.generators(k)]
+    if cells:
+        victim = data.draw(st.sampled_from(cells))
+        broken = _SignFlipped(c, victim)
+        assert _same_report(verify_d_squared(broken),
+                            reference_d_squared(broken))
+        assert _same_report(contracting_homotopy_check(a, broken),
+                            reference_homotopy_check(a, broken))
+
+
+def test_checks_match_references_on_mutants(p2, res_p2):
+    x, y = p2.arrow_class['x'], p2.arrow_class['y']
+    victim = (p2.trivial_class['v0'], x)
+    assert res_p2.terms(victim)[-1][3] == x
+    mutants = [_SignFlipped(res_p2, res_p2.generators(2)[0]),
+               _TopCoefficientSwapped(res_p2, victim, y)]
+    for broken in mutants:
+        got = contracting_homotopy_check(p2, broken)
+        assert not got.ok
+        assert _same_report(got, reference_homotopy_check(p2, broken))
+        got = verify_d_squared(broken)
+        assert not got.ok
+        assert _same_report(got, reference_d_squared(broken))
 
 
 def test_contracting_homotopy_p2(p2, res_p2):
