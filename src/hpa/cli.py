@@ -10,32 +10,48 @@ the same name shipped under hpa/schemas/ before it is written.
 Exit codes: 0 success, 1 mathematical failure (axiom violation, rejected
 matching, failed verification), 2 usage or I/O errors.  Every subcommand
 that builds on the algebra first refuses a non-cancellative one (exit 1).
+
+Import rule: at the top, this module imports only the standard library and
+the package root.  Each `cmd_*` function imports the layers it runs, so a
+process loads (and, without cached bytecode, compiles) only those:
+`--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
+modules.  A layer imported by name at the top of this module would be
+loaded by every subcommand.  Importing this module registers every layer
+not yet imported as a lazy module (`LAYERS`), which runs its code on first
+attribute access, so that in-process tools that look layers up in
+sys.modules, such as the tracer of perfbench/, find them all.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import __version__
-from .algebra import (cancellation_summary, check_hpa, from_document,
-                      require_cancellative, tensor)
-from .dsl import ParseError, emit_quiver
-from .invariants import betti_table, koszul_check
-from .morse import (MatchingError, MatchingFileError, babson_hersh_matching,
-                    check_linear, check_minimal, greedy_internal_matching,
-                    load_matching, morse_complex, morse_homology)
-from .quiver import QuiverError
-from .realization import (RING_Z, build_realization, cw_chain_complex,
-                          euler_characteristic, homology, parse_ring,
-                          ring_name)
-from .resolution import (cellular_resolution, contracting_homotopy_check,
-                         generators_by_ends, simple_tensor_complex,
-                         verify_d_squared)
-from .schema import validate
-from .toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
-                    check_cohomologically_proper, degree_name, image_phi,
-                    weight_data_from_json)
+from . import RING_Z, UsageError, __version__, parse_ring, ring_name
+
+# every module of the package but its root and this one
+LAYERS = ('algebra', 'dsl', 'invariants', 'linalg', 'morse', 'quiver',
+          'realization', 'resolution', 'schema', 'toric')
+
+
+def _register_lazily(package):
+    """Put each layer that is not imported yet into sys.modules, and onto
+    the package, as a lazy module: its code is compiled and run on the
+    first access to one of its attributes."""
+    for name in LAYERS:
+        full = f'{package.__name__}.{name}'
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+_register_lazily(sys.modules[__package__])
 
 
 def _header(command):
@@ -49,6 +65,7 @@ def _schema(command):
 
 
 def _emit(args, command, payload, code=0):
+    from .schema import validate
     payload = {'header': _header(command), **payload}
     text = json.dumps(payload, indent=1, sort_keys=True) + '\n'
     # validate the serialized form (tuples become arrays there)
@@ -66,12 +83,14 @@ def _write(args, text):
 
 
 def _load(path):
+    from .algebra import from_document
     with open(path) as f:
         return from_document(f.read())
 
 
 def _load_hpa(path):
     """Load an algebra and refuse it unless it is cancellative."""
+    from .algebra import require_cancellative
     return require_cancellative(_load(path))
 
 
@@ -85,6 +104,7 @@ def _homology_json(h):
 
 
 def cmd_check(args):
+    from .algebra import cancellation_summary, check_hpa
     a = _load(args.input)
     rep = check_hpa(a)
     payload = {'ok': rep.ok, 'summary': cancellation_summary(rep),
@@ -94,6 +114,7 @@ def cmd_check(args):
 
 
 def cmd_realize(args):
+    from .realization import build_realization, euler_characteristic
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     payload = {'counts': x.counts(),
@@ -108,6 +129,8 @@ def _cw_homology(a, x, ring):
     """Homology of the realization x through the Morse complex of the
     Babson-Hersh matching; by elimination over every cell when x is truncated
     or the matching is refused (MatchingError)."""
+    from .morse import MatchingError, babson_hersh_matching, morse_homology
+    from .realization import cw_chain_complex, homology
     if not x.truncated:
         try:
             m = babson_hersh_matching(a, complex_=x)
@@ -119,6 +142,7 @@ def _cw_homology(a, x, ring):
 
 
 def cmd_homology(args):
+    from .realization import build_realization, euler_characteristic
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     h = _cw_homology(a, x, args.ring)
@@ -130,6 +154,9 @@ def cmd_homology(args):
 
 
 def cmd_resolve(args):
+    from .realization import build_realization
+    from .resolution import (cellular_resolution, contracting_homotopy_check,
+                             verify_d_squared)
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     c = cellular_resolution(a, x)
@@ -149,6 +176,8 @@ def cmd_resolve(args):
 
 
 def _build_matching(args, a, x):
+    from .morse import (babson_hersh_matching, greedy_internal_matching,
+                        load_matching)
     if args.matching == 'bh':
         return babson_hersh_matching(a, complex_=x), 'babson-hersh'
     if args.matching == 'greedy':
@@ -157,6 +186,10 @@ def _build_matching(args, a, x):
 
 
 def cmd_morse(args):
+    from .morse import check_linear, check_minimal, morse_complex
+    from .realization import build_realization, homology
+    from .resolution import (cellular_resolution, generators_by_ends,
+                             simple_tensor_complex, verify_d_squared)
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     m, strategy = _build_matching(args, a, x)
@@ -199,6 +232,7 @@ def cmd_morse(args):
 
 
 def cmd_betti(args):
+    from .invariants import betti_table
     a = _load_hpa(args.input)
     bt = betti_table(a)
     if args.out and args.out.endswith('.csv'):
@@ -208,18 +242,20 @@ def cmd_betti(args):
 
 
 def cmd_koszul(args):
+    from .invariants import koszul_check
     a = _load_hpa(args.input)
     verdict = koszul_check(a)
     return _emit(args, 'koszul', verdict.to_json())
 
 
 def _weight_data(args):
+    from .toric import WeightData, weight_data_from_json
     if args.weights.lstrip().startswith('['):
         w, degrees = WeightData(json.loads(args.weights)), None
     else:
         with open(args.weights) as f:
             w, degrees = weight_data_from_json(json.load(f))
-    if args.degrees:
+    if args.degrees is not None:
         degrees = json.loads(args.degrees)
         if not isinstance(degrees, list):
             raise ValueError("--degrees must be a JSON list")
@@ -229,10 +265,13 @@ def _weight_data(args):
 
 
 def cmd_toric(args):
+    from .dsl import emit_quiver
+    from .toric import (bondal_ruan_hpa, build_toric_hpa,
+                        check_cohomologically_proper, degree_name, image_phi)
     w, degrees = _weight_data(args)
     if args.bondal_ruan:
         a = bondal_ruan_hpa(w)
-    elif degrees:
+    elif degrees is not None:
         a = build_toric_hpa(w, degrees)
     else:
         proper = check_cohomologically_proper(w)
@@ -245,6 +284,8 @@ def cmd_toric(args):
 
 
 def cmd_tensor(args):
+    from .algebra import tensor
+    from .dsl import emit_quiver
     a = _load(args.input)
     b = _load(args.second)
     t = tensor(a, b)
@@ -340,15 +381,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # a malformed document or matching file (hpa.UsageError), malformed JSON
+    # or an unreadable file is a usage error; any other ValueError, among
+    # them QuiverError and MatchingError, is a mathematical failure
     try:
         return args.func(args)
-    except (ParseError, MatchingFileError, json.JSONDecodeError) as e:
+    except (UsageError, json.JSONDecodeError, OSError) as e:
         print(f'error: {e}', file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f'error: {e}', file=sys.stderr)
-        return 2
-    except (QuiverError, MatchingError, ValueError) as e:
+    except ValueError as e:
         print(f'error: {e}', file=sys.stderr)
         return 1
 

@@ -16,11 +16,12 @@ concatenation order (left to right).
 
 import re
 
+from . import UsageError
 from .quiver import CycleError, Quiver, QuiverError
 from .algebra import RelationSet, RelationError
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     def __init__(self, message, line):
         self.line = line
         super().__init__(f"line {line}: {message}")

@@ -6,17 +6,17 @@ classes p from v to w, of the reduced homology H~_{i-2} of the order complex
 of the open interval (e_{t(p)}, p), with the convention H~_{-1}(empty) = R.
 This gives an oracle for the resolution-side computation that shares no code
 with it.
+
+The resolution, Morse and toric layers are imported inside the functions
+that use them, so that `betti_table` loads none of them.
 """
 
 import csv
 import io
 
+from . import RING_Z
 from .algebra import require_cancellative
-from .realization import RING_Z, chain_complex, homology
-from .resolution import cellular_resolution, simple_tensor_complex
-from .toric import check_directable
-from .morse import (_maximal_chains, babson_hersh_matching, morse_complex,
-                    check_minimal, check_linear)
+from .realization import chain_complex, homology
 
 
 class OrderComplex:
@@ -104,6 +104,7 @@ def tor_via_intervals(a, v, w, ring=RING_Z):
 def tor_via_resolution(a, c, v, w, ring=RING_Z):
     """Homology of S_v (x) c (x) S_w; same sparse shape as
     tor_via_intervals.  c is a cellular resolution or a Morse complex."""
+    from .resolution import simple_tensor_complex
     h = homology(simple_tensor_complex(c, v, w, ring))
     return {i: (rank, _elementary_divisors(tors))
             for i, (rank, tors) in sorted(h.items()) if rank or tors}
@@ -166,6 +167,7 @@ def betti_table(a):
 def interval_chains(a):
     """{p: the maximal chains of the open interval (e_{t(p)}, p)} over the
     nontrivial classes p, as `_maximal_chains` gives them."""
+    from .morse import _maximal_chains
     return {p: _maximal_chains(a, a.trivial_class[a.tail(p)], p)
             for p in range(len(a.classes)) if not a.is_trivial(p)}
 
@@ -239,6 +241,8 @@ def koszul_check(a):
     labeling, (iii) the lexicographic Morse complex is minimal, in which
     case linearity decides outright.
     """
+    from .toric import check_directable
+
     require_cancellative(a)
     if not a.graded:
         raise ValueError("koszul_check requires a length-graded algebra")
@@ -263,6 +267,10 @@ def koszul_check(a):
         return KoszulVerdict('koszul-certified', 'shellable-intervals',
                              {'intervals': len(chains)})
 
+    # only this last certificate needs the resolution
+    from .morse import (babson_hersh_matching, check_linear, check_minimal,
+                        morse_complex)
+    from .resolution import cellular_resolution
     c = cellular_resolution(a)
     m = babson_hersh_matching(a, complex_=c.complex)
     mc = morse_complex(c, m)

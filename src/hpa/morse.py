@@ -21,16 +21,17 @@ import functools
 import json
 from collections import deque
 
+from . import RING_Z, UsageError
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import RING_Z, build_realization, chain_complex, homology
+from .realization import build_realization, chain_complex, homology
 
 
 class MatchingError(ValueError):
     pass
 
 
-class MatchingFileError(ValueError):
+class MatchingFileError(UsageError):
     """A matching file of the wrong shape."""
 
 

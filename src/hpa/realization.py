@@ -8,37 +8,8 @@ chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
 """
 
+from . import RING_Z
 from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
-
-
-RING_Z = ('Z',)
-RING_Q = ('Q',)
-
-
-def ring_fp(p):
-    return ('Fp', p)
-
-
-def parse_ring(text):
-    """Ring selector: 'Z', 'Q', 'Fp:7' (or the shorthand 'F7')."""
-    t = text.strip()
-    if t == 'Z':
-        return RING_Z
-    if t == 'Q':
-        return RING_Q
-    if t.startswith('Fp:'):
-        p = int(t[3:])
-    elif t.startswith('F') and t[1:].isdigit():
-        p = int(t[1:])
-    else:
-        raise ValueError(f"unknown ring {text!r} (want Z, Q or Fp:<p>)")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-    return ring_fp(p)
-
-
-def ring_name(ring):
-    return ring[0] if ring[0] != 'Fp' else f"Fp:{ring[1]}"
 
 
 class CellComplex:

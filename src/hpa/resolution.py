@@ -8,9 +8,10 @@ sign of face i is (-1)^i.  Elements are stored as dicts
 {(left class, cell, right class): integer coefficient}.
 """
 
+from . import RING_Z
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import RING_Z, build_realization, chain_complex
+from .realization import build_realization, chain_complex
 
 
 class ResolutionError(ValueError):

@@ -281,7 +281,10 @@ def build_toric_hpa(w, degrees):
     another listed degree.  The congruence is 'same endpoints, same
     monomial'; the union-find closure is checked to agree with that, and
     both cancellation axioms are checked afterwards (ValueError otherwise).
+    An empty degree list is refused.
     """
+    if not degrees:
+        raise ValueError("degrees must not be empty")
     degrees = [d if isinstance(d, Degree) else w.degree(d) for d in degrees]
     if len(set(degrees)) != len(degrees):
         raise ValueError("degrees must be distinct")

@@ -3,12 +3,13 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
+from hpa import RING_Z
 from hpa.algebra import HPA, RelationSet, Report, free_algebra, tensor
 from hpa.dsl import parse_quiver
 from hpa.linalg import accumulate
 from hpa.morse import _critical_cells, _gradient_flow, _maximal_chains
 from hpa.quiver import Quiver, enumerate_paths, linear_quiver
-from hpa.realization import RING_Z, chain_complex
+from hpa.realization import chain_complex
 from hpa.resolution import h_minus_one, multiply_augmentation
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'

@@ -6,6 +6,7 @@ import sys
 import jsonschema
 import pytest
 
+from hpa import FP_LIMIT, parse_ring
 from hpa.cli import main, _load, _schema
 from hpa.realization import build_realization
 
@@ -70,6 +71,17 @@ def test_cyclic_quiver_is_input_error(capsys, tmp_path):
 def test_bad_ring_rejected():
     with pytest.raises(SystemExit) as e:
         main(['homology', P2, '--ring', 'F4'])
+    assert e.value.code == 2
+
+
+def test_large_prime_ring(capsys):
+    # a prime near 10^18 is accepted at once; one at or above hpa.FP_LIMIT,
+    # where the primality test stops being exact, is a usage error
+    code, data = run_json(capsys, 'homology', P2,
+                          '--ring', 'Fp:1000000000000000003')
+    assert code == 0 and data['ring'] == 'Fp:1000000000000000003'
+    with pytest.raises(SystemExit) as e:
+        main(['homology', P2, '--ring', f'Fp:{FP_LIMIT + 2}'])
     assert e.value.code == 2
 
 
@@ -206,6 +218,8 @@ def test_toric_report_mode(capsys):
     ({'free': [[1, 1]], 'degrees': 5}, []),
     ({'free': [[1, 1]], 'torsion': 5}, []),
     ({'free': [], 'ncols': 'two'}, []),
+    ({'free': [[1, 1]], 'degrees': []}, []),
+    ('[[1,1]]', ['--degrees', '[]']),
 ])
 def test_toric_refuses_malformed_weight_data(capsys, tmp_path, weights,
                                              extra):
@@ -218,6 +232,13 @@ def test_toric_refuses_malformed_weight_data(capsys, tmp_path, weights,
     assert code == 1
     assert out == ''
     assert err.startswith('error: ') and err.count('\n') == 1
+
+
+def test_toric_refuses_an_empty_degrees_string(capsys):
+    # not JSON at all, so a usage error rather than malformed weight data
+    assert main(['toric', '--weights', '[[1,1]]', '--degrees', '']) == 2
+    out, err = capsys.readouterr()
+    assert out == '' and err.startswith('error: ')
 
 
 def test_tensor_report_and_dsl(capsys):
@@ -324,14 +345,14 @@ def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
 def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
     # a 1-skeleton that claims to be whole sends the contracting homotopy
     # out of the complex
-    from hpa import cli
-    real = cli.build_realization
+    from hpa import realization
+    real = realization.build_realization
 
     def skeleton(a, max_dim=None):
         x = real(a, max_dim=1)
         x.truncated = False
         return x
-    monkeypatch.setattr(cli, 'build_realization', skeleton)
+    monkeypatch.setattr(realization, 'build_realization', skeleton)
     assert main(['resolve', P2]) == 1
     out, err = capsys.readouterr()
     assert out == ''
@@ -341,18 +362,19 @@ def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
 
 def _homology_paths(monkeypatch):
     """Record which homology path cmd_homology takes."""
-    from hpa import cli
+    from hpa import morse, realization
     calls = []
-    for name in ('morse_homology', 'cw_chain_complex'):
-        def recorded(*args, fn=getattr(cli, name), name=name, **kwargs):
+    for module, name in ((morse, 'morse_homology'),
+                         (realization, 'cw_chain_complex')):
+        def recorded(*args, fn=getattr(module, name), name=name, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(cli, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return calls
 
 
 def _elimination_homology(path, ring, max_dim=None):
-    from hpa.realization import cw_chain_complex, homology, parse_ring
+    from hpa.realization import cw_chain_complex, homology
     x = build_realization(_load(path), max_dim=max_dim)
     h = homology(cw_chain_complex(x, parse_ring(ring)))
     return {str(k): [r, t] for k, (r, t) in h.items()}
@@ -381,3 +403,51 @@ def test_homology_falls_back_to_elimination(monkeypatch, capsys, tmp_path,
     code, data = run_json(capsys, *argv)
     assert code == 0 and calls == ['cw_chain_complex']
     assert data['homology'] == _elimination_homology(path, 'Z', max_dim)
+
+
+_LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
+           'toric'}
+
+
+@pytest.mark.parametrize('argv, absent', [
+    (['--version'], _LAYERS),
+    (['check', P2], _LAYERS),
+    (['tensor', P2, P2], _LAYERS),
+    (['toric', '--weights', str(FIXTURES / 'p2.weights.json')],
+     {'realization', 'resolution', 'morse', 'invariants'}),
+    (['realize', P2], {'resolution', 'morse', 'invariants', 'toric'}),
+    (['resolve', P2], {'morse', 'toric', 'invariants'}),
+    (['betti', P2], {'morse', 'toric', 'resolution'}),
+], ids=['version', 'check', 'tensor', 'toric', 'realize', 'resolve', 'betti'])
+def test_subcommand_loads_only_its_layers(argv, absent):
+    # a fresh interpreter runs cli.main, then lists the hpa modules whose
+    # code has run; a layer registered by cli.LAYERS but never used is still
+    # a lazy module, of a subclass of ModuleType
+    code = ('import contextlib, io, json, sys, types\n'
+            'sys.path.insert(0, sys.argv.pop(1))\n'
+            'from hpa import cli\n'
+            'with contextlib.redirect_stdout(io.StringIO()):\n'
+            '    try:\n'
+            '        status = cli.main(sys.argv[1:])\n'
+            '    except SystemExit as e:\n'
+            '        status = e.code\n'
+            'print(json.dumps([status, sorted(\n'
+            '    name[4:] for name, m in sys.modules.items()\n'
+            '    if name.startswith("hpa.") and type(m) is types.ModuleType)]))\n')
+    src = str(pathlib.Path(__file__).resolve().parent.parent / 'src')
+    proc = subprocess.run([sys.executable, '-c', code, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout)
+    assert status == 0
+    assert 'cli' in loaded
+    assert not absent & set(loaded), loaded
+
+
+def test_every_layer_is_registered():
+    # a module missing from cli.LAYERS would not be in sys.modules after
+    # `import hpa.cli`, where the in-process tracer of perfbench looks
+    src = pathlib.Path(__file__).resolve().parent.parent / 'src' / 'hpa'
+    from hpa import cli
+    assert set(cli.LAYERS) == {p.stem for p in src.glob('*.py')} - {
+        '__init__', 'cli'}

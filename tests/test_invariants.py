@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hpa import RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, free_algebra, tensor
 from hpa.quiver import linear_quiver
-from hpa.realization import (RING_Z, build_realization, euler_characteristic,
-                             ring_fp)
+from hpa.realization import build_realization, euler_characteristic
 from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.morse import (MatchingError, babson_hersh_matching,

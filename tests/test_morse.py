@@ -4,10 +4,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hpa import RING_Z, ring_fp
 from hpa.algebra import check_hpa, free_algebra
 from hpa.quiver import linear_quiver, Quiver
-from hpa.realization import (RING_Z, build_realization, cw_chain_complex,
-                             homology, ring_fp)
+from hpa.realization import build_realization, cw_chain_complex, homology
 from hpa.resolution import (cellular_resolution, simple_tensor_complex,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,

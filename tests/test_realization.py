@@ -1,11 +1,13 @@
+import time
+
 import pytest
 
+from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import free_algebra, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver, linear_quiver
-from hpa.realization import (ChainComplex, RING_Q, RING_Z, build_realization,
-                             cw_chain_complex, euler_characteristic, homology,
-                             parse_ring, ring_fp)
+from hpa.realization import (ChainComplex, build_realization,
+                             cw_chain_complex, euler_characteristic, homology)
 
 from conftest import check_semisimplicial
 
@@ -19,6 +21,35 @@ def test_parse_ring():
         parse_ring('Fp:6')
     with pytest.raises(ValueError):
         parse_ring('R')
+    # Miller-Rabin, not trial division up to sqrt(p): large primes answer at
+    # once, and p at or above the bound where it is exact is refused
+    for text, prime in [('Fp:1000000000000000003', True),
+                        ('Fp:1000000000000000001', False),
+                        (f'Fp:{2 ** 61 - 1}', True),
+                        (f'Fp:{FP_LIMIT}', False)]:
+        t0 = time.perf_counter()
+        if prime:
+            assert parse_ring(text) == ('Fp', int(text[3:]))
+        else:
+            with pytest.raises(ValueError):
+                parse_ring(text)
+        assert time.perf_counter() - t0 < 0.5, text
+
+
+def test_parse_ring_agrees_with_trial_division():
+    for p in range(2, 3000):
+        prime = all(p % d for d in range(2, int(p ** 0.5) + 1))
+        if prime:
+            assert parse_ring(f'Fp:{p}') == ('Fp', p)
+        else:
+            with pytest.raises(ValueError):
+                parse_ring(f'Fp:{p}')
+    # strong pseudoprimes to several of the bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        with pytest.raises(ValueError):
+            parse_ring(f'Fp:{n}')
 
 
 def test_p2_cells(p2):

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, free_algebra, tensor
 from hpa.quiver import linear_quiver
-from hpa.realization import RING_Q, RING_Z, build_realization, homology, ring_fp
+from hpa.realization import build_realization, homology
 from hpa.resolution import (BimoduleComplex, ResolutionError,
                             cellular_resolution, contracting_homotopy_check,
                             h_minus_one, multiply_augmentation,
