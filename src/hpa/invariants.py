@@ -4,8 +4,10 @@ intervals, and Koszulity verdicts.
 The central fact: Tor_i(S_v, S_w) is the direct sum, over nontrivial path
 classes p from v to w, of the reduced homology H~_{i-2} of the order complex
 of the open interval (e_{t(p)}, p), with the convention H~_{-1}(empty) = R.
-This gives an oracle for the resolution-side computation that shares no code
-with it.
+`tor_table` reads a summand off the lexicographic shelling of its interval,
+the one the Babson-Hersh matching uses, and eliminates only where that
+order is not a shelling; `tor_via_intervals`, its oracle, eliminates every
+interval.  `hpa morse` checks the resolution side against `tor_table`.
 
 The resolution, Morse and toric layers are imported inside the functions
 that use them, so that `betti_table` loads none of them.
@@ -16,7 +18,8 @@ import io
 
 from . import RING_Z
 from .algebra import require_cancellative
-from .realization import chain_complex, homology
+from .realization import (chain_complex, homology, lex_shelling,
+                          maximal_chains)
 
 
 class OrderComplex:
@@ -82,32 +85,55 @@ def _elementary_divisors(factors):
     return sorted(out)
 
 
+def nonzero_groups(h):
+    """A homology dict {degree: (rank, torsion)} in the sparse shape of Tor:
+    nonzero groups only, torsion as elementary divisors."""
+    return {i: (rank, _elementary_divisors(tors))
+            for i, (rank, tors) in sorted(h.items()) if rank or tors}
+
+
+def _interval_summands(a, p, ring):
+    """(degree i, rank, torsion) of H~_{i-2} of the order complex of the
+    interval (e_{t(p)}, p), by elimination over `ring`."""
+    h = reduced_homology(interval_order_complex(a, p), ring)
+    return [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
+
+
+def _tor_sum(a, v, w, summands):
+    """Tor_i(S_v, S_w) in sparse form, summing summands(p) over the
+    nontrivial classes p from v to w, plus R in degree 0 when v = w."""
+    acc = {0: [1, []]} if v == w else {}
+    for p in a.classes_by_pair.get((v, w), ()):
+        if not a.is_trivial(p):
+            for i, rank, tors in summands(p):
+                cur = acc.setdefault(i, [0, []])
+                cur[0] += rank
+                cur[1].extend(tors)
+    return nonzero_groups(acc)
+
+
 def tor_via_intervals(a, v, w, ring=RING_Z):
     """Tor_i(S_v, S_w) assembled from interval homology; sparse dict
     {degree: (rank, elementary divisors)}."""
-    acc = {}
-    if v == w:
-        acc[0] = [1, []]
-    for p in a.classes_by_pair.get((v, w), ()):
-        if a.is_trivial(p):
-            continue
-        oc = interval_order_complex(a, p)
-        for k, (rank, tors) in reduced_homology(oc, ring).items():
-            i = k + 2
-            cur = acc.setdefault(i, [0, []])
-            cur[0] += rank
-            cur[1].extend(tors)
-    return {i: (rank, _elementary_divisors(tors))
-            for i, (rank, tors) in sorted(acc.items()) if rank or tors}
+    return _tor_sum(a, v, w, lambda p: _interval_summands(a, p, ring))
 
 
-def tor_via_resolution(a, c, v, w, ring=RING_Z):
-    """Homology of S_v (x) c (x) S_w; same sparse shape as
-    tor_via_intervals.  c is a cellular resolution or a Morse complex."""
-    from .resolution import simple_tensor_complex
-    h = homology(simple_tensor_complex(c, v, w, ring))
-    return {i: (rank, _elementary_divisors(tors))
-            for i, (rank, tors) in sorted(h.items()) if rank or tors}
+def tor_table(a, ring=RING_Z):
+    """{(v, w): tor_via_intervals(a, v, w, ring)} for every pair of
+    vertices.  An interval whose lexicographic order is a shelling
+    (`realization.lex_shelling`) is a wedge of spheres, one S^{|F_j|-1} per
+    facet with R_j = F_j (Bjorner-Wachs, nonpure shellings included), so it
+    adds a free generator in degree |F_j| + 1 for each; any other interval
+    is eliminated."""
+    def summands(p):
+        shelling = lex_shelling(a, p)
+        if shelling is None:
+            return _interval_summands(a, p, ring)
+        return [(len(ch) + 1, 1, []) for ch, rj in shelling
+                if len(rj) == len(ch)]
+    vertices = a.quiver.vertices
+    return {(v, w): _tor_sum(a, v, w, summands)
+            for v in vertices for w in vertices}
 
 
 class BettiTable:
@@ -143,20 +169,19 @@ class BettiTable:
 
 
 def betti_table(a):
-    """Predicted generator counts of the minimal resolution, from interval
-    homology over Z.  Torsion anywhere is flagged: a minimal projective
+    """Predicted generator counts of the minimal resolution, from
+    `tor_table` over Z.  Torsion anywhere is flagged: a minimal projective
     bimodule resolution cannot exist over Z then.  Refuses a non-cancellative
     algebra."""
     require_cancellative(a)
     table = {}
     warnings = []
-    for v in a.quiver.vertices:
-        for w in a.quiver.vertices:
-            for i, (rank, tors) in tor_via_intervals(a, v, w).items():
-                if rank:
-                    table[i, v, w] = rank
-                if tors:
-                    warnings.append((i, v, w, tors))
+    for (v, w), tor in tor_table(a).items():
+        for i, (rank, tors) in tor.items():
+            if rank:
+                table[i, v, w] = rank
+            if tors:
+                warnings.append((i, v, w, tors))
     return BettiTable(table, warnings)
 
 
@@ -166,9 +191,8 @@ def betti_table(a):
 
 def interval_chains(a):
     """{p: the maximal chains of the open interval (e_{t(p)}, p)} over the
-    nontrivial classes p, as `_maximal_chains` gives them."""
-    from .morse import _maximal_chains
-    return {p: _maximal_chains(a, a.trivial_class[a.tail(p)], p)
+    nontrivial classes p, as `realization.maximal_chains` gives them."""
+    return {p: maximal_chains(a, a.trivial_class[a.tail(p)], p)
             for p in range(len(a.classes)) if not a.is_trivial(p)}
 
 

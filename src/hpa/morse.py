@@ -24,7 +24,8 @@ from collections import deque
 from . import RING_Z, UsageError
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import build_realization, chain_complex, homology
+from .realization import (build_realization, chain_complex, homology,
+                          lex_shelling)
 
 
 class MatchingError(ValueError):
@@ -349,22 +350,6 @@ def _gradient_flow(boundary, m, critical_flow, matched_flow):
 # Matching constructions
 
 
-def _maximal_chains(a, u, w):
-    """Maximal chains of the open interval (u, w) of the division order, for
-    u < w: the walks from u to w along upper covers, without their ends.
-    The chain () means that w covers u."""
-    chains = []
-    stack = [(u, ())]
-    while stack:
-        z, chain = stack.pop()
-        for c in a.covers(z):
-            if c == w:
-                chains.append(chain)
-            elif a.leq(c, w):
-                stack.append((c, chain + (c,)))
-    return chains
-
-
 def _cells_by_max(x):
     """{p: the cells of dimension >= 1 whose chain ends at p}."""
     out = {}
@@ -463,15 +448,14 @@ def _augment(a, x, pairs):
 def babson_hersh_matching(a, complex_=None):
     """Lexicographic interval matching.
 
-    For each nontrivial class p, the maximal chains of the open interval
-    (e_{t(p)}, p) are ordered lexicographically by canonical words; the
-    shelling restriction sets R_j yield a perfect matching on the
-    non-critical faces, with the empty face matched into the first facet —
-    that reproduces the extra pairing [e < p] ~ [e < t < p] with t the
-    lexicographically least toggle.  Interval faces lift to cells by
-    sandwiching between e_{t(p)} and p.  When that order fails the shelling
-    condition for some p (a non-shellable interval), that class falls back
-    to greedy coreduction on its own cells.  On a truncated complex only the
+    For each nontrivial class p, the restriction sets R_j of the shelling
+    `lex_shelling(a, p)` yield a perfect matching on the non-critical faces
+    of the interval (e_{t(p)}, p), with the empty face matched into the
+    first facet — that reproduces the extra pairing [e < p] ~ [e < t < p]
+    with t the lexicographically least toggle; a facet with R_j = F_j stays
+    critical.  Interval faces lift to cells by sandwiching between e_{t(p)}
+    and p.  A class whose interval that order does not shell falls back to
+    greedy coreduction on its own cells.  On a truncated complex only the
     pairs whose top cell it holds are kept.  Internality and acyclicity of
     the result are checked, not assumed (MatchingError).
     """
@@ -483,59 +467,24 @@ def babson_hersh_matching(a, complex_=None):
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        e = a.trivial_class[a.tail(p)]
-        chains = _maximal_chains(a, e, p)
-        if chains == [()]:
-            continue  # empty interval: the 1-cell [e < p] stays critical
-        chains.sort(key=lambda ch: tuple(a.quiver.word_key(a.cls(c).rep)
-                                         for c in ch))
-
-        def lift(face_set, chain):
-            ordered = tuple(sorted(face_set, key=chain.index))
-            return (e,) + ordered + (p,)
-
-        facet_sets = [frozenset(ch) for ch in chains]
-        new_pairs = []
-        ok = True
-        seen_faces = set()
-        for j, ch in enumerate(chains):
-            fj = facet_sets[j]
-            rj = set()
-            for v in fj:
-                rest = fj - {v}
-                if any(rest <= facet_sets[i] for i in range(j)):
-                    rj.add(v)
-            # shelling condition: the new faces of F_j must be exactly the
-            # interval [R_j, F_j].  Both directions matter: R_j = empty with
-            # the empty face already seen is how a disjoint union sneaks in.
-            subsets = [frozenset()]
-            for v in ch:
-                subsets += [s | {v} for s in subsets]
-            for s in subsets:
-                if (rj <= s) == (s in seen_faces):
-                    ok = False
-                    break
-            if not ok:
-                break
-            free = sorted(fj - rj,
-                          key=lambda z: a.quiver.word_key(a.cls(z).rep))
-            if not free:
-                pass  # R_j = F_j: single new face, critical
-            else:
-                toggle = free[0]
-                rest = [v for v in free if v != toggle]
-                tsets = [frozenset()]
-                for v in rest:
-                    tsets += [s | {v} for s in tsets]
-                for t in tsets:
-                    low = frozenset(rj) | t
-                    new_pairs.append((lift(low | {toggle}, ch), lift(low, ch)))
-            seen_faces.update(subsets)
-
-        if ok:
-            pairs.extend(pr for pr in new_pairs if pr[0] in x.index)
-        else:
+        shelling = lex_shelling(a, p)
+        if shelling is None:
             fallbacks.append(p)
+            continue
+        e = a.trivial_class[a.tail(p)]
+        for ch, rj in shelling:
+            free = sorted(set(ch) - rj)  # by canonical word, as ids are
+            if not free:
+                continue
+            toggle = free[0]
+            tsets = [frozenset()]
+            for v in free[1:]:
+                tsets += [s | {v} for s in tsets]
+            for t in tsets:
+                top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
+                               for face in (rj | t | {toggle}, rj | t)]
+                if top in x.index:
+                    pairs.append((top, bottom))
 
     if fallbacks:
         by_max = _cells_by_max(x)

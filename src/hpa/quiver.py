@@ -138,11 +138,3 @@ def enumerate_paths(q):
                 stack.append(PathWord(w.tail, a.head, w.labels + (a.label,)))
     return sorted(words, key=q.word_key)
 
-
-def linear_quiver(k, vertex_prefix='v', arrow_prefix='a'):
-    """The A-type linear quiver with k arrows and k+1 vertices:
-    v0 -a1-> v1 -a2-> ... -ak-> vk."""
-    vertices = [f"{vertex_prefix}{i}" for i in range(k + 1)]
-    arrows = [Arrow(f"{arrow_prefix}{i}", f"{vertex_prefix}{i-1}",
-                    f"{vertex_prefix}{i}") for i in range(1, k + 1)]
-    return Quiver(vertices, arrows)

@@ -119,6 +119,47 @@ def build_realization(a, max_dim=None):
     return CellComplex(a, cells, truncated=truncated)
 
 
+def maximal_chains(a, u, w):
+    """Maximal chains of the open interval (u, w) of the division order, for
+    u < w: the walks from u to w along upper covers, without their ends.
+    The chain () means that w covers u."""
+    chains = []
+    stack = [(u, ())]
+    while stack:
+        z, chain = stack.pop()
+        for c in a.covers(z):
+            if c == w:
+                chains.append(chain)
+            elif a.leq(c, w):
+                stack.append((c, chain + (c,)))
+    return chains
+
+
+def lex_shelling(a, p):
+    """The maximal chains F_j of the open interval (e_{t(p)}, p) in
+    lexicographic order of their canonical words, each with its restriction
+    set R_j = {v : F_j - {v} lies in an earlier facet}; None when that order
+    is not a shelling, that is when the faces of some F_j that no earlier
+    facet holds are not exactly [R_j, F_j].  Both directions matter: R_j =
+    empty with the empty face already seen is how a disjoint union sneaks
+    in.  The empty interval gives [((), frozenset())].  Class ids follow
+    the canonical words, so chains of ids sort in that order."""
+    chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
+    seen = set()  # every face of the earlier facets
+    out = []
+    for ch in chains:
+        fj = frozenset(ch)
+        rj = frozenset(v for v in ch if fj - {v} in seen)
+        faces = [frozenset()]
+        for v in ch:
+            faces += [s | {v} for s in faces]
+        if any((rj <= s) == (s in seen) for s in faces):
+            return None
+        seen.update(faces)
+        out.append((ch, rj))
+    return out
+
+
 class ChainComplex:
     """dims[k] = rank of C_k; d[k]: C_k -> C_{k-1} as SparseMat (d[0] = None)."""
 
@@ -131,11 +172,6 @@ class ChainComplex:
     @property
     def top(self):
         return len(self.dims) - 1
-
-    def differential(self, k):
-        if 1 <= k <= self.top:
-            return self.d[k]
-        return None
 
     def verify_d_squared(self):
         """Return the first degree k with d_{k-1} d_k != 0, or None."""
@@ -199,9 +235,7 @@ def homology(chain):
     rank = [0] * (top + 2)
     torsion = [[] for _ in range(top + 2)]
     for k in range(1, top + 1):
-        d = chain.differential(k)
-        if d is None:
-            continue
+        d = chain.d[k]
         if kind == 'Fp':
             rank[k] = modp_rank(d, chain.ring[1])
         else:

@@ -205,30 +205,17 @@ def contracting_homotopy_check(a, c):
     return Report(failures, checked)
 
 
-def generators_by_ends(source):
-    """{(tail, head): [generators of degree k for k = 0..top]} of a complex
-    with a generators() interface, in one pass."""
+def simple_tensor_complex(source, v, w, ring=RING_Z):
+    """S_v (x) C (x) S_w for a complex with a generators()/terms()
+    interface: keep generators with tail v and head w, that is with first
+    entry e_v, and differential terms whose two coefficients are both
+    trivial."""
     a = source.hpa
-    out = {}
-    for k in range(source.top + 1):
-        for cell in source.generators(k):
-            ends = (a.tail(cell[0]), a.head(cell[-1]))
-            if ends not in out:
-                out[ends] = [[] for _ in range(source.top + 1)]
-            out[ends][k].append(cell)
-    return out
-
-
-def simple_tensor_complex(source, v, w, ring=RING_Z, by_ends=None):
-    """S_v (x) C (x) S_w for a complex with a terms() interface: keep
-    generators with tail v and head w, and differential terms whose two
-    coefficients are both trivial.  by_ends, from generators_by_ends(source),
-    saves the scan over all generators when many pairs are wanted."""
-    a = source.hpa
-    if by_ends is None:
-        by_ends = generators_by_ends(source)
+    e = a.trivial_class[v]
 
     def boundary(cell):
         return [(sign, face) for sign, l, face, r in source.terms(cell)
                 if a.is_trivial(l) and a.is_trivial(r)]
-    return chain_complex(by_ends.get((v, w), [[]]), boundary, ring)
+    return chain_complex(
+        [[g for g in source.generators(k) if g[0] == e and a.head(g[-1]) == w]
+         for k in range(source.top + 1)], boundary, ring)

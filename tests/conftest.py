@@ -6,17 +6,35 @@ from hypothesis import strategies as st
 from hpa import RING_Z
 from hpa.algebra import HPA, RelationSet, Report, free_algebra, tensor
 from hpa.dsl import parse_quiver
+from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
-from hpa.morse import _critical_cells, _gradient_flow, _maximal_chains
-from hpa.quiver import Quiver, enumerate_paths, linear_quiver
-from hpa.realization import chain_complex
-from hpa.resolution import h_minus_one, multiply_augmentation
+from hpa.morse import _critical_cells, _gradient_flow
+from hpa.quiver import Arrow, Quiver, enumerate_paths
+from hpa.realization import chain_complex, homology, maximal_chains
+from hpa.resolution import (h_minus_one, multiply_augmentation,
+                            simple_tensor_complex)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 
 
 def load_algebra(name):
     return HPA(parse_quiver((FIXTURES / name).read_text())[1])
+
+
+def linear_quiver(k, vertex_prefix='v', arrow_prefix='a'):
+    """The A-type linear quiver with k arrows and k+1 vertices:
+    v0 -a1-> v1 -a2-> ... -ak-> vk."""
+    vertices = [f"{vertex_prefix}{i}" for i in range(k + 1)]
+    arrows = [Arrow(f"{arrow_prefix}{i}", f"{vertex_prefix}{i-1}",
+                    f"{vertex_prefix}{i}") for i in range(1, k + 1)]
+    return Quiver(vertices, arrows)
+
+
+def tor_via_resolution(a, c, v, w, ring=RING_Z):
+    """Homology of S_v (x) c (x) S_w in the sparse shape of
+    `invariants.tor_table`; c is a cellular resolution or a Morse
+    complex."""
+    return nonzero_groups(homology(simple_tensor_complex(c, v, w, ring)))
 
 
 def words_by_class(a):
@@ -235,7 +253,7 @@ def el_every_subinterval(a, p, ranks):
         for w in elems:
             if u == w or not a.leq(u, w):
                 continue
-            chains = [(u,) + ch + (w,) for ch in _maximal_chains(a, u, w)]
+            chains = [(u,) + ch + (w,) for ch in maximal_chains(a, u, w)]
             labeled = [(chain_ranks(ch), ch) for ch in chains]
             increasing = [lc for lc in labeled
                           if all(x <= y for x, y in zip(lc[0], lc[0][1:]))]

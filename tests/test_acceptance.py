@@ -14,17 +14,17 @@ import pytest
 
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, free_algebra, from_document, tensor
-from hpa.invariants import betti_table, koszul_check, tor_via_intervals, \
-    tor_via_resolution
+from hpa.invariants import betti_table, koszul_check, tor_via_intervals
 from hpa.morse import (babson_hersh_matching, check_acyclic, check_internal,
                        check_linear, check_minimal, load_matching,
                        morse_complex)
-from hpa.quiver import linear_quiver
 from hpa.realization import (build_realization, cw_chain_complex,
                              euler_characteristic, homology)
 from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.toric import WeightData, bondal_ruan_hpa, check_directable
+
+from conftest import linear_quiver, tor_via_resolution
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 

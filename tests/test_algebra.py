@@ -7,10 +7,10 @@ from hpa.invariants import betti_table, koszul_check
 from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
 from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, enumerate_paths,
-                        linear_quiver, trivial_word)
+                        trivial_word)
 from hpa.resolution import cellular_resolution
 
-from conftest import bhk_algebra, words_by_class
+from conftest import bhk_algebra, linear_quiver, words_by_class
 
 
 def test_single_arrow_words():

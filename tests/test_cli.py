@@ -74,6 +74,19 @@ def test_bad_ring_rejected():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize('ring, reason', [
+    (f'Fp:{FP_LIMIT + 2}',
+     f'{FP_LIMIT + 2} is too large (p must be below {FP_LIMIT})'),
+    ('F4', '4 is not prime'),
+], ids=['too-large', 'not-prime'])
+def test_bad_ring_prints_its_reason(capsys, ring, reason):
+    with pytest.raises(SystemExit) as e:
+        main(['homology', P2, '--ring', ring])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f'hpa homology: error: argument --ring: {reason}')
+
+
 def test_large_prime_ring(capsys):
     # a prime near 10^18 is accepted at once; one at or above hpa.FP_LIMIT,
     # where the primality test stops being exact, is a usage error
@@ -126,6 +139,38 @@ def test_morse_max_dim_with_the_default_matching(capsys, max_dim):
     assert bh['criticals'] == greedy['criticals']
     assert bh['quasi_iso'] == greedy['quasi_iso']
     assert bh['quasi_iso']['ok'] is True
+
+
+A2 = "vertices: v0 v1 v2\narrows:\n  a: v0 -> v1\n  b: v1 -> v2\n"
+
+
+@pytest.mark.parametrize('name', ['a2', 'f1.quiver', 'p113.quiver'])
+def test_morse_compares_only_nonzero_groups(capsys, tmp_path, name):
+    # a vertex pair whose Morse complex ends in fewer degrees than the
+    # unreduced one still has the same Tor
+    path = FIXTURES / name
+    if name == 'a2':
+        path = tmp_path / 'a2.quiver'
+        path.write_text(A2)
+    code, data = run_json(capsys, 'morse', str(path))
+    assert code == 0
+    assert data['quasi_iso']['ok'] is True
+    assert data['d_squared']['ok'] is True
+
+
+def test_morse_catches_a_wrong_complex(monkeypatch, capsys):
+    from hpa import morse
+    real = morse.morse_complex
+
+    def drop_a_critical_cell(c, m):
+        mc = real(c, m)
+        mc.cells[-1].pop()  # a top cell, so no boundary refers to it
+        return mc
+    monkeypatch.setattr(morse, 'morse_complex', drop_a_critical_cell)
+    code, data = run_json(capsys, 'morse', P2)
+    assert code == 1
+    assert data['quasi_iso']['ok'] is False
+    assert data['d_squared']['ok'] is True
 
 
 def test_morse_rejects_non_internal(capsys, tmp_path):

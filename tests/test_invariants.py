@@ -3,19 +3,20 @@ from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, free_algebra, tensor
-from hpa.quiver import linear_quiver
-from hpa.realization import build_realization, euler_characteristic
+from hpa.realization import (build_realization, euler_characteristic,
+                             lex_shelling)
 from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.morse import (MatchingError, babson_hersh_matching,
                        greedy_internal_matching, morse_complex)
 from hpa.invariants import (OrderComplex, reduced_homology,
                             interval_order_complex, tor_via_intervals,
-                            tor_via_resolution, betti_table,
+                            tor_table, betti_table,
                             el_shellable, interval_chains, koszul_check,
                             _elementary_divisors)
 
-from conftest import algebras, el_every_subinterval
+from conftest import (algebras, el_every_subinterval, linear_quiver,
+                      tor_via_resolution)
 
 
 CUBIC = """
@@ -221,6 +222,46 @@ def test_el_shellable_matches_every_subinterval_on_larger_algebras(larger,
                                                                    data):
     _check_el_against_every_subinterval(data.draw(st.sampled_from(larger)),
                                         data)
+
+
+def _check_tor_table_against_intervals(a):
+    for ring in (RING_Z, ring_fp(2)):
+        table = tor_table(a, ring)
+        assert set(table) == {(v, w) for v in a.quiver.vertices
+                              for w in a.quiver.vertices}
+        for (v, w), tor in table.items():
+            assert tor == tor_via_intervals(a, v, w, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_tor_table_matches_interval_elimination(a):
+    if check_hpa(a).ok:
+        _check_tor_table_against_intervals(a)
+
+
+def test_tor_table_matches_interval_elimination_on_larger_algebras(larger):
+    for a in larger:
+        _check_tor_table_against_intervals(a)
+
+
+def test_lex_shelling_refuses_the_non_shellable_interval_of_f1(f1):
+    # tor_table eliminates this interval, the one class the Babson-Hersh
+    # matching hands to coreduction
+    p = _class(f1, 'd(0,0)', ('x3@d(0,0)', 'x2', 'x1@d(1,1)'))
+    assert lex_shelling(f1, p) is None
+    assert babson_hersh_matching(f1).fallback_classes == [p]
+    assert tor_table(f1)['d(0,0)', 'd(2,1)'] == {2: (3, [])}
+
+
+def test_lex_shelling_of_p2(p2):
+    # the empty interval is one facet, its own restriction: Tor_1
+    arrow = _class(p2, 'v0', ('x',))
+    assert lex_shelling(p2, arrow) == [((), frozenset())]
+    # (e, x y') is two points: the second facet is critical, Tor_2
+    xy = _class(p2, 'v0', ('x', "y'"))
+    (f0, r0), (f1, r1) = lex_shelling(p2, xy)
+    assert r0 == frozenset() and r1 == frozenset(f1) and len(f1) == 1
 
 
 def test_babson_hersh_falls_back_on_cubic(cubic):

@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from hpa.algebra import HPA, RelationSet, check_hpa
 from hpa.morse import (Matching, MatchingError, _greedy_on_cells,
-                       _is_arrow_cell, _maximal_chains,
-                       greedy_internal_matching)
+                       _is_arrow_cell, greedy_internal_matching)
 from hpa.quiver import PathWord, enumerate_paths
-from hpa.realization import build_realization
+from hpa.realization import build_realization, maximal_chains
 
 from conftest import algebras, words_by_class
 
@@ -205,7 +204,7 @@ def test_cover_walk_and_greedy_growth_match_references(a):
             inner = [z for z in range(n)
                      if z not in (u, w) and a.leq(u, z) and a.leq(z, w)]
             expect = poset_maximal_chains(inner, a.leq) or [()]
-            assert sorted(_maximal_chains(a, u, w)) == sorted(expect)
+            assert sorted(maximal_chains(a, u, w)) == sorted(expect)
 
     x = build_realization(a)
     pairs = []

@@ -5,11 +5,11 @@ import pytest
 from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import free_algebra, from_document, tensor
 from hpa.linalg import SparseMat
-from hpa.quiver import Quiver, linear_quiver
+from hpa.quiver import Quiver
 from hpa.realization import (ChainComplex, build_realization,
                              cw_chain_complex, euler_characteristic, homology)
 
-from conftest import check_semisimplicial
+from conftest import check_semisimplicial, linear_quiver
 
 
 def test_parse_ring():
