@@ -147,6 +147,7 @@ class HPA:
         self._mult = {}
         self._quot = {}
         self._covers = {}
+        self._shellings = {}  # realization.lex_shelling, by class
 
     # -- basic queries ------------------------------------------------------
 
@@ -232,10 +233,6 @@ class HPA:
         """Classes strictly between the trivial path at tail(p) and p."""
         return [c for c in self.classes_by_tail[self.tail(p)]
                 if c != p and not self.is_trivial(c) and self.leq(c, p)]
-
-
-def free_algebra(q):
-    return HPA(RelationSet(q, []))
 
 
 def from_document(text):

@@ -375,8 +375,6 @@ def build_parser():
                    help='inline JSON list of degrees')
     s.add_argument('--bondal-ruan', action='store_true',
                    help='use the full half-open-zonotope degree collection')
-    s.add_argument('--emit-quiver', action='store_true',
-                   help='emit quiver DSL (default when an algebra is built)')
     s.add_argument('--out', default=None)
     s.set_defaults(func=cmd_toric)
 

@@ -1,28 +1,14 @@
-"""Exact integer/rational linear algebra: Smith normal form, sparse
-elimination for homology ranks and torsion, integer solves, and a small
+"""Exact integer/rational linear algebra: sparse elimination for homology
+ranks and torsion, invariant factors of the small dense core it leaves,
+integer solves and kernels through a column echelon form, and a small
 rational simplex for feasibility questions.
 
 Everything here is exact (Python ints / fractions.Fraction); no floats.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 import heapq
 import math
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form (dense, with unimodular transforms)
-
-
-# D: diagonal matrix, same shape as input; U: unimodular, rows x rows;
-# V: unimodular, cols x cols; diagonal: the invariant factors d_1 | d_2 | ...
-# (nonnegative)
-SNFResult = namedtuple('SNFResult', 'D U V diagonal')
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _swap_rows(M, i, j):
@@ -34,116 +20,13 @@ def _swap_cols(M, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _addmul_row(M, dst, src, q):
-    # row_dst += q * row_src
-    Ms, Md = M[src], M[dst]
-    for j in range(len(Md)):
-        Md[j] += q * Ms[j]
-
-
-def _addmul_col(M, dst, src, q):
-    for row in M:
-        row[dst] += q * row[src]
-
-
-def smith_normal_form(M):
-    """Return SNFResult with U*M*V = D, U and V unimodular, the diagonal of D
-    nonnegative and satisfying d_1 | d_2 | ... .
-
-    Deterministic: at each step the pivot is the entry of smallest absolute
-    value in the remaining block, ties broken by (row, col) position.
-    """
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    D = [list(map(int, row)) for row in M]
-    if any(len(row) != ncols for row in D):
-        raise ValueError("ragged matrix")
-    U = identity_matrix(nrows)
-    V = identity_matrix(ncols)
-
-    t = 0
-    while t < min(nrows, ncols):
-        # pick pivot: smallest |value| among D[i][j], i,j >= t
-        pivot = None
-        for i in range(t, nrows):
-            row = D[i]
-            for j in range(t, ncols):
-                v = row[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if pivot is None or key < pivot[0]:
-                        pivot = (key, i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            _swap_rows(D, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
-
-        # clear row and column t by division with remainder; if a remainder
-        # appears, it becomes a smaller pivot next pass
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    _addmul_row(D, i, t, -q)
-                    _addmul_row(U, i, t, -q)
-                    if D[i][t]:
-                        # remainder smaller than pivot: swap it up, restart
-                        _swap_rows(D, t, i)
-                        _swap_rows(U, t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    _addmul_col(D, j, t, -q)
-                    _addmul_col(V, j, t, -q)
-                    if D[t][j]:
-                        _swap_cols(D, t, j)
-                        _swap_cols(V, t, j)
-                        dirty = True
-
-        # divisibility: pivot must divide every entry of the remaining block
-        bad = None
-        p = D[t][t]
-        for i in range(t + 1, nrows):
-            row = D[i]
-            for j in range(t + 1, ncols):
-                if row[j] % p:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
-        if bad:
-            # fold the offending column into column t and redo this step
-            _addmul_col(D, t, bad[1], 1)
-            _addmul_col(V, t, bad[1], 1)
-            continue
-        t += 1
-
-    # normalize signs
-    for i in range(min(nrows, ncols)):
-        if D[i][i] < 0:
-            for j in range(ncols):
-                D[i][j] = -D[i][j]
-            for row in V:
-                row[i] = -row[i]
-
-    diag = [D[i][i] for i in range(min(nrows, ncols))]
-    return SNFResult(D=D, U=U, V=V, diagonal=diag)
-
-
 # ---------------------------------------------------------------------------
 # Sparse integer matrices and elimination
 #
 # Boundary matrices of regular complexes are overwhelmingly +-1 entries, so
 # rank/torsion are computed by splitting off unit pivots cheaply (chosen by
-# Markowitz fill count) and running dense SNF on the small remaining core.
+# Markowitz fill count) and taking the invariant factors of the small dense
+# core that remains.
 
 
 class SparseMat:
@@ -351,38 +234,61 @@ def modp_rank(mat, p):
 
 
 # ---------------------------------------------------------------------------
-# Integer linear systems (via SNF)
+# Integer linear systems (via column echelon form)
+
+
+def _column_echelon(M):
+    """Column echelon form E = M V by unimodular column operations.  Returns
+    the columns of E with those of V stacked below (nrows + ncols entries
+    each) and the pivot rows: column t < rank is zero above pivots[t] and
+    nonzero there, the pivot rows increase, and the columns from the rank on
+    are zero in E (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4)."""
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    cols = [[row[j] for row in M] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    pivots = []
+    for i in range(nrows):
+        t = len(pivots)
+        live = [j for j in range(t, ncols) if cols[j][i]]
+        while live:
+            # the entry of least |value| becomes the pivot; reducing the
+            # others by it leaves remainders below it, the next candidates
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            cols[t], cols[p] = cols[p], cols[t]
+            for j in range(t + 1, ncols):
+                q = cols[j][i] // cols[t][i]
+                if q:
+                    cols[j] = [u - q * v for u, v in zip(cols[j], cols[t])]
+            live = [j for j in range(t + 1, ncols) if cols[j][i]]
+        if t < ncols and cols[t][i]:
+            pivots.append(i)
+    return cols, pivots
 
 
 def solve_integer(M, b):
-    """One integer solution x of M x = b, or None.  M dense, b a list."""
+    """One integer solution x of M x = b, or None.  M dense, b a list.
+    Forward substitution on the pivot rows of M V = E gives y with E y = b
+    and x = V y."""
     nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    if nrows == 0:
-        return [0] * ncols  # empty system
-    snf = smith_normal_form(M)
-    ub = [sum(snf.U[i][t] * b[t] for t in range(nrows)) for i in range(nrows)]
-    y = [0] * ncols
-    for i in range(nrows):
-        d = snf.D[i][i] if i < ncols else 0
-        if d:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i]:
+    cols, pivots = _column_echelon(M)
+    rest = list(b) + [0] * len(cols)  # b - E y, with -V y below
+    for col, i in zip(cols, pivots):
+        q, r = divmod(rest[i], col[i])
+        if r:
             return None
-    return [sum(snf.V[i][t] * y[t] for t in range(ncols)) for i in range(ncols)]
+        rest = [u - q * v for u, v in zip(rest, col)]
+    if any(rest[:nrows]):
+        return None
+    return [-v for v in rest[nrows:]]
 
 
 def integer_kernel_basis(M):
-    """Basis (list of vectors) of {x in Z^ncols : M x = 0}."""
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    if nrows == 0:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    snf = smith_normal_form(M)
-    rank = sum(1 for d in snf.diagonal if d)
-    return [[snf.V[i][t] for i in range(ncols)] for t in range(rank, ncols)]
+    """Basis (list of vectors) of {x in Z^ncols : M x = 0}: the columns of V
+    past the rank, which V being unimodular makes a basis of the whole
+    lattice."""
+    cols, pivots = _column_echelon(M)
+    return [col[len(M):] for col in cols[len(pivots):]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Internal acyclic matchings and the Morse complexes they give of the
-bimodule resolution and of the cellular chain complex.
+bimodule resolution, and through it of the cellular chain complex.
 
 A matching pairs k-cells with (k-1)-facets.  Internality (no cell from Q_0 or
 Q_1 matched, matched pairs share tail and head) forces every matched facet to
@@ -12,9 +12,10 @@ Gradient flow: a non-critical bottom sigma matched with top tau satisfies
 0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
 -eps^{-1} sum s_f . l_f [f] r_f and the rewriting is iterated; acyclicity
 makes the recursion well founded.  The Morse differential of a critical cell
-composes its boundary terms with these flows.  One walk serves both
-complexes through a boundary rule of (coefficient, face) pairs: coefficients
-are (sign, l, r) on the bimodule resolution and signs on the cells.
+composes its boundary terms with these flows.  The cellular chains are the
+resolution with its coefficients forgotten (l (x) cell (x) r to cell), so
+the Morse complex of the realization is that of the resolution read the
+same way (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
 """
 
 import functools
@@ -26,6 +27,7 @@ from .algebra import Report, require_cancellative
 from .linalg import accumulate
 from .realization import (build_realization, chain_complex, homology,
                           lex_shelling)
+from .resolution import BimoduleComplex
 
 
 class MatchingError(ValueError):
@@ -208,24 +210,6 @@ def _matched_entry(boundary, top, bottom, sign_of):
     return s
 
 
-def _morse_differential(boundary, m, critical, sign_of, critical_flow,
-                        compose):
-    """{critical cell tau of dimension >= 1: flow of boundary(tau)}.  A flow
-    is a sparse dict {target: integer}; critical_flow(s) is that of a
-    critical cell s, and compose(scale, [(coefficient, flow), ...]) sums
-    scale times each coefficient applied to its flow."""
-    def matched_flow(tau, s, deps):
-        return compose(-_matched_entry(boundary, tau, s, sign_of), deps)
-
-    out = {}
-    for k in range(1, len(critical)):
-        flow_of = _gradient_flow(boundary, m, critical_flow, matched_flow)
-        for tau in critical[k]:
-            out[tau] = compose(1, [(coef, flow_of(f))
-                                   for coef, f in boundary(tau)])
-    return out
-
-
 def morse_complex(c, m):
     """Morse complex of the bimodule resolution c under the matching m.
 
@@ -256,18 +240,27 @@ def morse_complex(c, m):
                            scale * sign * cf)
         return acc
 
-    d = _morse_differential(boundary, m, critical, sign_of, critical_flow,
-                            compose)
-    terms = {tau: [(cf, l, tgt, r) for (l, tgt, r), cf in sorted(acc.items())]
-             for tau, acc in d.items()}
+    def matched_flow(tau, s, deps):
+        return compose(-_matched_entry(boundary, tau, s, sign_of), deps)
+
+    terms = {}
+    for k in range(1, len(critical)):
+        flow_of = _gradient_flow(boundary, m, critical_flow, matched_flow)
+        for tau in critical[k]:
+            acc = compose(1, [(coef, flow_of(f)) for coef, f in boundary(tau)])
+            terms[tau] = [(cf, l, tgt, r)
+                          for (l, tgt, r), cf in sorted(acc.items())]
     while critical and not critical[-1]:
         critical.pop()
     return MorseComplex(a, critical, terms, m)
 
 
-def cw_morse_complex(m, ring=RING_Z):
-    """The cellular chain complex of m.complex reduced by m: critical cells,
-    with the differential along gradient paths.
+def morse_homology(m, ring=RING_Z):
+    """homology() of the untruncated complex m.complex, with (0, []) in the
+    degrees it lacks, computed on the Morse complex of its resolution with
+    the coefficients forgotten: the boundary of a critical tau is the sum of
+    cf . target over its terms (cf, l, target, r).  d^2 = 0 is checked
+    symbolically on every cell first.
 
     m.require_valid() tests acyclicity within (tail, head) strata, and that
     covers the whole face graph: face 0 moves a cell to a later tail, the top
@@ -275,34 +268,16 @@ def cw_morse_complex(m, ring=RING_Z):
     leaves a stratum never returns.  Every cycle lies in one stratum (the
     patchwork theorem, Kozlov, Combinatorial Algebraic Topology, Thm 11.10).
     """
-    m.require_valid()
-    x = m.complex
-    critical = _critical_cells(x, m)
-
-    def compose(scale, deps):
-        acc = {}
-        for coef, flow in deps:
-            for tgt, n in flow.items():
-                accumulate(acc, tgt, scale * coef * n)
-        return acc
-
-    d = _morse_differential(x.boundary, m, critical, lambda coef: coef,
-                            lambda s: {s: 1}, compose)
-    return chain_complex(
-        critical, lambda tau: [(n, tgt) for tgt, n in d[tau].items()], ring)
-
-
-def morse_homology(m, ring=RING_Z):
-    """homology() of the untruncated complex m.complex, computed on
-    cw_morse_complex(m, ring), with (0, []) in the degrees it lacks.  d^2 = 0
-    is checked symbolically on every cell first."""
     x = m.complex
     if x.truncated:
         raise ValueError("the Morse path needs an untruncated realization")
     bad = x.d_squared_degree()
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
-    h = homology(cw_morse_complex(m, ring))
+    mc = morse_complex(BimoduleComplex(x.hpa, x), m)
+    h = homology(chain_complex(
+        mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
+        ring))
     return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1)}
 
 

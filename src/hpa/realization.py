@@ -143,7 +143,11 @@ def lex_shelling(a, p):
     facet holds are not exactly [R_j, F_j].  Both directions matter: R_j =
     empty with the empty face already seen is how a disjoint union sneaks
     in.  The empty interval gives [((), frozenset())].  Class ids follow
-    the canonical words, so chains of ids sort in that order."""
+    the canonical words, so chains of ids sort in that order.  Each class is
+    shelled once; the result is kept on the algebra, like its quotient
+    rows."""
+    if p in a._shellings:
+        return a._shellings[p]
     chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
     seen = set()  # every face of the earlier facets
     out = []
@@ -154,9 +158,11 @@ def lex_shelling(a, p):
         for v in ch:
             faces += [s | {v} for s in faces]
         if any((rj <= s) == (s in seen) for s in faces):
-            return None
+            out = None
+            break
         seen.update(faces)
         out.append((ch, rj))
+    a._shellings[p] = out
     return out
 
 

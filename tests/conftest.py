@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hpa import RING_Z
-from hpa.algebra import HPA, RelationSet, Report, free_algebra, tensor
+from hpa.algebra import HPA, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
@@ -30,6 +30,11 @@ def linear_quiver(k, vertex_prefix='v', arrow_prefix='a'):
     return Quiver(vertices, arrows)
 
 
+def free_algebra(q):
+    """The path algebra of q with no relations."""
+    return HPA(RelationSet(q, []))
+
+
 def tor_via_resolution(a, c, v, w, ring=RING_Z):
     """Homology of S_v (x) c (x) S_w in the sparse shape of
     `invariants.tor_table`; c is a cellular resolution or a Morse
@@ -46,14 +51,8 @@ def words_by_class(a):
     return groups
 
 
-def matmul(A, B):
-    """Product of two dense integer matrices (lists of rows)."""
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
-            for row in A]
-
-
 def determinant(M):
-    """Exact determinant (Bareiss fraction-free), to test unimodularity."""
+    """Exact determinant (Bareiss fraction-free), to test saturation."""
     n = len(M)
     if n == 0:
         return 1

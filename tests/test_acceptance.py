@@ -13,7 +13,7 @@ import time
 import pytest
 
 from hpa import RING_Q, RING_Z, ring_fp
-from hpa.algebra import check_hpa, free_algebra, from_document, tensor
+from hpa.algebra import check_hpa, from_document, tensor
 from hpa.invariants import betti_table, koszul_check, tor_via_intervals
 from hpa.morse import (babson_hersh_matching, check_acyclic, check_internal,
                        check_linear, check_minimal, load_matching,
@@ -24,7 +24,7 @@ from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.toric import WeightData, bondal_ruan_hpa, check_directable
 
-from conftest import linear_quiver, tor_via_resolution
+from conftest import free_algebra, linear_quiver, tor_via_resolution
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa.algebra import (NotCancellativeError, check_hpa, free_algebra,
-                         from_document, tensor)
+from hpa.algebra import (NotCancellativeError, check_hpa, from_document,
+                         tensor)
 from hpa.invariants import betti_table, koszul_check
 from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
@@ -10,7 +10,8 @@ from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, enumerate_paths,
                         trivial_word)
 from hpa.resolution import cellular_resolution
 
-from conftest import bhk_algebra, linear_quiver, words_by_class
+from conftest import (bhk_algebra, free_algebra, linear_quiver,
+                      words_by_class)
 
 
 def test_single_arrow_words():

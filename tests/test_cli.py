@@ -10,6 +10,8 @@ from hpa import FP_LIMIT, parse_ring
 from hpa.cli import main, _load, _schema
 from hpa.realization import build_realization
 
+from conftest import free_algebra, linear_quiver
+
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
 F1 = str(FIXTURES / 'f1.quiver')
@@ -286,6 +288,15 @@ def test_toric_refuses_an_empty_degrees_string(capsys):
     assert out == '' and err.startswith('error: ')
 
 
+def test_toric_has_no_emit_quiver_flag():
+    # toric emits its quiver whenever it builds an algebra; the switch is
+    # tensor's alone
+    with pytest.raises(SystemExit) as e:
+        main(['toric', '--weights', '[[1,1,1]]', '--bondal-ruan',
+              '--emit-quiver'])
+    assert e.value.code == 2
+
+
 def test_tensor_report_and_dsl(capsys):
     code, data = run_json(capsys, 'tensor', P2, P2)
     assert code == 0
@@ -496,3 +507,26 @@ def test_every_layer_is_registered():
     from hpa import cli
     assert set(cli.LAYERS) == {p.stem for p in src.glob('*.py')} - {
         '__init__', 'cli'}
+
+
+def test_morse_shells_each_class_once(capsys, monkeypatch, tmp_path):
+    # the matching and tor_table both read the lexicographic shelling of
+    # every nontrivial class; it is built once and kept on the algebra
+    from hpa import realization
+    from hpa.algebra import tensor
+    from hpa.dsl import emit_quiver
+    a = tensor(free_algebra(linear_quiver(2)),
+               free_algebra(linear_quiver(2, vertex_prefix='w',
+                                          arrow_prefix='b')))
+    path = tmp_path / 'a2a2.quiver'
+    path.write_text(emit_quiver(a.quiver, a.relations))
+    calls = []
+    chains = realization.maximal_chains
+
+    def counted(*args):
+        calls.append(args)
+        return chains(*args)
+    monkeypatch.setattr(realization, 'maximal_chains', counted)
+    code, data = run_json(capsys, 'morse', str(path))
+    assert code == 0 and data['quasi_iso']['ok']
+    assert len(calls) == sum(not c.is_trivial for c in a.classes)

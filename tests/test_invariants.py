@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Z, ring_fp
-from hpa.algebra import check_hpa, from_document, free_algebra, tensor
+from hpa.algebra import check_hpa, from_document, tensor
 from hpa.realization import (build_realization, euler_characteristic,
                              lex_shelling)
 from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
@@ -15,8 +15,8 @@ from hpa.invariants import (OrderComplex, reduced_homology,
                             el_shellable, interval_chains, koszul_check,
                             _elementary_divisors)
 
-from conftest import (algebras, el_every_subinterval, linear_quiver,
-                      tor_via_resolution)
+from conftest import (algebras, el_every_subinterval, free_algebra,
+                      linear_quiver, tor_via_resolution)
 
 
 CUBIC = """

@@ -1,4 +1,6 @@
 from fractions import Fraction
+import itertools
+import math
 import time
 
 import pytest
@@ -6,71 +8,58 @@ from hypothesis import given, settings, strategies as st
 
 from hpa.linalg import (
     SparseMat, integer_kernel_basis, invariant_factors, lp_feasible,
-    lp_maximize, modp_rank, smith_normal_form, snf_diagonal, solve_integer,
+    lp_maximize, modp_rank, snf_diagonal, solve_integer,
 )
 from hpa.realization import ChainComplex, homology
 
-from conftest import determinant, matmul
+from conftest import determinant
 
 
 def test_snf_diag_2_3():
     # gcd(2,3) = 1 and the product of factors is |det| = 6
-    res = smith_normal_form([[2, 0], [0, 3]])
-    assert res.diagonal == [1, 6]
+    assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_snf_1234():
     # det = -2, gcd of entries 1
-    res = smith_normal_form([[1, 2], [3, 4]])
-    assert res.diagonal == [1, 2]
+    assert snf_diagonal([[1, 2], [3, 4]]) == [1, 2]
 
 
 def test_snf_zero_matrix():
-    res = smith_normal_form([[0, 0, 0], [0, 0, 0]])
-    assert res.diagonal == [0, 0]
-    assert res.U == [[1, 0], [0, 1]]
+    assert snf_diagonal([[0, 0, 0], [0, 0, 0]]) == [0, 0]
 
 
 def test_snf_even_matrix():
-    res = smith_normal_form([[2, 4], [6, 8]])
-    assert res.diagonal == [2, 4]
+    assert snf_diagonal([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_snf_negative_scalar():
-    assert smith_normal_form([[-5]]).diagonal == [5]
+    assert snf_diagonal([[-5]]) == [5]
 
 
 def _check_snf(M):
-    res = smith_normal_form(M)
-    assert matmul(matmul(res.U, M), res.V) == res.D
-    assert abs(determinant(res.U)) == 1
-    assert abs(determinant(res.V)) == 1
-    d = res.diagonal
+    """snf_diagonal(M): nonnegative, d_1 | d_2 | ..., zeros last, and the
+    same multiset as sympy's Smith form."""
+    d = snf_diagonal(M)
+    assert len(d) == min(len(M), len(M[0]))
     assert all(x >= 0 for x in d)
     for a, b in zip(d, d[1:]):
         if a == 0:
             assert b == 0
         else:
             assert b % a == 0
-    # off-diagonal zero
-    for i, row in enumerate(res.D):
-        for j, v in enumerate(row):
-            if i != j:
-                assert v == 0
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    S = sympy_snf(sympy.Matrix(M))
+    assert sorted(d) == sorted(abs(S[i, i]) for i in range(min(S.shape)))
     return d
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_snf_properties_random(n, m, data):
-    M = [[data.draw(st.integers(-6, 6)) for _ in range(m)] for _ in range(n)]
-    d = _check_snf(M)
-    # cross-check against an independent implementation
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-    S = sympy_snf(sympy.Matrix(M))
-    ref = sorted(abs(S[i, i]) for i in range(min(n, m)))
-    assert sorted(x for x in d) == ref
+    _check_snf([[data.draw(st.integers(-6, 6)) for _ in range(m)]
+                for _ in range(n)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -78,9 +67,8 @@ def test_snf_properties_random(n, m, data):
 def test_snf_diagonal_matches_smith_form(n, m, data):
     # rank-deficient and torsion-heavy draws: the modulus D of snf_diagonal
     # is then a product of several non-unit pivots
-    M = [[data.draw(st.sampled_from((0, 0, 2, -2, 3, 4, 6, -9)))
-          for _ in range(m)] for _ in range(n)]
-    assert snf_diagonal(M) == smith_normal_form(M).diagonal
+    _check_snf([[data.draw(st.sampled_from((0, 0, 2, -2, 3, 4, 6, -9)))
+                 for _ in range(m)] for _ in range(n)])
 
 
 # The core that unit elimination leaves of draw #1 of
@@ -188,6 +176,34 @@ def test_kernel_basis():
     v = basis[0]
     assert v[0] + v[1] == 0 and (abs(v[0]), abs(v[1])) == (1, 1)
     assert integer_kernel_basis([[1, 0], [0, 1]]) == []
+
+
+def _apply(M, x):
+    return [sum(v * w for v, w in zip(row, x)) for row in M]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_integer_solve_and_kernel_random(n, m, data):
+    M = [[data.draw(st.integers(-4, 4)) for _ in range(m)] for _ in range(n)]
+    b = [data.draw(st.integers(-6, 6)) for _ in range(n)]
+    x = solve_integer(M, b)
+    if x is not None:
+        assert _apply(M, x) == b
+    elif m <= 3:
+        # None claims that there is no solution at all, so none in a box
+        assert all(_apply(M, y) != b
+                   for y in itertools.product(range(-8, 9), repeat=m))
+    basis = integer_kernel_basis(M)
+    for k in basis:
+        assert _apply(M, k) == [0] * n
+    sympy = pytest.importorskip("sympy")
+    assert len(basis) == m - sympy.Matrix(M).rank()
+    # saturated: the gcd of the maximal minors is 1, so the basis spans the
+    # whole kernel lattice and not a sublattice of it
+    minors = [determinant([[k[j] for j in cols] for k in basis])
+              for cols in itertools.combinations(range(m), len(basis))]
+    assert math.gcd(*minors) == 1
 
 
 def test_lp_basic():

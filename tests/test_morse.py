@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Z, ring_fp
-from hpa.algebra import check_hpa, free_algebra
+from hpa.algebra import check_hpa
 from hpa.quiver import Quiver
 from hpa.realization import build_realization, cw_chain_complex, homology
 from hpa.resolution import (cellular_resolution, simple_tensor_complex,
@@ -15,8 +15,8 @@ from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        greedy_internal_matching, check_minimal, check_linear,
                        matching_from_json, morse_homology, _matched_entry)
 
-from conftest import (algebras, gradient_path_counts, linear_quiver,
-                      matching_to_json, words_by_class)
+from conftest import (algebras, free_algebra, gradient_path_counts,
+                      linear_quiver, matching_to_json, words_by_class)
 
 
 def _cell(a, tail, *label_seqs):

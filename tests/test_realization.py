@@ -3,13 +3,13 @@ import time
 import pytest
 
 from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
-from hpa.algebra import free_algebra, from_document, tensor
+from hpa.algebra import from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
 from hpa.realization import (ChainComplex, build_realization,
                              cw_chain_complex, euler_characteristic, homology)
 
-from conftest import check_semisimplicial, linear_quiver
+from conftest import check_semisimplicial, free_algebra, linear_quiver
 
 
 def test_parse_ring():

@@ -2,15 +2,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, RING_Z, ring_fp
-from hpa.algebra import check_hpa, free_algebra, tensor
+from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
 from hpa.resolution import (BimoduleComplex, ResolutionError,
                             cellular_resolution, contracting_homotopy_check,
                             h_minus_one, multiply_augmentation,
                             simple_tensor_complex, verify_d_squared)
 
-from conftest import (algebras, bimodule_chain_complex, linear_quiver,
-                      reference_d_squared, reference_homotopy_check)
+from conftest import (algebras, bimodule_chain_complex, free_algebra,
+                      linear_quiver, reference_d_squared,
+                      reference_homotopy_check)
 
 
 @pytest.fixture(scope='module')
