@@ -53,19 +53,24 @@ def _is_prime(n):
 
 
 def parse_ring(text):
-    """Ring selector: 'Z', 'Q', 'Fp:7' (or the shorthand 'F7').  The prime
-    must lie below FP_LIMIT, where its primality test is exact."""
+    """Ring selector: 'Z', 'Q', 'Fp:7' (or the shorthand 'F7').  p is
+    written in ASCII decimal digits only, and the prime must lie below
+    FP_LIMIT, where its primality test is exact."""
     t = text.strip()
     if t == 'Z':
         return RING_Z
     if t == 'Q':
         return RING_Q
     if t.startswith('Fp:'):
-        p = int(t[3:])
-    elif t.startswith('F') and t[1:].isdigit():
-        p = int(t[1:])
+        digits = t[3:]
+    elif t.startswith('F'):
+        digits = t[1:]
     else:
+        digits = ''
+    # str.isdigit alone admits other scripts' digits, and int() reads '1_0'
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"unknown ring {text!r} (want Z, Q or Fp:<p>)")
+    p = int(digits)
     if p >= FP_LIMIT:
         raise ValueError(f"{p} is too large (p must be below {FP_LIMIT})")
     if p < 2 or not _is_prime(p):

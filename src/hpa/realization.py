@@ -42,21 +42,23 @@ class CellComplex:
         return self.hpa.head(cell[-1])
 
     def faces(self, cell):
-        """List of the k+1 facets, position i giving the i-th face."""
+        """List of the k+1 facets, position i giving the i-th face.  Face 0
+        of (e, p_1, ..., p_k) is face 0 of its prefix (e, p_1, ..., p_{k-1})
+        extended by p_k / p_1, so each cell costs one division."""
         cached = self._faces.get(cell)
         if cached is not None:
             return cached
         k = len(cell) - 1
-        out = []
-        for i in range(k + 1):
-            if i == 0:
-                p1 = cell[1]
-                rebased = [self.hpa.trivial_class[self.hpa.head(p1)]]
-                for p in cell[2:]:
-                    rebased.append(self.hpa.divide(p1, p))
-                out.append(tuple(rebased))
-            else:
-                out.append(cell[:i] + cell[i + 1:])
+        a = self.hpa
+        out = [cell[:i] + cell[i + 1:] for i in range(1, k + 1)]
+        if k >= 2:
+            # the top face is the prefix; keying its memo entry by that
+            # tuple adds no tuple
+            last = a.divide(cell[1], cell[-1])
+            first = self.faces(out[-1])[0] + (last,)
+        else:
+            first = (a.trivial_class[a.head(cell[1])],)
+        out.insert(0, first)
         self._faces[cell] = out
         return out
 
@@ -67,12 +69,21 @@ class CellComplex:
     def d_squared_degree(self):
         """The first degree k with d(d(cell)) != 0 for some k-cell, or None.
         Symbolic: the faces of faces that enter with sign +1 and those with
-        sign -1 must agree as multisets."""
+        sign -1 must agree as multisets.  The face identities d_i d_j =
+        d_{j-1} d_i (i < j) pair every face of a face with one of opposite
+        sign, so a cell that satisfies them all passes; any other cell is
+        decided by comparing the two multisets."""
+        faces = self.faces
         for k in range(2, self.max_dim + 1):
             for cell in self.cells[k]:
+                sub = [faces(f) for f in faces(cell)]
+                if len(sub) == k + 1 and all(len(fs) == k for fs in sub) \
+                        and all(sub[j][i] == sub[i][j - 1]
+                                for j in range(1, k + 1) for i in range(j)):
+                    continue
                 signed = ([], [])
-                for i, f in enumerate(self.faces(cell)):
-                    for j, g in enumerate(self.faces(f)):
+                for i, fs in enumerate(sub):
+                    for j, g in enumerate(fs):
                         signed[(i + j) % 2].append(g)
                 if sorted(signed[0]) != sorted(signed[1]):
                     return k

@@ -175,6 +175,21 @@ def d_element(c, elem):
     return out
 
 
+def reference_d_squared_degree(complex_):
+    """Reference for `CellComplex.d_squared_degree`: on every cell, the faces
+    of faces that enter with sign +1 and those with sign -1 agree as
+    multisets."""
+    for k in range(2, complex_.max_dim + 1):
+        for cell in complex_.cells[k]:
+            signed = ([], [])
+            for i, f in enumerate(complex_.faces(cell)):
+                for j, g in enumerate(complex_.faces(f)):
+                    signed[(i + j) % 2].append(g)
+            if sorted(signed[0]) != sorted(signed[1]):
+                return k
+    return None
+
+
 def reference_d_squared(c):
     """Reference for `resolution.verify_d_squared`: every coefficient
     product goes through `mult`, trivial factors included."""

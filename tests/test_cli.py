@@ -76,11 +76,19 @@ def test_bad_ring_rejected():
     assert e.value.code == 2
 
 
+_MALFORMED_RINGS = {  # int() would read several of these
+    'empty': 'Fp:', 'letters': 'Fp:abc', 'underscore': 'Fp:1_009',
+    'arabic-indic': 'Fp:\u0663', 'short-arabic-indic': 'F\u0663',
+    'plus-sign': 'Fp:+7', 'inner-space': 'Fp: 7', 'bare-F': 'F'}
+
+
 @pytest.mark.parametrize('ring, reason', [
     (f'Fp:{FP_LIMIT + 2}',
      f'{FP_LIMIT + 2} is too large (p must be below {FP_LIMIT})'),
     ('F4', '4 is not prime'),
-], ids=['too-large', 'not-prime'])
+] + [(r, f'unknown ring {r!r} (want Z, Q or Fp:<p>)')
+     for r in _MALFORMED_RINGS.values()],
+    ids=['too-large', 'not-prime'] + list(_MALFORMED_RINGS))
 def test_bad_ring_prints_its_reason(capsys, ring, reason):
     with pytest.raises(SystemExit) as e:
         main(['homology', P2, '--ring', ring])

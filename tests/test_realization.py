@@ -1,15 +1,17 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
-from hpa.algebra import from_document, tensor
+from hpa.algebra import check_hpa, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
-from hpa.realization import (ChainComplex, build_realization,
+from hpa.realization import (CellComplex, ChainComplex, build_realization,
                              cw_chain_complex, euler_characteristic, homology)
 
-from conftest import check_semisimplicial, free_algebra, linear_quiver
+from conftest import (algebras, check_semisimplicial, free_algebra,
+                      linear_quiver, reference_d_squared_degree)
 
 
 def test_parse_ring():
@@ -146,3 +148,44 @@ def test_semisimplicial_identities_f3_would_go_here_small_grid():
     assert euler_characteristic(x) == 1
     h = homology(cw_chain_complex(x, RING_Z))
     assert h[0] == (1, []) and h[1] == (0, []) and h[2] == (0, [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_faces_and_d_squared_degree_match_definitions(a):
+    # face 0 of a chain need not be a chain when a is not cancellative
+    if not check_hpa(a).ok:
+        return
+    x = build_realization(a)
+    for k in range(1, x.max_dim + 1):
+        for cell in x.cells[k]:
+            p1 = cell[1]
+            assert x.faces(cell)[0] == (a.trivial_class[a.head(p1)],) + \
+                tuple(a.divide(p1, p) for p in cell[2:])
+    assert x.d_squared_degree() == reference_d_squared_degree(x)
+
+
+class _FacetCorrupted(CellComplex):
+    """Deliberately corrupt the facet list of one cell by `edit`."""
+
+    def __init__(self, base, victim, edit):
+        super().__init__(base.hpa, base.cells, base.truncated)
+        self.victim = victim
+        self.edit = edit
+
+    def faces(self, cell):
+        out = super().faces(cell)
+        return self.edit(out) if cell == self.victim else out
+
+
+def test_d_squared_degree_finds_a_corrupted_facet(p2, a3a3):
+    edits = [lambda fs: [fs[0], fs[2]] + fs[2:],  # facet 1 becomes facet 2
+             lambda fs: fs[:-1]]  # the top facet is missing
+    for a, k in ((p2, 2), (a3a3, 2), (a3a3, 3)):
+        x = build_realization(a)
+        assert x.d_squared_degree() is None
+        for victim in x.cells[k][:5]:
+            for edit in edits:
+                broken = _FacetCorrupted(x, victim, edit)
+                assert broken.d_squared_degree() == k
+                assert reference_d_squared_degree(broken) == k

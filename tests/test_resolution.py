@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
-from hpa.resolution import (BimoduleComplex, ResolutionError,
-                            cellular_resolution, contracting_homotopy_check,
-                            h_minus_one, multiply_augmentation,
-                            simple_tensor_complex, verify_d_squared)
+from hpa.resolution import (BimoduleComplex, ResolutionError, _fixes_generator,
+                            _pairs_cancel, cellular_resolution,
+                            contracting_homotopy_check, h_minus_one,
+                            multiply_augmentation, simple_tensor_complex,
+                            verify_d_squared)
 
 from conftest import (algebras, bimodule_chain_complex, free_algebra,
                       linear_quiver, reference_d_squared,
@@ -56,44 +57,57 @@ def test_d_squared_p2(res_p2):
     assert report.checked == 9  # the 2-cells
 
 
-class _SignFlipped(BimoduleComplex):
-    """Deliberately corrupt the sign of one middle face."""
+class _Mutant(BimoduleComplex):
+    """Deliberately corrupt the differential of one cell: terms(victim) is
+    edit applied to its true terms."""
 
-    def __init__(self, base, victim):
+    def __init__(self, base, victim, edit):
         super().__init__(base.hpa, base.complex)
         self.victim = victim
+        self.edit = edit
 
     def terms(self, cell):
         out = super().terms(cell)
-        if cell == self.victim:
-            out = [(-s if i == 1 else s, l, f, r)
-                   for i, (s, l, f, r) in enumerate(out)]
-        return out
+        return self.edit(out) if cell == self.victim else out
+
+
+def _sign_flipped(base, victim, index=1):
+    """Flip the sign of one term of victim, a middle face by default."""
+    return _Mutant(base, victim, lambda ts: [
+        (-s if i == index else s, l, f, r)
+        for i, (s, l, f, r) in enumerate(ts)])
+
+
+def _term_edited(base, victim, index, field, wrong):
+    """Replace the left coefficient, the face or the right coefficient of
+    one term of victim."""
+    at = {'left': 1, 'face': 2, 'right': 3}[field]
+
+    def edit(ts):
+        ts = list(ts)
+        term = list(ts[index])
+        term[at] = wrong
+        ts[index] = tuple(term)
+        return ts
+    return _Mutant(base, victim, edit)
+
+
+def _last_term_dropped(base, victim):
+    return _Mutant(base, victim, lambda ts: ts[:-1])
+
+
+def _terms_reordered(base, victim):
+    """The same sum as victim's terms, but no longer in the order of the
+    face identities, so every check must still pass."""
+    return _Mutant(base, victim, lambda ts: ts[::-1])
 
 
 def test_d_squared_sign_flip_detected(p2, res_p2):
     victim = res_p2.generators(2)[0]
-    broken = _SignFlipped(res_p2, victim)
+    broken = _sign_flipped(res_p2, victim)
     report = verify_d_squared(broken)
     assert not report.ok
     assert report.witnesses[0][0] == victim
-
-
-class _TopCoefficientSwapped(BimoduleComplex):
-    """Deliberately replace the top-face right coefficient of one cell by
-    another class with the same ends."""
-
-    def __init__(self, base, victim, wrong):
-        super().__init__(base.hpa, base.complex)
-        self.victim = victim
-        self.wrong = wrong
-
-    def terms(self, cell):
-        out = super().terms(cell)
-        if cell == self.victim:
-            s, l, f, _ = out[-1]
-            out = out[:-1] + [(s, l, f, self.wrong)]
-        return out
 
 
 def _same_report(got, ref):
@@ -114,19 +128,66 @@ def test_checks_match_references(a, data):
     cells = [cell for k in range(1, c.top + 1) for cell in c.generators(k)]
     if cells:
         victim = data.draw(st.sampled_from(cells))
-        broken = _SignFlipped(c, victim)
+        broken = _sign_flipped(c, victim)
         assert _same_report(verify_d_squared(broken),
                             reference_d_squared(broken))
         assert _same_report(contracting_homotopy_check(a, broken),
                             reference_homotopy_check(a, broken))
+        reordered = _terms_reordered(c, victim)
+        got = verify_d_squared(reordered)
+        assert got.ok and _same_report(got, reference_d_squared(reordered))
+        got = contracting_homotopy_check(a, reordered)
+        assert got.ok and _same_report(
+            got, reference_homotopy_check(a, reordered))
+
+
+def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
+    x, y_ = p2.arrow_class['x'], p2.arrow_class["y'"]
+    e2 = p2.trivial_class['v2']
+    one = (p2.trivial_class['v1'], y_)
+    two = (p2.trivial_class['v0'], x, p2.mult(x, y_))  # face 0 is `one`
+    trivial = [cl.is_trivial for cl in p2.classes]
+
+    def pairs_cancel(c, cell):
+        outer = c.terms(cell)
+        return _pairs_cancel(outer, [c.terms(f) for _, _, f, _ in outer],
+                             trivial, p2.mult)
+
+    assert pairs_cancel(res_p2, two)
+    assert _fixes_generator(res_p2, x, one, e2, trivial, p2.mult)
+    broken = _terms_reordered(res_p2, one)
+    # the pairwise tests fail on the reordered terms, so the verdicts below
+    # come from the full accumulation
+    assert not pairs_cancel(broken, two)
+    assert not _fixes_generator(broken, x, one, e2, trivial, p2.mult)
+    for victim in (one, two):
+        broken = _terms_reordered(res_p2, victim)
+        got = verify_d_squared(broken)
+        assert got.ok and _same_report(got, reference_d_squared(broken))
+        got = contracting_homotopy_check(p2, broken)
+        assert got.ok and _same_report(got,
+                                       reference_homotopy_check(p2, broken))
 
 
 def test_checks_match_references_on_mutants(p2, res_p2):
     x, y = p2.arrow_class['x'], p2.arrow_class['y']
+    x_, y_, z_ = (p2.arrow_class[n] for n in ("x'", "y'", "z'"))
     victim = (p2.trivial_class['v0'], x)
     assert res_p2.terms(victim)[-1][3] == x
-    mutants = [_SignFlipped(res_p2, res_p2.generators(2)[0]),
-               _TopCoefficientSwapped(res_p2, victim, y)]
+    below = (p2.trivial_class['v1'], y_)  # x ahead of it is a nontrivial ac
+    square = (p2.trivial_class['v0'], x, p2.mult(x, y_))  # h_cell(x, below)
+    # each corrupts a term that one of the pairwise tests compares
+    e0, e1 = p2.trivial_class['v0'], p2.trivial_class['v1']
+    mutants = [_sign_flipped(res_p2, res_p2.generators(2)[0]),
+               _sign_flipped(res_p2, victim, 0),
+               _term_edited(res_p2, victim, -1, 'right', y),
+               _term_edited(res_p2, victim, 1, 'face', (e1,)),
+               _term_edited(res_p2, below, -1, 'right', z_),
+               _term_edited(res_p2, below, -1, 'left', x_),
+               _term_edited(res_p2, square, 0, 'left', y),
+               _term_edited(res_p2, square, -1, 'face', (e0, y)),
+               _last_term_dropped(res_p2, square),
+               _last_term_dropped(res_p2, below)]
     for broken in mutants:
         got = contracting_homotopy_check(p2, broken)
         assert not got.ok
