@@ -383,9 +383,3 @@ def lp_maximize(c, A, b):
             x[basis[i]] = T[i][-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
     return 'optimal', value, x
-
-
-def lp_feasible(A, b):
-    """Is {x >= 0 : A x = b} nonempty?"""
-    status, _, x = lp_maximize([0] * (len(A[0]) if A else 0), A, b)
-    return (status == 'optimal'), x

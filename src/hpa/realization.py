@@ -9,6 +9,7 @@ chain by dividing through p_1.  Regularity makes every incidence number
 """
 
 from . import RING_Z
+from .algebra import require_cancellative
 from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
 
 
@@ -103,8 +104,11 @@ def build_realization(a, max_dim=None):
     """Enumerate all canonical chains of the path poset of `a`.
 
     max_dim caps the dimension (the complex is then a truncation; homology
-    above the cap is not defined from it).
+    above the cap is not defined from it).  A non-cancellative algebra is
+    refused with NotCancellativeError: there face 0 of a chain need not be a
+    chain.
     """
+    require_cancellative(a)
     cells = []
     truncated = False
 

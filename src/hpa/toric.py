@@ -10,7 +10,7 @@ half-open zonotope mu([0,1)^(n+k)) cuts out the canonical finite collection.
 import itertools
 from collections import namedtuple
 
-from .linalg import lp_maximize, lp_feasible, solve_integer, integer_kernel_basis
+from .linalg import lp_maximize, solve_integer, integer_kernel_basis
 from .quiver import Quiver
 from .algebra import HPA, RelationSet, require_cancellative
 from .quiver import enumerate_paths
@@ -44,7 +44,9 @@ def _ints(values, what):
 
 
 class WeightData:
-    """free: r x (n+k) integer matrix; torsion: list of (modulus, row)."""
+    """free: r x (n+k) integer matrix; torsion: list of (modulus, row).
+    The answers of the exact LPs asked about the datum are kept with it
+    (see `_lp`)."""
 
     def __init__(self, free, torsion=(), ncols=None):
         self.free = [_ints(row, 'a weight row') for row in free]
@@ -65,6 +67,7 @@ class WeightData:
                 raise ValueError(f"torsion modulus {m} < 2")
         self.ncols = ncols
         self.r = len(self.free)
+        self._lp_answers = {}
 
     def degree(self, free=(), tors=None):
         free = _ints(free, 'a degree')
@@ -139,13 +142,30 @@ def monomial_str(m):
     return '*'.join(parts) if parts else '1'
 
 
+def _lp(w, c, rows, rhs):
+    """(status, value) of max c.x s.t. rows x = rhs, x >= 0, solved once per
+    question on w: the answer is kept on w keyed by the whole question, so
+    no changed row or right-hand side can read a stale one."""
+    key = (tuple(c), tuple(map(tuple, rows)), tuple(rhs))
+    answer = w._lp_answers.get(key)
+    if answer is None:
+        status, value, _ = lp_maximize(c, rows, rhs)
+        answer = w._lp_answers[key] = status, value
+    return answer
+
+
+def _feasible(w, rows, rhs):
+    """Is {x >= 0 : rows x = rhs} nonempty?  (through `_lp`)"""
+    ncols = len(rows[0]) if rows else 0
+    return _lp(w, [0] * ncols, rows, rhs)[0] == 'optimal'
+
+
 def check_cohomologically_proper(w):
     """True iff a = 0 is the only nonnegative solution of mu_free a = 0,
     i.e. the normalized system mu a = 0, sum a = 1, a >= 0 is infeasible."""
     rows = [list(row) for row in w.free] + [[1] * w.ncols]
     rhs = [0] * w.r + [1]
-    feasible, _ = lp_feasible(rows, rhs)
-    return not feasible
+    return not _feasible(w, rows, rhs)
 
 
 def _strictly_realizable(w, gfree):
@@ -167,7 +187,7 @@ def _strictly_realizable(w, gfree):
         rhs.append(1)
     c = [0] * nv
     c[n] = 1
-    status, value, _ = lp_maximize(c, rows, rhs)
+    status, value = _lp(w, c, rows, rhs)
     return status == 'optimal' and value > 0
 
 
@@ -218,14 +238,19 @@ def image_phi(w):
 
 
 def hom_monomials(w, d, e):
-    """All exponent vectors m >= 0 with mu(m) = e - d."""
+    """All exponent vectors m >= 0 with mu(m) = e - d.
+
+    The set depends on the difference e - d alone, and `build_toric_hpa`
+    asks once per difference.  Each coordinate is capped by an exact LP and
+    the enumeration prunes on LP feasibility of the remaining columns; all
+    these LPs go through `_lp`, so each question is solved once per weight
+    datum."""
     g = w.sub(e, d)
     caps = []
     for j in range(w.ncols):
         c = [0] * w.ncols
         c[j] = 1
-        status, value, _ = lp_maximize(c, [list(r) for r in w.free],
-                                       list(g.free))
+        status, value = _lp(w, c, w.free, g.free)
         if status == 'infeasible':
             return set()
         if status == 'unbounded':
@@ -235,18 +260,12 @@ def hom_monomials(w, d, e):
     out = set()
     m = [0] * w.ncols
 
-    def rest_feasible(j, rem):
-        cols = range(j, w.ncols)
-        rows = [[row[t] for t in cols] for row in w.free]
-        ok, _ = lp_feasible(rows, rem)
-        return ok
-
     def rec(j, rem):
         if j == w.ncols:
             if all(v == 0 for v in rem) and w.mu(m).tors == g.tors:
                 out.add(tuple(m))
             return
-        if not rest_feasible(j, rem):
+        if not _feasible(w, [row[j:] for row in w.free], rem):
             return
         for e_j in range(caps[j] + 1):
             m[j] = e_j
@@ -292,10 +311,14 @@ def build_toric_hpa(w, degrees):
     degset = set(degrees)
 
     homs = {}
+    by_difference = {}
     for d in degrees:
         for e in degrees:
             if d != e:
-                homs[d, e] = hom_monomials(w, d, e)
+                g = w.sub(e, d)
+                if g not in by_difference:
+                    by_difference[g] = hom_monomials(w, d, e)
+                homs[d, e] = by_difference[g]
 
     arrow_list = []  # (tail degree, head degree, monomial)
     for (d, e), ms in sorted(homs.items(),

@@ -8,6 +8,7 @@ from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
 from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, enumerate_paths,
                         trivial_word)
+from hpa.realization import build_realization
 from hpa.resolution import cellular_resolution
 
 from conftest import (bhk_algebra, free_algebra, linear_quiver,
@@ -103,8 +104,9 @@ def test_library_entry_points_refuse_non_cancellative():
         relations:
           x z = y z
     """)
-    for entry in (cellular_resolution, babson_hersh_matching,
-                  greedy_internal_matching, betti_table, koszul_check):
+    for entry in (build_realization, cellular_resolution,
+                  babson_hersh_matching, greedy_internal_matching,
+                  betti_table, koszul_check):
         with pytest.raises(NotCancellativeError,
                            match="right cancellation fails for r=z"):
             entry(a)

@@ -16,6 +16,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
 F1 = str(FIXTURES / 'f1.quiver')
 F3 = str(FIXTURES / 'f3.quiver')
+BENCHMARK_INPUTS = FIXTURES.parent / 'perfbench' / 'inputs'
 
 
 def run(capsys, *argv):
@@ -257,6 +258,21 @@ def test_toric_report_mode(capsys):
     assert code == 0
     assert data['proper'] is True
     assert data['image'] == ['d(0)', 'd(1)', 'd(2)', 'd(3)', 'd(4)']
+
+
+@pytest.mark.parametrize('name, argv', [
+    ('p11112.quiver', ['--weights', '[[1,1,1,1,2]]', '--bondal-ruan']),
+    ('p4.quiver', ['--weights', '[[1,1,1,1,1]]', '--bondal-ruan']),
+    ('a4.quiver', ['--weights', '[[1]]', '--degrees', '[0,1,2,3,4]']),
+    ('f3.quiver', ['--weights', '[[1,0,1,3],[0,1,0,1]]',
+                   '--degrees', '[[0,0],[1,0],[3,1],[4,1]]']),
+])
+def test_toric_reproduces_the_frozen_benchmark_inputs(tmp_path, name, argv):
+    # the benchmark times these frozen bytes; the generator must still
+    # write them exactly
+    out = tmp_path / name
+    assert main(['toric', *argv, '--out', str(out)]) == 0
+    assert out.read_bytes() == (BENCHMARK_INPUTS / name).read_bytes()
 
 
 @pytest.mark.parametrize('weights, extra', [

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa.linalg import (
-    SparseMat, integer_kernel_basis, invariant_factors, lp_feasible,
-    lp_maximize, modp_rank, snf_diagonal, solve_integer,
+    SparseMat, integer_kernel_basis, invariant_factors, lp_maximize,
+    modp_rank, snf_diagonal, solve_integer,
 )
 from hpa.realization import ChainComplex, homology
 
@@ -212,8 +212,8 @@ def test_lp_basic():
     assert status == 'optimal' and val == 1
 
     # x + y = -1, x,y >= 0 infeasible
-    ok, _ = lp_feasible([[1, 1]], [-1])
-    assert not ok
+    status, _, _ = lp_maximize([0, 0], [[1, 1]], [-1])
+    assert status == 'infeasible'
 
     # unbounded direction
     status, _, _ = lp_maximize([1], [[0]], [0])
@@ -229,6 +229,6 @@ def test_lp_exactness():
 
 def test_lp_weight_barycenter():
     # a1 - a2 = 0 with a on the unit simplex: feasible at (1/2, 1/2)
-    ok, x = lp_feasible([[1, -1], [1, 1]], [0, 1])
-    assert ok
+    status, _, x = lp_maximize([0, 0], [[1, -1], [1, 1]], [0, 1])
+    assert status == 'optimal'
     assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
-from hpa.algebra import check_hpa, from_document, tensor
+from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
 from hpa.realization import (CellComplex, ChainComplex, build_realization,
@@ -163,6 +163,16 @@ def test_faces_and_d_squared_degree_match_definitions(a):
             assert x.faces(cell)[0] == (a.trivial_class[a.head(p1)],) + \
                 tuple(a.divide(p1, p) for p in cell[2:])
     assert x.d_squared_degree() == reference_d_squared_degree(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_build_realization_refuses_exactly_the_non_cancellative(a):
+    if check_hpa(a).ok:
+        assert build_realization(a).d_squared_degree() is None
+    else:
+        with pytest.raises(NotCancellativeError):
+            build_realization(a)
 
 
 class _FacetCorrupted(CellComplex):

@@ -1,5 +1,10 @@
-import pytest
+import collections
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hpa import toric
 from hpa.toric import (WeightData, Degree, weight_data_from_json,
                        check_cohomologically_proper, image_phi, hom_monomials,
                        monomial_str, build_toric_hpa, bondal_ruan_hpa,
@@ -68,6 +73,95 @@ def test_hom_monomials():
         (3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0), (0, 0, 1)}
     with pytest.raises(ValueError):
         hom_monomials(WeightData([[1, -1]]), Degree((0,)), Degree((0,)))
+
+
+@st.composite
+def proper_weights(draw):
+    """Weight data with 1-4 variables, 1-2 nonnegative free rows and at
+    most one torsion row.  A column that is zero in every free row gets a 1
+    in the first, so the datum is proper."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    free = draw(st.lists(entries, min_size=1, max_size=2))
+    for j in range(n):
+        if not any(row[j] for row in free):
+            free[0][j] = 1
+    torsion = draw(st.lists(st.tuples(st.integers(2, 3), entries),
+                            max_size=1))
+    return WeightData(free, torsion)
+
+
+def brute_hom(w, d, e):
+    """hom_monomials by enumerating a box: every column has a positive
+    free entry, so no exponent exceeds the largest free part of e - d."""
+    g = w.sub(e, d)
+    box = range(max(g.free) + 1)
+    return {m for m in itertools.product(box, repeat=w.ncols)
+            if w.mu(m) == g}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hom_monomials_matches_a_brute_force_box(data):
+    w = data.draw(proper_weights())
+    assert check_cohomologically_proper(w)
+    part = st.integers(0, 3)
+    degrees = {w.degree(data.draw(st.lists(part, min_size=w.r,
+                                           max_size=w.r)),
+                        data.draw(st.lists(part, min_size=len(w.torsion),
+                                           max_size=len(w.torsion))))
+               for _ in range(data.draw(st.integers(1, 4)))}
+    pairs = list(itertools.product(sorted(degrees), repeat=2))
+    expected = {(d, e): brute_hom(w, d, e) for d, e in pairs}
+    # the second round reads the LP answers the first one kept on w
+    for _ in range(2):
+        for d, e in data.draw(st.permutations(pairs)):
+            assert hom_monomials(w, d, e) == expected[d, e]
+
+
+def test_bondal_ruan_solves_each_lp_once(monkeypatch):
+    asked = collections.Counter()
+    real = toric.lp_maximize
+
+    def counted(c, rows, rhs):
+        asked[tuple(c), tuple(map(tuple, rows)), tuple(rhs)] += 1
+        return real(c, rows, rhs)
+    monkeypatch.setattr(toric, 'lp_maximize', counted)
+    w = WeightData([[1, 1, 1, 1, 2]])
+    bondal_ruan_hpa(w)
+    solved = sum(asked.values())
+    assert solved <= 82 and max(asked.values()) == 1
+    # the report mode asks the properness question again: answered from w
+    assert check_cohomologically_proper(w)
+    assert sum(asked.values()) == solved
+
+
+def test_build_toric_hpa_solves_each_difference_once(monkeypatch):
+    differences = []
+    real = toric.hom_monomials
+
+    def counted(w, d, e):
+        differences.append(w.sub(e, d))
+        return real(w, d, e)
+    monkeypatch.setattr(toric, 'hom_monomials', counted)
+    w = WeightData([[1, 1, 1, 1, 2]])
+    build_toric_hpa(w, [(k,) for k in range(6)])
+    assert sorted(differences) == sorted(set(differences))
+    assert len(differences) == 10  # e - d in -5..5 without 0
+
+
+def test_lp_answers_follow_a_mutated_weight_datum():
+    # answers are keyed by the whole question, rows included
+    w = WeightData([[1, 1]])
+    assert check_cohomologically_proper(w)
+    w.free[0][1] = -1
+    assert not check_cohomologically_proper(w)
+    w = WeightData([[1, 1, 1]])
+    d0, d2 = w.degree((0,)), w.degree((2,))
+    assert len(hom_monomials(w, d0, d2)) == 6
+    w.free[0][2] = 2
+    assert hom_monomials(w, d0, d2) == {(2, 0, 0), (1, 1, 0), (0, 2, 0),
+                                        (0, 0, 1)}
 
 
 def test_monomial_str():
