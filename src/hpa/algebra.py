@@ -148,6 +148,7 @@ class HPA:
         self._quot = {}
         self._covers = {}
         self._shellings = {}  # realization.lex_shelling, by class
+        self._cancellation = None  # require_cancellative's check_hpa report
 
     # -- basic queries ------------------------------------------------------
 
@@ -284,8 +285,11 @@ class NotCancellativeError(ValueError):
 def require_cancellative(a):
     """Return a, or raise NotCancellativeError with the first violation.
     Quotients of classes, and so every construction built on division, are
-    only unique in a cancellative algebra."""
-    rep = check_hpa(a)
+    only unique in a cancellative algebra.  The check_hpa report is kept on
+    the algebra, so each algebra is checked once."""
+    rep = a._cancellation
+    if rep is None:
+        rep = a._cancellation = check_hpa(a)
     if not rep.ok:
         raise NotCancellativeError(
             f"not a homotopy path algebra: {cancellation_summary(rep)}")

@@ -3,10 +3,8 @@ bimodule resolution, and through it of the cellular chain complex.
 
 A matching pairs k-cells with (k-1)-facets.  Internality (no cell from Q_0 or
 Q_1 matched, matched pairs share tail and head) forces every matched facet to
-be a middle face: dropping the first entry changes the tail and dropping the
-last changes the head (the quiver is acyclic, so a proper quotient cannot be
-a loop).  Middle faces carry trivial coefficients and incidence +-1, which is
-what lets the matched pairs be cancelled.
+be a middle face (see check_acyclic).  Middle faces carry trivial
+coefficients and incidence +-1, which is what lets the pairs be cancelled.
 
 Gradient flow: a non-critical bottom sigma matched with top tau satisfies
 0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
@@ -18,9 +16,9 @@ the Morse complex of the realization is that of the resolution read the
 same way (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
 """
 
-import functools
 import json
 from collections import deque
+from itertools import compress
 
 from . import RING_Z, UsageError
 from .algebra import Report, require_cancellative
@@ -49,10 +47,9 @@ class Matching:
         seen = set()
         norm = []
         for top, bottom in pairs:
-            if top not in complex_.index:
-                raise MatchingError(f"unknown cell {top}")
-            if bottom not in complex_.index:
-                raise MatchingError(f"unknown cell {bottom}")
+            for cell in (top, bottom):
+                if cell not in complex_.index:
+                    raise MatchingError(f"unknown cell {cell}")
             if bottom not in complex_.faces(top):
                 raise MatchingError(
                     f"{complex_.format_cell(bottom)} is not a facet of "
@@ -87,14 +84,16 @@ class Matching:
 
 
 def _is_arrow_cell(hpa, cell):
-    """1-cell [e_v < p] with p the class of an arrow."""
-    return len(cell) == 2 and cell[1] in hpa.arrow_class.values()
+    """1-cell [e_v < p] with p the class of an arrow (of length 1)."""
+    return len(cell) == 2 and 1 in hpa.classes[cell[1]].lengths
 
 
 def check_internal(m):
     """Internality: no Q_0 or Q_1 cell matched; pairs share tail and head.
-    A witness is (reason, formatted cell or pair)."""
+    A witness is (reason, formatted cell or pair).  Tails compare by the
+    first entry of a cell, the trivial class of its tail."""
     x = m.complex
+    head = [c.head for c in x.hpa.classes]
     witnesses = []
     for top, bottom in m.pairs:
         for cell in (top, bottom):
@@ -104,27 +103,23 @@ def check_internal(m):
             elif _is_arrow_cell(x.hpa, cell):
                 witnesses.append(
                     ('arrow cell matched', x.format_cell(cell)))
-        if x.tail(top) != x.tail(bottom) or x.head(top) != x.head(bottom):
+        if top[0] != bottom[0] or head[top[-1]] != head[bottom[-1]]:
             witnesses.append(
                 ('pair changes stratum',
                  f"{x.format_cell(top)} ~ {x.format_cell(bottom)}"))
     return Report(witnesses, len(m.pairs))
 
 
-def _stratum(x, cell):
-    return (len(cell), x.tail(cell), x.head(cell))
-
-
-def _find_cycle(x, top_of, start, key, color):
+def _find_cycle(x, top_of, start, color, middle):
     """Depth-first search from the matched bottom `start` along the steps
-    s -> f, f a face of top_of[s] other than s that is a matched bottom with
-    key(f) == key(s).  `color` marks cells on the current path (1) or done
-    (2) and carries over between calls.  Returns the first cycle closed, as
-    the alternating list bottom, top, ..., bottom, or None."""
+    s -> f, f a face of top_of[s] (a middle one if `middle`) other than s
+    that is a matched bottom.  `color` marks cells on the current path (1)
+    or done (2) and carries over between calls.  Returns the first cycle
+    closed, as the alternating list bottom, top, ..., bottom, or None."""
     def steps(s):
-        k = key(s)
-        return iter([f for f in x.faces(top_of[s])
-                     if f != s and f in top_of and key(f) == k])
+        fs = x.faces(top_of[s])
+        return iter([f for f in (fs[1:-1] if middle else fs)
+                     if f != s and f in top_of])
 
     if color.get(start):
         return None
@@ -152,15 +147,28 @@ def check_acyclic(m):
     """Cycle detection on the Hasse digraph with matched edges upward.
 
     A directed cycle alternates matched-up and facet-down steps, so it only
-    visits matched bottoms of a fixed dimension; for internal matchings
-    (read from m.internal) it also stays inside one (tail, head) stratum,
-    which cuts the search.  The witness is a replayable alternating cycle.
+    visits matched bottoms of one dimension.  The search starts from them in
+    order of (dimension, tail, head, cell) for an internal matching (read
+    from m.internal), of (dimension, cell) otherwise.  An internal top has
+    dimension >= 2, since no vertex cell is matched, and the quiver is
+    acyclic, so face 0 of (e, p_1, ..., p_k) starts at head(p_1) !=
+    tail(p_1) and its top face ends at head(p_{k-1}) != head(p_k), while
+    the middle faces keep e and p_k: the faces of a top in its (tail, head)
+    stratum are exactly faces(top)[1:-1], and only those are searched.
+    That covers the whole face graph, since tails only move later and heads
+    earlier along faces, so a path that leaves a stratum never returns
+    (the patchwork theorem, Kozlov, Combinatorial Algebraic Topology, Thm
+    11.10).  The witness is a replayable alternating cycle.
     """
     x = m.complex
-    key = functools.partial(_stratum, x) if m.internal.ok else len
+    internal = m.internal.ok
+    tail = [c.tail for c in x.hpa.classes]
+    head = [c.head for c in x.hpa.classes]
     color = {}
-    for s in sorted(m.top_of, key=lambda c: (key(c), c)):
-        cycle = _find_cycle(x, m.top_of, s, key, color)
+    for s in sorted(m.top_of, key=(
+            lambda c: (len(c), tail[c[0]], head[c[-1]], c)) if internal
+            else lambda c: (len(c), c)):
+        cycle = _find_cycle(x, m.top_of, s, color, internal)
         if cycle:
             return Report([cycle], len(m.top_of))
     return Report([], len(m.top_of))
@@ -260,13 +268,9 @@ def morse_homology(m, ring=RING_Z):
     degrees it lacks, computed on the Morse complex of its resolution with
     the coefficients forgotten: the boundary of a critical tau is the sum of
     cf . target over its terms (cf, l, target, r).  d^2 = 0 is checked
-    symbolically on every cell first.
-
-    m.require_valid() tests acyclicity within (tail, head) strata, and that
-    covers the whole face graph: face 0 moves a cell to a later tail, the top
-    face to an earlier head, middle faces keep both, so a gradient path that
-    leaves a stratum never returns.  Every cycle lies in one stratum (the
-    patchwork theorem, Kozlov, Combinatorial Algebraic Topology, Thm 11.10).
+    symbolically on every cell first.  m.require_valid() tests acyclicity
+    within (tail, head) strata, which covers the whole face graph (see
+    check_acyclic).
     """
     x = m.complex
     if x.truncated:
@@ -400,7 +404,6 @@ def _augment(a, x, pairs):
     is run."""
     top_of = {b: t for t, b in pairs}
     matched = set(top_of) | set(top_of.values())
-    stratum = functools.partial(_stratum, x)
     changed = True
     while changed:
         changed = False
@@ -412,7 +415,7 @@ def _augment(a, x, pairs):
                     if f in matched or _is_arrow_cell(a, f):
                         continue
                     top_of[f] = top
-                    if _find_cycle(x, top_of, f, stratum, {}) is None:
+                    if _find_cycle(x, top_of, f, {}, True) is None:
                         matched.update((top, f))
                         changed = True
                         break
@@ -446,20 +449,22 @@ def babson_hersh_matching(a, complex_=None):
         if shelling is None:
             fallbacks.append(p)
             continue
-        e = a.trivial_class[a.tail(p)]
+        e, p_ = (a.trivial_class[a.tail(p)],), (p,)
         for ch, rj in shelling:
-            free = sorted(set(ch) - rj)  # by canonical word, as ids are
+            # a selection keeps R_j and some free elements (sorted by word,
+            # as ids are); doubling on the toggle, the least, last puts the
+            # bottoms in the first half and their tops in the second
+            free = sorted((v, i) for i, v in enumerate(ch) if v not in rj)
             if not free:
                 continue
-            toggle = free[0]
-            tsets = [frozenset()]
-            for v in free[1:]:
-                tsets += [s | {v} for s in tsets]
-            for t in tsets:
-                top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
-                               for face in (rj | t | {toggle}, rj | t)]
+            sels = [tuple(v in rj for v in ch)]
+            for _, i in free[1:] + free[:1]:
+                sels += [s[:i] + (True,) + s[i + 1:] for s in sels]
+            half = len(sels) // 2
+            for low, high in zip(sels[:half], sels[half:]):
+                top = e + tuple(compress(ch, high)) + p_
                 if top in x.index:
-                    pairs.append((top, bottom))
+                    pairs.append((top, e + tuple(compress(ch, low)) + p_))
 
     if fallbacks:
         by_max = _cells_by_max(x)

@@ -8,6 +8,8 @@ chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
 """
 
+from itertools import compress
+
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
@@ -73,14 +75,14 @@ class CellComplex:
         sign -1 must agree as multisets.  The face identities d_i d_j =
         d_{j-1} d_i (i < j) pair every face of a face with one of opposite
         sign, so a cell that satisfies them all passes; any other cell is
-        decided by comparing the two multisets."""
+        decided by comparing the two multisets.  Faces of faces come from
+        the memo, full at degree k-1 once it is checked, or from faces()."""
         faces = self.faces
+        memo = self._faces
         for k in range(2, self.max_dim + 1):
             for cell in self.cells[k]:
-                sub = [faces(f) for f in faces(cell)]
-                if len(sub) == k + 1 and all(len(fs) == k for fs in sub) \
-                        and all(sub[j][i] == sub[i][j - 1]
-                                for j in range(1, k + 1) for i in range(j)):
+                sub = [memo.get(f) or faces(f) for f in faces(cell)]
+                if _face_identities_hold(sub, k):
                     continue
                 signed = ([], [])
                 for i, fs in enumerate(sub):
@@ -98,6 +100,19 @@ class CellComplex:
                 ' '.join(c.rep.labels) if c.rep.labels else f"e_{c.tail}"
                 for c in self.hpa.classes]
         return '[' + ' < '.join([names[c] for c in cell]) + ']'
+
+
+def _face_identities_hold(sub, k):
+    """d_i d_j = d_{j-1} d_i (i < j) on `sub`, the faces of the faces of a
+    k-cell: k + 1 rows of k, row i the faces of face i."""
+    if list(map(len, sub)) != [k] * (k + 1):
+        return False
+    for j in range(1, k + 1):
+        row = sub[j]
+        for i in range(j):
+            if row[i] != sub[i][j - 1]:
+                return False
+    return True
 
 
 def build_realization(a, max_dim=None):
@@ -158,25 +173,29 @@ def lex_shelling(a, p):
     facet holds are not exactly [R_j, F_j].  Both directions matter: R_j =
     empty with the empty face already seen is how a disjoint union sneaks
     in.  The empty interval gives [((), frozenset())].  Class ids follow
-    the canonical words, so chains of ids sort in that order.  Each class is
-    shelled once; the result is kept on the algebra, like its quotient
-    rows."""
+    the canonical words, so chains of ids sort in that order.  A face is a
+    bit mask, one bit per element in the order of first appearance, and
+    `seen` holds every face of the earlier facets.  Each class is shelled
+    once; the result is kept on the algebra, like its quotient rows."""
     if p in a._shellings:
         return a._shellings[p]
     chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
-    seen = set()  # every face of the earlier facets
+    bit = {}
+    seen = set()
     out = []
     for ch in chains:
-        fj = frozenset(ch)
-        rj = frozenset(v for v in ch if fj - {v} in seen)
-        faces = [frozenset()]
-        for v in ch:
-            faces += [s | {v} for s in faces]
-        if any((rj <= s) == (s in seen) for s in faces):
+        bits = [bit.setdefault(v, 1 << len(bit)) for v in ch]
+        fj = sum(bits)
+        rbits = [fj ^ b in seen for b in bits]
+        rj = sum(compress(bits, rbits))
+        faces = [0]
+        for b in bits:
+            faces += [s | b for s in faces]
+        if any(((s & rj) == rj) == (s in seen) for s in faces):
             out = None
             break
         seen.update(faces)
-        out.append((ch, rj))
+        out.append((ch, frozenset(compress(ch, rbits))))
     a._shellings[p] = out
     return out
 

@@ -190,6 +190,98 @@ def reference_d_squared_degree(complex_):
     return None
 
 
+def reference_lex_shelling(a, p):
+    """Reference for `realization.lex_shelling`, on frozensets: every face
+    of every maximal chain is built as a set, and none is kept between
+    calls."""
+    chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
+    seen = set()  # every face of the earlier facets
+    out = []
+    for ch in chains:
+        fj = frozenset(ch)
+        rj = frozenset(v for v in ch if fj - {v} in seen)
+        faces = [frozenset()]
+        for v in ch:
+            faces += [s | {v} for s in faces]
+        if any((rj <= s) == (s in seen) for s in faces):
+            return None
+        seen.update(faces)
+        out.append((ch, rj))
+    return out
+
+
+def reference_bh_pairs(a, x):
+    """Reference for the pairs `morse.babson_hersh_matching` reads off the
+    shellings: for each facet F_j with restriction set R_j, every face
+    R_j + T + {toggle} matched with R_j + T, the toggle the least free
+    element, T any set of the others, each face sandwiched between e_{t(p)}
+    and p.  Classes that do not shell give no pairs here; on a truncated
+    complex only the pairs whose top x holds are kept."""
+    pairs = []
+    for p in range(len(a.classes)):
+        if a.is_trivial(p):
+            continue
+        shelling = reference_lex_shelling(a, p)
+        if shelling is None:
+            continue
+        e = a.trivial_class[a.tail(p)]
+        for ch, rj in shelling:
+            free = sorted(set(ch) - rj)
+            if not free:
+                continue
+            toggle = free[0]
+            tsets = [frozenset()]
+            for v in free[1:]:
+                tsets += [s | {v} for s in tsets]
+            for t in tsets:
+                top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
+                               for face in (rj | t | {toggle}, rj | t)]
+                if top in x.index:
+                    pairs.append((top, bottom))
+    return pairs
+
+
+def reference_check_acyclic(m):
+    """Reference for `morse.check_acyclic`: depth-first search from each
+    matched bottom, in order of (key, cell), along the faces f of its top
+    with key(f) equal to the bottom's key, where the key is the (dimension,
+    tail, head) stratum for an internal matching and the dimension
+    otherwise.  Returns the same Report: the first cycle closed, as the
+    alternating list bottom, top, ..., bottom."""
+    x, top_of = m.complex, m.top_of
+
+    def key(c):
+        return (len(c), x.tail(c), x.head(c)) if m.internal.ok else len(c)
+
+    def steps(s):
+        return iter([f for f in x.faces(top_of[s])
+                     if f != s and f in top_of and key(f) == key(s)])
+
+    color = {}
+    for start in sorted(top_of, key=lambda c: (key(c), c)):
+        if color.get(start):
+            continue
+        color[start] = 1
+        path = [start]
+        stack = [steps(start)]
+        while stack:
+            for nxt in stack[-1]:
+                state = color.get(nxt, 0)
+                if state == 1:
+                    loop = path[path.index(nxt):]
+                    cycle = [c for s in loop for c in (s, top_of[s])] + [nxt]
+                    return Report([cycle], len(top_of))
+                if state == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append(steps(nxt))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
+    return Report([], len(top_of))
+
+
 def reference_d_squared(c):
     """Reference for `resolution.verify_d_squared`: every coefficient
     product goes through `mult`, trivial factors included."""

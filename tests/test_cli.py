@@ -554,3 +554,22 @@ def test_morse_shells_each_class_once(capsys, monkeypatch, tmp_path):
     code, data = run_json(capsys, 'morse', str(path))
     assert code == 0 and data['quasi_iso']['ok']
     assert len(calls) == sum(not c.is_trivial for c in a.classes)
+
+
+@pytest.mark.parametrize('command', ['check', 'realize', 'homology',
+                                     'resolve', 'morse', 'betti', 'koszul'])
+def test_each_subcommand_checks_cancellation_once(monkeypatch, capsys,
+                                                  command):
+    # the CLI and every library entry point refuse a non-cancellative
+    # algebra; the verdict is kept on the algebra, so A4(x)A4 is checked once
+    from hpa import algebra
+    calls = []
+    check = algebra.check_hpa
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+    monkeypatch.setattr(algebra, 'check_hpa', counted)
+    code, _ = run(capsys, command, str(BENCHMARK_INPUTS / 'a4a4.quiver'))
+    assert code == 0
+    assert len(calls) == 1

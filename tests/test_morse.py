@@ -1,4 +1,5 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Z, ring_fp
 from hpa.algebra import check_hpa
 from hpa.quiver import Quiver
-from hpa.realization import build_realization, cw_chain_complex, homology
+from hpa.realization import (build_realization, cw_chain_complex, homology,
+                             lex_shelling)
 from hpa.resolution import (cellular_resolution, simple_tensor_complex,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
@@ -16,7 +18,9 @@ from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        matching_from_json, morse_homology, _matched_entry)
 
 from conftest import (algebras, free_algebra, gradient_path_counts,
-                      linear_quiver, matching_to_json, words_by_class)
+                      linear_quiver, matching_to_json, reference_bh_pairs,
+                      reference_check_acyclic, reference_lex_shelling,
+                      words_by_class)
 
 
 def _cell(a, tail, *label_seqs):
@@ -54,6 +58,9 @@ def test_acyclicity_cycle_witness():
     rep = check_acyclic(m)
     assert not rep.ok
     cyc = rep.witnesses[0]
+    # the first cycle closed from the least bottom
+    assert cyc == [s_x, t_xy, s_y, t_yz, s_z, t_xz, s_x]
+    assert rep.witnesses == reference_check_acyclic(m).witnesses
     # replayable: alternating bottom/top, closes up
     assert cyc[0] == cyc[-1]
     assert len(cyc) == 7
@@ -78,6 +85,11 @@ def test_internality_witnesses(p2):
     assert any(reason == 'pair changes stratum' for reason, _ in rep.witnesses)
     with pytest.raises(MatchingError):
         morse_complex(c, m)
+
+    # so does the top face, through its head
+    m1 = Matching(x, [(xy, x.faces(xy)[-1])])
+    assert ('pair changes stratum', f"{x.format_cell(xy)} ~ "
+            f"{x.format_cell(x.faces(xy)[-1])}") in check_internal(m1).witnesses
 
     edge = _cell(p2, 'v0', (), ('x',))
     vertex = _cell(p2, 'v0', ())
@@ -322,3 +334,112 @@ def test_morse_homology_refuses_truncation(p2):
     x = build_realization(p2, max_dim=1)
     with pytest.raises(ValueError, match="untruncated"):
         morse_homology(Matching(x, []))
+
+
+def _check_shellings_and_pairs(a, x):
+    """lex_shelling and the Babson-Hersh pairs against their references."""
+    shelled = True
+    for p in range(len(a.classes)):
+        if not a.is_trivial(p):
+            ref = reference_lex_shelling(a, p)
+            assert lex_shelling(a, p) == ref
+            shelled &= ref is not None
+    ref = reference_bh_pairs(a, x)
+    try:
+        m = babson_hersh_matching(a, complex_=x)
+    except MatchingError as err:
+        assert not a.graded
+        if shelled:
+            # the reference pairs are refused the same way
+            with pytest.raises(MatchingError) as ref_err:
+                Matching(x, ref).require_valid()
+            assert str(ref_err.value) == str(err)
+        return None
+    if m.fallback_classes:
+        # coreduction and augmentation add pairs for the other classes
+        assert set(ref) <= set(m.pairs)
+    else:
+        assert m.pairs == sorted(ref)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_shellings_and_pairs_match_references(a):
+    if check_hpa(a).ok:
+        _check_shellings_and_pairs(a, build_realization(a))
+
+
+@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3'])
+def test_shellings_and_pairs_match_references_on_fixtures(request, name):
+    a = request.getfixturevalue(name)
+    x = build_realization(a)
+    m = _check_shellings_and_pairs(a, x)
+    # F1 has the one interval that its lexicographic order does not shell
+    assert bool(m.fallback_classes) == (name == 'f1')
+    assert all(lex_shelling(a, p) is None for p in m.fallback_classes)
+    for max_dim in range(x.max_dim):
+        _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
+
+
+def _random_internal_matching(x, rng):
+    """Tops of dimension >= 2, each with one middle facet that is not an
+    arrow cell, no cell used twice.  Mostly the tops come from the (tail,
+    head) stratum of a random cell of dimension >= 3, since a cycle needs a
+    top with two middle faces and stays in one stratum."""
+    arrows = set(x.hpa.arrow_class.values())
+    tops = [c for k in range(2, x.max_dim + 1) for c in x.cells[k]]
+    if rng.random() < 0.8:
+        c = rng.choice([c for c in tops if len(c) >= 4])
+        tops = [t for t in tops
+                if (x.tail(t), x.head(t)) == (x.tail(c), x.head(c))]
+    tops = rng.sample(tops, rng.randint(1, len(tops)))
+    used = set()
+    pairs = []
+    for top in tops:
+        bottoms = [f for f in x.faces(top)[1:-1] if f not in used
+                   and not (len(f) == 2 and f[1] in arrows)]
+        if top in used or not bottoms:
+            continue
+        bottom = rng.choice(bottoms)
+        used.update((top, bottom))
+        pairs.append((top, bottom))
+    return Matching(x, pairs)
+
+
+@pytest.mark.parametrize('name', ['a4', 'f3', 'p113', 'a3a3'])
+def test_check_acyclic_matches_reference_on_random_matchings(request, name):
+    a = free_algebra(linear_quiver(4)) if name == 'a4' else \
+        request.getfixturevalue(name)
+    x = build_realization(a)
+    rng = random.Random(name)
+    cyclic = 0
+    for _ in range(200):
+        m = _random_internal_matching(x, rng)
+        assert check_internal(m).ok
+        rep, ref = check_acyclic(m), reference_check_acyclic(m)
+        assert (rep.ok, rep.witnesses, rep.checked) == \
+            (ref.ok, ref.witnesses, ref.checked)
+        # the dimension-keyed search, as for a non-internal matching
+        whole = SimpleNamespace(complex=x, top_of=m.top_of,
+                                internal=SimpleNamespace(ok=False))
+        rep, ref = check_acyclic(whole), reference_check_acyclic(whole)
+        assert (rep.ok, rep.witnesses) == (ref.ok, ref.witnesses)
+        cyclic += not rep.ok
+    assert cyclic
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_only_the_middle_faces_keep_the_stratum(a):
+    # what lets check_acyclic step along middle faces only
+    if not check_hpa(a).ok:
+        return
+    x = build_realization(a)
+    for k in range(2, x.max_dim + 1):
+        for cell in x.cells[k]:
+            fs = x.faces(cell)
+            assert x.tail(fs[0]) != x.tail(cell)
+            assert x.head(fs[-1]) != x.head(cell)
+            for f in fs[1:-1]:
+                assert (x.tail(f), x.head(f)) == (x.tail(cell), x.head(cell))

@@ -199,3 +199,26 @@ def test_d_squared_degree_finds_a_corrupted_facet(p2, a3a3):
                 broken = _FacetCorrupted(x, victim, edit)
                 assert broken.d_squared_degree() == k
                 assert reference_d_squared_degree(broken) == k
+
+
+def test_d_squared_degree_finds_swapped_adjacent_faces(p2, a3a3):
+    # adjacent faces enter with opposite signs, so swapping them in the
+    # faces memo breaks both the face identities and the multisets
+    for a in (p2, a3a3):
+        x = build_realization(a)
+        assert x.d_squared_degree() is None
+        for k in range(2, x.max_dim + 1):
+            for victim in x.cells[k][:4]:
+                fs = x._faces[victim]
+                for i in range(k):
+                    fs[i], fs[i + 1] = fs[i + 1], fs[i]
+                    assert x.d_squared_degree() == k
+                    assert reference_d_squared_degree(x) == k
+                    fs[i], fs[i + 1] = fs[i + 1], fs[i]
+        # a 1-cell is checked only through its cofaces: one extra face
+        # leaves the identities intact, but not the multisets
+        edge = x.cells[1][0]
+        x._faces[edge].append(x.cells[0][0])
+        assert x.d_squared_degree() == reference_d_squared_degree(x) == 2
+        x._faces[edge].pop()
+        assert x.d_squared_degree() is None
