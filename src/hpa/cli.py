@@ -125,27 +125,12 @@ def cmd_realize(args):
     return _emit(args, 'realize', payload)
 
 
-def _cw_homology(a, x, ring):
-    """Homology of the realization x through the Morse complex of the
-    Babson-Hersh matching; by elimination over every cell when x is truncated
-    or the matching is refused (MatchingError)."""
-    from .morse import MatchingError, babson_hersh_matching, morse_homology
-    from .realization import cw_chain_complex, homology
-    if not x.truncated:
-        try:
-            m = babson_hersh_matching(a, complex_=x)
-        except MatchingError:
-            pass
-        else:
-            return morse_homology(m, ring)
-    return homology(cw_chain_complex(x, ring=ring))
-
-
 def cmd_homology(args):
+    from .morse import babson_hersh_matching, morse_homology
     from .realization import build_realization, euler_characteristic
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
-    h = _cw_homology(a, x, args.ring)
+    h = morse_homology(babson_hersh_matching(a, complex_=x), args.ring)
     payload = {'ring': ring_name(args.ring),
                'homology': _homology_json(h),
                'euler': euler_characteristic(x),

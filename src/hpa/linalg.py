@@ -30,22 +30,10 @@ def _swap_cols(M, i, j):
 
 
 class SparseMat:
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}  # (i, j) -> nonzero int
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
+    """entries maps (row, column) to a nonzero int."""
 
-    def __setitem__(self, key, v):
-        if v:
-            self.entries[key] = v
-        else:
-            self.entries.pop(key, None)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
+    def __init__(self, entries=()):
+        self.entries = dict(entries)
 
     def nnz(self):
         return len(self.entries)

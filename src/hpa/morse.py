@@ -264,17 +264,17 @@ def morse_complex(c, m):
 
 
 def morse_homology(m, ring=RING_Z):
-    """homology() of the untruncated complex m.complex, with (0, []) in the
-    degrees it lacks, computed on the Morse complex of its resolution with
-    the coefficients forgotten: the boundary of a critical tau is the sum of
-    cf . target over its terms (cf, l, target, r).  d^2 = 0 is checked
-    symbolically on every cell first.  m.require_valid() tests acyclicity
-    within (tail, head) strata, which covers the whole face graph (see
-    check_acyclic).
+    """homology() of the complex m.complex, with (0, []) in the degrees it
+    lacks, computed on the Morse complex of its resolution with the
+    coefficients forgotten: the boundary of a critical tau is the sum of
+    cf . target over its terms (cf, l, target, r).  A complex truncated by
+    max_dim reports only the degrees below its cap, as elimination does:
+    there it has the homology of the whole realization.  d^2 = 0 is checked
+    symbolically on every cell first.  m.require_valid()
+    tests acyclicity within (tail, head) strata, which covers the whole face
+    graph (see check_acyclic).
     """
     x = m.complex
-    if x.truncated:
-        raise ValueError("the Morse path needs an untruncated realization")
     bad = x.d_squared_degree()
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
@@ -282,7 +282,7 @@ def morse_homology(m, ring=RING_Z):
     h = homology(chain_complex(
         mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
         ring))
-    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1)}
+    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
 
 
 def _critical_cells(x, m):
@@ -339,9 +339,13 @@ def _cells_by_max(x):
 
 
 def _greedy_on_cells(x, cells):
-    """Coreduction on a family of cells closed under 'shares max element':
-    repeatedly match a bottom with its only available coface via a middle
-    face; when stuck, set aside one cell as critical."""
+    """Coreduction on the cells that share one max element p: repeatedly
+    match a bottom with its only available coface via a middle face; when
+    stuck, set aside one cell as critical.  When p is the class of an arrow
+    the 1-cell [e < p] is left out, so it stays unmatched: in an ungraded
+    algebra it can be a middle face of a longer chain."""
+    if cells and 1 in x.hpa.classes[cells[0][-1]].lengths:
+        cells = [c for c in cells if len(c) > 2]
     available = set(cells)
     middle = {}
     cofaces = {}
@@ -386,8 +390,9 @@ def _greedy_on_cells(x, cells):
 def greedy_internal_matching(a, complex_=None):
     """Internal acyclic matching by coreduction, stratified by the maximal
     chain element (pairs always share it), then augmented to be maximal by
-    inclusion.  Raises MatchingError when the result is not internal: in an
-    ungraded algebra coreduction can pair an arrow cell."""
+    inclusion.  Arrow cells stay unmatched, so the result is internal on
+    ungraded algebras too; internality and acyclicity are still checked
+    (MatchingError)."""
     require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
     pairs = []
@@ -432,9 +437,12 @@ def babson_hersh_matching(a, complex_=None):
     first facet — that reproduces the extra pairing [e < p] ~ [e < t < p]
     with t the lexicographically least toggle; a facet with R_j = F_j stays
     critical.  Interval faces lift to cells by sandwiching between e_{t(p)}
-    and p.  A class whose interval that order does not shell falls back to
-    greedy coreduction on its own cells.  On a truncated complex only the
-    pairs whose top cell it holds are kept.  Internality and acyclicity of
+    and p.  When p is the class of an arrow (an ungraded algebra can also
+    reach it by a longer path) the empty face keeps no pair, so the arrow
+    cell [e < p] stays unmatched.  A class whose interval that order does
+    not shell falls back to greedy coreduction on its own cells.  On a
+    truncated complex only the pairs whose top cell it holds are kept; they
+    still form an acyclic matching of it.  Internality and acyclicity of
     the result are checked, not assumed (MatchingError).
     """
     require_cancellative(a)
@@ -450,6 +458,7 @@ def babson_hersh_matching(a, complex_=None):
             fallbacks.append(p)
             continue
         e, p_ = (a.trivial_class[a.tail(p)],), (p,)
+        arrow = 1 in a.classes[p].lengths
         for ch, rj in shelling:
             # a selection keeps R_j and some free elements (sorted by word,
             # as ids are); doubling on the toggle, the least, last puts the
@@ -461,7 +470,9 @@ def babson_hersh_matching(a, complex_=None):
             for _, i in free[1:] + free[:1]:
                 sels += [s[:i] + (True,) + s[i + 1:] for s in sels]
             half = len(sels) // 2
-            for low, high in zip(sels[:half], sels[half:]):
+            # with R_j empty the first bottom is the empty face, [e < p]
+            skip = arrow and not rj
+            for low, high in zip(sels[skip:half], sels[half + skip:]):
                 top = e + tuple(compress(ch, high)) + p_
                 if top in x.index:
                     pairs.append((top, e + tuple(compress(ch, low)) + p_))
@@ -515,19 +526,30 @@ def check_linear(mc):
 # Fixture serialization
 
 
-def _field(data, key):
+def _field(data, key, valid, what):
+    """data[key], refused with MatchingFileError when it is missing or
+    valid(data[key]) is false; `what` says what it should be."""
     try:
-        return data[key]
+        value = data[key]
     except (KeyError, TypeError):
         raise MatchingFileError(f"matching file: missing {key!r}") from None
+    if not valid(value):
+        raise MatchingFileError(f"matching file: {key!r} must be {what}")
+    return value
 
 
-def _cell_from_json(x, data):
+def _is_chain(value):
+    return isinstance(value, list) and value and all(
+        isinstance(labels, list) and all(isinstance(l, str) for l in labels)
+        for labels in value)
+
+
+def _cell_from_json(x, item, key):
     a = x.hpa
-    tail = _field(data, 'tail')
-    chain = _field(data, 'chain')
-    if not chain:
-        raise MatchingError("empty chain")
+    data = _field(item, key, lambda v: isinstance(v, dict), 'an object')
+    tail = _field(data, 'tail', lambda v: isinstance(v, str), 'a vertex name')
+    chain = _field(data, 'chain', _is_chain,
+                   'a nonempty list of label lists')
     classes = []
     for labels in chain:
         w = a.quiver.word(tail, tuple(labels))
@@ -550,10 +572,10 @@ def matching_from_json(data, complex_):
     first entry (they are rebased to canonical cells).  Identical pairs
     collapse to one; the same cell in two different pairs is an error."""
     raw = []
-    for item in _field(data, 'pairs'):
-        top = _cell_from_json(complex_, _field(item, 'top'))
-        bottom = _cell_from_json(complex_, _field(item, 'bottom'))
-        raw.append((top, bottom))
+    for item in _field(data, 'pairs', lambda v: isinstance(v, list),
+                       'a list'):
+        raw.append((_cell_from_json(complex_, item, 'top'),
+                    _cell_from_json(complex_, item, 'bottom')))
     dedup = sorted(set(raw))
     return Matching(complex_, dedup)
 

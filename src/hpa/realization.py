@@ -246,7 +246,7 @@ def chain_complex(cells, boundary, ring, truncated=False):
     d = [None]
     for k in range(1, len(cells)):
         index = {cell: i for i, cell in enumerate(cells[k - 1])}
-        mat = SparseMat(len(cells[k - 1]), len(cells[k]))
+        mat = SparseMat()
         for j, cell in enumerate(cells[k]):
             for coef, face in boundary(cell):
                 accumulate(mat.entries, (index[face], j), coef)

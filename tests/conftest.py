@@ -215,8 +215,10 @@ def reference_bh_pairs(a, x):
     shellings: for each facet F_j with restriction set R_j, every face
     R_j + T + {toggle} matched with R_j + T, the toggle the least free
     element, T any set of the others, each face sandwiched between e_{t(p)}
-    and p.  Classes that do not shell give no pairs here; on a truncated
-    complex only the pairs whose top x holds are kept."""
+    and p.  The pair whose bottom is an arrow cell [e < p] is left out.
+    Classes that do not shell give no pairs here; on a truncated complex
+    only the pairs whose top x holds are kept."""
+    arrows = set(a.arrow_class.values())
     pairs = []
     for p in range(len(a.classes)):
         if a.is_trivial(p):
@@ -236,7 +238,7 @@ def reference_bh_pairs(a, x):
             for t in tsets:
                 top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
                                for face in (rj | t | {toggle}, rj | t)]
-                if top in x.index:
+                if top in x.index and not (len(bottom) == 2 and p in arrows):
                     pairs.append((top, bottom))
     return pairs
 

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,9 +10,10 @@ import pytest
 
 from hpa import FP_LIMIT, parse_ring
 from hpa.cli import main, _load, _schema
+from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.realization import build_realization
 
-from conftest import free_algebra, linear_quiver
+from conftest import free_algebra, linear_quiver, matching_to_json
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
@@ -205,6 +208,14 @@ CELL = {'tail': 'v0', 'chain': [[]]}
     {'pairs': [{'top': CELL}]},
     {'pairs': [{'top': {'chain': [[], ['x']]}, 'bottom': CELL}]},
     {'pairs': [{'top': {'tail': 'v0'}, 'bottom': CELL}]},
+    {'pairs': 5},
+    {'pairs': [5]},
+    {'pairs': [{'top': 5, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': 'v0', 'chain': [[], 5]}, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': 'v0', 'chain': [[], [1]]}, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': 'v0', 'chain': 'x'}, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': ['v0'], 'chain': [[]]}, 'bottom': CELL}]},
+    {'pairs': [{'top': {'tail': 'v0', 'chain': []}, 'bottom': CELL}]},
 ])
 def test_morse_refuses_malformed_matching_file(capsys, tmp_path, doc):
     p = tmp_path / 'bad_matching.json'
@@ -213,8 +224,24 @@ def test_morse_refuses_malformed_matching_file(capsys, tmp_path, doc):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ''
-    assert err.startswith('error: matching file: missing ')
-    assert err.count('\n') == 1
+    assert re.fullmatch(
+        r"error: matching file: (missing '\w+'|'\w+' must be [\w ]+)\n", err)
+
+
+@pytest.mark.parametrize('top, message', [
+    ({'tail': 'v0', 'chain': [[], ['q']]}, "unknown arrow label 'q'"),
+    ({'tail': 'v9', 'chain': [[]]}, "unknown vertex 'v9'"),
+    ({'tail': 'v0', 'chain': [[], ['x'], ['x']]},
+     'not a cell of the realization'),
+])
+def test_morse_refuses_a_matching_file_naming_no_cell(capsys, tmp_path, top,
+                                                      message):
+    # well formed, but not a cell of the algebra: a mathematical failure
+    p = tmp_path / 'bad_matching.json'
+    p.write_text(json.dumps({'pairs': [{'top': top, 'bottom': CELL}]}))
+    assert main(['morse', P2, '--matching', str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == '' and message in err and err.count('\n') == 1
 
 
 def test_betti_csv(capsys, tmp_path):
@@ -352,6 +379,22 @@ def test_console_script():
     assert json.loads(proc.stdout)['homology']['1'] == [2, []]
 
 
+@pytest.mark.parametrize('argv', [
+    ['morse', F1], ['morse', F3, '--matching', 'greedy'], ['koszul', F3]])
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    # same input and flags, byte-identical report, however str hashes
+    src = str(FIXTURES.parent / 'src')
+    outs = set()
+    for seed in ('0', '1'):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get('PYTHONPATH', '')]))
+        proc = subprocess.run([sys.executable, '-m', 'hpa.cli', *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+
+
 def test_non_cancellative_refused(capsys, tmp_path):
     doc = ("vertices: u m v\n"
            "arrows:\n  x: u -> m\n  y: u -> m\n  z: m -> v\n"
@@ -381,29 +424,45 @@ UNGRADED = ("vertices: u m v w\n"
             "relations:\n  x = s t\n")
 
 
+ARROW_PAIR = {'top': {'tail': 'u', 'chain': [[], ['s'], ['s', 't']]},
+              'bottom': {'tail': 'u', 'chain': [[], ['x']]}}
+
+
 @pytest.mark.parametrize('matching', ['bh', 'greedy'])
 def test_morse_refuses_matching_of_arrow_cell(capsys, tmp_path, matching):
-    # cancellative but ungraded: both constructions pair the arrow cell
-    # [e_u < s t] with [e_u < s < s t], which is not internal
+    # cancellative but ungraded: the arrow cell [e_u < x] = [e_u < s t] is
+    # the middle face of [e_u < s < s t].  Both constructions leave it
+    # unmatched; a matching file that adds that pair is refused
     p = tmp_path / 'ungraded.quiver'
     p.write_text(UNGRADED)
-    assert main(['check', str(p)]) == 0
-    capsys.readouterr()
-    assert main(['morse', str(p), '--matching', matching]) == 1
-    out, err = capsys.readouterr()
-    assert out == ''
-    assert err == ("error: matching not internal: "
-                   "('arrow cell matched', '[e_u < s t]')\n")
+    code, data = run_json(capsys, 'morse', str(p), '--matching', matching)
+    assert code == 0
+    assert data['internal']['ok'] and data['acyclic']['ok']
+    assert data['quasi_iso']['ok'] and data['d_squared']['ok']
+    build = {'bh': babson_hersh_matching,
+             'greedy': greedy_internal_matching}[matching]
+    m = build(_load(str(p)))
+    f = tmp_path / 'arrow.json'
+    f.write_text(json.dumps({'pairs': matching_to_json(m)['pairs']
+                             + [ARROW_PAIR]}))
+    code, data = run_json(capsys, 'morse', str(p), '--matching', str(f))
+    assert code == 1
+    assert data['internal']['witnesses'] == [
+        ['arrow cell matched', '[e_u < s t]']]
+    assert data['criticals'] is None
 
 
 def test_morse_refusal_survives_optimized_python(tmp_path):
     p = tmp_path / 'ungraded.quiver'
     p.write_text(UNGRADED)
+    f = tmp_path / 'arrow.json'
+    f.write_text(json.dumps({'pairs': [ARROW_PAIR]}))
     proc = subprocess.run([sys.executable, '-O', '-m', 'hpa.cli', 'morse',
-                           str(p)], capture_output=True, text=True)
+                           str(p), '--matching', str(f)],
+                          capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stdout == ''
-    assert proc.stderr.startswith('error: matching not internal')
+    data = json.loads(proc.stdout)
+    assert not data['internal']['ok'] and data['criticals'] is None
 
 
 @pytest.mark.parametrize('name, matching', [('p2', 'bh'), ('p2', 'greedy'),
@@ -469,9 +528,10 @@ def test_homology_takes_the_morse_path(monkeypatch, capsys, ring):
 
 
 @pytest.mark.parametrize('ungraded, max_dim', [(False, 1), (True, None)])
-def test_homology_falls_back_to_elimination(monkeypatch, capsys, tmp_path,
-                                            ungraded, max_dim):
-    # a truncated realization, or a matching refused on an ungraded algebra
+def test_homology_has_one_route(monkeypatch, capsys, tmp_path, ungraded,
+                                max_dim):
+    # a truncated realization and an ungraded algebra take the Morse path
+    # too, and agree with elimination over every cell
     path = F3
     if ungraded:
         path = str(tmp_path / 'ungraded.quiver')
@@ -481,7 +541,7 @@ def test_homology_falls_back_to_elimination(monkeypatch, capsys, tmp_path,
         argv += ['--max-dim', str(max_dim)]
     calls = _homology_paths(monkeypatch)
     code, data = run_json(capsys, *argv)
-    assert code == 0 and calls == ['cw_chain_complex']
+    assert code == 0 and calls == ['morse_homology']
     assert data['homology'] == _elimination_homology(path, 'Z', max_dim)
 
 

@@ -95,11 +95,8 @@ def test_snf_diagonal_of_a_dense_core_is_fast():
 
 
 def _sparse(dense):
-    m = SparseMat(len(dense), len(dense[0]) if dense else 0)
-    for i, row in enumerate(dense):
-        for j, v in enumerate(row):
-            m[i, j] = v
-    return m
+    return SparseMat({(i, j): v for i, row in enumerate(dense)
+                      for j, v in enumerate(row) if v})
 
 
 def test_invariant_factors_sparse_matches_dense():

@@ -121,8 +121,8 @@ def test_truncation(p2):
 
 
 def test_d_squared_abort():
-    d1 = SparseMat(1, 1, {(0, 0): 1})
-    d2 = SparseMat(1, 1, {(0, 0): 1})
+    d1 = SparseMat({(0, 0): 1})
+    d2 = SparseMat({(0, 0): 1})
     chain = ChainComplex([1, 1, 1], [None, d1, d2], RING_Z)
     with pytest.raises(ValueError, match="degree 2"):
         homology(chain)

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from hpa.algebra import check_hpa, from_document
 from hpa.dsl import emit_quiver
 from hpa.realization import build_realization, cw_chain_complex, homology
 from hpa.invariants import koszul_check, betti_table
+from hpa.morse import babson_hersh_matching, morse_homology
 
 from conftest import words_by_class
 
@@ -201,6 +203,31 @@ def test_bondal_ruan_p113():
     h = homology(cw_chain_complex(x))
     assert h[0] == (1, []) and h[1] == (2, []) and h[2] == (1, [])
     assert all(h[k] == (0, []) for k in h if k >= 3)
+
+
+TWO_ROW = [
+    [[1, 0, 1, 1], [0, 1, 0, 1]],  # F1
+    [[1, 0, 1, 2], [0, 1, 0, 1]],  # F2
+    [[1, 0, 1, 3], [0, 1, 0, 1]],  # F3
+    [[1, 1, 0, 0], [0, 0, 1, 1]],  # P^1 x P^1
+    [[1, 1, 1, 0], [0, 0, 1, 1]],
+    [[1, 0, 1, 1, 1], [0, 1, 0, 1, 2]],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 3), min_size=2, max_size=4).map(lambda r: [r]),
+    st.sampled_from(TWO_ROW)))
+def test_bondal_ruan_realization_is_a_torus(rows):
+    # n columns of free rank r: the homology of T^(n-r), binomial ranks and
+    # no torsion
+    w = WeightData(rows)
+    a = bondal_ruan_hpa(w)
+    h = morse_homology(babson_hersh_matching(a))
+    n = w.ncols - w.r
+    assert len(h) > n
+    assert h == {k: (math.comb(n, k), []) for k in h}
 
 
 def test_bondal_ruan_f1_not_koszul():
