@@ -120,8 +120,7 @@ def cmd_realize(args):
     payload = {'counts': x.counts(),
                'euler': euler_characteristic(x),
                'truncated': x.truncated,
-               'cells': [[x.format_cell(c) for c in cells]
-                         for cells in x.cells]}
+               'cells': x.cell_names()}
     return _emit(args, 'realize', payload)
 
 
@@ -325,33 +324,21 @@ def build_parser():
     p.add_argument('--version', action='version', version=__version__)
     subs = p.add_subparsers(dest='command', required=True)
 
-    s = subs.add_parser('check', help='validate the cancellation axioms')
-    _add_common(s)
-    s.set_defaults(func=cmd_check)
-
-    s = subs.add_parser('realize', help='build the cell complex')
-    _add_common(s, max_dim=True)
-    s.set_defaults(func=cmd_realize)
-
-    s = subs.add_parser('homology', help='cellular homology of the realization')
-    _add_common(s, ring=True, max_dim=True)
-    s.set_defaults(func=cmd_homology)
-
-    s = subs.add_parser('resolve', help='cellular bimodule resolution checks')
-    _add_common(s, max_dim=True)
-    s.set_defaults(func=cmd_resolve)
-
-    s = subs.add_parser('morse', help='Morse complex of an internal matching')
-    _add_common(s, ring=True, max_dim=True, matching=True)
-    s.set_defaults(func=cmd_morse)
-
-    s = subs.add_parser('betti', help='Betti table Tor_i(S_v, S_w)')
-    _add_common(s)
-    s.set_defaults(func=cmd_betti)
-
-    s = subs.add_parser('koszul', help='Koszulity verdict with certificate')
-    _add_common(s)
-    s.set_defaults(func=cmd_koszul)
+    for name, func, text, options in [
+            ('check', cmd_check, 'validate the cancellation axioms', {}),
+            ('realize', cmd_realize, 'build the cell complex',
+             {'max_dim': True}),
+            ('homology', cmd_homology, 'cellular homology of the realization',
+             {'ring': True, 'max_dim': True}),
+            ('resolve', cmd_resolve, 'cellular bimodule resolution checks',
+             {'max_dim': True}),
+            ('morse', cmd_morse, 'Morse complex of an internal matching',
+             {'ring': True, 'max_dim': True, 'matching': True}),
+            ('betti', cmd_betti, 'Betti table Tor_i(S_v, S_w)', {}),
+            ('koszul', cmd_koszul, 'Koszulity verdict with certificate', {})]:
+        s = subs.add_parser(name, help=text)
+        _add_common(s, **options)
+        s.set_defaults(func=func)
 
     s = subs.add_parser('toric', help='toric HPAs from weight data')
     s.add_argument('--weights', required=True,

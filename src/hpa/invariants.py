@@ -306,8 +306,8 @@ def koszul_check(a):
         cell, tgt, ll, lr = lin.witnesses[0]
         return KoszulVerdict(
             'not-koszul', 'minimal-nonlinear',
-            {'cell': mc.matching.complex.format_cell(cell),
-             'target': mc.matching.complex.format_cell(tgt),
+            {'cell': mc.complex.format_cell(cell),
+             'target': mc.complex.format_cell(tgt),
              'coefficient_lengths': [ll, lr]})
     return KoszulVerdict('unknown', None,
                          {'reason': 'no minimal Morse complex found'})

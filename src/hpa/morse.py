@@ -3,17 +3,19 @@ bimodule resolution, and through it of the cellular chain complex.
 
 A matching pairs k-cells with (k-1)-facets.  Internality (no cell from Q_0 or
 Q_1 matched, matched pairs share tail and head) forces every matched facet to
-be a middle face (see check_acyclic).  Middle faces carry trivial
-coefficients and incidence +-1, which is what lets the pairs be cancelled.
+be a middle face (see check_acyclic), with trivial coefficients and
+incidence +-1, which is what lets the pairs be cancelled.
 
 Gradient flow: a non-critical bottom sigma matched with top tau satisfies
 0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
--eps^{-1} sum s_f . l_f [f] r_f and the rewriting is iterated; acyclicity
-makes the recursion well founded.  The Morse differential of a critical cell
-composes its boundary terms with these flows.  The cellular chains are the
-resolution with its coefficients forgotten (l (x) cell (x) r to cell), so
-the Morse complex of the realization is that of the resolution read the
-same way (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
+-eps^{-1} sum s_f . l_f [f] r_f, iterated; acyclicity makes the recursion
+well founded.  The Morse differential of a critical cell composes its
+boundary terms with these flows.  Forgetting coefficients (l (x) cell (x) r
+to cell) turns the resolution into the cellular chains, and its Morse
+complex into theirs (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
+
+Cells are the int ids of the realization; cells of several dimensions are
+put in the order of their chains (`x.chain`), the order of the reports.
 """
 
 import json
@@ -37,18 +39,18 @@ class MatchingFileError(UsageError):
 
 
 class Matching:
-    """A set of (top, bottom) cell pairs, bottom a facet of top, no cell used
-    twice.  Holds a reference to the complex it lives on, and the reports of
-    check_internal and check_acyclic, run once here, as `internal` and
-    `acyclic`."""
+    """A set of (top, bottom) cell pairs of `complex`, bottom a facet of top,
+    no cell used twice; `internal` and `acyclic` hold the reports of
+    check_internal and check_acyclic, run once here."""
 
     def __init__(self, complex_, pairs):
         self.complex = complex_
+        n = len(complex_.last)
         seen = set()
         norm = []
         for top, bottom in pairs:
             for cell in (top, bottom):
-                if cell not in complex_.index:
+                if not (isinstance(cell, int) and 0 <= cell < n):
                     raise MatchingError(f"unknown cell {cell}")
             if bottom not in complex_.faces(top):
                 raise MatchingError(
@@ -60,7 +62,7 @@ class Matching:
                         f"cell {complex_.format_cell(cell)} matched twice")
                 seen.add(cell)
             norm.append((top, bottom))
-        self.pairs = sorted(norm)
+        self.pairs = sorted(norm, key=lambda pair: complex_.chain(pair[0]))
         self.top_of = {b: t for t, b in self.pairs}
         self.bottom_of = {t: b for t, b in self.pairs}
         self.cells = seen
@@ -83,27 +85,25 @@ class Matching:
         return self
 
 
-def _is_arrow_cell(hpa, cell):
+def _is_arrow_cell(x, cell):
     """1-cell [e_v < p] with p the class of an arrow (of length 1)."""
-    return len(cell) == 2 and 1 in hpa.classes[cell[1]].lengths
+    return 1 in x.hpa.classes[x.last[cell]].lengths and x.dim(cell) == 1
 
 
 def check_internal(m):
     """Internality: no Q_0 or Q_1 cell matched; pairs share tail and head.
-    A witness is (reason, formatted cell or pair).  Tails compare by the
-    first entry of a cell, the trivial class of its tail."""
+    A witness is (reason, formatted cell or pair)."""
     x = m.complex
-    head = [c.head for c in x.hpa.classes]
+    last, parent = x.last, x.parent
+    stratum = [(c.tail, c.head) for c in x.hpa.classes]
     witnesses = []
     for top, bottom in m.pairs:
         for cell in (top, bottom):
-            if len(cell) == 1:
-                witnesses.append(
-                    ('vertex cell matched', x.format_cell(cell)))
-            elif _is_arrow_cell(x.hpa, cell):
-                witnesses.append(
-                    ('arrow cell matched', x.format_cell(cell)))
-        if top[0] != bottom[0] or head[top[-1]] != head[bottom[-1]]:
+            if parent[cell] < 0:
+                witnesses.append(('vertex cell matched', x.format_cell(cell)))
+            elif _is_arrow_cell(x, cell):
+                witnesses.append(('arrow cell matched', x.format_cell(cell)))
+        if stratum[last[top]] != stratum[last[bottom]]:
             witnesses.append(
                 ('pair changes stratum',
                  f"{x.format_cell(top)} ~ {x.format_cell(bottom)}"))
@@ -116,13 +116,13 @@ def _find_cycle(x, top_of, start, color, middle):
     that is a matched bottom.  `color` marks cells on the current path (1)
     or done (2) and carries over between calls.  Returns the first cycle
     closed, as the alternating list bottom, top, ..., bottom, or None."""
+    if color.get(start):
+        return None
+
     def steps(s):
         fs = x.faces(top_of[s])
         return iter([f for f in (fs[1:-1] if middle else fs)
                      if f != s and f in top_of])
-
-    if color.get(start):
-        return None
     color[start] = 1
     path = [start]
     stack = [steps(start)]
@@ -149,25 +149,21 @@ def check_acyclic(m):
     A directed cycle alternates matched-up and facet-down steps, so it only
     visits matched bottoms of one dimension.  The search starts from them in
     order of (dimension, tail, head, cell) for an internal matching (read
-    from m.internal), of (dimension, cell) otherwise.  An internal top has
-    dimension >= 2, since no vertex cell is matched, and the quiver is
-    acyclic, so face 0 of (e, p_1, ..., p_k) starts at head(p_1) !=
-    tail(p_1) and its top face ends at head(p_{k-1}) != head(p_k), while
-    the middle faces keep e and p_k: the faces of a top in its (tail, head)
-    stratum are exactly faces(top)[1:-1], and only those are searched.
-    That covers the whole face graph, since tails only move later and heads
-    earlier along faces, so a path that leaves a stratum never returns
-    (the patchwork theorem, Kozlov, Combinatorial Algebraic Topology, Thm
-    11.10).  The witness is a replayable alternating cycle.
+    from m.internal), of the ids, which run by dimension, otherwise.  As the
+    quiver is acyclic, face 0 of an internal top (e, p_1, ..., p_k), k >= 2,
+    leaves its tail and its top face its head, while the middle faces keep
+    both: only faces(top)[1:-1] are searched.  That covers the whole face
+    graph, since a path that leaves a stratum never returns (the patchwork
+    theorem, Kozlov, Combinatorial Algebraic Topology, Thm 11.10).  The
+    witness is a replayable alternating cycle.
     """
     x = m.complex
     internal = m.internal.ok
-    tail = [c.tail for c in x.hpa.classes]
-    head = [c.head for c in x.hpa.classes]
+    dim, last = x.dim, x.last
+    stratum = [(c.tail, c.head) for c in x.hpa.classes]
     color = {}
     for s in sorted(m.top_of, key=(
-            lambda c: (len(c), tail[c[0]], head[c[-1]], c)) if internal
-            else lambda c: (len(c), c)):
+            lambda c: (dim(c), stratum[last[c]], c)) if internal else None):
         cycle = _find_cycle(x, m.top_of, s, color, internal)
         if cycle:
             return Report([cycle], len(m.top_of))
@@ -178,30 +174,17 @@ def check_acyclic(m):
 # Morse complex
 
 
-class MorseComplex:
-    """Critical cells with the gradient-path differential; exposes the same
-    generators/terms interface as BimoduleComplex."""
+class MorseComplex(BimoduleComplex):
+    """Critical cells of the complex x with the gradient-path differential,
+    a bimodule complex on the critical cells alone."""
 
-    def __init__(self, hpa, cells_by_dim, terms, matching):
-        self.hpa = hpa
+    def __init__(self, hpa, cells_by_dim, terms, x):
+        super().__init__(hpa, x)
         self.cells = cells_by_dim
-        self._terms = terms
-        self.matching = matching
-
-    @property
-    def top(self):
-        return len(self.cells) - 1
-
-    def generators(self, k):
-        if 0 <= k <= self.top:
-            return self.cells[k]
-        return []
+        self._diff = terms
 
     def terms(self, cell):
-        return self._terms.get(cell, [])
-
-    def counts(self):
-        return [len(cs) for cs in self.cells]
+        return self._diff.get(cell, [])
 
 
 def _matched_entry(boundary, top, bottom, sign_of):
@@ -260,7 +243,7 @@ def morse_complex(c, m):
                           for (l, tgt, r), cf in sorted(acc.items())]
     while critical and not critical[-1]:
         critical.pop()
-    return MorseComplex(a, critical, terms, m)
+    return MorseComplex(a, critical, terms, x)
 
 
 def morse_homology(m, ring=RING_Z):
@@ -268,12 +251,8 @@ def morse_homology(m, ring=RING_Z):
     lacks, computed on the Morse complex of its resolution with the
     coefficients forgotten: the boundary of a critical tau is the sum of
     cf . target over its terms (cf, l, target, r).  A complex truncated by
-    max_dim reports only the degrees below its cap, as elimination does:
-    there it has the homology of the whole realization.  d^2 = 0 is checked
-    symbolically on every cell first.  m.require_valid()
-    tests acyclicity within (tail, head) strata, which covers the whole face
-    graph (see check_acyclic).
-    """
+    max_dim reports only the degrees below its cap, as elimination does.
+    d^2 = 0 is checked symbolically on every cell first."""
     x = m.complex
     bad = x.d_squared_degree()
     if bad is not None:
@@ -330,11 +309,10 @@ def _gradient_flow(boundary, m, critical_flow, matched_flow):
 
 
 def _cells_by_max(x):
-    """{p: the cells of dimension >= 1 whose chain ends at p}."""
+    """{p: the cells of dimension >= 1 whose chain ends at p}, by id."""
     out = {}
-    for k in range(1, x.max_dim + 1):
-        for cell in x.cells[k]:
-            out.setdefault(cell[-1], []).append(cell)
+    for cell in range(len(x.cells[0]), len(x.last)):
+        out.setdefault(x.last[cell], []).append(cell)
     return out
 
 
@@ -344,14 +322,14 @@ def _greedy_on_cells(x, cells):
     stuck, set aside one cell as critical.  When p is the class of an arrow
     the 1-cell [e < p] is left out, so it stays unmatched: in an ungraded
     algebra it can be a middle face of a longer chain."""
-    if cells and 1 in x.hpa.classes[cells[0][-1]].lengths:
-        cells = [c for c in cells if len(c) > 2]
+    if cells and 1 in x.hpa.classes[x.last[cells[0]]].lengths:
+        cells = [c for c in cells if x.dim(c) > 1]
     available = set(cells)
     middle = {}
     cofaces = {}
     for cell in cells:
-        if len(cell) >= 3:
-            ms = x.faces(cell)[1:-1]
+        ms = x.faces(cell)[1:-1]
+        if ms:
             middle[cell] = ms
             for f in ms:
                 cofaces.setdefault(f, []).append(cell)
@@ -359,7 +337,7 @@ def _greedy_on_cells(x, cells):
              for cell in cells}
 
     pairs = []
-    queue = deque(sorted(c for c in cells if count[c] == 1))
+    queue = deque(sorted((c for c in cells if count[c] == 1), key=x.chain))
 
     def remove(cell):
         available.discard(cell)
@@ -382,8 +360,9 @@ def _greedy_on_cells(x, cells):
             remove(s)
             remove(t)
         if available:
-            # deterministically give up on one cell (it stays critical)
-            remove(min(available, key=lambda cell: (len(cell), cell)))
+            # deterministically give up on one cell (it stays critical):
+            # the least by (dimension, chain), which is the least id
+            remove(min(available))
     return pairs
 
 
@@ -417,7 +396,7 @@ def _augment(a, x, pairs):
                 if top in matched:
                     continue
                 for f in x.faces(top)[1:-1]:
-                    if f in matched or _is_arrow_cell(a, f):
+                    if f in matched or _is_arrow_cell(x, f):
                         continue
                     top_of[f] = top
                     if _find_cycle(x, top_of, f, {}, True) is None:
@@ -432,18 +411,15 @@ def babson_hersh_matching(a, complex_=None):
     """Lexicographic interval matching.
 
     For each nontrivial class p, the restriction sets R_j of the shelling
-    `lex_shelling(a, p)` yield a perfect matching on the non-critical faces
-    of the interval (e_{t(p)}, p), with the empty face matched into the
-    first facet — that reproduces the extra pairing [e < p] ~ [e < t < p]
-    with t the lexicographically least toggle; a facet with R_j = F_j stays
-    critical.  Interval faces lift to cells by sandwiching between e_{t(p)}
-    and p.  When p is the class of an arrow (an ungraded algebra can also
-    reach it by a longer path) the empty face keeps no pair, so the arrow
-    cell [e < p] stays unmatched.  A class whose interval that order does
-    not shell falls back to greedy coreduction on its own cells.  On a
-    truncated complex only the pairs whose top cell it holds are kept; they
-    still form an acyclic matching of it.  Internality and acyclicity of
-    the result are checked, not assumed (MatchingError).
+    `lex_shelling(a, p)` match the non-critical faces of the interval
+    (e_{t(p)}, p) perfectly, the empty face into the first facet ([e < p] ~
+    [e < t < p], t the least toggle); a facet with R_j = F_j stays critical.
+    Faces lift to cells between e_{t(p)} and p.  For the class of an arrow
+    (an ungraded algebra reaches it by longer paths too) the empty face
+    keeps no pair, so the arrow cell stays unmatched.  A class that order
+    does not shell falls back to greedy coreduction on its own cells.  A
+    truncated complex keeps the pairs whose top it holds, still an acyclic
+    matching of it.  Internality and acyclicity are checked (MatchingError).
     """
     require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
@@ -457,7 +433,7 @@ def babson_hersh_matching(a, complex_=None):
         if shelling is None:
             fallbacks.append(p)
             continue
-        e, p_ = (a.trivial_class[a.tail(p)],), (p,)
+        root = x.vertex[a.tail(p)]
         arrow = 1 in a.classes[p].lengths
         for ch, rj in shelling:
             # a selection keeps R_j and some free elements (sorted by word,
@@ -473,9 +449,9 @@ def babson_hersh_matching(a, complex_=None):
             # with R_j empty the first bottom is the empty face, [e < p]
             skip = arrow and not rj
             for low, high in zip(sels[skip:half], sels[half + skip:]):
-                top = e + tuple(compress(ch, high)) + p_
-                if top in x.index:
-                    pairs.append((top, e + tuple(compress(ch, low)) + p_))
+                top = x.child(root, *compress(ch, high), p)
+                if top is not None:
+                    pairs.append((top, x.child(root, *compress(ch, low), p)))
 
     if fallbacks:
         by_max = _cells_by_max(x)
@@ -550,20 +526,16 @@ def _cell_from_json(x, item, key):
     tail = _field(data, 'tail', lambda v: isinstance(v, str), 'a vertex name')
     chain = _field(data, 'chain', _is_chain,
                    'a nonempty list of label lists')
-    classes = []
-    for labels in chain:
-        w = a.quiver.word(tail, tuple(labels))
-        classes.append(a.word_class(w))
-    if not a.is_trivial(classes[0]):
+    classes = tuple(a.word_class(a.quiver.word(tail, tuple(labels)))
+                    for labels in chain)
+    c0 = classes[0]
+    if not a.is_trivial(c0):
         # rebase a chain written with a nontrivial first entry
-        c0 = classes[0]
-        rebased = [a.trivial_class[a.head(c0)]]
-        for c in classes[1:]:
-            rebased.append(a.divide(c0, c))
-        classes = rebased
-    cell = tuple(classes)
-    if cell not in x.index:
-        raise MatchingError(f"not a cell of the realization: {cell}")
+        classes = (a.trivial_class[a.head(c0)],) + tuple(
+            a.divide(c0, c) for c in classes[1:])
+    cell = x.cell(classes)
+    if cell is None:
+        raise MatchingError(f"not a cell of the realization: {classes}")
     return cell
 
 
@@ -576,7 +548,8 @@ def matching_from_json(data, complex_):
                        'a list'):
         raw.append((_cell_from_json(complex_, item, 'top'),
                     _cell_from_json(complex_, item, 'bottom')))
-    dedup = sorted(set(raw))
+    chain = complex_.chain
+    dedup = sorted(set(raw), key=lambda pair: (chain(pair[0]), chain(pair[1])))
     return Matching(complex_, dedup)
 
 

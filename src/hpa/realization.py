@@ -6,9 +6,15 @@ classes, strictly increasing under left divisibility, with a trivial first
 entry.  Face i deletes the i-th entry; deleting the trivial head rebases the
 chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
+
+A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
+c is the chain of parent[c], its top face, extended by the class last[c].
+`x.chain(c)` is the tuple of class ids of a cell, `x.cell(chain)` its id.
 """
 
-from itertools import compress
+from bisect import bisect_right
+from itertools import chain, compress
+from operator import itemgetter
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -16,20 +22,78 @@ from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
 
 
 class CellComplex:
-    """Cells graded by dimension; each cell is a tuple of class ids."""
+    """The chains of a cancellative algebra, capped at dimension max_dim if
+    given (a truncation: homology above the cap is not defined from it).
+    Cells are numbered dimension by dimension, taking parents in id order
+    and each one's children by increasing class id, so the range cells[k]
+    of the k-cells runs in sorted chain order.  Per cell: `parent` (-1 for
+    a vertex cell), `last`, and `children`, {class: child} or None; `vertex`
+    maps each vertex to its cell.  The face table is filled on first use:
+    cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c]."""
 
-    def __init__(self, hpa, cells_by_dim, truncated=False):
-        self.hpa = hpa
-        self.cells = [sorted(cs) for cs in cells_by_dim]
-        while self.cells and not self.cells[-1]:
+    def __init__(self, hpa, max_dim=None):
+        a = self.hpa = hpa
+        last = self.last = sorted(a.trivial_class.values())
+        self.vertex = {a.tail(e): c for c, e in enumerate(last)}
+        parent = self.parent = [-1] * len(last)
+        children = self.children = [None] * len(last)
+        ups = {}  # the classes above each class, by id
+        self.cells = [range(len(last))]
+        self.truncated = False
+        while self.cells[-1]:
+            level = self.cells[-1]
+            for p in {last[c] for c in level} - ups.keys():
+                ups[p] = sorted(q for q in a.quotients(p) if q != p)
+            if max_dim is not None and len(self.cells) > max_dim:
+                self.truncated = any(ups[last[c]] for c in level)
+                break
+            for c in level:
+                row, n = ups[last[c]], len(last)
+                if row:
+                    children[c] = dict(zip(row, range(n, n + len(row))))
+                    parent += [c] * len(row)
+                    last += row
+            self.cells.append(range(level.stop, len(last)))
+            children += [None] * len(self.cells[-1])
+        if len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
-        self.index = {}
-        for k, cs in enumerate(self.cells):
-            for pos, cell in enumerate(cs):
-                self.index[cell] = (k, pos)
-        self.truncated = truncated
-        self._faces = {}
-        self._names = None
+        self._starts = [cs.start for cs in self.cells]
+        self.names = [' '.join(c.rep.labels) if c.rep.labels else
+                      f"e_{c.tail}" for c in a.classes]
+
+    def __getattr__(self, name):
+        # called only while the face table is missing
+        if name not in ('face', 'at', 'first'):
+            raise AttributeError(name)
+        self._fill_faces()
+        return getattr(self, name)
+
+    def _fill_faces(self):
+        """All faces, in one pass in id order.  Face k of a k-cell c is
+        parent[c]; face i, 0 < i < k, is the child by last[c] of face i of
+        the parent; face 0 is the child by p_1\\p_k of face 0 of the
+        parent, for a 1-cell the vertex cell at the head of last[c]."""
+        a, children = self.hpa, self.children
+        face = self.face = []
+        at = self.at = [0] * (len(self.cells[0]) + 1)
+        first = self.first = list(self.last)
+        for c in self.cells[1] if len(self.cells) > 1 else ():
+            face += (self.vertex[a.head(first[c])], self.parent[c])
+            at.append(len(face))
+        for k in range(2, len(self.cells)):
+            # children parent by parent, sharing the parent's faces
+            for up in self.cells[k - 1]:
+                if not children[up]:
+                    continue
+                below = children[face[at[up]]]
+                rest = [children[f] for f in face[at[up] + 1:at[up + 1]]]
+                quot = a.quotients(first[up])
+                for q, c in children[up].items():
+                    face.append(below[quot[q]])
+                    face += [r[q] for r in rest]
+                    face.append(up)
+                    at.append(len(face))
+                    first[c] = first[up]
 
     @property
     def max_dim(self):
@@ -38,32 +102,41 @@ class CellComplex:
     def counts(self):
         return [len(cs) for cs in self.cells]
 
+    def dim(self, cell):
+        return bisect_right(self._starts, cell) - 1
+
     def tail(self, cell):
-        return self.hpa.tail(cell[0])
+        return self.hpa.tail(self.last[cell])
 
     def head(self, cell):
-        return self.hpa.head(cell[-1])
+        return self.hpa.head(self.last[cell])
+
+    def chain(self, cell):
+        """The chain (e_v, p_1, ..., p_k) of class ids of a cell."""
+        last, parent, out = self.last, self.parent, []
+        while cell >= 0:
+            out.append(last[cell])
+            cell = parent[cell]
+        return tuple(reversed(out))
+
+    def child(self, cell, *classes):
+        """The cell of chain(cell) extended by `classes`, or None."""
+        for q in classes:
+            cell = (self.children[cell] or {}).get(q)
+            if cell is None:
+                break
+        return cell
+
+    def cell(self, chain):
+        """The cell of a tuple of class ids, or None."""
+        cell = self.vertex.get(self.hpa.tail(chain[0]))
+        if cell is not None and self.last[cell] == chain[0]:
+            return self.child(cell, *chain[1:])
 
     def faces(self, cell):
-        """List of the k+1 facets, position i giving the i-th face.  Face 0
-        of (e, p_1, ..., p_k) is face 0 of its prefix (e, p_1, ..., p_{k-1})
-        extended by p_k / p_1, so each cell costs one division."""
-        cached = self._faces.get(cell)
-        if cached is not None:
-            return cached
-        k = len(cell) - 1
-        a = self.hpa
-        out = [cell[:i] + cell[i + 1:] for i in range(1, k + 1)]
-        if k >= 2:
-            # the top face is the prefix; keying its memo entry by that
-            # tuple adds no tuple
-            last = a.divide(cell[1], cell[-1])
-            first = self.faces(out[-1])[0] + (last,)
-        else:
-            first = (a.trivial_class[a.head(cell[1])],)
-        out.insert(0, first)
-        self._faces[cell] = out
-        return out
+        """List of the k+1 facets of a k-cell, position i giving the i-th
+        face; empty for a vertex cell."""
+        return self.face[self.at[cell]:self.at[cell + 1]]
 
     def boundary(self, cell):
         """The cellular boundary rule: (sign (-1)^i, facet i) pairs."""
@@ -75,78 +148,49 @@ class CellComplex:
         sign -1 must agree as multisets.  The face identities d_i d_j =
         d_{j-1} d_i (i < j) pair every face of a face with one of opposite
         sign, so a cell that satisfies them all passes; any other cell is
-        decided by comparing the two multisets.  Faces of faces come from
-        the memo, full at degree k-1 once it is checked, or from faces()."""
-        faces = self.faces
-        memo = self._faces
+        decided by comparing the two multisets."""
+        face, at = self.face, self.at
         for k in range(2, self.max_dim + 1):
+            # the k + 1 rows of k faces of faces, as one list: face i of
+            # face j against face j - 1 of face i
+            left, right = [itemgetter(*side) for side in zip(*[
+                (j * k + i, i * k + j - 1) for j in range(k + 1)
+                for i in range(j)])]
             for cell in self.cells[k]:
-                sub = [memo.get(f) or faces(f) for f in faces(cell)]
-                if _face_identities_hold(sub, k):
-                    continue
-                signed = ([], [])
-                for i, fs in enumerate(sub):
-                    for j, g in enumerate(fs):
-                        signed[(i + j) % 2].append(g)
-                if sorted(signed[0]) != sorted(signed[1]):
+                sub = [face[at[f]:at[f + 1]]
+                       for f in face[at[cell]:at[cell + 1]]]
+                if list(map(len, sub)) == [k] * (k + 1):
+                    flat = list(chain.from_iterable(sub))
+                    if left(flat) == right(flat):
+                        continue
+                # face j of face i enters with sign (-1)^(i + j)
+                plus, minus = [sorted(g for i, fs in enumerate(sub)
+                                      for g in fs[(i + s) % 2::2])
+                               for s in (0, 1)]
+                if plus != minus:
                     return k
         return None
 
     def format_cell(self, cell):
-        names = self._names
-        if names is None:
-            # one name per class, built on first use
-            names = self._names = [
-                ' '.join(c.rep.labels) if c.rep.labels else f"e_{c.tail}"
-                for c in self.hpa.classes]
-        return '[' + ' < '.join([names[c] for c in cell]) + ']'
+        return '[' + ' < '.join(self.names[c] for c in self.chain(cell)) + ']'
 
-
-def _face_identities_hold(sub, k):
-    """d_i d_j = d_{j-1} d_i (i < j) on `sub`, the faces of the faces of a
-    k-cell: k + 1 rows of k, row i the faces of face i."""
-    if list(map(len, sub)) != [k] * (k + 1):
-        return False
-    for j in range(1, k + 1):
-        row = sub[j]
-        for i in range(j):
-            if row[i] != sub[i][j - 1]:
-                return False
-    return True
+    def cell_names(self):
+        """format_cell of every cell, by dimension, each from its parent's."""
+        out = [['[' + self.names[self.last[c]] + ']' for c in self.cells[0]]]
+        for k, cs in enumerate(self.cells[1:]):
+            up, base = out[-1], self._starts[k]
+            out.append([up[self.parent[c] - base][:-1] + ' < ' +
+                        self.names[self.last[c]] + ']' for c in cs])
+        return out
 
 
 def build_realization(a, max_dim=None):
-    """Enumerate all canonical chains of the path poset of `a`.
-
-    max_dim caps the dimension (the complex is then a truncation; homology
-    above the cap is not defined from it).  A non-cancellative algebra is
-    refused with NotCancellativeError: there face 0 of a chain need not be a
-    chain.
+    """The CellComplex of all canonical chains of the path poset of `a`,
+    capped at max_dim.  A non-cancellative algebra is refused with
+    NotCancellativeError: there face 0 of a chain need not be a chain.
     """
     require_cancellative(a)
-    cells = []
-    truncated = False
-
-    for v in a.quiver.vertices:
-        nontrivial = [c for c in a.classes_by_tail[v] if not a.is_trivial(c)]
-        ups = {p: [q for q in a.quotients(p) if q != p] for p in nontrivial}
-        e_v = a.trivial_class[v]
-        # DFS over strictly increasing chains
-        stack = [(e_v,)]
-        while stack:
-            chain = stack.pop()
-            k = len(chain) - 1
-            while len(cells) <= k:
-                cells.append([])
-            cells[k].append(chain)
-            if max_dim is not None and k >= max_dim:
-                if any(ups[chain[-1]] if k else nontrivial):
-                    truncated = True
-                continue
-            for q in (ups[chain[-1]] if k else nontrivial):
-                stack.append(chain + (q,))
-
-    return CellComplex(a, cells, truncated=truncated)
+    return CellComplex(a, max_dim)
 
 
 def maximal_chains(a, u, w):
@@ -167,16 +211,14 @@ def maximal_chains(a, u, w):
 
 def lex_shelling(a, p):
     """The maximal chains F_j of the open interval (e_{t(p)}, p) in
-    lexicographic order of their canonical words, each with its restriction
-    set R_j = {v : F_j - {v} lies in an earlier facet}; None when that order
-    is not a shelling, that is when the faces of some F_j that no earlier
-    facet holds are not exactly [R_j, F_j].  Both directions matter: R_j =
-    empty with the empty face already seen is how a disjoint union sneaks
-    in.  The empty interval gives [((), frozenset())].  Class ids follow
-    the canonical words, so chains of ids sort in that order.  A face is a
-    bit mask, one bit per element in the order of first appearance, and
-    `seen` holds every face of the earlier facets.  Each class is shelled
-    once; the result is kept on the algebra, like its quotient rows."""
+    lexicographic order of their canonical words (the order of class ids),
+    each with its restriction set R_j = {v : F_j - {v} lies in an earlier
+    facet}; None when that order is not a shelling, that is when the faces
+    of some F_j that no earlier facet holds are not exactly [R_j, F_j] (R_j
+    = empty with the empty face already seen is a disjoint union).  The
+    empty interval gives [((), frozenset())].  A face is a bit mask, one bit
+    per element in order of first appearance; `seen` holds every face of
+    the earlier facets.  The result is kept on the algebra, per class."""
     if p in a._shellings:
         return a._shellings[p]
     chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
@@ -219,20 +261,15 @@ class ChainComplex:
             a, b = self.d[k - 1], self.d[k]
             if a is None or b is None:
                 continue
-            # accumulate a*b column by column
-            cols = {}
-            for (i, j), v in b.entries.items():
-                cols.setdefault(j, []).append((i, v))
-            rows_a = {}
+            column = {}  # the entries of a, by column
             for (i, j), v in a.entries.items():
-                rows_a.setdefault(j, {})[i] = v
-            for j, col in cols.items():
-                acc = {}
-                for i, v in col:
-                    for r, w in rows_a.get(i, {}).items():
-                        acc[r] = acc.get(r, 0) + v * w
-                if any(acc.values()):
-                    return k
+                column.setdefault(j, []).append((i, v))
+            product = {}
+            for (i, j), v in b.entries.items():
+                for r, w in column.get(i, ()):
+                    accumulate(product, (r, j), v * w)
+            if product:
+                return k
         return None
 
 

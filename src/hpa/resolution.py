@@ -5,7 +5,8 @@ cell spans P_{t(cell)} (x) P^op_{h(cell)}.  The differential carries the face
 maps: face 0 emits the left coefficient p_1, the top face emits the right
 coefficient p_k / p_{k-1}, middle faces have trivial coefficients, and the
 sign of face i is (-1)^i.  Elements are stored as dicts
-{(left class, cell, right class): integer coefficient}.
+{(left class, cell, right class): integer coefficient}, the cell an id of
+the realization; check witnesses name cells by their chains (`x.chain`).
 """
 
 from . import RING_Z
@@ -19,55 +20,63 @@ class ResolutionError(ValueError):
 
 
 class BimoduleComplex:
+    """Generators cells[k] in degree k, over the cells of complex_."""
+
     def __init__(self, hpa, complex_):
         self.hpa = hpa
         self.complex = complex_
+        self.cells = complex_.cells
         self._diff = {}
         self._h = {}
 
     @property
     def top(self):
-        return self.complex.max_dim
+        return len(self.cells) - 1
 
     def generators(self, k):
-        if 0 <= k <= self.top:
-            return self.complex.cells[k]
-        return []
+        return self.cells[k] if 0 <= k <= self.top else []
+
+    def counts(self):
+        return [len(cs) for cs in self.cells]
 
     def terms(self, cell):
         """Differential of a generator: list of (coef, l, face, r)."""
-        cached = self._diff.get(cell)
-        if cached is not None:
-            return cached
-        a = self.hpa
-        k = len(cell) - 1
-        out = []
-        if k >= 1:
-            faces = self.complex.faces(cell)
-            el = a.trivial_class[a.tail(cell[0])]
-            er = a.trivial_class[a.head(cell[-1])]
+        out = self._diff.get(cell)
+        if out is None:
+            a, x = self.hpa, self.complex
+            faces = x.faces(cell)
+            el = a.trivial_class[x.tail(cell)]
+            er = a.trivial_class[x.head(cell)]
             out = [(-1 if i % 2 else 1, el, f, er)
                    for i, f in enumerate(faces)]
-            out[0] = (1, cell[1], faces[0], er)
-            out[k] = ((-1) ** k, el, faces[k], a.divide(cell[k - 1], cell[k]))
-        self._diff[cell] = out
+            if faces:
+                k = len(faces) - 1
+                out[0] = (1, x.first[cell], faces[0], er)
+                out[k] = ((-1) ** k, el, faces[k],
+                          a.divide(x.last[faces[k]], x.last[cell]))
+            self._diff[cell] = out
         return out
 
     def h_cell(self, ac, cell):
-        """Target of the contracting homotopy on ac (x) cell: the chain
-        (e, ac, ac.p_1, ..., ac.p_k) for a nontrivial ac.  Memoized by
-        (ac, cell); raises ResolutionError when the chain is not a cell."""
-        key = (ac, cell)
+        """Target of the contracting homotopy on ac (x) cell: the cell of
+        the chain (e, ac, ac.p_1, ..., ac.p_k) for a nontrivial ac, which is
+        the child by ac.last[cell] of h_cell(ac, parent[cell]).  Memoized;
+        raises ResolutionError when the chain is not a cell."""
+        key = cell * len(self.hpa.classes) + ac
         new = self._h.get(key)
         if new is None:
-            a = self.hpa
-            new = (a.trivial_class[a.tail(ac)], ac) + tuple(
-                [a.mult(ac, p) for p in cell[1:]])
-            at = self.complex.index.get(new)
-            if at is None:
-                raise ResolutionError(f"homotopy left the complex: {new}")
-            # keep the complex's own tuple, not a copy, in the memo
-            new = self._h[key] = self.complex.cells[at[0]][at[1]]
+            a, x = self.hpa, self.complex
+            up = x.parent[cell]
+            try:
+                new = x.child(x.vertex[a.tail(ac)], ac) if up < 0 else \
+                    x.child(self.h_cell(ac, up), a.mult(ac, x.last[cell]))
+            except ResolutionError:
+                new = None
+            if new is None:
+                raise ResolutionError("homotopy left the complex: " + str(
+                    (a.trivial_class[a.tail(ac)], ac) + tuple(
+                        [a.mult(ac, p) for p in x.chain(cell)[1:]])))
+            self._h[key] = new
         return new
 
     def h_element(self, elem):
@@ -124,15 +133,13 @@ def _pairs_cancel(outer, inner, trivial, mult):
 
 
 def verify_d_squared(c):
-    """Symbolic d^2 = 0 on every generator.  Works on any complex with a
-    terms() interface; a product with a trivial class is the other factor.
-
-    A cell whose composite terms cancel in the pairs the face identities
-    predict passes at once (see _pairs_cancel).  Any other cell, a failing
-    one or one whose terms come in another order, is decided by collecting
-    like terms by (left class, cell, right class), and what is left over is
-    its witness."""
-    a = c.hpa
+    """Symbolic d^2 = 0 on every generator of a complex with a terms()
+    interface; a product with a trivial class is the other factor.  A cell
+    whose composite terms cancel in the pairs the face identities predict
+    passes at once (see _pairs_cancel).  Any other cell is decided by
+    collecting like terms by (left class, cell, right class); what is left
+    over is its witness, with every cell written as its chain."""
+    a, chain = c.hpa, c.complex.chain
     mult = a.mult
     terms = c.terms
     trivial = [cl.is_trivial for cl in a.classes]
@@ -159,7 +166,8 @@ def verify_d_squared(c):
                     else:
                         acc.pop(key, None)
             if acc:
-                failures.append((cell, acc))
+                failures.append((chain(cell), {
+                    (l, chain(f), r): v for (l, f, r), v in acc.items()}))
     return Report(failures, checked)
 
 
@@ -169,7 +177,7 @@ def multiply_augmentation(c, elem):
     a = c.hpa
     out = {}
     for (ac, cell, bc), coef in elem.items():
-        accumulate(out, a.mult(a.mult(ac, cell[0]), bc), coef)
+        accumulate(out, a.mult(a.mult(ac, c.complex.last[cell]), bc), coef)
     return out
 
 
@@ -179,7 +187,7 @@ def h_minus_one(c, alg_elem):
     out = {}
     for cls, coef in alg_elem.items():
         v = a.tail(cls)
-        accumulate(out, (a.trivial_class[v], (a.trivial_class[v],), cls), coef)
+        accumulate(out, (a.trivial_class[v], c.complex.vertex[v], cls), coef)
     return out
 
 
@@ -194,7 +202,7 @@ def _homotopy_lhs(c, ac, cell, bc):
         e = a.trivial_class[a.tail(ac)]
         for sign, l, face, r in c.terms(c.h_cell(ac, cell)):
             accumulate(lhs, (mult(e, l), face, mult(r, bc)), sign)
-    if len(cell) == 1:
+    if c.complex.parent[cell] < 0:
         other = h_minus_one(c, multiply_augmentation(c, {(ac, cell, bc): 1}))
     else:
         dx = {}
@@ -209,22 +217,19 @@ def _homotopy_lhs(c, ac, cell, bc):
 def _fixes_generator(c, ac, cell, e, trivial, mult):
     """A sufficient test that (d h + h d)(ac (x) cell (x) e) is ac (x) cell
     (x) e, for a cell of dimension >= 1 and e the trivial class at its head.
-
-    For a nontrivial ac, with tau = h_cell(ac, cell): d h contributes the
-    terms of tau, h d contributes h of each term of d(ac (x) cell), and the
-    test asks that face 0 of tau be (+1, ac, cell, e) and that term i+1 of
-    tau cancel h of term i of the cell.  For a trivial ac, d h vanishes and
-    the test asks that exactly one term of the cell have a nontrivial left
-    coefficient l, with sign +1, right coefficient e and h_cell(l, face) =
-    cell.  Both sums are linear, so a True answer proves the identity;
-    False decides nothing."""
+    For a nontrivial ac, with tau = h_cell(ac, cell), term 0 of tau must be
+    (+1, ac, cell, e) and term i+1 of tau cancel h of term i of the cell.
+    For a trivial ac, d h vanishes, and exactly one term of the cell must
+    have a nontrivial left coefficient l, with sign +1, right coefficient e
+    and h_cell(l, face) = cell.  True proves the identity; False decides
+    nothing."""
     dx = c.terms(cell)
     if not trivial[ac]:
         tau = c.h_cell(ac, cell)
         dtau = c.terms(tau)
         if len(dtau) != len(dx) + 1 or dtau[0] != (1, ac, cell, e):
             return False
-        e0 = tau[0]
+        e0 = c.hpa.trivial_class[c.hpa.tail(ac)]
         # m = ac.l is nontrivial, as ac is and the quiver is acyclic, so h
         # never drops a term of d(ac (x) cell)
         for (s, l, f, r), (st, lt, ft, rt) in zip(dx, dtau[1:]):
@@ -244,25 +249,23 @@ def contracting_homotopy_check(a, c):
     """Verify d h + h d = id on every module basis element (ac, cell, bc),
     plus m h_{-1} = id on the algebra.  Exactness of the resolution follows.
 
-    d and h are maps of right modules (d sends r to r.bc, h passes bc
-    through) and class multiplication is associative, so the left side on
-    (ac, cell, bc) is the right translate by bc of its value L on
-    (ac, cell, e), e the trivial class at the head of the cell.  When
-    _fixes_generator shows that L is the single term ac (x) cell (x) e,
-    every translate is ac (x) cell (x) bc and the whole row of triples
-    passes.  Otherwise L is evaluated in full; each triple's translate is
-    compared with the triple itself, and a failing triple is recomputed
-    directly for its witness."""
+    d and h are maps of right modules, so the left side on (ac, cell, bc) is
+    the right translate by bc of its value L on (ac, cell, e), e the trivial
+    class at the head of the cell.  When _fixes_generator shows that L is
+    ac (x) cell (x) e, the whole row of triples passes.  Otherwise each
+    triple's translate of L is compared with the triple, and a failing one
+    is recomputed directly for its witness, cells written as chains."""
     mult = a.mult
+    x = c.complex
     trivial = [cl.is_trivial for cl in a.classes]
     failures = []
     checked = 0
     for k in range(0, c.top + 1):
         for cell in c.generators(k):
-            h = a.head(cell[-1])
+            h = x.head(cell)
             e = a.trivial_class[h]
             right = a.classes_by_tail[h]
-            for ac in a.classes_by_head[a.tail(cell[0])]:
+            for ac in a.classes_by_head[x.tail(cell)]:
                 if k and _fixes_generator(c, ac, cell, e, trivial, mult):
                     checked += len(right)
                     continue
@@ -273,8 +276,9 @@ def contracting_homotopy_check(a, c):
                     for (l, f, r), coef in lhs.items():
                         accumulate(moved, (l, f, mult(r, bc)), coef)
                     if moved != {(ac, cell, bc): 1}:
-                        failures.append(((ac, cell, bc),
-                                         _homotopy_lhs(c, ac, cell, bc)))
+                        got = _homotopy_lhs(c, ac, cell, bc).items()
+                        failures.append(((ac, x.chain(cell), bc), {
+                            (l, x.chain(f), r): v for (l, f, r), v in got}))
     for cls in range(len(a.classes)):
         checked += 1
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))
@@ -285,15 +289,14 @@ def contracting_homotopy_check(a, c):
 
 def simple_tensor_complex(source, v, w, ring=RING_Z):
     """S_v (x) C (x) S_w for a complex with a generators()/terms()
-    interface: keep generators with tail v and head w, that is with first
-    entry e_v, and differential terms whose two coefficients are both
-    trivial."""
-    a = source.hpa
-    e = a.trivial_class[v]
+    interface: keep generators with tail v and head w (their last class
+    runs from v to w) and terms whose two coefficients are trivial."""
+    a, last = source.hpa, source.complex.last
+    ends = set(a.classes_by_pair.get((v, w), ()))
 
     def boundary(cell):
         return [(sign, face) for sign, l, face, r in source.terms(cell)
                 if a.is_trivial(l) and a.is_trivial(r)]
     return chain_complex(
-        [[g for g in source.generators(k) if g[0] == e and a.head(g[-1]) == w]
+        [[g for g in source.generators(k) if last[g] in ends]
          for k in range(source.top + 1)], boundary, ring)

@@ -129,7 +129,8 @@ def matching_to_json(m):
 
     def cell_json(cell):
         return {'tail': x.tail(cell),
-                'chain': [list(x.hpa.cls(c).rep.labels) for c in cell]}
+                'chain': [list(x.hpa.cls(c).rep.labels)
+                          for c in x.chain(cell)]}
     return {'pairs': [{'top': cell_json(t), 'bottom': cell_json(b)}
                       for t, b in m.pairs]}
 
@@ -158,8 +159,8 @@ def basis(c, k):
     """All degree-k module basis triples (a, cell, b) of a bimodule complex."""
     a = c.hpa
     for cell in c.generators(k):
-        t = a.tail(cell[0])
-        h = a.head(cell[-1])
+        t = c.complex.tail(cell)
+        h = c.complex.head(cell)
         for ac in a.classes_by_head[t]:
             for bc in a.classes_by_tail[h]:
                 yield (ac, cell, bc)
@@ -173,6 +174,17 @@ def d_element(c, elem):
         for sign, l, face, r in c.terms(cell):
             accumulate(out, (a.mult(ac, l), face, a.mult(r, bc)), sign * coef)
     return out
+
+
+def reference_faces(a, chain):
+    """The faces of a chain (e, p_1, ..., p_k) of class ids by slicing:
+    face i > 0 deletes p_i, and face 0 deletes e and rebases the rest
+    through p_1, or is the vertex at the head of p_1 for k = 1."""
+    p1 = chain[1]
+    first = (a.trivial_class[a.head(p1)],) + tuple(
+        a.divide(p1, p) for p in chain[2:])
+    return [first] + [chain[:i] + chain[i + 1:]
+                      for i in range(1, len(chain))]
 
 
 def reference_d_squared_degree(complex_):
@@ -217,7 +229,7 @@ def reference_bh_pairs(a, x):
     element, T any set of the others, each face sandwiched between e_{t(p)}
     and p.  The pair whose bottom is an arrow cell [e < p] is left out.
     Classes that do not shell give no pairs here; on a truncated complex
-    only the pairs whose top x holds are kept."""
+    only the pairs whose top x holds are kept.  Pairs are of chains."""
     arrows = set(a.arrow_class.values())
     pairs = []
     for p in range(len(a.classes)):
@@ -238,7 +250,8 @@ def reference_bh_pairs(a, x):
             for t in tsets:
                 top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
                                for face in (rj | t | {toggle}, rj | t)]
-                if top in x.index and not (len(bottom) == 2 and p in arrows):
+                if x.cell(top) is not None and not (
+                        len(bottom) == 2 and p in arrows):
                     pairs.append((top, bottom))
     return pairs
 
@@ -253,7 +266,8 @@ def reference_check_acyclic(m):
     x, top_of = m.complex, m.top_of
 
     def key(c):
-        return (len(c), x.tail(c), x.head(c)) if m.internal.ok else len(c)
+        return (x.dim(c), x.tail(c), x.head(c)) if m.internal.ok \
+            else x.dim(c)
 
     def steps(s):
         return iter([f for f in x.faces(top_of[s])
@@ -287,6 +301,7 @@ def reference_check_acyclic(m):
 def reference_d_squared(c):
     """Reference for `resolution.verify_d_squared`: every coefficient
     product goes through `mult`, trivial factors included."""
+    chain = c.complex.chain
     failures = []
     checked = 0
     for k in range(2, c.top + 1):
@@ -298,13 +313,15 @@ def reference_d_squared(c):
                     accumulate(acc, (c.hpa.mult(l1, l2), f2,
                                      c.hpa.mult(r2, r1)), s1 * s2)
             if acc:
-                failures.append((cell, acc))
+                failures.append((chain(cell), {
+                    (l, chain(f), r): v for (l, f, r), v in acc.items()}))
     return Report(failures, checked)
 
 
 def reference_homotopy_check(a, c):
     """Reference for `resolution.contracting_homotopy_check`: d h + h d
     (d h + h_{-1} m in degree 0) evaluated afresh on every basis triple."""
+    chain = c.complex.chain
     failures = []
     checked = 0
     for k in range(0, c.top + 1):
@@ -319,7 +336,9 @@ def reference_homotopy_check(a, c):
             for key, coef in other.items():
                 accumulate(lhs, key, coef)
             if lhs != x:
-                failures.append((triple, lhs))
+                ac, cell, bc = triple
+                failures.append(((ac, chain(cell), bc), {
+                    (l, chain(f), r): v for (l, f, r), v in lhs.items()}))
     for cls in range(len(a.classes)):
         checked += 1
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))

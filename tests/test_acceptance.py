@@ -24,7 +24,8 @@ from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.toric import WeightData, bondal_ruan_hpa, check_directable
 
-from conftest import free_algebra, linear_quiver, tor_via_resolution
+from conftest import (bhk_algebra, free_algebra, linear_quiver,
+                      tor_via_resolution)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 
@@ -52,7 +53,7 @@ def _label_monomial(label, nvars):
 def _monomial_chain(a, x, cell, nvars):
     """A cell as (tail, chain of total monomials), label-derived."""
     chain = []
-    for cid in cell[1:]:
+    for cid in x.chain(cell)[1:]:
         total = [0] * nvars
         for lab in a.cls(cid).rep.labels:
             mono = _label_monomial(lab, nvars)
@@ -141,7 +142,7 @@ def test_05_minimality_and_betti(p2):
     assert mc.counts() == [3, 6, 3]
     assert betti_table(p2).totals() == [3, 6, 3]
     # degree-2 generators are exactly the classes of the relation groups
-    crit_tops = {cell[-1] for cell in mc.generators(2)}
+    crit_tops = {x.chain(cell)[-1] for cell in mc.generators(2)}
     rel_classes = {p2.word_class(group[0]) for group in p2.relations.groups}
     assert len(p2.relations.groups) == 3
     assert crit_tops == rel_classes
@@ -256,6 +257,7 @@ class _SignFlip:
         self._c = c
         self._cell = cell
         self.hpa = c.hpa
+        self.complex = c.complex
         self.top = c.top
 
     def generators(self, k):
@@ -277,12 +279,60 @@ def test_10_mutation_robustness(p2):
     flipped = _SignFlip(c, x.cells[2][0])
     rep = verify_d_squared(flipped)
     assert not rep.ok
-    assert any(cell == x.cells[2][0] for cell, _ in rep.witnesses)
+    assert any(cell == x.chain(x.cells[2][0]) for cell, _ in rep.witnesses)
 
     from hpa.morse import Matching
-    bad = Matching(x, [(x.cells[1][0], (x.cells[1][0][0],))])
+    edge = x.cells[1][0]
+    bad = Matching(x, [(edge, x.cell(x.chain(edge)[:1]))])
     internal = check_internal(bad)
     assert not internal.ok
     reasons = {w[0] for w in internal.witnesses}
     assert 'vertex cell matched' in reasons
+    budget.check()
+
+
+def _cli_json(capsys, *argv):
+    from hpa.cli import main
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize('name, factors', [
+    # the paper's Berglund-Huebsch-Krawitz example: d = 8, charges (2, 2),
+    # one A_3 factor per charge, as bhk_algebra builds it
+    ('bhk_8_2_2', [(3, 'u0_', 's0_'), (3, 'u1_', 's1_')]),
+    ('a2_a3', [(2, 'v', 'a'), (3, 'w', 'b')]),
+])
+def test_11_tensor_of_linear_quivers_is_kunneth(capsys, tmp_path, name,
+                                                factors):
+    # the product is emitted by `hpa tensor --emit-quiver`; its Betti
+    # totals and its minimal, linear Morse complex are the convolution of
+    # the factors' tables [k + 1, k] (Kuenneth)
+    from hpa.dsl import emit_quiver
+    budget = Budget(30)
+    paths, tables = [], []
+    for k, vertex_prefix, arrow_prefix in factors:
+        path = tmp_path / f'{vertex_prefix}{k}.quiver'
+        path.write_text(emit_quiver(linear_quiver(k, vertex_prefix,
+                                                  arrow_prefix)))
+        paths.append(str(path))
+        tables.append(_cli_json(capsys, 'betti', str(path))['totals'])
+        assert tables[-1] == [k + 1, k]
+    from hpa.cli import main
+    product = tmp_path / f'{name}.quiver'
+    assert main(['tensor', *paths, '--emit-quiver',
+                 '--out', str(product)]) == 0
+    expect = _convolve(*tables)
+    assert expect == {'bhk_8_2_2': [16, 24, 9], 'a2_a3': [12, 17, 6]}[name]
+
+    betti = _cli_json(capsys, 'betti', str(product))
+    assert betti['totals'] == expect and betti['warnings'] == []
+    if name == 'bhk_8_2_2':
+        assert betti_table(bhk_algebra(8, [2, 2])).totals() == expect
+    assert _cli_json(capsys, 'koszul', str(product))['status'] == \
+        'koszul-certified'
+    morse = _cli_json(capsys, 'morse', str(product))
+    assert morse['criticals'] == expect
+    assert morse['minimal'] is True and morse['linear'] is True
+    assert morse['quasi_iso']['ok'] is True
     budget.check()

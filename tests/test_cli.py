@@ -499,6 +499,57 @@ def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
     assert err.count('\n') == 1
 
 
+def test_witness_and_error_texts_name_chains(p2):
+    # cells are ids inside the library, but reports and errors name each
+    # cell by its chain of class ids, in the bytes they had when cells were
+    # those tuples
+    from hpa.cli import _check_json
+    from hpa.morse import Matching, MatchingError, matching_from_json
+    from hpa.resolution import (BimoduleComplex, ResolutionError,
+                                cellular_resolution,
+                                contracting_homotopy_check, verify_d_squared)
+    from test_acceptance import _SignFlip
+
+    x = build_realization(p2)
+    c = cellular_resolution(p2, x)
+    assert _check_json(verify_d_squared(_SignFlip(c, x.cells[2][0])),
+                       "d^2 = 0") == {
+        'ok': False, 'checked': 9, 'label': 'd^2 = 0', 'failures': [
+            '((0, 1, 2), {(2, (14,), 14): -2, (1, (10,), 11): 2})']}
+
+    edge = x.cells[1][3]
+    assert x.chain(edge) == (0, 4)
+
+    class FaceZeroFlipped(BimoduleComplex):
+        def terms(self, cell):
+            out = super().terms(cell)
+            if cell == edge:
+                s, l, f, r = out[0]
+                out = [(-s, l, f, r)] + out[1:]
+            return out
+    assert _check_json(contracting_homotopy_check(p2, FaceZeroFlipped(p2, x)),
+                       "d h + h d = id") == {
+        'ok': False, 'checked': 90, 'label': 'd h + h d = id', 'failures': [
+            '((4, (14,), 14), {(4, (14,), 14): -1})',
+            '((0, (0, 4), 14), {(0, (0, 4), 14): -1})']}
+
+    with pytest.raises(MatchingError, match=r'^unknown cell \(0, 99\)$'):
+        Matching(x, [((0, 99), (0,))])
+    with pytest.raises(MatchingError, match=(
+            r'^not a cell of the realization: \(0, 1, 1\)$')):
+        matching_from_json({'pairs': [{
+            'top': {'tail': 'v0', 'chain': [[], ['x'], ['x']]},
+            'bottom': {'tail': 'v0', 'chain': [[]]}}]}, x)
+
+    skeleton = cellular_resolution(p2, build_realization(p2, max_dim=1))
+    below = skeleton.complex.cell((p2.trivial_class['v1'],
+                                   p2.arrow_class["y'"]))
+    with pytest.raises(ResolutionError, match=(
+            r'^homotopy left the complex: \(0, 1, 3\)$')):
+        skeleton.h_element({(p2.arrow_class['x'], below,
+                             p2.trivial_class['v2']): 1})
+
+
 def _homology_paths(monkeypatch):
     """Record which homology path cmd_homology takes."""
     from hpa import morse, realization

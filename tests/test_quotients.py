@@ -178,10 +178,11 @@ def augment_by_rechecking(a, x, pairs):
         changed = False
         for k in range(2, x.max_dim + 1):
             for top in x.cells[k]:
-                if top in matched or _is_arrow_cell(a, top):
+                if top in matched or _is_arrow_cell(x, top):
                     continue
                 for f in x.faces(top)[1:-1]:
-                    if f in matched or len(f) < 2 or _is_arrow_cell(a, f):
+                    if f in matched or len(x.chain(f)) < 2 or \
+                            _is_arrow_cell(x, f):
                         continue
                     if Matching(x, pairs + [(top, f)]).acyclic.ok:
                         pairs.append((top, f))
@@ -210,7 +211,7 @@ def test_cover_walk_and_greedy_growth_match_references(a):
     pairs = []
     for p in range(n):
         cells = [c for k in range(1, x.max_dim + 1) for c in x.cells[k]
-                 if c[-1] == p]
+                 if x.chain(c)[-1] == p]
         pairs += _greedy_on_cells(x, cells)
     ref = augment_by_rechecking(a, x, pairs)
     assert ref.internal.ok and ref.acyclic.ok

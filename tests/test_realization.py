@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -7,11 +8,12 @@ from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
-from hpa.realization import (CellComplex, ChainComplex, build_realization,
+from hpa.realization import (ChainComplex, build_realization,
                              cw_chain_complex, euler_characteristic, homology)
 
 from conftest import (algebras, check_semisimplicial, free_algebra,
-                      linear_quiver, reference_d_squared_degree)
+                      linear_quiver, reference_d_squared_degree,
+                      reference_faces)
 
 
 def test_parse_ring():
@@ -94,7 +96,7 @@ def test_free_parallel_arrows_graph_homology():
 def test_tree_stratum(p2):
     x = build_realization(p2)
     cell = x.cells[1][0]
-    assert x.tail(cell) == p2.tail(cell[0])
+    assert x.tail(cell) == p2.tail(x.chain(cell)[0])
     strata = {x.tail(c) for c in x.cells[2]}
     assert strata == {'v0'}  # all 2-cells live over the root vertex
 
@@ -132,7 +134,7 @@ def test_face_edges(p2):
     x = build_realization(p2)
     edges = [(cell, f) for k in range(1, x.max_dim + 1)
              for cell in x.cells[k] for f in x.faces(cell)]
-    assert all(x.tail(f) in (x.tail(cell), p2.head(cell[1]))
+    assert all(x.tail(f) in (x.tail(cell), p2.head(x.chain(cell)[1]))
                for cell, f in edges)
     assert len(edges) == 12 * 2 + 9 * 3
 
@@ -159,10 +161,51 @@ def test_faces_and_d_squared_degree_match_definitions(a):
     x = build_realization(a)
     for k in range(1, x.max_dim + 1):
         for cell in x.cells[k]:
-            p1 = cell[1]
-            assert x.faces(cell)[0] == (a.trivial_class[a.head(p1)],) + \
-                tuple(a.divide(p1, p) for p in cell[2:])
+            chain = x.chain(cell)
+            p1 = chain[1]
+            assert x.chain(x.faces(cell)[0]) == \
+                (a.trivial_class[a.head(p1)],) + \
+                tuple(a.divide(p1, p) for p in chain[2:])
     assert x.d_squared_degree() == reference_d_squared_degree(x)
+
+
+def _check_tree(a, max_dim):
+    """The simplex tree against the chains it stands for: the ids of each
+    dimension run in sorted chain order, x.cell inverts x.chain (and finds
+    no cell for a tuple that is no chain), and the face table agrees with
+    the slicing rule."""
+    x = build_realization(a, max_dim=max_dim)
+    for cells in x.cells:
+        chains = [x.chain(c) for c in cells]
+        assert chains == sorted(chains)
+        assert len(set(chains)) == len(chains)
+    for c in range(sum(x.counts())):
+        chain = x.chain(c)
+        assert x.cell(chain) == c
+        assert len(chain) == x.dim(c) + 1
+        if len(chain) > 1:
+            assert [x.chain(f) for f in x.faces(c)] == \
+                reference_faces(a, chain)
+    # a tuple that is no canonical chain names no cell
+    for p in range(len(a.classes)):
+        if not a.is_trivial(p):
+            assert x.cell((p,)) is None
+            assert x.cell((a.trivial_class[a.tail(p)], p, p)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_simplex_tree_matches_the_chains(a, max_dim):
+    if check_hpa(a).ok:
+        _check_tree(a, max_dim)
+
+
+@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3'])
+def test_simplex_tree_matches_the_chains_on_fixtures(request, name):
+    a = request.getfixturevalue(name)
+    for max_dim in (None, 0, 1, 2, 3):
+        _check_tree(a, max_dim)
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,17 +218,15 @@ def test_build_realization_refuses_exactly_the_non_cancellative(a):
             build_realization(a)
 
 
-class _FacetCorrupted(CellComplex):
-    """Deliberately corrupt the facet list of one cell by `edit`."""
-
-    def __init__(self, base, victim, edit):
-        super().__init__(base.hpa, base.cells, base.truncated)
-        self.victim = victim
-        self.edit = edit
-
-    def faces(self, cell):
-        out = super().faces(cell)
-        return self.edit(out) if cell == self.victim else out
+def _facet_corrupted(base, victim, edit):
+    """A copy of the complex base whose face table lists edit(faces) for
+    the cell victim, deliberately corrupted."""
+    rows = [base.faces(c) for c in range(sum(base.counts()))]
+    rows[victim] = edit(rows[victim])
+    broken = build_realization(base.hpa, max_dim=base.max_dim)
+    broken.face = [f for row in rows for f in row]
+    broken.at = list(itertools.accumulate(map(len, rows), initial=0))
+    return broken
 
 
 def test_d_squared_degree_finds_a_corrupted_facet(p2, a3a3):
@@ -196,21 +237,21 @@ def test_d_squared_degree_finds_a_corrupted_facet(p2, a3a3):
         assert x.d_squared_degree() is None
         for victim in x.cells[k][:5]:
             for edit in edits:
-                broken = _FacetCorrupted(x, victim, edit)
+                broken = _facet_corrupted(x, victim, edit)
                 assert broken.d_squared_degree() == k
                 assert reference_d_squared_degree(broken) == k
 
 
 def test_d_squared_degree_finds_swapped_adjacent_faces(p2, a3a3):
     # adjacent faces enter with opposite signs, so swapping them in the
-    # faces memo breaks both the face identities and the multisets
+    # face table breaks both the face identities and the multisets
     for a in (p2, a3a3):
         x = build_realization(a)
+        fs = x.face
         assert x.d_squared_degree() is None
         for k in range(2, x.max_dim + 1):
             for victim in x.cells[k][:4]:
-                fs = x._faces[victim]
-                for i in range(k):
+                for i in range(x.at[victim], x.at[victim] + k):
                     fs[i], fs[i + 1] = fs[i + 1], fs[i]
                     assert x.d_squared_degree() == k
                     assert reference_d_squared_degree(x) == k
@@ -218,7 +259,7 @@ def test_d_squared_degree_finds_swapped_adjacent_faces(p2, a3a3):
         # a 1-cell is checked only through its cofaces: one extra face
         # leaves the identities intact, but not the multisets
         edge = x.cells[1][0]
-        x._faces[edge].append(x.cells[0][0])
-        assert x.d_squared_degree() == reference_d_squared_degree(x) == 2
-        x._faces[edge].pop()
+        broken = _facet_corrupted(x, edge, lambda fs: fs + [x.cells[0][0]])
+        assert broken.d_squared_degree() == \
+            reference_d_squared_degree(broken) == 2
         assert x.d_squared_degree() is None

@@ -25,10 +25,10 @@ def test_degree_one_differential(p2, res_p2):
     x = p2.arrow_class['x']
     e0 = p2.trivial_class['v0']
     e1 = p2.trivial_class['v1']
-    cell = (e0, x)
-    assert res_p2.terms(cell) == [
-        (1, x, (e1,), e1),
-        (-1, e0, (e0,), x),
+    cell = res_p2.complex.cell
+    assert res_p2.terms(cell((e0, x))) == [
+        (1, x, cell((e1,)), e1),
+        (-1, e0, cell((e0,)), x),
     ]
 
 
@@ -36,19 +36,19 @@ def test_middle_faces_trivial(p2, res_p2):
     x = p2.arrow_class['x']
     xy = p2.mult(x, p2.arrow_class["y'"])
     e0 = p2.trivial_class['v0']
-    cell = (e0, x, xy)
-    terms = res_p2.terms(cell)
+    chain = res_p2.complex.chain
+    terms = res_p2.terms(res_p2.complex.cell((e0, x, xy)))
     assert len(terms) == 3
     s, l, f, r = terms[1]  # middle face
     assert s == -1 and p2.is_trivial(l) and p2.is_trivial(r)
-    assert f == (e0, xy)
+    assert chain(f) == (e0, xy)
     # face 0 rebases and emits x on the left
     s, l, f, r = terms[0]
     assert s == 1 and l == x and p2.is_trivial(r)
     # top face emits the quotient on the right
     s, l, f, r = terms[2]
     assert s == 1 and p2.is_trivial(l) and r == p2.arrow_class["y'"]
-    assert f == (e0, x)
+    assert chain(f) == (e0, x)
 
 
 def test_d_squared_p2(res_p2):
@@ -107,7 +107,7 @@ def test_d_squared_sign_flip_detected(p2, res_p2):
     broken = _sign_flipped(res_p2, victim)
     report = verify_d_squared(broken)
     assert not report.ok
-    assert report.witnesses[0][0] == victim
+    assert report.witnesses[0][0] == res_p2.complex.chain(victim)
 
 
 def _same_report(got, ref):
@@ -144,8 +144,9 @@ def test_checks_match_references(a, data):
 def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
     x, y_ = p2.arrow_class['x'], p2.arrow_class["y'"]
     e2 = p2.trivial_class['v2']
-    one = (p2.trivial_class['v1'], y_)
-    two = (p2.trivial_class['v0'], x, p2.mult(x, y_))  # face 0 is `one`
+    cell = res_p2.complex.cell
+    one = cell((p2.trivial_class['v1'], y_))
+    two = cell((p2.trivial_class['v0'], x, p2.mult(x, y_)))  # face 0: `one`
     trivial = [cl.is_trivial for cl in p2.classes]
 
     def pairs_cancel(c, cell):
@@ -172,20 +173,22 @@ def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
 def test_checks_match_references_on_mutants(p2, res_p2):
     x, y = p2.arrow_class['x'], p2.arrow_class['y']
     x_, y_, z_ = (p2.arrow_class[n] for n in ("x'", "y'", "z'"))
-    victim = (p2.trivial_class['v0'], x)
+    cell = res_p2.complex.cell
+    victim = cell((p2.trivial_class['v0'], x))
     assert res_p2.terms(victim)[-1][3] == x
-    below = (p2.trivial_class['v1'], y_)  # x ahead of it is a nontrivial ac
-    square = (p2.trivial_class['v0'], x, p2.mult(x, y_))  # h_cell(x, below)
+    # x ahead of `below` is a nontrivial ac; `square` is h_cell(x, below)
+    below = cell((p2.trivial_class['v1'], y_))
+    square = cell((p2.trivial_class['v0'], x, p2.mult(x, y_)))
     # each corrupts a term that one of the pairwise tests compares
     e0, e1 = p2.trivial_class['v0'], p2.trivial_class['v1']
     mutants = [_sign_flipped(res_p2, res_p2.generators(2)[0]),
                _sign_flipped(res_p2, victim, 0),
                _term_edited(res_p2, victim, -1, 'right', y),
-               _term_edited(res_p2, victim, 1, 'face', (e1,)),
+               _term_edited(res_p2, victim, 1, 'face', cell((e1,))),
                _term_edited(res_p2, below, -1, 'right', z_),
                _term_edited(res_p2, below, -1, 'left', x_),
                _term_edited(res_p2, square, 0, 'left', y),
-               _term_edited(res_p2, square, -1, 'face', (e0, y)),
+               _term_edited(res_p2, square, -1, 'face', cell((e0, y))),
                _last_term_dropped(res_p2, square),
                _last_term_dropped(res_p2, below)]
     for broken in mutants:
@@ -259,7 +262,7 @@ def test_homotopy_leaving_the_complex_is_a_typed_error(p2):
     c = cellular_resolution(p2, build_realization(p2, max_dim=1))
     x = p2.arrow_class['x']
     e1 = p2.trivial_class['v1']
-    cell = (e1, p2.arrow_class["y'"])
+    cell = c.complex.cell((e1, p2.arrow_class["y'"]))
     with pytest.raises(ResolutionError, match="homotopy left the complex"):
         c.h_element({(x, cell, p2.trivial_class['v2']): 1})
     assert issubclass(ResolutionError, ValueError)
