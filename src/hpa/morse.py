@@ -181,10 +181,10 @@ class MorseComplex(BimoduleComplex):
     def __init__(self, hpa, cells_by_dim, terms, x):
         super().__init__(hpa, x)
         self.cells = cells_by_dim
-        self._diff = terms
+        self._terms = terms
 
     def terms(self, cell):
-        return self._diff.get(cell, [])
+        return self._terms.get(cell, [])
 
 
 def _matched_entry(boundary, top, bottom, sign_of):

@@ -9,6 +9,9 @@ sign of face i is (-1)^i.  Elements are stored as dicts
 the realization; check witnesses name cells by their chains (`x.chain`).
 """
 
+from collections import Counter
+from itertools import chain
+
 from . import RING_Z
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
@@ -26,8 +29,9 @@ class BimoduleComplex:
         self.hpa = hpa
         self.complex = complex_
         self.cells = complex_.cells
-        self._diff = {}
-        self._h = {}
+        # the trivial classes at the tail and at the head of each class
+        self.units = [(hpa.trivial_class[cl.tail], hpa.trivial_class[cl.head])
+                      for cl in hpa.classes]
 
     @property
     def top(self):
@@ -41,42 +45,31 @@ class BimoduleComplex:
 
     def terms(self, cell):
         """Differential of a generator: list of (coef, l, face, r)."""
-        out = self._diff.get(cell)
-        if out is None:
-            a, x = self.hpa, self.complex
-            faces = x.faces(cell)
-            el = a.trivial_class[x.tail(cell)]
-            er = a.trivial_class[x.head(cell)]
-            out = [(-1 if i % 2 else 1, el, f, er)
-                   for i, f in enumerate(faces)]
-            if faces:
-                k = len(faces) - 1
-                out[0] = (1, x.first[cell], faces[0], er)
-                out[k] = ((-1) ** k, el, faces[k],
-                          a.divide(x.last[faces[k]], x.last[cell]))
-            self._diff[cell] = out
+        x = self.complex
+        faces = x.face[x.at[cell]:x.at[cell + 1]]
+        if not faces:
+            return []
+        p = x.last[cell]
+        el, er = self.units[p]
+        sign = 1
+        out = [(1, x.first[cell], faces[0], er)]
+        for f in faces[1:-1]:
+            sign = -sign
+            out.append((sign, el, f, er))
+        out.append((-sign, el, faces[-1],
+                    self.hpa.quotients(x.last[faces[-1]])[p]))
         return out
 
     def h_cell(self, ac, cell):
-        """Target of the contracting homotopy on ac (x) cell: the cell of
-        the chain (e, ac, ac.p_1, ..., ac.p_k) for a nontrivial ac, which is
-        the child by ac.last[cell] of h_cell(ac, parent[cell]).  Memoized;
-        raises ResolutionError when the chain is not a cell."""
-        key = cell * len(self.hpa.classes) + ac
-        new = self._h.get(key)
+        """Target of the contracting homotopy on ac (x) cell for a
+        nontrivial ac: the cell of the chain (e, ac, ac.p_1, ..., ac.p_k).
+        Raises ResolutionError when the chain is not a cell."""
+        a, x = self.hpa, self.complex
+        up = [a.mult(ac, p) for p in x.chain(cell)[1:]]
+        new = x.child(x.vertex[a.tail(ac)], ac, *up)
         if new is None:
-            a, x = self.hpa, self.complex
-            up = x.parent[cell]
-            try:
-                new = x.child(x.vertex[a.tail(ac)], ac) if up < 0 else \
-                    x.child(self.h_cell(ac, up), a.mult(ac, x.last[cell]))
-            except ResolutionError:
-                new = None
-            if new is None:
-                raise ResolutionError("homotopy left the complex: " + str(
-                    (a.trivial_class[a.tail(ac)], ac) + tuple(
-                        [a.mult(ac, p) for p in x.chain(cell)[1:]])))
-            self._h[key] = new
+            raise ResolutionError("homotopy left the complex: " + str(
+                (a.trivial_class[a.tail(ac)], ac, *up)))
         return new
 
     def h_element(self, elem):
@@ -100,80 +93,100 @@ def cellular_resolution(a, x=None):
     return BimoduleComplex(a, x)
 
 
-def _pairs_cancel(outer, inner, trivial, mult):
-    """Whether the composite terms of d(d(cell)) cancel pair by pair, for
-    outer = terms(cell) and inner[i] = terms(face i).  The face identities
-    d_i d_j = d_{j-1} d_i (i < j) pair the term through face j and then i
-    with the term through face i and then j-1: same face, same composite
-    coefficients, opposite signs.  These pairs partition all the composite
-    terms whenever each inner list is one shorter than outer, so a True
-    answer proves d(d(cell)) = 0 for any term lists."""
-    k = len(outer) - 1
-    for sub in inner:
-        if len(sub) != k:
+def _failing(test, n):
+    """The i in range(n) without test(i, i + 1), for a test of a range that
+    holds when it holds at each index; tried 64 indices at a time."""
+    return [i for lo in range(0, n, 64) if not test(lo, min(n, lo + 64))
+            for i in range(lo, min(n, lo + 64)) if not test(i, i + 1)]
+
+
+def _shapes(c, k, trivial):
+    """{cell: (faces, p, q, t, u)} over the k-cells, k >= 1, whose term list
+    has the shape of a cellular differential, which determines it: signs
+    1, -1, 1, ...; left coefficients p, t, ..., t and right ones u, ..., u,
+    q, with p and q nontrivial and t and u trivial."""
+    n1, out, cells = k + 1, {}, c.generators(k)
+    alt = ((1, -1) * n1)[:n1]
+
+    def test(i, j):
+        ts = list(map(c.terms, cells[i:j]))
+        if list(map(len, ts)) != [n1] * (j - i):
             return False
-    for j in range(1, k + 1):
-        s1, l1, _, r1 = outer[j]
-        sub_j = inner[j]
-        for i in range(j):
-            s2, l2, f2, r2 = sub_j[i]
-            t1, m1, _, q1 = outer[i]
-            t2, m2, g2, q2 = inner[i][j - 1]
-            if f2 != g2 or s1 * s2 != -t1 * t2:
+        s, l, f, r = zip(*chain.from_iterable(ts))
+        p, t, u, q = l[::n1], l[1::n1], r[::n1], r[k::n1]
+        ok = (s == alt * (j - i) and all(l[m::n1] == t for m in range(2, n1))
+              and all(r[m::n1] == u for m in range(1, k)) and
+              all(map(trivial.__getitem__, t + u)) and
+              not any(map(trivial.__getitem__, p + q)))
+        if ok:
+            out.update(zip(cells[i:j], zip(zip(*[iter(f)] * n1), p, q, t, u)))
+        return ok
+    _failing(test, len(cells))
+    return out
+
+
+def _unpaired_cells(c):
+    """The cells of dimension >= 2, in order, that the face identities do
+    not clear.  d_i d_j = d_{j-1} d_i (i < j) pairs the term of d(d(cell))
+    through faces j, i with the one through faces i, j - 1, and the pairs
+    partition the terms.  On shapes, a pair has opposite signs and cancels
+    when face i of face j is face j - 1 of face i, the faces' t and p are
+    the cell's (face 1: p times face 0's p) and so are their q (face k - 1:
+    face k's q times q).  These are whole-list comparisons."""
+    mult = c.hpa.mult
+    trivial = [cl.is_trivial for cl in c.hpa.classes]
+    below = _shapes(c, 1, trivial) if c.top > 1 else {}
+    for k in range(2, c.top + 1):
+        n1, w = k + 1, (k + 1) * k
+        level = _shapes(c, k, trivial)
+        cells, shapes = list(level), list(level.values())
+
+        def test(lo, hi):
+            f, p, q, t, _ = zip(*shapes[lo:hi])
+            sub = list(map(below.get, chain.from_iterable(f)))
+            if None in sub:
                 return False
-            l = l2 if trivial[l1] else l1 if trivial[l2] else mult(l1, l2)
-            m = m2 if trivial[m1] else m1 if trivial[m2] else mult(m1, m2)
-            if l != m:
-                return False
-            r = r1 if trivial[r2] else r2 if trivial[r1] else mult(r2, r1)
-            q = q1 if trivial[q2] else q2 if trivial[q1] else mult(q2, q1)
-            if r != q:
-                return False
-    return True
+            ff, sp, sq, st, _ = zip(*sub)
+            ff = list(chain.from_iterable(ff))
+            return (all(ff[j * k + i::w] == ff[i * k + j - 1::w]
+                        for j in range(1, n1) for i in range(j)) and
+                    all(st[j::n1] == t for j in range(1, n1)) and
+                    all(sp[j::n1] == p for j in range(2, n1)) and
+                    all(sq[j::n1] == q for j in range(k - 1)) and
+                    sp[1::n1] == tuple(map(mult, p, sp[::n1])) and
+                    tuple(map(mult, sq[k::n1], q)) == sq[k - 1::n1])
+        failed = {cells[i] for i in _failing(test, len(cells))}
+        yield from (cell for cell in c.generators(k)
+                    if cell in failed or cell not in level)
+        below = level
 
 
 def verify_d_squared(c):
     """Symbolic d^2 = 0 on every generator of a complex with a terms()
-    interface; a product with a trivial class is the other factor.  A cell
-    whose composite terms cancel in the pairs the face identities predict
-    passes at once (see _pairs_cancel).  Any other cell is decided by
-    collecting like terms by (left class, cell, right class); what is left
-    over is its witness, with every cell written as its chain."""
-    a, chain = c.hpa, c.complex.chain
+    interface.  A cell the face identities do not clear (_unpaired_cells)
+    is decided by collecting like terms by (left class, cell, right class),
+    a product with a trivial class being the other factor; what is left
+    over is its witness, cells written as chains."""
+    a, chain_of = c.hpa, c.complex.chain
     mult = a.mult
-    terms = c.terms
     trivial = [cl.is_trivial for cl in a.classes]
     failures = []
-    checked = 0
-    for k in range(2, c.top + 1):
-        for cell in c.generators(k):
-            checked += 1
-            outer = terms(cell)
-            inner = [terms(f1) for _, _, f1, _ in outer]
-            if _pairs_cancel(outer, inner, trivial, mult):
-                continue
-            acc = {}
-            for (s1, l1, f1, r1), sub in zip(outer, inner):
-                for s2, l2, f2, r2 in sub:
-                    l = l2 if trivial[l1] else l1 if trivial[l2] else \
-                        mult(l1, l2)
-                    r = r1 if trivial[r2] else r2 if trivial[r1] else \
-                        mult(r2, r1)
-                    key = (l, f2, r)
-                    v = acc.get(key, 0) + s1 * s2
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-            if acc:
-                failures.append((chain(cell), {
-                    (l, chain(f), r): v for (l, f, r), v in acc.items()}))
-    return Report(failures, checked)
+    for cell in _unpaired_cells(c):
+        acc = {}
+        for s1, l1, f1, r1 in c.terms(cell):
+            for s2, l2, f2, r2 in c.terms(f1):
+                l = l2 if trivial[l1] else l1 if trivial[l2] else mult(l1, l2)
+                r = r1 if trivial[r2] else r2 if trivial[r1] else mult(r2, r1)
+                accumulate(acc, (l, f2, r), s1 * s2)
+        if acc:
+            failures.append((chain_of(cell), {
+                (l, chain_of(f), r): v for (l, f, r), v in acc.items()}))
+    return Report(failures, sum(len(c.generators(k))
+                                for k in range(2, c.top + 1)))
 
 
 def multiply_augmentation(c, elem):
-    """The augmentation m: degree-0 elements to algebra classes (as a dict
-    class -> coefficient)."""
+    """The augmentation m: degree-0 elements to {class: coefficient}."""
     a = c.hpa
     out = {}
     for (ac, cell, bc), coef in elem.items():
@@ -191,96 +204,88 @@ def h_minus_one(c, alg_elem):
     return out
 
 
-def _homotopy_lhs(c, ac, cell, bc):
-    """(d h + h d)(ac (x) cell (x) bc), with d h + h_{-1} m in degree 0.
-    Terms are collected in the order that applying d and h element-wise
-    produces, so a failure witness reads the same either way."""
-    a = c.hpa
-    mult = a.mult
-    lhs = {}
-    if not a.is_trivial(ac):
-        e = a.trivial_class[a.tail(ac)]
-        for sign, l, face, r in c.terms(c.h_cell(ac, cell)):
-            accumulate(lhs, (mult(e, l), face, mult(r, bc)), sign)
-    if c.complex.parent[cell] < 0:
-        other = h_minus_one(c, multiply_augmentation(c, {(ac, cell, bc): 1}))
-    else:
-        dx = {}
-        for sign, l, face, r in c.terms(cell):
-            accumulate(dx, (mult(ac, l), face, mult(r, bc)), sign)
-        other = c.h_element(dx)
-    for key, coef in other.items():
-        accumulate(lhs, key, coef)
-    return lhs
-
-
-def _fixes_generator(c, ac, cell, e, trivial, mult):
-    """A sufficient test that (d h + h d)(ac (x) cell (x) e) is ac (x) cell
-    (x) e, for a cell of dimension >= 1 and e the trivial class at its head.
-    For a nontrivial ac, with tau = h_cell(ac, cell), term 0 of tau must be
-    (+1, ac, cell, e) and term i+1 of tau cancel h of term i of the cell.
-    For a trivial ac, d h vanishes, and exactly one term of the cell must
-    have a nontrivial left coefficient l, with sign +1, right coefficient e
-    and h_cell(l, face) = cell.  True proves the identity; False decides
-    nothing."""
-    dx = c.terms(cell)
-    if not trivial[ac]:
-        tau = c.h_cell(ac, cell)
-        dtau = c.terms(tau)
-        if len(dtau) != len(dx) + 1 or dtau[0] != (1, ac, cell, e):
-            return False
-        e0 = c.hpa.trivial_class[c.hpa.tail(ac)]
-        # m = ac.l is nontrivial, as ac is and the quiver is acyclic, so h
-        # never drops a term of d(ac (x) cell)
-        for (s, l, f, r), (st, lt, ft, rt) in zip(dx, dtau[1:]):
-            m = ac if trivial[l] else mult(ac, l)
-            if st != -s or lt != e0 or rt != r or ft != c.h_cell(m, f):
-                return False
-        return True
-    moved = [t for t in dx if not trivial[t[1]]]
-    if len(moved) != 1:
-        return False
-    # h_cell(l, f) == cell puts e_{t(l)} first in cell, and that is ac
-    s, l, f, r = moved[0]
-    return s == 1 and r == e and c.h_cell(l, f) == cell
+def _unfixed_rows(c):
+    """The (cell, ac) pairs, in order, for which comparing shapes does not
+    show (d h + h d)(ac (x) cell (x) e) = ac (x) cell (x) e, e the trivial
+    class at the head of the cell.  For a nontrivial ac, tau = h_cell(ac,
+    cell) is (e_0, ac, ac.p_1, ..., ac.p_k): term 0 of d tau is ac (x) cell
+    and term i + 1 cancels h of term i of d(ac (x) cell) when tau's shape is
+    ((cell, h(ac.p, face 0), h(ac, face 1), ...), ac, q, e_0, e), the cell's
+    being (faces, p, q, t, e); in degree 0, h_{-1} m cancels term 1 of d tau
+    when it is ((cell, [e_0]), ac, ac, e_0, e).  For the trivial ac, h d
+    keeps face 0 only, which gives the cell back when h(p, face 0) is the
+    cell (in degree 0 h_{-1} m is the identity).  h[ac] is built a level at
+    a time: h_cell of a cell is the child by ac.last[cell] of that of its
+    parent (ResolutionError, through h_cell, when it is not a cell)."""
+    a, x, units = c.hpa, c.complex, c.units
+    mult, children, tails = a.mult, x.children, [cl.tail for cl in a.classes]
+    trivial = [cl.is_trivial for cl in a.classes]
+    h = shapes = None
+    for k in range(c.top + 1):
+        below, h = h, {ac: {} for ac, t in enumerate(trivial) if not t}
+        above = _shapes(c, k + 1, trivial) if k < c.top else {}
+        for cell in c.generators(k):
+            p = x.last[cell]
+            e = units[p][1]
+            s = shapes.get(cell) if k else None
+            fixed = s is not None and s[4] == e
+            for ac in a.classes_by_head[tails[p]]:
+                if trivial[ac]:
+                    if k and not (fixed and
+                                  below[s[1]].get(s[0][0]) == cell):
+                        yield cell, ac
+                    continue
+                up, q = (below[ac][x.parent[cell]], mult(ac, p)) if k \
+                    else (x.vertex[tails[ac]], ac)
+                tau = (children[up] or {}).get(q)
+                tau = h[ac][cell] = c.h_cell(ac, cell) if tau is None else tau
+                want = ((cell, up), ac, ac, units[ac][0], e) if not k else \
+                    fixed and ((cell, below[mult(ac, s[1])].get(s[0][0]),
+                                *map(below[ac].get, s[0][1:])), ac, s[2],
+                               units[ac][0], e)
+                if above.get(tau) != want:
+                    yield cell, ac
+        shapes = above
 
 
 def contracting_homotopy_check(a, c):
     """Verify d h + h d = id on every module basis element (ac, cell, bc),
     plus m h_{-1} = id on the algebra.  Exactness of the resolution follows.
-
-    d and h are maps of right modules, so the left side on (ac, cell, bc) is
-    the right translate by bc of its value L on (ac, cell, e), e the trivial
-    class at the head of the cell.  When _fixes_generator shows that L is
-    ac (x) cell (x) e, the whole row of triples passes.  Otherwise each
-    triple's translate of L is compared with the triple, and a failing one
-    is recomputed directly for its witness, cells written as chains."""
-    mult = a.mult
-    x = c.complex
-    trivial = [cl.is_trivial for cl in a.classes]
+    d and h are maps of right modules, so a row of triples (ac, cell, -)
+    passes when comparing shapes shows the identity on (ac, cell, e)
+    (_unfixed_rows).  In any other row each triple is evaluated, and a
+    failing one gives its value as witness, cells written as chains."""
+    mult, x = a.mult, c.complex
     failures = []
-    checked = 0
-    for k in range(0, c.top + 1):
-        for cell in c.generators(k):
-            h = x.head(cell)
-            e = a.trivial_class[h]
-            right = a.classes_by_tail[h]
-            for ac in a.classes_by_head[x.tail(cell)]:
-                if k and _fixes_generator(c, ac, cell, e, trivial, mult):
-                    checked += len(right)
-                    continue
-                lhs = _homotopy_lhs(c, ac, cell, e)
-                for bc in right:
-                    checked += 1
-                    moved = {}
-                    for (l, f, r), coef in lhs.items():
-                        accumulate(moved, (l, f, mult(r, bc)), coef)
-                    if moved != {(ac, cell, bc): 1}:
-                        got = _homotopy_lhs(c, ac, cell, bc).items()
-                        failures.append(((ac, x.chain(cell), bc), {
-                            (l, x.chain(f), r): v for (l, f, r), v in got}))
+    for cell, ac in _unfixed_rows(c):
+        for bc in a.classes_by_tail[x.head(cell)]:
+            # d h + h d (d h + h_{-1} m in degree 0), collected in the
+            # order that applying d and h element-wise gives
+            got = {}
+            if not a.is_trivial(ac):
+                e = a.trivial_class[a.tail(ac)]
+                for sign, l, face, r in c.terms(c.h_cell(ac, cell)):
+                    accumulate(got, (mult(e, l), face, mult(r, bc)), sign)
+            if x.parent[cell] < 0:
+                hd = h_minus_one(c, multiply_augmentation(
+                    c, {(ac, cell, bc): 1}))
+            else:
+                hd = {}
+                for sign, l, face, r in c.terms(cell):
+                    accumulate(hd, (mult(ac, l), face, mult(r, bc)), sign)
+                hd = c.h_element(hd)
+            for key, coef in hd.items():
+                accumulate(got, key, coef)
+            if got != {(ac, cell, bc): 1}:
+                failures.append(((ac, x.chain(cell), bc), {
+                    (l, x.chain(f), r): v for (l, f, r), v in got.items()}))
+    # a row of triples per cell and left class
+    ends = Counter(x.last[cell] for k in range(c.top + 1)
+                   for cell in c.generators(k))
+    checked = len(a.classes) + sum(
+        n * len(a.classes_by_head[a.tail(p)]) *
+        len(a.classes_by_tail[a.head(p)]) for p, n in ends.items())
     for cls in range(len(a.classes)):
-        checked += 1
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))
         if out != {cls: 1}:
             failures.append((('algebra', cls), out))

@@ -250,6 +250,42 @@ def test_09_kunneth(p2):
     budget.check()
 
 
+def _tor_convolution(s, t):
+    """Kuenneth over Q: the ranks of Tor^{A (x) B} at one pair of product
+    vertices from those of the factors at the matching pairs."""
+    out = {}
+    for i, (r, _) in s.items():
+        for j, (u, _) in t.items():
+            out[i + j] = out.get(i + j, 0) + r * u
+    return {n: (r, []) for n, r in sorted(out.items()) if r}
+
+
+@pytest.mark.parametrize('left, right', [('f1', 'a2'), ('p2', 'f1'),
+                                         ('p113', 'a2')])
+def test_09_kunneth_per_vertex_pair(request, left, right):
+    # Tor of a tensor product over Q is the convolution of the factors'
+    # Tor, at every pair ((v, v'), (w, w')) of product vertices; F1 has an
+    # interval whose lexicographic order is not a shelling, so the
+    # elimination branch of tor_table is compared too
+    from hpa.invariants import tor_table
+    from hpa.realization import lex_shelling
+    budget = Budget(60)
+    a, b = [free_algebra(linear_quiver(2)) if name == 'a2' else
+            request.getfixturevalue(name) for name in (left, right)]
+    t = tensor(a, b)
+    assert (left == 'f1' or right == 'f1') == any(
+        lex_shelling(t, p) is None for p in range(len(t.classes)))
+    pair = dict(zip(t.quiver.vertices, [(v, u) for v in a.quiver.vertices
+                                        for u in b.quiver.vertices]))
+    ta, tb, tt = tor_table(a, RING_Q), tor_table(b, RING_Q), \
+        tor_table(t, RING_Q)
+    assert len(tt) == len(ta) * len(tb)
+    for (v, w), tor in tt.items():
+        (va, vb), (wa, wb) = pair[v], pair[w]
+        assert tor == _tor_convolution(ta[va, wa], tb[vb, wb])
+    budget.check()
+
+
 class _SignFlip:
     """Wrap a complex, negating one term of one generator's differential."""
 

@@ -379,6 +379,23 @@ def test_console_script():
     assert json.loads(proc.stdout)['homology']['1'] == [2, []]
 
 
+def test_peak_launcher_reports_and_enforces_a_ceiling():
+    # tools/peak.py: the report passes through, one JSON line of wall time
+    # and peak RSS goes to stderr, and a ceiling below the peak fails
+    peak = str(FIXTURES.parent / 'tools' / 'peak.py')
+    proc = subprocess.run([sys.executable, peak, '--', 'homology', P2],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)['homology']['1'] == [2, []]
+    line = json.loads(proc.stderr.splitlines()[-1])
+    assert line['argv'] == ['homology', P2] and line['exit'] == 0
+    assert line['wall_s'] > 0 and line['peak_rss_mb'] > 1
+    proc = subprocess.run([sys.executable, peak, '--max-mb', '1', '--',
+                           'homology', P2], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith('peak RSS ')
+
+
 @pytest.mark.parametrize('argv', [
     ['morse', F1], ['morse', F3, '--matching', 'greedy'], ['koszul', F3]])
 def test_reports_do_not_depend_on_the_hash_seed(argv):

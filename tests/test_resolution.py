@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
-from hpa.resolution import (BimoduleComplex, ResolutionError, _fixes_generator,
-                            _pairs_cancel, cellular_resolution,
+from hpa.resolution import (BimoduleComplex, ResolutionError, _unfixed_rows,
+                            _unpaired_cells, cellular_resolution,
                             contracting_homotopy_check, h_minus_one,
                             multiply_augmentation, simple_tensor_complex,
                             verify_d_squared)
@@ -143,24 +143,23 @@ def test_checks_match_references(a, data):
 
 def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
     x, y_ = p2.arrow_class['x'], p2.arrow_class["y'"]
-    e2 = p2.trivial_class['v2']
     cell = res_p2.complex.cell
     one = cell((p2.trivial_class['v1'], y_))
     two = cell((p2.trivial_class['v0'], x, p2.mult(x, y_)))  # face 0: `one`
-    trivial = [cl.is_trivial for cl in p2.classes]
 
     def pairs_cancel(c, cell):
-        outer = c.terms(cell)
-        return _pairs_cancel(outer, [c.terms(f) for _, _, f, _ in outer],
-                             trivial, p2.mult)
+        return cell not in list(_unpaired_cells(c))
+
+    def fixes_generator(c, ac, cell):
+        return (cell, ac) not in _unfixed_rows(c)
 
     assert pairs_cancel(res_p2, two)
-    assert _fixes_generator(res_p2, x, one, e2, trivial, p2.mult)
+    assert fixes_generator(res_p2, x, one)
     broken = _terms_reordered(res_p2, one)
-    # the pairwise tests fail on the reordered terms, so the verdicts below
+    # the shape tests fail on the reordered terms, so the verdicts below
     # come from the full accumulation
     assert not pairs_cancel(broken, two)
-    assert not _fixes_generator(broken, x, one, e2, trivial, p2.mult)
+    assert not fixes_generator(broken, x, one)
     for victim in (one, two):
         broken = _terms_reordered(res_p2, victim)
         got = verify_d_squared(broken)
@@ -198,6 +197,81 @@ def test_checks_match_references_on_mutants(p2, res_p2):
         got = verify_d_squared(broken)
         assert not got.ok
         assert _same_report(got, reference_d_squared(broken))
+
+
+def _other_class(a, cls):
+    """A class with the same ends as cls, other than cls."""
+    return next(q for q in a.classes_by_pair[a.tail(cls), a.head(cls)]
+                if q != cls)
+
+
+@pytest.mark.parametrize('dim', [3, 4])
+def test_mutants_above_dimension_two_match_references(p113, dim):
+    # P(1,1,3) has cells up to dimension 4; corrupt the face-0 left
+    # coefficient, the top face's right coefficient and a middle face of a
+    # cell of dimension 3, face 0 of a 4-cell and so with nontrivial left
+    # classes ahead of it, and of one of dimension 4
+    c = cellular_resolution(p113)
+    assert c.counts() == [5, 34, 65, 52, 16]
+    victim = c.terms(c.generators(4)[0])[0][2] if dim < 4 else \
+        c.generators(4)[0]
+    assert c.complex.dim(victim) == dim
+    terms = c.terms(victim)
+
+    mutants = [_term_edited(c, victim, 0, 'left',
+                            _other_class(p113, terms[0][1])),
+               _term_edited(c, victim, -1, 'right',
+                            _other_class(p113, terms[-1][3])),
+               _sign_flipped(c, victim, dim // 2)]
+    for broken in mutants:
+        got = verify_d_squared(broken)
+        assert not got.ok
+        assert _same_report(got, reference_d_squared(broken))
+        got = contracting_homotopy_check(p113, broken)
+        assert not got.ok
+        assert _same_report(got, reference_homotopy_check(p113, broken))
+
+
+def _outcome(check, *args):
+    try:
+        got = check(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    return got.ok, got.checked, repr(got.witnesses)
+
+
+@pytest.mark.parametrize('dim', [1, 2, 3])
+def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
+    # trivial coefficients at the wrong vertex, which the references cannot
+    # multiply out, and a trivial or another face-0 coefficient: every
+    # verdict, witness and error is the one that evaluating every cell and
+    # row term by term gives.  The victim is the top face of a cell, so its
+    # t and p show there too.
+    from hpa import resolution
+    c = cellular_resolution(p113)
+    victim = c.complex.parent[c.generators(dim + 1)[-1]]
+    (_, p, _, _), (_, el, _, er) = c.terms(victim)[:2]
+    wrong = next(p113.trivial_class[v] for v in p113.quiver.vertices
+                 if p113.trivial_class[v] not in (el, er))
+
+    def units(at, positions):
+        return _Mutant(c, victim, lambda ts: [
+            tuple(wrong if j == at and i in positions else v
+                  for j, v in enumerate(t)) for i, t in enumerate(ts)])
+    mutants = [units(1, range(1, dim + 1)),  # every t
+               units(3, range(dim)),  # every u
+               units(1, [dim]), units(3, [dim - 1]),  # one t, one u
+               _term_edited(c, victim, 0, 'left', el),
+               _term_edited(c, victim, 0, 'left', _other_class(p113, p))]
+
+    def outcomes():
+        return [(_outcome(verify_d_squared, m),
+                 _outcome(contracting_homotopy_check, p113, m))
+                for m in mutants]
+    shaped = outcomes()
+    monkeypatch.setattr(resolution, '_failing',
+                        lambda test, n: list(range(n)))
+    assert shaped == outcomes()
 
 
 def test_contracting_homotopy_p2(p2, res_p2):
