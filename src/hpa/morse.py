@@ -20,7 +20,6 @@ put in the order of their chains (`x.chain`), the order of the reports.
 
 import json
 from collections import deque
-from itertools import compress
 
 from . import RING_Z, UsageError
 from .algebra import Report, require_cancellative
@@ -46,13 +45,14 @@ class Matching:
     def __init__(self, complex_, pairs):
         self.complex = complex_
         n = len(complex_.last)
+        face, at = complex_.face, complex_.at
         seen = set()
         norm = []
         for top, bottom in pairs:
             for cell in (top, bottom):
                 if not (isinstance(cell, int) and 0 <= cell < n):
                     raise MatchingError(f"unknown cell {cell}")
-            if bottom not in complex_.faces(top):
+            if bottom not in face[at[top]:at[top + 1]]:
                 raise MatchingError(
                     f"{complex_.format_cell(bottom)} is not a facet of "
                     f"{complex_.format_cell(top)}")
@@ -65,12 +65,11 @@ class Matching:
         self.pairs = sorted(norm, key=lambda pair: complex_.chain(pair[0]))
         self.top_of = {b: t for t, b in self.pairs}
         self.bottom_of = {t: b for t, b in self.pairs}
-        self.cells = seen
         self.internal = check_internal(self)
         self.acyclic = check_acyclic(self)
 
     def is_matched(self, cell):
-        return cell in self.cells
+        return cell in self.top_of or cell in self.bottom_of
 
     def require_valid(self):
         """Return self, or raise MatchingError with the first witness unless
@@ -110,41 +109,46 @@ def check_internal(m):
     return Report(witnesses, len(m.pairs))
 
 
-def _find_cycle(x, top_of, start, color, middle):
-    """Depth-first search from the matched bottom `start` along the steps
-    s -> f, f a face of top_of[s] (a middle one if `middle`) other than s
-    that is a matched bottom.  `color` marks cells on the current path (1)
-    or done (2) and carries over between calls.  Returns the first cycle
-    closed, as the alternating list bottom, top, ..., bottom, or None."""
-    if color.get(start):
-        return None
+def _find_cycle(x, top, starts, middle):
+    """Depth-first search from each matched bottom of `starts` in turn,
+    along the steps s -> f, f a face of top[s] (a middle one if `middle`)
+    other than s that is a matched bottom, top[f] >= 0: `top` is a flat
+    list of tops, -1 for unmatched, and a bytearray marks cells on the
+    current path (1) or done (2).  Returns the first cycle closed, as the
+    alternating list bottom, top, ..., bottom, or None."""
+    face, at, cut = x.face, x.at, int(middle)
+    color = bytearray(len(top))
 
     def steps(s):
-        fs = x.faces(top_of[s])
-        return iter([f for f in (fs[1:-1] if middle else fs)
-                     if f != s and f in top_of])
-    color[start] = 1
-    path = [start]
-    stack = [steps(start)]
-    while stack:
-        for nxt in stack[-1]:
-            state = color.get(nxt, 0)
-            if state == 1:
-                loop = path[path.index(nxt):]
-                return [c for s in loop for c in (s, top_of[s])] + [nxt]
-            if state == 0:
-                color[nxt] = 1
-                path.append(nxt)
-                stack.append(steps(nxt))
-                break
-        else:
-            color[path.pop()] = 2
-            stack.pop()
+        t = top[s]
+        return iter([f for f in face[at[t] + cut:at[t + 1] - cut]
+                     if f != s and top[f] >= 0])
+    for start in starts:
+        if color[start]:
+            continue
+        color[start] = 1
+        path = [start]
+        stack = [steps(start)]
+        while stack:
+            for nxt in stack[-1]:
+                state = color[nxt]
+                if state == 1:
+                    loop = path[path.index(nxt):]
+                    return [c for s in loop for c in (s, top[s])] + [nxt]
+                if state == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    stack.append(steps(nxt))
+                    break
+            else:
+                color[path.pop()] = 2
+                stack.pop()
     return None
 
 
 def check_acyclic(m):
-    """Cycle detection on the Hasse digraph with matched edges upward.
+    """Cycle detection on the Hasse digraph with matched edges upward, by
+    _find_cycle over a flat list of the tops of m.top_of.
 
     A directed cycle alternates matched-up and facet-down steps, so it only
     visits matched bottoms of one dimension.  The search starts from them in
@@ -161,13 +165,13 @@ def check_acyclic(m):
     internal = m.internal.ok
     dim, last = x.dim, x.last
     stratum = [(c.tail, c.head) for c in x.hpa.classes]
-    color = {}
-    for s in sorted(m.top_of, key=(
-            lambda c: (dim(c), stratum[last[c]], c)) if internal else None):
-        cycle = _find_cycle(x, m.top_of, s, color, internal)
-        if cycle:
-            return Report([cycle], len(m.top_of))
-    return Report([], len(m.top_of))
+    top = [-1] * len(last)
+    for bottom, t in m.top_of.items():
+        top[bottom] = t
+    cycle = _find_cycle(x, top, sorted(m.top_of, key=(
+        lambda c: (dim(c), stratum[last[c]], c)) if internal else None),
+        internal)
+    return Report([cycle] if cycle else [], len(m.top_of))
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +390,27 @@ def _augment(a, x, pairs):
     must be an acyclic matching, so a new pair can only close a cycle
     through its own bottom, inside that bottom's stratum: only that search
     is run."""
-    top_of = {b: t for t, b in pairs}
-    matched = set(top_of) | set(top_of.values())
+    top = [-1] * len(x.last)
+    for t, b in pairs:
+        top[b] = t
+    matched = {c for pair in pairs for c in pair}
     changed = True
     while changed:
         changed = False
         for k in range(2, x.max_dim + 1):
-            for top in x.cells[k]:
-                if top in matched:
+            for t in x.cells[k]:
+                if t in matched:
                     continue
-                for f in x.faces(top)[1:-1]:
+                for f in x.faces(t)[1:-1]:
                     if f in matched or _is_arrow_cell(x, f):
                         continue
-                    top_of[f] = top
-                    if _find_cycle(x, top_of, f, {}, True) is None:
-                        matched.update((top, f))
+                    top[f] = t
+                    if _find_cycle(x, top, [f], True) is None:
+                        matched.update((t, f))
                         changed = True
                         break
-                    del top_of[f]
-    return Matching(x, [(t, b) for b, t in top_of.items()])
+                    top[f] = -1
+    return Matching(x, [(t, b) for b, t in enumerate(top) if t >= 0])
 
 
 def babson_hersh_matching(a, complex_=None):
@@ -414,7 +420,8 @@ def babson_hersh_matching(a, complex_=None):
     `lex_shelling(a, p)` match the non-critical faces of the interval
     (e_{t(p)}, p) perfectly, the empty face into the first facet ([e < p] ~
     [e < t < p], t the least toggle); a facet with R_j = F_j stays critical.
-    Faces lift to cells between e_{t(p)} and p.  For the class of an arrow
+    Faces lift to cells between e_{t(p)} and p, all pairs of a facet in one
+    walk down the simplex tree (x.children).  For the class of an arrow
     (an ungraded algebra reaches it by longer paths too) the empty face
     keeps no pair, so the arrow cell stays unmatched.  A class that order
     does not shell falls back to greedy coreduction on its own cells.  A
@@ -423,6 +430,7 @@ def babson_hersh_matching(a, complex_=None):
     """
     require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
+    children = x.children
     pairs = []
     fallbacks = []
 
@@ -436,22 +444,21 @@ def babson_hersh_matching(a, complex_=None):
         root = x.vertex[a.tail(p)]
         arrow = 1 in a.classes[p].lengths
         for ch, rj in shelling:
-            # a selection keeps R_j and some free elements (sorted by word,
-            # as ids are); doubling on the toggle, the least, last puts the
-            # bottoms in the first half and their tops in the second
-            free = sorted((v, i) for i, v in enumerate(ch) if v not in rj)
-            if not free:
+            toggle = min(set(ch) - rj, default=None)
+            if toggle is None:
                 continue
-            sels = [tuple(v in rj for v in ch)]
-            for _, i in free[1:] + free[:1]:
-                sels += [s[:i] + (True,) + s[i + 1:] for s in sels]
-            half = len(sels) // 2
+            # (top, bottom) pairs walked down the chain: R_j and p step both,
+            # a free element doubles the pairs, the toggle steps the top; a
+            # pair goes when its top has no child (a truncated complex)
+            lifted = [(root, root)]
+            for v in ch + (p,):
+                step = [(u, b if v == toggle else children[b][v])
+                        for t, b in lifted
+                        if (u := (children[t] or {}).get(v)) is not None]
+                free = v != toggle and v not in rj and v != p
+                lifted = lifted + step if free else step
             # with R_j empty the first bottom is the empty face, [e < p]
-            skip = arrow and not rj
-            for low, high in zip(sels[skip:half], sels[half + skip:]):
-                top = x.child(root, *compress(ch, high), p)
-                if top is not None:
-                    pairs.append((top, x.child(root, *compress(ch, low), p)))
+            pairs += lifted[arrow and not rj:]
 
     if fallbacks:
         by_max = _cells_by_max(x)

@@ -13,8 +13,8 @@ c is the chain of parent[c], its top face, extended by the class last[c].
 """
 
 from bisect import bisect_right
-from itertools import chain, compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -147,22 +147,17 @@ class CellComplex:
         Symbolic: the faces of faces that enter with sign +1 and those with
         sign -1 must agree as multisets.  The face identities d_i d_j =
         d_{j-1} d_i (i < j) pair every face of a face with one of opposite
-        sign, so a cell that satisfies them all passes; any other cell is
-        decided by comparing the two multisets."""
+        sign, so a dimension whose cells all satisfy them passes; they are
+        tested a column at a time (_identities_hold).  A dimension where
+        some column differs is decided cell by cell, by comparing the two
+        multisets."""
         face, at = self.face, self.at
         for k in range(2, self.max_dim + 1):
-            # the k + 1 rows of k faces of faces, as one list: face i of
-            # face j against face j - 1 of face i
-            left, right = [itemgetter(*side) for side in zip(*[
-                (j * k + i, i * k + j - 1) for j in range(k + 1)
-                for i in range(j)])]
+            if _identities_hold(face, at, k, *self.cells[k - 1:k + 1]):
+                continue
             for cell in self.cells[k]:
                 sub = [face[at[f]:at[f + 1]]
                        for f in face[at[cell]:at[cell + 1]]]
-                if list(map(len, sub)) == [k] * (k + 1):
-                    flat = list(chain.from_iterable(sub))
-                    if left(flat) == right(flat):
-                        continue
                 # face j of face i enters with sign (-1)^(i + j)
                 plus, minus = [sorted(g for i, fs in enumerate(sub)
                                       for g in fs[(i + s) % 2::2])
@@ -182,6 +177,29 @@ class CellComplex:
             out.append([up[self.parent[c] - base][:-1] + ' < ' +
                         self.names[self.last[c]] + ']' for c in cs])
         return out
+
+
+def _identities_hold(face, at, k, below, cells):
+    """Whether d_i d_j = d_{j-1} d_i (i < j) holds on the k-cells `cells`.
+    When each has k + 1 faces among the (k-1)-cells `below`, and each of
+    those k faces, face j of every k-cell is a strided slice of the face
+    table and face i of those is read at offset at[f] + i, so that each
+    identity is one list comparison; otherwise False."""
+    for cs, n in ((below, k), (cells, k + 1)):
+        ends = at[cs.start:cs.stop + 1]
+        if ends != list(range(ends[0], ends[-1] + 1, n)):
+            return False
+    offsets = []  # offsets[j][m]: where the faces of face j of cell m begin
+    for j in range(k + 1):
+        fs = face[at[cells.start] + j:at[cells.stop]:k + 1]
+        if min(fs) < below.start or max(fs) >= below.stop:
+            return False
+        offsets.append(list(map(at.__getitem__, fs)))
+
+    def faces_of(j, i):
+        return list(map(face.__getitem__, map(add, offsets[j], repeat(i))))
+    return all(faces_of(j, i) == faces_of(i, j - 1)
+               for j in range(1, k + 1) for i in range(j))
 
 
 def build_realization(a, max_dim=None):

@@ -104,9 +104,13 @@ def _shapes(c, k, trivial):
     """{cell: (faces, p, q, t, u)} over the k-cells, k >= 1, whose term list
     has the shape of a cellular differential, which determines it: signs
     1, -1, 1, ...; left coefficients p, t, ..., t and right ones u, ..., u,
-    q, with p and q nontrivial and t and u trivial."""
-    n1, out, cells = k + 1, {}, c.generators(k)
+    q, with p and q nontrivial and t and u the trivial classes at the
+    cell's tail and head, so that a product with them is the other
+    factor."""
+    n1, out, cells, a = k + 1, {}, c.generators(k), c.hpa
     alt = ((1, -1) * n1)[:n1]
+    units = [(a.trivial_class[cl.tail], a.trivial_class[cl.head])
+             for cl in a.classes]
 
     def test(i, j):
         ts = list(map(c.terms, cells[i:j]))
@@ -114,9 +118,11 @@ def _shapes(c, k, trivial):
             return False
         s, l, f, r = zip(*chain.from_iterable(ts))
         p, t, u, q = l[::n1], l[1::n1], r[::n1], r[k::n1]
+        ends = zip(*map(units.__getitem__,
+                        map(c.complex.last.__getitem__, cells[i:j])))
         ok = (s == alt * (j - i) and all(l[m::n1] == t for m in range(2, n1))
               and all(r[m::n1] == u for m in range(1, k)) and
-              all(map(trivial.__getitem__, t + u)) and
+              [t, u] == list(ends) and
               not any(map(trivial.__getitem__, p + q)))
         if ok:
             out.update(zip(cells[i:j], zip(zip(*[iter(f)] * n1), p, q, t, u)))
@@ -164,17 +170,21 @@ def _unpaired_cells(c):
 def verify_d_squared(c):
     """Symbolic d^2 = 0 on every generator of a complex with a terms()
     interface.  A cell the face identities do not clear (_unpaired_cells)
-    is decided by collecting like terms by (left class, cell, right class),
-    a product with a trivial class being the other factor; what is left
-    over is its witness, cells written as chains."""
+    is decided by collecting like terms by (left class, cell, right class):
+    a product of classes whose ends do not meet is zero, so its term is
+    dropped, and a product with a trivial class is the other factor; what
+    is left over is its witness, cells written as chains."""
     a, chain_of = c.hpa, c.complex.chain
     mult = a.mult
     trivial = [cl.is_trivial for cl in a.classes]
+    ends = [(cl.tail, cl.head) for cl in a.classes]
     failures = []
     for cell in _unpaired_cells(c):
         acc = {}
         for s1, l1, f1, r1 in c.terms(cell):
             for s2, l2, f2, r2 in c.terms(f1):
+                if ends[l1][1] != ends[l2][0] or ends[r2][1] != ends[r1][0]:
+                    continue
                 l = l2 if trivial[l1] else l1 if trivial[l2] else mult(l1, l2)
                 r = r1 if trivial[r2] else r2 if trivial[r1] else mult(r2, r1)
                 accumulate(acc, (l, f2, r), s1 * s2)
@@ -228,7 +238,7 @@ def _unfixed_rows(c):
             p = x.last[cell]
             e = units[p][1]
             s = shapes.get(cell) if k else None
-            fixed = s is not None and s[4] == e
+            fixed = s is not None
             for ac in a.classes_by_head[tails[p]]:
                 if trivial[ac]:
                     if k and not (fixed and

@@ -1,4 +1,5 @@
 import pathlib
+from itertools import compress
 
 import pytest
 from hypothesis import strategies as st
@@ -15,10 +16,16 @@ from hpa.resolution import (h_minus_one, multiply_augmentation,
                             simple_tensor_complex)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
+BENCHMARK_INPUTS = FIXTURES.parent / 'perfbench' / 'inputs'
+
+# cancellative but not graded by length: the arrow x is the path s t
+UNGRADED = ("vertices: u m v w\n"
+            "arrows:\n  s: u -> m\n  t: m -> v\n  x: u -> v\n  y: v -> w\n"
+            "relations:\n  x = s t\n")
 
 
-def load_algebra(name):
-    return HPA(parse_quiver((FIXTURES / name).read_text())[1])
+def load_algebra(name, folder=FIXTURES):
+    return HPA(parse_quiver((folder / name).read_text())[1])
 
 
 def linear_quiver(k, vertex_prefix='v', arrow_prefix='a'):
@@ -223,36 +230,37 @@ def reference_lex_shelling(a, p):
 
 
 def reference_bh_pairs(a, x):
-    """Reference for the pairs `morse.babson_hersh_matching` reads off the
-    shellings: for each facet F_j with restriction set R_j, every face
-    R_j + T + {toggle} matched with R_j + T, the toggle the least free
-    element, T any set of the others, each face sandwiched between e_{t(p)}
-    and p.  The pair whose bottom is an arrow cell [e < p] is left out.
-    Classes that do not shell give no pairs here; on a truncated complex
-    only the pairs whose top x holds are kept.  Pairs are of chains."""
-    arrows = set(a.arrow_class.values())
+    """Reference for the pairs `morse.babson_hersh_matching` lifts from the
+    shellings, by selection.  For each facet F_j with restriction set R_j,
+    a selection keeps R_j and some free elements (sorted by word, as ids
+    are); doubling on the toggle, the least, last puts the bottoms in the
+    first half and their tops in the second, and each face is walked from
+    the root e_{t(p)} to p with x.child.  With R_j empty the first bottom
+    is the empty face, [e < p], which keeps no pair when p is the class of
+    an arrow.  On a truncated complex only the pairs whose top x holds are
+    kept; classes that do not shell give no pairs here.  Pairs are of
+    chains."""
     pairs = []
     for p in range(len(a.classes)):
-        if a.is_trivial(p):
-            continue
-        shelling = reference_lex_shelling(a, p)
+        shelling = None if a.is_trivial(p) else reference_lex_shelling(a, p)
         if shelling is None:
             continue
-        e = a.trivial_class[a.tail(p)]
+        root = x.vertex[a.tail(p)]
+        arrow = 1 in a.classes[p].lengths
         for ch, rj in shelling:
-            free = sorted(set(ch) - rj)
+            free = sorted((v, i) for i, v in enumerate(ch) if v not in rj)
             if not free:
                 continue
-            toggle = free[0]
-            tsets = [frozenset()]
-            for v in free[1:]:
-                tsets += [s | {v} for s in tsets]
-            for t in tsets:
-                top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
-                               for face in (rj | t | {toggle}, rj | t)]
-                if x.cell(top) is not None and not (
-                        len(bottom) == 2 and p in arrows):
-                    pairs.append((top, bottom))
+            sels = [tuple(v in rj for v in ch)]
+            for _, i in free[1:] + free[:1]:
+                sels += [s[:i] + (True,) + s[i + 1:] for s in sels]
+            half = len(sels) // 2
+            skip = arrow and not rj
+            for low, high in zip(sels[skip:half], sels[half + skip:]):
+                top = x.child(root, *compress(ch, high), p)
+                if top is not None:
+                    bottom = x.child(root, *compress(ch, low), p)
+                    pairs.append((x.chain(top), x.chain(bottom)))
     return pairs
 
 
@@ -451,3 +459,13 @@ def a3a3():
     return tensor(free_algebra(linear_quiver(3)),
                   free_algebra(linear_quiver(3, vertex_prefix='w',
                                              arrow_prefix='b')))
+
+
+@pytest.fixture(scope='session')
+def p11112():
+    return load_algebra('p11112.quiver', BENCHMARK_INPUTS)
+
+
+@pytest.fixture(scope='session')
+def ungraded():
+    return HPA(parse_quiver(UNGRADED)[1])

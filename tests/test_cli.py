@@ -13,13 +13,13 @@ from hpa.cli import main, _load, _schema
 from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.realization import build_realization
 
-from conftest import free_algebra, linear_quiver, matching_to_json
+from conftest import (BENCHMARK_INPUTS, UNGRADED, free_algebra, linear_quiver,
+                      matching_to_json)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
 F1 = str(FIXTURES / 'f1.quiver')
 F3 = str(FIXTURES / 'f3.quiver')
-BENCHMARK_INPUTS = FIXTURES.parent / 'perfbench' / 'inputs'
 
 
 def run(capsys, *argv):
@@ -434,11 +434,6 @@ def test_negative_max_dim_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(['realize', P2, '--max-dim', '-1'])
     assert e.value.code == 2
-
-
-UNGRADED = ("vertices: u m v w\n"
-            "arrows:\n  s: u -> m\n  t: m -> v\n  x: u -> v\n  y: v -> w\n"
-            "relations:\n  x = s t\n")
 
 
 ARROW_PAIR = {'top': {'tail': 'u', 'chain': [[], ['s'], ['s', 't']]},

@@ -111,6 +111,18 @@ def test_matching_rejects_double_use(p2):
         Matching(x, [(top1, mid), (top2, mid)])
 
 
+def test_matching_refuses_unknown_cells_and_bottoms_that_are_no_facets(p2):
+    x = build_realization(p2)
+    top = _cell(x, 'v0', (), ('x',), ('x', "y'"))
+    other = _cell(x, 'v0', (), ('y',))
+    assert other not in x.faces(top)
+    with pytest.raises(MatchingError, match="is not a facet of"):
+        Matching(x, [(top, other)])
+    for cell in (-1, len(x.last)):
+        with pytest.raises(MatchingError, match=f"^unknown cell {cell}$"):
+            Matching(x, [(top, cell)])
+
+
 def test_babson_hersh_p2_criticals(p2):
     m = babson_hersh_matching(p2)
     x = m.complex
@@ -314,22 +326,28 @@ def test_morse_homology_fixtures(request, name):
             homology(cw_chain_complex(m.complex, ring))
 
 
-def test_morse_homology_checks_d_squared_on_every_cell(p2, monkeypatch):
-    m = babson_hersh_matching(p2)
-    x = m.complex
-    seen = set()
-
-    class Recorded(list):
-        # the face table's offsets, recording the cells whose faces are read
-        def __getitem__(self, cell):
-            seen.add(cell)
-            return super().__getitem__(cell)
-    monkeypatch.setattr(x, 'at', Recorded(x.at))
-    morse_homology(m)
-    assert seen >= {c for k in range(2, x.max_dim + 1) for c in x.cells[k]}
+def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
+                                                     monkeypatch):
+    # one face of the last cell of each dimension corrupted: caught at that
+    # dimension, before any reduction
+    for a in (p2, p113):
+        m = babson_hersh_matching(a)
+        x = m.complex
+        for k in range(2, x.max_dim + 1):
+            face = list(x.face)
+            i = x.at[x.cells[k][-1]] + 1
+            face[i] = next(c for c in x.cells[k - 1] if c != face[i])
+            monkeypatch.setattr(x, 'face', face)
+            with pytest.raises(ValueError,
+                               match=f"d\\^2 != 0 at degree {k}"):
+                morse_homology(m)
+            monkeypatch.undo()
+        morse_homology(m)
 
     # facets 0 and 1 of a 2-cell in each other's place break d^2 = 0,
     # and that is caught before any reduction
+    m = babson_hersh_matching(p2)
+    x = m.complex
     face = list(x.face)
     for cell in x.cells[2]:
         i = x.at[cell]
@@ -374,13 +392,15 @@ def _check_shellings_and_pairs(a, x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)))
-def test_shellings_and_pairs_match_references(a):
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_shellings_and_pairs_match_references(a, max_dim):
     if check_hpa(a).ok:
-        _check_shellings_and_pairs(a, build_realization(a))
+        _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
 
 
-@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3'])
+@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3', 'p11112',
+                                  'ungraded'])
 def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     a = request.getfixturevalue(name)
     x = build_realization(a)
@@ -388,7 +408,7 @@ def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     # F1 has the one interval that its lexicographic order does not shell
     assert bool(m.fallback_classes) == (name == 'f1')
     assert all(lex_shelling(a, p) is None for p in m.fallback_classes)
-    for max_dim in range(x.max_dim):
+    for max_dim in range(4):
         _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
 
 

@@ -5,7 +5,8 @@ quivers with random relation groups."""
 from hypothesis import given, settings, strategies as st
 
 from hpa.algebra import HPA, RelationSet, check_hpa
-from hpa.morse import (Matching, _greedy_on_cells, _is_arrow_cell,
+from hpa.dsl import parse_quiver
+from hpa.morse import (Matching, _augment, _greedy_on_cells, _is_arrow_cell,
                        greedy_internal_matching)
 from hpa.quiver import PathWord, enumerate_paths
 from hpa.realization import build_realization, maximal_chains
@@ -190,6 +191,30 @@ def augment_by_rechecking(a, x, pairs):
                         changed = True
                         break
     return Matching(x, pairs)
+
+
+def test_growth_refuses_the_pair_that_closes_a_cycle():
+    # A4 with an arrow b = a1 a2 a3 a4, stratum (v0, v4): [e < b] is an
+    # arrow cell, so [e < z < b] is no top.  With [e < x < y < b] ~
+    # [e < x < b] and [e < y < z < b] ~ [e < y < b] matched,
+    # [e < x < z < b] ~ [e < z < b] would close the loop x -> y -> z -> x:
+    # growth passes it over and matches [e < x < z < b] upward instead
+    a = HPA(parse_quiver(
+        "vertices: v0 v1 v2 v3 v4\narrows:\n  a1: v0 -> v1\n"
+        "  a2: v1 -> v2\n  a3: v2 -> v3\n  a4: v3 -> v4\n  b: v0 -> v4\n"
+        "relations:\n  b = a1 a2 a3 a4\n")[1])
+    x = build_realization(a)
+    e, cx, cy, cz, w = [a.word_class(a.quiver.word('v0', labels)) for labels
+                        in ((), ('a1',), ('a1', 'a2'), ('a1', 'a2', 'a3'),
+                            ('b',))]
+    seed = [(x.cell((e, cx, cy, w)), x.cell((e, cx, w))),
+            (x.cell((e, cy, cz, w)), x.cell((e, cy, w)))]
+    closing = (x.cell((e, cx, cz, w)), x.cell((e, cz, w)))
+    assert not Matching(x, seed + [closing]).acyclic.ok
+    grown = _augment(a, x, seed)
+    assert grown.acyclic.ok and closing not in grown.pairs
+    assert (x.cell((e, cx, cy, cz, w)), closing[0]) in grown.pairs
+    assert grown.pairs == augment_by_rechecking(a, x, seed).pairs
 
 
 @settings(max_examples=60, deadline=None)

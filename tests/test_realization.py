@@ -8,8 +8,9 @@ from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
-from hpa.realization import (ChainComplex, build_realization,
-                             cw_chain_complex, euler_characteristic, homology)
+from hpa.realization import (ChainComplex, _identities_hold,
+                             build_realization, cw_chain_complex,
+                             euler_characteristic, homology)
 
 from conftest import (algebras, check_semisimplicial, free_algebra,
                       linear_quiver, reference_d_squared_degree,
@@ -263,3 +264,57 @@ def test_d_squared_degree_finds_swapped_adjacent_faces(p2, a3a3):
         assert broken.d_squared_degree() == \
             reference_d_squared_degree(broken) == 2
         assert x.d_squared_degree() is None
+
+
+@pytest.mark.parametrize('name', ['a3a3', 'p113'])
+def test_faces_of_one_sign_swapped_are_cleared_cell_by_cell(request, name):
+    # faces i and i + 2 enter with the same sign, so swapping them breaks
+    # the face identities, a column at a time, but not the multisets: the
+    # cell-by-cell comparison clears the dimension, as the reference does
+    x = build_realization(request.getfixturevalue(name))
+    fs = x.face
+    assert all(_identities_hold(fs, x.at, k, *x.cells[k - 1:k + 1])
+               for k in range(2, x.max_dim + 1))
+    for k in range(3, x.max_dim + 1):
+        for victim in (x.cells[k][0], x.cells[k][-1]):
+            for i in range(x.at[victim], x.at[victim] + k - 1):
+                fs[i], fs[i + 2] = fs[i + 2], fs[i]
+                assert not _identities_hold(fs, x.at, k,
+                                            *x.cells[k - 1:k + 1])
+                assert x.d_squared_degree() is None
+                assert reference_d_squared_degree(x) is None
+                fs[i], fs[i + 2] = fs[i + 2], fs[i]
+    assert x.d_squared_degree() is None
+
+
+@pytest.mark.parametrize('name', ['p2', 'p113', 'a3a3'])
+def test_d_squared_degree_finds_a_corrupted_last_cell(request, name):
+    # the last k-cell closes every column of dimension k: one face of it
+    # replaced by another (k-1)-cell is caught at k
+    x = build_realization(request.getfixturevalue(name))
+    fs = x.face
+    for k in range(2, x.max_dim + 1):
+        i = x.at[x.cells[k][-1]] + 1
+        good = fs[i]
+        fs[i] = next(c for c in x.cells[k - 1] if c != good)
+        assert x.d_squared_degree() == reference_d_squared_degree(x) == k
+        fs[i] = good
+    assert x.d_squared_degree() is None
+
+
+def test_d_squared_degree_reads_faces_of_the_right_dimension(p2):
+    # a face replaced by a vertex cell, whose faces would be read from the
+    # first edge's: with the top face of [e_v0 < x < x x'] so replaced the
+    # columns agree, and only the check that the faces are (k-1)-cells
+    # sends the dimension to the multisets, which differ
+    x = build_realization(p2)
+    fs = x.face
+    for victim in x.cells[2]:
+        for i in range(x.at[victim], x.at[victim + 1]):
+            good = fs[i]
+            for v in x.cells[0]:
+                fs[i] = v
+                assert x.d_squared_degree() == \
+                    reference_d_squared_degree(x) == 2
+            fs[i] = good
+    assert x.d_squared_degree() is None

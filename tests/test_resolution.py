@@ -274,6 +274,27 @@ def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
     assert shaped == outcomes()
 
 
+@pytest.mark.parametrize('w', ['d(0)', 'd(1)', 'd(3)', 'd(4)'])
+def test_trivial_coefficient_at_a_wrong_vertex_is_zero(p113, w):
+    # the 2-cell [e_d(2) < x2 < x2 x2], a face only as face 0 of its
+    # cofaces, with the trivial left coefficient of its middle face moved to
+    # another vertex: a product with that unit is zero in the algebra, so
+    # the cell and its cofaces fail with the terms that remain, where the
+    # reference cannot compose it at all
+    c = cellular_resolution(p113)
+    x = c.complex
+    victim = x.cell((29, 30, 31))
+    assert x.tail(victim) == 'd(2)'
+    broken = _term_edited(c, victim, 1, 'left', p113.trivial_class[w])
+    got = verify_d_squared(broken)
+    cofaces = [x.chain(t) for t in x.cells[3] if victim in x.faces(t)]
+    assert len(cofaces) == 5
+    assert [cell for cell, _ in got.witnesses] == [x.chain(victim)] + cofaces
+    assert got.witnesses[0][1] == {(31, (38,), 38): 1, (29, (29,), 31): -1}
+    with pytest.raises(ValueError, match="classes not composable"):
+        reference_d_squared(broken)
+
+
 def test_contracting_homotopy_p2(p2, res_p2):
     report = contracting_homotopy_check(p2, res_p2)
     assert report.ok
