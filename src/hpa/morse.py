@@ -109,40 +109,46 @@ def check_internal(m):
     return Report(witnesses, len(m.pairs))
 
 
-def _find_cycle(x, top, starts, middle):
+def _find_cycle(x, top, starts, middle, color):
     """Depth-first search from each matched bottom of `starts` in turn,
     along the steps s -> f, f a face of top[s] (a middle one if `middle`)
     other than s that is a matched bottom, top[f] >= 0: `top` is a flat
-    list of tops, -1 for unmatched, and a bytearray marks cells on the
-    current path (1) or done (2).  Returns the first cycle closed, as the
-    alternating list bottom, top, ..., bottom, or None."""
+    list of tops, -1 for unmatched.  `color`, a zeroed bytearray over the
+    cells, marks cells on the current path (1) or done (2); only the cells
+    visited are marked, and cleared on return, so one array serves every
+    search.  Returns the first cycle closed, as the alternating list
+    bottom, top, ..., bottom, or None."""
     face, at, cut = x.face, x.at, int(middle)
-    color = bytearray(len(top))
+    marked = []
 
     def steps(s):
+        color[s] = 1
+        marked.append(s)
         t = top[s]
         return iter([f for f in face[at[t] + cut:at[t + 1] - cut]
                      if f != s and top[f] >= 0])
-    for start in starts:
-        if color[start]:
-            continue
-        color[start] = 1
-        path = [start]
-        stack = [steps(start)]
-        while stack:
-            for nxt in stack[-1]:
-                state = color[nxt]
-                if state == 1:
-                    loop = path[path.index(nxt):]
-                    return [c for s in loop for c in (s, top[s])] + [nxt]
-                if state == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append(steps(nxt))
-                    break
-            else:
-                color[path.pop()] = 2
-                stack.pop()
+    try:
+        for start in starts:
+            if color[start]:
+                continue
+            path = [start]
+            stack = [steps(start)]
+            while stack:
+                for nxt in stack[-1]:
+                    state = color[nxt]
+                    if state == 1:
+                        loop = path[path.index(nxt):]
+                        return [c for s in loop for c in (s, top[s])] + [nxt]
+                    if state == 0:
+                        path.append(nxt)
+                        stack.append(steps(nxt))
+                        break
+                else:
+                    color[path.pop()] = 2
+                    stack.pop()
+    finally:
+        for c in marked:
+            color[c] = 0
     return None
 
 
@@ -170,7 +176,7 @@ def check_acyclic(m):
         top[bottom] = t
     cycle = _find_cycle(x, top, sorted(m.top_of, key=(
         lambda c: (dim(c), stratum[last[c]], c)) if internal else None),
-        internal)
+        internal, bytearray(len(top)))
     return Report([cycle] if cycle else [], len(m.top_of))
 
 
@@ -394,6 +400,7 @@ def _augment(a, x, pairs):
     for t, b in pairs:
         top[b] = t
     matched = {c for pair in pairs for c in pair}
+    color = bytearray(len(top))
     changed = True
     while changed:
         changed = False
@@ -405,7 +412,7 @@ def _augment(a, x, pairs):
                     if f in matched or _is_arrow_cell(x, f):
                         continue
                     top[f] = t
-                    if _find_cycle(x, top, [f], True) is None:
+                    if _find_cycle(x, top, [f], True, color) is None:
                         matched.update((t, f))
                         changed = True
                         break

@@ -104,13 +104,11 @@ def _shapes(c, k, trivial):
     """{cell: (faces, p, q, t, u)} over the k-cells, k >= 1, whose term list
     has the shape of a cellular differential, which determines it: signs
     1, -1, 1, ...; left coefficients p, t, ..., t and right ones u, ..., u,
-    q, with p and q nontrivial and t and u the trivial classes at the
-    cell's tail and head, so that a product with them is the other
-    factor."""
-    n1, out, cells, a = k + 1, {}, c.generators(k), c.hpa
+    q, with p and q nontrivial and (t, u) = c.units[last class], the
+    trivial classes at the cell's tail and head, so that a product with
+    them is the other factor."""
+    n1, out, cells = k + 1, {}, c.generators(k)
     alt = ((1, -1) * n1)[:n1]
-    units = [(a.trivial_class[cl.tail], a.trivial_class[cl.head])
-             for cl in a.classes]
 
     def test(i, j):
         ts = list(map(c.terms, cells[i:j]))
@@ -118,7 +116,7 @@ def _shapes(c, k, trivial):
             return False
         s, l, f, r = zip(*chain.from_iterable(ts))
         p, t, u, q = l[::n1], l[1::n1], r[::n1], r[k::n1]
-        ends = zip(*map(units.__getitem__,
+        ends = zip(*map(c.units.__getitem__,
                         map(c.complex.last.__getitem__, cells[i:j])))
         ok = (s == alt * (j - i) and all(l[m::n1] == t for m in range(2, n1))
               and all(r[m::n1] == u for m in range(1, k)) and
@@ -168,12 +166,13 @@ def _unpaired_cells(c):
 
 
 def verify_d_squared(c):
-    """Symbolic d^2 = 0 on every generator of a complex with a terms()
-    interface.  A cell the face identities do not clear (_unpaired_cells)
-    is decided by collecting like terms by (left class, cell, right class):
-    a product of classes whose ends do not meet is zero, so its term is
-    dropped, and a product with a trivial class is the other factor; what
-    is left over is its witness, cells written as chains."""
+    """Symbolic d^2 = 0 on every generator of a complex with the
+    generators(), terms() and units of a BimoduleComplex.  A cell the face
+    identities do not clear (_unpaired_cells) is decided by collecting like
+    terms by (left class, cell, right class): a product of classes whose
+    ends do not meet is zero, so its term is dropped, and a product with a
+    trivial class is the other factor; what is left over is its witness,
+    cells written as chains."""
     a, chain_of = c.hpa, c.complex.chain
     mult = a.mult
     trivial = [cl.is_trivial for cl in a.classes]

@@ -229,6 +229,41 @@ def reference_lex_shelling(a, p):
     return out
 
 
+def reference_bh_pairs_by_sets(a, x):
+    """Reference for the pairs `morse.babson_hersh_matching` reads off the
+    shellings, from the definition: for each facet F_j with restriction set
+    R_j, every face R_j + T + {toggle} matched with R_j + T, the toggle the
+    least free element, T any set of the others, each face sandwiched
+    between e_{t(p)} and p.  The pair whose bottom is an arrow cell [e < p]
+    is left out.  Classes that do not shell give no pairs here; on a
+    truncated complex only the pairs whose top x holds are kept.  Pairs are
+    of chains."""
+    arrows = set(a.arrow_class.values())
+    pairs = []
+    for p in range(len(a.classes)):
+        if a.is_trivial(p):
+            continue
+        shelling = reference_lex_shelling(a, p)
+        if shelling is None:
+            continue
+        e = a.trivial_class[a.tail(p)]
+        for ch, rj in shelling:
+            free = sorted(set(ch) - rj)
+            if not free:
+                continue
+            toggle = free[0]
+            tsets = [frozenset()]
+            for v in free[1:]:
+                tsets += [s | {v} for s in tsets]
+            for t in tsets:
+                top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
+                               for face in (rj | t | {toggle}, rj | t)]
+                if x.cell(top) is not None and not (
+                        len(bottom) == 2 and p in arrows):
+                    pairs.append((top, bottom))
+    return pairs
+
+
 def reference_bh_pairs(a, x):
     """Reference for the pairs `morse.babson_hersh_matching` lifts from the
     shellings, by selection.  For each facet F_j with restriction set R_j,

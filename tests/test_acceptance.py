@@ -295,6 +295,7 @@ class _SignFlip:
         self.hpa = c.hpa
         self.complex = c.complex
         self.top = c.top
+        self.units = c.units
 
     def generators(self, k):
         return self._c.generators(k)

@@ -15,10 +15,12 @@ from hpa.resolution import (cellular_resolution, simple_tensor_complex,
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
-                       matching_from_json, morse_homology, _matched_entry)
+                       matching_from_json, morse_homology, _find_cycle,
+                       _matched_entry)
 
 from conftest import (algebras, free_algebra, gradient_path_counts,
                       linear_quiver, matching_to_json, reference_bh_pairs,
+                      reference_bh_pairs_by_sets,
                       reference_check_acyclic, reference_lex_shelling,
                       words_by_class)
 
@@ -379,6 +381,7 @@ def _check_shellings_and_pairs(a, x):
             assert lex_shelling(a, p) == ref
             shelled &= ref is not None
     ref = reference_bh_pairs(a, x)
+    assert sorted(ref) == sorted(reference_bh_pairs_by_sets(a, x))
     # internal and acyclic on ungraded algebras too
     m = babson_hersh_matching(a, complex_=x)
     pairs = [tuple(map(x.chain, pr)) for pr in m.pairs]
@@ -408,7 +411,7 @@ def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     # F1 has the one interval that its lexicographic order does not shell
     assert bool(m.fallback_classes) == (name == 'f1')
     assert all(lex_shelling(a, p) is None for p in m.fallback_classes)
-    for max_dim in range(4):
+    for max_dim in range(max(4, x.max_dim)):
         _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
 
 
@@ -457,6 +460,32 @@ def test_check_acyclic_matches_reference_on_random_matchings(request, name):
         assert (rep.ok, rep.witnesses) == (ref.ok, ref.witnesses)
         cyclic += not rep.ok
     assert cyclic
+
+
+@pytest.mark.parametrize('name', ['a4', 'a3a3'])
+def test_find_cycle_leaves_its_colours_cleared(request, name):
+    # one colour array for every search, as _augment keeps it: each search
+    # leaves it zeroed, whether it closes a cycle or not, so the next one
+    # decides as a search on a fresh array does
+    a = free_algebra(linear_quiver(4)) if name == 'a4' else \
+        request.getfixturevalue(name)
+    x = build_realization(a)
+    rng = random.Random(name)
+    color = bytearray(len(x.last))
+    outcomes = set()
+    for _ in range(100):
+        m = _random_internal_matching(x, rng)
+        top = [-1] * len(x.last)
+        for bottom, t in m.top_of.items():
+            top[bottom] = t
+        for starts in (sorted(m.top_of), sorted(m.top_of, reverse=True)):
+            cycle = _find_cycle(x, top, starts, True, color)
+            assert not any(color)
+            assert cycle == _find_cycle(x, top, starts, True,
+                                        bytearray(len(x.last)))
+            outcomes.add(cycle is None)
+        assert (cycle is None) == reference_check_acyclic(m).ok
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=100, deadline=None)
