@@ -9,8 +9,9 @@ incidence +-1, which is what lets the pairs be cancelled.
 Gradient flow: a non-critical bottom sigma matched with top tau satisfies
 0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
 -eps^{-1} sum s_f . l_f [f] r_f, iterated; acyclicity makes the recursion
-well founded.  The Morse differential of a critical cell composes its
-boundary terms with these flows.  Forgetting coefficients (l (x) cell (x) r
+well founded.  A critical cell flows to itself, a cell matched downward to
+nothing.  The Morse differential of a critical cell composes its boundary
+terms with these flows.  Forgetting coefficients (l (x) cell (x) r
 to cell) turns the resolution into the cellular chains, and its Morse
 complex into theirs (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
 
@@ -197,58 +198,65 @@ class MorseComplex(BimoduleComplex):
         return self._terms.get(cell, [])
 
 
-def _matched_entry(boundary, top, bottom, sign_of):
-    """Sign +-1 of the matched facet `bottom` in boundary(top), read from its
-    coefficient by sign_of (0 if not invertible).  Raises MatchingError
-    unless the facet occurs once, with an invertible coefficient."""
-    hits = [coef for coef, f in boundary(top) if f == bottom]
-    if len(hits) != 1:
-        raise MatchingError("matched facet not unique in boundary")
-    s = sign_of(hits[0])
-    if s not in (1, -1):
-        raise MatchingError(
-            "matched pair has a non-invertible incidence coefficient")
-    return s
-
-
 def morse_complex(c, m):
     """Morse complex of the bimodule resolution c under the matching m.
 
-    Raises MatchingError unless m is internal and acyclic.  With the empty
-    matching this reproduces c itself.
+    The flows (see the module docstring) come from one iterative post-order
+    walk over c.terms, its memo cleared per dimension.  Raises MatchingError
+    unless m is internal and acyclic, and when a matched facet that the walk
+    reaches does not occur exactly once in the terms of its top, with sign
+    +-1 and trivial classes.  With the empty matching this reproduces c.
     """
     m.require_valid()
-    a = c.hpa
-    x = c.complex
-    critical = _critical_cells(x, m)
+    a, x, units = c.hpa, c.complex, c.units
+    top_of, bottom_of = m.top_of, m.bottom_of
+    critical = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
+                for k in range(x.max_dim + 1)]
+    flow = {}  # a cell: {(l, critical target, r): coefficient}
 
-    def boundary(cell):
-        return [((sign, l, r), f) for sign, l, f, r in c.terms(cell)]
-
-    def sign_of(coef):
-        sign, l, r = coef
-        return sign if a.is_trivial(l) and a.is_trivial(r) else 0
-
-    # a flow is {(l, critical target, r): coefficient}
-    def critical_flow(s):
-        return {(a.trivial_class[x.tail(s)], s, a.trivial_class[x.head(s)]): 1}
-
-    def compose(scale, deps):
+    def compose(scale, ts):
         acc = {}
-        for (sign, l, r), flow in deps:
-            for (l2, tgt, r2), cf in flow.items():
+        for sign, l, f, r in ts:
+            for (l2, tgt, r2), cf in flow[f].items():
                 accumulate(acc, (a.mult(l, l2), tgt, a.mult(r2, r)),
                            scale * sign * cf)
         return acc
 
-    def matched_flow(tau, s, deps):
-        return compose(-_matched_entry(boundary, tau, s, sign_of), deps)
-
     terms = {}
     for k in range(1, len(critical)):
-        flow_of = _gradient_flow(boundary, m, critical_flow, matched_flow)
+        flow.clear()
         for tau in critical[k]:
-            acc = compose(1, [(coef, flow_of(f)) for coef, f in boundary(tau)])
+            ts = c.terms(tau)
+            stack = [f for _, _, f, _ in ts]
+            while stack:
+                s = stack[-1]
+                if s in flow:
+                    stack.pop()
+                    continue
+                if s in bottom_of:  # matched downward: paths end, not critical
+                    flow[s] = {}
+                elif s not in top_of:
+                    el, er = units[x.last[s]]
+                    flow[s] = {(el, s, er): 1}
+                else:
+                    up = c.terms(top_of[s])
+                    deps = [t for t in up if t[2] != s]
+                    missing = [t[2] for t in deps if t[2] not in flow]
+                    if missing:
+                        stack += missing
+                        continue
+                    if len(deps) != len(up) - 1:
+                        raise MatchingError(
+                            "matched facet not unique in boundary")
+                    eps, l, _, r = next(t for t in up if t[2] == s)
+                    if not (eps in (1, -1) and a.is_trivial(l)
+                            and a.is_trivial(r)):
+                        raise MatchingError(
+                            "matched pair has a non-invertible incidence "
+                            "coefficient")
+                    flow[s] = compose(-eps, deps)
+                stack.pop()
+            acc = compose(1, ts)
             terms[tau] = [(cf, l, tgt, r)
                           for (l, tgt, r), cf in sorted(acc.items())]
     while critical and not critical[-1]:
@@ -272,46 +280,6 @@ def morse_homology(m, ring=RING_Z):
         mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
         ring))
     return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
-
-
-def _critical_cells(x, m):
-    return [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-            for k in range(x.max_dim + 1)]
-
-
-def _gradient_flow(boundary, m, critical_flow, matched_flow):
-    """Memoized flow of cells along gradient paths, by an iterative
-    post-order walk; boundary(cell) gives (coefficient, face) pairs.  A
-    critical cell s flows to critical_flow(s), a cell matched downward to
-    nothing, and a cell s matched up with tau to matched_flow(tau, s, deps),
-    where deps lists (coefficient, flow of f) for the other faces f of tau.
-    Acyclicity makes the walk terminate."""
-    flow = {}
-
-    def flow_of(s0):
-        stack = [s0]
-        while stack:
-            s = stack[-1]
-            if s in flow:
-                stack.pop()
-                continue
-            if not m.is_matched(s):
-                flow[s] = critical_flow(s)
-            elif s in m.bottom_of:  # matched downward: paths end, not critical
-                flow[s] = {}
-            else:
-                tau = m.top_of[s]
-                deps = [(coef, f) for coef, f in boundary(tau) if f != s]
-                missing = [f for _, f in deps if f not in flow]
-                if missing:
-                    stack.extend(missing)
-                    continue
-                flow[s] = matched_flow(
-                    tau, s, [(coef, flow[f]) for coef, f in deps])
-            stack.pop()
-        return flow[s0]
-
-    return flow_of
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +355,10 @@ def greedy_internal_matching(a, complex_=None):
     pairs = []
     for cells in _cells_by_max(x).values():
         pairs.extend(_greedy_on_cells(x, cells))
-    return _augment(a, x, pairs).require_valid()
+    return _augment(x, pairs).require_valid()
 
 
-def _augment(a, x, pairs):
+def _augment(x, pairs):
     """The matching of `pairs` plus every internal pair (top, middle facet)
     that keeps it acyclic, tried in cell order until none fits.  `pairs`
     must be an acyclic matching, so a new pair can only close a cycle
@@ -473,7 +441,7 @@ def babson_hersh_matching(a, complex_=None):
             pairs.extend(_greedy_on_cells(x, by_max.get(p, ())))
         # greedy leftovers may admit further pairs; keep the matching as
         # large as possible so minimality still has a chance
-        m = _augment(a, x, pairs)
+        m = _augment(x, pairs)
     else:
         m = Matching(x, pairs)
     m.fallback_classes = fallbacks

@@ -9,11 +9,10 @@ from hpa.algebra import HPA, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
-from hpa.morse import _critical_cells, _gradient_flow
 from hpa.quiver import Arrow, Quiver, enumerate_paths
 from hpa.realization import chain_complex, homology, maximal_chains
-from hpa.resolution import (h_minus_one, multiply_augmentation,
-                            simple_tensor_complex)
+from hpa.resolution import (BimoduleComplex, h_minus_one,
+                            multiply_augmentation, simple_tensor_complex)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 BENCHMARK_INPUTS = FIXTURES.parent / 'perfbench' / 'inputs'
@@ -105,29 +104,75 @@ def check_semisimplicial(complex_):
     return bad
 
 
+class Mutant(BimoduleComplex):
+    """Deliberately corrupt the differential of one cell: terms(victim) is
+    edit applied to its true terms."""
+
+    def __init__(self, base, victim, edit):
+        super().__init__(base.hpa, base.complex)
+        self.victim = victim
+        self.edit = edit
+
+    def terms(self, cell):
+        out = super().terms(cell)
+        return self.edit(out) if cell == self.victim else out
+
+
 def gradient_path_counts(c, m):
     """Number of alternating gradient paths between critical cells, as
-    {(top cell, target cell): count}, from the gradient-flow walk with every
-    coefficient read as 1."""
+    {(top cell, target cell): count}: every path from a face of a critical
+    cell down to a critical cell, through matched bottoms and up to their
+    tops, each path counted once."""
     x = c.complex
     counts = {}
-    critical = _critical_cells(x, m)
 
-    def matched_flow(tau, s, deps):
-        acc = {}
-        for _, flow in deps:
-            for tgt, n in flow.items():
-                accumulate(acc, tgt, n)
-        return acc
+    def count_from(s, tau):
+        if s in m.bottom_of:  # matched downward: no path goes on
+            return
+        if s not in m.top_of:
+            accumulate(counts, (tau, s), 1)
+            return
+        for f in x.faces(m.top_of[s]):
+            if f != s:
+                count_from(f, tau)
 
     for k in range(1, x.max_dim + 1):
-        count_of = _gradient_flow(x.boundary, m, lambda s: {s: 1},
-                                  matched_flow)
-        for tau in critical[k]:
-            for f in x.faces(tau):
-                for tgt, n in count_of(f).items():
-                    accumulate(counts, (tau, tgt), n)
+        for tau in x.cells[k]:
+            if not m.is_matched(tau):
+                for f in x.faces(tau):
+                    count_from(f, tau)
     return counts
+
+
+def reference_morse_terms(c, m, tau):
+    """The Morse differential of a critical cell tau from its definition:
+    the sum over every alternating path tau > f_0 < t_0 > f_1 < ... > f_n
+    with f_n critical and t_i = m.top_of[f_i].  A step down to f takes the
+    term (sign, l, f, r) of c.terms of the cell above, a step up from f_i
+    to t_i multiplies by -eps, eps the sign of f_i in c.terms(t_i) (its
+    classes trivial), and the classes compose with a.mult.  Returns the
+    terms (coef, l, target, r) sorted by (l, target, r), zero sums
+    dropped."""
+    a = c.hpa
+    total = {}
+
+    def expand(coef, l, s, r):
+        if s in m.bottom_of:
+            return
+        if s not in m.top_of:
+            total[l, s, r] = total.get((l, s, r), 0) + coef
+            return
+        up = c.terms(m.top_of[s])
+        [(eps, el, _, er)] = [t for t in up if t[2] == s]
+        assert eps in (1, -1) and a.is_trivial(el) and a.is_trivial(er)
+        for sign, l2, f, r2 in up:
+            if f != s:
+                expand(-eps * sign * coef, a.mult(l, l2), f, a.mult(r2, r))
+
+    for sign, l, f, r in c.terms(tau):
+        expand(sign, l, f, r)
+    return [(coef, l, tgt, r)
+            for (l, tgt, r), coef in sorted(total.items()) if coef]
 
 
 def matching_to_json(m):

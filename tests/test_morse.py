@@ -10,19 +10,19 @@ from hpa.algebra import check_hpa
 from hpa.quiver import Quiver
 from hpa.realization import (build_realization, cw_chain_complex, homology,
                              lex_shelling)
-from hpa.resolution import (cellular_resolution, simple_tensor_complex,
-                            verify_d_squared)
+from hpa.resolution import (BimoduleComplex, cellular_resolution,
+                            simple_tensor_complex, verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
-                       matching_from_json, morse_homology, _find_cycle,
-                       _matched_entry)
+                       load_matching, matching_from_json, morse_homology,
+                       _find_cycle)
 
-from conftest import (algebras, free_algebra, gradient_path_counts,
-                      linear_quiver, matching_to_json, reference_bh_pairs,
-                      reference_bh_pairs_by_sets,
+from conftest import (FIXTURES, Mutant, algebras, free_algebra,
+                      gradient_path_counts, linear_quiver, matching_to_json,
+                      reference_bh_pairs, reference_bh_pairs_by_sets,
                       reference_check_acyclic, reference_lex_shelling,
-                      words_by_class)
+                      reference_morse_terms, words_by_class)
 
 
 def _cell(x, tail, *label_seqs):
@@ -270,27 +270,75 @@ def test_check_linear_requires_grading():
         check_linear(mc)
 
 
-@pytest.mark.parametrize('boundary, sign_of', [
-    # a cellular boundary: coefficients are signs
-    (lambda cell: [(1, 'f'), (-1, 'g'), (1, 'f')], lambda coef: coef),
-    # a bimodule boundary: coefficients are (sign, l, r)
-    (lambda cell: [((1, 'l', 'r'), 'f'), ((-1, 'l', 'r'), 'f')],
-     lambda coef: coef[0]),
-])
-def test_matched_entry_refuses_a_repeated_facet(boundary, sign_of):
-    with pytest.raises(MatchingError, match="not unique"):
-        _matched_entry(boundary, 't', 'f', sign_of)
+@pytest.mark.parametrize('name, build, max_dim', [
+    ('p2', babson_hersh_matching, None),
+    ('f1', babson_hersh_matching, None),  # one class by greedy fallback
+    ('f3', 'f3_matching.json', None),
+    ('p113', babson_hersh_matching, None),
+    ('a3a3', babson_hersh_matching, None),
+    ('ungraded', babson_hersh_matching, None),
+    ('a3a3', babson_hersh_matching, 3),
+    ('p113', greedy_internal_matching, None),
+], ids=['p2', 'f1', 'f3-file', 'p113', 'a3a3', 'ungraded', 'a3a3-max-dim-3',
+        'p113-greedy'])
+def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
+                                                          build, max_dim):
+    a = request.getfixturevalue(name)
+    x = build_realization(a, max_dim=max_dim)
+    if isinstance(build, str):
+        m = load_matching(FIXTURES / build, x)
+    else:
+        m = build(a, complex_=x)
+    assert x.truncated == (max_dim is not None)
+    assert bool(getattr(m, 'fallback_classes', None)) == (name == 'f1')
+    c = BimoduleComplex(a, x)
+    mc = morse_complex(c, m)
+    critical = [tau for k in range(1, mc.top + 1)
+                for tau in mc.generators(k)]
+    # some gradient path goes through a matched pair, except on the
+    # ungraded algebra: no face of its one critical 2-cell is matched
+    assert any(f in m.top_of for tau in critical
+               for f in x.faces(tau)) == (name != 'ungraded')
+    for tau in critical:
+        assert mc.terms(tau) == reference_morse_terms(c, m, tau)
 
 
-@pytest.mark.parametrize('boundary, sign_of', [
-    (lambda cell: [(2, 'f'), (-1, 'g')], lambda coef: coef),
-    # a nontrivial left coefficient reads as sign 0
-    (lambda cell: [((1, 'x', 'e'), 'f')], lambda coef: 0),
-])
-def test_matched_entry_refuses_a_non_invertible_coefficient(boundary,
-                                                            sign_of):
-    with pytest.raises(MatchingError, match="non-invertible"):
-        _matched_entry(boundary, 't', 'f', sign_of)
+def _reached_pair(x, m):
+    """A pair (top, bottom) of m whose bottom is a face of a critical cell,
+    so that morse_complex reads the terms of its top."""
+    return next((m.top_of[f], f) for k in range(2, x.max_dim + 1)
+                for tau in x.cells[k] if not m.is_matched(tau)
+                for f in x.faces(tau) if f in m.top_of)
+
+
+def _with_matched_term_edited(a, edit):
+    """morse_complex of the resolution of a under its Babson-Hersh matching,
+    with the terms ts of one reached top replaced by edit(ts, bottom)."""
+    c = cellular_resolution(a)
+    m = babson_hersh_matching(a, complex_=c.complex)
+    top, bottom = _reached_pair(c.complex, m)
+    morse_complex(c, m)  # the unedited resolution is accepted
+    return morse_complex(Mutant(c, top, lambda ts: edit(ts, bottom)), m)
+
+
+def test_morse_complex_refuses_a_repeated_matched_facet(p2):
+    with pytest.raises(MatchingError,
+                       match="^matched facet not unique in boundary$"):
+        _with_matched_term_edited(
+            p2, lambda ts, b: ts + [t for t in ts if t[2] == b])
+
+
+@pytest.mark.parametrize('edit', [
+    # a nontrivial left coefficient: class 1, an arrow
+    lambda ts, b: [(s, 1 if f == b else l, f, r) for s, l, f, r in ts],
+    # sign 2, classes trivial
+    lambda ts, b: [(2 if f == b else s, l, f, r) for s, l, f, r in ts],
+], ids=['nontrivial-left', 'sign-2'])
+def test_morse_complex_refuses_a_non_invertible_incidence(p2, edit):
+    assert p2.classes[1].lengths == {1}
+    with pytest.raises(MatchingError, match="^matched pair has a "
+                       "non-invertible incidence coefficient$"):
+        _with_matched_term_edited(p2, edit)
 
 
 def _acyclic_on_face_graph(m):

@@ -211,7 +211,7 @@ def test_growth_refuses_the_pair_that_closes_a_cycle():
             (x.cell((e, cy, cz, w)), x.cell((e, cy, w)))]
     closing = (x.cell((e, cx, cz, w)), x.cell((e, cz, w)))
     assert not Matching(x, seed + [closing]).acyclic.ok
-    grown = _augment(a, x, seed)
+    grown = _augment(x, seed)
     assert grown.acyclic.ok and closing not in grown.pairs
     assert (x.cell((e, cx, cy, cz, w)), closing[0]) in grown.pairs
     assert grown.pairs == augment_by_rechecking(a, x, seed).pairs

@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
-from hpa.resolution import (BimoduleComplex, ResolutionError, _unfixed_rows,
-                            _unpaired_cells, cellular_resolution,
-                            contracting_homotopy_check, h_minus_one,
-                            multiply_augmentation, simple_tensor_complex,
-                            verify_d_squared)
+from hpa.resolution import (ResolutionError, _unfixed_rows, _unpaired_cells,
+                            cellular_resolution, contracting_homotopy_check,
+                            h_minus_one, multiply_augmentation,
+                            simple_tensor_complex, verify_d_squared)
 
-from conftest import (algebras, bimodule_chain_complex, free_algebra,
+from conftest import (Mutant, algebras, bimodule_chain_complex, free_algebra,
                       linear_quiver, reference_d_squared,
                       reference_homotopy_check)
 
@@ -57,23 +56,9 @@ def test_d_squared_p2(res_p2):
     assert report.checked == 9  # the 2-cells
 
 
-class _Mutant(BimoduleComplex):
-    """Deliberately corrupt the differential of one cell: terms(victim) is
-    edit applied to its true terms."""
-
-    def __init__(self, base, victim, edit):
-        super().__init__(base.hpa, base.complex)
-        self.victim = victim
-        self.edit = edit
-
-    def terms(self, cell):
-        out = super().terms(cell)
-        return self.edit(out) if cell == self.victim else out
-
-
 def _sign_flipped(base, victim, index=1):
     """Flip the sign of one term of victim, a middle face by default."""
-    return _Mutant(base, victim, lambda ts: [
+    return Mutant(base, victim, lambda ts: [
         (-s if i == index else s, l, f, r)
         for i, (s, l, f, r) in enumerate(ts)])
 
@@ -89,17 +74,17 @@ def _term_edited(base, victim, index, field, wrong):
         term[at] = wrong
         ts[index] = tuple(term)
         return ts
-    return _Mutant(base, victim, edit)
+    return Mutant(base, victim, edit)
 
 
 def _last_term_dropped(base, victim):
-    return _Mutant(base, victim, lambda ts: ts[:-1])
+    return Mutant(base, victim, lambda ts: ts[:-1])
 
 
 def _terms_reordered(base, victim):
     """The same sum as victim's terms, but no longer in the order of the
     face identities, so every check must still pass."""
-    return _Mutant(base, victim, lambda ts: ts[::-1])
+    return Mutant(base, victim, lambda ts: ts[::-1])
 
 
 def test_d_squared_sign_flip_detected(p2, res_p2):
@@ -255,7 +240,7 @@ def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
                  if p113.trivial_class[v] not in (el, er))
 
     def units(at, positions):
-        return _Mutant(c, victim, lambda ts: [
+        return Mutant(c, victim, lambda ts: [
             tuple(wrong if j == at and i in positions else v
                   for j, v in enumerate(t)) for i, t in enumerate(ts)])
     mutants = [units(1, range(1, dim + 1)),  # every t
