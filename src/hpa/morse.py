@@ -15,8 +15,10 @@ terms with these flows.  Forgetting coefficients (l (x) cell (x) r
 to cell) turns the resolution into the cellular chains, and its Morse
 complex into theirs (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
 
-Cells are the int ids of the realization; cells of several dimensions are
-put in the order of their chains (`x.chain`), the order of the reports.
+Cells are the int ids of the realization, and a matching is two flat lists
+over them (Matching.top and Matching.bottom).  No report takes its order
+from the list of pairs: the internality witnesses follow the chains of
+their tops (`x.chain`), and check_acyclic orders its starts itself.
 """
 
 import json
@@ -40,37 +42,34 @@ class MatchingFileError(UsageError):
 
 class Matching:
     """A set of (top, bottom) cell pairs of `complex`, bottom a facet of top,
-    no cell used twice; `internal` and `acyclic` hold the reports of
-    check_internal and check_acyclic, run once here."""
+    no cell used twice, kept as two flat lists over the cells: top[b] is the
+    top matched with bottom b and bottom[t] the bottom matched with top t,
+    -1 for a cell not matched that way; `pairs` lists them by top id.
+    `internal` and `acyclic` hold the reports of check_internal and
+    check_acyclic, run once here."""
 
     def __init__(self, complex_, pairs):
         self.complex = complex_
         n = len(complex_.last)
         face, at = complex_.face, complex_.at
-        seen = set()
-        norm = []
-        for top, bottom in pairs:
-            for cell in (top, bottom):
+        self.top = top = [-1] * n
+        self.bottom = bottom = [-1] * n
+        for t, b in pairs:
+            for cell in (t, b):
                 if not (isinstance(cell, int) and 0 <= cell < n):
                     raise MatchingError(f"unknown cell {cell}")
-            if bottom not in face[at[top]:at[top + 1]]:
+            if b not in face[at[t]:at[t + 1]]:
                 raise MatchingError(
-                    f"{complex_.format_cell(bottom)} is not a facet of "
-                    f"{complex_.format_cell(top)}")
-            for cell in (top, bottom):
-                if cell in seen:
+                    f"{complex_.format_cell(b)} is not a facet of "
+                    f"{complex_.format_cell(t)}")
+            for cell in (t, b):
+                if top[cell] >= 0 or bottom[cell] >= 0:
                     raise MatchingError(
                         f"cell {complex_.format_cell(cell)} matched twice")
-                seen.add(cell)
-            norm.append((top, bottom))
-        self.pairs = sorted(norm, key=lambda pair: complex_.chain(pair[0]))
-        self.top_of = {b: t for t, b in self.pairs}
-        self.bottom_of = {t: b for t, b in self.pairs}
+            top[b], bottom[t] = t, b
+        self.pairs = [(t, b) for t, b in enumerate(bottom) if b >= 0]
         self.internal = check_internal(self)
         self.acyclic = check_acyclic(self)
-
-    def is_matched(self, cell):
-        return cell in self.top_of or cell in self.bottom_of
 
     def require_valid(self):
         """Return self, or raise MatchingError with the first witness unless
@@ -92,22 +91,23 @@ def _is_arrow_cell(x, cell):
 
 def check_internal(m):
     """Internality: no Q_0 or Q_1 cell matched; pairs share tail and head.
-    A witness is (reason, formatted cell or pair)."""
+    A witness is (reason, formatted cell or pair), in the order of the
+    chains of the tops."""
     x = m.complex
     last, parent = x.last, x.parent
     stratum = [(c.tail, c.head) for c in x.hpa.classes]
-    witnesses = []
+    found = []  # (top, reason, text)
     for top, bottom in m.pairs:
         for cell in (top, bottom):
             if parent[cell] < 0:
-                witnesses.append(('vertex cell matched', x.format_cell(cell)))
+                found.append((top, 'vertex cell matched', x.format_cell(cell)))
             elif _is_arrow_cell(x, cell):
-                witnesses.append(('arrow cell matched', x.format_cell(cell)))
+                found.append((top, 'arrow cell matched', x.format_cell(cell)))
         if stratum[last[top]] != stratum[last[bottom]]:
-            witnesses.append(
-                ('pair changes stratum',
-                 f"{x.format_cell(top)} ~ {x.format_cell(bottom)}"))
-    return Report(witnesses, len(m.pairs))
+            found.append((top, 'pair changes stratum',
+                          f"{x.format_cell(top)} ~ {x.format_cell(bottom)}"))
+    found.sort(key=lambda w: x.chain(w[0]))
+    return Report([w[1:] for w in found], len(m.pairs))
 
 
 def _find_cycle(x, top, starts, middle, color):
@@ -155,7 +155,7 @@ def _find_cycle(x, top, starts, middle, color):
 
 def check_acyclic(m):
     """Cycle detection on the Hasse digraph with matched edges upward, by
-    _find_cycle over a flat list of the tops of m.top_of.
+    _find_cycle over m.top.
 
     A directed cycle alternates matched-up and facet-down steps, so it only
     visits matched bottoms of one dimension.  The search starts from them in
@@ -172,13 +172,10 @@ def check_acyclic(m):
     internal = m.internal.ok
     dim, last = x.dim, x.last
     stratum = [(c.tail, c.head) for c in x.hpa.classes]
-    top = [-1] * len(last)
-    for bottom, t in m.top_of.items():
-        top[bottom] = t
-    cycle = _find_cycle(x, top, sorted(m.top_of, key=(
+    cycle = _find_cycle(x, m.top, sorted((b for _, b in m.pairs), key=(
         lambda c: (dim(c), stratum[last[c]], c)) if internal else None),
-        internal, bytearray(len(top)))
-    return Report([cycle] if cycle else [], len(m.top_of))
+        internal, bytearray(len(last)))
+    return Report([cycle] if cycle else [], len(m.pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +206,9 @@ def morse_complex(c, m):
     """
     m.require_valid()
     a, x, units = c.hpa, c.complex, c.units
-    top_of, bottom_of = m.top_of, m.bottom_of
-    critical = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
+    top, bottom = m.top, m.bottom
+    critical = [[cell for cell in x.cells[k]
+                 if top[cell] < 0 and bottom[cell] < 0]
                 for k in range(x.max_dim + 1)]
     flow = {}  # a cell: {(l, critical target, r): coefficient}
 
@@ -233,13 +231,13 @@ def morse_complex(c, m):
                 if s in flow:
                     stack.pop()
                     continue
-                if s in bottom_of:  # matched downward: paths end, not critical
+                if bottom[s] >= 0:  # matched downward: paths end
                     flow[s] = {}
-                elif s not in top_of:
+                elif top[s] < 0:
                     el, er = units[x.last[s]]
                     flow[s] = {(el, s, er): 1}
                 else:
-                    up = c.terms(top_of[s])
+                    up = c.terms(top[s])
                     deps = [t for t in up if t[2] != s]
                     missing = [t[2] for t in deps if t[2] not in flow]
                     if missing:
@@ -364,28 +362,27 @@ def _augment(x, pairs):
     must be an acyclic matching, so a new pair can only close a cycle
     through its own bottom, inside that bottom's stratum: only that search
     is run."""
-    top = [-1] * len(x.last)
+    top, bottom = [-1] * len(x.last), [-1] * len(x.last)
     for t, b in pairs:
-        top[b] = t
-    matched = {c for pair in pairs for c in pair}
+        top[b], bottom[t] = t, b
     color = bytearray(len(top))
     changed = True
     while changed:
         changed = False
         for k in range(2, x.max_dim + 1):
             for t in x.cells[k]:
-                if t in matched:
+                if top[t] >= 0 or bottom[t] >= 0:
                     continue
                 for f in x.faces(t)[1:-1]:
-                    if f in matched or _is_arrow_cell(x, f):
+                    if top[f] >= 0 or bottom[f] >= 0 or _is_arrow_cell(x, f):
                         continue
                     top[f] = t
                     if _find_cycle(x, top, [f], True, color) is None:
-                        matched.update((t, f))
+                        bottom[t] = f
                         changed = True
                         break
                     top[f] = -1
-    return Matching(x, [(t, b) for b, t in enumerate(top) if t >= 0])
+    return Matching(x, [(t, b) for t, b in enumerate(bottom) if b >= 0])
 
 
 def babson_hersh_matching(a, complex_=None):

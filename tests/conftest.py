@@ -127,27 +127,34 @@ def gradient_path_counts(c, m):
     counts = {}
 
     def count_from(s, tau):
-        if s in m.bottom_of:  # matched downward: no path goes on
+        if m.bottom[s] >= 0:  # matched downward: no path goes on
             return
-        if s not in m.top_of:
+        if m.top[s] < 0:
             accumulate(counts, (tau, s), 1)
             return
-        for f in x.faces(m.top_of[s]):
+        for f in x.faces(m.top[s]):
             if f != s:
                 count_from(f, tau)
 
-    for k in range(1, x.max_dim + 1):
-        for tau in x.cells[k]:
-            if not m.is_matched(tau):
-                for f in x.faces(tau):
-                    count_from(f, tau)
+    for cells in critical_cells(m)[1:]:
+        for tau in cells:
+            for f in x.faces(tau):
+                count_from(f, tau)
     return counts
+
+
+def critical_cells(m):
+    """The cells of m.complex that the matching m leaves unmatched, by
+    dimension."""
+    x = m.complex
+    return [[c for c in x.cells[k] if m.top[c] < 0 and m.bottom[c] < 0]
+            for k in range(x.max_dim + 1)]
 
 
 def reference_morse_terms(c, m, tau):
     """The Morse differential of a critical cell tau from its definition:
     the sum over every alternating path tau > f_0 < t_0 > f_1 < ... > f_n
-    with f_n critical and t_i = m.top_of[f_i].  A step down to f takes the
+    with f_n critical and t_i = m.top[f_i].  A step down to f takes the
     term (sign, l, f, r) of c.terms of the cell above, a step up from f_i
     to t_i multiplies by -eps, eps the sign of f_i in c.terms(t_i) (its
     classes trivial), and the classes compose with a.mult.  Returns the
@@ -157,12 +164,12 @@ def reference_morse_terms(c, m, tau):
     total = {}
 
     def expand(coef, l, s, r):
-        if s in m.bottom_of:
+        if m.bottom[s] >= 0:
             return
-        if s not in m.top_of:
+        if m.top[s] < 0:
             total[l, s, r] = total.get((l, s, r), 0) + coef
             return
-        up = c.terms(m.top_of[s])
+        up = c.terms(m.top[s])
         [(eps, el, _, er)] = [t for t in up if t[2] == s]
         assert eps in (1, -1) and a.is_trivial(el) and a.is_trivial(er)
         for sign, l2, f, r2 in up:
@@ -351,7 +358,7 @@ def reference_check_acyclic(m):
     tail, head) stratum for an internal matching and the dimension
     otherwise.  Returns the same Report: the first cycle closed, as the
     alternating list bottom, top, ..., bottom."""
-    x, top_of = m.complex, m.top_of
+    x, top_of = m.complex, {b: t for t, b in m.pairs}
 
     def key(c):
         return (x.dim(c), x.tail(c), x.head(c)) if m.internal.ok \

@@ -261,7 +261,7 @@ def _tor_convolution(s, t):
 
 
 @pytest.mark.parametrize('left, right', [('f1', 'a2'), ('p2', 'f1'),
-                                         ('p113', 'a2')])
+                                         ('p113', 'a2'), ('f3', 'a2')])
 def test_09_kunneth_per_vertex_pair(request, left, right):
     # Tor of a tensor product over Q is the convolution of the factors'
     # Tor, at every pair ((v, v'), (w, w')) of product vertices; F1 has an

@@ -10,7 +10,8 @@ import pytest
 
 from hpa import FP_LIMIT, parse_ring
 from hpa.cli import main, _load, _schema
-from hpa.morse import babson_hersh_matching, greedy_internal_matching
+from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
+                       load_matching)
 from hpa.realization import build_realization
 
 from conftest import (BENCHMARK_INPUTS, UNGRADED, free_algebra, linear_quiver,
@@ -196,6 +197,39 @@ def test_morse_rejects_non_internal(capsys, tmp_path):
     assert code == 1
     reasons = {w[0] for w in data['internal']['witnesses']}
     assert 'vertex cell matched' in reasons
+    assert data['criticals'] is None
+
+
+def test_morse_refusal_lists_witnesses_by_the_chains_of_the_tops(capsys,
+                                                               tmp_path):
+    # the tops [e_v0 < x], [e_v0 < y] and [e_v0 < x < x y'] run in that
+    # order by id, but the witnesses follow their chains, and the cycle
+    # search starts from the least bottom
+    def cell(tail, *chain):
+        return {'tail': tail, 'chain': [[], *chain]}
+    doc = {'pairs': [
+        {'top': cell('v0', ['y']), 'bottom': cell('v1')},
+        {'top': cell('v0', ['x'], ['x', "y'"]), 'bottom': cell('v1', ["y'"])},
+        {'top': cell('v0', ['x']), 'bottom': cell('v0')}]}
+    p = tmp_path / 'matching.json'
+    p.write_text(json.dumps(doc))
+    m = load_matching(p, build_realization(_load(P2)))
+    tops = sorted(t for t, _ in m.pairs)
+    assert tops != sorted(tops, key=m.complex.chain)
+    code, data = run_json(capsys, 'morse', P2, '--matching', str(p))
+    assert code == 1
+    assert data['matching'] == {'strategy': 'fixture', 'pairs': 3}
+    assert data['internal']['witnesses'] == [
+        ['arrow cell matched', '[e_v0 < x]'],
+        ['vertex cell matched', '[e_v0]'],
+        ['pair changes stratum', '[e_v0 < x] ~ [e_v0]'],
+        ['arrow cell matched', "[e_v1 < y']"],
+        ['pair changes stratum', "[e_v0 < x < x y'] ~ [e_v1 < y']"],
+        ['arrow cell matched', '[e_v0 < y]'],
+        ['vertex cell matched', '[e_v1]'],
+        ['pair changes stratum', '[e_v0 < y] ~ [e_v1]']]
+    assert data['acyclic'] == {'ok': False, 'cycle': [
+        '[e_v0]', '[e_v0 < x]', '[e_v1]', '[e_v0 < y]', '[e_v0]']}
     assert data['criticals'] is None
 
 

@@ -15,8 +15,8 @@ from hpa.invariants import (OrderComplex, reduced_homology,
                             el_shellable, interval_chains, koszul_check,
                             _elementary_divisors)
 
-from conftest import (algebras, el_every_subinterval, free_algebra,
-                      linear_quiver, tor_via_resolution)
+from conftest import (algebras, critical_cells, el_every_subinterval,
+                      free_algebra, linear_quiver, tor_via_resolution)
 
 
 CUBIC = """
@@ -266,9 +266,7 @@ def test_babson_hersh_falls_back_on_cubic(cubic):
     m = babson_hersh_matching(cubic)
     p = _class(cubic, 'p0', ('a1', 'c', 'b2'))
     assert m.fallback_classes == [p]
-    x = m.complex
-    crit = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-            for k in range(x.max_dim + 1)]
+    crit = critical_cells(m)
     # minimal: 4 vertices, 5 arrows, 1 generator for the cubic relation
     assert [len(cs) for cs in crit] == [4, 5, 1, 0]
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -18,11 +19,12 @@ from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        load_matching, matching_from_json, morse_homology,
                        _find_cycle)
 
-from conftest import (FIXTURES, Mutant, algebras, free_algebra,
-                      gradient_path_counts, linear_quiver, matching_to_json,
-                      reference_bh_pairs, reference_bh_pairs_by_sets,
-                      reference_check_acyclic, reference_lex_shelling,
-                      reference_morse_terms, words_by_class)
+from conftest import (FIXTURES, Mutant, algebras, critical_cells,
+                      free_algebra, gradient_path_counts, linear_quiver,
+                      matching_to_json, reference_bh_pairs,
+                      reference_bh_pairs_by_sets, reference_check_acyclic,
+                      reference_lex_shelling, reference_morse_terms,
+                      words_by_class)
 
 
 def _cell(x, tail, *label_seqs):
@@ -70,7 +72,7 @@ def test_acyclicity_cycle_witness():
     assert len(cyc) == 7
     for i in range(0, len(cyc) - 1, 2):
         bottom, top = cyc[i], cyc[i + 1]
-        assert m.top_of[bottom] == top
+        assert m.top[bottom] == top
         assert cyc[i + 2] in x.faces(top)
     c = cellular_resolution(a, x)
     with pytest.raises(MatchingError):
@@ -111,6 +113,13 @@ def test_matching_rejects_double_use(p2):
     mid = _cell(x, 'v0', (), ('x', "y'"))
     with pytest.raises(MatchingError):
         Matching(x, [(top1, mid), (top2, mid)])
+    # a top used twice, and a top that is then matched as a bottom
+    edge, vertex = x.faces(top1)[-1], _cell(x, 'v0', ())
+    for pairs, cell in [([(top1, mid), (top1, edge)], top1),
+                        ([(edge, vertex), (top1, edge)], edge)]:
+        with pytest.raises(MatchingError, match=re.escape(
+                f"cell {x.format_cell(cell)} matched twice")):
+            Matching(x, pairs)
 
 
 def test_matching_refuses_unknown_cells_and_bottoms_that_are_no_facets(p2):
@@ -129,8 +138,7 @@ def test_babson_hersh_p2_criticals(p2):
     m = babson_hersh_matching(p2)
     x = m.complex
     assert not m.fallback_classes
-    crit = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-            for k in range(x.max_dim + 1)]
+    crit = critical_cells(m)
     assert [len(cs) for cs in crit] == [3, 6, 3]
     # critical 1-cells are exactly the arrow cells
     for cell in crit[1]:
@@ -201,9 +209,7 @@ def test_greedy_free_quiver_criticals():
                                   ('c', 'u', 'v')])):
         a = free_algebra(q)
         m = greedy_internal_matching(a)
-        x = m.complex
-        crit = [[cell for cell in x.cells[k] if not m.is_matched(cell)]
-                for k in range(x.max_dim + 1)]
+        crit = critical_cells(m)
         assert len(crit[0]) == len(q.vertices)
         assert len(crit[1]) == len(q.arrows)
         assert all(len(cs) == 0 for cs in crit[2:])
@@ -297,7 +303,7 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
                 for tau in mc.generators(k)]
     # some gradient path goes through a matched pair, except on the
     # ungraded algebra: no face of its one critical 2-cell is matched
-    assert any(f in m.top_of for tau in critical
+    assert any(m.top[f] >= 0 for tau in critical
                for f in x.faces(tau)) == (name != 'ungraded')
     for tau in critical:
         assert mc.terms(tau) == reference_morse_terms(c, m, tau)
@@ -306,9 +312,8 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
 def _reached_pair(x, m):
     """A pair (top, bottom) of m whose bottom is a face of a critical cell,
     so that morse_complex reads the terms of its top."""
-    return next((m.top_of[f], f) for k in range(2, x.max_dim + 1)
-                for tau in x.cells[k] if not m.is_matched(tau)
-                for f in x.faces(tau) if f in m.top_of)
+    return next((m.top[f], f) for cells in critical_cells(m)[2:]
+                for tau in cells for f in x.faces(tau) if m.top[f] >= 0)
 
 
 def _with_matched_term_edited(a, edit):
@@ -344,7 +349,7 @@ def test_morse_complex_refuses_a_non_invertible_incidence(p2, edit):
 def _acyclic_on_face_graph(m):
     """check_acyclic with its cycle search keyed by dimension alone, so that
     it follows every face edge, across (tail, head) strata too."""
-    whole = SimpleNamespace(complex=m.complex, top_of=m.top_of,
+    whole = SimpleNamespace(complex=m.complex, top=m.top, pairs=m.pairs,
                             internal=SimpleNamespace(ok=False))
     return check_acyclic(whole).ok
 
@@ -438,7 +443,7 @@ def _check_shellings_and_pairs(a, x):
         # coreduction and augmentation add pairs for the other classes
         assert set(ref) <= set(pairs)
     else:
-        assert pairs == sorted(ref)
+        assert sorted(pairs) == sorted(ref)
     return m
 
 
@@ -502,7 +507,7 @@ def test_check_acyclic_matches_reference_on_random_matchings(request, name):
         assert (rep.ok, rep.witnesses, rep.checked) == \
             (ref.ok, ref.witnesses, ref.checked)
         # the dimension-keyed search, as for a non-internal matching
-        whole = SimpleNamespace(complex=x, top_of=m.top_of,
+        whole = SimpleNamespace(complex=x, top=m.top, pairs=m.pairs,
                                 internal=SimpleNamespace(ok=False))
         rep, ref = check_acyclic(whole), reference_check_acyclic(whole)
         assert (rep.ok, rep.witnesses) == (ref.ok, ref.witnesses)
@@ -523,13 +528,11 @@ def test_find_cycle_leaves_its_colours_cleared(request, name):
     outcomes = set()
     for _ in range(100):
         m = _random_internal_matching(x, rng)
-        top = [-1] * len(x.last)
-        for bottom, t in m.top_of.items():
-            top[bottom] = t
-        for starts in (sorted(m.top_of), sorted(m.top_of, reverse=True)):
-            cycle = _find_cycle(x, top, starts, True, color)
+        bottoms = sorted(b for _, b in m.pairs)
+        for starts in (bottoms, bottoms[::-1]):
+            cycle = _find_cycle(x, m.top, starts, True, color)
             assert not any(color)
-            assert cycle == _find_cycle(x, top, starts, True,
+            assert cycle == _find_cycle(x, m.top, starts, True,
                                         bytearray(len(x.last)))
             outcomes.add(cycle is None)
         assert (cycle is None) == reference_check_acyclic(m).ok
