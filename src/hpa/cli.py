@@ -201,7 +201,7 @@ def cmd_morse(args):
         return {i: g for i, g in groups.items() if i < below}
     quasi_ok = all(
         low(nonzero_groups(homology(
-            simple_tensor_complex(mc, v, w, args.ring)))) == low(tor)
+            *simple_tensor_complex(mc, v, w), args.ring))) == low(tor)
         for (v, w), tor in tor_table(a, args.ring).items())
     minimal = check_minimal(mc)
     try:

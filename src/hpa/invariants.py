@@ -5,9 +5,10 @@ The central fact: Tor_i(S_v, S_w) is the direct sum, over nontrivial path
 classes p from v to w, of the reduced homology H~_{i-2} of the order complex
 of the open interval (e_{t(p)}, p), with the convention H~_{-1}(empty) = R.
 `tor_table` reads a summand off the lexicographic shelling of its interval,
-the one the Babson-Hersh matching uses, and eliminates only where that
-order is not a shelling; `tor_via_intervals`, its oracle, eliminates every
-interval.  `hpa morse` checks the resolution side against `tor_table`.
+the one the Babson-Hersh matching uses, and takes the interval's reduced
+homology (`realization.homology` of its order complex) only where that
+order is not a shelling.  `hpa morse` checks the resolution side against
+`tor_table`.
 
 The resolution, Morse and toric layers are imported inside the functions
 that use them, so that `betti_table` loads none of them.
@@ -18,8 +19,7 @@ import io
 
 from . import RING_Z
 from .algebra import require_cancellative
-from .realization import (chain_complex, homology, lex_shelling,
-                          maximal_chains)
+from .realization import homology, lex_shelling, maximal_chains
 
 
 class OrderComplex:
@@ -52,8 +52,8 @@ def reduced_homology(oc, ring=RING_Z):
     boundary is the augmentation and an empty complex has H~_{-1} = R."""
     def boundary(s):
         return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))]
-    ch = chain_complex([[()]] + oc.simplices, boundary, ring)
-    return {j - 1: (rank, tors) for j, (rank, tors) in homology(ch).items()
+    h = homology([[()]] + oc.simplices, boundary, ring)
+    return {j - 1: (rank, tors) for j, (rank, tors) in h.items()
             if rank or tors}
 
 
@@ -92,13 +92,6 @@ def nonzero_groups(h):
             for i, (rank, tors) in sorted(h.items()) if rank or tors}
 
 
-def _interval_summands(a, p, ring):
-    """(degree i, rank, torsion) of H~_{i-2} of the order complex of the
-    interval (e_{t(p)}, p), by elimination over `ring`."""
-    h = reduced_homology(interval_order_complex(a, p), ring)
-    return [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
-
-
 def _tor_sum(a, v, w, summands):
     """Tor_i(S_v, S_w) in sparse form, summing summands(p) over the
     nontrivial classes p from v to w, plus R in degree 0 when v = w."""
@@ -112,23 +105,19 @@ def _tor_sum(a, v, w, summands):
     return nonzero_groups(acc)
 
 
-def tor_via_intervals(a, v, w, ring=RING_Z):
-    """Tor_i(S_v, S_w) assembled from interval homology; sparse dict
-    {degree: (rank, elementary divisors)}."""
-    return _tor_sum(a, v, w, lambda p: _interval_summands(a, p, ring))
-
-
 def tor_table(a, ring=RING_Z):
-    """{(v, w): tor_via_intervals(a, v, w, ring)} for every pair of
-    vertices.  An interval whose lexicographic order is a shelling
-    (`realization.lex_shelling`) is a wedge of spheres, one S^{|F_j|-1} per
-    facet with R_j = F_j (Bjorner-Wachs, nonpure shellings included), so it
-    adds a free generator in degree |F_j| + 1 for each; any other interval
-    is eliminated."""
+    """{(v, w): Tor_i(S_v, S_w) over `ring`} for every pair of vertices,
+    each a sparse dict {degree: (rank, elementary divisors)}.  An interval
+    whose lexicographic order is a shelling (`realization.lex_shelling`) is
+    a wedge of spheres, one S^{|F_j|-1} per facet with R_j = F_j
+    (Bjorner-Wachs, nonpure shellings included), so it adds a free
+    generator in degree |F_j| + 1 for each; any other interval adds
+    H~_{i-2} of its order complex in degree i."""
     def summands(p):
         shelling = lex_shelling(a, p)
         if shelling is None:
-            return _interval_summands(a, p, ring)
+            h = reduced_homology(interval_order_complex(a, p), ring)
+            return [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
         return [(len(ch) + 1, 1, []) for ch, rj in shelling
                 if len(rj) == len(ch)]
     vertices = a.quiver.vertices

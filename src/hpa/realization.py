@@ -10,6 +10,11 @@ chain by dividing through p_1.  Regularity makes every incidence number
 A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
 c is the chain of parent[c], its top face, extended by the class last[c].
 `x.chain(c)` is the tuple of class ids of a cell, `x.cell(chain)` its id.
+
+`homology(cells, boundary, ring)` is the one path from a chain complex to
+its homology: the Morse complex of the realization, S_v (x) (Morse complex)
+(x) S_w and the order complexes of intervals all reach it as a basis per
+degree and a boundary rule.
 """
 
 from bisect import bisect_right
@@ -138,10 +143,6 @@ class CellComplex:
         face; empty for a vertex cell."""
         return self.face[self.at[cell]:self.at[cell + 1]]
 
-    def boundary(self, cell):
-        """The cellular boundary rule: (sign (-1)^i, facet i) pairs."""
-        return [(-1 if i % 2 else 1, f) for i, f in enumerate(self.faces(cell))]
-
     def d_squared_degree(self):
         """The first degree k with d(d(cell)) != 0 for some k-cell, or None.
         Symbolic: the faces of faces that enter with sign +1 and those with
@@ -260,87 +261,46 @@ def lex_shelling(a, p):
     return out
 
 
-class ChainComplex:
-    """dims[k] = rank of C_k; d[k]: C_k -> C_{k-1} as SparseMat (d[0] = None)."""
-
-    def __init__(self, dims, d, ring, truncated=False):
-        self.dims = dims
-        self.d = d
-        self.ring = ring
-        self.truncated = truncated
-
-    @property
-    def top(self):
-        return len(self.dims) - 1
-
-    def verify_d_squared(self):
-        """Return the first degree k with d_{k-1} d_k != 0, or None."""
-        for k in range(2, self.top + 1):
-            a, b = self.d[k - 1], self.d[k]
-            if a is None or b is None:
-                continue
-            column = {}  # the entries of a, by column
-            for (i, j), v in a.entries.items():
-                column.setdefault(j, []).append((i, v))
-            product = {}
-            for (i, j), v in b.entries.items():
-                for r, w in column.get(i, ()):
-                    accumulate(product, (r, j), v * w)
-            if product:
-                return k
-        return None
-
-
-def chain_complex(cells, boundary, ring, truncated=False):
-    """ChainComplex with basis cells[k] in degree k, trailing empty degrees
-    dropped; boundary(cell) returns (coefficient, face) pairs, each face a
-    cell of the degree below."""
+def homology(cells, boundary, ring=RING_Z):
+    """{k: (rank, torsion list)} of the complex with basis cells[k] in
+    degree k, trailing empty degrees dropped; boundary(cell) returns
+    (coefficient, face) pairs, each face a cell of the degree below.  Each
+    d_k is built once, checked against d_{k-1} (raising on d^2 != 0 at the
+    first degree where the product is nonzero) and eliminated once."""
+    kind = ring[0]
+    if kind not in ('Z', 'Q', 'Fp'):
+        raise ValueError(f"unknown ring {ring!r}")
     cells = list(cells)
     while len(cells) > 1 and not cells[-1]:
         cells.pop()
-    d = [None]
+    # rank[k] and torsion[k] of d_k: C_k -> C_{k-1}
+    rank = [0] * (len(cells) + 1)
+    torsion = [[] for _ in rank]
+    d = SparseMat()  # d_0 = 0
     for k in range(1, len(cells)):
+        column = {}  # the entries of d_{k-1}, by column
+        for (i, j), v in d.entries.items():
+            column.setdefault(j, []).append((i, v))
         index = {cell: i for i, cell in enumerate(cells[k - 1])}
-        mat = SparseMat()
+        d = SparseMat()
         for j, cell in enumerate(cells[k]):
             for coef, face in boundary(cell):
-                accumulate(mat.entries, (index[face], j), coef)
-        d.append(mat)
-    return ChainComplex([len(cs) for cs in cells], d, ring, truncated)
-
-
-def cw_chain_complex(complex_, ring=RING_Z):
-    """Cellular chain complex of a CellComplex over the given ring: the
-    facet i of a cell enters its boundary with sign (-1)^i."""
-    return chain_complex(complex_.cells, complex_.boundary, ring,
-                         complex_.truncated)
-
-
-def homology(chain):
-    """Per-degree (rank, torsion list).  Raises on d^2 != 0, reporting the
-    offending degree.  For a truncated complex the top degree is omitted."""
-    bad = chain.verify_d_squared()
-    if bad is not None:
-        raise ValueError(f"d^2 != 0 at degree {bad}")
-    kind = chain.ring[0]
-    if kind not in ('Z', 'Q', 'Fp'):
-        raise ValueError(f"unknown ring {chain.ring!r}")
-    top = chain.top
-    # rank[k] and torsion[k] of d_k: C_k -> C_{k-1}, each d_k eliminated once
-    rank = [0] * (top + 2)
-    torsion = [[] for _ in range(top + 2)]
-    for k in range(1, top + 1):
-        d = chain.d[k]
+                accumulate(d.entries, (index[face], j), coef)
+        product = {}
+        for (i, j), v in d.entries.items():
+            for r, w in column.get(i, ()):
+                accumulate(product, (r, j), v * w)
+        if product:
+            raise ValueError(f"d^2 != 0 at degree {k}")
         if kind == 'Fp':
-            rank[k] = modp_rank(d, chain.ring[1])
+            rank[k] = modp_rank(d, ring[1])
         else:
             facs = invariant_factors(d)
             rank[k] = len(facs)
             if kind == 'Z':
                 torsion[k] = [f for f in facs if f > 1]
-    limit = top if not chain.truncated else top - 1
-    return {k: (chain.dims[k] - rank[k] - rank[k + 1], torsion[k + 1])
-            for k in range(limit + 1)}
+    return {k: (len(cs) - rank[k] - rank[k + 1], torsion[k + 1])
+            for k, cs in enumerate(cells)}
 
 
 def euler_characteristic(complex_):

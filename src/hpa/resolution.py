@@ -12,10 +12,9 @@ the realization; check witnesses name cells by their chains (`x.chain`).
 from collections import Counter
 from itertools import chain
 
-from . import RING_Z
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import build_realization, chain_complex
+from .realization import build_realization
 
 
 class ResolutionError(ValueError):
@@ -301,16 +300,16 @@ def contracting_homotopy_check(a, c):
     return Report(failures, checked)
 
 
-def simple_tensor_complex(source, v, w, ring=RING_Z):
+def simple_tensor_complex(source, v, w):
     """S_v (x) C (x) S_w for a complex with a generators()/terms()
-    interface: keep generators with tail v and head w (their last class
-    runs from v to w) and terms whose two coefficients are trivial."""
+    interface, as (cells, boundary) for `realization.homology`: keep
+    generators with tail v and head w (their last class runs from v to w)
+    and terms whose two coefficients are trivial."""
     a, last = source.hpa, source.complex.last
     ends = set(a.classes_by_pair.get((v, w), ()))
 
     def boundary(cell):
         return [(sign, face) for sign, l, face, r in source.terms(cell)
                 if a.is_trivial(l) and a.is_trivial(r)]
-    return chain_complex(
-        [[g for g in source.generators(k) if last[g] in ends]
-         for k in range(source.top + 1)], boundary, ring)
+    return ([[g for g in source.generators(k) if last[g] in ends]
+             for k in range(source.top + 1)], boundary)

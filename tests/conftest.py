@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from hpa import RING_Z
 from hpa.algebra import HPA, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
-from hpa.invariants import nonzero_groups
+from hpa.invariants import (interval_order_complex, nonzero_groups,
+                            reduced_homology)
 from hpa.linalg import accumulate
 from hpa.quiver import Arrow, Quiver, enumerate_paths
-from hpa.realization import chain_complex, homology, maximal_chains
+from hpa.realization import homology, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
 
@@ -45,7 +46,49 @@ def tor_via_resolution(a, c, v, w, ring=RING_Z):
     """Homology of S_v (x) c (x) S_w in the sparse shape of
     `invariants.tor_table`; c is a cellular resolution or a Morse
     complex."""
-    return nonzero_groups(homology(simple_tensor_complex(c, v, w, ring)))
+    return nonzero_groups(homology(*simple_tensor_complex(c, v, w), ring))
+
+
+def tor_via_intervals(a, v, w, ring=RING_Z):
+    """Reference for `invariants.tor_table`: Tor_i(S_v, S_w) as the sum,
+    over the nontrivial classes p from v to w, of the reduced homology
+    H~_{i-2} of the order complex of (e_{t(p)}, p), each interval
+    eliminated, whether or not it is shellable; plus R in degree 0 when
+    v = w."""
+    acc = {0: (1, [])} if v == w else {}
+    for p in a.classes_by_pair.get((v, w), ()):
+        if a.is_trivial(p):
+            continue
+        h = reduced_homology(interval_order_complex(a, p), ring)
+        for k, (rank, tors) in h.items():
+            r, t = acc.get(k + 2, (0, []))
+            acc[k + 2] = (r + rank, t + tors)
+    return nonzero_groups(acc)
+
+
+def matrix_complex(*ds):
+    """(cells, boundary) for `realization.homology` of the complex whose
+    d_k is the dense matrix ds[k - 1]: cell (k, j) is basis vector j of
+    degree k, and the rows of d_k run over the cells of degree k - 1."""
+    cells = [[(0, i) for i in range(len(ds[0]))]]
+    cells += [[(k, j) for j in range(len(d[0]))] for k, d in enumerate(ds, 1)]
+
+    def boundary(cell):
+        k, j = cell
+        return [(row[j], (k - 1, i)) for i, row in enumerate(ds[k - 1])
+                if row[j]]
+    return cells, boundary
+
+
+def cellular_homology(x, ring=RING_Z):
+    """Reference for `morse.morse_homology`: the cellular chain complex of
+    the CellComplex x, facet i of a cell entering its boundary with sign
+    (-1)^i, eliminated degree by degree.  A truncated complex omits its top
+    degree, whose homology the cap does not determine."""
+    def boundary(cell):
+        return [(-1 if i % 2 else 1, f) for i, f in enumerate(x.faces(cell))]
+    h = homology(x.cells, boundary, ring)
+    return {k: h[k] for k in range(len(h) - x.truncated)}
 
 
 def words_by_class(a):
@@ -442,17 +485,17 @@ def reference_homotopy_check(a, c):
     return Report(failures, checked)
 
 
-def bimodule_chain_complex(c, ring=RING_Z):
+def bimodule_chain_complex(c):
     """The underlying chain complex of free k-modules with basis all triples
-    (a, cell, b); used for augmentation/exactness rank checks."""
+    (a, cell, b), as (cells, boundary) for `realization.homology`; used for
+    augmentation/exactness rank checks."""
     a = c.hpa
 
     def boundary(triple):
         ac, cell, bc = triple
         return [(sign, (a.mult(ac, l), face, a.mult(r, bc)))
                 for sign, l, face, r in c.terms(cell)]
-    return chain_complex([list(basis(c, k)) for k in range(c.top + 1)],
-                         boundary, ring)
+    return [list(basis(c, k)) for k in range(c.top + 1)], boundary
 
 
 def el_every_subinterval(a, p, ranks):

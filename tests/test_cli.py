@@ -14,8 +14,8 @@ from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        load_matching)
 from hpa.realization import build_realization
 
-from conftest import (BENCHMARK_INPUTS, UNGRADED, free_algebra, linear_quiver,
-                      matching_to_json)
+from conftest import (BENCHMARK_INPUTS, UNGRADED, cellular_homology,
+                      free_algebra, linear_quiver, matching_to_json)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
@@ -597,22 +597,41 @@ def test_witness_and_error_texts_name_chains(p2):
 
 
 def _homology_paths(monkeypatch):
-    """Record which homology path cmd_homology takes."""
+    """Record which homology path cmd_homology takes: each call of
+    morse_homology, and each call of realization.homology with the number
+    of cells per degree of the complex it eliminates."""
     from hpa import morse, realization
     calls = []
-    for module, name in ((morse, 'morse_homology'),
-                         (realization, 'cw_chain_complex')):
-        def recorded(*args, fn=getattr(module, name), name=name, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, recorded)
+
+    def morse_homology(*args, fn=morse.morse_homology, **kwargs):
+        calls.append('morse_homology')
+        return fn(*args, **kwargs)
+
+    def homology(cells, *args, fn=realization.homology, **kwargs):
+        cells = list(cells)
+        calls.append(('homology', [len(cs) for cs in cells]))
+        return fn(cells, *args, **kwargs)
+    monkeypatch.setattr(morse, 'morse_homology', morse_homology)
+    for module in (morse, realization):
+        monkeypatch.setattr(module, 'homology', homology)
     return calls
 
 
+def _morse_route(path, max_dim=None):
+    """The calls of the Morse route: morse_homology, which eliminates the
+    Morse complex of the Babson-Hersh matching once, and nothing else."""
+    from hpa.morse import morse_complex
+    from hpa.resolution import cellular_resolution
+    a = _load(path)
+    x = build_realization(a, max_dim=max_dim)
+    mc = morse_complex(cellular_resolution(a, x),
+                       babson_hersh_matching(a, complex_=x))
+    return ['morse_homology', ('homology', mc.counts())]
+
+
 def _elimination_homology(path, ring, max_dim=None):
-    from hpa.realization import cw_chain_complex, homology
     x = build_realization(_load(path), max_dim=max_dim)
-    h = homology(cw_chain_complex(x, parse_ring(ring)))
+    h = cellular_homology(x, parse_ring(ring))
     return {str(k): [r, t] for k, (r, t) in h.items()}
 
 
@@ -620,7 +639,7 @@ def _elimination_homology(path, ring, max_dim=None):
 def test_homology_takes_the_morse_path(monkeypatch, capsys, ring):
     calls = _homology_paths(monkeypatch)
     code, data = run_json(capsys, 'homology', F3, '--ring', ring)
-    assert code == 0 and calls == ['morse_homology']
+    assert code == 0 and calls == _morse_route(F3)
     assert data['homology'] == _elimination_homology(F3, ring)
 
 
@@ -638,7 +657,7 @@ def test_homology_has_one_route(monkeypatch, capsys, tmp_path, ungraded,
         argv += ['--max-dim', str(max_dim)]
     calls = _homology_paths(monkeypatch)
     code, data = run_json(capsys, *argv)
-    assert code == 0 and calls == ['morse_homology']
+    assert code == 0 and calls == _morse_route(path, max_dim)
     assert data['homology'] == _elimination_homology(path, 'Z', max_dim)
 
 

@@ -10,13 +10,13 @@ from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
 from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        morse_complex)
 from hpa.invariants import (OrderComplex, reduced_homology,
-                            interval_order_complex, tor_via_intervals,
-                            tor_table, betti_table,
+                            interval_order_complex, tor_table, betti_table,
                             el_shellable, interval_chains, koszul_check,
                             _elementary_divisors)
 
 from conftest import (algebras, critical_cells, el_every_subinterval,
-                      free_algebra, linear_quiver, tor_via_resolution)
+                      free_algebra, linear_quiver, tor_via_intervals,
+                      tor_via_resolution)
 
 
 CUBIC = """

@@ -10,9 +10,9 @@ from hpa.linalg import (
     SparseMat, integer_kernel_basis, invariant_factors, lp_maximize,
     modp_rank, snf_diagonal, solve_integer,
 )
-from hpa.realization import ChainComplex, homology
+from hpa.realization import homology
 
-from conftest import determinant
+from conftest import determinant, matrix_complex
 
 
 def test_snf_diag_2_3():
@@ -145,18 +145,17 @@ def test_modp_rank():
 
 def test_homology_circle():
     # two vertices, two parallel edges a -> b
-    d1 = _sparse([[-1, -1], [1, 1]])
-    h = homology(ChainComplex([2, 2], [None, d1], ('Z',)))
+    h = homology(*matrix_complex([[-1, -1], [1, 1]]), ('Z',))
     assert h[0] == (1, [])
     assert h[1] == (1, [])
 
 
 def test_homology_torsion():
     # cellular chain complex with d2 = (2): H_1 = Z/2
-    d = [None, _sparse([[0]]), _sparse([[2]])]
-    assert homology(ChainComplex([1, 1, 1], d, ('Z',)))[1] == (0, [2])
-    assert homology(ChainComplex([1, 1, 1], d, ('Fp', 2)))[1] == (1, [])
-    assert homology(ChainComplex([1, 1, 1], d, ('Q',)))[1] == (0, [])
+    cells, boundary = matrix_complex([[0]], [[2]])
+    assert homology(cells, boundary, ('Z',))[1] == (0, [2])
+    assert homology(cells, boundary, ('Fp', 2))[1] == (1, [])
+    assert homology(cells, boundary, ('Q',))[1] == (0, [])
 
 
 def test_solve_integer():

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Z, ring_fp
 from hpa.algebra import check_hpa
 from hpa.quiver import Quiver
-from hpa.realization import (build_realization, cw_chain_complex, homology,
-                             lex_shelling)
+from hpa.realization import build_realization, homology, lex_shelling
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
                             simple_tensor_complex, verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
@@ -19,9 +18,9 @@ from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        load_matching, matching_from_json, morse_homology,
                        _find_cycle)
 
-from conftest import (FIXTURES, Mutant, algebras, critical_cells,
-                      free_algebra, gradient_path_counts, linear_quiver,
-                      matching_to_json, reference_bh_pairs,
+from conftest import (FIXTURES, Mutant, algebras, cellular_homology,
+                      critical_cells, free_algebra, gradient_path_counts,
+                      linear_quiver, matching_to_json, reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
                       reference_lex_shelling, reference_morse_terms,
                       words_by_class)
@@ -194,8 +193,8 @@ def test_babson_hersh_quasi_isomorphism(p2):
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
-                full = homology(simple_tensor_complex(c, v, w, ring))
-                small = homology(simple_tensor_complex(mc, v, w, ring))
+                full = homology(*simple_tensor_complex(c, v, w), ring)
+                small = homology(*simple_tensor_complex(mc, v, w), ring)
                 ks = set(full) | set(small)
                 for k in ks:
                     assert full.get(k, (0, [])) == small.get(k, (0, [])), \
@@ -222,8 +221,8 @@ def test_greedy_p2_agrees_with_resolution_homology(p2):
     assert verify_d_squared(mc).ok
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
-            full = homology(simple_tensor_complex(c, v, w))
-            small = homology(simple_tensor_complex(mc, v, w))
+            full = homology(*simple_tensor_complex(c, v, w))
+            small = homology(*simple_tensor_complex(mc, v, w))
             for k in set(full) | set(small):
                 assert full.get(k, (0, [])) == small.get(k, (0, []))
 
@@ -367,8 +366,7 @@ def test_morse_homology_matches_elimination(a, max_dim):
         m = build(a, complex_=x)
         assert _acyclic_on_face_graph(m)
         for ring in (RING_Z, ring_fp(2)):
-            assert morse_homology(m, ring) == \
-                homology(cw_chain_complex(x, ring))
+            assert morse_homology(m, ring) == cellular_homology(x, ring)
 
 
 @pytest.mark.parametrize('name', ['p2', 'f3', 'p113', 'a3a3'])
@@ -377,8 +375,7 @@ def test_morse_homology_fixtures(request, name):
     m = babson_hersh_matching(a)
     assert _acyclic_on_face_graph(m)
     for ring in (RING_Z, ring_fp(2)):
-        assert morse_homology(m, ring) == \
-            homology(cw_chain_complex(m.complex, ring))
+        assert morse_homology(m, ring) == cellular_homology(m.complex, ring)
 
 
 def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
@@ -421,7 +418,7 @@ def test_morse_homology_of_a_truncated_complex(request, name):
         x = build_realization(a, max_dim=max_dim)
         assert x.truncated == (max_dim < top)
         h = morse_homology(babson_hersh_matching(a, complex_=x))
-        assert h == homology(cw_chain_complex(x))
+        assert h == cellular_homology(x)
         assert list(h) == list(range(max_dim + (max_dim == top)))
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 import itertools
 import time
 
@@ -6,15 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
-from hpa.linalg import SparseMat
 from hpa.quiver import Quiver
-from hpa.realization import (ChainComplex, _identities_hold,
-                             build_realization, cw_chain_complex,
+from hpa.realization import (_identities_hold, build_realization,
                              euler_characteristic, homology)
 
-from conftest import (algebras, check_semisimplicial, free_algebra,
-                      linear_quiver, reference_d_squared_degree,
-                      reference_faces)
+from conftest import (algebras, cellular_homology, check_semisimplicial,
+                      free_algebra, linear_quiver, matrix_complex,
+                      reference_d_squared_degree, reference_faces)
 
 
 def test_parse_ring():
@@ -66,11 +65,11 @@ def test_p2_cells(p2):
 
 def test_p2_homology(p2):
     x = build_realization(p2)
-    h = homology(cw_chain_complex(x, RING_Z))
+    h = cellular_homology(x, RING_Z)
     assert h == {0: (1, []), 1: (2, []), 2: (1, [])}
-    hq = homology(cw_chain_complex(x, RING_Q))
+    hq = cellular_homology(x, RING_Q)
     assert {k: r for k, (r, _) in hq.items()} == {0: 1, 1: 2, 2: 1}
-    h2 = homology(cw_chain_complex(x, ring_fp(2)))
+    h2 = cellular_homology(x, ring_fp(2))
     assert {k: r for k, (r, _) in h2.items()} == {0: 1, 1: 2, 2: 1}
 
 
@@ -79,7 +78,7 @@ def test_a3_free_tree(p2):
     x = build_realization(a)
     assert x.counts() == [4, 6, 4, 1]
     assert euler_characteristic(x) == 1
-    h = homology(cw_chain_complex(x, RING_Z))
+    h = cellular_homology(x, RING_Z)
     assert h[0] == (1, [])
     assert all(h[k] == (0, []) for k in range(1, 4))
 
@@ -90,7 +89,7 @@ def test_free_parallel_arrows_graph_homology():
                                          ('c', 'u', 'v')]))
     x = build_realization(a)
     assert x.counts() == [2, 3]
-    h = homology(cw_chain_complex(x, RING_Z))
+    h = cellular_homology(x, RING_Z)
     assert h == {0: (1, []), 1: (2, [])}
 
 
@@ -109,7 +108,7 @@ def test_kunneth_euler_and_betti(p2):
     xp = build_realization(p2)
     assert euler_characteristic(xt) == \
         euler_characteristic(xp) * 1  # interval has chi = 1
-    hq = homology(cw_chain_complex(xt, RING_Q))
+    hq = cellular_homology(xt, RING_Q)
     assert {k: r for k, (r, _) in hq.items() if r} == {0: 1, 1: 2, 2: 1}
     assert check_semisimplicial(xt) == []
 
@@ -118,17 +117,45 @@ def test_truncation(p2):
     x = build_realization(p2, max_dim=1)
     assert x.counts() == [3, 12]
     assert x.truncated
-    h = homology(cw_chain_complex(x, RING_Z))
+    h = cellular_homology(x, RING_Z)
     assert list(h) == [0]
     assert h[0] == (1, [])
 
 
 def test_d_squared_abort():
-    d1 = SparseMat({(0, 0): 1})
-    d2 = SparseMat({(0, 0): 1})
-    chain = ChainComplex([1, 1, 1], [None, d1, d2], RING_Z)
     with pytest.raises(ValueError, match="degree 2"):
-        homology(chain)
+        homology(*matrix_complex([[1]], [[1]]), RING_Z)
+
+
+def test_d_squared_abort_names_the_first_bad_degree():
+    # d_1 = 0, so d_1 d_2 = 0; d_2 d_3 = (1)
+    with pytest.raises(ValueError, match=r"^d\^2 != 0 at degree 3$"):
+        homology(*matrix_complex([[0]], [[1]], [[1]]), RING_Z)
+
+
+def test_homology_refuses_an_unknown_ring_before_building():
+    calls = []
+
+    def boundary(cell):
+        calls.append(cell)
+        return []
+    with pytest.raises(ValueError, match=r"^unknown ring \('R',\)$"):
+        homology([['v'], ['e']], boundary, ('R',))
+    assert calls == []
+
+
+def test_homology_calls_boundary_once_per_cell(p2):
+    # each d_k is built once, also when the d^2 check and the elimination
+    # both read it; a trailing empty degree adds no call
+    x = build_realization(p2)
+    calls = Counter()
+
+    def boundary(cell):
+        calls[cell] += 1
+        return [(-1 if i % 2 else 1, f) for i, f in enumerate(x.faces(cell))]
+    h = homology(list(x.cells) + [[]], boundary, RING_Z)
+    assert h == cellular_homology(x)
+    assert calls == Counter(range(len(x.cells[0]), sum(x.counts())))
 
 
 def test_face_edges(p2):
@@ -149,7 +176,7 @@ def test_semisimplicial_identities_f3_would_go_here_small_grid():
     assert x.counts() == [4, 5, 2]  # square split along the diagonal class
     assert check_semisimplicial(x) == []
     assert euler_characteristic(x) == 1
-    h = homology(cw_chain_complex(x, RING_Z))
+    h = cellular_homology(x, RING_Z)
     assert h[0] == (1, []) and h[1] == (0, []) and h[2] == (0, [])
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa import RING_Q, RING_Z, ring_fp
+from hpa import RING_Q, ring_fp
 from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
 from hpa.resolution import (ResolutionError, _unfixed_rows, _unpaired_cells,
@@ -303,16 +303,16 @@ def test_augmentation_h_identity(p2, res_p2):
 
 
 def test_tensor_simples_p2(p2, res_p2):
-    same = simple_tensor_complex(res_p2, 'v0', 'v0', RING_Z)
-    assert homology(same)[0] == (1, [])
+    same = simple_tensor_complex(res_p2, 'v0', 'v0')
+    assert homology(*same)[0] == (1, [])
 
-    step = simple_tensor_complex(res_p2, 'v0', 'v1', RING_Z)
-    h = homology(step)
+    step = simple_tensor_complex(res_p2, 'v0', 'v1')
+    h = homology(*step)
     assert h[1] == (3, [])  # one generator per arrow
     assert h[0] == (0, [])
 
-    two = simple_tensor_complex(res_p2, 'v0', 'v2', RING_Z)
-    h = homology(two)
+    two = simple_tensor_complex(res_p2, 'v0', 'v2')
+    h = homology(*two)
     assert h[2] == (3, [])  # one generator per relation group
     assert h[1] == (0, [])
 
@@ -322,16 +322,15 @@ def test_tensor_simples_free_quiver():
     # v0 -> v2 has no arrow, so all degrees die
     a = free_algebra(linear_quiver(2))
     c = cellular_resolution(a)
-    h = homology(simple_tensor_complex(c, 'v0', 'v2', RING_Z))
+    h = homology(*simple_tensor_complex(c, 'v0', 'v2'))
     assert h == {0: (0, []), 1: (0, []), 2: (0, [])}
-    h = homology(simple_tensor_complex(c, 'v0', 'v1', RING_Z))
+    h = homology(*simple_tensor_complex(c, 'v0', 'v1'))
     assert h[1] == (1, [])
 
 
 def test_h0_is_the_algebra(p2, res_p2):
     for ring in (RING_Q, ring_fp(2), ring_fp(3)):
-        full = bimodule_chain_complex(res_p2, ring)
-        h = homology(full)
+        h = homology(*bimodule_chain_complex(res_p2), ring)
         assert h[0] == (len(p2.classes), [])
         assert all(h[k] == (0, []) for k in range(1, len(h)))
 

@@ -12,12 +12,12 @@ from hpa.toric import (WeightData, Degree, weight_data_from_json,
                        check_directable, degree_name)
 from hpa.algebra import check_hpa, from_document
 from hpa.dsl import emit_quiver
-from hpa.realization import build_realization, cw_chain_complex, homology
+from hpa.realization import build_realization
 from hpa.invariants import koszul_check, betti_table
 from hpa.linalg import integer_kernel_basis
 from hpa.morse import babson_hersh_matching, morse_homology
 
-from conftest import words_by_class
+from conftest import cellular_homology, words_by_class
 
 
 P2 = WeightData([[1, 1, 1]])
@@ -201,7 +201,7 @@ def test_bondal_ruan_p113():
     zs = [ar.label for ar in a.quiver.arrows if ar.label.startswith('x3')]
     assert sorted(zs) == ['x3@d(0)', 'x3@d(1)']
     x = build_realization(a)
-    h = homology(cw_chain_complex(x))
+    h = cellular_homology(x)
     assert h[0] == (1, []) and h[1] == (2, []) and h[2] == (1, [])
     assert all(h[k] == (0, []) for k in h if k >= 3)
 
