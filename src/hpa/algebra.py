@@ -230,11 +230,6 @@ class HPA:
             self._covers[p] = row
         return row
 
-    def open_interval(self, p):
-        """Classes strictly between the trivial path at tail(p) and p."""
-        return [c for c in self.classes_by_tail[self.tail(p)]
-                if c != p and not self.is_trivial(c) and self.leq(c, p)]
-
 
 def from_document(text):
     """Parse a DSL document and build its algebra; convenience wrapper."""

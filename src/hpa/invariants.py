@@ -5,9 +5,9 @@ The central fact: Tor_i(S_v, S_w) is the direct sum, over nontrivial path
 classes p from v to w, of the reduced homology H~_{i-2} of the order complex
 of the open interval (e_{t(p)}, p), with the convention H~_{-1}(empty) = R.
 `tor_table` reads a summand off the lexicographic shelling of its interval,
-the one the Babson-Hersh matching uses, and takes the interval's reduced
-homology (`realization.homology` of its order complex) only where that
-order is not a shelling.  `hpa morse` checks the resolution side against
+the one the Babson-Hersh matching uses, and only where that order is not a
+shelling takes the reduced homology of the complex that the interval's
+maximal chains generate.  `hpa morse` checks the resolution side against
 `tor_table`.
 
 The resolution, Morse and toric layers are imported inside the functions
@@ -16,6 +16,7 @@ that use them, so that `betti_table` loads none of them.
 
 import csv
 import io
+from itertools import combinations
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -23,46 +24,28 @@ from .realization import homology, lex_shelling, maximal_chains
 
 
 class OrderComplex:
-    """Simplicial complex of chains of a finite poset (given by element list
-    and a leq predicate).  Simplices are tuples ordered by the poset."""
+    """The simplicial complex that the chains `facets` of a poset generate,
+    each a tuple in poset order (an interval's maximal chains generate its
+    order complex): simplices[k] holds the sorted k-element subchains."""
 
-    def __init__(self, elements, leq):
-        self.elements = list(elements)
-        above = {e: [f for f in self.elements if f != e and leq(e, f)]
-                 for e in self.elements}
-        sims = []
-        stack = [(e,) for e in sorted(self.elements, reverse=True)]
-        while stack:
-            chain = stack.pop()
-            k = len(chain) - 1
-            while len(sims) <= k:
-                sims.append([])
-            sims[k].append(chain)
-            for f in above[chain[-1]]:
-                stack.append(chain + (f,))
-        self.simplices = [sorted(s) for s in sims]
+    def __init__(self, facets):
+        top = max(map(len, facets), default=0)
+        self.simplices = [sorted({s for f in facets for s in
+                                  combinations(f, k)}) for k in range(top + 1)]
 
     def counts(self):
         return [len(s) for s in self.simplices]
 
 
-def reduced_homology(oc, ring=RING_Z):
-    """{k: (rank, torsion)} for k >= -1.  Degree j of the chain complex holds
-    the (j-1)-simplices, degree 0 the empty simplex alone, so a vertex's
-    boundary is the augmentation and an empty complex has H~_{-1} = R."""
+def reduced_homology(facets, ring=RING_Z):
+    """{k: (rank, torsion)} for k >= -1 of `OrderComplex(facets)`.  Degree
+    j of the chain complex holds the (j-1)-simplices, so a vertex's boundary
+    is the augmentation and facets [()] give H~_{-1} = R."""
     def boundary(s):
         return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))]
-    h = homology([[()]] + oc.simplices, boundary, ring)
+    h = homology(OrderComplex(facets).simplices, boundary, ring)
     return {j - 1: (rank, tors) for j, (rank, tors) in h.items()
             if rank or tors}
-
-
-def interval_order_complex(a, p):
-    """Order complex of the open interval (e_{t(p)}, p): vertices are the
-    proper nontrivial subpath classes of p."""
-    if a.is_trivial(p):
-        raise ValueError("interval of a trivial class")
-    return OrderComplex(a.open_interval(p), a.leq)
 
 
 def _elementary_divisors(factors):
@@ -112,11 +95,12 @@ def tor_table(a, ring=RING_Z):
     a wedge of spheres, one S^{|F_j|-1} per facet with R_j = F_j
     (Bjorner-Wachs, nonpure shellings included), so it adds a free
     generator in degree |F_j| + 1 for each; any other interval adds
-    H~_{i-2} of its order complex in degree i."""
+    H~_{i-2} of the complex its maximal chains generate in degree i."""
     def summands(p):
         shelling = lex_shelling(a, p)
         if shelling is None:
-            h = reduced_homology(interval_order_complex(a, p), ring)
+            h = reduced_homology(
+                maximal_chains(a, a.trivial_class[a.tail(p)], p), ring)
             return [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
         return [(len(ch) + 1, 1, []) for ch, rj in shelling
                 if len(rj) == len(ch)]

@@ -13,8 +13,8 @@ c is the chain of parent[c], its top face, extended by the class last[c].
 
 `homology(cells, boundary, ring)` is the one path from a chain complex to
 its homology: the Morse complex of the realization, S_v (x) (Morse complex)
-(x) S_w and the order complexes of intervals all reach it as a basis per
-degree and a boundary rule.
+(x) S_w and the complex that an interval's maximal chains generate all
+reach it as a basis per degree and a boundary rule.
 """
 
 from bisect import bisect_right
@@ -206,8 +206,7 @@ def _identities_hold(face, at, k, below, cells):
 def build_realization(a, max_dim=None):
     """The CellComplex of all canonical chains of the path poset of `a`,
     capped at max_dim.  A non-cancellative algebra is refused with
-    NotCancellativeError: there face 0 of a chain need not be a chain.
-    """
+    NotCancellativeError: there face 0 of a chain need not be a chain."""
     require_cancellative(a)
     return CellComplex(a, max_dim)
 

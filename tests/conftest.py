@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hpa import RING_Z
 from hpa.algebra import HPA, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
-from hpa.invariants import (interval_order_complex, nonzero_groups,
-                            reduced_homology)
+from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
 from hpa.quiver import Arrow, Quiver, enumerate_paths
 from hpa.realization import homology, maximal_chains
@@ -49,17 +48,59 @@ def tor_via_resolution(a, c, v, w, ring=RING_Z):
     return nonzero_groups(homology(*simple_tensor_complex(c, v, w), ring))
 
 
+def open_interval(a, p):
+    """Classes strictly between the trivial class at tail(p) and p, found
+    by scanning every class that starts at tail(p)."""
+    return [c for c in a.classes_by_tail[a.tail(p)]
+            if c != p and not a.is_trivial(c) and a.leq(c, p)]
+
+
+def order_complex(elements, leq):
+    """Simplices of the order complex of a finite poset, given by its
+    elements and a leq predicate, found by a DFS over every chain rather
+    than from maximal chains: a sorted list of tuples in poset order per
+    dimension, the vertices first."""
+    above = {e: [f for f in elements if f != e and leq(e, f)]
+             for e in elements}
+    sims = []
+    stack = [(e,) for e in sorted(elements, reverse=True)]
+    while stack:
+        chain = stack.pop()
+        while len(sims) < len(chain):
+            sims.append([])
+        sims[len(chain) - 1].append(chain)
+        stack.extend(chain + (f,) for f in above[chain[-1]])
+    return [sorted(s) for s in sims]
+
+
+def interval_order_complex(a, p):
+    """`order_complex` of the open interval (e_{t(p)}, p)."""
+    return order_complex(open_interval(a, p), a.leq)
+
+
+def order_complex_homology(simplices, ring=RING_Z):
+    """Reference for `invariants.reduced_homology`: {k: (rank, torsion)},
+    k >= -1, of the complex with the given simplices per dimension, the
+    empty simplex added in degree 0."""
+    def boundary(s):
+        return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))]
+    h = homology([[()]] + simplices, boundary, ring)
+    return {j - 1: (rank, tors) for j, (rank, tors) in h.items()
+            if rank or tors}
+
+
 def tor_via_intervals(a, v, w, ring=RING_Z):
     """Reference for `invariants.tor_table`: Tor_i(S_v, S_w) as the sum,
     over the nontrivial classes p from v to w, of the reduced homology
     H~_{i-2} of the order complex of (e_{t(p)}, p), each interval
     eliminated, whether or not it is shellable; plus R in degree 0 when
-    v = w."""
+    v = w.  The order complex comes from `interval_order_complex`, not from
+    maximal chains."""
     acc = {0: (1, [])} if v == w else {}
     for p in a.classes_by_pair.get((v, w), ()):
         if a.is_trivial(p):
             continue
-        h = reduced_homology(interval_order_complex(a, p), ring)
+        h = order_complex_homology(interval_order_complex(a, p), ring)
         for k, (rank, tors) in h.items():
             r, t = acc.get(k + 2, (0, []))
             acc[k + 2] = (r + rank, t + tors)
@@ -505,7 +546,7 @@ def el_every_subinterval(a, p, ranks):
     is ranked (`ranks`, keyed by arrow label) by the least arrow label of
     its class."""
     e = a.trivial_class[a.tail(p)]
-    elems = [e] + sorted(a.open_interval(p)) + [p]
+    elems = [e] + sorted(open_interval(a, p)) + [p]
     label_of = {}  # arrow class -> its least arrow label
     for label in sorted(a.arrow_class):
         label_of.setdefault(a.arrow_class[label], label)

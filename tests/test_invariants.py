@@ -1,21 +1,23 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa import RING_Z, ring_fp
+from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
 from hpa.realization import (build_realization, euler_characteristic,
-                             lex_shelling)
+                             lex_shelling, maximal_chains)
 from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
                             verify_d_squared)
 from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        morse_complex)
-from hpa.invariants import (OrderComplex, reduced_homology,
-                            interval_order_complex, tor_table, betti_table,
-                            el_shellable, interval_chains, koszul_check,
-                            _elementary_divisors)
+from hpa.invariants import (OrderComplex, reduced_homology, tor_table,
+                            betti_table, el_shellable, interval_chains,
+                            koszul_check, _elementary_divisors)
 
 from conftest import (algebras, critical_cells, el_every_subinterval,
-                      free_algebra, linear_quiver, tor_via_intervals,
+                      free_algebra, interval_order_complex, linear_quiver,
+                      order_complex_homology, tor_via_intervals,
                       tor_via_resolution)
 
 
@@ -42,30 +44,71 @@ def _class(a, tail, labels):
 
 
 def test_reduced_homology_empty_and_points():
-    empty = OrderComplex([], lambda x, y: False)
-    assert reduced_homology(empty) == {-1: (1, [])}
-    two = OrderComplex(['a', 'b'], lambda x, y: False)
-    assert reduced_homology(two) == {0: (1, [])}
-    one = OrderComplex(['a'], lambda x, y: False)
-    assert reduced_homology(one) == {}
+    # the facets are chains of a poset; the empty chain alone is the empty
+    # complex
+    assert reduced_homology([()]) == {-1: (1, [])}
+    assert reduced_homology([('a',), ('b',)]) == {0: (1, [])}
+    assert reduced_homology([('a',)]) == {}
 
 
 def test_reduced_homology_circle():
-    # a, b both below c, d: the order complex is a 4-cycle
-    below = {('a', 'c'), ('a', 'd'), ('b', 'c'), ('b', 'd')}
-    oc = OrderComplex(['a', 'b', 'c', 'd'], lambda x, y: (x, y) in below)
-    assert oc.counts() == [4, 4]
-    assert reduced_homology(oc) == {1: (1, [])}
-    assert reduced_homology(oc, ('Fp', 2)) == {1: (1, [])}
+    # a, b both below c, d: the four maximal chains span a 4-cycle
+    facets = [('a', 'c'), ('a', 'd'), ('b', 'c'), ('b', 'd')]
+    assert OrderComplex(facets).counts() == [1, 4, 4]
+    assert reduced_homology(facets) == {1: (1, [])}
+    assert reduced_homology(facets, ring_fp(2)) == {1: (1, [])}
+
+
+RP2_TRIANGLES = '124 126 135 136 145 234 235 256 346 456'.split()
+
+
+def test_reduced_homology_rp2():
+    # the 6-vertex RP^2: its face poset has one maximal chain (vertex,
+    # edge, triangle) per flag, faces written as sorted digit strings, and
+    # its order complex is the barycentric subdivision
+    facets = [(v, e, t) for t in RP2_TRIANGLES
+              for e in map(''.join, combinations(t, 2)) for v in e]
+    assert len(facets) == 60
+    assert OrderComplex(facets).counts() == [1, 31, 90, 60]
+    assert reduced_homology(facets) == {1: (0, [2])}
+    assert reduced_homology(facets, RING_Q) == {}
+    assert reduced_homology(facets, ring_fp(2)) == {1: (1, []),
+                                                    2: (1, [])}
+
+
+def _check_reduced_homology_against_dfs(a):
+    for p in range(len(a.classes)):
+        if a.is_trivial(p):
+            continue
+        facets = maximal_chains(a, a.trivial_class[a.tail(p)], p)
+        simplices = interval_order_complex(a, p)
+        assert OrderComplex(facets).simplices[1:] == simplices
+        for ring in (RING_Z, ring_fp(2)):
+            assert (reduced_homology(facets, ring) ==
+                    order_complex_homology(simplices, ring))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_reduced_homology_of_maximal_chains_matches_dfs(a):
+    # every chain of an interval lies in a maximal chain, so the maximal
+    # chains generate the order complex that the DFS over all chains finds
+    _check_reduced_homology_against_dfs(a)
+
+
+def test_reduced_homology_of_maximal_chains_matches_dfs_on_fixtures(
+        f1, ungraded):
+    for a in (f1, ungraded):
+        _check_reduced_homology_against_dfs(a)
 
 
 def test_interval_order_complex_p2(p2):
     xy = _class(p2, 'v0', ('x', "y'"))
     xx = _class(p2, 'v0', ('x', "x'"))
     arrow = _class(p2, 'v0', ('x',))
-    assert interval_order_complex(p2, xy).counts() == [2]
-    assert interval_order_complex(p2, xx).counts() == [1]
-    assert interval_order_complex(p2, arrow).counts() == []
+    assert [len(s) for s in interval_order_complex(p2, xy)] == [2]
+    assert [len(s) for s in interval_order_complex(p2, xx)] == [1]
+    assert interval_order_complex(p2, arrow) == []
 
 
 def test_tor_via_intervals_p2(p2):
