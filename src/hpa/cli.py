@@ -139,17 +139,10 @@ def cmd_homology(args):
 
 def cmd_resolve(args):
     from .realization import build_realization
-    from .resolution import (cellular_resolution, contracting_homotopy_check,
-                             verify_d_squared)
+    from .resolution import cellular_resolution, check_resolution
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
-    c = cellular_resolution(a, x)
-    d2 = verify_d_squared(c)
-    if x.truncated:
-        # a capped complex is not a resolution; only d^2 is meaningful
-        homotopy = None
-    else:
-        homotopy = contracting_homotopy_check(a, c)
+    d2, homotopy = check_resolution(cellular_resolution(a, x))
     payload = {'generators': x.counts(),
                'truncated': x.truncated,
                'd_squared': _check_json(d2, "d^2 = 0"),
@@ -190,8 +183,7 @@ def cmd_morse(args):
                         'quasi_iso': None, 'minimal': None, 'linear': None})
         return _emit(args, 'morse', payload, 1)
 
-    c = cellular_resolution(a, x)
-    mc = morse_complex(c, m)
+    mc = morse_complex(cellular_resolution(a, x), m)
     d2 = verify_d_squared(mc)
     # S_v (x) M (x) S_w has the homology of Tor, nonzero groups compared;
     # a truncated complex only below its cap
@@ -203,17 +195,18 @@ def cmd_morse(args):
         low(nonzero_groups(homology(
             *simple_tensor_complex(mc, v, w), args.ring))) == low(tor)
         for (v, w), tor in tor_table(a, args.ring).items())
-    minimal = check_minimal(mc)
-    try:
-        linear = check_linear(mc).ok
-    except ValueError:
-        linear = None
+    # minimal and linear describe the algebra, which a capped complex does
+    # not show; linear needs a grading by path length
+    minimal = linear = None
+    if not x.truncated:
+        minimal = check_minimal(mc).ok
+        linear = check_linear(mc).ok if a.graded else None
     payload.update({
         'criticals': mc.counts(),
         'd_squared': _check_json(d2, "d^2 = 0"),
         'quasi_iso': {'ok': quasi_ok, 'ring': ring_name(args.ring),
                       'vertex_pairs': len(a.quiver.vertices) ** 2},
-        'minimal': minimal.ok,
+        'minimal': minimal,
         'linear': linear,
     })
     ok = d2.ok and quasi_ok

@@ -7,9 +7,10 @@ coefficient p_k / p_{k-1}, middle faces have trivial coefficients, and the
 sign of face i is (-1)^i.  Elements are stored as dicts
 {(left class, cell, right class): integer coefficient}, the cell an id of
 the realization; check witnesses name cells by their chains (`x.chain`).
+check_resolution decides d^2 = 0 and d h + h d = id in one walk up the
+dimensions; verify_d_squared decides d^2 = 0 term by term on any complex.
 """
 
-from collections import Counter
 from itertools import chain
 
 from .algebra import Report, require_cancellative
@@ -128,56 +129,47 @@ def _shapes(c, k, trivial):
     return out
 
 
-def _unpaired_cells(c):
-    """The cells of dimension >= 2, in order, that the face identities do
-    not clear.  d_i d_j = d_{j-1} d_i (i < j) pairs the term of d(d(cell))
-    through faces j, i with the one through faces i, j - 1, and the pairs
-    partition the terms.  On shapes, a pair has opposite signs and cancels
-    when face i of face j is face j - 1 of face i, the faces' t and p are
-    the cell's (face 1: p times face 0's p) and so are their q (face k - 1:
-    face k's q times q).  These are whole-list comparisons."""
-    mult = c.hpa.mult
-    trivial = [cl.is_trivial for cl in c.hpa.classes]
-    below = _shapes(c, 1, trivial) if c.top > 1 else {}
-    for k in range(2, c.top + 1):
-        n1, w = k + 1, (k + 1) * k
-        level = _shapes(c, k, trivial)
-        cells, shapes = list(level), list(level.values())
+def _unpaired(c, k, below, level):
+    """The k-cells (k >= 2, shapes below and level), in order, that the face
+    identities do not clear.  d_i d_j = d_{j-1} d_i (i < j) pairs the term
+    of d(d(cell)) through faces j, i with the one through faces i, j - 1,
+    and the pairs partition the terms.  On shapes, a pair has opposite signs
+    and cancels when face i of face j is face j - 1 of face i, the faces' t
+    and p are the cell's (face 1: p times face 0's p) and so are their q
+    (face k - 1: face k's q times q).  These are whole-list comparisons."""
+    mult, n1, w = c.hpa.mult, k + 1, (k + 1) * k
+    cells, shapes = list(level), list(level.values())
 
-        def test(lo, hi):
-            f, p, q, t, _ = zip(*shapes[lo:hi])
-            sub = list(map(below.get, chain.from_iterable(f)))
-            if None in sub:
-                return False
-            ff, sp, sq, st, _ = zip(*sub)
-            ff = list(chain.from_iterable(ff))
-            return (all(ff[j * k + i::w] == ff[i * k + j - 1::w]
-                        for j in range(1, n1) for i in range(j)) and
-                    all(st[j::n1] == t for j in range(1, n1)) and
-                    all(sp[j::n1] == p for j in range(2, n1)) and
-                    all(sq[j::n1] == q for j in range(k - 1)) and
-                    sp[1::n1] == tuple(map(mult, p, sp[::n1])) and
-                    tuple(map(mult, sq[k::n1], q)) == sq[k - 1::n1])
-        failed = {cells[i] for i in _failing(test, len(cells))}
-        yield from (cell for cell in c.generators(k)
-                    if cell in failed or cell not in level)
-        below = level
+    def test(lo, hi):
+        f, p, q, t, _ = zip(*shapes[lo:hi])
+        sub = list(map(below.get, chain.from_iterable(f)))
+        if None in sub:
+            return False
+        ff, sp, sq, st, _ = zip(*sub)
+        ff = list(chain.from_iterable(ff))
+        return (all(ff[j * k + i::w] == ff[i * k + j - 1::w]
+                    for j in range(1, n1) for i in range(j)) and
+                all(st[j::n1] == t for j in range(1, n1)) and
+                all(sp[j::n1] == p for j in range(2, n1)) and
+                all(sq[j::n1] == q for j in range(k - 1)) and
+                sp[1::n1] == tuple(map(mult, p, sp[::n1])) and
+                tuple(map(mult, sq[k::n1], q)) == sq[k - 1::n1])
+    failed = {cells[i] for i in _failing(test, len(cells))}
+    return [cell for cell in c.generators(k)
+            if cell in failed or cell not in level]
 
 
-def verify_d_squared(c):
-    """Symbolic d^2 = 0 on every generator of a complex with the
-    generators(), terms() and units of a BimoduleComplex.  A cell the face
-    identities do not clear (_unpaired_cells) is decided by collecting like
-    terms by (left class, cell, right class): a product of classes whose
-    ends do not meet is zero, so its term is dropped, and a product with a
-    trivial class is the other factor; what is left over is its witness,
-    cells written as chains."""
-    a, chain_of = c.hpa, c.complex.chain
-    mult = a.mult
+def _d_squared(c, cells):
+    """d^2 = 0 on the given cells, term by term; every generator of
+    dimension >= 2 counts as checked.  Like terms are collected by (left
+    class, cell, right class): a product of classes whose ends do not meet
+    is zero, so its term is dropped, and a product with a trivial class is
+    the other factor; what is left over is its witness, cells as chains."""
+    a, chain_of, mult = c.hpa, c.complex.chain, c.hpa.mult
     trivial = [cl.is_trivial for cl in a.classes]
     ends = [(cl.tail, cl.head) for cl in a.classes]
     failures = []
-    for cell in _unpaired_cells(c):
+    for cell in cells:
         acc = {}
         for s1, l1, f1, r1 in c.terms(cell):
             for s2, l2, f2, r2 in c.terms(f1):
@@ -191,6 +183,14 @@ def verify_d_squared(c):
                 (l, chain_of(f), r): v for (l, f, r), v in acc.items()}))
     return Report(failures, sum(len(c.generators(k))
                                 for k in range(2, c.top + 1)))
+
+
+def verify_d_squared(c):
+    """Symbolic d^2 = 0, term by term, on every generator of a complex with
+    the hpa, complex, generators() and terms() of a BimoduleComplex: the
+    check for complexes without the cellular shape, such as Morse ones."""
+    return _d_squared(c, chain.from_iterable(
+        map(c.generators, range(2, c.top + 1))))
 
 
 def multiply_augmentation(c, elem):
@@ -212,60 +212,15 @@ def h_minus_one(c, alg_elem):
     return out
 
 
-def _unfixed_rows(c):
-    """The (cell, ac) pairs, in order, for which comparing shapes does not
-    show (d h + h d)(ac (x) cell (x) e) = ac (x) cell (x) e, e the trivial
-    class at the head of the cell.  For a nontrivial ac, tau = h_cell(ac,
-    cell) is (e_0, ac, ac.p_1, ..., ac.p_k): term 0 of d tau is ac (x) cell
-    and term i + 1 cancels h of term i of d(ac (x) cell) when tau's shape is
-    ((cell, h(ac.p, face 0), h(ac, face 1), ...), ac, q, e_0, e), the cell's
-    being (faces, p, q, t, e); in degree 0, h_{-1} m cancels term 1 of d tau
-    when it is ((cell, [e_0]), ac, ac, e_0, e).  For the trivial ac, h d
-    keeps face 0 only, which gives the cell back when h(p, face 0) is the
-    cell (in degree 0 h_{-1} m is the identity).  h[ac] is built a level at
-    a time: h_cell of a cell is the child by ac.last[cell] of that of its
-    parent (ResolutionError, through h_cell, when it is not a cell)."""
-    a, x, units = c.hpa, c.complex, c.units
-    mult, children, tails = a.mult, x.children, [cl.tail for cl in a.classes]
-    trivial = [cl.is_trivial for cl in a.classes]
-    h = shapes = None
-    for k in range(c.top + 1):
-        below, h = h, {ac: {} for ac, t in enumerate(trivial) if not t}
-        above = _shapes(c, k + 1, trivial) if k < c.top else {}
-        for cell in c.generators(k):
-            p = x.last[cell]
-            e = units[p][1]
-            s = shapes.get(cell) if k else None
-            fixed = s is not None
-            for ac in a.classes_by_head[tails[p]]:
-                if trivial[ac]:
-                    if k and not (fixed and
-                                  below[s[1]].get(s[0][0]) == cell):
-                        yield cell, ac
-                    continue
-                up, q = (below[ac][x.parent[cell]], mult(ac, p)) if k \
-                    else (x.vertex[tails[ac]], ac)
-                tau = (children[up] or {}).get(q)
-                tau = h[ac][cell] = c.h_cell(ac, cell) if tau is None else tau
-                want = ((cell, up), ac, ac, units[ac][0], e) if not k else \
-                    fixed and ((cell, below[mult(ac, s[1])].get(s[0][0]),
-                                *map(below[ac].get, s[0][1:])), ac, s[2],
-                               units[ac][0], e)
-                if above.get(tau) != want:
-                    yield cell, ac
-        shapes = above
-
-
-def contracting_homotopy_check(a, c):
-    """Verify d h + h d = id on every module basis element (ac, cell, bc),
-    plus m h_{-1} = id on the algebra.  Exactness of the resolution follows.
-    d and h are maps of right modules, so a row of triples (ac, cell, -)
-    passes when comparing shapes shows the identity on (ac, cell, e)
-    (_unfixed_rows).  In any other row each triple is evaluated, and a
-    failing one gives its value as witness, cells written as chains."""
-    mult, x = a.mult, c.complex
+def _homotopy(c, rows, checked):
+    """d h + h d = id on every module basis element (ac, cell, bc), checked
+    of them, plus m h_{-1} = id on each class of the algebra.  d and h are
+    maps of right modules, so only the triples of the given rows (cell, ac)
+    are evaluated, and a failing one gives its value as witness, cells
+    written as chains."""
+    a, x, mult = c.hpa, c.complex, c.hpa.mult
     failures = []
-    for cell, ac in _unfixed_rows(c):
+    for cell, ac in rows:
         for bc in a.classes_by_tail[x.head(cell)]:
             # d h + h d (d h + h_{-1} m in degree 0), collected in the
             # order that applying d and h element-wise gives
@@ -287,17 +242,68 @@ def contracting_homotopy_check(a, c):
             if got != {(ac, cell, bc): 1}:
                 failures.append(((ac, x.chain(cell), bc), {
                     (l, x.chain(f), r): v for (l, f, r), v in got.items()}))
-    # a row of triples per cell and left class
-    ends = Counter(x.last[cell] for k in range(c.top + 1)
-                   for cell in c.generators(k))
-    checked = len(a.classes) + sum(
-        n * len(a.classes_by_head[a.tail(p)]) *
-        len(a.classes_by_tail[a.head(p)]) for p, n in ends.items())
     for cls in range(len(a.classes)):
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))
         if out != {cls: 1}:
             failures.append((('algebra', cls), out))
-    return Report(failures, checked)
+    return Report(failures, checked + len(a.classes))
+
+
+def check_resolution(c):
+    """(d^2 report, homotopy report) of the cellular resolution c, decided
+    in one walk up the dimensions; the homotopy report, d h + h d = id, is
+    None when c.complex is truncated, which is no resolution.  At degree k
+    the shapes of the k- and (k+1)-cells clear the face identities of d^2 on
+    the (k+1)-cells (_unpaired) and each row (cell, ac) of degree k where
+    they show (d h + h d)(ac (x) cell (x) e) = ac (x) cell (x) e, e the
+    trivial class at the cell's head.  For a nontrivial ac, tau = h_cell(ac,
+    cell) is (e_0, ac, ac.p_1, ..., ac.p_k): term 0 of d tau is ac (x) cell
+    and term i + 1 cancels h of term i of d(ac (x) cell) when tau's shape is
+    ((cell, h(ac.p, face 0), h(ac, face 1), ...), ac, q, e_0, e), the cell's
+    being (faces, p, q, t, e); in degree 0, h_{-1} m cancels term 1 of d tau
+    when it is ((cell, [e_0]), ac, ac, e_0, e).  For the trivial ac, h d
+    keeps face 0 only, which gives the cell back when h(p, face 0) is the
+    cell (in degree 0 h_{-1} m is the identity).  h[ac] is built a level at
+    a time: h_cell of a cell is the child by ac.last[cell] of that of its
+    parent (ResolutionError, through h_cell, when it is not a cell).  What
+    the shapes do not clear is evaluated term by term."""
+    a, x, units = c.hpa, c.complex, c.units
+    mult, children, tails = a.mult, x.children, [cl.tail for cl in a.classes]
+    trivial = [cl.is_trivial for cl in a.classes]
+    unpaired, unfixed, triples = [], [], 0
+    h = shapes = None
+    for k in range(c.top + 1):
+        above = _shapes(c, k + 1, trivial) if k < c.top else {}
+        if 0 < k < c.top:
+            unpaired += _unpaired(c, k + 1, shapes, above)
+        below, h = h, {ac: {} for ac, t in enumerate(trivial) if not t}
+        for cell in () if x.truncated else c.generators(k):
+            p = x.last[cell]
+            e = units[p][1]
+            s = shapes.get(cell) if k else None
+            fixed = s is not None
+            # a row of triples per left class, one per right class
+            row = a.classes_by_head[tails[p]]
+            triples += len(row) * len(a.classes_by_tail[a.head(p)])
+            for ac in row:
+                if trivial[ac]:
+                    if k and not (fixed and
+                                  below[s[1]].get(s[0][0]) == cell):
+                        unfixed.append((cell, ac))
+                    continue
+                up, q = (below[ac][x.parent[cell]], mult(ac, p)) if k \
+                    else (x.vertex[tails[ac]], ac)
+                tau = (children[up] or {}).get(q)
+                tau = h[ac][cell] = c.h_cell(ac, cell) if tau is None else tau
+                want = ((cell, up), ac, ac, units[ac][0], e) if not k else \
+                    fixed and ((cell, below[mult(ac, s[1])].get(s[0][0]),
+                                *map(below[ac].get, s[0][1:])), ac, s[2],
+                               units[ac][0], e)
+                if above.get(tau) != want:
+                    unfixed.append((cell, ac))
+        shapes = above
+    return (_d_squared(c, unpaired),
+            None if x.truncated else _homotopy(c, unfixed, triples))
 
 
 def simple_tensor_complex(source, v, w):

@@ -189,16 +189,19 @@ def check_semisimplicial(complex_):
 
 
 class Mutant(BimoduleComplex):
-    """Deliberately corrupt the differential of one cell: terms(victim) is
-    edit applied to its true terms."""
+    """Deliberately corrupt the differential of one cell of base, a
+    resolution or a Morse complex: terms(victim) is edit applied to base's
+    terms of it."""
 
     def __init__(self, base, victim, edit):
         super().__init__(base.hpa, base.complex)
+        self.cells = base.cells
+        self.base = base
         self.victim = victim
         self.edit = edit
 
     def terms(self, cell):
-        out = super().terms(cell)
+        out = self.base.terms(cell)
         return self.edit(out) if cell == self.victim else out
 
 
@@ -478,8 +481,9 @@ def reference_check_acyclic(m):
 
 
 def reference_d_squared(c):
-    """Reference for `resolution.verify_d_squared`: every coefficient
-    product goes through `mult`, trivial factors included."""
+    """Reference for `resolution.verify_d_squared` and the d^2 report of
+    `resolution.check_resolution`: every coefficient product goes through
+    `mult`, trivial factors included."""
     chain = c.complex.chain
     failures = []
     checked = 0
@@ -498,8 +502,9 @@ def reference_d_squared(c):
 
 
 def reference_homotopy_check(a, c):
-    """Reference for `resolution.contracting_homotopy_check`: d h + h d
-    (d h + h_{-1} m in degree 0) evaluated afresh on every basis triple."""
+    """Reference for the homotopy report of `resolution.check_resolution`:
+    d h + h d (d h + h_{-1} m in degree 0) evaluated afresh on every basis
+    triple."""
     chain = c.complex.chain
     failures = []
     checked = 0

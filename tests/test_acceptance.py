@@ -19,7 +19,7 @@ from hpa.morse import (babson_hersh_matching, check_acyclic, check_internal,
                        check_linear, check_minimal, load_matching,
                        morse_complex)
 from hpa.realization import build_realization, euler_characteristic
-from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
+from hpa.resolution import (cellular_resolution, check_resolution,
                             verify_d_squared)
 from hpa.toric import WeightData, bondal_ruan_hpa, check_directable
 
@@ -111,7 +111,7 @@ def test_03_contracting_homotopy(p2, f3, p113, a3a3):
     budget = Budget(60)
     for a in (p2, f3, p113, a3a3):
         c = cellular_resolution(a)
-        rep = contracting_homotopy_check(a, c)
+        _, rep = check_resolution(c)
         assert rep.ok, rep.witnesses[:1]
     budget.check()
 

@@ -14,7 +14,7 @@ from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        load_matching)
 from hpa.realization import build_realization
 
-from conftest import (BENCHMARK_INPUTS, UNGRADED, cellular_homology,
+from conftest import (BENCHMARK_INPUTS, UNGRADED, Mutant, cellular_homology,
                       free_algebra, linear_quiver, matching_to_json)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
@@ -144,16 +144,28 @@ def test_morse_fixture_matching(capsys):
     assert data['minimal'] is True
 
 
-@pytest.mark.parametrize('max_dim', ['0', '1', '2'])
-def test_morse_max_dim_with_the_default_matching(capsys, max_dim):
+@pytest.mark.parametrize('path, max_dim', [
+    (P2, '0'), (P2, '1'), (P2, '2'), (str(FIXTURES / 'p113.quiver'), '2')],
+    ids=['0', '1', '2', 'p113-2'])
+def test_morse_max_dim_with_the_default_matching(capsys, path, max_dim):
     # the capped complex drops Babson-Hersh pairs whose top lies above it
-    code, bh = run_json(capsys, 'morse', P2, '--max-dim', max_dim)
+    code, bh = run_json(capsys, 'morse', path, '--max-dim', max_dim)
     assert code == 0
-    _, greedy = run_json(capsys, 'morse', P2, '--max-dim', max_dim,
+    _, greedy = run_json(capsys, 'morse', path, '--max-dim', max_dim,
                          '--matching', 'greedy')
     assert bh['criticals'] == greedy['criticals']
     assert bh['quasi_iso'] == greedy['quasi_iso']
     assert bh['quasi_iso']['ok'] is True
+    # minimal and linear describe the algebra: null on a truncated complex
+    # (P^2 capped at 1 and P(1,1,3) at 2 would look non-linear), and the
+    # full run's values when the cap cuts nothing off
+    _, full = run_json(capsys, 'morse', path)
+    assert full['minimal'] is True and full['linear'] is True
+    truncated = build_realization(_load(path), max_dim=int(max_dim)).truncated
+    assert truncated == (path != P2 or max_dim != '2')
+    for got in (bh, greedy):
+        assert (got['minimal'], got['linear']) == \
+            ((None, None) if truncated else (True, True))
 
 
 A2 = "vertices: v0 v1 v2\narrows:\n  a: v0 -> v1\n  b: v1 -> v2\n"
@@ -552,16 +564,18 @@ def test_witness_and_error_texts_name_chains(p2):
     from hpa.cli import _check_json
     from hpa.morse import Matching, MatchingError, matching_from_json
     from hpa.resolution import (BimoduleComplex, ResolutionError,
-                                cellular_resolution,
-                                contracting_homotopy_check, verify_d_squared)
-    from test_acceptance import _SignFlip
+                                cellular_resolution, check_resolution,
+                                verify_d_squared)
 
     x = build_realization(p2)
     c = cellular_resolution(p2, x)
-    assert _check_json(verify_d_squared(_SignFlip(c, x.cells[2][0])),
-                       "d^2 = 0") == {
-        'ok': False, 'checked': 9, 'label': 'd^2 = 0', 'failures': [
-            '((0, 1, 2), {(2, (14,), 14): -2, (1, (10,), 11): 2})']}
+    # the sign of face 0 of the first 2-cell flipped
+    flipped = Mutant(c, x.cells[2][0],
+                     lambda ts: [(-ts[0][0], *ts[0][1:]), *ts[1:]])
+    for d2 in (verify_d_squared(flipped), check_resolution(flipped)[0]):
+        assert _check_json(d2, "d^2 = 0") == {
+            'ok': False, 'checked': 9, 'label': 'd^2 = 0', 'failures': [
+                '((0, 1, 2), {(2, (14,), 14): -2, (1, (10,), 11): 2})']}
 
     edge = x.cells[1][3]
     assert x.chain(edge) == (0, 4)
@@ -573,7 +587,7 @@ def test_witness_and_error_texts_name_chains(p2):
                 s, l, f, r = out[0]
                 out = [(-s, l, f, r)] + out[1:]
             return out
-    assert _check_json(contracting_homotopy_check(p2, FaceZeroFlipped(p2, x)),
+    assert _check_json(check_resolution(FaceZeroFlipped(p2, x))[1],
                        "d h + h d = id") == {
         'ok': False, 'checked': 90, 'label': 'd h + h d = id', 'failures': [
             '((4, (14,), 14), {(4, (14,), 14): -1})',

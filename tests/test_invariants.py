@@ -7,8 +7,7 @@ from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
 from hpa.realization import (build_realization, euler_characteristic,
                              lex_shelling, maximal_chains)
-from hpa.resolution import (cellular_resolution, contracting_homotopy_check,
-                            verify_d_squared)
+from hpa.resolution import cellular_resolution, check_resolution
 from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        morse_complex)
 from hpa.invariants import (OrderComplex, reduced_homology, tor_table,
@@ -147,8 +146,8 @@ def test_oracle_triangle_on_random_algebras(a):
         return
     x = build_realization(a)
     c = cellular_resolution(a, x)
-    assert verify_d_squared(c).ok
-    assert contracting_homotopy_check(a, c).ok
+    d2, homotopy = check_resolution(c)
+    assert d2.ok and homotopy.ok
     # both constructions leave arrow cells unmatched, so they are internal
     # on ungraded algebras too
     morse = [morse_complex(c, build(a, complex_=x)) for build in

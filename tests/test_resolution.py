@@ -1,13 +1,17 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, ring_fp
 from hpa.algebra import check_hpa, tensor
 from hpa.realization import build_realization, homology
-from hpa.resolution import (ResolutionError, _unfixed_rows, _unpaired_cells,
-                            cellular_resolution, contracting_homotopy_check,
-                            h_minus_one, multiply_augmentation,
-                            simple_tensor_complex, verify_d_squared)
+from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
+                       morse_complex)
+from hpa.resolution import (ResolutionError, cellular_resolution,
+                            check_resolution, h_minus_one,
+                            multiply_augmentation, simple_tensor_complex,
+                            verify_d_squared)
 
 from conftest import (Mutant, algebras, bimodule_chain_complex, free_algebra,
                       linear_quiver, reference_d_squared,
@@ -101,42 +105,116 @@ def _same_report(got, ref):
             (ref.ok, ref.checked, repr(ref.witnesses)))
 
 
+def _checked(c):
+    """check_resolution(c), after asserting that its reports and
+    verify_d_squared(c) match the references, the homotopy report None
+    exactly when c.complex is truncated."""
+    d2, homotopy = check_resolution(c)
+    assert _same_report(d2, reference_d_squared(c))
+    assert _same_report(verify_d_squared(c), d2)
+    if c.complex.truncated:
+        assert homotopy is None
+    else:
+        assert _same_report(homotopy, reference_homotopy_check(c.hpa, c))
+    return d2, homotopy
+
+
+def _all_ok(reports):
+    return all(r is None or r.ok for r in reports)
+
+
+def _none_ok(reports):
+    return not any(r is None or r.ok for r in reports)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)), st.data())
-def test_checks_match_references(a, data):
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)), st.data())
+def test_checks_match_references(a, max_dim, data):
+    # whole or capped; a capped complex is no resolution, so only d^2
     if not check_hpa(a).ok:
         return
-    c = cellular_resolution(a)
-    assert _same_report(verify_d_squared(c), reference_d_squared(c))
-    assert _same_report(contracting_homotopy_check(a, c),
-                        reference_homotopy_check(a, c))
+    c = cellular_resolution(a, build_realization(a, max_dim=max_dim))
+    assert _all_ok(_checked(c))
     cells = [cell for k in range(1, c.top + 1) for cell in c.generators(k)]
     if cells:
         victim = data.draw(st.sampled_from(cells))
-        broken = _sign_flipped(c, victim)
-        assert _same_report(verify_d_squared(broken),
-                            reference_d_squared(broken))
-        assert _same_report(contracting_homotopy_check(a, broken),
-                            reference_homotopy_check(a, broken))
-        reordered = _terms_reordered(c, victim)
-        got = verify_d_squared(reordered)
-        assert got.ok and _same_report(got, reference_d_squared(reordered))
-        got = contracting_homotopy_check(a, reordered)
-        assert got.ok and _same_report(
-            got, reference_homotopy_check(a, reordered))
+        _checked(_sign_flipped(c, victim))
+        assert _all_ok(_checked(_terms_reordered(c, victim)))
 
 
-def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)), st.data())
+def test_morse_d_squared_matches_the_reference(a, max_dim, data):
+    # Morse complexes have no cellular shape: verify_d_squared decides
+    # them term by term, whole, capped and with one sign flipped
+    if not check_hpa(a).ok:
+        return
+    c = cellular_resolution(a, build_realization(a, max_dim=max_dim))
+    for build in (babson_hersh_matching, greedy_internal_matching):
+        mc = morse_complex(c, build(a, complex_=c.complex))
+        got = verify_d_squared(mc)
+        assert got.ok and _same_report(got, reference_d_squared(mc))
+        cells = [cell for k in range(1, mc.top + 1)
+                 for cell in mc.generators(k) if mc.terms(cell)]
+        if cells:
+            broken = Mutant(mc, data.draw(st.sampled_from(cells)),
+                            lambda ts: [(-ts[0][0], *ts[0][1:]), *ts[1:]])
+            assert _same_report(verify_d_squared(broken),
+                                reference_d_squared(broken))
+
+
+def test_one_walk_reads_each_dimension_once(p113, monkeypatch):
+    # check_resolution takes the shapes of each dimension 1..top once, for
+    # both checks; verify_d_squared takes none
+    from hpa import resolution
+    real, calls = resolution._shapes, []
+
+    def shapes(c, k, trivial):
+        calls.append(k)
+        return real(c, k, trivial)
+    monkeypatch.setattr(resolution, '_shapes', shapes)
+    for max_dim in (None, 2, 1, 0):
+        c = cellular_resolution(p113, build_realization(p113,
+                                                        max_dim=max_dim))
+        mc = morse_complex(c, babson_hersh_matching(p113,
+                                                    complex_=c.complex))
+        check_resolution(c)
+        assert calls == list(range(1, c.top + 1))
+        calls.clear()
+        verify_d_squared(c)
+        verify_d_squared(mc)
+        assert calls == []
+
+
+def _left_to_terms(c, monkeypatch):
+    """[cells, rows]: what check_resolution(c) leaves to the term-by-term
+    evaluation of d^2 and of the homotopy."""
+    from hpa import resolution
+    seen = []
+    with monkeypatch.context() as m:
+        for name in ('_d_squared', '_homotopy'):
+            def spy(c, todo, *rest, real=getattr(resolution, name)):
+                seen.append(list(todo))
+                return real(c, seen[-1], *rest)
+            m.setattr(resolution, name, spy)
+        check_resolution(c)
+    return seen
+
+
+def test_reordered_terms_are_decided_by_accumulation(p2, res_p2,
+                                                     monkeypatch):
     x, y_ = p2.arrow_class['x'], p2.arrow_class["y'"]
     cell = res_p2.complex.cell
     one = cell((p2.trivial_class['v1'], y_))
     two = cell((p2.trivial_class['v0'], x, p2.mult(x, y_)))  # face 0: `one`
 
     def pairs_cancel(c, cell):
-        return cell not in list(_unpaired_cells(c))
+        return cell not in _left_to_terms(c, monkeypatch)[0]
 
     def fixes_generator(c, ac, cell):
-        return (cell, ac) not in _unfixed_rows(c)
+        return (cell, ac) not in _left_to_terms(c, monkeypatch)[1]
 
     assert pairs_cancel(res_p2, two)
     assert fixes_generator(res_p2, x, one)
@@ -146,12 +224,7 @@ def test_reordered_terms_are_decided_by_accumulation(p2, res_p2):
     assert not pairs_cancel(broken, two)
     assert not fixes_generator(broken, x, one)
     for victim in (one, two):
-        broken = _terms_reordered(res_p2, victim)
-        got = verify_d_squared(broken)
-        assert got.ok and _same_report(got, reference_d_squared(broken))
-        got = contracting_homotopy_check(p2, broken)
-        assert got.ok and _same_report(got,
-                                       reference_homotopy_check(p2, broken))
+        assert _all_ok(_checked(_terms_reordered(res_p2, victim)))
 
 
 def test_checks_match_references_on_mutants(p2, res_p2):
@@ -176,12 +249,7 @@ def test_checks_match_references_on_mutants(p2, res_p2):
                _last_term_dropped(res_p2, square),
                _last_term_dropped(res_p2, below)]
     for broken in mutants:
-        got = contracting_homotopy_check(p2, broken)
-        assert not got.ok
-        assert _same_report(got, reference_homotopy_check(p2, broken))
-        got = verify_d_squared(broken)
-        assert not got.ok
-        assert _same_report(got, reference_d_squared(broken))
+        assert _none_ok(_checked(broken))
 
 
 def _other_class(a, cls):
@@ -209,20 +277,26 @@ def test_mutants_above_dimension_two_match_references(p113, dim):
                             _other_class(p113, terms[-1][3])),
                _sign_flipped(c, victim, dim // 2)]
     for broken in mutants:
-        got = verify_d_squared(broken)
-        assert not got.ok
-        assert _same_report(got, reference_d_squared(broken))
-        got = contracting_homotopy_check(p113, broken)
-        assert not got.ok
-        assert _same_report(got, reference_homotopy_check(p113, broken))
+        assert _none_ok(_checked(broken))
 
 
-def _outcome(check, *args):
+def _outcome(c):
+    """check_resolution(c) as comparable data, or the error it raises."""
     try:
-        got = check(*args)
+        reports = check_resolution(c)
     except ValueError as err:
         return type(err), str(err)
-    return got.ok, got.checked, repr(got.witnesses)
+    return [None if r is None else (r.ok, r.checked, repr(r.witnesses))
+            for r in reports]
+
+
+def _capped(c):
+    """c over a copy of its complex flagged truncated, on which
+    check_resolution decides d^2 alone."""
+    out = copy.copy(c)
+    out.complex = copy.copy(c.complex)
+    out.complex.truncated = True
+    return out
 
 
 @pytest.mark.parametrize('dim', [1, 2, 3])
@@ -250,9 +324,8 @@ def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
                _term_edited(c, victim, 0, 'left', _other_class(p113, p))]
 
     def outcomes():
-        return [(_outcome(verify_d_squared, m),
-                 _outcome(contracting_homotopy_check, p113, m))
-                for m in mutants]
+        # d^2 also on its own, as the homotopy raises on most of them
+        return [(_outcome(m), _outcome(_capped(m))) for m in mutants]
     shaped = outcomes()
     monkeypatch.setattr(resolution, '_failing',
                         lambda test, n: list(range(n)))
@@ -281,7 +354,7 @@ def test_trivial_coefficient_at_a_wrong_vertex_is_zero(p113, w):
 
 
 def test_contracting_homotopy_p2(p2, res_p2):
-    report = contracting_homotopy_check(p2, res_p2)
+    _, report = check_resolution(res_p2)
     assert report.ok
     # every (a, cell, b) triple plus one check per algebra class
     assert report.checked > len(p2.classes)
@@ -292,8 +365,7 @@ def test_homotopy_square():
                free_algebra(linear_quiver(1, vertex_prefix='w',
                                           arrow_prefix='b')))
     c = cellular_resolution(t)
-    assert verify_d_squared(c).ok
-    assert contracting_homotopy_check(t, c).ok
+    assert _all_ok(check_resolution(c))
 
 
 def test_augmentation_h_identity(p2, res_p2):
