@@ -2,8 +2,8 @@
 
 An algebra here is kQ/I where I is generated by differences p - p' of path
 words listed in relation groups.  We only ever manipulate the induced
-congruence, and only through its classes: `HPA` builds them in one
-topological sweep as the states of a path automaton, so multiplication and
+congruence, and only through its classes: `HPA` builds them in one sweep
+over the sources as the states of a path automaton, so multiplication and
 the class of a word are walks along its transitions, never scans of words.
 Coefficients never leave {0, +-1, q-classes}.
 """
@@ -21,7 +21,8 @@ class RelationError(ValueError):
 
 class RelationSet:
     """Groups of path words to be identified.  Each group shares endpoints;
-    groups with the same endpoints are pairwise disjoint as word sets."""
+    groups with the same endpoints are pairwise disjoint as word sets.  Each
+    word is walked once, and must compose and end at its declared head."""
 
     def __init__(self, quiver, groups):
         self.quiver = quiver
@@ -38,19 +39,21 @@ class RelationSet:
                     raise RelationError(
                         f"relation endpoints mismatch: {_fmt(g[0])} vs {_fmt(w)}",
                         i)
-                quiver.word(w.tail, w.labels)  # validates composability
+                if quiver.word(t, w.labels).head != h:
+                    raise RelationError(
+                        f"word {_fmt(w)} does not end at {h!r}", i)
             if len(set(g)) != len(g):
                 raise RelationError(
                     f"repeated word in relation group {_fmt(g[0])}", i)
             norm.append(g)
         seen = {}
         for i, g in enumerate(norm):
-            key = (g[0].tail, g[0].head)
+            words = seen.setdefault((g[0].tail, g[0].head), set())
             for w in g:
-                if w in seen.get(key, set()):
+                if w in words:
                     raise RelationError(
                         f"word {_fmt(w)} appears in two relation groups", i)
-                seen.setdefault(key, set()).add(w)
+                words.add(w)
         self.groups = tuple(norm)
 
     def __len__(self):
@@ -76,23 +79,28 @@ class HPA:
     """
 
     def __init__(self, relations):
+        """Build the classes in one sweep over the sources v, in reverse
+        topological order.  From v, the vertices u after v are visited in
+        topological order: the relation groups ending at u merge the pairs
+        (s, x) of a finished state s and an arrow x from head(s) to u.  No
+        arrow leads back, so every merge at u is final.  A group from t is
+        walked once, while t is the source, and kept as its distinct ends
+        (c, x), c the class of a word less its last arrow x; with one end it
+        merges nothing.  A later source walks each state s at t along rep(c)
+        only: states at finished vertices are congruence classes, so s rep(c)
+        reaches the state of s w[:-1].  A state is (rank of its tail, least
+        word as arrow indices, tail, head, word lengths); two words of one
+        class are never prefixes of each other, so the least rep(s) + (x,)
+        over the merged candidates is the least word.
+        """
         q = self.quiver = relations.quiver
         self.relations = relations
-        # The sweep: from each vertex v, visit the vertices u after v in
-        # topological order.  The candidate states at u are the pairs (s, x)
-        # of a finished state s and an arrow x from head(s) to u.  Each
-        # relation group ending at u, walked from every state at its tail,
-        # merges the candidates where its words end; the steps before the
-        # last land on finished states.  No arrow leads back to an earlier
-        # vertex, so every merge at u is final.  A state is (rank of its
-        # tail, least word as arrow indices, tail, head, word lengths): two
-        # words of one class are never prefixes of each other, so the least
-        # rep(s) + (x,) over the merged candidates is the least word.
-        groups_at = {}
+        groups_from = {}
         for g in relations.groups:
-            groups_at.setdefault(g[0].head, []).append(g)
+            groups_from.setdefault((g[0].tail, g[0].head), []).append(g)
         order = sorted(q.vertices, key=q.topo_rank.__getitem__)
         states, self._step = [], {}
+        ends_at = {}  # u -> [(t, distinct ends (rep(c) labels, x))]
 
         def find(c):
             while parent[c] != c:
@@ -100,18 +108,25 @@ class HPA:
                 c = parent[c]
             return c
 
-        for i, v in enumerate(order):
+        for i in reversed(range(len(order))):
+            v = order[i]
             at = {v: [len(states)]}   # the states from v, by head
             states.append((i, (), v, v, frozenset({0})))
             for u in order[i + 1:]:
                 parent = {(s, x.label): (s, x.label)
                           for x in q.inc[u] for s in at.get(x.tail, ())}
-                for g in groups_at.get(u, ()):
-                    for s in at.get(g[0].tail, ()):
-                        ends = [find((self._walk(s, w.labels[:-1]),
-                                      w.labels[-1])) for w in g]
-                        for e in ends[1:]:
-                            parent[find(e)] = find(ends[0])
+                for g in groups_from.get((v, u), ()):
+                    ends = dict.fromkeys((self._walk(at[v][0], w.labels[:-1]),
+                                          w.labels[-1]) for w in g)
+                    if len(ends) > 1:
+                        ends_at.setdefault(u, []).append((v, [
+                            (tuple(q.arrows[n].label for n in states[c][1]), x)
+                            for c, x in ends]))
+                for t, ends in ends_at.get(u, ()):
+                    for s in at.get(t, ()):
+                        e, *es = [find((self._walk(s, p), x)) for p, x in ends]
+                        for f in es:
+                            parent[find(f)] = find(e)
                 members = {}
                 for c in parent:
                     members.setdefault(find(c), []).append(c)

@@ -84,7 +84,7 @@ def _write(args, text):
 
 def _load(path):
     from .algebra import from_document
-    with open(path) as f:
+    with open(path, encoding='utf-8') as f:
         return from_document(f.read())
 
 
@@ -235,7 +235,7 @@ def _weight_data(args):
     if args.weights.lstrip().startswith('['):
         w, degrees = WeightData(json.loads(args.weights)), None
     else:
-        with open(args.weights) as f:
+        with open(args.weights, encoding='utf-8') as f:
             w, degrees = weight_data_from_json(json.load(f))
     if args.degrees is not None:
         degrees = json.loads(args.degrees)
@@ -356,12 +356,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    # a malformed document or matching file (hpa.UsageError), malformed JSON
-    # or an unreadable file is a usage error; any other ValueError, among
-    # them QuiverError and MatchingError, is a mathematical failure
+    # a malformed document or matching file (hpa.UsageError), malformed JSON,
+    # a file that is not UTF-8 or cannot be read is a usage error; any other
+    # ValueError (QuiverError, MatchingError, ...) is a mathematical failure
     try:
         return args.func(args)
-    except (UsageError, json.JSONDecodeError, OSError) as e:
+    except (UsageError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as e:
         print(f'error: {e}', file=sys.stderr)
         return 2
     except ValueError as e:

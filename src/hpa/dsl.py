@@ -17,7 +17,7 @@ concatenation order (left to right).
 import re
 
 from . import UsageError
-from .quiver import CycleError, Quiver, QuiverError
+from .quiver import CycleError, PathWord, Quiver, QuiverError
 from .algebra import RelationSet, RelationError
 
 
@@ -38,7 +38,7 @@ def parse_quiver(text):
     """Parse a DSL document into (Quiver, RelationSet)."""
     vertices = []
     arrow_specs = []       # (label, tail, head, line)
-    relation_specs = []    # (list of label-lists, line)
+    relation_specs = []    # (list of label tuples, line)
     section = None
 
     seen_vertices = set()
@@ -78,16 +78,17 @@ def parse_quiver(text):
             seen_labels.add(label)
             arrow_specs.append((label, tail, head, lineno))
         elif section == 'relations':
-            sides = [s.strip() for s in line.split('=')]
-            if len(sides) < 2 or any(not s for s in sides):
+            sides = line.split('=')
+            words = [tuple(s.split()) for s in sides]
+            if len(words) < 2 or not all(words):
                 raise ParseError(f"bad relation line {line!r} "
                                  "(want 'word = word [= word ...]')", lineno)
-            words = []
-            for s in sides:
-                labels = s.split()
-                if not all(_valid_id(t) for t in labels):
-                    raise ParseError(f"bad word {s!r}", lineno)
-                words.append(labels)
+            # split on '#', '=' and whitespace, a label can only be bad
+            # through ':' or by being the token '->'
+            if ':' in line or '->' in line:
+                for s, labels in zip(sides, words):
+                    if not all(_valid_id(t) for t in labels):
+                        raise ParseError(f"bad word {s.strip()!r}", lineno)
             relation_specs.append((words, lineno))
 
     try:
@@ -105,25 +106,29 @@ def parse_quiver(text):
                 raise ParseError(f"unknown vertex in arrow {label!r}", lineno)
         raise
 
-    groups = []
-    for words, lineno in relation_specs:
-        try:
-            parsed = [quiver.word_from_labels(labels) for labels in words]
-        except QuiverError as e:
-            raise ParseError(str(e), lineno)
-        t, h = parsed[0].tail, parsed[0].head
-        for w in parsed[1:]:
-            if (w.tail, w.head) != (t, h):
-                raise ParseError(
-                    "relation endpoints mismatch: "
-                    f"{' '.join(parsed[0].labels)} is {t}->{h} but "
-                    f"{' '.join(w.labels)} is {w.tail}->{w.head}", lineno)
-        groups.append(parsed)
+    # each word takes the tail of its first arrow and the head of its last;
+    # RelationSet walks it, once, to check that it composes
+    arrow = quiver.arrow_by_label
     try:
-        rels = RelationSet(quiver, groups)
-    except RelationError as e:
+        return quiver, RelationSet(quiver, [
+            [PathWord(arrow[w[0]].tail, arrow[w[-1]].head, w) for w in words]
+            for words, _ in relation_specs])
+    except (KeyError, QuiverError, RelationError) as e:
+        # name the first line whose words do not compose (an unknown label
+        # among them) or do not share their endpoints, else the group's error
+        for words, lineno in relation_specs:
+            try:
+                parsed = [quiver.word_from_labels(labels) for labels in words]
+            except QuiverError as err:
+                raise ParseError(str(err), lineno)
+            t, h = parsed[0].tail, parsed[0].head
+            for w in parsed[1:]:
+                if (w.tail, w.head) != (t, h):
+                    raise ParseError(
+                        "relation endpoints mismatch: "
+                        f"{' '.join(parsed[0].labels)} is {t}->{h} but "
+                        f"{' '.join(w.labels)} is {w.tail}->{w.head}", lineno)
         raise ParseError(str(e), relation_specs[e.group][1])
-    return quiver, rels
 
 
 def emit_quiver(quiver, relations=None):

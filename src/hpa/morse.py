@@ -532,6 +532,6 @@ def matching_from_json(data, complex_):
 
 
 def load_matching(path, complex_):
-    with open(path) as f:
+    with open(path, encoding='utf-8') as f:
         return matching_from_json(json.load(f), complex_)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import strategies as st
 
 from hpa import RING_Z
-from hpa.algebra import HPA, RelationSet, Report, tensor
+from hpa.algebra import HPA, PathClass, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
-from hpa.quiver import Arrow, Quiver, enumerate_paths
+from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.realization import homology, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
@@ -478,6 +478,65 @@ def reference_check_acyclic(m):
                 color[path.pop()] = 2
                 stack.pop()
     return Report([], len(top_of))
+
+
+def forward_sweep(relations):
+    """Reference for the class sweep of `HPA`: (classes, step) as that
+    sweep ranks them, built source by source in topological order.  From
+    each source v, the vertices u after v are visited in topological order;
+    every relation group ending at u is walked, word by word, from every
+    state at its tail, and the candidate states (s, x) where its words end
+    are merged."""
+    q = relations.quiver
+    groups_at = {}
+    for g in relations.groups:
+        groups_at.setdefault(g[0].head, []).append(g)
+    order = sorted(q.vertices, key=q.topo_rank.__getitem__)
+    states, step = [], {}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def walk(c, labels):
+        for label in labels:
+            c = step[c, label]
+        return c
+
+    for i, v in enumerate(order):
+        at = {v: [len(states)]}
+        states.append((i, (), v, v, frozenset({0})))
+        for u in order[i + 1:]:
+            parent = {(s, x.label): (s, x.label)
+                      for x in q.inc[u] for s in at.get(x.tail, ())}
+            for g in groups_at.get(u, ()):
+                for s in at.get(g[0].tail, ()):
+                    ends = [find((walk(s, w.labels[:-1]), w.labels[-1]))
+                            for w in g]
+                    for e in ends[1:]:
+                        parent[find(e)] = find(ends[0])
+            members = {}
+            for c in parent:
+                members.setdefault(find(c), []).append(c)
+            at[u] = []
+            for cs in members.values():
+                new = len(states)
+                at[u].append(new)
+                step.update(dict.fromkeys(cs, new))
+                rep = min(states[s][1] + (q.arrow_index[x],) for s, x in cs)
+                lengths = frozenset(n + 1 for s, _ in cs
+                                    for n in states[s][4])
+                states.append((i, rep, v, u, lengths))
+    ranked = sorted(range(len(states)), key=states.__getitem__)
+    cid = {s: k for k, s in enumerate(ranked)}
+    classes = []
+    for k, s in enumerate(ranked):
+        _, rep, v, u, lengths = states[s]
+        word = PathWord(v, u, tuple(q.arrows[n].label for n in rep))
+        classes.append(PathClass(k, word, v, u, lengths, not rep))
+    return classes, {(cid[s], x): cid[t] for (s, x), t in step.items()}
 
 
 def reference_d_squared(c):

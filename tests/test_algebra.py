@@ -1,18 +1,21 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hpa.algebra import (NotCancellativeError, check_hpa, from_document,
-                         tensor)
+from hpa.algebra import (NotCancellativeError, RelationError, RelationSet,
+                         check_hpa, from_document, tensor)
 from hpa.invariants import betti_table, koszul_check
 from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
-from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, enumerate_paths,
-                        trivial_word)
+from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, QuiverError,
+                        enumerate_paths, trivial_word)
 from hpa.realization import build_realization
 from hpa.resolution import cellular_resolution
+from hpa.toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
+                       check_cohomologically_proper, image_phi)
 
-from conftest import (bhk_algebra, free_algebra, linear_quiver,
-                      open_interval, words_by_class)
+from conftest import (BENCHMARK_INPUTS, FIXTURES, algebras, bhk_algebra,
+                      forward_sweep, free_algebra, linear_quiver,
+                      load_algebra, open_interval, words_by_class)
 
 
 def test_single_arrow_words():
@@ -219,3 +222,61 @@ def test_a3a3_word_count(a3a3):
     # sum over word pairs of the shuffle counts C(l1+l2, l1)
     assert sum(map(len, words_by_class(a3a3).values())) == 226
     assert len(a3a3.classes) == 100
+
+
+def assert_sweep_matches_reference(a):
+    classes, step = forward_sweep(a.relations)
+    assert a.classes == classes
+    assert a._step == step
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_sweep_matches_the_forward_sweep(a):
+    assert_sweep_matches_reference(a)
+
+
+@pytest.mark.parametrize('path', sorted(FIXTURES.glob('*.quiver')) +
+                         sorted(BENCHMARK_INPUTS.glob('*.quiver')),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_sweep_matches_the_forward_sweep_on_files(path):
+    assert_sweep_matches_reference(load_algebra(path.name, path.parent))
+
+
+def test_sweep_matches_the_forward_sweep_on_p5():
+    assert_sweep_matches_reference(bondal_ruan_hpa(WeightData([[1] * 6])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    min_size=1, max_size=2)))
+def test_sweep_matches_the_forward_sweep_on_toric_weights(rows):
+    w = WeightData(rows)
+    assume(check_cohomologically_proper(w))
+    try:
+        a = build_toric_hpa(w, sorted(image_phi(w)))
+    except NotCancellativeError:
+        assume(False)
+    assert_sweep_matches_reference(a)
+
+
+def test_relation_word_must_end_at_its_head():
+    # x, y: a -> b, declared as words a -> c
+    q = Quiver(['a', 'b', 'c'], [('x', 'a', 'b'), ('y', 'a', 'b')])
+    with pytest.raises(RelationError) as e:
+        RelationSet(q, [[PathWord('a', 'b', ('x',)), PathWord('a', 'b', ('y',))],
+                        [PathWord('a', 'c', ('x',)), PathWord('a', 'c', ('y',))]])
+    assert str(e.value) == "word x does not end at 'c'"
+    assert e.value.group == 1
+
+
+def test_relation_word_that_does_not_compose_is_refused():
+    q = Quiver(['a', 'b'], [('x', 'a', 'b'), ('y', 'a', 'b')])
+    with pytest.raises(QuiverError) as e:
+        RelationSet(q, [[PathWord('a', 'b', ('x',)),
+                         PathWord('a', 'b', ('y', 'x'))]])
+    assert str(e.value) == (
+        "word not composable: 'x' starts at 'a', expected 'b'")
+    with pytest.raises(QuiverError, match="unknown vertex 'z'"):
+        RelationSet(q, [[PathWord('z', 'z', ()), PathWord('z', 'z', ())]])

@@ -59,6 +59,21 @@ def test_missing_file_is_usage_error(capsys):
     assert 'error:' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize('argv', [
+    ['check', '{}'],
+    ['morse', P2, '--matching', '{}'],
+    ['toric', '--weights', '{}'],
+])
+def test_a_file_that_is_not_utf8_is_usage_error(capsys, tmp_path, argv):
+    p = tmp_path / 'latin1'
+    p.write_bytes(b'vertices: a\xff\n')
+    code = main([arg.format(p) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "invalid start byte\n")
+
+
 def test_parse_error_is_usage_error(capsys, tmp_path):
     p = tmp_path / 'mangled.quiver'
     p.write_text('vertices v0\n')

@@ -60,15 +60,56 @@ def test_bad_arrow_line():
 
 
 def test_noncomposable_relation():
-    with pytest.raises(ParseError, match="not composable"):
+    with pytest.raises(ParseError) as e:
         parse_quiver("vertices: v0 v1\narrows:\n a: v0->v1\n b: v0->v1\n"
                      "relations:\n a b = b a")
+    assert str(e.value) == (
+        "line 6: word not composable: 'b' starts at 'v0', expected 'v1'")
+    assert e.value.line == 6
 
 
 def test_endpoint_mismatch():
-    with pytest.raises(ParseError, match="endpoints mismatch"):
+    with pytest.raises(ParseError) as e:
         parse_quiver("vertices: v0 v1 v2\narrows:\n a: v0->v1\n b: v1->v2\n"
                      "relations:\n a b = a")
+    assert str(e.value) == (
+        "line 6: relation endpoints mismatch: a b is v0->v2 but a is v0->v1")
+    assert e.value.line == 6
+
+
+RELATIONS_DOC = ("vertices: v0 v1 v2\narrows:\n  a: v0 -> v1\n  b: v0 -> v1\n"
+                 "  c: v1 -> v2\n  d: v1 -> v2\nrelations:\n  a c = b d\n")
+
+
+# Each refusal of a relation line, after a good line 8: its message and line.
+# A word whose first and last labels are known and give the line's endpoints
+# is only walked when the relation set is built, so its refusal must still
+# come before any on a later line, and before a repeated word on an
+# earlier one.
+@pytest.mark.parametrize('lines, message, line', [
+    ("  a d = b c = c b\n",
+     "word not composable: 'b' starts at 'v0', expected 'v2'", 9),
+    ("  a d = b c c\n",
+     "word not composable: 'c' starts at 'v1', expected 'v2'", 9),
+    ("  a d = b zz\n", "unknown arrow label 'zz'", 9),
+    ("  a d = b zz d\n", "unknown arrow label 'zz'", 9),
+    ("  a d = b:c\n", "bad word 'b:c'", 9),
+    ("  a d = b -> c\n", "bad word 'b -> c'", 9),
+    ("  a d=->\n", "bad word '->'", 9),
+    ("  a d = b\n",
+     "relation endpoints mismatch: a d is v0->v2 but b is v0->v1", 9),
+    ("  a d = b c c\n  a = c\n",
+     "word not composable: 'c' starts at 'v1', expected 'v2'", 9),
+    ("  a d = b c = a d\n  a = c d\n",
+     "word not composable: 'd' starts at 'v1', expected 'v2'", 10),
+    ("  a d = b c = a d\n  b c = a c c\n",
+     "word not composable: 'c' starts at 'v1', expected 'v2'", 10),
+])
+def test_relation_line_refusals(lines, message, line):
+    with pytest.raises(ParseError) as e:
+        parse_quiver(RELATIONS_DOC + lines)
+    assert str(e.value) == f"line {line}: {message}"
+    assert e.value.line == line
 
 
 def test_duplicate_vertex():
