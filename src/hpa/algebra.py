@@ -80,18 +80,19 @@ class HPA:
 
     def __init__(self, relations):
         """Build the classes in one sweep over the sources v, in reverse
-        topological order.  From v, the vertices u after v are visited in
-        topological order: the relation groups ending at u merge the pairs
-        (s, x) of a finished state s and an arrow x from head(s) to u.  No
-        arrow leads back, so every merge at u is final.  A group from t is
-        walked once, while t is the source, and kept as its distinct ends
-        (c, x), c the class of a word less its last arrow x; with one end it
-        merges nothing.  A later source walks each state s at t along rep(c)
-        only: states at finished vertices are congruence classes, so s rep(c)
-        reaches the state of s w[:-1].  A state is (rank of its tail, least
-        word as arrow indices, tail, head, word lengths); two words of one
-        class are never prefixes of each other, so the least rep(s) + (x,)
-        over the merged candidates is the least word.
+        topological order.  From v, the vertices u a path reaches, listed from
+        the heads of v's arrows (already swept), are visited in topological
+        order: the relation groups ending at u merge the pairs (s, x) of a
+        finished state s and an arrow x from head(s) to u.  No arrow leads
+        back, so every merge at u is final.  A group from t is walked once,
+        while t is the source, and kept as its distinct ends (c, x), c the
+        class of a word less its last arrow x; with one end it merges nothing.
+        A later source walks each state s at t along rep(c) only: states at
+        finished vertices are congruence classes, so s rep(c) reaches the state
+        of s w[:-1].  A state is (rank of its tail, least word as arrow
+        indices, tail, head, word lengths); two words of one class are never
+        prefixes of each other, so the least rep(s) + (x,) over the merged
+        candidates is the least word.
         """
         q = self.quiver = relations.quiver
         self.relations = relations
@@ -101,6 +102,7 @@ class HPA:
         order = sorted(q.vertices, key=q.topo_rank.__getitem__)
         states, self._step = [], {}
         ends_at = {}  # u -> [(t, distinct ends (rep(c) labels, x))]
+        reach = {}  # v -> the vertices after v that a path reaches
 
         def find(c):
             while parent[c] != c:
@@ -112,7 +114,10 @@ class HPA:
             v = order[i]
             at = {v: [len(states)]}   # the states from v, by head
             states.append((i, (), v, v, frozenset({0})))
-            for u in order[i + 1:]:
+            reach[v] = sorted({u for x in q.out[v]
+                               for u in (x.head, *reach[x.head])},
+                              key=q.topo_rank.__getitem__)
+            for u in reach[v]:
                 parent = {(s, x.label): (s, x.label)
                           for x in q.inc[u] for s in at.get(x.tail, ())}
                 for g in groups_from.get((v, u), ()):
@@ -154,11 +159,9 @@ class HPA:
                                                 x.label] for x in q.arrows}
         self.classes_by_tail = {v: [] for v in q.vertices}
         self.classes_by_head = {v: [] for v in q.vertices}
-        self.classes_by_pair = {}
         for c in self.classes:
             self.classes_by_tail[c.tail].append(c.id)
             self.classes_by_head[c.head].append(c.id)
-            self.classes_by_pair.setdefault((c.tail, c.head), []).append(c.id)
         self._mult = {}
         self._quot = {}
         self._covers = {}

@@ -75,38 +75,33 @@ def nonzero_groups(h):
             for i, (rank, tors) in sorted(h.items()) if rank or tors}
 
 
-def _tor_sum(a, v, w, summands):
-    """Tor_i(S_v, S_w) in sparse form, summing summands(p) over the
-    nontrivial classes p from v to w, plus R in degree 0 when v = w."""
-    acc = {0: [1, []]} if v == w else {}
-    for p in a.classes_by_pair.get((v, w), ()):
-        if not a.is_trivial(p):
-            for i, rank, tors in summands(p):
-                cur = acc.setdefault(i, [0, []])
-                cur[0] += rank
-                cur[1].extend(tors)
-    return nonzero_groups(acc)
-
-
 def tor_table(a, ring=RING_Z):
-    """{(v, w): Tor_i(S_v, S_w) over `ring`} for every pair of vertices,
-    each a sparse dict {degree: (rank, elementary divisors)}.  An interval
-    whose lexicographic order is a shelling (`realization.lex_shelling`) is
-    a wedge of spheres, one S^{|F_j|-1} per facet with R_j = F_j
+    """{(v, w): Tor_i(S_v, S_w) over `ring`} on the pairs a class joins,
+    by vertex declaration order (Tor is 0 on the others), each a sparse
+    dict {degree: (rank, elementary divisors)}, from one pass over the
+    classes.  A trivial class adds R in degree 0.  An interval whose
+    lexicographic order is a shelling (`realization.lex_shelling`) is a
+    wedge of spheres, one S^{|F_j|-1} per facet with R_j = F_j
     (Bjorner-Wachs, nonpure shellings included), so it adds a free
     generator in degree |F_j| + 1 for each; any other interval adds
     H~_{i-2} of the complex its maximal chains generate in degree i."""
-    def summands(p):
-        shelling = lex_shelling(a, p)
-        if shelling is None:
+    pos = {v: n for n, v in enumerate(a.quiver.vertices)}
+    acc = {}
+    for c in sorted(a.classes, key=lambda c: (pos[c.tail], pos[c.head])):
+        if c.is_trivial:
+            summands = [(0, 1, [])]
+        elif (shelling := lex_shelling(a, c.id)) is None:
             h = reduced_homology(
-                maximal_chains(a, a.trivial_class[a.tail(p)], p), ring)
-            return [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
-        return [(len(ch) + 1, 1, []) for ch, rj in shelling
-                if len(rj) == len(ch)]
-    vertices = a.quiver.vertices
-    return {(v, w): _tor_sum(a, v, w, summands)
-            for v in vertices for w in vertices}
+                maximal_chains(a, a.trivial_class[c.tail], c.id), ring)
+            summands = [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
+        else:
+            summands = [(len(ch) + 1, 1, []) for ch, rj in shelling
+                        if len(rj) == len(ch)]
+        cur = acc.setdefault((c.tail, c.head), {})
+        for i, rank, tors in summands:
+            r, t = cur.get(i, (0, []))
+            cur[i] = (r + rank, t + tors)
+    return {pair: nonzero_groups(h) for pair, h in acc.items()}
 
 
 class BettiTable:

@@ -306,16 +306,21 @@ def check_resolution(c):
             None if x.truncated else _homotopy(c, unfixed, triples))
 
 
-def simple_tensor_complex(source, v, w):
+def simple_tensor_complex(source):
     """S_v (x) C (x) S_w for a complex with a generators()/terms()
-    interface, as (cells, boundary) for `realization.homology`: keep
-    generators with tail v and head w (their last class runs from v to w)
-    and terms whose two coefficients are trivial."""
-    a, last = source.hpa, source.complex.last
-    ends = set(a.classes_by_pair.get((v, w), ()))
+    interface, as ({(v, w): cells by degree}, boundary) for
+    `realization.homology`: generators grouped in one pass by the tail and
+    head of their last class (a pair without one is missing, its complex
+    empty), terms kept when their two coefficients are trivial."""
+    a, last, top = source.hpa, source.complex.last, source.top
+    blocks = {}
+    for k in range(top + 1):
+        for g in source.generators(k):
+            cl = a.classes[last[g]]
+            blocks.setdefault((cl.tail, cl.head),
+                              [[] for _ in range(top + 1)])[k].append(g)
 
     def boundary(cell):
         return [(sign, face) for sign, l, face, r in source.terms(cell)
                 if a.is_trivial(l) and a.is_trivial(r)]
-    return ([[g for g in source.generators(k) if last[g] in ends]
-             for k in range(source.top + 1)], boundary)
+    return blocks, boundary

@@ -1,5 +1,5 @@
 import pathlib
-from itertools import compress
+from itertools import combinations, compress, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -41,11 +41,24 @@ def free_algebra(q):
     return HPA(RelationSet(q, []))
 
 
+def tensor_simples(c, v, w):
+    """(cells, boundary) of S_v (x) c (x) S_w for `realization.homology`:
+    the (v, w) block of `resolution.simple_tensor_complex`, or c.top + 1
+    empty degrees when no generator of c lies on that pair."""
+    blocks, boundary = simple_tensor_complex(c)
+    return blocks.get((v, w), [[] for _ in range(c.top + 1)]), boundary
+
+
+def classes_between(a, v, w):
+    """The ids of the classes from v to w, in id order."""
+    return [c for c in a.classes_by_tail[v] if a.head(c) == w]
+
+
 def tor_via_resolution(a, c, v, w, ring=RING_Z):
     """Homology of S_v (x) c (x) S_w in the sparse shape of
     `invariants.tor_table`; c is a cellular resolution or a Morse
     complex."""
-    return nonzero_groups(homology(*simple_tensor_complex(c, v, w), ring))
+    return nonzero_groups(homology(*tensor_simples(c, v, w), ring))
 
 
 def open_interval(a, p):
@@ -97,7 +110,7 @@ def tor_via_intervals(a, v, w, ring=RING_Z):
     v = w.  The order complex comes from `interval_order_complex`, not from
     maximal chains."""
     acc = {0: (1, [])} if v == w else {}
-    for p in a.classes_by_pair.get((v, w), ()):
+    for p in classes_between(a, v, w):
         if a.is_trivial(p):
             continue
         h = order_complex_homology(interval_order_complex(a, p), ring)
@@ -105,6 +118,106 @@ def tor_via_intervals(a, v, w, ring=RING_Z):
             r, t = acc.get(k + 2, (0, []))
             acc[k + 2] = (r + rank, t + tors)
     return nonzero_groups(acc)
+
+
+# the 6-vertex RP^2, a triangle written as its vertices' digits
+RP2_TRIANGLES = '124 126 135 136 145 234 235 256 346 456'.split()
+
+
+def simplicial_faces(facets):
+    """The nonempty faces of the simplicial complex that the facets (each
+    an iterable of sortable vertices) generate, as sorted tuples, by
+    dimension and then lexicographically."""
+    return sorted({s for f in facets for k in range(1, len(f) + 1)
+                   for s in combinations(sorted(f), k)},
+                  key=lambda s: (len(s), s))
+
+
+def subdivide(facets):
+    """Facets of the barycentric subdivision: each facet's flags of faces,
+    a face written as its place in `simplicial_faces(facets)`, so the
+    flags are increasing tuples of ints."""
+    index = {s: i for i, s in enumerate(simplicial_faces(facets))}
+    return sorted({tuple(index[tuple(sorted(p[:j]))]
+                         for j in range(1, len(p) + 1))
+                   for f in facets for p in permutations(f)})
+
+
+def poset_dsl(elements, covers):
+    """Quiver DSL of the incidence algebra of a finite graded poset, given
+    by its element names and cover pairs (x, y), y covering x: one arrow
+    x<y per cover, in the order given, and for each x < z two covers apart
+    the group of the paths x -> y -> z when there are several (a diamond,
+    in a face poset)."""
+    lines = ['vertices: ' + ' '.join(elements)]
+    up = {}
+    for x, y in covers:
+        up.setdefault(x, []).append(y)
+    if covers:
+        lines.append('arrows:')
+        lines += [f'  {x}<{y}: {x} -> {y}' for x, y in covers]
+    groups = []
+    for x in elements:
+        paths = {}
+        for y in up.get(x, ()):
+            for z in up.get(y, ()):
+                paths.setdefault(z, []).append(f'{x}<{y} {y}<{z}')
+        groups += ['  ' + ' = '.join(ws) for ws in paths.values()
+                   if len(ws) > 1]
+    if groups:
+        lines += ['relations:'] + groups
+    return '\n'.join(lines) + '\n'
+
+
+def face_poset(facets):
+    """(element names, covers) of the face poset of the simplicial complex
+    with the given facets: a face is named by its vertices joined with
+    '.', and face s covers each face s less one vertex."""
+    faces = simplicial_faces(facets)
+    name = {s: '.'.join(map(str, s)) for s in faces}
+    return [name[s] for s in faces], [
+        (name[s[:i] + s[i + 1:]], name[s])
+        for s in faces if len(s) > 1 for i in range(len(s))]
+
+
+def exit_path_dsl(facets, k=0):
+    """Quiver DSL of the exit-path algebra of the simplicial complex with
+    the given facets after k barycentric subdivisions, stratified by its
+    open simplices: the incidence algebra of its face poset, whose
+    realization is the order complex of that poset, one more subdivision
+    of the complex."""
+    for _ in range(k):
+        facets = subdivide(facets)
+    return poset_dsl(*face_poset(facets))
+
+
+def bounded_rp2_dsl():
+    """`poset_dsl` of the face poset of the 6-vertex RP^2 with a bottom bot
+    below every vertex and two tops, topA and topB, above every triangle.
+    topA is declared first, but the arrows into topB come first, so the
+    class from bot to topB precedes the one to topA.  Each open interval
+    (bot, top) is the face poset of RP^2, so Tor_3(S_bot, S_top) = Z/2."""
+    names, covers = face_poset(RP2_TRIANGLES)
+    triangles = [n for n in names if n.count('.') == 2]
+    covers = ([('bot', n) for n in names if '.' not in n] + covers +
+              [(t, top) for top in ('topB', 'topA') for t in triangles])
+    return poset_dsl(['bot'] + names + ['topA', 'topB'], covers)
+
+
+def simplicial_homology(facets, ring=RING_Z):
+    """H(K) of the simplicial complex K with the given facets, from K's own
+    boundary matrices (face i of a simplex with sign (-1)^i) through
+    `matrix_complex`; the last matrix has no columns, so there is always
+    one."""
+    faces = simplicial_faces(facets)
+    by_dim = [[s for s in faces if len(s) == k]
+              for k in range(1, len(faces[-1]) + 2)]
+
+    def coef(f, s):
+        return sum((-1) ** i for i in range(len(s)) if s[:i] + s[i + 1:] == f)
+    return homology(*matrix_complex(*[
+        [[coef(f, s) for s in up] for f in down]
+        for down, up in zip(by_dim, by_dim[1:])]), ring)
 
 
 def matrix_complex(*ds):

@@ -14,7 +14,8 @@ from hpa.invariants import (OrderComplex, reduced_homology, tor_table,
                             betti_table, el_shellable, interval_chains,
                             koszul_check, _elementary_divisors)
 
-from conftest import (algebras, critical_cells, el_every_subinterval,
+from conftest import (RP2_TRIANGLES, algebras, bounded_rp2_dsl,
+                      classes_between, critical_cells, el_every_subinterval,
                       free_algebra, interval_order_complex, linear_quiver,
                       order_complex_homology, tor_via_intervals,
                       tor_via_resolution)
@@ -56,9 +57,6 @@ def test_reduced_homology_circle():
     assert OrderComplex(facets).counts() == [1, 4, 4]
     assert reduced_homology(facets) == {1: (1, [])}
     assert reduced_homology(facets, ring_fp(2)) == {1: (1, [])}
-
-
-RP2_TRIANGLES = '124 126 135 136 145 234 235 256 346 456'.split()
 
 
 def test_reduced_homology_rp2():
@@ -265,12 +263,15 @@ def test_el_shellable_matches_every_subinterval_on_larger_algebras(larger,
 
 
 def _check_tor_table_against_intervals(a):
+    # a pair that no class joins is missing, and its Tor is 0
+    vertices = a.quiver.vertices
     for ring in (RING_Z, ring_fp(2)):
         table = tor_table(a, ring)
-        assert set(table) == {(v, w) for v in a.quiver.vertices
-                              for w in a.quiver.vertices}
-        for (v, w), tor in table.items():
-            assert tor == tor_via_intervals(a, v, w, ring)
+        for v in vertices:
+            for w in vertices:
+                assert (v, w) in table or not classes_between(a, v, w)
+                assert table.get((v, w), {}) == tor_via_intervals(a, v, w,
+                                                                  ring)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,6 +284,21 @@ def test_tor_table_matches_interval_elimination(a):
 def test_tor_table_matches_interval_elimination_on_larger_algebras(larger):
     for a in larger:
         _check_tor_table_against_intervals(a)
+
+
+def _pairs_a_class_joins(a):
+    vertices = a.quiver.vertices
+    return [(v, w) for v in vertices for w in vertices
+            if classes_between(a, v, w)]
+
+
+def test_tor_table_keys_the_pairs_a_class_joins_in_vertex_order(larger, p2):
+    # the bounded RP^2 declares topA before topB, but its class from bot to
+    # topB comes first
+    bounded = from_document(bounded_rp2_dsl())
+    for a in larger + [p2, bounded]:
+        assert list(tor_table(a)) == _pairs_a_class_joins(a)
+    assert len(tor_table(p2)) == 6  # of 9 ordered pairs
 
 
 def test_lex_shelling_refuses_the_non_shellable_interval_of_f1(f1):

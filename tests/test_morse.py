@@ -11,7 +11,7 @@ from hpa.algebra import check_hpa
 from hpa.quiver import Quiver
 from hpa.realization import build_realization, homology, lex_shelling
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
-                            simple_tensor_complex, verify_d_squared)
+                            verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
@@ -23,7 +23,7 @@ from conftest import (FIXTURES, Mutant, algebras, cellular_homology,
                       linear_quiver, matching_to_json, reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
                       reference_lex_shelling, reference_morse_terms,
-                      words_by_class)
+                      tensor_simples, words_by_class)
 
 
 def _cell(x, tail, *label_seqs):
@@ -193,8 +193,8 @@ def test_babson_hersh_quasi_isomorphism(p2):
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
-                full = homology(*simple_tensor_complex(c, v, w), ring)
-                small = homology(*simple_tensor_complex(mc, v, w), ring)
+                full = homology(*tensor_simples(c, v, w), ring)
+                small = homology(*tensor_simples(mc, v, w), ring)
                 ks = set(full) | set(small)
                 for k in ks:
                     assert full.get(k, (0, [])) == small.get(k, (0, [])), \
@@ -221,8 +221,8 @@ def test_greedy_p2_agrees_with_resolution_homology(p2):
     assert verify_d_squared(mc).ok
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
-            full = homology(*simple_tensor_complex(c, v, w))
-            small = homology(*simple_tensor_complex(mc, v, w))
+            full = homology(*tensor_simples(c, v, w))
+            small = homology(*tensor_simples(mc, v, w))
             for k in set(full) | set(small):
                 assert full.get(k, (0, [])) == small.get(k, (0, []))
 

@@ -10,12 +10,12 @@ from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        morse_complex)
 from hpa.resolution import (ResolutionError, cellular_resolution,
                             check_resolution, h_minus_one,
-                            multiply_augmentation, simple_tensor_complex,
-                            verify_d_squared)
+                            multiply_augmentation, verify_d_squared)
 
-from conftest import (Mutant, algebras, bimodule_chain_complex, free_algebra,
-                      linear_quiver, reference_d_squared,
-                      reference_homotopy_check)
+from conftest import (Mutant, algebras, bimodule_chain_complex,
+                      classes_between, free_algebra, linear_quiver,
+                      reference_d_squared, reference_homotopy_check,
+                      tensor_simples)
 
 
 @pytest.fixture(scope='module')
@@ -254,7 +254,7 @@ def test_checks_match_references_on_mutants(p2, res_p2):
 
 def _other_class(a, cls):
     """A class with the same ends as cls, other than cls."""
-    return next(q for q in a.classes_by_pair[a.tail(cls), a.head(cls)]
+    return next(q for q in classes_between(a, a.tail(cls), a.head(cls))
                 if q != cls)
 
 
@@ -375,15 +375,15 @@ def test_augmentation_h_identity(p2, res_p2):
 
 
 def test_tensor_simples_p2(p2, res_p2):
-    same = simple_tensor_complex(res_p2, 'v0', 'v0')
+    same = tensor_simples(res_p2, 'v0', 'v0')
     assert homology(*same)[0] == (1, [])
 
-    step = simple_tensor_complex(res_p2, 'v0', 'v1')
+    step = tensor_simples(res_p2, 'v0', 'v1')
     h = homology(*step)
     assert h[1] == (3, [])  # one generator per arrow
     assert h[0] == (0, [])
 
-    two = simple_tensor_complex(res_p2, 'v0', 'v2')
+    two = tensor_simples(res_p2, 'v0', 'v2')
     h = homology(*two)
     assert h[2] == (3, [])  # one generator per relation group
     assert h[1] == (0, [])
@@ -394,9 +394,9 @@ def test_tensor_simples_free_quiver():
     # v0 -> v2 has no arrow, so all degrees die
     a = free_algebra(linear_quiver(2))
     c = cellular_resolution(a)
-    h = homology(*simple_tensor_complex(c, 'v0', 'v2'))
+    h = homology(*tensor_simples(c, 'v0', 'v2'))
     assert h == {0: (0, []), 1: (0, []), 2: (0, [])}
-    h = homology(*simple_tensor_complex(c, 'v0', 'v1'))
+    h = homology(*tensor_simples(c, 'v0', 'v1'))
     assert h[1] == (1, [])
 
 
