@@ -15,11 +15,13 @@ Import rule: at the top, this module imports only the standard library and
 the package root.  Each `cmd_*` function imports the layers it runs, so a
 process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
-modules.  A layer imported by name at the top of this module would be
-loaded by every subcommand.  Importing this module registers every layer
-not yet imported as a lazy module (`LAYERS`), which runs its code on first
-attribute access, so that in-process tools that look layers up in
-sys.modules, such as the tracer of perfbench/, find them all.
+modules, `homology` those and the realization and linear algebra, but
+neither `morse` nor `resolution`.  A layer imported by name at the top of
+this module would be loaded by every subcommand.  Importing this module
+registers every layer not yet imported as a lazy module (`LAYERS`), which
+runs its code on first attribute access, so that in-process tools that
+look layers up in sys.modules, such as the tracer of perfbench/, find them
+all.
 """
 
 import argparse
@@ -118,22 +120,20 @@ def cmd_realize(args):
     a = _load_hpa(args.input)
     x = build_realization(a, max_dim=args.max_dim)
     payload = {'counts': x.counts(),
-               'euler': euler_characteristic(x),
+               'euler': euler_characteristic(x.counts()),
                'truncated': x.truncated,
                'cells': x.cell_names()}
     return _emit(args, 'realize', payload)
 
 
 def cmd_homology(args):
-    from .morse import babson_hersh_matching, morse_homology
-    from .realization import build_realization, euler_characteristic
+    from .realization import euler_characteristic, realization_homology
     a = _load_hpa(args.input)
-    x = build_realization(a, max_dim=args.max_dim)
-    h = morse_homology(babson_hersh_matching(a, complex_=x), args.ring)
+    h, counts, truncated = realization_homology(a, args.ring, args.max_dim)
     payload = {'ring': ring_name(args.ring),
                'homology': _homology_json(h),
-               'euler': euler_characteristic(x),
-               'truncated': x.truncated}
+               'euler': euler_characteristic(counts),
+               'truncated': truncated}
     return _emit(args, 'homology', payload)
 
 

@@ -24,10 +24,10 @@ their tops (`x.chain`), and check_acyclic orders its starts itself.
 import json
 from collections import deque
 
-from . import RING_Z, UsageError
+from . import UsageError
 from .algebra import Report, require_cancellative
 from .linalg import accumulate
-from .realization import build_realization, homology, lex_shelling
+from .realization import build_realization, lex_shelling
 from .resolution import BimoduleComplex
 
 
@@ -259,24 +259,6 @@ def morse_complex(c, m):
     while critical and not critical[-1]:
         critical.pop()
     return MorseComplex(a, critical, terms, x)
-
-
-def morse_homology(m, ring=RING_Z):
-    """The cellular homology of the complex m.complex, with (0, []) in the
-    degrees it lacks, computed on the Morse complex of its resolution with
-    the coefficients forgotten: the boundary of a critical tau is the sum of
-    cf . target over its terms (cf, l, target, r).  A complex truncated by
-    max_dim reports only the degrees below its cap, whose homology it
-    determines.  d^2 = 0 is checked symbolically on every cell first."""
-    x = m.complex
-    bad = x.d_squared_degree()
-    if bad is not None:
-        raise ValueError(f"d^2 != 0 at degree {bad}")
-    mc = morse_complex(BimoduleComplex(x.hpa, x), m)
-    h = homology(
-        mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
-        ring)
-    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
 
 
 # ---------------------------------------------------------------------------

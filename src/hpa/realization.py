@@ -11,15 +11,17 @@ A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
 c is the chain of parent[c], its top face, extended by the class last[c].
 `x.chain(c)` is the tuple of class ids of a cell, `x.cell(chain)` its id.
 
-`homology(cells, boundary, ring)` is the one path from a chain complex to
-its homology: the Morse complex of the realization, S_v (x) (Morse complex)
-(x) S_w and the complex that an interval's maximal chains generate all
-reach it as a basis per degree and a boundary rule.
+`realization_homology(a, ring, max_dim)` builds no CellComplex: it counts
+the cells per dimension, lists the critical cells of the Babson-Hersh
+matching from the lexicographic shellings, and walks the gradient paths on
+chains (tuples of class ids).  `homology(cells, boundary, ring)` is the one
+path from a chain complex to its homology: that Morse complex, S_v (x)
+(Morse complex) (x) S_w and the complex that an interval's maximal chains
+generate all reach it as a basis per degree and a boundary rule.
 """
 
 from bisect import bisect_right
-from itertools import compress, repeat
-from operator import add
+from itertools import combinations, compress
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -63,8 +65,7 @@ class CellComplex:
         if len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
         self._starts = [cs.start for cs in self.cells]
-        self.names = [' '.join(c.rep.labels) if c.rep.labels else
-                      f"e_{c.tail}" for c in a.classes]
+        self.names = [_class_name(c) for c in a.classes]
 
     def __getattr__(self, name):
         # called only while the face table is missing
@@ -143,32 +144,8 @@ class CellComplex:
         face; empty for a vertex cell."""
         return self.face[self.at[cell]:self.at[cell + 1]]
 
-    def d_squared_degree(self):
-        """The first degree k with d(d(cell)) != 0 for some k-cell, or None.
-        Symbolic: the faces of faces that enter with sign +1 and those with
-        sign -1 must agree as multisets.  The face identities d_i d_j =
-        d_{j-1} d_i (i < j) pair every face of a face with one of opposite
-        sign, so a dimension whose cells all satisfy them passes; they are
-        tested a column at a time (_identities_hold).  A dimension where
-        some column differs is decided cell by cell, by comparing the two
-        multisets."""
-        face, at = self.face, self.at
-        for k in range(2, self.max_dim + 1):
-            if _identities_hold(face, at, k, *self.cells[k - 1:k + 1]):
-                continue
-            for cell in self.cells[k]:
-                sub = [face[at[f]:at[f + 1]]
-                       for f in face[at[cell]:at[cell + 1]]]
-                # face j of face i enters with sign (-1)^(i + j)
-                plus, minus = [sorted(g for i, fs in enumerate(sub)
-                                      for g in fs[(i + s) % 2::2])
-                               for s in (0, 1)]
-                if plus != minus:
-                    return k
-        return None
-
     def format_cell(self, cell):
-        return '[' + ' < '.join(self.names[c] for c in self.chain(cell)) + ']'
+        return format_chain(self.hpa, self.chain(cell))
 
     def cell_names(self):
         """format_cell of every cell, by dimension, each from its parent's."""
@@ -180,27 +157,14 @@ class CellComplex:
         return out
 
 
-def _identities_hold(face, at, k, below, cells):
-    """Whether d_i d_j = d_{j-1} d_i (i < j) holds on the k-cells `cells`.
-    When each has k + 1 faces among the (k-1)-cells `below`, and each of
-    those k faces, face j of every k-cell is a strided slice of the face
-    table and face i of those is read at offset at[f] + i, so that each
-    identity is one list comparison; otherwise False."""
-    for cs, n in ((below, k), (cells, k + 1)):
-        ends = at[cs.start:cs.stop + 1]
-        if ends != list(range(ends[0], ends[-1] + 1, n)):
-            return False
-    offsets = []  # offsets[j][m]: where the faces of face j of cell m begin
-    for j in range(k + 1):
-        fs = face[at[cells.start] + j:at[cells.stop]:k + 1]
-        if min(fs) < below.start or max(fs) >= below.stop:
-            return False
-        offsets.append(list(map(at.__getitem__, fs)))
+def _class_name(cl):
+    return ' '.join(cl.rep.labels) if cl.rep.labels else f"e_{cl.tail}"
 
-    def faces_of(j, i):
-        return list(map(face.__getitem__, map(add, offsets[j], repeat(i))))
-    return all(faces_of(j, i) == faces_of(i, j - 1)
-               for j in range(1, k + 1) for i in range(j))
+
+def format_chain(a, chain):
+    """A chain of class ids as [e_v < p_1 < ... < p_k], each class by the
+    labels of its representative."""
+    return '[' + ' < '.join(_class_name(a.classes[c]) for c in chain) + ']'
 
 
 def build_realization(a, max_dim=None):
@@ -217,12 +181,17 @@ def maximal_chains(a, u, w):
     The chain () means that w covers u."""
     chains = []
     stack = [(u, ())]
+    below = {}  # whether c < w, for each cover c met
     while stack:
         z, chain = stack.pop()
         for c in a.covers(z):
             if c == w:
                 chains.append(chain)
-            elif a.leq(c, w):
+                continue
+            inside = below.get(c)
+            if inside is None:
+                inside = below[c] = w in a.quotients(c)
+            if inside:
                 stack.append((c, chain + (c,)))
     return chains
 
@@ -233,10 +202,12 @@ def lex_shelling(a, p):
     each with its restriction set R_j = {v : F_j - {v} lies in an earlier
     facet}; None when that order is not a shelling, that is when the faces
     of some F_j that no earlier facet holds are not exactly [R_j, F_j] (R_j
-    = empty with the empty face already seen is a disjoint union).  The
-    empty interval gives [((), frozenset())].  A face is a bit mask, one bit
-    per element in order of first appearance; `seen` holds every face of
-    the earlier facets.  The result is kept on the algebra, per class."""
+    = empty with the empty face already seen is a disjoint union).  A face
+    of F_j that lacks some v in R_j lies below F_j - {v}, which is seen, so
+    that fails exactly when R_j itself is seen.  The empty interval gives
+    [((), frozenset())].  A face is a bit mask, one bit per element in
+    order of first appearance; `seen` holds every face of the earlier
+    facets.  The result is kept on the algebra, per class."""
     if p in a._shellings:
         return a._shellings[p]
     chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
@@ -248,12 +219,12 @@ def lex_shelling(a, p):
         fj = sum(bits)
         rbits = [fj ^ b in seen for b in bits]
         rj = sum(compress(bits, rbits))
+        if rj in seen:
+            out = None
+            break
         faces = [0]
         for b in bits:
             faces += [s | b for s in faces]
-        if any(((s & rj) == rj) == (s in seen) for s in faces):
-            out = None
-            break
         seen.update(faces)
         out.append((ch, frozenset(compress(ch, rbits))))
     a._shellings[p] = out
@@ -302,5 +273,224 @@ def homology(cells, boundary, ring=RING_Z):
             for k, cs in enumerate(cells)}
 
 
-def euler_characteristic(complex_):
-    return sum((-1) ** k * n for k, n in enumerate(complex_.counts()))
+def euler_characteristic(counts):
+    """The alternating sum of cells (or critical cells) per dimension."""
+    return sum((-1) ** k * n for k, n in enumerate(counts))
+
+
+def cell_counts(a, max_dim=None):
+    """(counts, truncated) of build_realization(a, max_dim), without its
+    cells: the number of k-cells that end at each class is pushed along the
+    quotient rows, a k-cell ending at p giving a (k+1)-cell ending at each
+    q > p, one level per dimension."""
+    require_cancellative(a)
+    level = dict.fromkeys(a.trivial_class.values(), 1)
+    counts = [len(level)]
+    truncated = False
+    while level:
+        if max_dim is not None and len(counts) > max_dim:
+            truncated = any(len(a.quotients(p)) > 1 for p in level)
+            break
+        up = {}
+        for p, n in level.items():
+            for q in a.quotients(p):
+                if q != p:
+                    up[q] = up.get(q, 0) + n
+        level = up
+        counts.append(sum(up.values()))
+    if len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return counts, truncated
+
+
+class _Gradient:
+    """The Babson-Hersh matching of the realization of `a`, capped at
+    dimension `top`, read cell by cell off the lexicographic shellings.
+
+    A cell (e, *G, p) is a face G of the order complex of the open interval
+    (e, p).  Its facet is the first F_j of lex_shelling(a, p) that contains
+    G, found by scanning the facets' bit masks; then R_j <= G <= F_j, and
+    its partner is G with t = min(F_j - R_j) toggled, or none when R_j =
+    F_j.  For the class of an arrow the pair ([e < t < p], [e < p]) of the
+    first facet is not made, so the arrow cell stays unmatched.  A bottom
+    whose top lies above the cap, and every cell of a class that its order
+    does not shell, stay unmatched too."""
+
+    def __init__(self, a, top):
+        self.a, self.top = a, top
+        self._facets = {}
+
+    def facets(self, p):
+        """(bit, masks, shelling) for the class p: one bit per element of
+        the interval, the mask of each facet of lex_shelling(a, p) and that
+        shelling; None when its order does not shell."""
+        if p not in self._facets:
+            shelling = lex_shelling(self.a, p)
+            out = None
+            if shelling is not None:
+                bit, masks = {}, []
+                for ch, _ in shelling:
+                    mask = 0
+                    for v in ch:
+                        mask |= bit.setdefault(v, 1 << len(bit))
+                    masks.append(mask)
+                out = bit, masks, shelling
+            self._facets[p] = out
+        return self._facets[p]
+
+    def criticals(self):
+        """The unmatched cells, as chains, by dimension, each dimension
+        sorted (the id order of build_realization)."""
+        a, top = self.a, self.top
+        out = [[] for _ in range(top + 1)]
+        out[0] = [(e,) for e in sorted(a.trivial_class.values())]
+        for p in range(len(a.classes)):
+            if a.is_trivial(p) or not top:
+                continue
+            e = a.trivial_class[a.tail(p)]
+            shelling = lex_shelling(a, p)
+            if shelling is None:  # every chain of the interval
+                for g in {g for ch in maximal_chains(a, e, p)
+                          for k in range(min(len(ch), top - 1) + 1)
+                          for g in combinations(ch, k)}:
+                    out[len(g) + 1].append((e, *g, p))
+                continue
+            arrow = 1 in a.classes[p].lengths
+            for ch, rj in shelling:
+                t = min(set(ch) - rj, default=None)
+                if t is None:  # R_j = F_j
+                    if len(ch) < top:
+                        out[len(ch) + 1].append((e, *ch, p))
+                    continue
+                if arrow and not rj:  # [e < p] and [e < t < p]
+                    out[1].append((e, p))
+                    if top > 1:
+                        out[2].append((e, t, p))
+                # the bottoms at the cap: R_j and `need` free elements, no t
+                need = top - 1 - len(rj)
+                if need < 0 or (arrow and not rj and not need):
+                    continue
+                free = [v for v in ch if v != t and v not in rj]
+                for s in combinations(free, need):
+                    g = rj.union(s)
+                    out[top].append((e, *(v for v in ch if v in g), p))
+        for cells in out:
+            cells.sort()
+        return out
+
+    def partner(self, c):
+        """None when the cell c (a chain) is unmatched, () when it is
+        matched with a face, else (its top, the place of c among the faces
+        of the top).  The walk asks only for faces of cells, which lie below
+        the cap, so a top here never lies above it."""
+        p = c[-1]
+        table = len(c) > 1 and self.facets(p)
+        if not table:
+            return None
+        bit, masks, shelling = table
+        mask = 0
+        for v in c[1:-1]:
+            mask |= bit[v]
+        ch, rj = shelling[next(j for j, m in enumerate(masks)
+                               if mask & m == mask)]
+        t = min(set(ch) - rj, default=None)
+        if t is None:
+            return None
+        tb = bit[t]
+        if not rj and mask in (0, tb) and 1 in self.a.classes[p].lengths:
+            return None
+        if mask & tb:
+            return ()
+        inner = tuple(v for v in ch if bit[v] & (mask | tb))
+        return (c[0], *inner, p), inner.index(t) + 1
+
+
+def _faces(a, c):
+    """The faces of a chain c = (e, p_1, ..., p_k), face i at place i: face
+    0 rebased through p_1, face i > 0 without p_i."""
+    row = a.quotients(c[1])
+    return [(a.trivial_class[a.head(c[1])], *(row[q] for q in c[2:]))] + [
+        c[:i] + c[i + 1:] for i in range(1, len(c))]
+
+
+def realization_homology(a, ring=RING_Z, max_dim=None):
+    """(homology, counts, truncated) of the realization of `a` capped at
+    max_dim, with no CellComplex: counts and truncated as cell_counts gives
+    them, and the homology of the degrees below a cap that truncates (which
+    the cap determines), (0, []) where it has no group.
+
+    The homology is that of the Morse complex of the Babson-Hersh matching
+    (_Gradient), coefficients forgotten: the boundary of a critical cell
+    composes its faces with their flows, a flow found by an iterative
+    post-order walk along the gradient paths, memoized per dimension.  A
+    matched bottom s of top t flows to -eps sum_{f != s} (-1)^j flow(f), f
+    face j of t and eps = (-1)^i for s face i, a critical cell to itself
+    and a matched top to nothing.  Backing the answer: lex_shelling checks
+    each shelling; the walk refuses a gradient path that closes a cycle
+    (ValueError, the cycle as witness); the critical cells must have the
+    Euler characteristic of the counts (ValueError); and `homology` checks
+    d^2 = 0 on the Morse complex."""
+    counts, truncated = cell_counts(a, max_dim)
+    top = len(counts) - 1
+    grad = _Gradient(a, top)
+    critical = grad.criticals()
+    found = [len(cs) for cs in critical]
+    if euler_characteristic(found) != euler_characteristic(counts):
+        raise ValueError(f"critical cells {found} do not have the Euler "
+                         f"characteristic of the cells {counts}")
+    while len(critical) > 1 and not critical[-1]:
+        critical.pop()
+    boundary = {}
+    for k in range(1, len(critical)):
+        flow = {}
+        for tau in critical[k]:
+            acc = {}
+            for i, f in enumerate(_faces(a, tau)):
+                for tgt, cf in _flow(a, grad, flow, f).items():
+                    accumulate(acc, tgt, -cf if i % 2 else cf)
+            boundary[tau] = [(cf, tgt) for tgt, cf in acc.items()]
+    h = homology(critical, boundary.__getitem__, ring)
+    return ({k: h.get(k, (0, [])) for k in range(top + 1 - truncated)},
+            counts, truncated)
+
+
+def _flow(a, grad, flow, start):
+    """{critical cell: coefficient} of the flow of the cell `start`, by an
+    iterative post-order walk that keeps the flows it finds in `flow`.
+    `open_` holds the matched bottoms whose flows are pending, in path
+    order; a face of a top that is one of them closes a cycle."""
+    stack = [start]
+    open_ = {}  # a bottom: (its top, its place in the top, the top's faces)
+    while stack:
+        s = stack[-1]
+        if s in flow:
+            stack.pop()
+            continue
+        if s not in open_:
+            match = grad.partner(s)
+            if not match:
+                flow[s] = {} if match == () else {s: 1}
+                stack.pop()
+                continue
+            open_[s] = (*match, _faces(a, match[0]))
+        _, i, fs = open_[s]
+        missing = [f for j, f in enumerate(fs) if j != i and f not in flow]
+        for f in missing:
+            if f in open_:
+                loop = list(open_)[list(open_).index(f):]
+                cells = [c for b in loop for c in (b, open_[b][0])] + [f]
+                names = [format_chain(a, c) for c in cells]
+                raise ValueError(
+                    'gradient path closes a cycle: ' + ' -> '.join(names))
+        if missing:
+            stack += missing
+            continue
+        acc = {}
+        for j, f in enumerate(fs):  # -(-1)^i sum of (-1)^j flow(f), f != s
+            if j != i:
+                for tgt, cf in flow[f].items():
+                    accumulate(acc, tgt, cf if (i + j) % 2 else -cf)
+        flow[s] = acc
+        del open_[s]
+        stack.pop()
+    return flow[start]

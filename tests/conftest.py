@@ -1,5 +1,6 @@
 import pathlib
-from itertools import combinations, compress, permutations
+from itertools import combinations, compress, permutations, repeat
+from operator import add
 
 import pytest
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hpa.algebra import HPA, PathClass, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
+from hpa.morse import morse_complex
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.realization import homology, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
@@ -234,8 +236,76 @@ def matrix_complex(*ds):
     return cells, boundary
 
 
+def morse_homology(m, ring=RING_Z):
+    """The cellular homology of the complex m.complex, with (0, []) in the
+    degrees it lacks, computed on the Morse complex of its resolution under
+    the matching m with the coefficients forgotten: the boundary of a
+    critical tau is the sum of cf . target over its terms (cf, l, target,
+    r).  A complex truncated by max_dim reports only the degrees below its
+    cap, whose homology it determines.  d^2 = 0 is checked symbolically on
+    every cell first (d_squared_degree).  The eager oracle for
+    `realization.realization_homology`, which builds no complex."""
+    x = m.complex
+    bad = d_squared_degree(x)
+    if bad is not None:
+        raise ValueError(f"d^2 != 0 at degree {bad}")
+    mc = morse_complex(BimoduleComplex(x.hpa, x), m)
+    h = homology(
+        mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
+        ring)
+    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
+
+
+def d_squared_degree(x):
+    """The first degree k with d(d(cell)) != 0 for some k-cell of the
+    CellComplex x, or None.  Symbolic: the faces of faces that enter with
+    sign +1 and those with sign -1 must agree as multisets.  The face
+    identities d_i d_j = d_{j-1} d_i (i < j) pair every face of a face with
+    one of opposite sign, so a dimension whose cells all satisfy them
+    passes; they are tested a column at a time (identities_hold).  A
+    dimension where some column differs is decided cell by cell, by
+    comparing the two multisets."""
+    face, at = x.face, x.at
+    for k in range(2, x.max_dim + 1):
+        if identities_hold(face, at, k, *x.cells[k - 1:k + 1]):
+            continue
+        for cell in x.cells[k]:
+            sub = [face[at[f]:at[f + 1]]
+                   for f in face[at[cell]:at[cell + 1]]]
+            # face j of face i enters with sign (-1)^(i + j)
+            plus, minus = [sorted(g for i, fs in enumerate(sub)
+                                  for g in fs[(i + s) % 2::2])
+                           for s in (0, 1)]
+            if plus != minus:
+                return k
+    return None
+
+
+def identities_hold(face, at, k, below, cells):
+    """Whether d_i d_j = d_{j-1} d_i (i < j) holds on the k-cells `cells`.
+    When each has k + 1 faces among the (k-1)-cells `below`, and each of
+    those k faces, face j of every k-cell is a strided slice of the face
+    table and face i of those is read at offset at[f] + i, so that each
+    identity is one list comparison; otherwise False."""
+    for cs, n in ((below, k), (cells, k + 1)):
+        ends = at[cs.start:cs.stop + 1]
+        if ends != list(range(ends[0], ends[-1] + 1, n)):
+            return False
+    offsets = []  # offsets[j][m]: where the faces of face j of cell m begin
+    for j in range(k + 1):
+        fs = face[at[cells.start] + j:at[cells.stop]:k + 1]
+        if min(fs) < below.start or max(fs) >= below.stop:
+            return False
+        offsets.append(list(map(at.__getitem__, fs)))
+
+    def faces_of(j, i):
+        return list(map(face.__getitem__, map(add, offsets[j], repeat(i))))
+    return all(faces_of(j, i) == faces_of(i, j - 1)
+               for j in range(1, k + 1) for i in range(j))
+
+
 def cellular_homology(x, ring=RING_Z):
-    """Reference for `morse.morse_homology`: the cellular chain complex of
+    """Reference for `morse_homology`: the cellular chain complex of
     the CellComplex x, facet i of a cell entering its boundary with sign
     (-1)^i, eliminated degree by degree.  A truncated complex omits its top
     degree, whose homology the cap does not determine."""
@@ -447,7 +517,7 @@ def reference_faces(a, chain):
 
 
 def reference_d_squared_degree(complex_):
-    """Reference for `CellComplex.d_squared_degree`: on every cell, the faces
+    """Reference for `d_squared_degree`: on every cell, the faces
     of faces that enter with sign +1 and those with sign -1 agree as
     multisets."""
     for k in range(2, complex_.max_dim + 1):

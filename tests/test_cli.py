@@ -627,35 +627,37 @@ def test_witness_and_error_texts_name_chains(p2):
 
 def _homology_paths(monkeypatch):
     """Record which homology path cmd_homology takes: each call of
-    morse_homology, and each call of realization.homology with the number
-    of cells per degree of the complex it eliminates."""
-    from hpa import morse, realization
+    realization_homology, and each call of realization.homology with the
+    number of cells per degree of the complex it eliminates."""
+    from hpa import realization
     calls = []
 
-    def morse_homology(*args, fn=morse.morse_homology, **kwargs):
-        calls.append('morse_homology')
+    def realization_homology(*args, fn=realization.realization_homology,
+                             **kwargs):
+        calls.append('realization_homology')
         return fn(*args, **kwargs)
 
     def homology(cells, *args, fn=realization.homology, **kwargs):
         cells = list(cells)
         calls.append(('homology', [len(cs) for cs in cells]))
         return fn(cells, *args, **kwargs)
-    monkeypatch.setattr(morse, 'morse_homology', morse_homology)
-    for module in (morse, realization):
-        monkeypatch.setattr(module, 'homology', homology)
+    monkeypatch.setattr(realization, 'realization_homology',
+                        realization_homology)
+    monkeypatch.setattr(realization, 'homology', homology)
     return calls
 
 
 def _morse_route(path, max_dim=None):
-    """The calls of the Morse route: morse_homology, which eliminates the
-    Morse complex of the Babson-Hersh matching once, and nothing else."""
+    """The calls of the Morse route: realization_homology, which eliminates
+    the Morse complex of the Babson-Hersh matching once (the critical cells
+    that morse_complex keeps), and nothing else."""
     from hpa.morse import morse_complex
     from hpa.resolution import cellular_resolution
     a = _load(path)
     x = build_realization(a, max_dim=max_dim)
     mc = morse_complex(cellular_resolution(a, x),
                        babson_hersh_matching(a, complex_=x))
-    return ['morse_homology', ('homology', mc.counts())]
+    return ['realization_homology', ('homology', mc.counts())]
 
 
 def _elimination_homology(path, ring, max_dim=None):
@@ -690,6 +692,53 @@ def test_homology_has_one_route(monkeypatch, capsys, tmp_path, ungraded,
     assert data['homology'] == _elimination_homology(path, 'Z', max_dim)
 
 
+def test_homology_refuses_a_gradient_path_that_closes_a_cycle(monkeypatch,
+                                                             capsys):
+    # one corrupted toggle: the face f of the top t that the bottom s is
+    # matched with claims t as its top too, so the walk from s comes back
+    # to s; it is refused with the cycle as witness.  A corrupted R_j of a
+    # shelling cannot do this: along a gradient path the first facet that
+    # holds the cell never moves later, and within one facet every bottom
+    # lacks its toggle, which each face of its top other than it holds
+    from hpa import realization
+    a = _load(F3)
+
+    def chain(*words):
+        return tuple(a.word_class(a.quiver.word('d(0,0)', tuple(w.split())))
+                     for w in words)
+    s = chain('', 'x3@d(0,0) x1^2*x2', 'x3@d(0,0) x1*x2*x3 x1@d(3,1)')
+    t = chain('', 'x3@d(0,0)', 'x3@d(0,0) x1^2*x2',
+              'x3@d(0,0) x1*x2*x3 x1@d(3,1)')
+    f = t[:2] + t[3:]
+    partner = realization._Gradient.partner
+    grad = realization._Gradient(a, 4)
+    assert (partner(grad, s), partner(grad, f)) == ((t, 1), ())
+    monkeypatch.setattr(realization._Gradient, 'partner', lambda self, c: (
+        (t, 2) if c == f else partner(self, c)))
+    assert main(['homology', F3]) == 1
+    out, err = capsys.readouterr()
+    names = [realization.format_chain(a, c) for c in (s, t, f, t, s)]
+    assert out == ''
+    assert err == ('error: gradient path closes a cycle: ' +
+                   ' -> '.join(names) + '\n')
+
+
+def test_homology_refuses_cell_counts_off_by_one(monkeypatch, capsys):
+    # the critical cells must have the Euler characteristic of the counts
+    from hpa import realization
+    counts = realization.cell_counts
+
+    def off_by_one(a, max_dim=None):
+        c, truncated = counts(a, max_dim)
+        return [c[0], c[1] + 1, *c[2:]], truncated
+    monkeypatch.setattr(realization, 'cell_counts', off_by_one)
+    assert main(['homology', P2]) == 1
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err == ('error: critical cells [3, 6, 3] do not have the Euler '
+                   'characteristic of the cells [3, 13, 9]\n')
+
+
 _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
            'toric'}
 
@@ -701,9 +750,11 @@ _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
     (['toric', '--weights', str(FIXTURES / 'p2.weights.json')],
      {'realization', 'resolution', 'morse', 'invariants'}),
     (['realize', P2], {'resolution', 'morse', 'invariants', 'toric'}),
+    (['homology', P2], {'resolution', 'morse', 'invariants', 'toric'}),
     (['resolve', P2], {'morse', 'toric', 'invariants'}),
     (['betti', P2], {'morse', 'toric', 'resolution'}),
-], ids=['version', 'check', 'tensor', 'toric', 'realize', 'resolve', 'betti'])
+], ids=['version', 'check', 'tensor', 'toric', 'realize', 'homology',
+        'resolve', 'betti'])
 def test_subcommand_loads_only_its_layers(argv, absent):
     # a fresh interpreter runs cli.main, then lists the hpa modules whose
     # code has run; a layer registered by cli.LAYERS but never used is still

@@ -14,14 +14,15 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from hpa import RING_Z, ring_fp
+from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import from_document
 from hpa.cli import main
 from hpa.invariants import tor_table
-from hpa.morse import babson_hersh_matching, morse_homology
+from hpa.morse import babson_hersh_matching
+from hpa.realization import build_realization, realization_homology
 
 from conftest import (RP2_TRIANGLES, bounded_rp2_dsl, exit_path_dsl,
-                      simplicial_homology, tor_via_intervals)
+                      morse_homology, simplicial_homology, tor_via_intervals)
 
 RP2_Z = {'0': [1, []], '1': [0, [2]], '2': [0, []]}
 RP2_F2 = {'0': [1, []], '1': [1, []], '2': [1, []]}
@@ -93,6 +94,49 @@ def test_rp2_exit_paths_pass_resolve_and_morse(capsys, tmp_path):
         assert data['quasi_iso']['ok'] is True
 
 
+def test_rp2_sd1_keeps_its_torsion_whole_and_capped():
+    # realization_homology against the eager oracle, which builds every
+    # cell and every Babson-Hersh pair; H_1 = Z/2 over Z
+    a = from_document(exit_path_dsl(RP2_TRIANGLES, 1))
+    assert realization_homology(a)[0][1] == (0, [2])
+    for max_dim in (None, 0, 1, 2, 3):
+        x = build_realization(a, max_dim=max_dim)
+        for ring in (RING_Z, RING_Q, ring_fp(2)):
+            h, counts, truncated = realization_homology(a, ring, max_dim)
+            assert (counts, truncated) == (x.counts(), x.truncated)
+            assert h == morse_homology(babson_hersh_matching(a, complex_=x),
+                                       ring)
+
+
+def klein_bottle(n):
+    """Facets of a Klein bottle: the n x n grid of squares, each cut into
+    two triangles, its bottom and top sides glued directly and its left and
+    right sides with a flip.  n >= 3 keeps it a simplicial complex."""
+    def v(i, j):
+        return i * n + j % n if i < n else (n - j) % n
+    return sorted({tuple(sorted(t)) for i in range(n) for j in range(n)
+                   for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                             (v(i, j), v(i, j + 1), v(i + 1, j + 1)))})
+
+
+def test_klein_bottle_grid(capsys, tmp_path):
+    # H_1 = Z + Z/2 and H_2 = 0 over Z; ranks 1, 2, 1 over F_2
+    for n in (3, 4):
+        facets = klein_bottle(n)
+        a = from_document(exit_path_dsl(facets))
+        for ring in (RING_Z, RING_Q, ring_fp(2)):
+            h, counts, _ = realization_homology(a, ring)
+            assert h == simplicial_homology(facets, ring)
+            assert counts == [6 * n * n, 18 * n * n, 12 * n * n]
+    path = write(tmp_path, 'klein.quiver', exit_path_dsl(klein_bottle(3)))
+    code, data = run_json(capsys, 'homology', path)
+    assert (code, data['homology'], data['euler']) == (
+        0, {'0': [1, []], '1': [1, [2]], '2': [0, []]}, 0)
+    code, data = run_json(capsys, 'homology', path, '--ring', 'Fp:2')
+    assert (code, data['homology']) == (
+        0, {'0': [1, []], '1': [2, []], '2': [1, []]})
+
+
 def test_subdivided_rp2_counts():
     # 31, 181 and 1,081 faces; a class is a pair of comparable faces
     for k, vertices, classes in ((0, 31, 121), (1, 181, 721),
@@ -117,7 +161,7 @@ def test_exit_path_realization_is_the_complex(facets):
     a = from_document(exit_path_dsl(facets))
     vertices = a.quiver.vertices
     for ring in (RING_Z, ring_fp(2)):
-        h = morse_homology(babson_hersh_matching(a), ring)
+        h, _, _ = realization_homology(a, ring)
         assert h == simplicial_homology(facets, ring)
         table = tor_table(a, ring)
         for v in vertices:

@@ -15,12 +15,12 @@ from hpa.resolution import (BimoduleComplex, cellular_resolution,
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
                        morse_complex, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
-                       load_matching, matching_from_json, morse_homology,
-                       _find_cycle)
+                       load_matching, matching_from_json, _find_cycle)
 
 from conftest import (FIXTURES, Mutant, algebras, cellular_homology,
                       critical_cells, free_algebra, gradient_path_counts,
-                      linear_quiver, matching_to_json, reference_bh_pairs,
+                      linear_quiver, matching_to_json, morse_homology,
+                      reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
                       reference_lex_shelling, reference_morse_terms,
                       tensor_simples, words_by_class)
