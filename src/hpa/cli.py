@@ -16,12 +16,13 @@ the package root.  Each `cmd_*` function imports the layers it runs, so a
 process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
 modules, `homology` those and the realization and linear algebra, but
-neither `morse` nor `resolution`.  A layer imported by name at the top of
-this module would be loaded by every subcommand.  Importing this module
-registers every layer not yet imported as a lazy module (`LAYERS`), which
-runs its code on first attribute access, so that in-process tools that
-look layers up in sys.modules, such as the tracer of perfbench/, find them
-all.
+neither `morse` nor `resolution`, and `morse` builds the realization only
+for a greedy or file matching or a class that does not shell.  A layer
+imported by name at the top of this module would be loaded by every
+subcommand.  Importing this module registers every layer not yet imported
+as a lazy module (`LAYERS`), which runs its code on first attribute
+access, so that in-process tools that look layers up in sys.modules, such
+as the tracer of perfbench/, find them all.
 """
 
 import argparse
@@ -164,30 +165,37 @@ def _build_matching(args, a, x):
 
 def cmd_morse(args):
     from .invariants import nonzero_groups, tor_table
-    from .morse import check_linear, check_minimal, morse_complex
+    from .morse import (babson_hersh_complex, check_linear, check_minimal,
+                        morse_complex)
     from .realization import build_realization, homology
-    from .resolution import (cellular_resolution, simple_tensor_complex,
-                             verify_d_squared)
+    from .resolution import simple_tensor_complex, verify_d_squared
     a = _load_hpa(args.input)
-    x = build_realization(a, max_dim=args.max_dim)
-    m, strategy = _build_matching(args, a, x)
-    acyclic = {'ok': m.acyclic.ok}
-    if not m.acyclic.ok:
-        acyclic['cycle'] = [x.format_cell(c) for c in m.acyclic.witnesses[0]]
-    payload = {'matching': {'strategy': strategy, 'pairs': len(m.pairs)},
-               'internal': {'ok': m.internal.ok,
-                            'witnesses': m.internal.witnesses},
-               'acyclic': acyclic}
-    if not (m.internal.ok and m.acyclic.ok):
-        payload.update({'criticals': None, 'd_squared': None,
-                        'quasi_iso': None, 'minimal': None, 'linear': None})
-        return _emit(args, 'morse', payload, 1)
-
-    mc = morse_complex(cellular_resolution(a, x), m)
+    # bh where every class shells: on chains, no pair to check (hpa.morse);
+    # otherwise the cells are built and the matching checked pair by pair
+    mc = babson_hersh_complex(a, args.max_dim) \
+        if args.matching == 'bh' else None
+    payload = {'matching': {'strategy': 'babson-hersh'},
+               'internal': {'ok': True, 'witnesses': []},
+               'acyclic': {'ok': True}}
+    if mc is None:
+        x = build_realization(a, max_dim=args.max_dim)
+        m, strategy = _build_matching(args, a, x)
+        payload = {'matching': {'strategy': strategy, 'pairs': len(m.pairs)},
+                   'internal': {'ok': m.internal.ok,
+                                'witnesses': m.internal.witnesses},
+                   'acyclic': {'ok': m.acyclic.ok}}
+        if not m.acyclic.ok:
+            payload['acyclic']['cycle'] = [
+                x.format_cell(c) for c in m.acyclic.witnesses[0]]
+        if not (m.internal.ok and m.acyclic.ok):
+            payload.update(dict.fromkeys((
+                'criticals', 'd_squared', 'quasi_iso', 'minimal', 'linear')))
+            return _emit(args, 'morse', payload, 1)
+        mc = morse_complex(m)
     d2 = verify_d_squared(mc)
     # S_v (x) M (x) S_w has the homology of Tor on each pair a class joins,
     # nonzero groups compared; a truncated complex only below its cap
-    below = x.max_dim if x.truncated else float('inf')
+    below = mc.max_dim if mc.truncated else float('inf')
 
     def low(groups):
         return {i: g for i, g in groups.items() if i < below}
@@ -199,9 +207,10 @@ def cmd_morse(args):
     # minimal and linear describe the algebra, which a capped complex does
     # not show; linear needs a grading by path length
     minimal = linear = None
-    if not x.truncated:
+    if not mc.truncated:
         minimal = check_minimal(mc).ok
         linear = check_linear(mc).ok if a.graded else None
+    payload['matching']['pairs'] = mc.pairs
     payload.update({
         'criticals': mc.counts(),
         'd_squared': _check_json(d2, "d^2 = 0"),

@@ -10,8 +10,8 @@ shelling takes the reduced homology of the complex that the interval's
 maximal chains generate.  `hpa morse` checks the resolution side against
 `tor_table`.
 
-The resolution, Morse and toric layers are imported inside the functions
-that use them, so that `betti_table` loads none of them.
+The Morse and toric layers are imported inside the functions that use
+them, so that `betti_table` loads neither.
 """
 
 import csv
@@ -20,7 +20,8 @@ from itertools import combinations
 
 from . import RING_Z
 from .algebra import require_cancellative
-from .realization import homology, lex_shelling, maximal_chains
+from .realization import (format_chain, homology, lex_shelling,
+                          maximal_chains)
 
 
 class OrderComplex:
@@ -259,13 +260,11 @@ def koszul_check(a):
         return KoszulVerdict('koszul-certified', 'shellable-intervals',
                              {'intervals': len(chains)})
 
-    # only this last certificate needs the resolution
-    from .morse import (babson_hersh_matching, check_linear, check_minimal,
-                        morse_complex)
-    from .resolution import cellular_resolution
-    c = cellular_resolution(a)
-    m = babson_hersh_matching(a, complex_=c.complex)
-    mc = morse_complex(c, m)
+    # only this last certificate needs the Morse complex, walked on chains
+    # where every class shells (see hpa.morse)
+    from .morse import (babson_hersh_complex, babson_hersh_matching,
+                        check_linear, check_minimal, morse_complex)
+    mc = babson_hersh_complex(a) or morse_complex(babson_hersh_matching(a))
     if check_minimal(mc).ok:
         lin = check_linear(mc)
         if lin.ok:
@@ -274,8 +273,8 @@ def koszul_check(a):
         cell, tgt, ll, lr = lin.witnesses[0]
         return KoszulVerdict(
             'not-koszul', 'minimal-nonlinear',
-            {'cell': mc.complex.format_cell(cell),
-             'target': mc.complex.format_cell(tgt),
+            {'cell': format_chain(a, cell),
+             'target': format_chain(a, tgt),
              'coefficient_lengths': [ll, lr]})
     return KoszulVerdict('unknown', None,
                          {'reason': 'no minimal Morse complex found'})

@@ -1,24 +1,22 @@
-"""Internal acyclic matchings and the Morse complexes they give of the
-bimodule resolution, and through it of the cellular chain complex.
+"""Internal acyclic matchings of the realization and their Morse complexes
+of the cellular bimodule resolution, and through it of the cellular chains.
 
 A matching pairs k-cells with (k-1)-facets.  Internality (no cell from Q_0 or
 Q_1 matched, matched pairs share tail and head) forces every matched facet to
 be a middle face (see check_acyclic), with trivial coefficients and
-incidence +-1, which is what lets the pairs be cancelled.
-
-Gradient flow: a non-critical bottom sigma matched with top tau satisfies
-0 ~ d(tau) = eps.sigma + sum(other faces), so sigma is rewritten as
--eps^{-1} sum s_f . l_f [f] r_f, iterated; acyclicity makes the recursion
-well founded.  A critical cell flows to itself, a cell matched downward to
-nothing.  The Morse differential of a critical cell composes its boundary
-terms with these flows.  Forgetting coefficients (l (x) cell (x) r
-to cell) turns the resolution into the cellular chains, and its Morse
+incidence +-1, which is what lets the pairs be cancelled.  Forgetting
+coefficients turns the resolution into the cellular chains, and its Morse
 complex into theirs (Kozlov, Combinatorial Algebraic Topology, 2008, ch. 11).
 
-Cells are the int ids of the realization, and a matching is two flat lists
-over them (Matching.top and Matching.bottom).  No report takes its order
-from the list of pairs: the internality witnesses follow the chains of
-their tops (`x.chain`), and check_acyclic orders its starts itself.
+Both routes to a Morse complex take the one gradient-flow walk on chains,
+realization.gradient_terms.  babson_hersh_complex reads the matching off
+the shellings when every class shells, with no CellComplex: it is internal
+by construction (a pair shares its last class; no arrow or vertex cell is
+matched) and acyclic by the Babson-Hersh theorem, lex_shelling verifying
+each shelling and the walk refusing a cycle.  morse_complex(m) takes a
+Matching, two flat lists over the cells of a CellComplex whose pairs are
+checked one by one (greedy, from a file, or Babson-Hersh with coreduction
+where a class does not shell); its reports follow the chains of the cells.
 """
 
 import json
@@ -26,13 +24,8 @@ from collections import deque
 
 from . import UsageError
 from .algebra import Report, require_cancellative
-from .linalg import accumulate
-from .realization import build_realization, lex_shelling
-from .resolution import BimoduleComplex
-
-
-class MatchingError(ValueError):
-    pass
+from .realization import (MatchingError, _Gradient, build_realization,
+                          cell_counts, gradient_terms, lex_shelling)
 
 
 class MatchingFileError(UsageError):
@@ -181,84 +174,71 @@ def check_acyclic(m):
 # Morse complex
 
 
-class MorseComplex(BimoduleComplex):
-    """Critical cells of the complex x with the gradient-path differential,
-    a bimodule complex on the critical cells alone."""
+class MorseComplex:
+    """The critical cells of a matching, chains by dimension, with the
+    differential of realization.gradient_terms under its partner rule: a
+    bimodule complex with the generators() and terms() of a resolution.
+    `pairs` is (cells - critical cells) / 2; `max_dim` and `truncated` are
+    those of the realization, whose cell counts are `counts`."""
 
-    def __init__(self, hpa, cells_by_dim, terms, x):
-        super().__init__(hpa, x)
-        self.cells = cells_by_dim
-        self._terms = terms
+    def __init__(self, hpa, cells, partner, counts, truncated):
+        self.hpa = hpa
+        self.cells = list(cells)
+        while self.cells and not self.cells[-1]:
+            self.cells.pop()
+        self._terms = gradient_terms(hpa, self.cells, partner)
+        self.pairs = (sum(counts) - sum(self.counts())) // 2
+        self.max_dim, self.truncated = len(counts) - 1, truncated
+
+    @property
+    def top(self):
+        return len(self.cells) - 1
+
+    def generators(self, k):
+        return self.cells[k] if 0 <= k <= self.top else []
+
+    def counts(self):
+        return [len(cs) for cs in self.cells]
+
+    def chain(self, cell):
+        return cell
 
     def terms(self, cell):
+        """Differential of a critical cell: list of (coef, l, target, r)."""
         return self._terms.get(cell, [])
 
 
-def morse_complex(c, m):
-    """Morse complex of the bimodule resolution c under the matching m.
+def babson_hersh_complex(a, max_dim=None):
+    """The Morse complex of the Babson-Hersh matching of the realization of
+    `a` capped at max_dim (a bottom at the cap whose top lies above it
+    stays critical), with no CellComplex; None when the order of some class
+    is not a shelling.  _Gradient.criticals checks the Euler
+    characteristic of the critical cells against the cell counts."""
+    if any(lex_shelling(a, p) is None for p in range(len(a.classes))
+           if not a.is_trivial(p)):
+        return None
+    counts, truncated = cell_counts(a, max_dim)
+    grad = _Gradient(a, len(counts) - 1)
+    return MorseComplex(a, grad.criticals(counts), grad.partner, counts,
+                        truncated)
 
-    The flows (see the module docstring) come from one iterative post-order
-    walk over c.terms, its memo cleared per dimension.  Raises MatchingError
-    unless m is internal and acyclic, and when a matched facet that the walk
-    reaches does not occur exactly once in the terms of its top, with sign
-    +-1 and trivial classes.  With the empty matching this reproduces c.
-    """
-    m.require_valid()
-    a, x, units = c.hpa, c.complex, c.units
+
+def morse_complex(m):
+    """The Morse complex of m.complex under the matching m, its pairs the
+    partner rule of the walk.  Raises MatchingError unless m is internal
+    and acyclic.  With the empty matching this reproduces the resolution."""
+    x = m.require_valid().complex
     top, bottom = m.top, m.bottom
-    critical = [[cell for cell in x.cells[k]
-                 if top[cell] < 0 and bottom[cell] < 0]
-                for k in range(x.max_dim + 1)]
-    flow = {}  # a cell: {(l, critical target, r): coefficient}
 
-    def compose(scale, ts):
-        acc = {}
-        for sign, l, f, r in ts:
-            for (l2, tgt, r2), cf in flow[f].items():
-                accumulate(acc, (a.mult(l, l2), tgt, a.mult(r2, r)),
-                           scale * sign * cf)
-        return acc
-
-    terms = {}
-    for k in range(1, len(critical)):
-        flow.clear()
-        for tau in critical[k]:
-            ts = c.terms(tau)
-            stack = [f for _, _, f, _ in ts]
-            while stack:
-                s = stack[-1]
-                if s in flow:
-                    stack.pop()
-                    continue
-                if bottom[s] >= 0:  # matched downward: paths end
-                    flow[s] = {}
-                elif top[s] < 0:
-                    el, er = units[x.last[s]]
-                    flow[s] = {(el, s, er): 1}
-                else:
-                    up = c.terms(top[s])
-                    deps = [t for t in up if t[2] != s]
-                    missing = [t[2] for t in deps if t[2] not in flow]
-                    if missing:
-                        stack += missing
-                        continue
-                    if len(deps) != len(up) - 1:
-                        raise MatchingError(
-                            "matched facet not unique in boundary")
-                    eps, l, _, r = next(t for t in up if t[2] == s)
-                    if not (eps in (1, -1) and a.is_trivial(l)
-                            and a.is_trivial(r)):
-                        raise MatchingError(
-                            "matched pair has a non-invertible incidence "
-                            "coefficient")
-                    flow[s] = compose(-eps, deps)
-                stack.pop()
-            acc = compose(1, ts)
-            terms[tau] = [(cf, l, tgt, r)
-                          for (l, tgt, r), cf in sorted(acc.items())]
-    while critical and not critical[-1]:
-        critical.pop()
-    return MorseComplex(a, critical, terms, x)
+    def partner(c):
+        cell = x.cell(c)
+        if bottom[cell] >= 0:
+            return ()
+        t = top[cell]
+        return None if t < 0 else (x.chain(t), x.faces(t).index(cell))
+    critical = [[x.chain(c) for c in cs if top[c] < 0 and bottom[c] < 0]
+                for cs in x.cells]
+    return MorseComplex(x.hpa, critical, partner, x.counts(), x.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -367,61 +347,30 @@ def _augment(x, pairs):
 
 
 def babson_hersh_matching(a, complex_=None):
-    """Lexicographic interval matching.
-
-    For each nontrivial class p, the restriction sets R_j of the shelling
-    `lex_shelling(a, p)` match the non-critical faces of the interval
-    (e_{t(p)}, p) perfectly, the empty face into the first facet ([e < p] ~
-    [e < t < p], t the least toggle); a facet with R_j = F_j stays critical.
-    Faces lift to cells between e_{t(p)} and p, all pairs of a facet in one
-    walk down the simplex tree (x.children).  For the class of an arrow
-    (an ungraded algebra reaches it by longer paths too) the empty face
-    keeps no pair, so the arrow cell stays unmatched.  A class that order
-    does not shell falls back to greedy coreduction on its own cells.  A
-    truncated complex keeps the pairs whose top it holds, still an acyclic
-    matching of it.  Internality and acyclicity are checked (MatchingError).
-    """
+    """Lexicographic interval matching of the cells of a CellComplex: each
+    cell paired as _Gradient.partner reads it off the shellings, and the
+    cells of a class that its order does not shell matched by greedy
+    coreduction, then grown by _augment.  A truncated complex keeps the
+    pairs whose top it holds, still an acyclic matching of it.
+    Internality and acyclicity are checked (MatchingError).  Where every
+    class shells, babson_hersh_complex gives its Morse complex without the
+    cells."""
     require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
-    children = x.children
-    pairs = []
-    fallbacks = []
-
-    for p in range(len(a.classes)):
-        if a.is_trivial(p):
+    grad, pairs = _Gradient(a, x.max_dim), []
+    for p, cells in _cells_by_max(x).items():
+        if grad.facets(p) is None:
+            pairs += _greedy_on_cells(x, cells)
             continue
-        shelling = lex_shelling(a, p)
-        if shelling is None:
-            fallbacks.append(p)
-            continue
-        root = x.vertex[a.tail(p)]
-        arrow = 1 in a.classes[p].lengths
-        for ch, rj in shelling:
-            toggle = min(set(ch) - rj, default=None)
-            if toggle is None:
-                continue
-            # (top, bottom) pairs walked down the chain: R_j and p step both,
-            # a free element doubles the pairs, the toggle steps the top; a
-            # pair goes when its top has no child (a truncated complex)
-            lifted = [(root, root)]
-            for v in ch + (p,):
-                step = [(u, b if v == toggle else children[b][v])
-                        for t, b in lifted
-                        if (u := (children[t] or {}).get(v)) is not None]
-                free = v != toggle and v not in rj and v != p
-                lifted = lifted + step if free else step
-            # with R_j empty the first bottom is the empty face, [e < p]
-            pairs += lifted[arrow and not rj:]
-
-    if fallbacks:
-        by_max = _cells_by_max(x)
-        for p in fallbacks:
-            pairs.extend(_greedy_on_cells(x, by_max.get(p, ())))
-        # greedy leftovers may admit further pairs; keep the matching as
-        # large as possible so minimality still has a chance
-        m = _augment(x, pairs)
-    else:
-        m = Matching(x, pairs)
+        for b in cells:  # a bottom's top may lie above the cap
+            match = grad.partner(x.chain(b))
+            if match and (t := x.cell(match[0])) is not None:
+                pairs.append((t, b))
+    fallbacks = [p for p in range(len(a.classes))
+                 if not a.is_trivial(p) and lex_shelling(a, p) is None]
+    # greedy leftovers may admit further pairs; keep the matching as large
+    # as possible so minimality still has a chance
+    m = _augment(x, pairs) if fallbacks else Matching(x, pairs)
     m.fallback_classes = fallbacks
     return m.require_valid()
 

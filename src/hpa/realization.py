@@ -11,13 +11,15 @@ A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
 c is the chain of parent[c], its top face, extended by the class last[c].
 `x.chain(c)` is the tuple of class ids of a cell, `x.cell(chain)` its id.
 
-`realization_homology(a, ring, max_dim)` builds no CellComplex: it counts
-the cells per dimension, lists the critical cells of the Babson-Hersh
-matching from the lexicographic shellings, and walks the gradient paths on
-chains (tuples of class ids).  `homology(cells, boundary, ring)` is the one
-path from a chain complex to its homology: that Morse complex, S_v (x)
-(Morse complex) (x) S_w and the complex that an interval's maximal chains
-generate all reach it as a basis per degree and a boundary rule.
+`gradient_terms` is the one gradient-flow walk: on chains (tuples of class
+ids), with the coefficients of the cellular resolution, under a partner
+rule, such as the Babson-Hersh matching read off the shellings
+(`_Gradient`).  `realization_homology` builds no CellComplex: it counts the
+cells, lists the critical ones from the shellings and walks from them.
+`homology(cells, boundary, ring)` is the one path from a chain complex to
+its homology: that Morse complex, S_v (x) (Morse complex) (x) S_w and the
+complex that an interval's maximal chains generate all reach it as a basis
+per degree and a boundary rule.
 """
 
 from bisect import bisect_right
@@ -26,6 +28,11 @@ from itertools import combinations, compress
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
+
+
+class MatchingError(ValueError):
+    """A matching that cannot be cancelled: not internal, not acyclic, or
+    pairing a cell with a face that is not a middle one."""
 
 
 class CellComplex:
@@ -306,15 +313,12 @@ def cell_counts(a, max_dim=None):
 class _Gradient:
     """The Babson-Hersh matching of the realization of `a`, capped at
     dimension `top`, read cell by cell off the lexicographic shellings.
-
-    A cell (e, *G, p) is a face G of the order complex of the open interval
-    (e, p).  Its facet is the first F_j of lex_shelling(a, p) that contains
-    G, found by scanning the facets' bit masks; then R_j <= G <= F_j, and
-    its partner is G with t = min(F_j - R_j) toggled, or none when R_j =
-    F_j.  For the class of an arrow the pair ([e < t < p], [e < p]) of the
-    first facet is not made, so the arrow cell stays unmatched.  A bottom
-    whose top lies above the cap, and every cell of a class that its order
-    does not shell, stay unmatched too."""
+    A cell (e, *G, p) is a face G of the order complex of the interval (e,
+    p).  Its facet is the first F_j of lex_shelling(a, p) that contains G
+    (by the facets' bit masks), so R_j <= G <= F_j, and its partner is G
+    with t = min(F_j - R_j) toggled, or none when R_j = F_j.  The arrow
+    cell [e < p] of an arrow's class, a bottom whose top lies above the cap
+    and every cell of a class that its order does not shell stay unmatched."""
 
     def __init__(self, a, top):
         self.a, self.top = a, top
@@ -325,22 +329,16 @@ class _Gradient:
         the interval, the mask of each facet of lex_shelling(a, p) and that
         shelling; None when its order does not shell."""
         if p not in self._facets:
-            shelling = lex_shelling(self.a, p)
-            out = None
-            if shelling is not None:
-                bit, masks = {}, []
-                for ch, _ in shelling:
-                    mask = 0
-                    for v in ch:
-                        mask |= bit.setdefault(v, 1 << len(bit))
-                    masks.append(mask)
-                out = bit, masks, shelling
-            self._facets[p] = out
+            shelling, bit = lex_shelling(self.a, p), {}
+            self._facets[p] = shelling and (bit, [
+                sum(bit.setdefault(v, 1 << len(bit)) for v in ch)
+                for ch, _ in shelling], shelling)
         return self._facets[p]
 
-    def criticals(self):
+    def criticals(self, counts):
         """The unmatched cells, as chains, by dimension, each dimension
-        sorted (the id order of build_realization)."""
+        sorted (the id order of build_realization); refused (ValueError)
+        unless they have the Euler characteristic of the cell counts."""
         a, top = self.a, self.top
         out = [[] for _ in range(top + 1)]
         out[0] = [(e,) for e in sorted(a.trivial_class.values())]
@@ -376,13 +374,16 @@ class _Gradient:
                     out[top].append((e, *(v for v in ch if v in g), p))
         for cells in out:
             cells.sort()
+        found = [len(cs) for cs in out]
+        if euler_characteristic(found) != euler_characteristic(counts):
+            raise ValueError(f"critical cells {found} do not have the Euler "
+                             f"characteristic of the cells {counts}")
         return out
 
     def partner(self, c):
         """None when the cell c (a chain) is unmatched, () when it is
         matched with a face, else (its top, the place of c among the faces
-        of the top).  The walk asks only for faces of cells, which lie below
-        the cap, so a top here never lies above it."""
+        of the top), which may lie above the cap when c lies at it."""
         p = c[-1]
         table = len(c) > 1 and self.facets(p)
         if not table:
@@ -405,76 +406,113 @@ class _Gradient:
         return (c[0], *inner, p), inner.index(t) + 1
 
 
-def _faces(a, c):
-    """The faces of a chain c = (e, p_1, ..., p_k), face i at place i: face
-    0 rebased through p_1, face i > 0 without p_i."""
+def _terms(a, c):
+    """The resolution's differential of the chain c = (e, p_1, ..., p_k),
+    k >= 1, as terms (sign, l, face, r), face i with sign (-1)^i: face 0
+    rebased through p_1 and l = p_1, the top face with r = p_{k-1}\\p_k,
+    every other coefficient trivial."""
+    p, k = c[-1], len(c) - 1
+    el, er = a.trivial_class[a.tail(p)], a.trivial_class[a.head(p)]
     row = a.quotients(c[1])
-    return [(a.trivial_class[a.head(c[1])], *(row[q] for q in c[2:]))] + [
-        c[:i] + c[i + 1:] for i in range(1, len(c))]
+    return [(1, c[1], (a.trivial_class[a.head(c[1])],
+                       *(row[q] for q in c[2:])), er)] + [
+        (-1 if i % 2 else 1, el, c[:i] + c[i + 1:], er)
+        for i in range(1, k)] + [
+        (-1 if k % 2 else 1, el, c[:-1], a.quotients(c[-2])[p])]
 
 
 def realization_homology(a, ring=RING_Z, max_dim=None):
     """(homology, counts, truncated) of the realization of `a` capped at
     max_dim, with no CellComplex: counts and truncated as cell_counts gives
     them, and the homology of the degrees below a cap that truncates (which
-    the cap determines), (0, []) where it has no group.
-
-    The homology is that of the Morse complex of the Babson-Hersh matching
-    (_Gradient), coefficients forgotten: the boundary of a critical cell
-    composes its faces with their flows, a flow found by an iterative
-    post-order walk along the gradient paths, memoized per dimension.  A
-    matched bottom s of top t flows to -eps sum_{f != s} (-1)^j flow(f), f
-    face j of t and eps = (-1)^i for s face i, a critical cell to itself
-    and a matched top to nothing.  Backing the answer: lex_shelling checks
-    each shelling; the walk refuses a gradient path that closes a cycle
-    (ValueError, the cycle as witness); the critical cells must have the
-    Euler characteristic of the counts (ValueError); and `homology` checks
-    d^2 = 0 on the Morse complex."""
+    the cap determines), (0, []) where it has no group.  It is that of the
+    Morse complex of the Babson-Hersh matching of the whole realization
+    (_Gradient), coefficients forgotten, walked up to the cap.  Backing it:
+    lex_shelling checks each shelling, the Euler check of the critical
+    cells, the walk's refusal of a cycle, and d^2 = 0 in `homology`."""
     counts, truncated = cell_counts(a, max_dim)
-    top = len(counts) - 1
-    grad = _Gradient(a, top)
-    critical = grad.criticals()
-    found = [len(cs) for cs in critical]
-    if euler_characteristic(found) != euler_characteristic(counts):
-        raise ValueError(f"critical cells {found} do not have the Euler "
-                         f"characteristic of the cells {counts}")
+    if truncated and not max_dim:  # no degree to report, nothing to shell
+        return {}, counts, truncated
+    whole = cell_counts(a)[0] if truncated else counts
+    grad = _Gradient(a, len(whole) - 1)
+    critical = grad.criticals(whole)[:len(counts)]
     while len(critical) > 1 and not critical[-1]:
         critical.pop()
-    boundary = {}
-    for k in range(1, len(critical)):
-        flow = {}
-        for tau in critical[k]:
-            acc = {}
-            for i, f in enumerate(_faces(a, tau)):
-                for tgt, cf in _flow(a, grad, flow, f).items():
-                    accumulate(acc, tgt, -cf if i % 2 else cf)
-            boundary[tau] = [(cf, tgt) for tgt, cf in acc.items()]
-    h = homology(critical, boundary.__getitem__, ring)
-    return ({k: h.get(k, (0, [])) for k in range(top + 1 - truncated)},
+    terms = gradient_terms(a, critical, grad.partner)
+    h = homology(critical, lambda tau: [
+        (cf, tgt) for cf, _, tgt, _ in terms[tau]], ring)
+    return ({k: h.get(k, (0, [])) for k in range(len(counts) - truncated)},
             counts, truncated)
 
 
-def _flow(a, grad, flow, start):
-    """{critical cell: coefficient} of the flow of the cell `start`, by an
-    iterative post-order walk that keeps the flows it finds in `flow`.
-    `open_` holds the matched bottoms whose flows are pending, in path
-    order; a face of a top that is one of them closes a cycle."""
+def gradient_terms(a, critical, partner):
+    """{tau: [(coef, l, target, r)] sorted by (l, target, r)}, the Morse
+    differential of each critical chain tau of dimension >= 1 (`critical`
+    lists them by dimension) under the matching partner(c) gives: None for
+    a critical cell, () for a top, else (its top, the place of c among the
+    top's faces).  A critical cell flows to (unit, itself, unit), a top to
+    nothing, and a bottom, term i of sign eps of its top, to -eps times
+    the top's other terms composed with their flows (Skoldberg 2006, Trans.
+    AMS 358), found by _flow and memoized per dimension."""
+    out = {}
+    for cells in critical[1:]:
+        flow = {}
+        for tau in cells:
+            ts = _terms(a, tau)
+            for _, _, f, _ in ts:
+                _flow(a, partner, flow, f)
+            out[tau] = [(cf, l, tgt, r) for (l, tgt, r), cf in
+                        sorted(_compose(a, ts, flow).items())]
+    return out
+
+
+def _compose(a, ts, flow, i=None):
+    """{(l, target, r): coefficient} of the terms ts but term i composed
+    with the flows of their faces, times -eps, eps the sign of term i."""
+    scale, acc = 1 if i is None else -ts[i][0], {}
+    for j, (sign, l, f, r) in enumerate(ts):
+        if j != i:
+            for (l2, tgt, r2), cf in flow[f].items():
+                accumulate(acc, (a.mult(l, l2), tgt, a.mult(r2, r)),
+                           scale * sign * cf)
+    return acc
+
+
+def _flow(a, partner, flow, start):
+    """Put the flow of the cell `start` into `flow`, by an iterative
+    post-order walk.  MatchingError refuses a bottom that is not the face
+    its partner names, or whose term is not trivial with sign +-1 (face 0
+    or the top face).  `open_` holds the pending bottoms in path order; a
+    face of a top that is one of them closes a cycle (ValueError)."""
     stack = [start]
-    open_ = {}  # a bottom: (its top, its place in the top, the top's faces)
+    open_ = {}  # a bottom: (its top, its place in the top, the top's terms)
     while stack:
         s = stack[-1]
         if s in flow:
             stack.pop()
             continue
         if s not in open_:
-            match = grad.partner(s)
+            match = partner(s)
             if not match:
-                flow[s] = {} if match == () else {s: 1}
+                p = s[-1]
+                flow[s] = {} if match == () else {
+                    (a.trivial_class[a.tail(p)], s,
+                     a.trivial_class[a.head(p)]): 1}
                 stack.pop()
                 continue
-            open_[s] = (*match, _faces(a, match[0]))
-        _, i, fs = open_[s]
-        missing = [f for j, f in enumerate(fs) if j != i and f not in flow]
+            t, i = match
+            ts = _terms(a, t)
+            if not (0 <= i < len(ts) and ts[i][2] == s):
+                raise MatchingError(f"{format_chain(a, s)} is not face {i} "
+                                    f"of {format_chain(a, t)}")
+            eps, l, _, r = ts[i]
+            if not (eps in (1, -1) and a.is_trivial(l) and a.is_trivial(r)):
+                raise MatchingError("matched pair has a non-invertible "
+                                    "incidence coefficient")
+            open_[s] = (t, i, ts)
+        _, i, ts = open_[s]
+        missing = [f for j, (_, _, f, _) in enumerate(ts)
+                   if j != i and f not in flow]
         for f in missing:
             if f in open_:
                 loop = list(open_)[list(open_).index(f):]
@@ -485,12 +523,6 @@ def _flow(a, grad, flow, start):
         if missing:
             stack += missing
             continue
-        acc = {}
-        for j, f in enumerate(fs):  # -(-1)^i sum of (-1)^j flow(f), f != s
-            if j != i:
-                for tgt, cf in flow[f].items():
-                    accumulate(acc, tgt, cf if (i + j) % 2 else -cf)
-        flow[s] = acc
+        flow[s] = _compose(a, ts, flow, i)
         del open_[s]
         stack.pop()
-    return flow[start]

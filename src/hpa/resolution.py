@@ -43,6 +43,9 @@ class BimoduleComplex:
     def counts(self):
         return [len(cs) for cs in self.cells]
 
+    def chain(self, cell):
+        return self.complex.chain(cell)
+
     def terms(self, cell):
         """Differential of a generator: list of (coef, l, face, r)."""
         x = self.complex
@@ -165,7 +168,7 @@ def _d_squared(c, cells):
     class, cell, right class): a product of classes whose ends do not meet
     is zero, so its term is dropped, and a product with a trivial class is
     the other factor; what is left over is its witness, cells as chains."""
-    a, chain_of, mult = c.hpa, c.complex.chain, c.hpa.mult
+    a, chain_of, mult = c.hpa, c.chain, c.hpa.mult
     trivial = [cl.is_trivial for cl in a.classes]
     ends = [(cl.tail, cl.head) for cl in a.classes]
     failures = []
@@ -187,7 +190,7 @@ def _d_squared(c, cells):
 
 def verify_d_squared(c):
     """Symbolic d^2 = 0, term by term, on every generator of a complex with
-    the hpa, complex, generators() and terms() of a BimoduleComplex: the
+    the hpa, generators(), terms() and chain() of a BimoduleComplex: the
     check for complexes without the cellular shape, such as Morse ones."""
     return _d_squared(c, chain.from_iterable(
         map(c.generators, range(2, c.top + 1))))
@@ -307,16 +310,16 @@ def check_resolution(c):
 
 
 def simple_tensor_complex(source):
-    """S_v (x) C (x) S_w for a complex with a generators()/terms()
+    """S_v (x) C (x) S_w for a complex with a generators()/terms()/chain()
     interface, as ({(v, w): cells by degree}, boundary) for
     `realization.homology`: generators grouped in one pass by the tail and
     head of their last class (a pair without one is missing, its complex
     empty), terms kept when their two coefficients are trivial."""
-    a, last, top = source.hpa, source.complex.last, source.top
+    a, top = source.hpa, source.top
     blocks = {}
     for k in range(top + 1):
         for g in source.generators(k):
-            cl = a.classes[last[g]]
+            cl = a.classes[source.chain(g)[-1]]
             blocks.setdefault((cl.tail, cl.head),
                               [[] for _ in range(top + 1)])[k].append(g)
 

@@ -10,7 +10,6 @@ from hpa.algebra import HPA, PathClass, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import accumulate
-from hpa.morse import morse_complex
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.realization import homology, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
@@ -243,15 +242,17 @@ def morse_homology(m, ring=RING_Z):
     critical tau is the sum of cf . target over its terms (cf, l, target,
     r).  A complex truncated by max_dim reports only the degrees below its
     cap, whose homology it determines.  d^2 = 0 is checked symbolically on
-    every cell first (d_squared_degree).  The eager oracle for
+    every cell first (d_squared_degree), and the matching must be internal
+    and acyclic.  The differential is reference_morse_terms, a sum over
+    the gradient paths of the cells: the eager oracle for
     `realization.realization_homology`, which builds no complex."""
-    x = m.complex
+    x = m.require_valid().complex
     bad = d_squared_degree(x)
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
-    mc = morse_complex(BimoduleComplex(x.hpa, x), m)
-    h = homology(
-        mc.cells, lambda tau: [(cf, tgt) for cf, _, tgt, _ in mc.terms(tau)],
+    c = BimoduleComplex(x.hpa, x)
+    h = homology(critical_cells(m), lambda tau: [
+        (cf, tgt) for cf, _, tgt, _ in reference_morse_terms(c, m, tau)],
         ring)
     return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
 
@@ -371,17 +372,20 @@ def check_semisimplicial(complex_):
     return bad
 
 
-class Mutant(BimoduleComplex):
+class Mutant:
     """Deliberately corrupt the differential of one cell of base, a
     resolution or a Morse complex: terms(victim) is edit applied to base's
-    terms of it."""
+    terms of it, and every other attribute is base's."""
 
     def __init__(self, base, victim, edit):
-        super().__init__(base.hpa, base.complex)
-        self.cells = base.cells
         self.base = base
         self.victim = victim
         self.edit = edit
+
+    def __getattr__(self, name):  # what the mutant does not set itself
+        if name == 'base':  # not set yet, as in copy.copy
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     def terms(self, cell):
         out = self.base.terms(cell)
@@ -726,7 +730,7 @@ def reference_d_squared(c):
     """Reference for `resolution.verify_d_squared` and the d^2 report of
     `resolution.check_resolution`: every coefficient product goes through
     `mult`, trivial factors included."""
-    chain = c.complex.chain
+    chain = c.chain
     failures = []
     checked = 0
     for k in range(2, c.top + 1):

@@ -202,13 +202,13 @@ def test_morse_compares_only_nonzero_groups(capsys, tmp_path, name):
 
 def test_morse_catches_a_wrong_complex(monkeypatch, capsys):
     from hpa import morse
-    real = morse.morse_complex
+    real = morse.babson_hersh_complex
 
-    def drop_a_critical_cell(c, m):
-        mc = real(c, m)
+    def drop_a_critical_cell(a, max_dim=None):
+        mc = real(a, max_dim)
         mc.cells[-1].pop()  # a top cell, so no boundary refers to it
         return mc
-    monkeypatch.setattr(morse, 'morse_complex', drop_a_critical_cell)
+    monkeypatch.setattr(morse, 'babson_hersh_complex', drop_a_critical_cell)
     code, data = run_json(capsys, 'morse', P2)
     assert code == 1
     assert data['quasi_iso']['ok'] is False
@@ -541,7 +541,8 @@ def test_morse_refusal_survives_optimized_python(tmp_path):
 @pytest.mark.parametrize('name, matching', [('p2', 'bh'), ('p2', 'greedy'),
                                             ('f1', 'bh')])
 def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
-    # F1 has a non-shellable interval, so its matching is also augmented
+    # F1 has a non-shellable interval, so its matching is also augmented;
+    # on P^2 the default matching is walked on chains, with no Matching
     from hpa import morse
     calls = {}
     for check in ('check_internal', 'check_acyclic'):
@@ -551,7 +552,8 @@ def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
         monkeypatch.setattr(morse, check, counted)
     main(['morse', str(FIXTURES / f'{name}.quiver'), '--matching', matching])
     capsys.readouterr()
-    assert calls == {'check_internal': 1, 'check_acyclic': 1}
+    assert calls == ({} if (name, matching) == ('p2', 'bh') else
+                     {'check_internal': 1, 'check_acyclic': 1})
 
 
 def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
@@ -649,15 +651,15 @@ def _homology_paths(monkeypatch):
 
 def _morse_route(path, max_dim=None):
     """The calls of the Morse route: realization_homology, which eliminates
-    the Morse complex of the Babson-Hersh matching once (the critical cells
-    that morse_complex keeps), and nothing else."""
+    the Morse complex of the Babson-Hersh matching of the whole realization
+    once, up to the cap (the critical cells that morse_complex keeps), and
+    nothing else."""
     from hpa.morse import morse_complex
-    from hpa.resolution import cellular_resolution
-    a = _load(path)
-    x = build_realization(a, max_dim=max_dim)
-    mc = morse_complex(cellular_resolution(a, x),
-                       babson_hersh_matching(a, complex_=x))
-    return ['realization_homology', ('homology', mc.counts())]
+    counts = morse_complex(babson_hersh_matching(_load(path))).counts()
+    counts = counts[:None if max_dim is None else max_dim + 1]
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return ['realization_homology', ('homology', counts)]
 
 
 def _elimination_homology(path, ring, max_dim=None):
@@ -829,3 +831,28 @@ def test_each_subcommand_checks_cancellation_once(monkeypatch, capsys,
     code, _ = run(capsys, command, str(BENCHMARK_INPUTS / 'a4a4.quiver'))
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize('path, builds', [
+    (str(BENCHMARK_INPUTS / 'p11112.quiver'), False), (F3, False),
+    (F1, True)], ids=['p11112', 'f3', 'f1'])
+def test_morse_and_koszul_build_the_realization_only_for_f1(
+        monkeypatch, capsys, path, builds):
+    # hpa morse and koszul_check walk the default matching on chains where
+    # every class shells; F1's one unshelled interval takes the cells
+    from hpa import morse, realization
+    from hpa.invariants import koszul_check
+    calls = []
+    real = realization.build_realization
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+    for module in (realization, morse):
+        monkeypatch.setattr(module, 'build_realization', spy)
+    code, data = run_json(capsys, 'morse', path)
+    assert code == 0 and data['quasi_iso']['ok']
+    assert bool(calls) == builds
+    calls.clear()
+    verdict = koszul_check(_load(path))
+    assert bool(calls) == builds == (verdict.method == 'minimal-nonlinear')

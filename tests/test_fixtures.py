@@ -4,7 +4,7 @@ import pathlib
 from hpa.morse import (load_matching, check_internal, check_acyclic,
                        morse_complex)
 from hpa.realization import build_realization
-from hpa.resolution import cellular_resolution, verify_d_squared
+from hpa.resolution import verify_d_squared
 from hpa.toric import weight_data_from_json, image_phi
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
@@ -38,7 +38,7 @@ def test_f3_matching_fixture(f3):
     assert len(m.pairs) == 26
     assert check_internal(m).ok
     assert check_acyclic(m).ok
-    mc = morse_complex(cellular_resolution(f3, x), m)
+    mc = morse_complex(m)
     assert mc.counts() == [4, 9, 6, 1]
     assert verify_d_squared(mc).ok
 

@@ -128,7 +128,7 @@ def test_tor_free_quiver_dies_above_one():
 def test_oracle_triangle_p2(p2):
     c = cellular_resolution(p2)
     m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(c, m)
+    mc = morse_complex(m)
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
@@ -148,7 +148,7 @@ def test_oracle_triangle_on_random_algebras(a):
     assert d2.ok and homotopy.ok
     # both constructions leave arrow cells unmatched, so they are internal
     # on ungraded algebras too
-    morse = [morse_complex(c, build(a, complex_=x)) for build in
+    morse = [morse_complex(build(a, complex_=x)) for build in
              (babson_hersh_matching, greedy_internal_matching)]
     for ring in (RING_Z, ring_fp(2)):
         for v in a.quiver.vertices:

@@ -1,29 +1,35 @@
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa import RING_Z, ring_fp
+from hpa import RING_Z, realization, ring_fp
 from hpa.algebra import check_hpa
+from hpa.cli import main
+from hpa.dsl import emit_quiver
 from hpa.quiver import Quiver
 from hpa.realization import build_realization, homology, lex_shelling
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
-                       morse_complex, babson_hersh_matching,
-                       greedy_internal_matching, check_minimal, check_linear,
-                       load_matching, matching_from_json, _find_cycle)
+                       morse_complex, babson_hersh_complex,
+                       babson_hersh_matching, greedy_internal_matching,
+                       check_minimal, check_linear, load_matching,
+                       matching_from_json, _find_cycle)
 
-from conftest import (FIXTURES, Mutant, algebras, cellular_homology,
-                      critical_cells, free_algebra, gradient_path_counts,
-                      linear_quiver, matching_to_json, morse_homology,
-                      reference_bh_pairs,
+from conftest import (BENCHMARK_INPUTS, FIXTURES, Mutant, algebras,
+                      cellular_homology, critical_cells, free_algebra,
+                      gradient_path_counts, linear_quiver, load_algebra,
+                      matching_to_json, morse_homology, reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
-                      reference_lex_shelling, reference_morse_terms,
-                      tensor_simples, words_by_class)
+                      reference_d_squared, reference_lex_shelling,
+                      reference_morse_terms, tensor_simples,
+                      tor_via_intervals, tor_via_resolution, words_by_class)
 
 
 def _cell(x, tail, *label_seqs):
@@ -36,12 +42,14 @@ def _cell(x, tail, *label_seqs):
 
 def test_empty_matching_reproduces_resolution(p2):
     c = cellular_resolution(p2)
-    m = Matching(c.complex, [])
-    mc = morse_complex(c, m)
-    assert mc.counts() == c.complex.counts()
+    x = c.complex
+    m = Matching(x, [])
+    mc = morse_complex(m)
+    assert mc.counts() == x.counts()
     for k in range(1, mc.top + 1):
         for cell in mc.generators(k):
-            assert set(mc.terms(cell)) == set(c.terms(cell))
+            assert set(mc.terms(cell)) == {
+                (s, l, x.chain(f), r) for s, l, f, r in c.terms(x.cell(cell))}
 
 
 def test_acyclicity_cycle_witness():
@@ -73,14 +81,12 @@ def test_acyclicity_cycle_witness():
         bottom, top = cyc[i], cyc[i + 1]
         assert m.top[bottom] == top
         assert cyc[i + 2] in x.faces(top)
-    c = cellular_resolution(a, x)
     with pytest.raises(MatchingError):
-        morse_complex(c, m)
+        morse_complex(m)
 
 
 def test_internality_witnesses(p2):
     x = build_realization(p2)
-    c = cellular_resolution(p2, x)
     xy = _cell(x, 'v0', (), ('x',), ('x', "y'"))
     # boundary face 0 lives in a different stratum
     other = x.faces(xy)[0]
@@ -89,7 +95,7 @@ def test_internality_witnesses(p2):
     assert not rep.ok
     assert any(reason == 'pair changes stratum' for reason, _ in rep.witnesses)
     with pytest.raises(MatchingError):
-        morse_complex(c, m)
+        morse_complex(m)
 
     # so does the top face, through its head
     m1 = Matching(x, [(xy, x.faces(xy)[-1])])
@@ -175,7 +181,7 @@ def test_babson_hersh_fallback_on_a_truncated_complex(f1):
 def test_babson_hersh_p2_morse_complex(p2):
     c = cellular_resolution(p2)
     m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(c, m)
+    mc = morse_complex(m)
     assert mc.counts() == [3, 6, 3]
     assert verify_d_squared(mc).ok
     assert check_minimal(mc).ok
@@ -189,7 +195,7 @@ def test_babson_hersh_p2_morse_complex(p2):
 def test_babson_hersh_quasi_isomorphism(p2):
     c = cellular_resolution(p2)
     m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(c, m)
+    mc = morse_complex(m)
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
@@ -217,7 +223,7 @@ def test_greedy_free_quiver_criticals():
 def test_greedy_p2_agrees_with_resolution_homology(p2):
     c = cellular_resolution(p2)
     m = greedy_internal_matching(p2, complex_=c.complex)
-    mc = morse_complex(c, m)
+    mc = morse_complex(m)
     assert verify_d_squared(mc).ok
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
@@ -233,8 +239,8 @@ def test_gradient_path_counts_p2(p2):
     counts = gradient_path_counts(c, m)
     # each critical 2-cell [e < y < x*y'] reaches the arrow cell [e < y]
     # directly and [e < x] through exactly one alternating path
-    mc = morse_complex(c, m)
-    for cell in mc.generators(2):
+    mc = morse_complex(m)
+    for cell in map(c.complex.cell, mc.generators(2)):
         targets = {t for (tau, t), n in counts.items() if tau == cell}
         assert len(targets) >= 2
         assert all(n >= 1 for (tau, t), n in counts.items() if tau == cell)
@@ -269,8 +275,7 @@ def test_check_linear_requires_grading():
     from hpa.algebra import HPA, RelationSet
     a = HPA(RelationSet(q, [[q.word('u', ('a',)), q.word('u', ('b', 'c'))]]))
     assert not a.graded
-    c = cellular_resolution(a)
-    mc = morse_complex(c, Matching(c.complex, []))
+    mc = morse_complex(Matching(build_realization(a), []))
     with pytest.raises(ValueError):
         check_linear(mc)
 
@@ -297,52 +302,62 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
     assert x.truncated == (max_dim is not None)
     assert bool(getattr(m, 'fallback_classes', None)) == (name == 'f1')
     c = BimoduleComplex(a, x)
-    mc = morse_complex(c, m)
-    critical = [tau for k in range(1, mc.top + 1)
+    mc = morse_complex(m)
+    critical = [x.cell(tau) for k in range(1, mc.top + 1)
                 for tau in mc.generators(k)]
     # some gradient path goes through a matched pair, except on the
     # ungraded algebra: no face of its one critical 2-cell is matched
     assert any(m.top[f] >= 0 for tau in critical
                for f in x.faces(tau)) == (name != 'ungraded')
     for tau in critical:
-        assert mc.terms(tau) == reference_morse_terms(c, m, tau)
+        assert mc.terms(x.chain(tau)) == [
+            (cf, l, x.chain(tgt), r)
+            for cf, l, tgt, r in reference_morse_terms(c, m, tau)]
+    # where every class shells, the matching read off the shellings gives
+    # the same complex without the cells
+    if build is babson_hersh_matching and name != 'f1':
+        lex = babson_hersh_complex(a, max_dim)
+        assert lex.cells == mc.cells and lex.pairs == len(m.pairs)
+        assert all(lex.terms(tau) == mc.terms(tau)
+                   for cells in mc.cells for tau in cells)
 
 
-def _reached_pair(x, m):
-    """A pair (top, bottom) of m whose bottom is a face of a critical cell,
-    so that morse_complex reads the terms of its top."""
-    return next((m.top[f], f) for cells in critical_cells(m)[2:]
-                for tau in cells for f in x.faces(tau) if m.top[f] >= 0)
+def _walk_with_partner(monkeypatch, a, rule):
+    """babson_hersh_complex(a), its walk reading rule(partner, c) in place
+    of the partner rule partner(c) of the shellings (_Gradient.partner).
+    The true rule is accepted."""
+    partner = realization._Gradient.partner
+    babson_hersh_complex(a)
+    monkeypatch.setattr(realization._Gradient, 'partner',
+                        lambda self, c: rule(partner.__get__(self), c))
+    return babson_hersh_complex(a)
 
 
-def _with_matched_term_edited(a, edit):
-    """morse_complex of the resolution of a under its Babson-Hersh matching,
-    with the terms ts of one reached top replaced by edit(ts, bottom)."""
-    c = cellular_resolution(a)
-    m = babson_hersh_matching(a, complex_=c.complex)
-    top, bottom = _reached_pair(c.complex, m)
-    morse_complex(c, m)  # the unedited resolution is accepted
-    return morse_complex(Mutant(c, top, lambda ts: edit(ts, bottom)), m)
-
-
-def test_morse_complex_refuses_a_repeated_matched_facet(p2):
+def test_morse_complex_refuses_a_partner_at_a_wrong_place(p2, monkeypatch):
+    # every bottom claims the next face of its top as its place
+    def shifted(partner, c):
+        match = partner(c)
+        return (match[0], match[1] + 1) if match else match
     with pytest.raises(MatchingError,
-                       match="^matched facet not unique in boundary$"):
-        _with_matched_term_edited(
-            p2, lambda ts, b: ts + [t for t in ts if t[2] == b])
+                       match=r"^\[[^]]*\] is not face \d of \[[^]]*\]$"):
+        _walk_with_partner(monkeypatch, p2, shifted)
 
 
-@pytest.mark.parametrize('edit', [
-    # a nontrivial left coefficient: class 1, an arrow
-    lambda ts, b: [(s, 1 if f == b else l, f, r) for s, l, f, r in ts],
-    # sign 2, classes trivial
-    lambda ts, b: [(2 if f == b else s, l, f, r) for s, l, f, r in ts],
-], ids=['nontrivial-left', 'sign-2'])
-def test_morse_complex_refuses_a_non_invertible_incidence(p2, edit):
-    assert p2.classes[1].lengths == {1}
+@pytest.mark.parametrize('place', [0, -1],
+                         ids=['nontrivial-left', 'nontrivial-right'])
+def test_morse_complex_refuses_a_non_invertible_incidence(p2, monkeypatch,
+                                                         place):
+    # face 0 of a critical 2-cell, whose term has the left coefficient p_1,
+    # or its top face, whose term has the right coefficient p_1\p_2,
+    # claims that cell as its top: a pair the walk cannot cancel
+    x = build_realization(p2)
+    tau = babson_hersh_complex(p2).generators(2)[0]
+    faces = x.faces(x.cell(tau))
+    face, i = x.chain(faces[place]), place % len(faces)
     with pytest.raises(MatchingError, match="^matched pair has a "
                        "non-invertible incidence coefficient$"):
-        _with_matched_term_edited(p2, edit)
+        _walk_with_partner(monkeypatch, p2, lambda partner, c: (
+            (tau, i) if c == face else partner(c)))
 
 
 def _acyclic_on_face_graph(m):
@@ -550,3 +565,107 @@ def test_only_the_middle_faces_keep_the_stratum(a):
             assert x.head(fs[-1]) != x.head(cell)
             for f in fs[1:-1]:
                 assert (x.tail(f), x.head(f)) == (x.tail(cell), x.head(cell))
+
+
+@pytest.mark.parametrize('name', ['a4a4', 'a2a2a2'])
+def test_babson_hersh_pairs_match_the_reference_on_benchmark_inputs(name):
+    # P(1,1,1,1,2), the third benchmark input, is among the fixtures above
+    a = load_algebra(f'{name}.quiver', BENCHMARK_INPUTS)
+    x = build_realization(a)
+    m = babson_hersh_matching(a, complex_=x)
+    assert not m.fallback_classes
+    assert sorted(tuple(map(x.chain, pr)) for pr in m.pairs) == \
+        sorted(reference_bh_pairs(a, x))
+
+
+class _ReferenceMorse:
+    """The Morse complex of the CellComplex x under the pairs of chains
+    `pairs`, its differential summed over the gradient paths
+    (reference_morse_terms), cells written as chains."""
+
+    def __init__(self, x, pairs):
+        top, bottom = [-1] * len(x.last), [-1] * len(x.last)
+        for t, b in pairs:
+            top[x.cell(b)], bottom[x.cell(t)] = x.cell(t), x.cell(b)
+        m = SimpleNamespace(complex=x, top=top, bottom=bottom)
+        c = BimoduleComplex(x.hpa, x)
+        self.hpa, self.cells = x.hpa, critical_cells(m)
+        while len(self.cells) > 1 and not self.cells[-1]:
+            self.cells.pop()
+        self._terms = {x.chain(tau): [
+            (cf, l, x.chain(tgt), r)
+            for cf, l, tgt, r in reference_morse_terms(c, m, tau)]
+            for cells in self.cells[1:] for tau in cells}
+        self.cells = [list(map(x.chain, cells)) for cells in self.cells]
+        self.top = len(self.cells) - 1
+
+    def generators(self, k):
+        return self.cells[k] if 0 <= k <= self.top else []
+
+    def terms(self, cell):
+        return self._terms.get(cell, [])
+
+    def chain(self, cell):
+        return cell
+
+
+def _check_morse_report_on_chains(a, max_dim, ring):
+    """hpa morse with the default matching, on an algebra whose classes all
+    shell, walks on chains; its report must be that of the complex built
+    from the cells, the reference pairs and the sum over gradient paths."""
+    x = build_realization(a, max_dim=max_dim)
+    pairs = reference_bh_pairs(a, x)
+    ref = _ReferenceMorse(x, pairs)
+    d2 = reference_d_squared(ref)
+    below = x.max_dim if x.truncated else float('inf')
+    quasi_iso = all(
+        {i: g for i, g in tor_via_resolution(a, ref, v, w, ring).items()
+         if i < below} ==
+        {i: g for i, g in tor_via_intervals(a, v, w, ring).items()
+         if i < below}
+        for v in a.quiver.vertices for w in a.quiver.vertices)
+    terms = [t for k in range(1, ref.top + 1) for cell in ref.generators(k)
+             for t in ref.terms(cell)]
+    minimal = linear = None
+    if not x.truncated:
+        minimal = not any(a.is_trivial(l) and a.is_trivial(r)
+                          for _, l, _, r in terms)
+        if a.graded:
+            linear = all(a.length(l) + a.length(r) == 1
+                         for _, l, _, r in terms)
+    argv = ['morse', '--ring', 'Z' if ring == RING_Z else 'Fp:2']
+    if max_dim is not None:
+        argv += ['--max-dim', str(max_dim)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / 'a.quiver', Path(tmp) / 'morse.json'
+        path.write_text(emit_quiver(a.quiver, a.relations))
+        assert main(argv + [str(path), '--out', str(out)]) == 0
+        got = json.loads(out.read_text())
+    assert got['matching'] == {'strategy': 'babson-hersh',
+                               'pairs': len(pairs)}
+    assert got['criticals'] == [len(cs) for cs in ref.cells]
+    assert (got['d_squared']['ok'], got['d_squared']['checked']) == \
+        (d2.ok, d2.checked) == (True, d2.checked)
+    assert got['quasi_iso']['ok'] is quasi_iso is True
+    assert (got['minimal'], got['linear']) == (minimal, linear)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)),
+       st.sampled_from([RING_Z, ring_fp(2)]))
+def test_morse_report_on_chains_matches_the_reference(a, max_dim, ring):
+    if check_hpa(a).ok and all(
+            reference_lex_shelling(a, p) is not None
+            for p in range(len(a.classes)) if not a.is_trivial(p)):
+        _check_morse_report_on_chains(a, max_dim, ring)
+
+
+@pytest.mark.parametrize('name', ['p2', 'f3', 'p113', 'a3a3', 'ungraded'])
+def test_morse_report_on_chains_matches_the_reference_on_fixtures(request,
+                                                                 name):
+    a = request.getfixturevalue(name)
+    top = build_realization(a).max_dim
+    for max_dim in (None, *range(top)):
+        for ring in (RING_Z, ring_fp(2)):
+            _check_morse_report_on_chains(a, max_dim, ring)

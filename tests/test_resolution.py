@@ -153,7 +153,7 @@ def test_morse_d_squared_matches_the_reference(a, max_dim, data):
         return
     c = cellular_resolution(a, build_realization(a, max_dim=max_dim))
     for build in (babson_hersh_matching, greedy_internal_matching):
-        mc = morse_complex(c, build(a, complex_=c.complex))
+        mc = morse_complex(build(a, complex_=c.complex))
         got = verify_d_squared(mc)
         assert got.ok and _same_report(got, reference_d_squared(mc))
         cells = [cell for k in range(1, mc.top + 1)
@@ -178,8 +178,7 @@ def test_one_walk_reads_each_dimension_once(p113, monkeypatch):
     for max_dim in (None, 2, 1, 0):
         c = cellular_resolution(p113, build_realization(p113,
                                                         max_dim=max_dim))
-        mc = morse_complex(c, babson_hersh_matching(p113,
-                                                    complex_=c.complex))
+        mc = morse_complex(babson_hersh_matching(p113, complex_=c.complex))
         check_resolution(c)
         assert calls == list(range(1, c.top + 1))
         calls.clear()
