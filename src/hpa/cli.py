@@ -16,9 +16,11 @@ the package root.  Each `cmd_*` function imports the layers it runs, so a
 process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
 modules, `homology` those and the realization and linear algebra, but
-neither `morse` nor `resolution`, and `morse` builds the realization only
-for a greedy or file matching or a class that does not shell.  A layer
-imported by name at the top of this module would be loaded by every
+neither `morse` nor `resolution`, `koszul` the toric layer only for an
+algebra built from weight data, which a quiver file never is, and `morse`
+builds the realization only for a greedy or file matching or a class that
+does not shell; elsewhere it walks realization.partner on chains.  A
+layer imported by name at the top of this module would be loaded by every
 subcommand.  Importing this module registers every layer not yet imported
 as a lazy module (`LAYERS`), which runs its code on first attribute
 access, so that in-process tools that look layers up in sys.modules, such

@@ -96,7 +96,7 @@ def tor_table(a, ring=RING_Z):
                 maximal_chains(a, a.trivial_class[c.tail], c.id), ring)
             summands = [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
         else:
-            summands = [(len(ch) + 1, 1, []) for ch, rj in shelling
+            summands = [(len(ch) + 1, 1, []) for ch, rj in shelling.items()
                         if len(rj) == len(ch)]
         cur = acc.setdefault((c.tail, c.head), {})
         for i, rank, tors in summands:
@@ -229,21 +229,22 @@ def koszul_check(a):
     """Sufficient-condition Koszulity verdict.
 
     Tried in order: (i) a directable toric presentation (when the algebra
-    was built from weight data), (ii) every interval shellable: a single
-    maximal chain, an antichain, or EL-shellable under some candidate
-    labeling, (iii) the lexicographic Morse complex is minimal, in which
-    case linearity decides outright.
+    was built from weight data, the only case that loads the toric layer),
+    (ii) every interval shellable: a single maximal chain, an antichain, or
+    EL-shellable under some candidate labeling, (iii) the lexicographic
+    Morse complex is minimal, in which case linearity decides outright.
     """
-    from .toric import check_directable
-
     require_cancellative(a)
     if not a.graded:
         raise ValueError("koszul_check requires a length-graded algebra")
 
-    try:
-        res = check_directable(a)
-    except ValueError:  # not built from weight data, or nonlinear arrows
-        res = None
+    res = None
+    if getattr(a, 'toric_monomials', None) is not None:
+        from .toric import check_directable
+        try:
+            res = check_directable(a)
+        except ValueError:  # an arrow that is not a single variable
+            pass
     if res and res.order:
         return KoszulVerdict('koszul-certified', 'directable',
                              {'variable_order': res.order,

@@ -22,10 +22,10 @@ where a class does not shell); its reports follow the chains of the cells.
 import json
 from collections import deque
 
-from . import UsageError
+from . import UsageError, realization
 from .algebra import Report, require_cancellative
-from .realization import (MatchingError, _Gradient, build_realization,
-                          cell_counts, gradient_terms, lex_shelling)
+from .realization import (MatchingError, build_realization, cell_counts,
+                          critical_chains, gradient_terms, lex_shelling)
 
 
 class MatchingFileError(UsageError):
@@ -212,15 +212,17 @@ def babson_hersh_complex(a, max_dim=None):
     """The Morse complex of the Babson-Hersh matching of the realization of
     `a` capped at max_dim (a bottom at the cap whose top lies above it
     stays critical), with no CellComplex; None when the order of some class
-    is not a shelling.  _Gradient.criticals checks the Euler
-    characteristic of the critical cells against the cell counts."""
+    is not a shelling.  critical_chains checks the Euler characteristic of
+    the critical cells against the cell counts.  The partner rule is looked
+    up on the realization module at each call."""
     if any(lex_shelling(a, p) is None for p in range(len(a.classes))
            if not a.is_trivial(p)):
         return None
-    counts, truncated = cell_counts(a, max_dim)
-    grad = _Gradient(a, len(counts) - 1)
-    return MorseComplex(a, grad.criticals(counts), grad.partner, counts,
-                        truncated)
+    whole = cell_counts(a)
+    counts = whole[:len(whole) if max_dim is None else max_dim + 1]
+    return MorseComplex(a, critical_chains(a, len(counts) - 1, counts),
+                        lambda c: realization.partner(a, c), counts,
+                        len(counts) < len(whole))
 
 
 def morse_complex(m):
@@ -348,7 +350,7 @@ def _augment(x, pairs):
 
 def babson_hersh_matching(a, complex_=None):
     """Lexicographic interval matching of the cells of a CellComplex: each
-    cell paired as _Gradient.partner reads it off the shellings, and the
+    cell paired as realization.partner reads it off the shellings, and the
     cells of a class that its order does not shell matched by greedy
     coreduction, then grown by _augment.  A truncated complex keeps the
     pairs whose top it holds, still an acyclic matching of it.
@@ -357,21 +359,19 @@ def babson_hersh_matching(a, complex_=None):
     cells."""
     require_cancellative(a)
     x = complex_ if complex_ is not None else build_realization(a)
-    grad, pairs = _Gradient(a, x.max_dim), []
+    pairs, shelled = [], True
     for p, cells in _cells_by_max(x).items():
-        if grad.facets(p) is None:
+        if lex_shelling(a, p) is None:
             pairs += _greedy_on_cells(x, cells)
+            shelled = False
             continue
         for b in cells:  # a bottom's top may lie above the cap
-            match = grad.partner(x.chain(b))
+            match = realization.partner(a, x.chain(b))
             if match and (t := x.cell(match[0])) is not None:
                 pairs.append((t, b))
-    fallbacks = [p for p in range(len(a.classes))
-                 if not a.is_trivial(p) and lex_shelling(a, p) is None]
     # greedy leftovers may admit further pairs; keep the matching as large
     # as possible so minimality still has a chance
-    m = _augment(x, pairs) if fallbacks else Matching(x, pairs)
-    m.fallback_classes = fallbacks
+    m = Matching(x, pairs) if shelled else _augment(x, pairs)
     return m.require_valid()
 
 

@@ -67,29 +67,30 @@ class Quiver:
         return {v: i for i, v in enumerate(order)}
 
     def _find_cycle(self):
-        color = {}
-        stack = []
-
-        def dfs(v):
-            color[v] = 1
-            stack.append(v)
-            for a in self.out[v]:
-                w = a.head
-                if color.get(w, 0) == 1:
-                    return stack[stack.index(w):] + [w]
-                if color.get(w, 0) == 0:
-                    c = dfs(w)
-                    if c:
-                        return c
-            color[v] = 2
-            stack.pop()
-            return None
-
+        """The first oriented cycle that depth-first search meets, from each
+        vertex in declaration order along its arrows in declaration order,
+        as its vertices with the first one repeated at the end; [] if none.
+        The search keeps its own stack, so a long path cannot exhaust the
+        interpreter's."""
+        color = {}  # 1 on the current path, 2 done
         for v in self.vertices:
-            if color.get(v, 0) == 0:
-                c = dfs(v)
-                if c:
-                    return c
+            if v in color:
+                continue
+            color[v] = 1
+            path, stack = [v], [iter(self.out[v])]
+            while stack:
+                for a in stack[-1]:
+                    w = a.head
+                    if color.get(w) == 1:
+                        return path[path.index(w):] + [w]
+                    if w not in color:
+                        color[w] = 1
+                        path.append(w)
+                        stack.append(iter(self.out[w]))
+                        break
+                else:
+                    color[path.pop()] = 2
+                    stack.pop()
         return []
 
     def word(self, tail, labels):

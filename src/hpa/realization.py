@@ -14,8 +14,9 @@ c is the chain of parent[c], its top face, extended by the class last[c].
 `gradient_terms` is the one gradient-flow walk: on chains (tuples of class
 ids), with the coefficients of the cellular resolution, under a partner
 rule, such as the Babson-Hersh matching read off the shellings
-(`_Gradient`).  `realization_homology` builds no CellComplex: it counts the
-cells, lists the critical ones from the shellings and walks from them.
+(`partner`, whose unmatched cells `critical_chains` lists).
+`realization_homology` builds no CellComplex: it counts the cells, lists
+the critical ones from the shellings and walks from them.
 `homology(cells, boundary, ring)` is the one path from a chain complex to
 its homology: that Morse complex, S_v (x) (Morse complex) (x) S_w and the
 complex that an interval's maximal chains generate all reach it as a basis
@@ -204,23 +205,24 @@ def maximal_chains(a, u, w):
 
 
 def lex_shelling(a, p):
-    """The maximal chains F_j of the open interval (e_{t(p)}, p) in
-    lexicographic order of their canonical words (the order of class ids),
-    each with its restriction set R_j = {v : F_j - {v} lies in an earlier
-    facet}; None when that order is not a shelling, that is when the faces
-    of some F_j that no earlier facet holds are not exactly [R_j, F_j] (R_j
-    = empty with the empty face already seen is a disjoint union).  A face
-    of F_j that lacks some v in R_j lies below F_j - {v}, which is seen, so
-    that fails exactly when R_j itself is seen.  The empty interval gives
-    [((), frozenset())].  A face is a bit mask, one bit per element in
-    order of first appearance; `seen` holds every face of the earlier
-    facets.  The result is kept on the algebra, per class."""
+    """{F_j: R_j}: the maximal chains F_j of the open interval (e_{t(p)}, p)
+    in lexicographic order of their canonical words (the order of class
+    ids), each with its restriction set R_j = {v : F_j - {v} lies in an
+    earlier facet}; None when that order is not a shelling, that is when
+    the faces of some F_j that no earlier facet holds are not exactly [R_j,
+    F_j] (R_j = empty with the empty face already seen is a disjoint
+    union).  A face of F_j that lacks some v in R_j lies below F_j - {v},
+    which is seen, so that fails exactly when R_j itself is seen.  The
+    empty interval gives {(): frozenset()}.  A face is a bit mask, one bit
+    per element in order of first appearance; `seen` holds every face of
+    the earlier facets.  The result is kept on the algebra, per class, the
+    one stored form of a shelling."""
     if p in a._shellings:
         return a._shellings[p]
     chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
     bit = {}
     seen = set()
-    out = []
+    out = {}
     for ch in chains:
         bits = [bit.setdefault(v, 1 << len(bit)) for v in ch]
         fj = sum(bits)
@@ -233,7 +235,7 @@ def lex_shelling(a, p):
         for b in bits:
             faces += [s | b for s in faces]
         seen.update(faces)
-        out.append((ch, frozenset(compress(ch, rbits))))
+        out[ch] = frozenset(compress(ch, rbits))
     a._shellings[p] = out
     return out
 
@@ -285,19 +287,16 @@ def euler_characteristic(counts):
     return sum((-1) ** k * n for k, n in enumerate(counts))
 
 
-def cell_counts(a, max_dim=None):
-    """(counts, truncated) of build_realization(a, max_dim), without its
-    cells: the number of k-cells that end at each class is pushed along the
-    quotient rows, a k-cell ending at p giving a (k+1)-cell ending at each
-    q > p, one level per dimension."""
+def cell_counts(a):
+    """The number of cells per dimension of build_realization(a), without
+    its cells: the number of k-cells that end at each class is pushed along
+    the quotient rows, a k-cell ending at p giving a (k+1)-cell ending at
+    each q > p, one level per dimension.  Capped at c, the realization has
+    the first c + 1 of these counts, and is truncated when there are more."""
     require_cancellative(a)
     level = dict.fromkeys(a.trivial_class.values(), 1)
     counts = [len(level)]
-    truncated = False
     while level:
-        if max_dim is not None and len(counts) > max_dim:
-            truncated = any(len(a.quotients(p)) > 1 for p in level)
-            break
         up = {}
         for p, n in level.items():
             for q in a.quotients(p):
@@ -307,103 +306,88 @@ def cell_counts(a, max_dim=None):
         counts.append(sum(up.values()))
     if len(counts) > 1 and not counts[-1]:
         counts.pop()
-    return counts, truncated
+    return counts
 
 
-class _Gradient:
-    """The Babson-Hersh matching of the realization of `a`, capped at
-    dimension `top`, read cell by cell off the lexicographic shellings.
-    A cell (e, *G, p) is a face G of the order complex of the interval (e,
-    p).  Its facet is the first F_j of lex_shelling(a, p) that contains G
-    (by the facets' bit masks), so R_j <= G <= F_j, and its partner is G
-    with t = min(F_j - R_j) toggled, or none when R_j = F_j.  The arrow
-    cell [e < p] of an arrow's class, a bottom whose top lies above the cap
-    and every cell of a class that its order does not shell stay unmatched."""
-
-    def __init__(self, a, top):
-        self.a, self.top = a, top
-        self._facets = {}
-
-    def facets(self, p):
-        """(bit, masks, shelling) for the class p: one bit per element of
-        the interval, the mask of each facet of lex_shelling(a, p) and that
-        shelling; None when its order does not shell."""
-        if p not in self._facets:
-            shelling, bit = lex_shelling(self.a, p), {}
-            self._facets[p] = shelling and (bit, [
-                sum(bit.setdefault(v, 1 << len(bit)) for v in ch)
-                for ch, _ in shelling], shelling)
-        return self._facets[p]
-
-    def criticals(self, counts):
-        """The unmatched cells, as chains, by dimension, each dimension
-        sorted (the id order of build_realization); refused (ValueError)
-        unless they have the Euler characteristic of the cell counts."""
-        a, top = self.a, self.top
-        out = [[] for _ in range(top + 1)]
-        out[0] = [(e,) for e in sorted(a.trivial_class.values())]
-        for p in range(len(a.classes)):
-            if a.is_trivial(p) or not top:
+def critical_chains(a, top, counts):
+    """The cells of the realization of `a` capped at dimension `top` that
+    `partner` leaves unmatched, as chains, by dimension, each dimension
+    sorted (the id order of build_realization): a bottom at the cap whose
+    top lies above it counts.  Refused (ValueError) unless they have the
+    Euler characteristic of the cell counts `counts`."""
+    out = [[] for _ in range(top + 1)]
+    out[0] = [(e,) for e in sorted(a.trivial_class.values())]
+    for p in range(len(a.classes)):
+        if a.is_trivial(p) or not top:
+            continue
+        e = a.trivial_class[a.tail(p)]
+        shelling = lex_shelling(a, p)
+        if shelling is None:  # every chain of the interval
+            for g in {g for ch in maximal_chains(a, e, p)
+                      for k in range(min(len(ch), top - 1) + 1)
+                      for g in combinations(ch, k)}:
+                out[len(g) + 1].append((e, *g, p))
+            continue
+        arrow = 1 in a.classes[p].lengths
+        for ch, rj in shelling.items():
+            t = min(set(ch) - rj, default=None)
+            if t is None:  # R_j = F_j
+                if len(ch) < top:
+                    out[len(ch) + 1].append((e, *ch, p))
                 continue
-            e = a.trivial_class[a.tail(p)]
-            shelling = lex_shelling(a, p)
-            if shelling is None:  # every chain of the interval
-                for g in {g for ch in maximal_chains(a, e, p)
-                          for k in range(min(len(ch), top - 1) + 1)
-                          for g in combinations(ch, k)}:
-                    out[len(g) + 1].append((e, *g, p))
+            if arrow and not rj:  # [e < p] and [e < t < p]
+                out[1].append((e, p))
+                if top > 1:
+                    out[2].append((e, t, p))
+            # the bottoms at the cap: R_j and `need` free elements, no t
+            need = top - 1 - len(rj)
+            if need < 0 or (arrow and not rj and not need):
                 continue
-            arrow = 1 in a.classes[p].lengths
-            for ch, rj in shelling:
-                t = min(set(ch) - rj, default=None)
-                if t is None:  # R_j = F_j
-                    if len(ch) < top:
-                        out[len(ch) + 1].append((e, *ch, p))
-                    continue
-                if arrow and not rj:  # [e < p] and [e < t < p]
-                    out[1].append((e, p))
-                    if top > 1:
-                        out[2].append((e, t, p))
-                # the bottoms at the cap: R_j and `need` free elements, no t
-                need = top - 1 - len(rj)
-                if need < 0 or (arrow and not rj and not need):
-                    continue
-                free = [v for v in ch if v != t and v not in rj]
-                for s in combinations(free, need):
-                    g = rj.union(s)
-                    out[top].append((e, *(v for v in ch if v in g), p))
-        for cells in out:
-            cells.sort()
-        found = [len(cs) for cs in out]
-        if euler_characteristic(found) != euler_characteristic(counts):
-            raise ValueError(f"critical cells {found} do not have the Euler "
-                             f"characteristic of the cells {counts}")
-        return out
+            free = [v for v in ch if v != t and v not in rj]
+            for s in combinations(free, need):
+                g = rj.union(s)
+                out[top].append((e, *(v for v in ch if v in g), p))
+    for cells in out:
+        cells.sort()
+    found = [len(cs) for cs in out]
+    if euler_characteristic(found) != euler_characteristic(counts):
+        raise ValueError(f"critical cells {found} do not have the Euler "
+                         f"characteristic of the cells {counts}")
+    return out
 
-    def partner(self, c):
-        """None when the cell c (a chain) is unmatched, () when it is
-        matched with a face, else (its top, the place of c among the faces
-        of the top), which may lie above the cap when c lies at it."""
-        p = c[-1]
-        table = len(c) > 1 and self.facets(p)
-        if not table:
-            return None
-        bit, masks, shelling = table
-        mask = 0
-        for v in c[1:-1]:
-            mask |= bit[v]
-        ch, rj = shelling[next(j for j, m in enumerate(masks)
-                               if mask & m == mask)]
-        t = min(set(ch) - rj, default=None)
-        if t is None:
-            return None
-        tb = bit[t]
-        if not rj and mask in (0, tb) and 1 in self.a.classes[p].lengths:
-            return None
-        if mask & tb:
-            return ()
-        inner = tuple(v for v in ch if bit[v] & (mask | tb))
-        return (c[0], *inner, p), inner.index(t) + 1
+
+def partner(a, c):
+    """The Babson-Hersh partner of the cell c = (e, *G, p), a chain, read
+    off lex_shelling(a, p): None when c is unmatched, () when it is matched
+    with a face, else (its top, the place of c among the faces of the top),
+    which may lie above a cap that c lies at.  The facet F_j of G is the
+    first maximal chain through G in lexicographic order: from e, the least
+    cover that lies below the next element of G, or below p, step by step.
+    So R_j <= G <= F_j, and the partner is G with t = min(F_j - R_j)
+    toggled, or none when R_j = F_j.  The arrow cell [e < p] of an arrow's
+    class and every cell of a class that its order does not shell stay
+    unmatched."""
+    p = c[-1]
+    shelling = len(c) > 1 and lex_shelling(a, p)
+    if not shelling:
+        return None
+    z, ch = c[0], []
+    for q in c[1:]:
+        while z != q:
+            for z in a.covers(z):  # the least cover of z below q
+                if q in a.quotients(z):
+                    break
+            ch.append(z)
+    ch = tuple(ch[:-1])
+    rj, g = shelling[ch], c[1:-1]
+    t = min(set(ch) - rj, default=None)
+    if t is None or (not rj and g in ((), (t,)) and
+                     1 in a.classes[p].lengths):
+        return None
+    if t in g:
+        return ()
+    inner = tuple(v for v in ch if v == t or v in g)
+    return (c[0], *inner, p), inner.index(t) + 1
 
 
 def _terms(a, c):
@@ -423,22 +407,23 @@ def _terms(a, c):
 
 def realization_homology(a, ring=RING_Z, max_dim=None):
     """(homology, counts, truncated) of the realization of `a` capped at
-    max_dim, with no CellComplex: counts and truncated as cell_counts gives
-    them, and the homology of the degrees below a cap that truncates (which
-    the cap determines), (0, []) where it has no group.  It is that of the
-    Morse complex of the Babson-Hersh matching of the whole realization
-    (_Gradient), coefficients forgotten, walked up to the cap.  Backing it:
-    lex_shelling checks each shelling, the Euler check of the critical
-    cells, the walk's refusal of a cycle, and d^2 = 0 in `homology`."""
-    counts, truncated = cell_counts(a, max_dim)
+    max_dim, with no CellComplex: the cell counts below the cap, whether
+    the cap truncates, and the homology of the degrees below a cap that
+    truncates (which the cap determines), (0, []) where it has no group.
+    It is that of the Morse complex of the Babson-Hersh matching of the
+    whole realization (`partner`), coefficients forgotten, walked up to the
+    cap.  Backing it: lex_shelling checks each shelling, the Euler check of
+    the critical cells, the walk's refusal of a cycle, and d^2 = 0 in
+    `homology`."""
+    whole = cell_counts(a)
+    counts = whole[:len(whole) if max_dim is None else max_dim + 1]
+    truncated = len(counts) < len(whole)
     if truncated and not max_dim:  # no degree to report, nothing to shell
         return {}, counts, truncated
-    whole = cell_counts(a)[0] if truncated else counts
-    grad = _Gradient(a, len(whole) - 1)
-    critical = grad.criticals(whole)[:len(counts)]
+    critical = critical_chains(a, len(whole) - 1, whole)[:len(counts)]
     while len(critical) > 1 and not critical[-1]:
         critical.pop()
-    terms = gradient_terms(a, critical, grad.partner)
+    terms = gradient_terms(a, critical, lambda c: partner(a, c))
     h = homology(critical, lambda tau: [
         (cf, tgt) for cf, _, tgt, _ in terms[tau]], ring)
     return ({k: h.get(k, (0, [])) for k in range(len(counts) - truncated)},

@@ -372,7 +372,6 @@ def build_toric_hpa(w, degrees):
     require_cancellative(a)
 
     a.toric_weights = w
-    a.toric_degrees = degrees
     a.toric_monomials = label_monomial
     return a
 

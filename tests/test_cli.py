@@ -90,6 +90,31 @@ def test_cyclic_quiver_is_input_error(capsys, tmp_path):
         "error: line 3: quiver has an oriented cycle: a -> b -> a\n")
 
 
+def test_long_cyclic_quiver_is_input_error(capsys, tmp_path):
+    # a path of 1,500 vertices closed by one back arrow: the cycle search
+    # keeps its own stack, so the cycle is named, not a RecursionError
+    n = 1500
+    vs = [f"v{i}" for i in range(n)]
+    p = tmp_path / 'long_cycle.quiver'
+    p.write_text(f"vertices: {' '.join(vs)}\narrows:\n" + ''.join(
+        f"  x{i}: {vs[i]} -> {vs[(i + 1) % n]}\n" for i in range(n)))
+    assert main(['check', str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: quiver has an oriented cycle: " +
+        ' -> '.join(vs + vs[:1]) + "\n")
+
+
+def test_cycle_search_backtracks_from_a_dead_end(capsys, tmp_path):
+    # from a the search first walks to the sink b and back, then finds
+    # a -> c -> a, named at the line of its first declared arrow, y
+    p = tmp_path / 'cyclic.quiver'
+    p.write_text("vertices: a b c\narrows:\n  x: a -> b\n  y: a -> c\n"
+                 "  z: c -> a\n")
+    assert main(['check', str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 4: quiver has an oriented cycle: a -> c -> a\n")
+
+
 def test_bad_ring_rejected():
     with pytest.raises(SystemExit) as e:
         main(['homology', P2, '--ring', 'F4'])
@@ -712,17 +737,18 @@ def test_homology_refuses_a_gradient_path_that_closes_a_cycle(monkeypatch,
     t = chain('', 'x3@d(0,0)', 'x3@d(0,0) x1^2*x2',
               'x3@d(0,0) x1*x2*x3 x1@d(3,1)')
     f = t[:2] + t[3:]
-    partner = realization._Gradient.partner
-    grad = realization._Gradient(a, 4)
-    assert (partner(grad, s), partner(grad, f)) == ((t, 1), ())
-    monkeypatch.setattr(realization._Gradient, 'partner', lambda self, c: (
-        (t, 2) if c == f else partner(self, c)))
-    assert main(['homology', F3]) == 1
-    out, err = capsys.readouterr()
+    partner = realization.partner
+    assert (partner(a, s), partner(a, f)) == ((t, 1), ())
+    monkeypatch.setattr(realization, 'partner', lambda a, c: (
+        (t, 2) if c == f else partner(a, c)))
     names = [realization.format_chain(a, c) for c in (s, t, f, t, s)]
-    assert out == ''
-    assert err == ('error: gradient path closes a cycle: ' +
-                   ' -> '.join(names) + '\n')
+    # the patched rule reaches both walks on chains
+    for command in ('homology', 'morse'):
+        assert main([command, F3]) == 1
+        out, err = capsys.readouterr()
+        assert out == ''
+        assert err == ('error: gradient path closes a cycle: ' +
+                       ' -> '.join(names) + '\n')
 
 
 def test_homology_refuses_cell_counts_off_by_one(monkeypatch, capsys):
@@ -730,9 +756,9 @@ def test_homology_refuses_cell_counts_off_by_one(monkeypatch, capsys):
     from hpa import realization
     counts = realization.cell_counts
 
-    def off_by_one(a, max_dim=None):
-        c, truncated = counts(a, max_dim)
-        return [c[0], c[1] + 1, *c[2:]], truncated
+    def off_by_one(a):
+        c = counts(a)
+        return [c[0], c[1] + 1, *c[2:]]
     monkeypatch.setattr(realization, 'cell_counts', off_by_one)
     assert main(['homology', P2]) == 1
     out, err = capsys.readouterr()
@@ -755,8 +781,9 @@ _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
     (['homology', P2], {'resolution', 'morse', 'invariants', 'toric'}),
     (['resolve', P2], {'morse', 'toric', 'invariants'}),
     (['betti', P2], {'morse', 'toric', 'resolution'}),
+    (['koszul', P2], {'toric', 'morse', 'resolution'}),
 ], ids=['version', 'check', 'tensor', 'toric', 'realize', 'homology',
-        'resolve', 'betti'])
+        'resolve', 'betti', 'koszul'])
 def test_subcommand_loads_only_its_layers(argv, absent):
     # a fresh interpreter runs cli.main, then lists the hpa modules whose
     # code has run; a layer registered by cli.LAYERS but never used is still

@@ -28,8 +28,9 @@ from conftest import (BENCHMARK_INPUTS, FIXTURES, Mutant, algebras,
                       matching_to_json, morse_homology, reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
                       reference_d_squared, reference_lex_shelling,
-                      reference_morse_terms, tensor_simples,
-                      tor_via_intervals, tor_via_resolution, words_by_class)
+                      reference_morse_terms, reference_partner,
+                      tensor_simples, tor_via_intervals, tor_via_resolution,
+                      unshelled_classes, words_by_class)
 
 
 def _cell(x, tail, *label_seqs):
@@ -142,7 +143,7 @@ def test_matching_refuses_unknown_cells_and_bottoms_that_are_no_facets(p2):
 def test_babson_hersh_p2_criticals(p2):
     m = babson_hersh_matching(p2)
     x = m.complex
-    assert not m.fallback_classes
+    assert not unshelled_classes(p2)
     crit = critical_cells(m)
     assert [len(cs) for cs in crit] == [3, 6, 3]
     # critical 1-cells are exactly the arrow cells
@@ -175,7 +176,7 @@ def test_babson_hersh_fallback_on_a_truncated_complex(f1):
     for max_dim in range(3):
         m = babson_hersh_matching(f1, complex_=build_realization(
             f1, max_dim=max_dim))
-        assert m.fallback_classes and m.internal.ok and m.acyclic.ok
+        assert unshelled_classes(f1) and m.internal.ok and m.acyclic.ok
 
 
 def test_babson_hersh_p2_morse_complex(p2):
@@ -300,7 +301,7 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
     else:
         m = build(a, complex_=x)
     assert x.truncated == (max_dim is not None)
-    assert bool(getattr(m, 'fallback_classes', None)) == (name == 'f1')
+    assert bool(unshelled_classes(a)) == (name == 'f1')
     c = BimoduleComplex(a, x)
     mc = morse_complex(m)
     critical = [x.cell(tau) for k in range(1, mc.top + 1)
@@ -324,12 +325,12 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
 
 def _walk_with_partner(monkeypatch, a, rule):
     """babson_hersh_complex(a), its walk reading rule(partner, c) in place
-    of the partner rule partner(c) of the shellings (_Gradient.partner).
+    of the partner rule partner(c) of the shellings (realization.partner).
     The true rule is accepted."""
-    partner = realization._Gradient.partner
+    partner = realization.partner
     babson_hersh_complex(a)
-    monkeypatch.setattr(realization._Gradient, 'partner',
-                        lambda self, c: rule(partner.__get__(self), c))
+    monkeypatch.setattr(realization, 'partner',
+                        lambda a, c: rule(lambda c: partner(a, c), c))
     return babson_hersh_complex(a)
 
 
@@ -443,15 +444,16 @@ def _check_shellings_and_pairs(a, x):
     for p in range(len(a.classes)):
         if not a.is_trivial(p):
             ref = reference_lex_shelling(a, p)
-            assert lex_shelling(a, p) == ref
+            got = lex_shelling(a, p)
+            assert (got if got is None else list(got.items())) == ref
             shelled &= ref is not None
     ref = reference_bh_pairs(a, x)
     assert sorted(ref) == sorted(reference_bh_pairs_by_sets(a, x))
     # internal and acyclic on ungraded algebras too
     m = babson_hersh_matching(a, complex_=x)
     pairs = [tuple(map(x.chain, pr)) for pr in m.pairs]
-    assert bool(m.fallback_classes) == (not shelled)
-    if m.fallback_classes:
+    assert bool(unshelled_classes(a)) == (not shelled)
+    if not shelled:
         # coreduction and augmentation add pairs for the other classes
         assert set(ref) <= set(pairs)
     else:
@@ -474,10 +476,31 @@ def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     x = build_realization(a)
     m = _check_shellings_and_pairs(a, x)
     # F1 has the one interval that its lexicographic order does not shell
-    assert bool(m.fallback_classes) == (name == 'f1')
-    assert all(lex_shelling(a, p) is None for p in m.fallback_classes)
+    assert bool(unshelled_classes(a)) == (name == 'f1')
     for max_dim in range(max(4, x.max_dim)):
         _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
+
+
+def _check_partner(a, x):
+    """realization.partner against the scan of the facet masks on every
+    cell of x."""
+    for cell in range(len(x.last)):
+        c = x.chain(cell)
+        assert realization.partner(a, c) == reference_partner(a, c), c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_partner_matches_the_scan_of_the_facets(a, max_dim):
+    if check_hpa(a).ok:
+        _check_partner(a, build_realization(a, max_dim=max_dim))
+
+
+@pytest.mark.parametrize('name', ['p2', 'f3', 'f1', 'p113', 'ungraded'])
+def test_partner_matches_the_scan_of_the_facets_on_fixtures(request, name):
+    a = request.getfixturevalue(name)
+    _check_partner(a, build_realization(a))
 
 
 def _random_internal_matching(x, rng):
@@ -573,7 +596,7 @@ def test_babson_hersh_pairs_match_the_reference_on_benchmark_inputs(name):
     a = load_algebra(f'{name}.quiver', BENCHMARK_INPUTS)
     x = build_realization(a)
     m = babson_hersh_matching(a, complex_=x)
-    assert not m.fallback_classes
+    assert not unshelled_classes(a)
     assert sorted(tuple(map(x.chain, pr)) for pr in m.pairs) == \
         sorted(reference_bh_pairs(a, x))
 
