@@ -5,7 +5,8 @@ library pipelines and writes a JSON report -- except `toric`/`tensor` in
 quiver-emitting mode, which write the DSL text itself.  Reports carry no
 timestamps and are emitted with sorted keys, so identical input and flags
 give byte-identical output.  Each report is validated against the schema of
-the same name shipped under hpa/schemas/ before it is written.
+the same name shipped under hpa/schemas/, then streamed to stdout or to the
+--out file (UTF-8), which is opened only once the report has passed.
 
 Exit codes: 0 success, 1 mathematical failure (axiom violation, rejected
 matching, failed verification), 2 usage or I/O errors.  Every subcommand
@@ -15,12 +16,14 @@ Import rule: at the top, this module imports only the standard library and
 the package root.  Each `cmd_*` function imports the layers it runs, so a
 process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
-modules, `homology` those and the realization and linear algebra, but
-neither `morse` nor `resolution`, `koszul` the toric layer only for an
-algebra built from weight data, which a quiver file never is, and `morse`
-builds the realization only for a greedy or file matching or a class that
-does not shell; elsewhere it walks realization.partner on chains.  A
-layer imported by name at the top of this module would be loaded by every
+modules, `realize` those and the realization, `resolve` also resolution,
+and `homology` the realization and linear algebra.  Only what eliminates
+loads the linear algebra, and only the toric layer loads `fractions`: it
+is loaded by `toric`, and by `koszul` only for an algebra built from
+weight data, which a quiver file never is.  `morse` builds the
+realization only for a greedy or file matching or a class that does not
+shell; elsewhere it walks realization.partner on chains.  A layer
+imported by name at the top of this module would be loaded by every
 subcommand.  Importing this module registers every layer not yet imported
 as a lazy module (`LAYERS`), which runs its code on first attribute
 access, so that in-process tools that look layers up in sys.modules, such
@@ -28,6 +31,7 @@ as the tracer of perfbench/, find them all.
 """
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import os
@@ -70,21 +74,26 @@ def _schema(command):
 
 
 def _emit(args, command, payload, code=0):
+    # validate the payload itself, then stream it: a bad report writes nothing
     from .schema import validate
     payload = {'header': _header(command), **payload}
-    text = json.dumps(payload, indent=1, sort_keys=True) + '\n'
-    # validate the serialized form (tuples become arrays there)
-    validate(json.loads(text), _schema(command))
-    _write(args, text)
+    validate(payload, _schema(command))
+    with _output(args) as out:
+        json.dump(payload, out, indent=1, sort_keys=True)
+        out.write('\n')
     return code
 
 
 def _write(args, text):
+    with _output(args) as out:
+        out.write(text)
+
+
+def _output(args):
+    """The --out file, written as UTF-8 whatever the locale, or stdout."""
     if getattr(args, 'out', None):
-        with open(args.out, 'w') as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(args.out, 'w', encoding='utf-8')
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _load(path):
@@ -169,7 +178,8 @@ def cmd_morse(args):
     from .invariants import nonzero_groups, tor_table
     from .morse import (babson_hersh_complex, check_linear, check_minimal,
                         morse_complex)
-    from .realization import build_realization, homology
+    from .linalg import homology
+    from .realization import build_realization
     from .resolution import simple_tensor_complex, verify_d_squared
     a = _load_hpa(args.input)
     # bh where every class shells: on chains, no pair to check (hpa.morse);

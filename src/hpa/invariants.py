@@ -20,8 +20,8 @@ from itertools import combinations
 
 from . import RING_Z
 from .algebra import require_cancellative
-from .realization import (format_chain, homology, lex_shelling,
-                          maximal_chains)
+from .linalg import homology
+from .realization import format_chain, lex_shelling, maximal_chains
 
 
 class OrderComplex:

@@ -1,14 +1,16 @@
-"""Exact integer/rational linear algebra: sparse elimination for homology
-ranks and torsion, invariant factors of the small dense core it leaves,
-integer solves and kernels through a column echelon form, and a small
-rational simplex for feasibility questions.
+"""Exact integer linear algebra: the homology of a chain complex given as
+a basis per degree and a boundary rule, by sparse elimination for ranks
+and torsion and the invariant factors of the small dense core it leaves,
+and integer solves and kernels through a column echelon form.
 
-Everything here is exact (Python ints / fractions.Fraction); no floats.
+Everything here is Python ints; no fractions, no floats.  Only what
+eliminates loads this module.
 """
 
-from fractions import Fraction
 import heapq
 import math
+
+from . import RING_Z
 
 
 def _swap_rows(M, i, j):
@@ -37,15 +39,6 @@ class SparseMat:
 
     def nnz(self):
         return len(self.entries)
-
-
-def accumulate(acc, key, v):
-    """acc[key] += v on a sparse dict, dropping the entry when it cancels."""
-    nv = acc.get(key, 0) + v
-    if nv:
-        acc[key] = nv
-    else:
-        acc.pop(key, None)
 
 
 def _elim_state(mat, p=None):
@@ -221,6 +214,50 @@ def modp_rank(mat, p):
     return _eliminate_units(rows, cols, p)
 
 
+def homology(cells, boundary, ring=RING_Z):
+    """{k: (rank, torsion list)} of the complex with basis cells[k] in
+    degree k, trailing empty degrees dropped; boundary(cell) returns
+    (coefficient, face) pairs, each face a cell of the degree below.  Each
+    d_k is built once, checked against d_{k-1} (raising on d^2 != 0 at the
+    first degree where the product is nonzero) and eliminated once."""
+    kind = ring[0]
+    if kind not in ('Z', 'Q', 'Fp'):
+        raise ValueError(f"unknown ring {ring!r}")
+    cells = list(cells)
+    while len(cells) > 1 and not cells[-1]:
+        cells.pop()
+    # rank[k] and torsion[k] of d_k: C_k -> C_{k-1}
+    rank = [0] * (len(cells) + 1)
+    torsion = [[] for _ in rank]
+    d = SparseMat()  # d_0 = 0
+    for k in range(1, len(cells)):
+        column = {}  # the entries of d_{k-1}, by column
+        for (i, j), v in d.entries.items():
+            column.setdefault(j, []).append((i, v))
+        index = {cell: i for i, cell in enumerate(cells[k - 1])}
+        entries = {}
+        for j, cell in enumerate(cells[k]):
+            for coef, face in boundary(cell):
+                key = index[face], j
+                entries[key] = entries.get(key, 0) + coef
+        d = SparseMat((key, v) for key, v in entries.items() if v)
+        product = {}
+        for (i, j), v in d.entries.items():
+            for r, w in column.get(i, ()):
+                product[r, j] = product.get((r, j), 0) + v * w
+        if any(product.values()):
+            raise ValueError(f"d^2 != 0 at degree {k}")
+        if kind == 'Fp':
+            rank[k] = modp_rank(d, ring[1])
+        else:
+            facs = invariant_factors(d)
+            rank[k] = len(facs)
+            if kind == 'Z':
+                torsion[k] = [f for f in facs if f > 1]
+    return {k: (len(cs) - rank[k] - rank[k + 1], torsion[k + 1])
+            for k, cs in enumerate(cells)}
+
+
 # ---------------------------------------------------------------------------
 # Integer linear systems (via column echelon form)
 
@@ -277,97 +314,3 @@ def integer_kernel_basis(M):
     lattice."""
     cols, pivots = _column_echelon(M)
     return [col[len(M):] for col in cols[len(pivots):]]
-
-
-# ---------------------------------------------------------------------------
-# Exact rational simplex (maximize c.x, A x = b, x >= 0)
-#
-# Two-phase tableau simplex with Bland's rule; all data Fraction, so it
-# terminates and is exact.  Problem sizes here are tiny (toric feasibility
-# questions in <= a dozen variables).
-
-
-def lp_maximize(c, A, b):
-    """Return (status, value, x) for max c.x s.t. A x = b, x >= 0.
-
-    status is 'optimal', 'infeasible' or 'unbounded'; on 'optimal', value is a
-    Fraction and x a list of Fractions.
-    """
-    m = len(A)
-    n = len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # tableau columns: n real vars + m artificials | rhs
-    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-         + [b[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-
-    def pivot(T, basis, row, col):
-        pr = T[row]
-        pv = pr[col]
-        T[row] = [v / pv for v in pr]
-        pr = T[row]
-        for i in range(len(T)):
-            if i != row and T[i][col]:
-                f = T[i][col]
-                T[i] = [a - f * bv for a, bv in zip(T[i], pr)]
-        basis[row] = col
-
-    def run(T, basis, obj, ncols):
-        # obj: coefficient per column (maximize); returns False if unbounded
-        while True:
-            # reduced costs: z_j - c_j with current basis
-            lam = [obj[basis[i]] for i in range(m)]
-            entering = None
-            for j in range(ncols):
-                if j in basis:
-                    continue
-                red = obj[j] - sum(lam[i] * T[i][j] for i in range(m))
-                if red > 0:
-                    entering = j
-                    break  # Bland: first improving index
-            if entering is None:
-                return True
-            leaving = None
-            best = None
-            for i in range(m):
-                if T[i][entering] > 0:
-                    ratio = T[i][-1] / T[i][entering]
-                    key = (ratio, basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leaving = i
-            if leaving is None:
-                return False
-            pivot(T, basis, leaving, entering)
-
-    # phase 1: maximize -(sum of artificials)
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run(T, basis, obj1, n + m)
-    val1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
-    if val1 != 0:
-        return 'infeasible', None, None
-    # drive remaining artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if T[i][j]:
-                    pivot(T, basis, i, j)
-                    break
-    # rows still basic in an artificial are all-zero constraints; keep them,
-    # the artificial columns are fixed at 0 by never letting them re-enter
-    obj2 = c + [Fraction(-1)] * m  # artificials never improve
-    if not run(T, basis, obj2, n):
-        return 'unbounded', None, None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return 'optimal', value, x

@@ -16,19 +16,16 @@ ids), with the coefficients of the cellular resolution, under a partner
 rule, such as the Babson-Hersh matching read off the shellings
 (`partner`, whose unmatched cells `critical_chains` lists).
 `realization_homology` builds no CellComplex: it counts the cells, lists
-the critical ones from the shellings and walks from them.
-`homology(cells, boundary, ring)` is the one path from a chain complex to
-its homology: that Morse complex, S_v (x) (Morse complex) (x) S_w and the
-complex that an interval's maximal chains generate all reach it as a basis
-per degree and a boundary rule.
+the critical ones from the shellings, walks from them and hands that Morse
+complex to `linalg.homology`, the one path from a chain complex to its
+homology, which it loads only then: nothing else here eliminates.
 """
 
 from bisect import bisect_right
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, groupby, repeat
 
 from . import RING_Z
 from .algebra import require_cancellative
-from .linalg import SparseMat, accumulate, invariant_factors, modp_rank
 
 
 class MatchingError(ValueError):
@@ -42,45 +39,53 @@ class CellComplex:
     Cells are numbered dimension by dimension, taking parents in id order
     and each one's children by increasing class id, so the range cells[k]
     of the k-cells runs in sorted chain order.  Per cell: `parent` (-1 for
-    a vertex cell), `last`, and `children`, {class: child} or None; `vertex`
-    maps each vertex to its cell.  The face table is filled on first use:
-    cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c]."""
+    a vertex cell) and `last`, built a level at a time from the quotient
+    rows; `vertex` maps each vertex to its cell.  The child table and the
+    face table are filled on first use: `children[c]` is {class: child} or
+    None, cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c]."""
 
     def __init__(self, hpa, max_dim=None):
         a = self.hpa = hpa
         last = self.last = sorted(a.trivial_class.values())
         self.vertex = {a.tail(e): c for c, e in enumerate(last)}
         parent = self.parent = [-1] * len(last)
-        children = self.children = [None] * len(last)
         ups = {}  # the classes above each class, by id
         self.cells = [range(len(last))]
         self.truncated = False
         while self.cells[-1]:
             level = self.cells[-1]
-            for p in {last[c] for c in level} - ups.keys():
+            for p in set(last[level.start:]) - ups.keys():
                 ups[p] = sorted(q for q in a.quotients(p) if q != p)
+            rows = list(map(ups.__getitem__, last[level.start:]))
             if max_dim is not None and len(self.cells) > max_dim:
-                self.truncated = any(ups[last[c]] for c in level)
+                self.truncated = any(rows)
                 break
-            for c in level:
-                row, n = ups[last[c]], len(last)
-                if row:
-                    children[c] = dict(zip(row, range(n, n + len(row))))
-                    parent += [c] * len(row)
-                    last += row
+            parent += chain.from_iterable(map(repeat, level, map(len, rows)))
+            last += chain.from_iterable(rows)
             self.cells.append(range(level.stop, len(last)))
-            children += [None] * len(self.cells[-1])
         if len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
         self._starts = [cs.start for cs in self.cells]
         self.names = [_class_name(c) for c in a.classes]
 
     def __getattr__(self, name):
-        # called only while the face table is missing
-        if name not in ('face', 'at', 'first'):
+        # called only while the child table or the face table is missing
+        if name == 'children':
+            self._fill_children()
+        elif name in ('face', 'at', 'first'):
+            self._fill_faces()
+        else:
             raise AttributeError(name)
-        self._fill_faces()
         return getattr(self, name)
+
+    def _fill_children(self):
+        """{class: child} of each cell, None for a leaf: the children of a
+        cell are the run of cells that name it as parent."""
+        last, stop = self.last, len(self.cells[0])
+        children = self.children = [None] * len(last)
+        for up, run in groupby(self.parent[stop:]):
+            start, stop = stop, stop + len(list(run))
+            children[up] = dict(zip(last[start:stop], range(start, stop)))
 
     def _fill_faces(self):
         """All faces, in one pass in id order.  Face k of a k-cell c is
@@ -240,48 +245,6 @@ def lex_shelling(a, p):
     return out
 
 
-def homology(cells, boundary, ring=RING_Z):
-    """{k: (rank, torsion list)} of the complex with basis cells[k] in
-    degree k, trailing empty degrees dropped; boundary(cell) returns
-    (coefficient, face) pairs, each face a cell of the degree below.  Each
-    d_k is built once, checked against d_{k-1} (raising on d^2 != 0 at the
-    first degree where the product is nonzero) and eliminated once."""
-    kind = ring[0]
-    if kind not in ('Z', 'Q', 'Fp'):
-        raise ValueError(f"unknown ring {ring!r}")
-    cells = list(cells)
-    while len(cells) > 1 and not cells[-1]:
-        cells.pop()
-    # rank[k] and torsion[k] of d_k: C_k -> C_{k-1}
-    rank = [0] * (len(cells) + 1)
-    torsion = [[] for _ in rank]
-    d = SparseMat()  # d_0 = 0
-    for k in range(1, len(cells)):
-        column = {}  # the entries of d_{k-1}, by column
-        for (i, j), v in d.entries.items():
-            column.setdefault(j, []).append((i, v))
-        index = {cell: i for i, cell in enumerate(cells[k - 1])}
-        d = SparseMat()
-        for j, cell in enumerate(cells[k]):
-            for coef, face in boundary(cell):
-                accumulate(d.entries, (index[face], j), coef)
-        product = {}
-        for (i, j), v in d.entries.items():
-            for r, w in column.get(i, ()):
-                accumulate(product, (r, j), v * w)
-        if product:
-            raise ValueError(f"d^2 != 0 at degree {k}")
-        if kind == 'Fp':
-            rank[k] = modp_rank(d, ring[1])
-        else:
-            facs = invariant_factors(d)
-            rank[k] = len(facs)
-            if kind == 'Z':
-                torsion[k] = [f for f in facs if f > 1]
-    return {k: (len(cs) - rank[k] - rank[k + 1], torsion[k + 1])
-            for k, cs in enumerate(cells)}
-
-
 def euler_characteristic(counts):
     """The alternating sum of cells (or critical cells) per dimension."""
     return sum((-1) ** k * n for k, n in enumerate(counts))
@@ -415,6 +378,7 @@ def realization_homology(a, ring=RING_Z, max_dim=None):
     cap.  Backing it: lex_shelling checks each shelling, the Euler check of
     the critical cells, the walk's refusal of a cycle, and d^2 = 0 in
     `homology`."""
+    from .linalg import homology
     whole = cell_counts(a)
     counts = whole[:len(whole) if max_dim is None else max_dim + 1]
     truncated = len(counts) < len(whole)
@@ -449,6 +413,15 @@ def gradient_terms(a, critical, partner):
             out[tau] = [(cf, l, tgt, r) for (l, tgt, r), cf in
                         sorted(_compose(a, ts, flow).items())]
     return out
+
+
+def accumulate(acc, key, v):
+    """acc[key] += v on a sparse dict, dropping the entry when it cancels."""
+    nv = acc.get(key, 0) + v
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
 
 
 def _compose(a, ts, flow, i=None):

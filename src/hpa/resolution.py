@@ -14,8 +14,7 @@ dimensions; verify_d_squared decides d^2 = 0 term by term on any complex.
 from itertools import chain
 
 from .algebra import Report, require_cancellative
-from .linalg import accumulate
-from .realization import build_realization
+from .realization import accumulate, build_realization
 
 
 class ResolutionError(ValueError):
@@ -312,7 +311,7 @@ def check_resolution(c):
 def simple_tensor_complex(source):
     """S_v (x) C (x) S_w for a complex with a generators()/terms()/chain()
     interface, as ({(v, w): cells by degree}, boundary) for
-    `realization.homology`: generators grouped in one pass by the tail and
+    `linalg.homology`: generators grouped in one pass by the tail and
     head of their last class (a pair without one is missing, its complex
     empty), terms kept when their two coefficients are trivial."""
     a, top = source.hpa, source.top

@@ -6,7 +6,8 @@ additionalProperties (false only), items, prefixItems, minItems and
 maxItems.  The annotations $schema and title are ignored.  Any other
 keyword raises SchemaError, so a schema edit cannot silently weaken
 validation.  As in jsonschema, `integer` rejects bools and accepts floats
-with an integral value.
+with an integral value.  A tuple counts as an array and a key that is not
+a string is refused, so a payload that passes serializes to one that would.
 """
 
 import re
@@ -20,8 +21,8 @@ class SchemaError(Exception):
     """The schema uses a keyword or type this validator does not implement."""
 
 
-_TYPES = {'object': dict, 'array': list, 'string': str, 'boolean': bool,
-          'null': type(None), 'integer': int}
+_TYPES = {'object': dict, 'array': (list, tuple), 'string': str,
+          'boolean': bool, 'null': type(None), 'integer': int}
 _KEYWORDS = {'type', 'enum', 'oneOf', 'properties', 'patternProperties',
              'additionalProperties', 'required', 'items', 'prefixItems',
              'minItems', 'maxItems', '$schema', 'title'}
@@ -80,7 +81,18 @@ def _matches(v, schema, path):
     return True
 
 
+def _plain(schema):
+    """The exact types whose values pass `schema` at a glance: those of its
+    scalar types when it has no other keyword, else none."""
+    names = _types(schema['type']) if schema.keys() == {'type'} else ()
+    return {_TYPES[n] for n in names if n not in ('object', 'array')}
+
+
 def _check(v, schema, path):
+    if isinstance(v, dict):
+        for k in v:
+            if not isinstance(k, str):
+                _fail(path, f"key {_short(k)} is not a string")
     for key, arg in schema.items():
         if key == 'type':
             for name in _types(arg):
@@ -117,10 +129,13 @@ def _check(v, schema, path):
                 for k in arg:
                     if k not in v:
                         _fail(path, f"missing key {k!r}")
-        elif isinstance(v, list):
+        elif isinstance(v, (list, tuple)):
             if key == 'items':
-                for i in range(len(schema.get('prefixItems', ())), len(v)):
-                    _check(v[i], arg, f"{path}/{i}")
+                start = len(schema.get('prefixItems', ()))
+                # one pass over the items' types; the walk names a bad item
+                if not set(map(type, v[start:])) <= _plain(arg):
+                    for i in range(start, len(v)):
+                        _check(v[i], arg, f"{path}/{i}")
             elif key == 'prefixItems':
                 for i, (item, sub) in enumerate(zip(v, arg)):
                     _check(item, sub, f"{path}/{i}")

@@ -9,9 +9,9 @@ from hpa import RING_Z
 from hpa.algebra import HPA, PathClass, RelationSet, Report, tensor
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
-from hpa.linalg import accumulate
+from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
-from hpa.realization import homology, lex_shelling, maximal_chains
+from hpa.realization import accumulate, lex_shelling, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
 
@@ -43,7 +43,7 @@ def free_algebra(q):
 
 
 def tensor_simples(c, v, w):
-    """(cells, boundary) of S_v (x) c (x) S_w for `realization.homology`:
+    """(cells, boundary) of S_v (x) c (x) S_w for `linalg.homology`:
     the (v, w) block of `resolution.simple_tensor_complex`, or c.top + 1
     empty degrees when no generator of c lies on that pair."""
     blocks, boundary = simple_tensor_complex(c)
@@ -222,7 +222,7 @@ def simplicial_homology(facets, ring=RING_Z):
 
 
 def matrix_complex(*ds):
-    """(cells, boundary) for `realization.homology` of the complex whose
+    """(cells, boundary) for `linalg.homology` of the complex whose
     d_k is the dense matrix ds[k - 1]: cell (k, j) is basis vector j of
     degree k, and the rows of d_k run over the cells of degree k - 1."""
     cells = [[(0, i) for i in range(len(ds[0]))]]
@@ -818,7 +818,7 @@ def reference_homotopy_check(a, c):
 
 def bimodule_chain_complex(c):
     """The underlying chain complex of free k-modules with basis all triples
-    (a, cell, b), as (cells, boundary) for `realization.homology`; used for
+    (a, cell, b), as (cells, boundary) for `linalg.homology`; used for
     augmentation/exactness rank checks."""
     a = c.hpa
 

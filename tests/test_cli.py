@@ -339,6 +339,34 @@ def test_betti_csv(capsys, tmp_path):
     assert len(lines) == 7
 
 
+def test_out_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale open() defaults to ASCII; every --out file is
+    # UTF-8, as the inputs are, and reads back as what it was written from
+    from hpa.algebra import tensor
+    from hpa.dsl import emit_quiver
+    from hpa.invariants import betti_table
+    q = tmp_path / 'q.quiver'
+    q.write_text('vertices: \u00e0 b\narrows:\n  \u00e9: \u00e0 -> b\n',
+                 encoding='utf-8')
+    env = dict(os.environ, LC_ALL='C', PYTHONCOERCECLOCALE='0',
+               PYTHONUTF8='0', PYTHONPATH=str(FIXTURES.parent / 'src'))
+    a = _load(str(q))
+    for argv, name, want in [
+            (['tensor', q, q, '--emit-quiver'], 't.quiver',
+             emit_quiver(tensor(a, a).quiver, tensor(a, a).relations)),
+            (['betti', q], 'b.csv', betti_table(a).to_csv())]:
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, '-m', 'hpa.cli', *map(str, argv), '--out',
+             str(out)], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == want.encode('utf-8')
+        assert '\u00e9' in want or '\u00e0' in want
+    t = _load(str(tmp_path / 't.quiver'))
+    assert [ar.label for ar in t.quiver.arrows] == [
+        ar.label for ar in tensor(a, a).quiver.arrows]
+
+
 def test_koszul_reports(capsys):
     code, data = run_json(capsys, 'koszul', F1)
     assert code == 0
@@ -654,9 +682,9 @@ def test_witness_and_error_texts_name_chains(p2):
 
 def _homology_paths(monkeypatch):
     """Record which homology path cmd_homology takes: each call of
-    realization_homology, and each call of realization.homology with the
+    realization_homology, and each call of linalg.homology with the
     number of cells per degree of the complex it eliminates."""
-    from hpa import realization
+    from hpa import linalg, realization
     calls = []
 
     def realization_homology(*args, fn=realization.realization_homology,
@@ -664,13 +692,13 @@ def _homology_paths(monkeypatch):
         calls.append('realization_homology')
         return fn(*args, **kwargs)
 
-    def homology(cells, *args, fn=realization.homology, **kwargs):
+    def homology(cells, *args, fn=linalg.homology, **kwargs):
         cells = list(cells)
         calls.append(('homology', [len(cs) for cs in cells]))
         return fn(cells, *args, **kwargs)
     monkeypatch.setattr(realization, 'realization_homology',
                         realization_homology)
-    monkeypatch.setattr(realization, 'homology', homology)
+    monkeypatch.setattr(linalg, 'homology', homology)
     return calls
 
 
@@ -769,6 +797,8 @@ def test_homology_refuses_cell_counts_off_by_one(monkeypatch, capsys):
 
 _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
            'toric'}
+# the standard modules of rational arithmetic, which only hpa.toric needs
+_RATIONALS = {'fractions', 'decimal'}
 
 
 @pytest.mark.parametrize('argv, absent', [
@@ -777,17 +807,22 @@ _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
     (['tensor', P2, P2], _LAYERS),
     (['toric', '--weights', str(FIXTURES / 'p2.weights.json')],
      {'realization', 'resolution', 'morse', 'invariants'}),
-    (['realize', P2], {'resolution', 'morse', 'invariants', 'toric'}),
-    (['homology', P2], {'resolution', 'morse', 'invariants', 'toric'}),
-    (['resolve', P2], {'morse', 'toric', 'invariants'}),
+    (['realize', P2], {'linalg', 'resolution', 'morse', 'invariants',
+                       'toric', *_RATIONALS}),
+    (['homology', P2], {'resolution', 'morse', 'invariants', 'toric',
+                        *_RATIONALS}),
+    (['resolve', P2], {'linalg', 'morse', 'toric', 'invariants',
+                       *_RATIONALS}),
+    (['morse', P2], {'toric', *_RATIONALS}),
     (['betti', P2], {'morse', 'toric', 'resolution'}),
     (['koszul', P2], {'toric', 'morse', 'resolution'}),
 ], ids=['version', 'check', 'tensor', 'toric', 'realize', 'homology',
-        'resolve', 'betti', 'koszul'])
+        'resolve', 'morse', 'betti', 'koszul'])
 def test_subcommand_loads_only_its_layers(argv, absent):
     # a fresh interpreter runs cli.main, then lists the hpa modules whose
-    # code has run; a layer registered by cli.LAYERS but never used is still
-    # a lazy module, of a subclass of ModuleType
+    # code has run, and the modules of _RATIONALS it has loaded; a layer
+    # registered by cli.LAYERS but never used is still a lazy module, of a
+    # subclass of ModuleType
     code = ('import contextlib, io, json, sys, types\n'
             'sys.path.insert(0, sys.argv.pop(1))\n'
             'from hpa import cli\n'
@@ -798,7 +833,8 @@ def test_subcommand_loads_only_its_layers(argv, absent):
             '        status = e.code\n'
             'print(json.dumps([status, sorted(\n'
             '    name[4:] for name, m in sys.modules.items()\n'
-            '    if name.startswith("hpa.") and type(m) is types.ModuleType)]))\n')
+            '    if name.startswith("hpa.") and type(m) is types.ModuleType)\n'
+            '    + sorted({"fractions", "decimal"} & sys.modules.keys())]))\n')
     src = str(pathlib.Path(__file__).resolve().parent.parent / 'src')
     proc = subprocess.run([sys.executable, '-c', code, src, *argv],
                           capture_output=True, text=True, timeout=60)

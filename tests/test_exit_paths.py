@@ -12,6 +12,7 @@ import hashlib
 import json
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, RING_Z, ring_fp
@@ -106,6 +107,33 @@ def test_rp2_sd1_keeps_its_torsion_whole_and_capped():
             assert (counts, truncated) == (x.counts(), x.truncated)
             assert h == morse_homology(babson_hersh_matching(a, complex_=x),
                                        ring)
+
+
+# the boundary of the tetrahedron (S^2) and the 7-vertex torus, whose
+# triangles are {i, i+1, i+3} and {i, i+2, i+3} mod 7
+SPHERE = ['012', '013', '023', '123']
+TORUS = [tuple(sorted((i + a) % 7 for a in shift))
+         for shift in ((0, 1, 3), (0, 2, 3)) for i in range(7)]
+
+
+@pytest.mark.parametrize('facets, counts, euler', [
+    (SPHERE, [14, 36, 24], 2), (TORUS, [42, 126, 84], 0)],
+    ids=['sphere', 'torus'])
+def test_sphere_and_torus_exit_paths(capsys, tmp_path, facets, counts,
+                                     euler):
+    # the realization is the barycentric subdivision of K: f0 + f1 + f2,
+    # 2 f1 + 6 f2 and 6 f2 cells, K's f-vector being (4, 6, 4) and
+    # (7, 21, 14); hpa homology gives H(K) over each ring
+    path = write(tmp_path, 'k.quiver', exit_path_dsl(facets))
+    for ring, name in ((RING_Z, 'Z'), (RING_Q, 'Q'), (ring_fp(2), 'Fp:2')):
+        code, data = run_json(capsys, 'homology', path, '--ring', name)
+        assert (code, data['euler']) == (0, euler)
+        assert data['homology'] == {str(k): [rank, tors] for k, (
+            rank, tors) in simplicial_homology(facets, ring).items()}
+    code, data = run_json(capsys, 'realize', path)
+    assert code == 0
+    assert (data['counts'], data['euler']) == (counts, euler)
+    assert list(map(len, data['cells'])) == counts
 
 
 def klein_bottle(n):

@@ -1,4 +1,3 @@
-from fractions import Fraction
 import itertools
 import math
 import time
@@ -7,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa.linalg import (
-    SparseMat, integer_kernel_basis, invariant_factors, lp_maximize,
-    modp_rank, snf_diagonal, solve_integer,
+    SparseMat, homology, integer_kernel_basis, invariant_factors, modp_rank,
+    snf_diagonal, solve_integer,
 )
-from hpa.realization import homology
 
 from conftest import determinant, matrix_complex
 
@@ -200,31 +198,3 @@ def test_integer_solve_and_kernel_random(n, m, data):
     minors = [determinant([[k[j] for j in cols] for k in basis])
               for cols in itertools.combinations(range(m), len(basis))]
     assert math.gcd(*minors) == 1
-
-
-def test_lp_basic():
-    # max x + y on the simplex x + y + s = 1
-    status, val, x = lp_maximize([1, 1, 0], [[1, 1, 1]], [1])
-    assert status == 'optimal' and val == 1
-
-    # x + y = -1, x,y >= 0 infeasible
-    status, _, _ = lp_maximize([0, 0], [[1, 1]], [-1])
-    assert status == 'infeasible'
-
-    # unbounded direction
-    status, _, _ = lp_maximize([1], [[0]], [0])
-    assert status == 'unbounded'
-
-
-def test_lp_exactness():
-    # optimum is the fraction 5/3, must come out exact
-    status, val, x = lp_maximize([1, 0], [[3, 1]], [5])
-    assert status == 'optimal'
-    assert val == Fraction(5, 3)
-
-
-def test_lp_weight_barycenter():
-    # a1 - a2 = 0 with a on the unit simplex: feasible at (1/2, 1/2)
-    status, _, x = lp_maximize([0, 0], [[1, -1], [1, 1]], [0, 1])
-    assert status == 'optimal'
-    assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)

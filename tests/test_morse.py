@@ -13,7 +13,8 @@ from hpa.algebra import check_hpa
 from hpa.cli import main
 from hpa.dsl import emit_quiver
 from hpa.quiver import Quiver
-from hpa.realization import build_realization, homology, lex_shelling
+from hpa.linalg import homology
+from hpa.realization import build_realization, lex_shelling
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,

@@ -9,8 +9,9 @@ from hpa import FP_LIMIT, RING_Q, RING_Z, parse_ring, ring_fp
 from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.quiver import Quiver
 from hpa.morse import babson_hersh_matching
+from hpa.linalg import homology
 from hpa.realization import (build_realization, euler_characteristic,
-                             homology, realization_homology)
+                             realization_homology)
 
 from conftest import (algebras, cellular_homology, check_semisimplicial,
                       d_squared_degree, free_algebra, identities_hold,

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, ring_fp
 from hpa.algebra import check_hpa, tensor
-from hpa.realization import build_realization, homology
+from hpa.linalg import homology
+from hpa.realization import build_realization
 from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
                        morse_complex)
 from hpa.resolution import (ResolutionError, cellular_resolution,

@@ -182,3 +182,94 @@ def test_cli_imports_neither_jsonschema_nor_dataclasses():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == '[]\n'
+
+
+@pytest.mark.parametrize('argv', [['realize', QUIVERS[0]],
+                                  ['homology', QUIVERS[0]]])
+def test_a_report_off_its_schema_writes_nothing(monkeypatch, capsys,
+                                                tmp_path, argv):
+    # validation comes first: no byte reaches stdout, no --out file is made
+    schema = cli._schema
+
+    def stricter(command):
+        s = schema(command)
+        s['required'].append('absent')
+        return s
+
+    monkeypatch.setattr(cli, '_schema', stricter)
+    out = tmp_path / 'report.json'
+    for extra in ([], ['--out', str(out)]):
+        assert cli.main(argv + extra) == 1
+        assert capsys.readouterr().out == ''
+    assert not out.exists()
+
+
+@pytest.mark.parametrize('argv', [
+    ['realize', QUIVERS[1]], ['homology', QUIVERS[2], '--ring', 'Fp:2'],
+    ['resolve', QUIVERS[3]], ['morse', QUIVERS[0]], ['betti', QUIVERS[1]],
+    ['koszul', QUIVERS[2]], ['check', QUIVERS[3]], ['tensor', *QUIVERS[:2]],
+    ['toric', '--weights', '[[1,1,2]]']])
+def test_stdout_and_out_file_get_the_same_bytes(capsys, tmp_path, argv):
+    out = tmp_path / 'report.json'
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ['--out', str(out)]) == 0
+    assert capsys.readouterr().out == ''
+    assert out.read_bytes() == printed.encode()
+
+
+def _serialized(instance):
+    return json.loads(json.dumps(instance, sort_keys=True))
+
+
+ROWS = {'type': 'array', 'items': {'type': 'array', 'items': {
+    'type': 'integer'}}}
+
+
+@pytest.mark.parametrize('instance', [
+    ((1, 2), [3]), [(1, 2), ()], ([1, 2], (3, 'x')), (1,)])
+def test_tuples_are_arrays(instance):
+    assert _ours(instance, ROWS) is jsonschema.Draft202012Validator(
+        ROWS).is_valid(_serialized(instance))
+
+
+def test_a_key_that_is_not_a_string_is_refused():
+    # json would write the key 2 as "2", which passes; the payload does not
+    schema = {'type': 'object', 'properties': {'h': {
+        'type': 'object', 'patternProperties': {'^[0-9]+$': {
+            'type': 'integer'}}}}}
+    ok = {'h': {'2': 1}}
+    assert _ours(ok, schema) and jsonschema.validate(_serialized(ok),
+                                                     schema) is None
+    with pytest.raises(ValidationError,
+                       match=r'^schema mismatch at /h: key 2 is not a '
+                             r'string$'):
+        validate({'h': {'2': 1, 2: 1}}, schema)
+
+
+@pytest.mark.parametrize('items, at, name', [
+    ([1, 2, True, 4, 'x'], 2, 'integer'), (['a', 'b', 3, None], 2, 'string'),
+    ([0, 1.0, 2.5], 2, 'integer'), ([None, False], 1, 'null')])
+def test_one_pass_names_the_item_the_walk_names(items, at, name):
+    # the one pass settles {'type': name} alone; a title (an annotation)
+    # makes the schema one that only the per-item walk checks
+    messages = []
+    for schema in ({'type': name}, {'type': name, 'title': 'walked'}):
+        array = {'type': 'array', 'items': schema}
+        with pytest.raises(ValidationError) as e:
+            validate(items, array)
+        messages.append(str(e.value))
+        errors = jsonschema.Draft202012Validator(array).iter_errors(
+            _serialized(items))
+        assert [err.path[0] for err in errors][:1] == [at]
+    assert messages[0] == messages[1] == (
+        f"schema mismatch at /{at}: {items[at]!r} is not of type {name}")
+
+
+@pytest.mark.parametrize('items', [[], [1, 2.0, -3], ['a', 'b'],
+                                   [True, False]])
+def test_one_pass_passes_what_jsonschema_passes(items):
+    for name in ('integer', 'string', 'boolean'):
+        array = {'type': 'array', 'items': {'type': name}}
+        assert _ours(items, array) is jsonschema.Draft202012Validator(
+            array).is_valid(_serialized(items))

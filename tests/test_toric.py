@@ -1,4 +1,5 @@
 import collections
+from fractions import Fraction
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from hpa import toric
 from hpa.toric import (WeightData, Degree, weight_data_from_json,
                        check_cohomologically_proper, image_phi, hom_monomials,
                        monomial_str, build_toric_hpa, bondal_ruan_hpa,
-                       check_directable, degree_name)
+                       check_directable, degree_name, lp_maximize)
 from hpa.algebra import check_hpa, from_document
 from hpa.dsl import emit_quiver
 from hpa.realization import build_realization, realization_homology
@@ -319,3 +320,31 @@ def test_weight_data_validation():
         WeightData([[1]], [(1, [1])])
     with pytest.raises(ValueError):
         WeightData([], [])
+
+
+def test_lp_basic():
+    # max x + y on the simplex x + y + s = 1
+    status, val, x = lp_maximize([1, 1, 0], [[1, 1, 1]], [1])
+    assert status == 'optimal' and val == 1
+
+    # x + y = -1, x,y >= 0 infeasible
+    status, _, _ = lp_maximize([0, 0], [[1, 1]], [-1])
+    assert status == 'infeasible'
+
+    # unbounded direction
+    status, _, _ = lp_maximize([1], [[0]], [0])
+    assert status == 'unbounded'
+
+
+def test_lp_exactness():
+    # optimum is the fraction 5/3, must come out exact
+    status, val, x = lp_maximize([1, 0], [[3, 1]], [5])
+    assert status == 'optimal'
+    assert val == Fraction(5, 3)
+
+
+def test_lp_weight_barycenter():
+    # a1 - a2 = 0 with a on the unit simplex: feasible at (1/2, 1/2)
+    status, _, x = lp_maximize([0, 0], [[1, -1], [1, 1]], [0, 1])
+    assert status == 'optimal'
+    assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)
