@@ -20,14 +20,13 @@ modules, `realize` those and the realization, `resolve` also resolution,
 and `homology` the realization and linear algebra.  Only what eliminates
 loads the linear algebra, and only the toric layer loads `fractions`: it
 is loaded by `toric`, and by `koszul` only for an algebra built from
-weight data, which a quiver file never is.  `morse` builds the
-realization only for a greedy or file matching or a class that does not
-shell; elsewhere it walks realization.partner on chains.  A layer
-imported by name at the top of this module would be loaded by every
-subcommand.  Importing this module registers every layer not yet imported
-as a lazy module (`LAYERS`), which runs its code on first attribute
-access, so that in-process tools that look layers up in sys.modules, such
-as the tracer of perfbench/, find them all.
+weight data, which a quiver file never is.  No subcommand but `realize`
+and `resolve` builds the realization.  A layer imported by name at the
+top of this module would be loaded by every subcommand.  Importing this
+module registers every layer not yet imported as a lazy module
+(`LAYERS`), which runs its code on first attribute access, so that
+in-process tools that look layers up in sys.modules, such as the tracer
+of perfbench/, find them all.
 """
 
 import argparse
@@ -85,8 +84,13 @@ def _emit(args, command, payload, code=0):
 
 
 def _write(args, text):
+    # DSL or CSV text as UTF-8 whatever the locale, on stdout as in a file
     with _output(args) as out:
-        out.write(text)
+        if hasattr(out, 'buffer'):
+            out.flush()
+            out.buffer.write(text.encode('utf-8'))
+        else:
+            out.write(text)
 
 
 def _output(args):
@@ -164,46 +168,33 @@ def cmd_resolve(args):
     return _emit(args, 'resolve', payload, 0 if ok else 1)
 
 
-def _build_matching(args, a, x):
-    from .morse import (babson_hersh_matching, greedy_internal_matching,
-                        load_matching)
-    if args.matching == 'bh':
-        return babson_hersh_matching(a, complex_=x), 'babson-hersh'
-    if args.matching == 'greedy':
-        return greedy_internal_matching(a, complex_=x), 'greedy'
-    return load_matching(args.matching, x), 'fixture'
-
-
 def cmd_morse(args):
     from .invariants import nonzero_groups, tor_table
-    from .morse import (babson_hersh_complex, check_linear, check_minimal,
-                        morse_complex)
+    from .morse import (MorseComplex, babson_hersh_matching, check_linear,
+                        check_minimal, greedy_internal_matching,
+                        load_matching)
     from .linalg import homology
-    from .realization import build_realization
+    from .realization import format_chain
     from .resolution import simple_tensor_complex, verify_d_squared
     a = _load_hpa(args.input)
-    # bh where every class shells: on chains, no pair to check (hpa.morse);
-    # otherwise the cells are built and the matching checked pair by pair
-    mc = babson_hersh_complex(a, args.max_dim) \
-        if args.matching == 'bh' else None
-    payload = {'matching': {'strategy': 'babson-hersh'},
-               'internal': {'ok': True, 'witnesses': []},
-               'acyclic': {'ok': True}}
-    if mc is None:
-        x = build_realization(a, max_dim=args.max_dim)
-        m, strategy = _build_matching(args, a, x)
-        payload = {'matching': {'strategy': strategy, 'pairs': len(m.pairs)},
-                   'internal': {'ok': m.internal.ok,
-                                'witnesses': m.internal.witnesses},
-                   'acyclic': {'ok': m.acyclic.ok}}
-        if not m.acyclic.ok:
-            payload['acyclic']['cycle'] = [
-                x.format_cell(c) for c in m.acyclic.witnesses[0]]
-        if not (m.internal.ok and m.acyclic.ok):
-            payload.update(dict.fromkeys((
-                'criticals', 'd_squared', 'quasi_iso', 'minimal', 'linear')))
-            return _emit(args, 'morse', payload, 1)
-        mc = morse_complex(m)
+    if args.matching == 'bh':
+        m, strategy = babson_hersh_matching(a, args.max_dim), 'babson-hersh'
+    elif args.matching == 'greedy':
+        m, strategy = greedy_internal_matching(a, args.max_dim), 'greedy'
+    else:
+        m, strategy = load_matching(args.matching, a, args.max_dim), 'fixture'
+    payload = {'matching': {'strategy': strategy, 'pairs': len(m.pairs)},
+               'internal': {'ok': m.internal.ok,
+                            'witnesses': m.internal.witnesses},
+               'acyclic': {'ok': m.acyclic.ok}}
+    if not m.acyclic.ok:
+        payload['acyclic']['cycle'] = [
+            format_chain(a, c) for c in m.acyclic.witnesses[0]]
+    if not (m.internal.ok and m.acyclic.ok):
+        payload.update(dict.fromkeys((
+            'criticals', 'd_squared', 'quasi_iso', 'minimal', 'linear')))
+        return _emit(args, 'morse', payload, 1)
+    mc = MorseComplex(m)
     d2 = verify_d_squared(mc)
     # S_v (x) M (x) S_w has the homology of Tor on each pair a class joins,
     # nonzero groups compared; a truncated complex only below its cap

@@ -262,10 +262,10 @@ def koszul_check(a):
                              {'intervals': len(chains)})
 
     # only this last certificate needs the Morse complex, walked on chains
-    # where every class shells (see hpa.morse)
-    from .morse import (babson_hersh_complex, babson_hersh_matching,
-                        check_linear, check_minimal, morse_complex)
-    mc = babson_hersh_complex(a) or morse_complex(babson_hersh_matching(a))
+    # (see hpa.morse)
+    from .morse import (MorseComplex, babson_hersh_matching, check_linear,
+                        check_minimal)
+    mc = MorseComplex(babson_hersh_matching(a))
     if check_minimal(mc).ok:
         lin = check_linear(mc)
         if lin.ok:

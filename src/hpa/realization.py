@@ -9,19 +9,20 @@ chain by dividing through p_1.  Regularity makes every incidence number
 
 A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
 c is the chain of parent[c], its top face, extended by the class last[c].
-`x.chain(c)` is the tuple of class ids of a cell, `x.cell(chain)` its id.
+`x.chain(c)` is the tuple of class ids of a cell.  The functions below
+build_realization take cells as chains and build no CellComplex.
 
 `gradient_terms` is the one gradient-flow walk: on chains (tuples of class
 ids), with the coefficients of the cellular resolution, under a partner
 rule, such as the Babson-Hersh matching read off the shellings
-(`partner`, whose unmatched cells `critical_chains` lists).
+(`partner`, whose unmatched cells `shelled_critical` lists).  A stratum is
+the set of cells that end at one class (`stratum`).
 `realization_homology` builds no CellComplex: it counts the cells, lists
 the critical ones from the shellings, walks from them and hands that Morse
 complex to `linalg.homology`, the one path from a chain complex to its
 homology, which it loads only then: nothing else here eliminates.
 """
 
-from bisect import bisect_right
 from itertools import chain, combinations, compress, groupby, repeat
 
 from . import RING_Z
@@ -65,7 +66,6 @@ class CellComplex:
             self.cells.append(range(level.stop, len(last)))
         if len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
-        self._starts = [cs.start for cs in self.cells]
         self.names = [_class_name(c) for c in a.classes]
 
     def __getattr__(self, name):
@@ -121,15 +121,6 @@ class CellComplex:
     def counts(self):
         return [len(cs) for cs in self.cells]
 
-    def dim(self, cell):
-        return bisect_right(self._starts, cell) - 1
-
-    def tail(self, cell):
-        return self.hpa.tail(self.last[cell])
-
-    def head(self, cell):
-        return self.hpa.head(self.last[cell])
-
     def chain(self, cell):
         """The chain (e_v, p_1, ..., p_k) of class ids of a cell."""
         last, parent, out = self.last, self.parent, []
@@ -146,25 +137,12 @@ class CellComplex:
                 break
         return cell
 
-    def cell(self, chain):
-        """The cell of a tuple of class ids, or None."""
-        cell = self.vertex.get(self.hpa.tail(chain[0]))
-        if cell is not None and self.last[cell] == chain[0]:
-            return self.child(cell, *chain[1:])
-
-    def faces(self, cell):
-        """List of the k+1 facets of a k-cell, position i giving the i-th
-        face; empty for a vertex cell."""
-        return self.face[self.at[cell]:self.at[cell + 1]]
-
-    def format_cell(self, cell):
-        return format_chain(self.hpa, self.chain(cell))
-
     def cell_names(self):
-        """format_cell of every cell, by dimension, each from its parent's."""
+        """The name of every cell, by dimension, each from its parent's:
+        format_chain of its chain."""
         out = [['[' + self.names[self.last[c]] + ']' for c in self.cells[0]]]
         for k, cs in enumerate(self.cells[1:]):
-            up, base = out[-1], self._starts[k]
+            up, base = out[-1], self.cells[k].start
             out.append([up[self.parent[c] - base][:-1] + ' < ' +
                         self.names[self.last[c]] + ']' for c in cs])
         return out
@@ -272,46 +250,68 @@ def cell_counts(a):
     return counts
 
 
-def critical_chains(a, top, counts):
-    """The cells of the realization of `a` capped at dimension `top` that
-    `partner` leaves unmatched, as chains, by dimension, each dimension
-    sorted (the id order of build_realization): a bottom at the cap whose
-    top lies above it counts.  Refused (ValueError) unless they have the
-    Euler characteristic of the cell counts `counts`."""
-    out = [[] for _ in range(top + 1)]
-    out[0] = [(e,) for e in sorted(a.trivial_class.values())]
-    for p in range(len(a.classes)):
-        if a.is_trivial(p) or not top:
+def stratum(a, p, top):
+    """Every cell (e, *G, p) of the realization capped at dimension `top`,
+    G a chain of the open interval (e, p), p nontrivial, in (dimension,
+    chain) order: the interval is walked up from e along the covers."""
+    e = a.trivial_class[a.tail(p)]
+    inner, todo = set(), [e]
+    while todo:
+        for c in a.covers(todo.pop()):
+            if c != p and c not in inner and p in a.quotients(c):
+                inner.add(c)
+                todo.append(c)
+    ups = {}
+    for z in inner | {e}:
+        row = a.quotients(z)
+        ups[z] = sorted(q for q in inner if q in row and q != z)
+    out, level = [], [(e,)]
+    for _ in range(top):
+        out += [g + (p,) for g in level]
+        level = [g + (q,) for g in level for q in ups[g[-1]]]
+        if not level:
+            break
+    return out
+
+
+def shelled_critical(a, p, top):
+    """The cells ending at p, capped at dimension top >= 1, that `partner`
+    leaves unmatched (a bottom at the cap whose top lies above it counts),
+    read off lex_shelling(a, p); None when that is not a shelling."""
+    shelling = lex_shelling(a, p)
+    if shelling is None:
+        return None
+    e, out = a.trivial_class[a.tail(p)], []
+    arrow = 1 in a.classes[p].lengths
+    for ch, rj in shelling.items():
+        t = min(set(ch) - rj, default=None)
+        if t is None:  # R_j = F_j
+            if len(ch) < top:
+                out.append((e, *ch, p))
             continue
-        e = a.trivial_class[a.tail(p)]
-        shelling = lex_shelling(a, p)
-        if shelling is None:  # every chain of the interval
-            for g in {g for ch in maximal_chains(a, e, p)
-                      for k in range(min(len(ch), top - 1) + 1)
-                      for g in combinations(ch, k)}:
-                out[len(g) + 1].append((e, *g, p))
+        if arrow and not rj:  # [e < p] and [e < t < p]
+            out += [(e, p), (e, t, p)][:top]
+        # the bottoms at the cap: R_j and `need` free elements, no t
+        need = top - 1 - len(rj)
+        if need < 0 or (arrow and not rj and not need):
             continue
-        arrow = 1 in a.classes[p].lengths
-        for ch, rj in shelling.items():
-            t = min(set(ch) - rj, default=None)
-            if t is None:  # R_j = F_j
-                if len(ch) < top:
-                    out[len(ch) + 1].append((e, *ch, p))
-                continue
-            if arrow and not rj:  # [e < p] and [e < t < p]
-                out[1].append((e, p))
-                if top > 1:
-                    out[2].append((e, t, p))
-            # the bottoms at the cap: R_j and `need` free elements, no t
-            need = top - 1 - len(rj)
-            if need < 0 or (arrow and not rj and not need):
-                continue
-            free = [v for v in ch if v != t and v not in rj]
-            for s in combinations(free, need):
-                g = rj.union(s)
-                out[top].append((e, *(v for v in ch if v in g), p))
-    for cells in out:
-        cells.sort()
+        free = [v for v in ch if v != t and v not in rj]
+        for s in combinations(free, need):
+            g = rj.union(s)
+            out.append((e, *(v for v in ch if v in g), p))
+    return out
+
+
+def by_dimension(a, cells, top, counts):
+    """The vertex cells and the chains `cells` of dimension 1 to top, by
+    dimension, each sorted (the id order of build_realization); refused
+    (ValueError) unless they have the Euler characteristic of `counts`."""
+    out = [[(e,) for e in sorted(a.trivial_class.values())]]
+    out += [[] for _ in range(top)]
+    for c in cells:
+        out[len(c) - 1].append(c)
+    for cs in out:
+        cs.sort()
     found = [len(cs) for cs in out]
     if euler_characteristic(found) != euler_characteristic(counts):
         raise ValueError(f"critical cells {found} do not have the Euler "
@@ -368,6 +368,12 @@ def _terms(a, c):
         (-1 if k % 2 else 1, el, c[:-1], a.quotients(c[-2])[p])]
 
 
+def faces(a, c):
+    """The faces of the chain c, face i at place i as `_terms` gives them;
+    none for a vertex."""
+    return [f for _, _, f, _ in _terms(a, c)] if len(c) > 1 else []
+
+
 def realization_homology(a, ring=RING_Z, max_dim=None):
     """(homology, counts, truncated) of the realization of `a` capped at
     max_dim, with no CellComplex: the cell counts below the cap, whether
@@ -384,7 +390,11 @@ def realization_homology(a, ring=RING_Z, max_dim=None):
     truncated = len(counts) < len(whole)
     if truncated and not max_dim:  # no degree to report, nothing to shell
         return {}, counts, truncated
-    critical = critical_chains(a, len(whole) - 1, whole)[:len(counts)]
+    top = len(whole) - 1  # on a class that does not shell, every cell
+    critical = by_dimension(a, chain.from_iterable(
+        stratum(a, p, top) if (cs := shelled_critical(a, p, top)) is None
+        else cs for p in range(len(a.classes))
+        if top and not a.is_trivial(p)), top, whole)[:len(counts)]
     while len(critical) > 1 and not critical[-1]:
         critical.pop()
     terms = gradient_terms(a, critical, lambda c: partner(a, c))

@@ -223,7 +223,7 @@ def _homotopy(c, rows, checked):
     a, x, mult = c.hpa, c.complex, c.hpa.mult
     failures = []
     for cell, ac in rows:
-        for bc in a.classes_by_tail[x.head(cell)]:
+        for bc in a.classes_by_tail[a.head(x.last[cell])]:
             # d h + h d (d h + h_{-1} m in degree 0), collected in the
             # order that applying d and h element-wise gives
             got = {}

@@ -1,6 +1,8 @@
 import pathlib
+from collections import deque
 from itertools import combinations, compress, permutations, repeat
 from operator import add
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
-from hpa.realization import accumulate, lex_shelling, maximal_chains
+from hpa.morse import Matching
+from hpa.realization import accumulate, faces, lex_shelling, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
 
@@ -149,7 +152,12 @@ def poset_dsl(elements, covers):
     by its element names and cover pairs (x, y), y covering x: one arrow
     x<y per cover, in the order given, and for each x < z two covers apart
     the group of the paths x -> y -> z when there are several (a diamond,
-    in a face poset)."""
+    in a face poset).  Further apart, the paths from x to z through two
+    covers y, y' of x are equal already when some w < z lies above both,
+    the paths x -> w and w -> z being equal; when the covers of x below z
+    fall into several classes so, a group of one path through each class
+    follows the diamonds.  A face poset, whose intervals are boolean, has
+    no such group."""
     lines = ['vertices: ' + ' '.join(elements)]
     up = {}
     for x, y in covers:
@@ -157,7 +165,22 @@ def poset_dsl(elements, covers):
     if covers:
         lines.append('arrows:')
         lines += [f'  {x}<{y}: {x} -> {y}' for x, y in covers]
-    groups = []
+    above = {}
+
+    def ups(x):
+        if x not in above:
+            above[x] = set(up.get(x, ()))
+            for y in up.get(x, ()):
+                above[x] |= ups(y)
+        return above[x]
+
+    def path(x, z):  # the first path of covers from x to z
+        word = []
+        while x != z:
+            x, y = next(y for y in up[x] if y == z or z in ups(y)), x
+            word.append(f'{y}<{x}')
+        return ' '.join(word)
+    groups, apart = [], []
     for x in elements:
         paths = {}
         for y in up.get(x, ()):
@@ -165,8 +188,20 @@ def poset_dsl(elements, covers):
                 paths.setdefault(z, []).append(f'{x}<{y} {y}<{z}')
         groups += ['  ' + ' = '.join(ws) for ws in paths.values()
                    if len(ws) > 1]
-    if groups:
-        lines += ['relations:'] + groups
+        for z in elements:
+            if z in paths or z in up.get(x, ()) or z not in ups(x):
+                continue
+            classes = []
+            for y in (y for y in up[x] if z in ups(y)):
+                joined = [c for c in classes if any(
+                    z in ups(w) for y2 in c for w in ups(y) & ups(y2))]
+                classes = [c for c in classes if c not in joined]
+                classes.append([y2 for c in joined for y2 in c] + [y])
+            if len(classes) > 1:
+                apart.append('  ' + ' = '.join(
+                    f'{x}<{c[0]} ' + path(c[0], z) for c in classes))
+    if groups + apart:
+        lines += ['relations:'] + groups + apart
     return '\n'.join(lines) + '\n'
 
 
@@ -235,18 +270,53 @@ def matrix_complex(*ds):
     return cells, boundary
 
 
+def cell_faces(x, cell):
+    """The k+1 facets of a k-cell of the CellComplex x, position i giving
+    the i-th face, read off its face table; none for a vertex cell."""
+    return x.face[x.at[cell]:x.at[cell + 1]]
+
+
+def cell_of(x, chain):
+    """The cell of the CellComplex x with the given chain, or None."""
+    cell = x.vertex.get(x.hpa.tail(chain[0]))
+    if cell is not None and x.last[cell] == chain[0]:
+        return x.child(cell, *chain[1:])
+
+
+def cell_matching(x, pairs):
+    """The pairs (top, bottom) of chains over the cells of the CellComplex
+    x: `top[b]` is the top matched with bottom b and `bottom[t]` the bottom
+    matched with top t, -1 for a cell not matched that way, and `pairs`
+    the pairs of ids.  A pair whose top x does not hold is left out (a
+    bottom at the cap whose top lies above it)."""
+    top, bottom = [-1] * len(x.last), [-1] * len(x.last)
+    ids = [(cell_of(x, t), cell_of(x, b)) for t, b in pairs]
+    ids = [(t, b) for t, b in ids if t is not None]
+    for t, b in ids:
+        top[b], bottom[t] = t, b
+    return SimpleNamespace(complex=x, top=top, bottom=bottom, pairs=ids)
+
+
+def morse_pairs(m, x):
+    """The pairs (top, bottom) of chains that the partner rule of the
+    matching m matches among the cells of the CellComplex x."""
+    return [(match[0], c) for c in map(x.chain, range(len(x.last)))
+            if (match := m.partner(c)) and cell_of(x, match[0]) is not None]
+
+
 def morse_homology(m, ring=RING_Z):
     """The cellular homology of the complex m.complex, with (0, []) in the
     degrees it lacks, computed on the Morse complex of its resolution under
-    the matching m with the coefficients forgotten: the boundary of a
-    critical tau is the sum of cf . target over its terms (cf, l, target,
-    r).  A complex truncated by max_dim reports only the degrees below its
-    cap, whose homology it determines.  d^2 = 0 is checked symbolically on
-    every cell first (d_squared_degree), and the matching must be internal
-    and acyclic.  The differential is reference_morse_terms, a sum over
-    the gradient paths of the cells: the eager oracle for
-    `realization.realization_homology`, which builds no complex."""
-    x = m.require_valid().complex
+    the matching m (a `cell_matching`) with the coefficients forgotten: the
+    boundary of a critical tau is the sum of cf . target over its terms
+    (cf, l, target, r).  A complex truncated by max_dim reports only the
+    degrees below its cap, whose homology it determines.  d^2 = 0 is
+    checked symbolically on every cell first (d_squared_degree), and the
+    matching must be internal and acyclic.  The differential is
+    reference_morse_terms, a sum over the gradient paths of the cells: the
+    eager oracle for `realization.realization_homology` and
+    `hpa.morse.MorseComplex`, which build no complex."""
+    x = m.complex
     bad = d_squared_degree(x)
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
@@ -311,7 +381,8 @@ def cellular_homology(x, ring=RING_Z):
     (-1)^i, eliminated degree by degree.  A truncated complex omits its top
     degree, whose homology the cap does not determine."""
     def boundary(cell):
-        return [(-1 if i % 2 else 1, f) for i, f in enumerate(x.faces(cell))]
+        return [(-1 if i % 2 else 1, f)
+                for i, f in enumerate(cell_faces(x, cell))]
     h = homology(x.cells, boundary, ring)
     return {k: h[k] for k in range(len(h) - x.truncated)}
 
@@ -356,17 +427,17 @@ def check_semisimplicial(complex_):
     bad = []
     for k in range(2, complex_.max_dim + 1):
         for cell in complex_.cells[k]:
-            faces = complex_.faces(cell)
+            faces = cell_faces(complex_, cell)
             if len(set(faces)) != len(faces):
                 bad.append(('facets not distinct', cell))
             for j in range(1, k + 1):
-                fj = complex_.faces(faces[j])
+                fj = cell_faces(complex_, faces[j])
                 for i in range(j):
-                    fi = complex_.faces(faces[i])
+                    fi = cell_faces(complex_, faces[i])
                     if fj[i] != fi[j - 1]:
                         bad.append(('identity fails', cell, i, j))
     for cell in complex_.cells[1] if complex_.max_dim >= 1 else []:
-        faces = complex_.faces(cell)
+        faces = cell_faces(complex_, cell)
         if len(set(faces)) != len(faces):
             bad.append(('facets not distinct', cell))
     return bad
@@ -406,13 +477,13 @@ def gradient_path_counts(c, m):
         if m.top[s] < 0:
             accumulate(counts, (tau, s), 1)
             return
-        for f in x.faces(m.top[s]):
+        for f in cell_faces(x, m.top[s]):
             if f != s:
                 count_from(f, tau)
 
     for cells in critical_cells(m)[1:]:
         for tau in cells:
-            for f in x.faces(tau):
+            for f in cell_faces(x, tau):
                 count_from(f, tau)
     return counts
 
@@ -456,16 +527,14 @@ def reference_morse_terms(c, m, tau):
             for (l, tgt, r), coef in sorted(total.items()) if coef]
 
 
-def matching_to_json(m):
-    """The matching file format that hpa.morse.matching_from_json reads."""
-    x = m.complex
-
-    def cell_json(cell):
-        return {'tail': x.tail(cell),
-                'chain': [list(x.hpa.cls(c).rep.labels)
-                          for c in x.chain(cell)]}
+def matching_to_json(a, pairs):
+    """The matching file format that hpa.morse.matching_from_json reads, of
+    the pairs (top, bottom) of chains."""
+    def cell_json(chain):
+        return {'tail': a.tail(chain[0]),
+                'chain': [list(a.cls(c).rep.labels) for c in chain]}
     return {'pairs': [{'top': cell_json(t), 'bottom': cell_json(b)}
-                      for t, b in m.pairs]}
+                      for t, b in pairs]}
 
 
 def bhk_algebra(d_total, charges):
@@ -492,8 +561,8 @@ def basis(c, k):
     """All degree-k module basis triples (a, cell, b) of a bimodule complex."""
     a = c.hpa
     for cell in c.generators(k):
-        t = c.complex.tail(cell)
-        h = c.complex.head(cell)
+        t = a.tail(c.complex.last[cell])
+        h = a.head(c.complex.last[cell])
         for ac in a.classes_by_head[t]:
             for bc in a.classes_by_tail[h]:
                 yield (ac, cell, bc)
@@ -527,8 +596,8 @@ def reference_d_squared_degree(complex_):
     for k in range(2, complex_.max_dim + 1):
         for cell in complex_.cells[k]:
             signed = ([], [])
-            for i, f in enumerate(complex_.faces(cell)):
-                for j, g in enumerate(complex_.faces(f)):
+            for i, f in enumerate(cell_faces(complex_, cell)):
+                for j, g in enumerate(cell_faces(complex_, f)):
                     signed[(i + j) % 2].append(g)
             if sorted(signed[0]) != sorted(signed[1]):
                 return k
@@ -623,7 +692,7 @@ def reference_bh_pairs_by_sets(a, x):
             for t in tsets:
                 top, bottom = [(e,) + tuple(v for v in ch if v in face) + (p,)
                                for face in (rj | t | {toggle}, rj | t)]
-                if x.cell(top) is not None and not (
+                if cell_of(x, top) is not None and not (
                         len(bottom) == 2 and p in arrows):
                     pairs.append((top, bottom))
     return pairs
@@ -664,21 +733,84 @@ def reference_bh_pairs(a, x):
     return pairs
 
 
+def augment_by_rechecking(a, cells, pairs):
+    """Grow a matching of the cells `cells` (chains of dimension >= 1 in
+    (dimension, chain) order, of any strata) by rebuilding and fully
+    rechecking it for every candidate pair (top, middle facet), in that
+    order until none fits.  No arrow cell is matched."""
+    arrows = set(a.arrow_class.values())
+    pairs = list(pairs)
+    matched = {c for pair in pairs for c in pair}
+    changed = True
+    while changed:
+        changed = False
+        for top in cells:
+            if top in matched or len(top) < 3:
+                continue
+            for f in faces(a, top)[1:-1]:
+                if f in matched or (len(f) == 2 and f[1] in arrows):
+                    continue
+                if Matching(a, pairs + [(top, f)]).acyclic.ok:
+                    pairs.append((top, f))
+                    matched.update((top, f))
+                    changed = True
+                    break
+    return Matching(a, pairs)
+
+
+def reference_coreduction(x, p):
+    """Reference for `morse._coreduce`, as it ran on cell ids: greedy
+    coreduction on the cells of the CellComplex x of dimension >= 1 that
+    end at the class p (but [e < p] of an arrow's class), their middle
+    faces read off the face table; when stuck, the least id is set aside.
+    Returns the pairs (top, bottom) as chains."""
+    cells = [c for cs in x.cells[1:] for c in cs if x.last[c] == p]
+    if 1 in x.hpa.classes[p].lengths:
+        cells = [c for c in cells if len(x.chain(c)) > 2]
+    available, middle, cofaces = set(cells), {}, {}
+    for cell in cells:
+        middle[cell] = cell_faces(x, cell)[1:-1]
+        for f in middle[cell]:
+            cofaces.setdefault(f, []).append(cell)
+    count = {c: sum(t in available for t in cofaces.get(c, ())) for c in cells}
+    queue = deque(sorted((c for c in cells if count[c] == 1), key=x.chain))
+    pairs = []
+
+    def remove(cell):
+        available.discard(cell)
+        for f in middle[cell]:
+            if f in count:
+                count[f] -= 1
+                if count[f] == 1 and f in available:
+                    queue.append(f)
+    while available:
+        while queue:
+            s = queue.popleft()
+            if s in available and count[s] == 1:
+                [t] = [t for t in cofaces[s] if t in available]
+                pairs.append((x.chain(t), x.chain(s)))
+                remove(s)
+                remove(t)
+        if available:
+            remove(min(available))
+    return pairs
+
+
 def reference_check_acyclic(m):
     """Reference for `morse.check_acyclic`: depth-first search from each
-    matched bottom, in order of (key, cell), along the faces f of its top
-    with key(f) equal to the bottom's key, where the key is the (dimension,
-    tail, head) stratum for an internal matching and the dimension
-    otherwise.  Returns the same Report: the first cycle closed, as the
-    alternating list bottom, top, ..., bottom."""
-    x, top_of = m.complex, {b: t for t, b in m.pairs}
+    matched bottom, in order of (key, chain), along the faces f of its top
+    (`reference_faces`) with key(f) equal to the bottom's key, where the
+    key is the (dimension, tail, head) stratum for an internal matching and
+    the dimension otherwise.  Returns the same Report: the first cycle
+    closed, as the alternating list bottom, top, ..., bottom."""
+    a, top_of = m.hpa, {b: t for t, b in m.pairs}
 
     def key(c):
-        return (x.dim(c), x.tail(c), x.head(c)) if m.internal.ok \
-            else x.dim(c)
+        return (len(c), a.tail(c[-1]), a.head(c[-1])) if m.internal.ok \
+            else len(c)
 
     def steps(s):
-        return iter([f for f in x.faces(top_of[s])
+        return iter([f for f in reference_faces(a, top_of[s])
                      if f != s and f in top_of and key(f) == key(s)])
 
     color = {}
@@ -892,6 +1024,33 @@ def algebras(draw, with_relations=False):
                 groups.append(draw(st.lists(st.sampled_from(free), min_size=2,
                                             max_size=len(free), unique=True)))
     return HPA(RelationSet(q, groups))
+
+
+# the rank-3 interval [0, 1] whose open part is the two disjoint 2-chains
+# a1 < b1 and a2 < b2: disconnected, so not Cohen-Macaulay and no shelling
+SPLIT_INTERVAL = ({'0': 0, 'a1': 1, 'a2': 1, 'b1': 2, 'b2': 2, '1': 3},
+                  [('0', 'a1'), ('0', 'a2'), ('a1', 'b1'), ('a2', 'b2'),
+                   ('b1', '1'), ('b2', '1')])
+
+
+@st.composite
+def split_interval_algebras(draw):
+    """The incidence algebra, built by poset_dsl, of a graded poset that
+    holds SPLIT_INTERVAL, with up to five more elements c0, c1, ... at
+    ranks 0 to 4, each covering a random nonempty set of the elements one
+    rank below it (none at rank 0).  No element is added below 1, so the
+    open interval (0, 1) stays the two 2-chains; intervals that hold 1
+    and a c above it do not shell either."""
+    rank, covers = dict(SPLIT_INTERVAL[0]), list(SPLIT_INTERVAL[1])
+    for i in range(draw(st.integers(0, 5))):
+        r, name = draw(st.integers(0, 4)), f'c{i}'
+        lower = sorted(x for x, rx in rank.items() if rx == r - 1)
+        if lower:
+            covers += [(x, name) for x in draw(st.lists(
+                st.sampled_from(lower), min_size=1, unique=True))]
+        rank[name] = r
+    elements = sorted(rank, key=lambda x: (rank[x], x))
+    return HPA(parse_quiver(poset_dsl(elements, covers))[1])
 
 
 @pytest.fixture(scope='session')

@@ -15,9 +15,9 @@ import pytest
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
 from hpa.invariants import betti_table, koszul_check
-from hpa.morse import (babson_hersh_matching, check_acyclic, check_internal,
-                       check_linear, check_minimal, load_matching,
-                       morse_complex)
+from hpa.morse import (Matching, MorseComplex, babson_hersh_matching,
+                       check_acyclic, check_internal, check_linear,
+                       check_minimal, load_matching)
 from hpa.realization import build_realization, euler_characteristic
 from hpa.resolution import (cellular_resolution, check_resolution,
                             verify_d_squared)
@@ -49,16 +49,17 @@ def _label_monomial(label, nvars):
     return tuple(exps)
 
 
-def _monomial_chain(a, x, cell, nvars):
-    """A cell as (tail, chain of total monomials), label-derived."""
+def _monomial_chain(a, cell, nvars):
+    """A cell, given as its chain, as (tail, chain of total monomials),
+    label-derived."""
     chain = []
-    for cid in x.chain(cell)[1:]:
+    for cid in cell[1:]:
         total = [0] * nvars
         for lab in a.cls(cid).rep.labels:
             mono = _label_monomial(lab, nvars)
             total = [s + t for s, t in zip(total, mono)]
         chain.append(tuple(total))
-    return (x.tail(cell), tuple(chain))
+    return (a.tail(cell[0]), tuple(chain))
 
 
 def test_01_p2_torus_homology(p2):
@@ -79,15 +80,15 @@ def test_02_f3_fixture_matching(f3):
     raw = json.loads((FIXTURES / 'f3_matching.json').read_text())
     assert len(raw['pairs']) == 19 + 11
     x = build_realization(f3)
-    m = load_matching(FIXTURES / 'f3_matching.json', x)
+    m = load_matching(FIXTURES / 'f3_matching.json', f3)
     assert check_internal(m).ok
     assert check_acyclic(m).ok
-    mc = morse_complex(m)
+    mc = MorseComplex(m)
     assert mc.counts() == [4, 9, 6, 1]
     assert 4 - 9 + 6 - 1 == 0 and euler_characteristic(x.counts()) == 0
 
     # the critical-cell list, cells written as (tail, monomial chain)
-    crit2 = {_monomial_chain(f3, x, x.cell(c), 4) for c in mc.generators(2)}
+    crit2 = {_monomial_chain(f3, c, 4) for c in mc.generators(2)}
     assert crit2 == {
         ('d(0,0)', ((0, 0, 1, 0), (2, 1, 1, 0))),
         ('d(0,0)', ((0, 0, 1, 0), (1, 1, 2, 0))),
@@ -96,12 +97,12 @@ def test_02_f3_fixture_matching(f3):
         ('d(1,0)', ((1, 1, 1, 0), (2, 1, 1, 0))),
         ('d(1,0)', ((0, 1, 2, 0), (1, 1, 2, 0))),
     }
-    crit3 = {_monomial_chain(f3, x, x.cell(c), 4) for c in mc.generators(3)}
+    crit3 = {_monomial_chain(f3, c, 4) for c in mc.generators(3)}
     assert crit3 == {
         ('d(0,0)', ((0, 0, 1, 0), (1, 1, 2, 0), (2, 1, 2, 0))),
     }
     assert len(mc.generators(0)) == len(f3.quiver.vertices)
-    arrows = {_monomial_chain(f3, x, x.cell(c), 4) for c in mc.generators(1)}
+    arrows = {_monomial_chain(f3, c, 4) for c in mc.generators(1)}
     assert arrows == {(ar.tail, (_label_monomial(ar.label, 4),))
                      for ar in f3.quiver.arrows}
     budget.check()
@@ -121,7 +122,7 @@ def test_04_tor_oracle_triangle(p2, f3, p113, a3a3):
     for a in (p2, f3, p113, a3a3):
         x = build_realization(a)
         c = cellular_resolution(a, x)
-        mc = morse_complex(babson_hersh_matching(a, complex_=x))
+        mc = MorseComplex(babson_hersh_matching(a))
         for ring in (RING_Z, ring_fp(2)):
             for v in a.quiver.vertices:
                 for w in a.quiver.vertices:
@@ -134,9 +135,7 @@ def test_04_tor_oracle_triangle(p2, f3, p113, a3a3):
 
 def test_05_minimality_and_betti(p2):
     budget = Budget(30)
-    x = build_realization(p2)
-    m = babson_hersh_matching(p2, complex_=x)
-    mc = morse_complex(m)
+    mc = MorseComplex(babson_hersh_matching(p2))
     assert check_minimal(mc).ok
     assert mc.counts() == [3, 6, 3]
     assert betti_table(p2).totals() == [3, 6, 3]
@@ -164,8 +163,7 @@ def test_06_koszul_verdicts():
     assert verdict.method == 'minimal-nonlinear'
     assert sum(verdict.payload['coefficient_lengths']) >= 2
     # the witness complex really is minimal and fails linearity
-    x = build_realization(f1)
-    mc = morse_complex(babson_hersh_matching(f1, complex_=x))
+    mc = MorseComplex(babson_hersh_matching(f1))
     assert check_minimal(mc).ok
     assert not check_linear(mc).ok
     budget.check()
@@ -322,9 +320,8 @@ def test_10_mutation_robustness(p2):
     assert not rep.ok
     assert any(cell == x.chain(x.cells[2][0]) for cell, _ in rep.witnesses)
 
-    from hpa.morse import Matching
-    edge = x.cells[1][0]
-    bad = Matching(x, [(edge, x.cell(x.chain(edge)[:1]))])
+    edge = x.chain(x.cells[1][0])
+    bad = Matching(p2, [(edge, edge[:1])])
     internal = check_internal(bad)
     assert not internal.ok
     reasons = {w[0] for w in internal.witnesses}

@@ -10,12 +10,13 @@ import pytest
 
 from hpa import FP_LIMIT, parse_ring
 from hpa.cli import main, _load, _schema
-from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
-                       load_matching)
+from hpa.morse import (MorseComplex, babson_hersh_matching,
+                       greedy_internal_matching, load_matching)
 from hpa.realization import build_realization
 
-from conftest import (BENCHMARK_INPUTS, UNGRADED, Mutant, cellular_homology,
-                      free_algebra, linear_quiver, matching_to_json)
+from conftest import (BENCHMARK_INPUTS, UNGRADED, Mutant, cell_of,
+                      cellular_homology, free_algebra, linear_quiver,
+                      matching_to_json, morse_pairs)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
@@ -227,13 +228,13 @@ def test_morse_compares_only_nonzero_groups(capsys, tmp_path, name):
 
 def test_morse_catches_a_wrong_complex(monkeypatch, capsys):
     from hpa import morse
-    real = morse.babson_hersh_complex
+    real = morse.MorseComplex
 
-    def drop_a_critical_cell(a, max_dim=None):
-        mc = real(a, max_dim)
+    def drop_a_critical_cell(m):
+        mc = real(m)
         mc.cells[-1].pop()  # a top cell, so no boundary refers to it
         return mc
-    monkeypatch.setattr(morse, 'babson_hersh_complex', drop_a_critical_cell)
+    monkeypatch.setattr(morse, 'MorseComplex', drop_a_critical_cell)
     code, data = run_json(capsys, 'morse', P2)
     assert code == 1
     assert data['quasi_iso']['ok'] is False
@@ -255,8 +256,8 @@ def test_morse_rejects_non_internal(capsys, tmp_path):
 def test_morse_refusal_lists_witnesses_by_the_chains_of_the_tops(capsys,
                                                                tmp_path):
     # the tops [e_v0 < x], [e_v0 < y] and [e_v0 < x < x y'] run in that
-    # order by id, but the witnesses follow their chains, and the cycle
-    # search starts from the least bottom
+    # order by (dimension, chain), but the witnesses follow their chains,
+    # and the cycle search starts from the least bottom
     def cell(tail, *chain):
         return {'tail': tail, 'chain': [[], *chain]}
     doc = {'pairs': [
@@ -265,9 +266,9 @@ def test_morse_refusal_lists_witnesses_by_the_chains_of_the_tops(capsys,
         {'top': cell('v0', ['x']), 'bottom': cell('v0')}]}
     p = tmp_path / 'matching.json'
     p.write_text(json.dumps(doc))
-    m = load_matching(p, build_realization(_load(P2)))
-    tops = sorted(t for t, _ in m.pairs)
-    assert tops != sorted(tops, key=m.complex.chain)
+    m = load_matching(p, _load(P2))
+    tops = [t for t, _ in m.pairs]
+    assert sorted(tops, key=lambda c: (len(c), c)) != sorted(tops)
     code, data = run_json(capsys, 'morse', P2, '--matching', str(p))
     assert code == 1
     assert data['matching'] == {'strategy': 'fixture', 'pairs': 3}
@@ -365,6 +366,26 @@ def test_out_files_are_utf8_whatever_the_locale(tmp_path):
     t = _load(str(tmp_path / 't.quiver'))
     assert [ar.label for ar in t.quiver.arrows] == [
         ar.label for ar in tensor(a, a).quiver.arrows]
+
+
+def test_dsl_on_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # under the C locale stdout encodes ASCII; the DSL text written there is
+    # the bytes of the --out file, and the exit code 0
+    q = tmp_path / 'u.quiver'
+    q.write_text('vertices: a b\narrows:\n  \u00e9: a -> b\n',
+                 encoding='utf-8')
+    env = dict(os.environ, LC_ALL='C', PYTHONCOERCECLOCALE='0',
+               PYTHONUTF8='0', PYTHONPATH=str(FIXTURES.parent / 'src'))
+    out = tmp_path / 't.quiver'
+    argv = [sys.executable, '-m', 'hpa.cli', 'tensor', str(q), str(q),
+            '--emit-quiver']
+    printed = subprocess.run(argv, env=env, capture_output=True,
+                             timeout=60)
+    assert printed.returncode == 0, printed.stderr
+    assert subprocess.run(argv + ['--out', str(out)], env=env,
+                          timeout=60).returncode == 0
+    assert printed.stdout == out.read_bytes()
+    assert '\u00e9|a'.encode('utf-8') in printed.stdout
 
 
 def test_koszul_reports(capsys):
@@ -567,9 +588,10 @@ def test_morse_refuses_matching_of_arrow_cell(capsys, tmp_path, matching):
     assert data['quasi_iso']['ok'] and data['d_squared']['ok']
     build = {'bh': babson_hersh_matching,
              'greedy': greedy_internal_matching}[matching]
-    m = build(_load(str(p)))
+    a = _load(str(p))
+    pairs = morse_pairs(build(a), build_realization(a))
     f = tmp_path / 'arrow.json'
-    f.write_text(json.dumps({'pairs': matching_to_json(m)['pairs']
+    f.write_text(json.dumps({'pairs': matching_to_json(a, pairs)['pairs']
                              + [ARROW_PAIR]}))
     code, data = run_json(capsys, 'morse', str(p), '--matching', str(f))
     assert code == 1
@@ -594,8 +616,10 @@ def test_morse_refusal_survives_optimized_python(tmp_path):
 @pytest.mark.parametrize('name, matching', [('p2', 'bh'), ('p2', 'greedy'),
                                             ('f1', 'bh')])
 def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
-    # F1 has a non-shellable interval, so its matching is also augmented;
-    # on P^2 the default matching is walked on chains, with no Matching
+    # every route builds one Matching and checks its pairs once; the pairs
+    # that greedy coreduction and growth make (all of them under greedy,
+    # F1's non-shellable interval under bh) and the pairs read off the
+    # shellings are internal and acyclic by construction
     from hpa import morse
     calls = {}
     for check in ('check_internal', 'check_acyclic'):
@@ -605,8 +629,7 @@ def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
         monkeypatch.setattr(morse, check, counted)
     main(['morse', str(FIXTURES / f'{name}.quiver'), '--matching', matching])
     capsys.readouterr()
-    assert calls == ({} if (name, matching) == ('p2', 'bh') else
-                     {'check_internal': 1, 'check_acyclic': 1})
+    assert calls == {'check_internal': 1, 'check_acyclic': 1}
 
 
 def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
@@ -632,7 +655,7 @@ def test_witness_and_error_texts_name_chains(p2):
     # cell by its chain of class ids, in the bytes they had when cells were
     # those tuples
     from hpa.cli import _check_json
-    from hpa.morse import Matching, MatchingError, matching_from_json
+    from hpa.morse import MatchingError, matching_from_json
     from hpa.resolution import (BimoduleComplex, ResolutionError,
                                 cellular_resolution, check_resolution,
                                 verify_d_squared)
@@ -663,17 +686,15 @@ def test_witness_and_error_texts_name_chains(p2):
             '((4, (14,), 14), {(4, (14,), 14): -1})',
             '((0, (0, 4), 14), {(0, (0, 4), 14): -1})']}
 
-    with pytest.raises(MatchingError, match=r'^unknown cell \(0, 99\)$'):
-        Matching(x, [((0, 99), (0,))])
     with pytest.raises(MatchingError, match=(
             r'^not a cell of the realization: \(0, 1, 1\)$')):
         matching_from_json({'pairs': [{
             'top': {'tail': 'v0', 'chain': [[], ['x'], ['x']]},
-            'bottom': {'tail': 'v0', 'chain': [[]]}}]}, x)
+            'bottom': {'tail': 'v0', 'chain': [[]]}}]}, p2)
 
     skeleton = cellular_resolution(p2, build_realization(p2, max_dim=1))
-    below = skeleton.complex.cell((p2.trivial_class['v1'],
-                                   p2.arrow_class["y'"]))
+    below = cell_of(skeleton.complex, (p2.trivial_class['v1'],
+                                       p2.arrow_class["y'"]))
     with pytest.raises(ResolutionError, match=(
             r'^homotopy left the complex: \(0, 1, 3\)$')):
         skeleton.h_element({(p2.arrow_class['x'], below,
@@ -705,10 +726,9 @@ def _homology_paths(monkeypatch):
 def _morse_route(path, max_dim=None):
     """The calls of the Morse route: realization_homology, which eliminates
     the Morse complex of the Babson-Hersh matching of the whole realization
-    once, up to the cap (the critical cells that morse_complex keeps), and
+    once, up to the cap (the critical cells that MorseComplex keeps), and
     nothing else."""
-    from hpa.morse import morse_complex
-    counts = morse_complex(babson_hersh_matching(_load(path))).counts()
+    counts = MorseComplex(babson_hersh_matching(_load(path))).counts()
     counts = counts[:None if max_dim is None else max_dim + 1]
     while len(counts) > 1 and not counts[-1]:
         counts.pop()
@@ -896,26 +916,25 @@ def test_each_subcommand_checks_cancellation_once(monkeypatch, capsys,
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize('path, builds', [
-    (str(BENCHMARK_INPUTS / 'p11112.quiver'), False), (F3, False),
-    (F1, True)], ids=['p11112', 'f3', 'f1'])
-def test_morse_and_koszul_build_the_realization_only_for_f1(
-        monkeypatch, capsys, path, builds):
-    # hpa morse and koszul_check walk the default matching on chains where
-    # every class shells; F1's one unshelled interval takes the cells
-    from hpa import morse, realization
+@pytest.mark.parametrize('path', [
+    str(BENCHMARK_INPUTS / 'p11112.quiver'), F3, F1],
+    ids=['p11112', 'f3', 'f1'])
+def test_morse_and_koszul_never_build_the_realization(monkeypatch, capsys,
+                                                      path):
+    # every matching is a partner rule on chains: hpa morse under bh (F1's
+    # unshelled interval included), greedy and a matching file, and
+    # koszul_check (F1's minimal-nonlinear certificate), build no cells
+    from hpa import realization
     from hpa.invariants import koszul_check
-    calls = []
-    real = realization.build_realization
 
-    def spy(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
-    for module in (realization, morse):
-        monkeypatch.setattr(module, 'build_realization', spy)
-    code, data = run_json(capsys, 'morse', path)
-    assert code == 0 and data['quasi_iso']['ok']
-    assert bool(calls) == builds
-    calls.clear()
+    def refuse(*args, **kwargs):
+        raise AssertionError('a CellComplex was built')
+    monkeypatch.setattr(realization.CellComplex, '__init__', refuse)
+    runs = [[], ['--matching', 'greedy']]
+    if path == F3:
+        runs.append(['--matching', str(FIXTURES / 'f3_matching.json')])
+    for extra in runs:
+        code, data = run_json(capsys, 'morse', path, *extra)
+        assert code == 0 and data['quasi_iso']['ok']
     verdict = koszul_check(_load(path))
-    assert bool(calls) == builds == (verdict.method == 'minimal-nonlinear')
+    assert (path == F1) == (verdict.method == 'minimal-nonlinear')

@@ -22,8 +22,9 @@ from hpa.invariants import tor_table
 from hpa.morse import babson_hersh_matching
 from hpa.realization import build_realization, realization_homology
 
-from conftest import (RP2_TRIANGLES, bounded_rp2_dsl, exit_path_dsl,
-                      morse_homology, simplicial_homology, tor_via_intervals)
+from conftest import (RP2_TRIANGLES, bounded_rp2_dsl, cell_matching,
+                      exit_path_dsl, morse_homology, morse_pairs,
+                      simplicial_homology, tor_via_intervals)
 
 RP2_Z = {'0': [1, []], '1': [0, [2]], '2': [0, []]}
 RP2_F2 = {'0': [1, []], '1': [1, []], '2': [1, []]}
@@ -105,8 +106,9 @@ def test_rp2_sd1_keeps_its_torsion_whole_and_capped():
         for ring in (RING_Z, RING_Q, ring_fp(2)):
             h, counts, truncated = realization_homology(a, ring, max_dim)
             assert (counts, truncated) == (x.counts(), x.truncated)
-            assert h == morse_homology(babson_hersh_matching(a, complex_=x),
-                                       ring)
+            m = babson_hersh_matching(a, max_dim)
+            assert h == morse_homology(
+                cell_matching(x, morse_pairs(m, x)), ring)
 
 
 # the boundary of the tetrahedron (S^2) and the 7-vertex torus, whose

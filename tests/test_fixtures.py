@@ -1,8 +1,8 @@
 import json
 import pathlib
 
-from hpa.morse import (load_matching, check_internal, check_acyclic,
-                       morse_complex)
+from hpa.morse import (MorseComplex, load_matching, check_internal,
+                       check_acyclic)
 from hpa.realization import build_realization
 from hpa.resolution import verify_d_squared
 from hpa.toric import weight_data_from_json, image_phi
@@ -30,15 +30,14 @@ def test_p113_fixture_shape(p113):
 
 
 def test_f3_matching_fixture(f3):
-    x = build_realization(f3)
-    m = load_matching(FIXTURES / 'f3_matching.json', x)
+    m = load_matching(FIXTURES / 'f3_matching.json', f3)
     # the listed pairs include rebased duplicates that collapse on load
     raw = json.loads((FIXTURES / 'f3_matching.json').read_text())
     assert len(raw['pairs']) == 30
     assert len(m.pairs) == 26
     assert check_internal(m).ok
     assert check_acyclic(m).ok
-    mc = morse_complex(m)
+    mc = MorseComplex(m)
     assert mc.counts() == [4, 9, 6, 1]
     assert verify_d_squared(mc).ok
 

@@ -8,15 +8,16 @@ from hpa.algebra import check_hpa, from_document, tensor
 from hpa.realization import (build_realization, euler_characteristic,
                              lex_shelling, maximal_chains)
 from hpa.resolution import cellular_resolution, check_resolution
-from hpa.morse import (babson_hersh_matching, greedy_internal_matching,
-                       morse_complex)
+from hpa.morse import (MorseComplex, babson_hersh_matching,
+                       greedy_internal_matching)
 from hpa.invariants import (OrderComplex, reduced_homology, tor_table,
                             betti_table, el_shellable, interval_chains,
                             koszul_check, _elementary_divisors)
 
 from conftest import (RP2_TRIANGLES, algebras, bounded_rp2_dsl,
-                      classes_between, critical_cells, el_every_subinterval,
-                      free_algebra, interval_order_complex, linear_quiver,
+                      cell_matching, classes_between, critical_cells,
+                      el_every_subinterval, free_algebra,
+                      interval_order_complex, linear_quiver, morse_pairs,
                       order_complex_homology, tor_via_intervals,
                       tor_via_resolution, unshelled_classes)
 
@@ -127,8 +128,7 @@ def test_tor_free_quiver_dies_above_one():
 
 def test_oracle_triangle_p2(p2):
     c = cellular_resolution(p2)
-    m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(m)
+    mc = MorseComplex(babson_hersh_matching(p2))
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
@@ -148,7 +148,7 @@ def test_oracle_triangle_on_random_algebras(a):
     assert d2.ok and homotopy.ok
     # both constructions leave arrow cells unmatched, so they are internal
     # on ungraded algebras too
-    morse = [morse_complex(build(a, complex_=x)) for build in
+    morse = [MorseComplex(build(a)) for build in
              (babson_hersh_matching, greedy_internal_matching)]
     for ring in (RING_Z, ring_fp(2)):
         for v in a.quiver.vertices:
@@ -324,7 +324,9 @@ def test_babson_hersh_falls_back_on_cubic(cubic):
     m = babson_hersh_matching(cubic)
     p = _class(cubic, 'p0', ('a1', 'c', 'b2'))
     assert unshelled_classes(cubic) == [p]
-    crit = critical_cells(m)
+    x = build_realization(cubic)
+    crit = critical_cells(cell_matching(x, morse_pairs(m, x)))
+    assert MorseComplex(m).counts() == [len(cs) for cs in crit[:3]]
     # minimal: 4 vertices, 5 arrows, 1 generator for the cubic relation
     assert [len(cs) for cs in crit] == [4, 5, 1, 0]
 

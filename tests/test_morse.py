@@ -14,44 +14,60 @@ from hpa.cli import main
 from hpa.dsl import emit_quiver
 from hpa.quiver import Quiver
 from hpa.linalg import homology
-from hpa.realization import build_realization, lex_shelling
+from hpa.realization import (build_realization, faces, format_chain,
+                             lex_shelling)
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
                             verify_d_squared)
-from hpa.morse import (Matching, MatchingError, check_internal, check_acyclic,
-                       morse_complex, babson_hersh_complex,
-                       babson_hersh_matching, greedy_internal_matching,
-                       check_minimal, check_linear, load_matching,
-                       matching_from_json, _find_cycle)
+from hpa.morse import (Matching, MatchingError, MorseComplex, check_internal,
+                       check_acyclic, babson_hersh_matching,
+                       greedy_internal_matching, check_minimal, check_linear,
+                       load_matching, matching_from_json, _find_cycle)
 
 from conftest import (BENCHMARK_INPUTS, FIXTURES, Mutant, algebras,
-                      cellular_homology, critical_cells, free_algebra,
-                      gradient_path_counts, linear_quiver, load_algebra,
-                      matching_to_json, morse_homology, reference_bh_pairs,
+                      augment_by_rechecking, cell_faces, cell_matching,
+                      cell_of, cellular_homology, classes_between,
+                      critical_cells, free_algebra, gradient_path_counts,
+                      linear_quiver, load_algebra, matching_to_json,
+                      morse_homology, morse_pairs, reference_bh_pairs,
                       reference_bh_pairs_by_sets, reference_check_acyclic,
-                      reference_d_squared, reference_lex_shelling,
-                      reference_morse_terms, reference_partner,
+                      reference_coreduction, reference_d_squared,
+                      reference_lex_shelling, reference_morse_terms,
+                      reference_partner, split_interval_algebras,
                       tensor_simples, tor_via_intervals, tor_via_resolution,
                       unshelled_classes, words_by_class)
 
 
-def _cell(x, tail, *label_seqs):
-    """The cell of the canonical chain of words given as label tuples (first
-    entry ())."""
-    a = x.hpa
-    return x.cell(tuple(a.word_class(a.quiver.word(tail, tuple(ls)))
-                        for ls in label_seqs))
+def _chain(a, tail, *label_seqs):
+    """The canonical chain of words given as label tuples (first entry
+    ())."""
+    return tuple(a.word_class(a.quiver.word(tail, tuple(ls)))
+                 for ls in label_seqs)
+
+
+def _explicit(m, x):
+    """The pairs that the partner rule of the matching m matches among the
+    cells of x, as a Matching with every pair explicit, after checking that
+    the Morse complex of m keeps exactly the cells they leave critical."""
+    pairs = morse_pairs(m, x)
+    crit = [[x.chain(c) for c in cs]
+            for cs in critical_cells(cell_matching(x, pairs))]
+    while len(crit) > 1 and not crit[-1]:
+        crit.pop()
+    mc = MorseComplex(m)
+    assert mc.cells == crit and mc.pairs == len(pairs)
+    return Matching(m.hpa, pairs)
 
 
 def test_empty_matching_reproduces_resolution(p2):
     c = cellular_resolution(p2)
     x = c.complex
-    m = Matching(x, [])
-    mc = morse_complex(m)
+    mc = MorseComplex(Matching(p2, []))
     assert mc.counts() == x.counts()
     for k in range(1, mc.top + 1):
         for cell in mc.generators(k):
             assert set(mc.terms(cell)) == {
-                (s, l, x.chain(f), r) for s, l, f, r in c.terms(x.cell(cell))}
+                (s, l, x.chain(f), r)
+                for s, l, f, r in c.terms(cell_of(x, cell))}
 
 
 def test_acyclicity_cycle_witness():
@@ -59,16 +75,15 @@ def test_acyclicity_cycle_witness():
     # the chain a1 < a1a2 < a1a2a3; matching the three 3-cells against a
     # rotated choice of middle facets creates a genuine directed loop.
     a = free_algebra(linear_quiver(4))
-    x = build_realization(a)
     e, w = (), ('a1', 'a2', 'a3', 'a4')
     cx, cy, cz = ('a1',), ('a1', 'a2'), ('a1', 'a2', 'a3')
-    t_xy = _cell(x, 'v0', e, cx, cy, w)
-    t_yz = _cell(x, 'v0', e, cy, cz, w)
-    t_xz = _cell(x, 'v0', e, cx, cz, w)
-    s_x = _cell(x, 'v0', e, cx, w)
-    s_y = _cell(x, 'v0', e, cy, w)
-    s_z = _cell(x, 'v0', e, cz, w)
-    m = Matching(x, [(t_xy, s_x), (t_yz, s_y), (t_xz, s_z)])
+    t_xy = _chain(a, 'v0', e, cx, cy, w)
+    t_yz = _chain(a, 'v0', e, cy, cz, w)
+    t_xz = _chain(a, 'v0', e, cx, cz, w)
+    s_x = _chain(a, 'v0', e, cx, w)
+    s_y = _chain(a, 'v0', e, cy, w)
+    s_z = _chain(a, 'v0', e, cz, w)
+    m = Matching(a, [(t_xy, s_x), (t_yz, s_y), (t_xz, s_z)])
     assert check_internal(m).ok
     rep = check_acyclic(m)
     assert not rep.ok
@@ -82,31 +97,31 @@ def test_acyclicity_cycle_witness():
     for i in range(0, len(cyc) - 1, 2):
         bottom, top = cyc[i], cyc[i + 1]
         assert m.top[bottom] == top
-        assert cyc[i + 2] in x.faces(top)
+        assert cyc[i + 2] in faces(a, top)
     with pytest.raises(MatchingError):
-        morse_complex(m)
+        MorseComplex(m)
 
 
 def test_internality_witnesses(p2):
-    x = build_realization(p2)
-    xy = _cell(x, 'v0', (), ('x',), ('x', "y'"))
+    xy = _chain(p2, 'v0', (), ('x',), ('x', "y'"))
     # boundary face 0 lives in a different stratum
-    other = x.faces(xy)[0]
-    m = Matching(x, [(xy, other)])
+    other = faces(p2, xy)[0]
+    m = Matching(p2, [(xy, other)])
     rep = check_internal(m)
     assert not rep.ok
     assert any(reason == 'pair changes stratum' for reason, _ in rep.witnesses)
     with pytest.raises(MatchingError):
-        morse_complex(m)
+        MorseComplex(m)
 
     # so does the top face, through its head
-    m1 = Matching(x, [(xy, x.faces(xy)[-1])])
-    assert ('pair changes stratum', f"{x.format_cell(xy)} ~ "
-            f"{x.format_cell(x.faces(xy)[-1])}") in check_internal(m1).witnesses
+    m1 = Matching(p2, [(xy, faces(p2, xy)[-1])])
+    assert ('pair changes stratum', f"{format_chain(p2, xy)} ~ "
+            f"{format_chain(p2, faces(p2, xy)[-1])}") in \
+        check_internal(m1).witnesses
 
-    edge = _cell(x, 'v0', (), ('x',))
-    vertex = _cell(x, 'v0', ())
-    m2 = Matching(x, [(edge, vertex)])
+    edge = _chain(p2, 'v0', (), ('x',))
+    vertex = _chain(p2, 'v0', ())
+    m2 = Matching(p2, [(edge, vertex)])
     rep2 = check_internal(m2)
     reasons = {reason for reason, _ in rep2.witnesses}
     assert 'vertex cell matched' in reasons
@@ -114,45 +129,51 @@ def test_internality_witnesses(p2):
 
 
 def test_matching_rejects_double_use(p2):
-    x = build_realization(p2)
-    top1 = _cell(x, 'v0', (), ('x',), ('x', "y'"))
-    top2 = _cell(x, 'v0', (), ('y',), ('x', "y'"))
-    mid = _cell(x, 'v0', (), ('x', "y'"))
+    top1 = _chain(p2, 'v0', (), ('x',), ('x', "y'"))
+    top2 = _chain(p2, 'v0', (), ('y',), ('x', "y'"))
+    mid = _chain(p2, 'v0', (), ('x', "y'"))
     with pytest.raises(MatchingError):
-        Matching(x, [(top1, mid), (top2, mid)])
+        Matching(p2, [(top1, mid), (top2, mid)])
     # a top used twice, and a top that is then matched as a bottom
-    edge, vertex = x.faces(top1)[-1], _cell(x, 'v0', ())
+    edge, vertex = faces(p2, top1)[-1], _chain(p2, 'v0', ())
     for pairs, cell in [([(top1, mid), (top1, edge)], top1),
                         ([(edge, vertex), (top1, edge)], edge)]:
         with pytest.raises(MatchingError, match=re.escape(
-                f"cell {x.format_cell(cell)} matched twice")):
-            Matching(x, pairs)
+                f"cell {format_chain(p2, cell)} matched twice")):
+            Matching(p2, pairs)
 
 
 def test_matching_refuses_unknown_cells_and_bottoms_that_are_no_facets(p2):
-    x = build_realization(p2)
-    top = _cell(x, 'v0', (), ('x',), ('x', "y'"))
-    other = _cell(x, 'v0', (), ('y',))
-    assert other not in x.faces(top)
+    top = _chain(p2, 'v0', (), ('x',), ('x', "y'"))
+    other = _chain(p2, 'v0', (), ('y',))
+    assert other not in faces(p2, top)
     with pytest.raises(MatchingError, match="is not a facet of"):
-        Matching(x, [(top, other)])
-    for cell in (-1, len(x.last)):
-        with pytest.raises(MatchingError, match=f"^unknown cell {cell}$"):
-            Matching(x, [(top, cell)])
+        Matching(p2, [(top, other)])
+    # a file names cells by chains of words: one that is not increasing,
+    # and one above a cap, name no cell
+    bottom = {'tail': 'v0', 'chain': [[], ['x']]}
+    for chain, max_dim in ([[], ['x'], ['x']], None), \
+            ([[], ['x'], ['x', "y'"]], 1):
+        with pytest.raises(MatchingError, match=(
+                "^not a cell of the realization: ")):
+            matching_from_json({'pairs': [{
+                'top': {'tail': 'v0', 'chain': chain}, 'bottom': bottom}]},
+                p2, max_dim)
 
 
 def test_babson_hersh_p2_criticals(p2):
     m = babson_hersh_matching(p2)
-    x = m.complex
+    mc = MorseComplex(m)
     assert not unshelled_classes(p2)
-    crit = critical_cells(m)
+    _explicit(m, build_realization(p2))
+    crit = mc.cells
     assert [len(cs) for cs in crit] == [3, 6, 3]
     # critical 1-cells are exactly the arrow cells
-    for cell in crit[1]:
+    for chain in crit[1]:
         assert any(len(w.labels) == 1
-                   for w in words_by_class(p2)[x.chain(cell)[1]])
+                   for w in words_by_class(p2)[chain[1]])
     # critical 2-cells pick the lexicographically larger divisor
-    names = sorted(x.format_cell(cell) for cell in crit[2])
+    names = sorted(format_chain(p2, chain) for chain in crit[2])
     assert names == ["[e_v0 < y < x y']", "[e_v0 < z < x z']",
                      "[e_v0 < z < y z']"]
 
@@ -162,28 +183,28 @@ def test_babson_hersh_on_a_truncated_complex(request, name):
     # a subset of the full matching: the pairs whose top the capped
     # complex holds
     a = request.getfixturevalue(name)
-    full = babson_hersh_matching(a)
-    for max_dim in range(full.complex.max_dim):
+    whole = build_realization(a)
+    full = morse_pairs(babson_hersh_matching(a), whole)
+    for max_dim in range(whole.max_dim):
         x = build_realization(a, max_dim=max_dim)
-        m = babson_hersh_matching(a, complex_=x)
-        chains = [tuple(map(full.complex.chain, pr)) for pr in full.pairs]
-        assert [tuple(map(x.chain, pr)) for pr in m.pairs] == \
-            [pr for pr in chains if x.cell(pr[0]) is not None]
+        m = _explicit(babson_hersh_matching(a, max_dim), x)
+        assert sorted(m.pairs) == \
+            sorted(pr for pr in full if cell_of(x, pr[0]) is not None)
 
 
 def test_babson_hersh_fallback_on_a_truncated_complex(f1):
     # under --max-dim 0 F1's fallback class has no cell left; otherwise the
     # greedy fallback runs on the capped cells and is checked as usual
     for max_dim in range(3):
-        m = babson_hersh_matching(f1, complex_=build_realization(
-            f1, max_dim=max_dim))
+        m = babson_hersh_matching(f1, max_dim)
         assert unshelled_classes(f1) and m.internal.ok and m.acyclic.ok
+        assert bool(m.pairs) == (max_dim > 1)
+        _explicit(m, build_realization(f1, max_dim=max_dim))
 
 
 def test_babson_hersh_p2_morse_complex(p2):
     c = cellular_resolution(p2)
-    m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(m)
+    mc = MorseComplex(babson_hersh_matching(p2))
     assert mc.counts() == [3, 6, 3]
     assert verify_d_squared(mc).ok
     assert check_minimal(mc).ok
@@ -196,8 +217,7 @@ def test_babson_hersh_p2_morse_complex(p2):
 
 def test_babson_hersh_quasi_isomorphism(p2):
     c = cellular_resolution(p2)
-    m = babson_hersh_matching(p2, complex_=c.complex)
-    mc = morse_complex(m)
+    mc = MorseComplex(babson_hersh_matching(p2))
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
             for ring in (('Z',), ('Fp', 2)):
@@ -216,7 +236,8 @@ def test_greedy_free_quiver_criticals():
                                   ('c', 'u', 'v')])):
         a = free_algebra(q)
         m = greedy_internal_matching(a)
-        crit = critical_cells(m)
+        _explicit(m, build_realization(a))
+        crit = MorseComplex(m).cells
         assert len(crit[0]) == len(q.vertices)
         assert len(crit[1]) == len(q.arrows)
         assert all(len(cs) == 0 for cs in crit[2:])
@@ -224,8 +245,7 @@ def test_greedy_free_quiver_criticals():
 
 def test_greedy_p2_agrees_with_resolution_homology(p2):
     c = cellular_resolution(p2)
-    m = greedy_internal_matching(p2, complex_=c.complex)
-    mc = morse_complex(m)
+    mc = MorseComplex(greedy_internal_matching(p2))
     assert verify_d_squared(mc).ok
     for v in p2.quiver.vertices:
         for w in p2.quiver.vertices:
@@ -237,12 +257,13 @@ def test_greedy_p2_agrees_with_resolution_homology(p2):
 
 def test_gradient_path_counts_p2(p2):
     c = cellular_resolution(p2)
-    m = babson_hersh_matching(p2, complex_=c.complex)
-    counts = gradient_path_counts(c, m)
+    m = babson_hersh_matching(p2)
+    mc = MorseComplex(m)
+    counts = gradient_path_counts(
+        c, cell_matching(c.complex, morse_pairs(m, c.complex)))
     # each critical 2-cell [e < y < x*y'] reaches the arrow cell [e < y]
     # directly and [e < x] through exactly one alternating path
-    mc = morse_complex(m)
-    for cell in map(c.complex.cell, mc.generators(2)):
+    for cell in (cell_of(c.complex, tau) for tau in mc.generators(2)):
         targets = {t for (tau, t), n in counts.items() if tau == cell}
         assert len(targets) >= 2
         assert all(n >= 1 for (tau, t), n in counts.items() if tau == cell)
@@ -250,10 +271,9 @@ def test_gradient_path_counts_p2(p2):
 
 def test_matching_roundtrip_and_rebasing(p2):
     x = build_realization(p2)
-    m = babson_hersh_matching(p2, complex_=x)
-    data = matching_to_json(m)
-    m2 = matching_from_json(data, x)
-    assert m2.pairs == m.pairs
+    pairs = morse_pairs(babson_hersh_matching(p2), x)
+    m2 = matching_from_json(matching_to_json(p2, pairs), p2)
+    assert sorted(m2.pairs) == sorted(pairs)
 
     # a chain written with nontrivial first entry is rebased, and an exact
     # duplicate pair collapses
@@ -263,11 +283,10 @@ def test_matching_roundtrip_and_rebasing(p2):
         {'top': {'tail': 'v1', 'chain': [[], ["y'"]]},
          'bottom': {'tail': 'v1', 'chain': [[]]}},
     ]}
-    m3 = matching_from_json(raw, x)
-    assert len(m3.pairs) == 1
-    top, bottom = m3.pairs[0]
-    assert x.format_cell(top) == "[e_v1 < y']"
-    assert x.format_cell(bottom) == '[e_v1]'
+    m3 = matching_from_json(raw, p2)
+    [(top, bottom)] = m3.pairs
+    assert format_chain(p2, top) == "[e_v1 < y']"
+    assert format_chain(p2, bottom) == '[e_v1]'
 
 
 def test_check_linear_requires_grading():
@@ -277,7 +296,7 @@ def test_check_linear_requires_grading():
     from hpa.algebra import HPA, RelationSet
     a = HPA(RelationSet(q, [[q.word('u', ('a',)), q.word('u', ('b', 'c'))]]))
     assert not a.graded
-    mc = morse_complex(Matching(build_realization(a), []))
+    mc = MorseComplex(Matching(a, []))
     with pytest.raises(ValueError):
         check_linear(mc)
 
@@ -298,41 +317,40 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
     a = request.getfixturevalue(name)
     x = build_realization(a, max_dim=max_dim)
     if isinstance(build, str):
-        m = load_matching(FIXTURES / build, x)
+        m = load_matching(FIXTURES / build, a, max_dim)
     else:
-        m = build(a, complex_=x)
+        m = build(a, max_dim)
     assert x.truncated == (max_dim is not None)
     assert bool(unshelled_classes(a)) == (name == 'f1')
     c = BimoduleComplex(a, x)
-    mc = morse_complex(m)
-    critical = [x.cell(tau) for k in range(1, mc.top + 1)
+    mc = MorseComplex(m)
+    pairs = _explicit(m, x).pairs
+    cm = cell_matching(x, pairs)
+    critical = [cell_of(x, tau) for k in range(1, mc.top + 1)
                 for tau in mc.generators(k)]
     # some gradient path goes through a matched pair, except on the
     # ungraded algebra: no face of its one critical 2-cell is matched
-    assert any(m.top[f] >= 0 for tau in critical
-               for f in x.faces(tau)) == (name != 'ungraded')
+    assert any(cm.top[f] >= 0 for tau in critical
+               for f in cell_faces(x, tau)) == (name != 'ungraded')
     for tau in critical:
         assert mc.terms(x.chain(tau)) == [
             (cf, l, x.chain(tgt), r)
-            for cf, l, tgt, r in reference_morse_terms(c, m, tau)]
-    # where every class shells, the matching read off the shellings gives
-    # the same complex without the cells
+            for cf, l, tgt, r in reference_morse_terms(c, cm, tau)]
+    # where every class shells, the partner rule read off the shellings
+    # matches the pairs of the definition
     if build is babson_hersh_matching and name != 'f1':
-        lex = babson_hersh_complex(a, max_dim)
-        assert lex.cells == mc.cells and lex.pairs == len(m.pairs)
-        assert all(lex.terms(tau) == mc.terms(tau)
-                   for cells in mc.cells for tau in cells)
+        assert sorted(pairs) == sorted(reference_bh_pairs(a, x))
 
 
 def _walk_with_partner(monkeypatch, a, rule):
-    """babson_hersh_complex(a), its walk reading rule(partner, c) in place
-    of the partner rule partner(c) of the shellings (realization.partner).
-    The true rule is accepted."""
+    """The Morse complex of babson_hersh_matching(a), its walk reading
+    rule(partner, c) in place of the partner rule partner(c) of the
+    shellings (realization.partner).  The true rule is accepted."""
     partner = realization.partner
-    babson_hersh_complex(a)
+    MorseComplex(babson_hersh_matching(a))
     monkeypatch.setattr(realization, 'partner',
                         lambda a, c: rule(lambda c: partner(a, c), c))
-    return babson_hersh_complex(a)
+    return MorseComplex(babson_hersh_matching(a))
 
 
 def test_morse_complex_refuses_a_partner_at_a_wrong_place(p2, monkeypatch):
@@ -352,10 +370,9 @@ def test_morse_complex_refuses_a_non_invertible_incidence(p2, monkeypatch,
     # face 0 of a critical 2-cell, whose term has the left coefficient p_1,
     # or its top face, whose term has the right coefficient p_1\p_2,
     # claims that cell as its top: a pair the walk cannot cancel
-    x = build_realization(p2)
-    tau = babson_hersh_complex(p2).generators(2)[0]
-    faces = x.faces(x.cell(tau))
-    face, i = x.chain(faces[place]), place % len(faces)
+    tau = MorseComplex(babson_hersh_matching(p2)).generators(2)[0]
+    fs = faces(p2, tau)
+    face, i = fs[place], place % len(fs)
     with pytest.raises(MatchingError, match="^matched pair has a "
                        "non-invertible incidence coefficient$"):
         _walk_with_partner(monkeypatch, p2, lambda partner, c: (
@@ -365,7 +382,7 @@ def test_morse_complex_refuses_a_non_invertible_incidence(p2, monkeypatch,
 def _acyclic_on_face_graph(m):
     """check_acyclic with its cycle search keyed by dimension alone, so that
     it follows every face edge, across (tail, head) strata too."""
-    whole = SimpleNamespace(complex=m.complex, top=m.top, pairs=m.pairs,
+    whole = SimpleNamespace(hpa=m.hpa, top=m.top, pairs=m.pairs,
                             internal=SimpleNamespace(ok=False))
     return check_acyclic(whole).ok
 
@@ -380,27 +397,33 @@ def test_morse_homology_matches_elimination(a, max_dim):
         return
     x = build_realization(a, max_dim=max_dim)
     for build in (babson_hersh_matching, greedy_internal_matching):
-        m = build(a, complex_=x)
+        m = _explicit(build(a, max_dim), x)
         assert _acyclic_on_face_graph(m)
         for ring in (RING_Z, ring_fp(2)):
-            assert morse_homology(m, ring) == cellular_homology(x, ring)
+            assert morse_homology(cell_matching(x, m.pairs), ring) == \
+                cellular_homology(x, ring)
 
 
 @pytest.mark.parametrize('name', ['p2', 'f3', 'p113', 'a3a3'])
 def test_morse_homology_fixtures(request, name):
     a = request.getfixturevalue(name)
-    m = babson_hersh_matching(a)
+    x = build_realization(a)
+    m = _explicit(babson_hersh_matching(a), x)
     assert _acyclic_on_face_graph(m)
     for ring in (RING_Z, ring_fp(2)):
-        assert morse_homology(m, ring) == cellular_homology(m.complex, ring)
+        assert morse_homology(cell_matching(x, m.pairs), ring) == \
+            cellular_homology(x, ring)
 
 
 def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
                                                      monkeypatch):
     # one face of the last cell of each dimension corrupted: caught at that
     # dimension, before any reduction
+    def matching(a):
+        x = build_realization(a)
+        return cell_matching(x, morse_pairs(babson_hersh_matching(a), x))
     for a in (p2, p113):
-        m = babson_hersh_matching(a)
+        m = matching(a)
         x = m.complex
         for k in range(2, x.max_dim + 1):
             face = list(x.face)
@@ -415,7 +438,7 @@ def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
 
     # facets 0 and 1 of a 2-cell in each other's place break d^2 = 0,
     # and that is caught before any reduction
-    m = babson_hersh_matching(p2)
+    m = matching(p2)
     x = m.complex
     face = list(x.face)
     for cell in x.cells[2]:
@@ -434,13 +457,45 @@ def test_morse_homology_of_a_truncated_complex(request, name):
     for max_dim in range(top + 1):
         x = build_realization(a, max_dim=max_dim)
         assert x.truncated == (max_dim < top)
-        h = morse_homology(babson_hersh_matching(a, complex_=x))
+        m = _explicit(babson_hersh_matching(a, max_dim), x)
+        h = morse_homology(cell_matching(x, m.pairs))
         assert h == cellular_homology(x)
         assert list(h) == list(range(max_dim + (max_dim == top)))
 
 
-def _check_shellings_and_pairs(a, x):
-    """lex_shelling and the Babson-Hersh pairs against their references."""
+@settings(max_examples=60, deadline=None)
+@given(split_interval_algebras(), st.one_of(st.none(), st.integers(0, 4)))
+def test_split_intervals_match_as_the_cells_did(a, max_dim):
+    # no draw of algebras() reaches a class that does not shell; each of
+    # these holds one.  Per stratum, on chains, the Babson-Hersh fallback
+    # and greedy match the pairs that coreduction over cell ids, the pairs
+    # of the shellings and growth by rechecking the whole matching over
+    # every stratum at once give, and their homology is the cells'
+    # the incidence algebra: one class from v to w where w is above v
+    assert all(len(classes_between(a, v, w)) <= 1
+               for v in a.quiver.vertices for w in a.quiver.vertices)
+    unshelled = unshelled_classes(a)
+    assert unshelled and a.graded
+    x = build_realization(a, max_dim=max_dim)
+    cells = [x.chain(c) for cs in x.cells[1:] for c in cs]
+    every = [p for p in range(len(a.classes)) if not a.is_trivial(p)]
+    for build, coreduced in ((babson_hersh_matching, unshelled),
+                             (greedy_internal_matching, every)):
+        seed = [pr for p in coreduced for pr in reference_coreduction(x, p)]
+        if build is babson_hersh_matching:
+            seed += reference_bh_pairs(a, x)
+        m = _explicit(build(a, max_dim), x)
+        assert sorted(m.pairs) == \
+            sorted(augment_by_rechecking(a, cells, seed).pairs)
+        for ring in (RING_Z, ring_fp(2)):
+            assert morse_homology(cell_matching(x, m.pairs), ring) == \
+                cellular_homology(x, ring)
+
+
+def _check_shellings_and_pairs(a, max_dim):
+    """lex_shelling and the Babson-Hersh pairs against their references, on
+    the realization capped at max_dim."""
+    x = build_realization(a, max_dim=max_dim)
     shelled = True
     for p in range(len(a.classes)):
         if not a.is_trivial(p):
@@ -451,8 +506,9 @@ def _check_shellings_and_pairs(a, x):
     ref = reference_bh_pairs(a, x)
     assert sorted(ref) == sorted(reference_bh_pairs_by_sets(a, x))
     # internal and acyclic on ungraded algebras too
-    m = babson_hersh_matching(a, complex_=x)
-    pairs = [tuple(map(x.chain, pr)) for pr in m.pairs]
+    m = babson_hersh_matching(a, max_dim)
+    assert m.internal.ok and m.acyclic.ok
+    pairs = _explicit(m, x).pairs
     assert bool(unshelled_classes(a)) == (not shelled)
     if not shelled:
         # coreduction and augmentation add pairs for the other classes
@@ -467,19 +523,18 @@ def _check_shellings_and_pairs(a, x):
        st.one_of(st.none(), st.integers(0, 3)))
 def test_shellings_and_pairs_match_references(a, max_dim):
     if check_hpa(a).ok:
-        _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
+        _check_shellings_and_pairs(a, max_dim)
 
 
 @pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3', 'p11112',
                                   'ungraded'])
 def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     a = request.getfixturevalue(name)
-    x = build_realization(a)
-    m = _check_shellings_and_pairs(a, x)
+    _check_shellings_and_pairs(a, None)
     # F1 has the one interval that its lexicographic order does not shell
     assert bool(unshelled_classes(a)) == (name == 'f1')
-    for max_dim in range(max(4, x.max_dim)):
-        _check_shellings_and_pairs(a, build_realization(a, max_dim=max_dim))
+    for max_dim in range(max(4, build_realization(a).max_dim)):
+        _check_shellings_and_pairs(a, max_dim)
 
 
 def _check_partner(a, x):
@@ -509,24 +564,25 @@ def _random_internal_matching(x, rng):
     arrow cell, no cell used twice.  Mostly the tops come from the (tail,
     head) stratum of a random cell of dimension >= 3, since a cycle needs a
     top with two middle faces and stays in one stratum."""
-    arrows = set(x.hpa.arrow_class.values())
+    a = x.hpa
+    arrows = set(a.arrow_class.values())
+    ends = [(cl.tail, cl.head) for cl in a.classes]
     tops = [c for k in range(2, x.max_dim + 1) for c in x.cells[k]]
     if rng.random() < 0.8:
         c = rng.choice([c for c in tops if len(x.chain(c)) >= 4])
-        tops = [t for t in tops
-                if (x.tail(t), x.head(t)) == (x.tail(c), x.head(c))]
+        tops = [t for t in tops if ends[x.last[t]] == ends[x.last[c]]]
     tops = rng.sample(tops, rng.randint(1, len(tops)))
     used = set()
     pairs = []
     for top in tops:
-        bottoms = [f for f in x.faces(top)[1:-1] if f not in used
+        bottoms = [f for f in cell_faces(x, top)[1:-1] if f not in used
                    and not (len(x.chain(f)) == 2 and x.chain(f)[1] in arrows)]
         if top in used or not bottoms:
             continue
         bottom = rng.choice(bottoms)
         used.update((top, bottom))
-        pairs.append((top, bottom))
-    return Matching(x, pairs)
+        pairs.append((x.chain(top), x.chain(bottom)))
+    return Matching(a, pairs)
 
 
 @pytest.mark.parametrize('name', ['a4', 'f3', 'p113', 'a3a3'])
@@ -543,7 +599,7 @@ def test_check_acyclic_matches_reference_on_random_matchings(request, name):
         assert (rep.ok, rep.witnesses, rep.checked) == \
             (ref.ok, ref.witnesses, ref.checked)
         # the dimension-keyed search, as for a non-internal matching
-        whole = SimpleNamespace(complex=x, top=m.top, pairs=m.pairs,
+        whole = SimpleNamespace(hpa=a, top=m.top, pairs=m.pairs,
                                 internal=SimpleNamespace(ok=False))
         rep, ref = check_acyclic(whole), reference_check_acyclic(whole)
         assert (rep.ok, rep.witnesses) == (ref.ok, ref.witnesses)
@@ -552,26 +608,23 @@ def test_check_acyclic_matches_reference_on_random_matchings(request, name):
 
 
 @pytest.mark.parametrize('name', ['a4', 'a3a3'])
-def test_find_cycle_leaves_its_colours_cleared(request, name):
-    # one colour array for every search, as _augment keeps it: each search
-    # leaves it zeroed, whether it closes a cycle or not, so the next one
-    # decides as a search on a fresh array does
+def test_find_cycle_decides_alike_from_every_start_order(request, name):
+    # growth searches from one new bottom at a time: a search from the
+    # bottoms in any order finds a cycle exactly when there is one, and
+    # each search starts afresh
     a = free_algebra(linear_quiver(4)) if name == 'a4' else \
         request.getfixturevalue(name)
     x = build_realization(a)
     rng = random.Random(name)
-    color = bytearray(len(x.last))
     outcomes = set()
     for _ in range(100):
         m = _random_internal_matching(x, rng)
-        bottoms = sorted(b for _, b in m.pairs)
+        bottoms = sorted(m.top)
         for starts in (bottoms, bottoms[::-1]):
-            cycle = _find_cycle(x, m.top, starts, True, color)
-            assert not any(color)
-            assert cycle == _find_cycle(x, m.top, starts, True,
-                                        bytearray(len(x.last)))
+            cycle = _find_cycle(a, m.top, starts, True)
+            assert cycle == _find_cycle(a, m.top, starts, True)
+            assert (cycle is None) == reference_check_acyclic(m).ok
             outcomes.add(cycle is None)
-        assert (cycle is None) == reference_check_acyclic(m).ok
     assert outcomes == {True, False}
 
 
@@ -582,13 +635,13 @@ def test_only_the_middle_faces_keep_the_stratum(a):
     if not check_hpa(a).ok:
         return
     x = build_realization(a)
+    ends = [(cl.tail, cl.head) for cl in a.classes]
     for k in range(2, x.max_dim + 1):
         for cell in x.cells[k]:
-            fs = x.faces(cell)
-            assert x.tail(fs[0]) != x.tail(cell)
-            assert x.head(fs[-1]) != x.head(cell)
-            for f in fs[1:-1]:
-                assert (x.tail(f), x.head(f)) == (x.tail(cell), x.head(cell))
+            fs = [ends[x.last[f]] for f in cell_faces(x, cell)]
+            tail, head = ends[x.last[cell]]
+            assert fs[0][0] != tail and fs[-1][1] != head
+            assert all(f == (tail, head) for f in fs[1:-1])
 
 
 @pytest.mark.parametrize('name', ['a4a4', 'a2a2a2'])
@@ -596,10 +649,9 @@ def test_babson_hersh_pairs_match_the_reference_on_benchmark_inputs(name):
     # P(1,1,1,1,2), the third benchmark input, is among the fixtures above
     a = load_algebra(f'{name}.quiver', BENCHMARK_INPUTS)
     x = build_realization(a)
-    m = babson_hersh_matching(a, complex_=x)
+    m = _explicit(babson_hersh_matching(a), x)
     assert not unshelled_classes(a)
-    assert sorted(tuple(map(x.chain, pr)) for pr in m.pairs) == \
-        sorted(reference_bh_pairs(a, x))
+    assert sorted(m.pairs) == sorted(reference_bh_pairs(a, x))
 
 
 class _ReferenceMorse:
@@ -608,10 +660,7 @@ class _ReferenceMorse:
     (reference_morse_terms), cells written as chains."""
 
     def __init__(self, x, pairs):
-        top, bottom = [-1] * len(x.last), [-1] * len(x.last)
-        for t, b in pairs:
-            top[x.cell(b)], bottom[x.cell(t)] = x.cell(t), x.cell(b)
-        m = SimpleNamespace(complex=x, top=top, bottom=bottom)
+        m = cell_matching(x, pairs)
         c = BimoduleComplex(x.hpa, x)
         self.hpa, self.cells = x.hpa, critical_cells(m)
         while len(self.cells) > 1 and not self.cells[-1]:

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from hpa.algebra import HPA, RelationSet, check_hpa
 from hpa.dsl import parse_quiver
-from hpa.morse import (Matching, _augment, _greedy_on_cells, _is_arrow_cell,
-                       greedy_internal_matching)
+from hpa.morse import (Matching, _coreduce, _grow, greedy_internal_matching)
 from hpa.quiver import PathWord, enumerate_paths
-from hpa.realization import build_realization, maximal_chains
+from hpa.realization import maximal_chains, stratum
 
-from conftest import algebras, words_by_class
+from conftest import algebras, augment_by_rechecking, words_by_class
 
 
 def word_level_closure(rels):
@@ -169,30 +168,6 @@ def poset_maximal_chains(elements, leq):
     return chains
 
 
-def augment_by_rechecking(a, x, pairs):
-    """Grow a matching by rebuilding and fully rechecking it for every
-    candidate pair (top, middle facet), in cell order until none fits."""
-    pairs = list(pairs)
-    matched = {c for pair in pairs for c in pair}
-    changed = True
-    while changed:
-        changed = False
-        for k in range(2, x.max_dim + 1):
-            for top in x.cells[k]:
-                if top in matched or _is_arrow_cell(x, top):
-                    continue
-                for f in x.faces(top)[1:-1]:
-                    if f in matched or len(x.chain(f)) < 2 or \
-                            _is_arrow_cell(x, f):
-                        continue
-                    if Matching(x, pairs + [(top, f)]).acyclic.ok:
-                        pairs.append((top, f))
-                        matched.update((top, f))
-                        changed = True
-                        break
-    return Matching(x, pairs)
-
-
 def test_growth_refuses_the_pair_that_closes_a_cycle():
     # A4 with an arrow b = a1 a2 a3 a4, stratum (v0, v4): [e < b] is an
     # arrow cell, so [e < z < b] is no top.  With [e < x < y < b] ~
@@ -203,18 +178,20 @@ def test_growth_refuses_the_pair_that_closes_a_cycle():
         "vertices: v0 v1 v2 v3 v4\narrows:\n  a1: v0 -> v1\n"
         "  a2: v1 -> v2\n  a3: v2 -> v3\n  a4: v3 -> v4\n  b: v0 -> v4\n"
         "relations:\n  b = a1 a2 a3 a4\n")[1])
-    x = build_realization(a)
     e, cx, cy, cz, w = [a.word_class(a.quiver.word('v0', labels)) for labels
                         in ((), ('a1',), ('a1', 'a2'), ('a1', 'a2', 'a3'),
                             ('b',))]
-    seed = [(x.cell((e, cx, cy, w)), x.cell((e, cx, w))),
-            (x.cell((e, cy, cz, w)), x.cell((e, cy, w)))]
-    closing = (x.cell((e, cx, cz, w)), x.cell((e, cz, w)))
-    assert not Matching(x, seed + [closing]).acyclic.ok
-    grown = _augment(x, seed)
+    seed = [((e, cx, cy, w), (e, cx, w)), ((e, cy, cz, w), (e, cy, w))]
+    closing = ((e, cx, cz, w), (e, cz, w))
+    assert not Matching(a, seed + [closing]).acyclic.ok
+    top, bottom = {b: t for t, b in seed}, dict(seed)
+    cells = stratum(a, w, len(a.classes))
+    _grow(a, cells, top, bottom, (e, w))
+    grown = Matching(a, bottom.items())
     assert grown.acyclic.ok and closing not in grown.pairs
-    assert (x.cell((e, cx, cy, cz, w)), closing[0]) in grown.pairs
-    assert grown.pairs == augment_by_rechecking(a, x, seed).pairs
+    assert ((e, cx, cy, cz, w), closing[0]) in grown.pairs
+    assert sorted(grown.pairs) == \
+        sorted(augment_by_rechecking(a, cells, seed).pairs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,12 +209,16 @@ def test_cover_walk_and_greedy_growth_match_references(a):
             expect = poset_maximal_chains(inner, a.leq) or [()]
             assert sorted(maximal_chains(a, u, w)) == sorted(expect)
 
-    x = build_realization(a)
-    pairs = []
+    # coreduction per stratum, then growth by rechecking the whole matching
+    # over every stratum at once, in (dimension, chain) order
+    pairs, cells = [], []
     for p in range(n):
-        cells = [c for k in range(1, x.max_dim + 1) for c in x.cells[k]
-                 if x.chain(c)[-1] == p]
-        pairs += _greedy_on_cells(x, cells)
-    ref = augment_by_rechecking(a, x, pairs)
+        if not a.is_trivial(p):
+            cells += stratum(a, p, n)
+            arrow = (a.trivial_class[a.tail(p)], p) \
+                if 1 in a.classes[p].lengths else None
+            pairs += _coreduce(stratum(a, p, n), arrow)[1].items()
+    ref = augment_by_rechecking(a, sorted(cells, key=lambda c: (len(c), c)),
+                                pairs)
     assert ref.internal.ok and ref.acyclic.ok
-    assert greedy_internal_matching(a, complex_=x).pairs == ref.pairs
+    assert sorted(greedy_internal_matching(a).pairs) == sorted(ref.pairs)

@@ -10,13 +10,15 @@ from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.quiver import Quiver
 from hpa.morse import babson_hersh_matching
 from hpa.linalg import homology
-from hpa.realization import (build_realization, euler_characteristic,
-                             realization_homology)
+from hpa.realization import (build_realization, euler_characteristic, faces,
+                             realization_homology, stratum)
 
-from conftest import (algebras, cellular_homology, check_semisimplicial,
+from conftest import (algebras, cell_faces, cell_matching, cell_of,
+                      cellular_homology, check_semisimplicial,
                       d_squared_degree, free_algebra, identities_hold,
                       linear_quiver, matrix_complex, morse_homology,
-                      reference_d_squared_degree, reference_faces)
+                      morse_pairs, reference_d_squared_degree,
+                      reference_faces)
 
 
 def test_parse_ring():
@@ -98,9 +100,7 @@ def test_free_parallel_arrows_graph_homology():
 
 def test_tree_stratum(p2):
     x = build_realization(p2)
-    cell = x.cells[1][0]
-    assert x.tail(cell) == p2.tail(x.chain(cell)[0])
-    strata = {x.tail(c) for c in x.cells[2]}
+    strata = {p2.tail(x.last[c]) for c in x.cells[2]}
     assert strata == {'v0'}  # all 2-cells live over the root vertex
 
 
@@ -155,7 +155,8 @@ def test_homology_calls_boundary_once_per_cell(p2):
 
     def boundary(cell):
         calls[cell] += 1
-        return [(-1 if i % 2 else 1, f) for i, f in enumerate(x.faces(cell))]
+        return [(-1 if i % 2 else 1, f)
+                for i, f in enumerate(cell_faces(x, cell))]
     h = homology(list(x.cells) + [[]], boundary, RING_Z)
     assert h == cellular_homology(x)
     assert calls == Counter(range(len(x.cells[0]), sum(x.counts())))
@@ -164,8 +165,9 @@ def test_homology_calls_boundary_once_per_cell(p2):
 def test_face_edges(p2):
     x = build_realization(p2)
     edges = [(cell, f) for k in range(1, x.max_dim + 1)
-             for cell in x.cells[k] for f in x.faces(cell)]
-    assert all(x.tail(f) in (x.tail(cell), p2.head(x.chain(cell)[1]))
+             for cell in x.cells[k] for f in cell_faces(x, cell)]
+    assert all(p2.tail(x.last[f]) in (p2.tail(x.last[cell]),
+                                      p2.head(x.chain(cell)[1]))
                for cell, f in edges)
     assert len(edges) == 12 * 2 + 9 * 3
 
@@ -194,7 +196,7 @@ def test_faces_and_d_squared_degree_match_definitions(a):
         for cell in x.cells[k]:
             chain = x.chain(cell)
             p1 = chain[1]
-            assert x.chain(x.faces(cell)[0]) == \
+            assert x.chain(cell_faces(x, cell)[0]) == \
                 (a.trivial_class[a.head(p1)],) + \
                 tuple(a.divide(p1, p) for p in chain[2:])
     assert d_squared_degree(x) == reference_d_squared_degree(x)
@@ -202,26 +204,29 @@ def test_faces_and_d_squared_degree_match_definitions(a):
 
 def _check_tree(a, max_dim):
     """The simplex tree against the chains it stands for: the ids of each
-    dimension run in sorted chain order, x.cell inverts x.chain (and finds
-    no cell for a tuple that is no chain), and the face table agrees with
-    the slicing rule."""
+    dimension run in sorted chain order, cell_of inverts x.chain (and finds
+    no cell for a tuple that is no chain), and the face table and
+    realization.faces agree with the slicing rule.  realization.stratum
+    lists the cells that end at each class, in id order."""
     x = build_realization(a, max_dim=max_dim)
-    for cells in x.cells:
+    for k, cells in enumerate(x.cells):
         chains = [x.chain(c) for c in cells]
         assert chains == sorted(chains)
         assert len(set(chains)) == len(chains)
-    for c in range(sum(x.counts())):
-        chain = x.chain(c)
-        assert x.cell(chain) == c
-        assert len(chain) == x.dim(c) + 1
-        if len(chain) > 1:
-            assert [x.chain(f) for f in x.faces(c)] == \
-                reference_faces(a, chain)
+        for c, chain in zip(cells, chains):
+            assert cell_of(x, chain) == c
+            assert len(chain) == k + 1
+            if k:
+                assert [x.chain(f) for f in cell_faces(x, c)] == \
+                    faces(a, chain) == reference_faces(a, chain)
     # a tuple that is no canonical chain names no cell
     for p in range(len(a.classes)):
         if not a.is_trivial(p):
-            assert x.cell((p,)) is None
-            assert x.cell((a.trivial_class[a.tail(p)], p, p)) is None
+            assert cell_of(x, (p,)) is None
+            assert cell_of(x, (a.trivial_class[a.tail(p)], p, p)) is None
+            assert stratum(a, p, x.max_dim) == [
+                x.chain(c) for cells in x.cells[1:] for c in cells
+                if x.last[c] == p]
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +257,7 @@ def test_build_realization_refuses_exactly_the_non_cancellative(a):
 def _facet_corrupted(base, victim, edit):
     """A copy of the complex base whose face table lists edit(faces) for
     the cell victim, deliberately corrupted."""
-    rows = [base.faces(c) for c in range(sum(base.counts()))]
+    rows = [cell_faces(base, c) for c in range(sum(base.counts()))]
     rows[victim] = edit(rows[victim])
     broken = build_realization(base.hpa, max_dim=base.max_dim)
     broken.face = [f for row in rows for f in row]
@@ -366,7 +371,8 @@ def test_realization_homology_matches_the_eager_route(a, max_dim, ring):
     h, counts, truncated = realization_homology(a, ring, max_dim)
     assert counts == x.counts()
     assert truncated == x.truncated
-    assert h == morse_homology(babson_hersh_matching(a, complex_=x), ring)
+    m = babson_hersh_matching(a, max_dim)
+    assert h == morse_homology(cell_matching(x, morse_pairs(m, x)), ring)
 
 
 @pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3',

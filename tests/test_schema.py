@@ -204,6 +204,46 @@ def test_a_report_off_its_schema_writes_nothing(monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize('certificate, ok', [
+    ({'variable_order': ['x2', 'x1'], 'exhaustive': True}, True),
+    ({'intervals': 12}, True),
+    ({'criticals': [3, 6, 3]}, True),
+    ({'cell': '[e_v0 < x]', 'target': '[e_v1]',
+      'coefficient_lengths': [1, 1]}, True),
+    ({'reason': 'no minimal Morse complex found'}, True),
+    ({}, False),
+    ({'intervals': 12, 'reason': 'both'}, False),
+    ({'variable_order': ['x1'], 'exhaustive': 'yes'}, False),
+    ({'cell': '[e_v0 < x]', 'target': '[e_v1]',
+      'coefficient_lengths': [1, 1, 0]}, False),
+    ({'criticals': 3}, False)])
+def test_a_koszul_certificate_has_one_of_five_shapes(certificate, ok):
+    schema = cli._schema('koszul')
+    doc = {'header': cli._header('koszul'), 'status': 'unknown',
+           'method': None, 'certificate': certificate}
+    assert _ours(doc, schema) is ok
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc) is ok
+
+
+def test_a_certificate_json_cannot_write_is_refused_before_output(
+        monkeypatch, capsys, tmp_path):
+    # json cannot write a set: the certificate is refused while the report
+    # is validated, before any byte is streamed
+    from hpa import invariants
+    payload = {'reason': {1, 2}}
+    with pytest.raises(ValidationError, match='/certificate'):
+        validate({'header': cli._header('koszul'), 'status': 'unknown',
+                  'method': None, 'certificate': payload},
+                 cli._schema('koszul'))
+    monkeypatch.setattr(invariants, 'koszul_check', lambda a: (
+        invariants.KoszulVerdict('unknown', None, payload)))
+    out = tmp_path / 'koszul.json'
+    for extra in ([], ['--out', str(out)]):
+        assert cli.main(['koszul', QUIVERS[0]] + extra) == 1
+        assert capsys.readouterr().out == ''
+    assert not out.exists()
+
+
 @pytest.mark.parametrize('argv', [
     ['realize', QUIVERS[1]], ['homology', QUIVERS[2], '--ring', 'Fp:2'],
     ['resolve', QUIVERS[3]], ['morse', QUIVERS[0]], ['betti', QUIVERS[1]],
