@@ -73,8 +73,9 @@ class HPA:
 
     The classes are the states of a deterministic path automaton: one state
     per class and one transition per arrow leaving its head, so the class of
-    a word is read by walking its labels from the trivial class at its tail.
-    Classes are indexed 0..n-1 sorted by their canonical representative, the
+    a word is read by walking its labels from the trivial class at its tail
+    (`step[c, label]` is the class of c followed by the arrow).  Classes are
+    indexed 0..n-1 sorted by their canonical representative, the
     least word of the class under `Quiver.word_key`.
     """
 
@@ -100,7 +101,7 @@ class HPA:
         for g in relations.groups:
             groups_from.setdefault((g[0].tail, g[0].head), []).append(g)
         order = sorted(q.vertices, key=q.topo_rank.__getitem__)
-        states, self._step = [], {}
+        states, self.step = [], {}
         ends_at = {}  # u -> [(t, distinct ends (rep(c) labels, x))]
         reach = {}  # v -> the vertices after v that a path reaches
 
@@ -139,7 +140,7 @@ class HPA:
                 for cs in members.values():
                     new = len(states)
                     at[u].append(new)
-                    self._step.update(dict.fromkeys(cs, new))
+                    self.step.update(dict.fromkeys(cs, new))
                     rep = min(states[s][1] + (q.arrow_index[x],)
                               for s, x in cs)
                     lengths = frozenset(n + 1 for s, _ in cs
@@ -147,7 +148,7 @@ class HPA:
                     states.append((i, rep, v, u, lengths))
         ranked = sorted(range(len(states)), key=states.__getitem__)
         cid = {s: k for k, s in enumerate(ranked)}
-        self._step = {(cid[s], x): cid[t] for (s, x), t in self._step.items()}
+        self.step = {(cid[s], x): cid[t] for (s, x), t in self.step.items()}
         self.classes = []
         for k, s in enumerate(ranked):
             _, rep, v, u, lengths = states[s]
@@ -155,7 +156,7 @@ class HPA:
             self.classes.append(PathClass(k, word, v, u, lengths, not rep))
         self.graded = all(len(c.lengths) == 1 for c in self.classes)
         self.trivial_class = {c.tail: c.id for c in self.classes if c.is_trivial}
-        self.arrow_class = {x.label: self._step[self.trivial_class[x.tail],
+        self.arrow_class = {x.label: self.step[self.trivial_class[x.tail],
                                                 x.label] for x in q.arrows}
         self.classes_by_tail = {v: [] for v in q.vertices}
         self.classes_by_head = {v: [] for v in q.vertices}
@@ -206,7 +207,7 @@ class HPA:
 
     def _walk(self, c, labels):
         for label in labels:
-            c = self._step[c, label]
+            c = self.step[c, label]
         return c
 
     # -- left divisibility: p <= q iff q = p.r for some class r ---------------

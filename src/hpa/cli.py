@@ -18,11 +18,12 @@ process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
 modules, `realize` those and the realization, `resolve` also resolution,
 and `homology` the realization and linear algebra.  Only what eliminates
-loads the linear algebra, and only the toric layer loads `fractions`: it
-is loaded by `toric`, and by `koszul` only for an algebra built from
-weight data, which a quiver file never is.  No subcommand but `realize`
-and `resolve` builds the realization.  A layer imported by name at the
-top of this module would be loaded by every subcommand.  Importing this
+loads the linear algebra, and no subcommand loads Python's rational
+arithmetic: the toric LPs, like the linear algebra, run on Python ints.
+The toric layer is loaded by `toric`, and by `koszul` only for an algebra
+built from weight data, which a quiver file never is.  No subcommand but
+`realize` and `resolve` builds the realization.  A layer imported by name
+at the top of this module would be loaded by every subcommand.  Importing this
 module registers every layer not yet imported as a lazy module
 (`LAYERS`), which runs its code on first attribute access, so that
 in-process tools that look layers up in sys.modules, such as the tracer
@@ -250,6 +251,10 @@ def _weight_data(args):
     else:
         with open(args.weights, encoding='utf-8') as f:
             w, degrees = weight_data_from_json(json.load(f))
+        if degrees is not None and args.bondal_ruan:
+            raise ValueError("--bondal-ruan takes the half-open-zonotope "
+                             "collection, but the weights file lists "
+                             "'degrees'")
     if args.degrees is not None:
         degrees = json.loads(args.degrees)
         if not isinstance(degrees, list):
@@ -349,10 +354,12 @@ def build_parser():
     s = subs.add_parser('toric', help='toric HPAs from weight data')
     s.add_argument('--weights', required=True,
                    help='inline JSON rows or a weights JSON file')
-    s.add_argument('--degrees', default=None,
-                   help='inline JSON list of degrees')
-    s.add_argument('--bondal-ruan', action='store_true',
-                   help='use the full half-open-zonotope degree collection')
+    collection = s.add_mutually_exclusive_group()
+    collection.add_argument('--degrees', default=None,
+                            help='inline JSON list of degrees')
+    collection.add_argument('--bondal-ruan', action='store_true',
+                            help='use the full half-open-zonotope degree '
+                                 'collection')
     s.add_argument('--out', default=None)
     s.set_defaults(func=cmd_toric)
 

@@ -3,7 +3,7 @@ a basis per degree and a boundary rule, by sparse elimination for ranks
 and torsion and the invariant factors of the small dense core it leaves,
 and integer solves and kernels through a column echelon form.
 
-Everything here is Python ints; no fractions, no floats.  Only what
+Everything here is Python ints; no rationals, no floats.  Only what
 eliminates loads this module.
 """
 

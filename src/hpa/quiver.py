@@ -128,14 +128,16 @@ class Quiver:
 
 def enumerate_paths(q):
     """All path words of an acyclic quiver, including one trivial word per
-    vertex, in word_key order (so downstream grouping is reproducible)."""
-    words = set()
-    for v in q.vertices:
+    vertex, in word_key order (so downstream grouping is reproducible): a
+    preorder walk from the tails in topological order along the arrows in
+    declaration order lists each word once, right after its prefix less
+    the last arrow, and lists them in that order with no sort."""
+    words = []
+    for v in sorted(q.vertices, key=q.topo_rank.__getitem__):
         stack = [trivial_word(v)]
         while stack:
             w = stack.pop()
-            words.add(w)
-            for a in q.out[w.head]:
+            words.append(w)
+            for a in reversed(q.out[w.head]):
                 stack.append(PathWord(w.tail, a.head, w.labels + (a.label,)))
-    return sorted(words, key=q.word_key)
-
+    return words

@@ -8,8 +8,8 @@ half-open zonotope mu([0,1)^(n+k)) cuts out the canonical finite collection.
 """
 
 import itertools
+import operator
 from collections import namedtuple
-from fractions import Fraction
 
 from .linalg import solve_integer, integer_kernel_basis
 from .quiver import Quiver
@@ -144,102 +144,106 @@ def monomial_str(m):
 
 
 def lp_maximize(c, A, b):
-    """Return (status, value, x) for max c.x s.t. A x = b, x >= 0.
+    """Return (status, value, x, den) for max c.x s.t. A x = b, x >= 0.
 
-    status is 'optimal', 'infeasible' or 'unbounded'; on 'optimal', value is a
-    Fraction and x a list of Fractions.  A two-phase tableau simplex with
-    Bland's rule on Fractions, so it terminates and is exact; the problems
-    here are tiny (feasibility questions in at most a dozen variables).
+    status is 'optimal', 'infeasible' or 'unbounded'.  On 'optimal' the
+    optimum is value/den and each x_j is x[j]/den, with value, x and den
+    Python ints and den > 0; otherwise the three are None.  A two-phase
+    tableau simplex with Bland's rule, run fraction-free (Edmonds 1967,
+    Bareiss 1968): the tableau holds integers over one common denominator
+    den, the determinant of the basis up to sign, and a pivot on p sets
+    every entry a outside the pivot row to (a*p - f*b) / den, an exact
+    division, before den becomes |p|.  Ratios are compared by
+    cross-multiplication, so it takes the pivots of the same simplex on
+    rationals and reaches the same optimum, exactly; the problems here are
+    tiny (feasibility questions in at most a dozen variables).
     """
     m = len(A)
     n = len(c)
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
+    # tableau columns: n real vars + m artificials | rhs; rows with b < 0
+    # negated
+    T = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
-
-    # tableau columns: n real vars + m artificials | rhs
-    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-         + [b[i]] for i in range(m)]
+        s = -1 if b[i] < 0 else 1
+        T.append([s * v for v in A[i]] + [0] * m + [s * b[i]])
+        T[i][n + i] = 1
     basis = [n + i for i in range(m)]
+    den = 1
 
-    def pivot(T, basis, row, col):
+    def pivot(row, col):
+        nonlocal den
         pr = T[row]
-        pv = pr[col]
-        T[row] = [v / pv for v in pr]
-        pr = T[row]
-        for i in range(len(T)):
-            if i != row and T[i][col]:
+        p = pr[col]
+        for i in range(m):
+            if i != row:
                 f = T[i][col]
-                T[i] = [a - f * bv for a, bv in zip(T[i], pr)]
+                T[i] = [(a * p - f * bv) // den for a, bv in zip(T[i], pr)]
         basis[row] = col
+        den = p
+        if p < 0:  # keep den > 0, so an entry has the sign of its value
+            T[:] = [[-v for v in r] for r in T]
+            den = -p
 
-    def run(T, basis, obj, ncols):
+    def run(obj, ncols):
         # obj: coefficient per column (maximize); returns False if unbounded
         while True:
-            # reduced costs: z_j - c_j with current basis
-            lam = [obj[basis[i]] for i in range(m)]
+            # reduced costs, times den: den c_j - sum over the basis
+            lam = [(obj[basis[i]], T[i]) for i in range(m) if obj[basis[i]]]
             entering = None
             for j in range(ncols):
                 if j in basis:
                     continue
-                red = obj[j] - sum(lam[i] * T[i][j] for i in range(m))
-                if red > 0:
+                if obj[j] * den > sum(l * r[j] for l, r in lam):
                     entering = j
                     break  # Bland: first improving index
             if entering is None:
                 return True
             leaving = None
-            best = None
             for i in range(m):
-                if T[i][entering] > 0:
-                    ratio = T[i][-1] / T[i][entering]
-                    key = (ratio, basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leaving = i
+                a = T[i][entering]
+                if a > 0:
+                    # rhs_i / a < rhs_l / f, ties to the least basic index
+                    if leaving is None or \
+                            (T[i][-1] * f, basis[i]) < (T[leaving][-1] * a,
+                                                        basis[leaving]):
+                        leaving, f = i, a
             if leaving is None:
                 return False
-            pivot(T, basis, leaving, entering)
+            pivot(leaving, entering)
 
     # phase 1: maximize -(sum of artificials)
-    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run(T, basis, obj1, n + m)
-    val1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
-    if val1 != 0:
-        return 'infeasible', None, None
+    run([0] * n + [-1] * m, n + m)
+    if any(T[i][-1] for i in range(m) if basis[i] >= n):
+        return 'infeasible', None, None, None
     # drive remaining artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
             for j in range(n):
                 if T[i][j]:
-                    pivot(T, basis, i, j)
+                    pivot(i, j)
                     break
     # rows still basic in an artificial are all-zero constraints; keep them,
     # the artificial columns are fixed at 0 by never letting them re-enter
-    obj2 = c + [Fraction(-1)] * m  # artificials never improve
-    if not run(T, basis, obj2, n):
-        return 'unbounded', None, None
-    x = [Fraction(0)] * n
+    if not run(list(c) + [-1] * m, n):  # artificials never improve
+        return 'unbounded', None, None, None
+    x = [0] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = T[i][-1]
     value = sum(ci * xi for ci, xi in zip(c, x))
-    return 'optimal', value, x
+    return 'optimal', value, x, den
 
 
 def _lp(w, c, rows, rhs):
-    """(status, value) of max c.x s.t. rows x = rhs, x >= 0, solved once per
-    question on w: the answer is kept on w keyed by the whole question, so
-    no changed row or right-hand side can read a stale one."""
+    """(status, value, den) of max c.x s.t. rows x = rhs, x >= 0, the
+    optimum being value/den, solved once per question on w: the answer is
+    kept on w keyed by the whole question, so no changed row or right-hand
+    side can read a stale one."""
     key = (tuple(c), tuple(map(tuple, rows)), tuple(rhs))
     answer = w._lp_answers.get(key)
     if answer is None:
-        status, value, _ = lp_maximize(c, rows, rhs)
-        answer = w._lp_answers[key] = status, value
+        status, value, _, den = lp_maximize(c, rows, rhs)
+        answer = w._lp_answers[key] = status, value, den
     return answer
 
 
@@ -276,7 +280,7 @@ def _strictly_realizable(w, gfree):
         rhs.append(1)
     c = [0] * nv
     c[n] = 1
-    status, value = _lp(w, c, rows, rhs)
+    status, value, _ = _lp(w, c, rows, rhs)
     return status == 'optimal' and value > 0
 
 
@@ -339,12 +343,12 @@ def hom_monomials(w, d, e):
     for j in range(w.ncols):
         c = [0] * w.ncols
         c[j] = 1
-        status, value = _lp(w, c, w.free, g.free)
+        status, value, den = _lp(w, c, w.free, g.free)
         if status == 'infeasible':
             return set()
         if status == 'unbounded':
             raise ValueError("infinite hom space: weight data not proper")
-        caps.append(int(value))
+        caps.append(value // den)
 
     out = set()
     m = [0] * w.ncols
@@ -435,28 +439,44 @@ def build_toric_hpa(w, degrees):
 
     q = Quiver([names[d] for d in degrees], arrows)
 
-    # all paths with their total monomials; same-monomial words are congruent
-    by_monomial = {}
-    for word in enumerate_paths(q):
-        if not word.labels:
-            continue
-        total = [0] * w.ncols
-        for lab in word.labels:
-            mono = label_monomial[lab]
-            total = [a + b for a, b in zip(total, mono)]
-        by_monomial.setdefault((word.tail, word.head, tuple(total)),
-                               []).append(word)
-    groups = [ws for ws in by_monomial.values() if len(ws) > 1]
+    # all paths with their total monomials; same-monomial words are congruent.
+    # The walk lists each word right after its prefix less the last arrow,
+    # so total[k] holds the monomial of the last word of length k, and a
+    # word of length k adds its last arrow's to total[k - 1].  Each word
+    # keeps the index of its key (tail, head, monomial) in `index`
+    words = [word for word in enumerate_paths(q) if word.labels]
+    index = {}
+    by_monomial = []
+    key_of = []
+    total = [(0,) * w.ncols]
+    for word in words:
+        k = len(word.labels)
+        del total[k:]
+        total.append(tuple(map(operator.add, total[k - 1],
+                               label_monomial[word.labels[-1]])))
+        i = index.setdefault((word.tail, word.head, total[k]), len(index))
+        if i == len(by_monomial):
+            by_monomial.append([])
+        by_monomial[i].append(word)
+        key_of.append(i)
+    groups = [ws for ws in by_monomial if len(ws) > 1]
     a = HPA(RelationSet(q, groups))
 
-    # the congruence must be exactly 'same endpoints and same monomial'
-    class_of_key = {}
-    for key, ws in by_monomial.items():
-        ids = {a.word_class(word) for word in ws}
-        if len(ids) != 1:
-            raise ValueError(f"monomial class split: {key}")
-        class_of_key[key] = ids.pop()
-    if len(set(class_of_key.values())) != len(class_of_key):
+    # the congruence must be exactly 'same endpoints and same monomial'; the
+    # class of each word is read off its prefix's class the same way
+    class_of_key = [None] * len(index)
+    cls = [None]
+    for word, i in zip(words, key_of):
+        k = len(word.labels)
+        del cls[k:]
+        if k == 1:
+            cls[0] = a.trivial_class[word.tail]
+        cls.append(a.step[cls[k - 1], word.labels[-1]])
+        if class_of_key[i] is None:
+            class_of_key[i] = cls[k]
+        elif class_of_key[i] != cls[k]:
+            raise ValueError(f"monomial class split: {list(index)[i]}")
+    if len(set(class_of_key)) != len(class_of_key):
         raise ValueError("distinct monomials merged by the congruence")
     require_cancellative(a)
 

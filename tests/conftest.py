@@ -1,5 +1,6 @@
 import pathlib
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, compress, permutations, repeat
 from operator import add
 from types import SimpleNamespace
@@ -988,6 +989,89 @@ def el_every_subinterval(a, p, ranks):
             if len(increasing) != 1 or min(labeled)[1] != increasing[0][1]:
                 return False
     return True
+
+
+def reference_lp_maximize(c, A, b):
+    """Reference for `toric.lp_maximize`: (status, value, x) for max c.x
+    s.t. A x = b, x >= 0, by the same two-phase tableau simplex with
+    Bland's rule on Fractions, so value and x are Fractions on 'optimal'
+    and None otherwise."""
+    m = len(A)
+    n = len(c)
+    A = [[Fraction(v) for v in row] for row in A]
+    b = [Fraction(v) for v in b]
+    c = [Fraction(v) for v in c]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+
+    # tableau columns: n real vars + m artificials | rhs
+    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
+         + [b[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+
+    def pivot(T, basis, row, col):
+        pr = T[row]
+        pv = pr[col]
+        T[row] = [v / pv for v in pr]
+        pr = T[row]
+        for i in range(len(T)):
+            if i != row and T[i][col]:
+                f = T[i][col]
+                T[i] = [a - f * bv for a, bv in zip(T[i], pr)]
+        basis[row] = col
+
+    def run(T, basis, obj, ncols):
+        # obj: coefficient per column (maximize); returns False if unbounded
+        while True:
+            # reduced costs: z_j - c_j with current basis
+            lam = [obj[basis[i]] for i in range(m)]
+            entering = None
+            for j in range(ncols):
+                if j in basis:
+                    continue
+                red = obj[j] - sum(lam[i] * T[i][j] for i in range(m))
+                if red > 0:
+                    entering = j
+                    break  # Bland: first improving index
+            if entering is None:
+                return True
+            leaving = None
+            best = None
+            for i in range(m):
+                if T[i][entering] > 0:
+                    ratio = T[i][-1] / T[i][entering]
+                    key = (ratio, basis[i])
+                    if best is None or key < best:
+                        best = key
+                        leaving = i
+            if leaving is None:
+                return False
+            pivot(T, basis, leaving, entering)
+
+    # phase 1: maximize -(sum of artificials)
+    obj1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    run(T, basis, obj1, n + m)
+    val1 = sum(T[i][-1] for i in range(m) if basis[i] >= n)
+    if val1 != 0:
+        return 'infeasible', None, None
+    # drive remaining artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if T[i][j]:
+                    pivot(T, basis, i, j)
+                    break
+    obj2 = c + [Fraction(-1)] * m  # artificials never improve
+    if not run(T, basis, obj2, n):
+        return 'unbounded', None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = T[i][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return 'optimal', value, x
 
 
 @st.composite

@@ -13,9 +13,10 @@ from hpa.resolution import cellular_resolution
 from hpa.toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
                        check_cohomologically_proper, image_phi)
 
-from conftest import (BENCHMARK_INPUTS, FIXTURES, algebras, bhk_algebra,
-                      forward_sweep, free_algebra, linear_quiver,
-                      load_algebra, open_interval, words_by_class)
+from conftest import (BENCHMARK_INPUTS, FIXTURES, RP2_TRIANGLES, algebras,
+                      bhk_algebra, exit_path_dsl, forward_sweep, free_algebra,
+                      linear_quiver, load_algebra, open_interval,
+                      words_by_class)
 
 
 def test_single_arrow_words():
@@ -24,6 +25,30 @@ def test_single_arrow_words():
     assert len(words) == 3  # e0, e1, a
     assert trivial_word('v0') in words
     assert PathWord('v0', 'v1', ('a',)) in words
+
+
+def words_in_key_order(q):
+    """Every path word, grown an arrow at a time from each vertex, then
+    sorted by `Quiver.word_key`."""
+    words, frontier = [], [trivial_word(v) for v in q.vertices]
+    while frontier:
+        words += frontier
+        frontier = [PathWord(w.tail, x.head, w.labels + (x.label,))
+                    for w in frontier for x in q.out[w.head]]
+    return sorted(words, key=q.word_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(lambda r: algebras(with_relations=r)))
+def test_enumerate_paths_lists_each_word_once_in_key_order(a):
+    assert enumerate_paths(a.quiver) == words_in_key_order(a.quiver)
+
+
+def test_enumerate_paths_lists_exit_path_words_in_key_order():
+    # a larger quiver, with many parallel paths: the face poset of RP^2
+    # after one barycentric subdivision
+    q, _ = parse_quiver(exit_path_dsl(RP2_TRIANGLES, 1))
+    assert enumerate_paths(q) == words_in_key_order(q)
 
 
 def test_linear_quiver_counts():
@@ -227,7 +252,7 @@ def test_a3a3_word_count(a3a3):
 def assert_sweep_matches_reference(a):
     classes, step = forward_sweep(a.relations)
     assert a.classes == classes
-    assert a._step == step
+    assert a.step == step
 
 
 @settings(max_examples=150, deadline=None)

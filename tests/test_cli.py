@@ -467,6 +467,27 @@ def test_toric_refuses_malformed_weight_data(capsys, tmp_path, weights,
     assert err.startswith('error: ') and err.count('\n') == 1
 
 
+@pytest.mark.parametrize('degrees', ['[0,1]', '[0,0]'])
+def test_toric_takes_degrees_or_bondal_ruan_not_both(capsys, degrees):
+    # the degree collection is listed or the half-open zonotope's, so the
+    # pair is a usage error, whatever the list holds
+    with pytest.raises(SystemExit) as e:
+        main(['toric', '--weights', '[[1,1,1]]', '--bondal-ruan',
+              '--degrees', degrees])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == '' and 'not allowed with argument' in err
+
+
+def test_toric_bondal_ruan_refuses_a_weights_file_with_degrees(capsys):
+    code = main(['toric', '--weights', str(FIXTURES / 'f3.weights.json'),
+                 '--bondal-ruan'])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ''
+    assert err.startswith('error: ') and err.count('\n') == 1
+    assert "'degrees'" in err
+
+
 def test_toric_refuses_an_empty_degrees_string(capsys):
     # not JSON at all, so a usage error rather than malformed weight data
     assert main(['toric', '--weights', '[[1,1]]', '--degrees', '']) == 2
@@ -817,16 +838,19 @@ def test_homology_refuses_cell_counts_off_by_one(monkeypatch, capsys):
 
 _LAYERS = {'realization', 'linalg', 'resolution', 'morse', 'invariants',
            'toric'}
-# the standard modules of rational arithmetic, which only hpa.toric needs
+# the standard modules of rational arithmetic: no subcommand loads them,
+# since the toric LPs run on integers like the linear algebra
 _RATIONALS = {'fractions', 'decimal'}
 
 
 @pytest.mark.parametrize('argv, absent', [
-    (['--version'], _LAYERS),
-    (['check', P2], _LAYERS),
-    (['tensor', P2, P2], _LAYERS),
+    (['--version'], {*_LAYERS, *_RATIONALS}),
+    (['check', P2], {*_LAYERS, *_RATIONALS}),
+    (['tensor', P2, P2], {*_LAYERS, *_RATIONALS}),
     (['toric', '--weights', str(FIXTURES / 'p2.weights.json')],
-     {'realization', 'resolution', 'morse', 'invariants'}),
+     {'realization', 'resolution', 'morse', 'invariants', *_RATIONALS}),
+    (['toric', '--weights', '[[1,1,1]]', '--bondal-ruan'],
+     {'realization', 'resolution', 'morse', 'invariants', *_RATIONALS}),
     (['realize', P2], {'linalg', 'resolution', 'morse', 'invariants',
                        'toric', *_RATIONALS}),
     (['homology', P2], {'resolution', 'morse', 'invariants', 'toric',
@@ -834,10 +858,10 @@ _RATIONALS = {'fractions', 'decimal'}
     (['resolve', P2], {'linalg', 'morse', 'toric', 'invariants',
                        *_RATIONALS}),
     (['morse', P2], {'toric', *_RATIONALS}),
-    (['betti', P2], {'morse', 'toric', 'resolution'}),
-    (['koszul', P2], {'toric', 'morse', 'resolution'}),
-], ids=['version', 'check', 'tensor', 'toric', 'realize', 'homology',
-        'resolve', 'morse', 'betti', 'koszul'])
+    (['betti', P2], {'morse', 'toric', 'resolution', *_RATIONALS}),
+    (['koszul', P2], {'toric', 'morse', 'resolution', *_RATIONALS}),
+], ids=['version', 'check', 'tensor', 'toric', 'toric-bondal-ruan', 'realize',
+        'homology', 'resolve', 'morse', 'betti', 'koszul'])
 def test_subcommand_loads_only_its_layers(argv, absent):
     # a fresh interpreter runs cli.main, then lists the hpa modules whose
     # code has run, and the modules of _RATIONALS it has loaded; a layer

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hpa import toric
 from hpa.toric import (WeightData, Degree, weight_data_from_json,
@@ -17,7 +17,8 @@ from hpa.realization import build_realization, realization_homology
 from hpa.invariants import koszul_check, betti_table
 from hpa.linalg import integer_kernel_basis
 
-from conftest import cellular_homology, words_by_class
+from conftest import (cellular_homology, reference_lp_maximize,
+                      words_by_class)
 
 
 P2 = WeightData([[1, 1, 1]])
@@ -324,27 +325,77 @@ def test_weight_data_validation():
 
 def test_lp_basic():
     # max x + y on the simplex x + y + s = 1
-    status, val, x = lp_maximize([1, 1, 0], [[1, 1, 1]], [1])
-    assert status == 'optimal' and val == 1
+    status, val, x, den = lp_maximize([1, 1, 0], [[1, 1, 1]], [1])
+    assert status == 'optimal' and Fraction(val, den) == 1
 
     # x + y = -1, x,y >= 0 infeasible
-    status, _, _ = lp_maximize([0, 0], [[1, 1]], [-1])
+    status, *_ = lp_maximize([0, 0], [[1, 1]], [-1])
     assert status == 'infeasible'
 
     # unbounded direction
-    status, _, _ = lp_maximize([1], [[0]], [0])
+    status, *_ = lp_maximize([1], [[0]], [0])
     assert status == 'unbounded'
 
 
 def test_lp_exactness():
     # optimum is the fraction 5/3, must come out exact
-    status, val, x = lp_maximize([1, 0], [[3, 1]], [5])
+    status, val, x, den = lp_maximize([1, 0], [[3, 1]], [5])
     assert status == 'optimal'
-    assert val == Fraction(5, 3)
+    assert Fraction(val, den) == Fraction(5, 3)
+    # on plain ints over a positive common denominator
+    assert all(type(v) is int for v in [val, den, *x]) and den > 0
 
 
 def test_lp_weight_barycenter():
     # a1 - a2 = 0 with a on the unit simplex: feasible at (1/2, 1/2)
-    status, _, x = lp_maximize([0, 0], [[1, -1], [1, 1]], [0, 1])
+    status, _, x, den = lp_maximize([0, 0], [[1, -1], [1, 1]], [0, 1])
     assert status == 'optimal'
-    assert x[0] == Fraction(1, 2) and x[1] == Fraction(1, 2)
+    assert Fraction(x[0], den) == Fraction(1, 2) and \
+        Fraction(x[1], den) == Fraction(1, 2)
+
+
+def test_lp_terminates_on_beales_cycling_example():
+    # Beale (1955), rows scaled to integers and the objective by 4: the
+    # largest-coefficient rule cycles here, Bland's rule stops at the
+    # optimum 4 * 5/4 with x4 = x6 = 1 and x1 = 3/4
+    A = [[4, 0, 0, 1, -32, -4, 36],
+         [0, 2, 0, 1, -24, -1, 6],
+         [0, 0, 1, 0, 0, 1, 0]]
+    c = [0, 0, 0, 3, -80, 2, -24]
+    status, val, x, den = lp_maximize(c, A, [0, 0, 1])
+    assert status == 'optimal' and Fraction(val, den) == 5
+    assert [Fraction(v, den) for v in x] == [Fraction(3, 4), 0, 0, 1, 0, 1, 0]
+    assert (status, Fraction(val, den), [Fraction(v, den) for v in x]) == \
+        reference_lp_maximize(c, A, [0, 0, 1])
+
+
+@st.composite
+def lp_systems(draw):
+    """max c.x s.t. A x = b, x >= 0 with at most 4 rows and 7 columns,
+    entries in -3..3 and right-hand sides of either sign."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    entry = st.integers(-3, 3)
+    c = draw(st.lists(entry, min_size=n, max_size=n))
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return c, A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_systems())
+# driving an artificial out of the basis pivots on -2, so den turns sign
+@example(([1, -2], [[1, 1], [1, -1]], [1, -1]))
+def test_lp_matches_the_rational_simplex(system):
+    # the integer tableau takes the pivots of the simplex on Fractions, so
+    # status, optimum and solution all agree exactly
+    status, val, x, den = lp_maximize(*system)
+    expected = reference_lp_maximize(*system)
+    if status == 'optimal':
+        assert den > 0
+        assert (status, Fraction(val, den),
+                [Fraction(v, den) for v in x]) == expected
+    else:
+        assert (status, val, x, den) == (expected[0], None, None, None)
+        assert expected[1:] == (None, None)
