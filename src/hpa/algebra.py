@@ -166,7 +166,7 @@ class HPA:
         self._mult = {}
         self._quot = {}
         self._covers = {}
-        self._shellings = {}  # realization.lex_shelling, by class
+        self._spheres = {}  # realization.spheres, by class
         self._cancellation = None  # require_cancellative's check_hpa report
 
     # -- basic queries ------------------------------------------------------

@@ -21,7 +21,7 @@ from itertools import combinations
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import homology
-from .realization import format_chain, lex_shelling, maximal_chains
+from .realization import format_chain, maximal_chains, spheres
 
 
 class OrderComplex:
@@ -81,23 +81,22 @@ def tor_table(a, ring=RING_Z):
     by vertex declaration order (Tor is 0 on the others), each a sparse
     dict {degree: (rank, elementary divisors)}, from one pass over the
     classes.  A trivial class adds R in degree 0.  An interval whose
-    lexicographic order is a shelling (`realization.lex_shelling`) is a
-    wedge of spheres, one S^{|F_j|-1} per facet with R_j = F_j
-    (Bjorner-Wachs, nonpure shellings included), so it adds a free
-    generator in degree |F_j| + 1 for each; any other interval adds
-    H~_{i-2} of the complex its maximal chains generate in degree i."""
+    lexicographic order is a shelling is a wedge of spheres, one
+    S^{|F_j|-1} per facet with R_j = F_j (Bjorner-Wachs, nonpure shellings
+    included; `realization.spheres`), so it adds a free generator in degree
+    |F_j| + 1 for each; any other interval adds H~_{i-2} of the complex its
+    maximal chains generate in degree i."""
     pos = {v: n for n, v in enumerate(a.quiver.vertices)}
     acc = {}
     for c in sorted(a.classes, key=lambda c: (pos[c.tail], pos[c.head])):
         if c.is_trivial:
             summands = [(0, 1, [])]
-        elif (shelling := lex_shelling(a, c.id)) is None:
+        elif (sizes := spheres(a, c.id)) is None:
             h = reduced_homology(
                 maximal_chains(a, a.trivial_class[c.tail], c.id), ring)
             summands = [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
         else:
-            summands = [(len(ch) + 1, 1, []) for ch, rj in shelling.items()
-                        if len(rj) == len(ch)]
+            summands = [(n + 1, 1, []) for n in sizes]
         cur = acc.setdefault((c.tail, c.head), {})
         for i, rank, tors in summands:
             r, t = cur.get(i, (0, []))

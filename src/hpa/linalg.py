@@ -1,7 +1,6 @@
 """Exact integer linear algebra: the homology of a chain complex given as
 a basis per degree and a boundary rule, by sparse elimination for ranks
-and torsion and the invariant factors of the small dense core it leaves,
-and integer solves and kernels through a column echelon form.
+and torsion and the invariant factors of the small dense core it leaves.
 
 Everything here is Python ints; no rationals, no floats.  Only what
 eliminates loads this module.
@@ -256,61 +255,3 @@ def homology(cells, boundary, ring=RING_Z):
                 torsion[k] = [f for f in facs if f > 1]
     return {k: (len(cs) - rank[k] - rank[k + 1], torsion[k + 1])
             for k, cs in enumerate(cells)}
-
-
-# ---------------------------------------------------------------------------
-# Integer linear systems (via column echelon form)
-
-
-def _column_echelon(M):
-    """Column echelon form E = M V by unimodular column operations.  Returns
-    the columns of E with those of V stacked below (nrows + ncols entries
-    each) and the pivot rows: column t < rank is zero above pivots[t] and
-    nonzero there, the pivot rows increase, and the columns from the rank on
-    are zero in E (Cohen, A Course in Computational Algebraic Number Theory,
-    1993, section 2.4)."""
-    nrows, ncols = len(M), len(M[0]) if M else 0
-    cols = [[row[j] for row in M] + [int(i == j) for i in range(ncols)]
-            for j in range(ncols)]
-    pivots = []
-    for i in range(nrows):
-        t = len(pivots)
-        live = [j for j in range(t, ncols) if cols[j][i]]
-        while live:
-            # the entry of least |value| becomes the pivot; reducing the
-            # others by it leaves remainders below it, the next candidates
-            p = min(live, key=lambda j: abs(cols[j][i]))
-            cols[t], cols[p] = cols[p], cols[t]
-            for j in range(t + 1, ncols):
-                q = cols[j][i] // cols[t][i]
-                if q:
-                    cols[j] = [u - q * v for u, v in zip(cols[j], cols[t])]
-            live = [j for j in range(t + 1, ncols) if cols[j][i]]
-        if t < ncols and cols[t][i]:
-            pivots.append(i)
-    return cols, pivots
-
-
-def solve_integer(M, b):
-    """One integer solution x of M x = b, or None.  M dense, b a list.
-    Forward substitution on the pivot rows of M V = E gives y with E y = b
-    and x = V y."""
-    nrows = len(M)
-    cols, pivots = _column_echelon(M)
-    rest = list(b) + [0] * len(cols)  # b - E y, with -V y below
-    for col, i in zip(cols, pivots):
-        q, r = divmod(rest[i], col[i])
-        if r:
-            return None
-        rest = [u - q * v for u, v in zip(rest, col)]
-    if any(rest[:nrows]):
-        return None
-    return [-v for v in rest[nrows:]]
-
-
-def integer_kernel_basis(M):
-    """Basis (list of vectors) of {x in Z^ncols : M x = 0}: the columns of V
-    past the rank, which V being unimodular makes a basis of the whole
-    lattice."""
-    cols, pivots = _column_echelon(M)
-    return [col[len(M):] for col in cols[len(pivots):]]

@@ -15,13 +15,12 @@ No CellComplex is built.
 
 import json
 from collections import defaultdict, deque
-from itertools import chain
 
 from . import UsageError, realization
 from .algebra import Report, require_cancellative
 from .realization import (MatchingError, by_dimension, cell_counts, faces,
-                          format_chain, gradient_terms, lex_shelling,
-                          shelled_critical, stratum)
+                          format_chain, gradient_terms, shelled_critical,
+                          stratum)
 
 
 class MatchingFileError(UsageError):
@@ -30,15 +29,16 @@ class MatchingFileError(UsageError):
 
 class Matching:
     """The matching of the realization of `hpa` capped at max_dim whose
-    rule is realization.partner, read off the shelling, on the classes in
-    `shelled`, and the pairs (top, bottom) of chains elsewhere: bottom a
-    facet of top, no chain used twice.  top[b] is the top matched with
-    bottom b and bottom[t] the bottom matched with top t; `pairs` lists
-    them as (top, bottom).  `internal` and `acyclic` hold the reports of
-    check_internal and check_acyclic on the pairs given, run once here."""
+    rule is realization.partner on the classes in `shelled`, and the pairs
+    (top, bottom) of chains elsewhere: bottom a facet of top, no chain used
+    twice.  top[b] is the top matched with bottom b and bottom[t] the bottom
+    matched with top t; `pairs` lists them as (top, bottom).  `critical`
+    lists the unmatched cells of dimension >= 1: as a construction found
+    them, else the cells of each stratum that no pair holds.  `internal` and
+    `acyclic` are check_internal and check_acyclic of the pairs given."""
 
-    def __init__(self, hpa, pairs, max_dim=None, shelled=frozenset()):
-        self.hpa, self.max_dim, self.shelled = hpa, max_dim, shelled
+    def __init__(self, hpa, pairs, max_dim=None, critical=None):
+        self.hpa, self.max_dim, self.shelled = hpa, max_dim, set()
         self.top, self.bottom = top, bottom = {}, {}
         for t, b in pairs:
             if b not in faces(hpa, t):
@@ -52,6 +52,11 @@ class Matching:
         self.pairs = bottom.items()
         self.internal = check_internal(self)
         self.acyclic = check_acyclic(self)
+        self.cap = len(hpa.classes) if max_dim is None else max_dim
+        self.critical = critical if critical is not None else [
+            c for cl in hpa.classes if not cl.is_trivial
+            for c in stratum(hpa, cl.id, self.cap)
+            if c not in top and c not in bottom]
 
     def partner(self, c):
         """The partner rule of gradient_terms: None for an unmatched cell,
@@ -144,13 +149,12 @@ def check_acyclic(m):
 
 
 class MorseComplex:
-    """The critical cells of the matching m, chains by dimension (read off
-    the shelling on a class in m.shelled, else the cells no pair holds),
-    with the differential of realization.gradient_terms under its partner
-    rule: a bimodule complex with the generators() and terms() of a
-    resolution.  `pairs` is (cells - critical cells) / 2.  MatchingError
-    with the first witness refuses m unless it is internal and acyclic.
-    With the empty matching this reproduces the resolution."""
+    """The critical cells m.critical of the matching m, chains by
+    dimension, with the differential of realization.gradient_terms under
+    its partner rule: a bimodule complex with the generators() and terms()
+    of a resolution.  `pairs` is (cells - critical cells) / 2.
+    MatchingError with the first witness refuses m unless it is internal
+    and acyclic.  With the empty matching this reproduces the resolution."""
 
     def __init__(self, m):
         a = self.hpa = m.hpa
@@ -163,12 +167,7 @@ class MorseComplex:
         whole = cell_counts(a)
         counts = whole[:len(whole) if m.max_dim is None else m.max_dim + 1]
         top = len(counts) - 1
-        self.cells = by_dimension(a, chain.from_iterable(
-            shelled_critical(a, p, top) if p in m.shelled else
-            [c for c in stratum(a, p, top) if c not in m.top and
-             c not in m.bottom]
-            for p in range(len(a.classes)) if top and not a.is_trivial(p)),
-            top, counts)
+        self.cells = by_dimension(a, m.critical, top, counts)
         while len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
         self._terms = gradient_terms(a, self.cells, m.partner)
@@ -202,8 +201,7 @@ def _coreduce(cells, arrow):
     of one stratum, in (dimension, chain) order, but the arrow cell `arrow`:
     repeatedly match a bottom with its only available coface via a middle
     face; when stuck, set aside the least available cell, unmatched."""
-    middle = {c: [c[:i] + c[i + 1:] for i in range(1, len(c) - 1)]
-              for c in cells if c != arrow}
+    middle = {c: _middle(c) for c in cells if c != arrow}
     available = set(middle)
     cofaces = defaultdict(list)
     for c, fs in middle.items():
@@ -255,45 +253,45 @@ def _grow(a, cells, top, bottom, arrow):
                 del top[f]
 
 
-def _greedy_matching(a, max_dim, shelled):
+def _greedy_matching(a, max_dim, bh):
     """The Matching of greedy coreduction plus growth on every stratum of
-    the realization of `a` capped at max_dim whose class is not in
-    `shelled`.  Like the pairs of the shellings, these join it unchecked,
-    internal and acyclic by construction: each is a cell and a middle face
-    of it; a coreduction pair's bottom has no other available coface, so a
-    gradient path from it only meets later pairs; growth searches for a
-    cycle through each pair it adds.  The arrow cell [e < p] of an arrow's
-    class, the first of its stratum, is never matched: in an ungraded
-    algebra it can be a middle face of a longer chain."""
+    the realization of `a` capped at max_dim but, when `bh`, those whose
+    order shells (realization.partner), with its critical cells, in one
+    pass.  These pairs join it unchecked, internal and acyclic by
+    construction: each is a cell and a middle face of it; a coreduction
+    pair's bottom has no other available coface, so a gradient path from it
+    only meets later pairs; growth searches for a cycle through each pair
+    it adds.  The arrow cell [e < p] of an arrow's class, the first of its
+    stratum, is never matched: in an ungraded algebra it can be a middle
+    face of a longer chain."""
     require_cancellative(a)
-    m = Matching(a, (), max_dim, shelled)
-    cap = len(a.classes) if max_dim is None else max_dim
-    for p in range(len(a.classes)):
-        if not a.is_trivial(p) and p not in shelled:
-            cells = stratum(a, p, cap)
-            arrow = cells[0] if cells and 1 in a.classes[p].lengths else None
-            top, bottom = _coreduce(cells, arrow)
-            _grow(a, cells, top, bottom, arrow)
-            m.top.update(top)
-            m.bottom.update(bottom)
+    m = Matching(a, (), max_dim, [])
+    for p in (c.id for c in a.classes if not c.is_trivial):
+        if bh and (cs := shelled_critical(a, p, m.cap)) is not None:
+            m.shelled.add(p)
+            m.critical += cs
+            continue
+        cells = stratum(a, p, m.cap)
+        arrow = cells[0] if cells and 1 in a.classes[p].lengths else None
+        top, bottom = _coreduce(cells, arrow)
+        _grow(a, cells, top, bottom, arrow)
+        m.critical += [c for c in cells if c not in top and c not in bottom]
+        m.top.update(top)
+        m.bottom.update(bottom)
     return m
 
 
 def greedy_internal_matching(a, max_dim=None):
     """Internal acyclic matching of the realization of `a` capped at
     max_dim by greedy coreduction plus growth, one stratum at a time."""
-    return _greedy_matching(a, max_dim, frozenset())
+    return _greedy_matching(a, max_dim, False)
 
 
 def babson_hersh_matching(a, max_dim=None):
     """Lexicographic interval matching of the realization of `a` capped at
-    max_dim: realization.partner on each class whose order shells (a bottom
-    at the cap whose top lies above it stays critical), greedy coreduction
-    plus growth on the others."""
-    require_cancellative(a)
-    return _greedy_matching(a, max_dim, frozenset(
-        p for p in range(len(a.classes))
-        if not a.is_trivial(p) and lex_shelling(a, p) is not None))
+    max_dim: realization.partner on each class whose order shells, greedy
+    coreduction plus growth on the others."""
+    return _greedy_matching(a, max_dim, True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +357,16 @@ def _cell_from_json(a, item, key, top):
                     for labels in chain_)
     c0 = classes[0]
     if not a.is_trivial(c0):
-        # rebase a chain written with a nontrivial first entry
+        # rebase a chain with a nontrivial first entry (None: not divided)
         classes = (a.trivial_class[a.head(c0)],) + tuple(
-            a.divide(c0, c) for c in classes[1:])
-    if not (len(classes) <= top + 1 and a.is_trivial(classes[0]) and all(
+            a.quotients(c0).get(c) for c in classes[1:])
+    if not (len(classes) <= top + 1 and None not in classes and all(
             q != p and q in a.quotients(p)
             for p, q in zip(classes, classes[1:]))):
-        raise MatchingError(f"not a cell of the realization: {classes}")
+        written = ' < '.join(' '.join(labels) or f'e_{tail}'
+                             for labels in chain_)
+        raise MatchingError(
+            f"not a cell of the realization: [{written}] from {tail}")
     return classes
 
 

@@ -12,18 +12,20 @@ c is the chain of parent[c], its top face, extended by the class last[c].
 `x.chain(c)` is the tuple of class ids of a cell.  The functions below
 build_realization take cells as chains and build no CellComplex.
 
+`lex_shelling` checks the lexicographic shelling of an interval facet by
+facet along least covers (`_Least`), keeping only `spheres`.
 `gradient_terms` is the one gradient-flow walk: on chains (tuples of class
 ids), with the coefficients of the cellular resolution, under a partner
-rule, such as the Babson-Hersh matching read off the shellings
-(`partner`, whose unmatched cells `shelled_critical` lists).  A stratum is
-the set of cells that end at one class (`stratum`).
+rule, such as the Babson-Hersh matching (`partner`, whose unmatched cells
+`shelled_critical` lists).  A stratum is the set of cells that end at one
+class (`stratum`).
 `realization_homology` builds no CellComplex: it counts the cells, lists
 the critical ones from the shellings, walks from them and hands that Morse
 complex to `linalg.homology`, the one path from a chain complex to its
 homology, which it loads only then: nothing else here eliminates.
 """
 
-from itertools import chain, combinations, compress, groupby, repeat
+from itertools import chain, combinations, groupby, repeat
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -187,40 +189,71 @@ def maximal_chains(a, u, w):
     return chains
 
 
+class _Least(dict):
+    """least[z, q]: the least cover of z that lies below q, q itself if q
+    covers z, found on first use: the one primitive of the shelling."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __missing__(self, key):
+        z, q = key
+        for c in self.a.covers(z):
+            if q in self.a.quotients(c):
+                self[key] = c
+                return c
+
+    def facet(self, c):
+        """The first facet F_j of the interval (c[0], c[-1]) that holds
+        c[1:-1]: from c[0], the least cover below the next element of c."""
+        z, ch = c[0], []
+        for q in c[1:]:
+            while z != q:
+                z = self[z, q]
+                ch.append(z)
+        return tuple(ch[:-1])
+
+    def restriction(self, c):
+        """R_j of the facet c = (e, *F_j, p) in chain order, or None when
+        F_j is not the first facet through R_j, in one pass down F_j: f_i is
+        in R_j when the least cover of f_{i-1} below f_{i+1} is not f_i,
+        and each other f_i must be the least cover of f_{i-1} below the next
+        element of R_j above it, or p (f_0 = e, f_{k+1} = p)."""
+        rj, t = [], c[-1]
+        for i in range(len(c) - 2, 0, -1):
+            z, v, q = c[i - 1], c[i], c[i + 1]
+            if self[z, q] != v:
+                rj.append(v)
+                t = v
+            elif t != q and self[z, t] != v:
+                return None
+        return tuple(reversed(rj))
+
+
 def lex_shelling(a, p):
-    """{F_j: R_j}: the maximal chains F_j of the open interval (e_{t(p)}, p)
-    in lexicographic order of their canonical words (the order of class
-    ids), each with its restriction set R_j = {v : F_j - {v} lies in an
-    earlier facet}; None when that order is not a shelling, that is when
-    the faces of some F_j that no earlier facet holds are not exactly [R_j,
-    F_j] (R_j = empty with the empty face already seen is a disjoint
-    union).  A face of F_j that lacks some v in R_j lies below F_j - {v},
-    which is seen, so that fails exactly when R_j itself is seen.  The
-    empty interval gives {(): frozenset()}.  A face is a bit mask, one bit
-    per element in order of first appearance; `seen` holds every face of
-    the earlier facets.  The result is kept on the algebra, per class, the
-    one stored form of a shelling."""
-    if p in a._shellings:
-        return a._shellings[p]
-    chains = sorted(maximal_chains(a, a.trivial_class[a.tail(p)], p))
-    bit = {}
-    seen = set()
-    out = {}
-    for ch in chains:
-        bits = [bit.setdefault(v, 1 << len(bit)) for v in ch]
-        fj = sum(bits)
-        rbits = [fj ^ b in seen for b in bits]
-        rj = sum(compress(bits, rbits))
-        if rj in seen:
-            out = None
-            break
-        faces = [0]
-        for b in bits:
-            faces += [s | b for s in faces]
-        seen.update(faces)
-        out[ch] = frozenset(compress(ch, rbits))
-    a._shellings[p] = out
+    """[(F_j, R_j)]: the maximal chains F_j of the open interval (e_{t(p)},
+    p), as maximal_chains lists them, with their restriction sets R_j = {v :
+    F_j - {v} lies in an earlier facet} for the lexicographic order (of
+    class ids); None when that order is not a shelling: when the faces of
+    some F_j that no earlier facet holds are not [R_j, F_j], that is (a face
+    without v in R_j lies in F_j - {v}) when R_j lies in an earlier facet
+    (`_Least.restriction`).  The empty interval gives [((), ())]."""
+    e, least = a.trivial_class[a.tail(p)], _Least(a)
+    out = [(ch, least.restriction((e, *ch, p)))
+           for ch in maximal_chains(a, e, p)]
+    out = None if any(rj is None for _, rj in out) else out
+    a._spheres[p] = None if out is None else tuple(
+        len(ch) for ch, rj in out if rj == ch)
     return out
+
+
+def spheres(a, p):
+    """(|F_j| for each facet with R_j = F_j) of lex_shelling(a, p), one
+    sphere each of the wedge that the interval is, or None when its order
+    does not shell: kept per class, shelled only on first use."""
+    if p not in a._spheres:
+        lex_shelling(a, p)
+    return a._spheres[p]
 
 
 def euler_characteristic(counts):
@@ -261,10 +294,8 @@ def stratum(a, p, top):
             if c != p and c not in inner and p in a.quotients(c):
                 inner.add(c)
                 todo.append(c)
-    ups = {}
-    for z in inner | {e}:
-        row = a.quotients(z)
-        ups[z] = sorted(q for q in inner if q in row and q != z)
+    ups = {z: sorted(q for q in inner if q != z and q in a.quotients(z))
+           for z in inner | {e}}
     out, level = [], [(e,)]
     for _ in range(top):
         out += [g + (p,) for g in level]
@@ -283,8 +314,8 @@ def shelled_critical(a, p, top):
         return None
     e, out = a.trivial_class[a.tail(p)], []
     arrow = 1 in a.classes[p].lengths
-    for ch, rj in shelling.items():
-        t = min(set(ch) - rj, default=None)
+    for ch, rj in shelling:
+        t = min((v for v in ch if v not in rj), default=None)
         if t is None:  # R_j = F_j
             if len(ch) < top:
                 out.append((e, *ch, p))
@@ -296,9 +327,8 @@ def shelled_critical(a, p, top):
         if need < 0 or (arrow and not rj and not need):
             continue
         free = [v for v in ch if v != t and v not in rj]
-        for s in combinations(free, need):
-            g = rj.union(s)
-            out.append((e, *(v for v in ch if v in g), p))
+        out += [(e, *(v for v in ch if v in rj or v in s), p)
+                for s in combinations(free, need)]
     return out
 
 
@@ -320,30 +350,19 @@ def by_dimension(a, cells, top, counts):
 
 
 def partner(a, c):
-    """The Babson-Hersh partner of the cell c = (e, *G, p), a chain, read
-    off lex_shelling(a, p): None when c is unmatched, () when it is matched
-    with a face, else (its top, the place of c among the faces of the top),
-    which may lie above a cap that c lies at.  The facet F_j of G is the
-    first maximal chain through G in lexicographic order: from e, the least
-    cover that lies below the next element of G, or below p, step by step.
-    So R_j <= G <= F_j, and the partner is G with t = min(F_j - R_j)
-    toggled, or none when R_j = F_j.  The arrow cell [e < p] of an arrow's
-    class and every cell of a class that its order does not shell stay
-    unmatched."""
-    p = c[-1]
-    shelling = len(c) > 1 and lex_shelling(a, p)
-    if not shelling:
+    """The Babson-Hersh partner of the cell c = (e, *G, p), a chain: None
+    when c is unmatched, () when it is matched with a face, else (its top,
+    the place of c among the faces of the top), which may lie above a cap
+    that c lies at.  With F_j the facet of G (`_Least.facet`), R_j <= G <=
+    F_j, and the partner toggles t = min(F_j - R_j), none when R_j = F_j.
+    The arrow cell [e < p] of an arrow's class and every cell of a class
+    whose order does not shell (`spheres`) stay unmatched."""
+    least, p = _Least(a), c[-1]
+    if len(c) < 2 or spheres(a, p) is None:
         return None
-    z, ch = c[0], []
-    for q in c[1:]:
-        while z != q:
-            for z in a.covers(z):  # the least cover of z below q
-                if q in a.quotients(z):
-                    break
-            ch.append(z)
-    ch = tuple(ch[:-1])
-    rj, g = shelling[ch], c[1:-1]
-    t = min(set(ch) - rj, default=None)
+    ch, g = least.facet(c), c[1:-1]
+    rj = least.restriction((c[0], *ch, p))
+    t = min((v for v in ch if v not in rj), default=None)
     if t is None or (not rj and g in ((), (t,)) and
                      1 in a.classes[p].lengths):
         return None

@@ -11,7 +11,6 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .linalg import solve_integer, integer_kernel_basis
 from .quiver import Quiver
 from .algebra import HPA, RelationSet, require_cancellative
 from .quiver import enumerate_paths
@@ -234,6 +233,60 @@ def lp_maximize(c, A, b):
     return 'optimal', value, x, den
 
 
+def _column_echelon(M):
+    """Column echelon form E = M V by unimodular column operations.  Returns
+    the columns of E with those of V stacked below (nrows + ncols entries
+    each) and the pivot rows: column t < rank is zero above pivots[t] and
+    nonzero there, the pivot rows increase, and the columns from the rank on
+    are zero in E (Cohen, A Course in Computational Algebraic Number Theory,
+    1993, section 2.4)."""
+    nrows, ncols = len(M), len(M[0]) if M else 0
+    cols = [[row[j] for row in M] + [int(i == j) for i in range(ncols)]
+            for j in range(ncols)]
+    pivots = []
+    for i in range(nrows):
+        t = len(pivots)
+        live = [j for j in range(t, ncols) if cols[j][i]]
+        while live:
+            # the entry of least |value| becomes the pivot; reducing the
+            # others by it leaves remainders below it, the next candidates
+            p = min(live, key=lambda j: abs(cols[j][i]))
+            cols[t], cols[p] = cols[p], cols[t]
+            for j in range(t + 1, ncols):
+                q = cols[j][i] // cols[t][i]
+                if q:
+                    cols[j] = [u - q * v for u, v in zip(cols[j], cols[t])]
+            live = [j for j in range(t + 1, ncols) if cols[j][i]]
+        if t < ncols and cols[t][i]:
+            pivots.append(i)
+    return cols, pivots
+
+
+def solve_integer(M, b):
+    """One integer solution x of M x = b, or None.  M dense, b a list.
+    Forward substitution on the pivot rows of M V = E gives y with E y = b
+    and x = V y."""
+    nrows = len(M)
+    cols, pivots = _column_echelon(M)
+    rest = list(b) + [0] * len(cols)  # b - E y, with -V y below
+    for col, i in zip(cols, pivots):
+        q, r = divmod(rest[i], col[i])
+        if r:
+            return None
+        rest = [u - q * v for u, v in zip(rest, col)]
+    if any(rest[:nrows]):
+        return None
+    return [-v for v in rest[nrows:]]
+
+
+def integer_kernel_basis(M):
+    """Basis (list of vectors) of {x in Z^ncols : M x = 0}: the columns of V
+    past the rank, which V being unimodular makes a basis of the whole
+    lattice."""
+    cols, pivots = _column_echelon(M)
+    return [col[len(M):] for col in cols[len(pivots):]]
+
+
 def _lp(w, c, rows, rhs):
     """(status, value, den) of max c.x s.t. rows x = rhs, x >= 0, the
     optimum being value/den, solved once per question on w: the answer is
@@ -266,18 +319,9 @@ def _strictly_realizable(w, gfree):
     margin t with b_j + t + slack_j = 1; strict means optimum > 0."""
     n = w.ncols
     nv = n + 1 + n  # b, t, slacks
-    rows = []
-    rhs = []
-    for row, g in zip(w.free, gfree):
-        rows.append(list(row) + [0] * (1 + n))
-        rhs.append(g)
-    for j in range(n):
-        r = [0] * nv
-        r[j] = 1
-        r[n] = 1
-        r[n + 1 + j] = 1
-        rows.append(r)
-        rhs.append(1)
+    rows = [list(row) + [0] * (1 + n) for row in w.free] + [
+        [int(i in (j, n, n + 1 + j)) for i in range(nv)] for j in range(n)]
+    rhs = list(gfree) + [1] * n
     c = [0] * nv
     c[n] = 1
     status, value, _ = _lp(w, c, rows, rhs)
@@ -290,10 +334,9 @@ def _torsion_values(w, c0):
                  for mod, row in w.torsion)
     if not w.torsion:
         return {()}
-    gens = []
-    for k in integer_kernel_basis(w.free):
-        gens.append(tuple(sum(row[j] * k[j] for j in range(w.ncols)) % mod
-                          for mod, row in w.torsion))
+    gens = [tuple(sum(row[j] * k[j] for j in range(w.ncols)) % mod
+                  for mod, row in w.torsion)
+            for k in integer_kernel_basis(w.free)]
     seen = {tau0}
     frontier = [tau0]
     moduli = [m for m, _ in w.torsion]
@@ -313,11 +356,8 @@ def image_phi(w):
     lattice of an integer preimage."""
     if not check_cohomologically_proper(w):
         raise ValueError("weight data is not cohomologically proper")
-    ranges = []
-    for row in w.free:
-        lo = sum(min(0, v) for v in row)
-        hi = sum(max(0, v) for v in row)
-        ranges.append(range(lo, hi + 1))
+    ranges = [range(sum(min(0, v) for v in row),
+                    sum(max(0, v) for v in row) + 1) for row in w.free]
     out = set()
     for gfree in itertools.product(*ranges):
         if not _strictly_realizable(w, gfree):

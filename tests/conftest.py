@@ -15,7 +15,7 @@ from hpa.invariants import nonzero_groups
 from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.morse import Matching
-from hpa.realization import accumulate, faces, lex_shelling, maximal_chains
+from hpa.realization import accumulate, faces, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
 
@@ -629,29 +629,28 @@ def unshelled_classes(a):
     """The nontrivial classes whose lexicographic order is not a shelling,
     the ones `morse.babson_hersh_matching` hands to greedy coreduction."""
     return [p for p in range(len(a.classes))
-            if not a.is_trivial(p) and lex_shelling(a, p) is None]
+            if not a.is_trivial(p) and reference_lex_shelling(a, p) is None]
 
 
-def reference_partner(a, c):
-    """Reference for `realization.partner`, by scanning: the facet of the
-    cell c = (e, *G, p) is the first F_j of lex_shelling(a, p), in order,
-    whose bit mask (one bit per element of the interval) holds that of G,
-    so R_j <= G <= F_j.  The partner is G with t = min(F_j - R_j) toggled,
-    or none when R_j = F_j; the arrow cell [e < p] of an arrow's class and
-    every cell of a class that its order does not shell stay unmatched."""
+def reference_partner(a, c, shelling):
+    """Reference for `realization.partner`, by scanning `shelling`, which
+    is reference_lex_shelling(a, p): the facet of the cell c = (e, *G, p) is
+    the first F_j, in order, whose bit mask (one bit per element of the
+    interval) holds that of G, so R_j <= G <= F_j.  The partner is G with t
+    = min(F_j - R_j) toggled, or none when R_j = F_j; the arrow cell [e < p]
+    of an arrow's class and every cell of a class that its order does not
+    shell stay unmatched."""
     p = c[-1]
-    shelling = len(c) > 1 and lex_shelling(a, p)
-    if not shelling:
+    if len(c) < 2 or shelling is None:
         return None
     bit = {}
     masks = [sum(bit.setdefault(v, 1 << len(bit)) for v in ch)
-             for ch in shelling]
+             for ch, _ in shelling]
     mask = 0
     for v in c[1:-1]:
         mask |= bit[v]
-    ch = list(shelling)[next(j for j, m in enumerate(masks)
-                             if mask & m == mask)]
-    rj = shelling[ch]
+    ch, rj = shelling[next(j for j, m in enumerate(masks)
+                           if mask & m == mask)]
     t = min(set(ch) - rj, default=None)
     if t is None:
         return None

@@ -16,7 +16,7 @@ from hpa.realization import build_realization
 
 from conftest import (BENCHMARK_INPUTS, UNGRADED, Mutant, cell_of,
                       cellular_homology, free_algebra, linear_quiver,
-                      matching_to_json, morse_pairs)
+                      matching_to_json, morse_pairs, unshelled_classes)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 P2 = str(FIXTURES / 'p2.quiver')
@@ -329,6 +329,26 @@ def test_morse_refuses_a_matching_file_naming_no_cell(capsys, tmp_path, top,
     assert main(['morse', P2, '--matching', str(p)]) == 1
     out, err = capsys.readouterr()
     assert out == '' and message in err and err.count('\n') == 1
+
+
+@pytest.mark.parametrize('chain, written', [
+    ([['x1@d(0,0)'], ['x1@d(0,0)']], '[x1@d(0,0) < x1@d(0,0)]'),
+    ([['x1@d(0,0)'], ['x3@d(0,0)']], '[x1@d(0,0) < x3@d(0,0)]'),
+], ids=['not-increasing', 'not-divided'])
+def test_a_matching_file_names_a_refused_cell_as_written(capsys, tmp_path,
+                                                         chain, written):
+    # a chain that repeats its first entry, and one that its first entry
+    # does not divide, are refused in the words of the file, with no class
+    # id in the message
+    p = tmp_path / 'bad_matching.json'
+    p.write_text(json.dumps({'pairs': [{
+        'top': {'tail': 'd(0,0)', 'chain': chain},
+        'bottom': {'tail': 'd(0,0)', 'chain': [[]]}}]}))
+    assert main(['morse', F3, '--matching', str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert err == ('error: not a cell of the realization: '
+                   f'{written} from d(0,0)\n')
 
 
 def test_betti_csv(capsys, tmp_path):
@@ -708,7 +728,7 @@ def test_witness_and_error_texts_name_chains(p2):
             '((0, (0, 4), 14), {(0, (0, 4), 14): -1})']}
 
     with pytest.raises(MatchingError, match=(
-            r'^not a cell of the realization: \(0, 1, 1\)$')):
+            r'^not a cell of the realization: \[e_v0 < x < x\] from v0$')):
         matching_from_json({'pairs': [{
             'top': {'tail': 'v0', 'chain': [[], ['x'], ['x']]},
             'bottom': {'tail': 'v0', 'chain': [[]]}}]}, p2)
@@ -848,9 +868,11 @@ _RATIONALS = {'fractions', 'decimal'}
     (['check', P2], {*_LAYERS, *_RATIONALS}),
     (['tensor', P2, P2], {*_LAYERS, *_RATIONALS}),
     (['toric', '--weights', str(FIXTURES / 'p2.weights.json')],
-     {'realization', 'resolution', 'morse', 'invariants', *_RATIONALS}),
+     {'realization', 'linalg', 'resolution', 'morse', 'invariants',
+      *_RATIONALS}),
     (['toric', '--weights', '[[1,1,1]]', '--bondal-ruan'],
-     {'realization', 'resolution', 'morse', 'invariants', *_RATIONALS}),
+     {'realization', 'linalg', 'resolution', 'morse', 'invariants',
+      *_RATIONALS}),
     (['realize', P2], {'linalg', 'resolution', 'morse', 'invariants',
                        'toric', *_RATIONALS}),
     (['homology', P2], {'resolution', 'morse', 'invariants', 'toric',
@@ -899,8 +921,8 @@ def test_every_layer_is_registered():
 
 
 def test_morse_shells_each_class_once(capsys, monkeypatch, tmp_path):
-    # the matching and tor_table both read the lexicographic shelling of
-    # every nontrivial class; it is built once and kept on the algebra
+    # the matching shells every nontrivial class and lists its critical
+    # cells in the same pass; tor_table reads the verdict kept per class
     from hpa import realization
     from hpa.algebra import tensor
     from hpa.dsl import emit_quiver
@@ -919,6 +941,43 @@ def test_morse_shells_each_class_once(capsys, monkeypatch, tmp_path):
     code, data = run_json(capsys, 'morse', str(path))
     assert code == 0 and data['quasi_iso']['ok']
     assert len(calls) == sum(not c.is_trivial for c in a.classes)
+
+
+@pytest.mark.parametrize('path', [
+    P2, F1, F3, str(FIXTURES / 'p113.quiver'),
+    str(BENCHMARK_INPUTS / 'p11112.quiver')],
+    ids=['p2', 'f1', 'f3', 'p113', 'p11112'])
+def test_each_command_walks_the_chains_of_a_class_once(monkeypatch, capsys,
+                                                       path):
+    # homology, morse under bh, greedy and a matching file, and betti walk
+    # the maximal chains of each class at most once: the matching lists its
+    # critical cells in the pass that shells, and partner and tor_table read
+    # the verdict kept per class.  A class whose order does not shell (F1
+    # has one) is walked once more, by tor_table, which eliminates the
+    # complex its maximal chains generate.  koszul is left out: its Morse
+    # fallback shells the classes that interval_chains has walked already
+    from hpa import invariants, realization
+    calls = []
+    chains = realization.maximal_chains
+
+    def counted(a, u, w):
+        calls.append(w)
+        return chains(a, u, w)
+    monkeypatch.setattr(realization, 'maximal_chains', counted)
+    monkeypatch.setattr(invariants, 'maximal_chains', counted)
+    runs = [['homology'], ['morse'], ['morse', '--matching', 'greedy'],
+            ['betti']]
+    if path == F3:
+        runs.append(['morse', '--matching',
+                     str(FIXTURES / 'f3_matching.json')])
+    unshelled = set(unshelled_classes(_load(path)))
+    assert bool(unshelled) == (path == F1)
+    for command, *extra in runs:
+        calls.clear()
+        code, _ = run_json(capsys, command, path, *extra)
+        assert code == 0 and calls
+        assert all(calls.count(w) <= 1 + (w in unshelled)
+                   for w in calls), (command, extra)
 
 
 @pytest.mark.parametrize('command', ['check', 'realize', 'homology',

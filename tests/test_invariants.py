@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
 from hpa.realization import (build_realization, euler_characteristic,
-                             lex_shelling, maximal_chains)
+                             lex_shelling, maximal_chains, spheres)
 from hpa.resolution import cellular_resolution, check_resolution
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching)
@@ -313,11 +313,13 @@ def test_lex_shelling_refuses_the_non_shellable_interval_of_f1(f1):
 def test_lex_shelling_of_p2(p2):
     # the empty interval is one facet, its own restriction: Tor_1
     arrow = _class(p2, 'v0', ('x',))
-    assert list(lex_shelling(p2, arrow).items()) == [((), frozenset())]
+    assert lex_shelling(p2, arrow) == [((), ())]
+    assert spheres(p2, arrow) == (0,)
     # (e, x y') is two points: the second facet is critical, Tor_2
     xy = _class(p2, 'v0', ('x', "y'"))
-    (f0, r0), (f1, r1) = lex_shelling(p2, xy).items()
-    assert r0 == frozenset() and r1 == frozenset(f1) and len(f1) == 1
+    (f0, r0), (f1, r1) = sorted(lex_shelling(p2, xy))
+    assert r0 == () and r1 == f1 and len(f1) == 1
+    assert spheres(p2, xy) == (1,)
 
 
 def test_babson_hersh_falls_back_on_cubic(cubic):

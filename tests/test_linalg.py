@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa.linalg import (
-    SparseMat, homology, integer_kernel_basis, invariant_factors, modp_rank,
-    snf_diagonal, solve_integer,
+    SparseMat, homology, invariant_factors, modp_rank, snf_diagonal,
 )
+# the integer solves through a column echelon form live with their one
+# caller, the toric layer
+from hpa.toric import integer_kernel_basis, solve_integer
 
 from conftest import determinant, matrix_complex
 

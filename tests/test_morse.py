@@ -15,7 +15,7 @@ from hpa.dsl import emit_quiver
 from hpa.quiver import Quiver
 from hpa.linalg import homology
 from hpa.realization import (build_realization, faces, format_chain,
-                             lex_shelling)
+                             lex_shelling, spheres)
 from hpa.resolution import (BimoduleComplex, cellular_resolution,
                             verify_d_squared)
 from hpa.morse import (Matching, MatchingError, MorseComplex, check_internal,
@@ -501,7 +501,16 @@ def _check_shellings_and_pairs(a, max_dim):
         if not a.is_trivial(p):
             ref = reference_lex_shelling(a, p)
             got = lex_shelling(a, p)
-            assert (got if got is None else list(got.items())) == ref
+            assert (got if got is None else sorted(
+                (ch, frozenset(rj)) for ch, rj in got)) == ref
+            # R_j in chain order; a sphere per facet with R_j = F_j
+            if ref is None:
+                assert spheres(a, p) is None
+            else:
+                assert all(rj == tuple(v for v in ch if v in rj)
+                           for ch, rj in got)
+                assert sorted(spheres(a, p)) == sorted(
+                    len(ch) for ch, rj in ref if len(rj) == len(ch))
             shelled &= ref is not None
     ref = reference_bh_pairs(a, x)
     assert sorted(ref) == sorted(reference_bh_pairs_by_sets(a, x))
@@ -519,7 +528,8 @@ def _check_shellings_and_pairs(a, max_dim):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)),
+@given(st.one_of(algebras(), algebras(with_relations=True),
+                 split_interval_algebras()),
        st.one_of(st.none(), st.integers(0, 3)))
 def test_shellings_and_pairs_match_references(a, max_dim):
     if check_hpa(a).ok:
@@ -540,13 +550,19 @@ def test_shellings_and_pairs_match_references_on_fixtures(request, name):
 def _check_partner(a, x):
     """realization.partner against the scan of the facet masks on every
     cell of x."""
+    shellings = {}
     for cell in range(len(x.last)):
         c = x.chain(cell)
-        assert realization.partner(a, c) == reference_partner(a, c), c
+        p = c[-1]
+        if len(c) > 1 and p not in shellings:
+            shellings[p] = reference_lex_shelling(a, p)
+        assert realization.partner(a, c) == \
+            reference_partner(a, c, shellings.get(p)), c
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)),
+@given(st.one_of(algebras(), algebras(with_relations=True),
+                 split_interval_algebras()),
        st.one_of(st.none(), st.integers(0, 3)))
 def test_partner_matches_the_scan_of_the_facets(a, max_dim):
     if check_hpa(a).ok:

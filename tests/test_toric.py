@@ -10,12 +10,12 @@ from hpa import toric
 from hpa.toric import (WeightData, Degree, weight_data_from_json,
                        check_cohomologically_proper, image_phi, hom_monomials,
                        monomial_str, build_toric_hpa, bondal_ruan_hpa,
-                       check_directable, degree_name, lp_maximize)
+                       check_directable, degree_name, integer_kernel_basis,
+                       lp_maximize)
 from hpa.algebra import check_hpa, from_document
 from hpa.dsl import emit_quiver
 from hpa.realization import build_realization, realization_homology
 from hpa.invariants import koszul_check, betti_table
-from hpa.linalg import integer_kernel_basis
 
 from conftest import (cellular_homology, reference_lp_maximize,
                       words_by_class)
