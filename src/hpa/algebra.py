@@ -167,6 +167,8 @@ class HPA:
         self._quot = {}
         self._covers = {}
         self._spheres = {}  # realization.spheres, by class
+        self._least = None  # realization._Least, made on first use
+        self._unshelled = {}  # realization.lex_shelling, by class
         self._cancellation = None  # require_cancellative's check_hpa report
 
     # -- basic queries ------------------------------------------------------

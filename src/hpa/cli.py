@@ -21,11 +21,12 @@ and `homology` the realization and linear algebra.  Only what eliminates
 loads the linear algebra, and no subcommand loads Python's rational
 arithmetic: the toric LPs, like the linear algebra, run on Python ints.
 The toric layer is loaded by `toric`, and by `koszul` only for an algebra
-built from weight data, which a quiver file never is.  No subcommand but
-`realize` and `resolve` builds the realization.  A layer imported by name
-at the top of this module would be loaded by every subcommand.  Importing this
-module registers every layer not yet imported as a lazy module
-(`LAYERS`), which runs its code on first attribute access, so that
+built from weight data, which a quiver file never is.  Only `resolve`
+builds a CellComplex; `realize` names the cells from the quotient rows and
+writes them a chunk at a time, as json.dump would.  A layer imported by
+name at the top of this module would be loaded by every subcommand.
+Importing this module registers every layer not yet imported as a lazy
+module (`LAYERS`), which runs its code on first attribute access, so that
 in-process tools that look layers up in sys.modules, such as the tracer
 of perfbench/, find them all.
 """
@@ -73,11 +74,17 @@ def _schema(command):
         return json.load(f)
 
 
-def _emit(args, command, payload, code=0):
-    # validate the payload itself, then stream it: a bad report writes nothing
+def _validated(command, payload):
+    # the report, header and payload, once it has passed its schema
     from .schema import validate
     payload = {'header': _header(command), **payload}
     validate(payload, _schema(command))
+    return payload
+
+
+def _emit(args, command, payload, code=0):
+    # validate the payload itself, then stream it: a bad report writes nothing
+    payload = _validated(command, payload)
     with _output(args) as out:
         json.dump(payload, out, indent=1, sort_keys=True)
         out.write('\n')
@@ -132,15 +139,36 @@ def cmd_check(args):
     return _emit(args, 'check', payload, 0 if rep.ok else 1)
 
 
+# names per write of the realize report, which bounds the text held
+_CHUNK = 4096
+
+
 def cmd_realize(args):
-    from .realization import build_realization, euler_characteristic
+    from json.encoder import encode_basestring_ascii
+    from .realization import cell_names, class_name, euler_characteristic
     a = _load_hpa(args.input)
-    x = build_realization(a, max_dim=args.max_dim)
-    payload = {'counts': x.counts(),
-               'euler': euler_characteristic(x.counts()),
-               'truncated': x.truncated,
-               'cells': x.cell_names()}
-    return _emit(args, 'realize', payload)
+    # cell names built from the JSON encodings of the class names are their
+    # own encodings, as '[', ' < ' and ']' are
+    cells, truncated = cell_names(a, args.max_dim, lambda c: (
+        encode_basestring_ascii(class_name(c))[1:-1]))
+    counts = [len(names) for names in cells]
+    report = _validated('realize', {
+        'cells': cells, 'counts': counts,
+        'euler': euler_characteristic(counts), 'truncated': truncated})
+    # the bytes of json.dump(report, indent=1, sort_keys=True): 'cells',
+    # the first key, a chunk of names at a time, then the rest through json
+    rest = json.dumps({k: v for k, v in report.items() if k != 'cells'},
+                      indent=1, sort_keys=True)
+    with _output(args) as out:
+        out.write('{\n "cells": [')
+        for k, names in enumerate(cells):
+            out.write(',\n  [' if k else '\n  [')
+            for i in range(0, len(names), _CHUNK):
+                out.write((',\n   "' if i else '\n   "') +
+                          '",\n   "'.join(names[i:i + _CHUNK]) + '"')
+            out.write('\n  ]' if names else ']')
+        out.write('\n ],\n' + rest[2:] + '\n')
+    return 0
 
 
 def cmd_homology(args):
@@ -337,7 +365,7 @@ def build_parser():
 
     for name, func, text, options in [
             ('check', cmd_check, 'validate the cancellation axioms', {}),
-            ('realize', cmd_realize, 'build the cell complex',
+            ('realize', cmd_realize, 'name every cell of the realization',
              {'max_dim': True}),
             ('homology', cmd_homology, 'cellular homology of the realization',
              {'ring': True, 'max_dim': True}),

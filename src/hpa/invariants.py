@@ -21,7 +21,8 @@ from itertools import combinations
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import homology
-from .realization import format_chain, maximal_chains, spheres
+from .realization import (format_chain, maximal_chains, spheres,
+                          unshelled_chains)
 
 
 class OrderComplex:
@@ -85,15 +86,14 @@ def tor_table(a, ring=RING_Z):
     S^{|F_j|-1} per facet with R_j = F_j (Bjorner-Wachs, nonpure shellings
     included; `realization.spheres`), so it adds a free generator in degree
     |F_j| + 1 for each; any other interval adds H~_{i-2} of the complex its
-    maximal chains generate in degree i."""
+    maximal chains (`realization.unshelled_chains`) generate in degree i."""
     pos = {v: n for n, v in enumerate(a.quiver.vertices)}
     acc = {}
     for c in sorted(a.classes, key=lambda c: (pos[c.tail], pos[c.head])):
         if c.is_trivial:
             summands = [(0, 1, [])]
         elif (sizes := spheres(a, c.id)) is None:
-            h = reduced_homology(
-                maximal_chains(a, a.trivial_class[c.tail], c.id), ring)
+            h = reduced_homology(unshelled_chains(a, c.id), ring)
             summands = [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
         else:
             summands = [(n + 1, 1, []) for n in sizes]

@@ -9,11 +9,14 @@ chain by dividing through p_1.  Regularity makes every incidence number
 
 A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
 c is the chain of parent[c], its top face, extended by the class last[c].
-`x.chain(c)` is the tuple of class ids of a cell.  The functions below
-build_realization take cells as chains and build no CellComplex.
+`x.chain(c)` is the tuple of class ids of a cell.  Of the subcommands,
+only `hpa resolve` builds this CellComplex.  The functions below
+build_realization take cells as chains and build none: `cell_names` names
+every cell (`hpa realize`) from the quotient rows, a level at a time.
 
 `lex_shelling` checks the lexicographic shelling of an interval facet by
-facet along least covers (`_Least`), keeping only `spheres`.
+facet along least covers (`_Least`, one table per algebra), keeping only
+`spheres`, and the maximal chains of an interval that does not shell.
 `gradient_terms` is the one gradient-flow walk: on chains (tuples of class
 ids), with the coefficients of the cellular resolution, under a partner
 rule, such as the Babson-Hersh matching (`partner`, whose unmatched cells
@@ -45,7 +48,8 @@ class CellComplex:
     a vertex cell) and `last`, built a level at a time from the quotient
     rows; `vertex` maps each vertex to its cell.  The child table and the
     face table are filled on first use: `children[c]` is {class: child} or
-    None, cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c]."""
+    None, cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c].
+    It holds no names: `cell_names` lists them in the same order."""
 
     def __init__(self, hpa, max_dim=None):
         a = self.hpa = hpa
@@ -68,7 +72,6 @@ class CellComplex:
             self.cells.append(range(level.stop, len(last)))
         if len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
-        self.names = [_class_name(c) for c in a.classes]
 
     def __getattr__(self, name):
         # called only while the child table or the face table is missing
@@ -139,25 +142,16 @@ class CellComplex:
                 break
         return cell
 
-    def cell_names(self):
-        """The name of every cell, by dimension, each from its parent's:
-        format_chain of its chain."""
-        out = [['[' + self.names[self.last[c]] + ']' for c in self.cells[0]]]
-        for k, cs in enumerate(self.cells[1:]):
-            up, base = out[-1], self.cells[k].start
-            out.append([up[self.parent[c] - base][:-1] + ' < ' +
-                        self.names[self.last[c]] + ']' for c in cs])
-        return out
 
-
-def _class_name(cl):
+def class_name(cl):
+    """The labels of the representative of a class, e_v for a trivial one."""
     return ' '.join(cl.rep.labels) if cl.rep.labels else f"e_{cl.tail}"
 
 
 def format_chain(a, chain):
     """A chain of class ids as [e_v < p_1 < ... < p_k], each class by the
     labels of its representative."""
-    return '[' + ' < '.join(_class_name(a.classes[c]) for c in chain) + ']'
+    return '[' + ' < '.join(class_name(a.classes[c]) for c in chain) + ']'
 
 
 def build_realization(a, max_dim=None):
@@ -237,13 +231,17 @@ def lex_shelling(a, p):
     class ids); None when that order is not a shelling: when the faces of
     some F_j that no earlier facet holds are not [R_j, F_j], that is (a face
     without v in R_j lies in F_j - {v}) when R_j lies in an earlier facet
-    (`_Least.restriction`).  The empty interval gives [((), ())]."""
-    e, least = a.trivial_class[a.tail(p)], _Least(a)
-    out = [(ch, least.restriction((e, *ch, p)))
-           for ch in maximal_chains(a, e, p)]
-    out = None if any(rj is None for _, rj in out) else out
-    a._spheres[p] = None if out is None else tuple(
-        len(ch) for ch, rj in out if rj == ch)
+    (`_Least.restriction`), and its maximal chains are then kept for
+    `unshelled_chains`.  The empty interval gives [((), ())]."""
+    if a._least is None:  # one table, shared by every shelling and partner
+        a._least = _Least(a)
+    e, least = a.trivial_class[a.tail(p)], a._least
+    chains = maximal_chains(a, e, p)
+    out = [(ch, least.restriction((e, *ch, p))) for ch in chains]
+    if any(rj is None for _, rj in out):
+        a._spheres[p], a._unshelled[p] = None, chains
+        return None
+    a._spheres[p] = tuple(len(ch) for ch, rj in out if rj == ch)
     return out
 
 
@@ -254,6 +252,12 @@ def spheres(a, p):
     if p not in a._spheres:
         lex_shelling(a, p)
     return a._spheres[p]
+
+
+def unshelled_chains(a, p):
+    """The maximal chains of the interval below p, as lex_shelling walked
+    them, when spheres(a, p) is None."""
+    return a._unshelled[p]
 
 
 def euler_characteristic(counts):
@@ -281,6 +285,32 @@ def cell_counts(a):
     if len(counts) > 1 and not counts[-1]:
         counts.pop()
     return counts
+
+
+def cell_names(a, max_dim=None, name=class_name):
+    """(names, truncated): format_chain of every cell of
+    build_realization(a, max_dim), each class named by `name`, by dimension
+    in id order (parents in order, each one's children by increasing class
+    id), and whether the cap truncates, without building its cells."""
+    require_cancellative(a)
+    ends = [name(c) + ']' for c in a.classes]
+    lasts = sorted(a.trivial_class.values())
+    out, ups = [['[' + ends[e] for e in lasts]], {}
+    while lasts:
+        for p in set(lasts) - ups.keys():
+            ups[p] = sorted(q for q in a.quotients(p) if q != p)
+        if max_dim is not None and len(out) > max_dim:
+            return out, any(ups[p] for p in lasts)
+        level, up = [], []
+        for name, p in zip(out[-1], lasts):
+            if row := ups[p]:
+                level += map((name[:-1] + ' < ').__add__,
+                             map(ends.__getitem__, row))
+                up += row
+        if level:
+            out.append(level)
+        lasts = up
+    return out, False
 
 
 def stratum(a, p, top):
@@ -357,9 +387,10 @@ def partner(a, c):
     F_j, and the partner toggles t = min(F_j - R_j), none when R_j = F_j.
     The arrow cell [e < p] of an arrow's class and every cell of a class
     whose order does not shell (`spheres`) stay unmatched."""
-    least, p = _Least(a), c[-1]
+    p = c[-1]
     if len(c) < 2 or spheres(a, p) is None:
         return None
+    least = a._least  # made when lex_shelling shelled p
     ch, g = least.facet(c), c[1:-1]
     rj = least.restriction((c[0], *ch, p))
     t = min((v for v in ch if v not in rj), default=None)

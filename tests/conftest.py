@@ -15,7 +15,7 @@ from hpa.invariants import nonzero_groups
 from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.morse import Matching
-from hpa.realization import accumulate, faces, maximal_chains
+from hpa.realization import accumulate, class_name, faces, maximal_chains
 from hpa.resolution import (BimoduleComplex, h_minus_one,
                             multiply_augmentation, simple_tensor_complex)
 
@@ -282,6 +282,18 @@ def cell_of(x, chain):
     cell = x.vertex.get(x.hpa.tail(chain[0]))
     if cell is not None and x.last[cell] == chain[0]:
         return x.child(cell, *chain[1:])
+
+
+def cell_names(x):
+    """The name of every cell of the CellComplex x, by dimension, each from
+    its parent's: format_chain of its chain."""
+    names = [class_name(c) for c in x.hpa.classes]
+    out = [['[' + names[x.last[c]] + ']' for c in x.cells[0]]]
+    for k, cs in enumerate(x.cells[1:]):
+        up, base = out[-1], x.cells[k].start
+        out.append([up[x.parent[c] - base][:-1] + ' < ' +
+                    names[x.last[c]] + ']' for c in cs])
+    return out
 
 
 def cell_matching(x, pairs):
