@@ -75,8 +75,10 @@ class HPA:
     per class and one transition per arrow leaving its head, so the class of
     a word is read by walking its labels from the trivial class at its tail
     (`step[c, label]` is the class of c followed by the arrow).  Classes are
-    indexed 0..n-1 sorted by their canonical representative, the
-    least word of the class under `Quiver.word_key`.
+    indexed 0..n-1 sorted by their canonical representative, the least word
+    of the class: words are ordered by tail, in topological order, and then
+    by label sequence, arrows compared by declaration index, the order in
+    which `enumerate_paths` lists them.
     """
 
     def __init__(self, relations):

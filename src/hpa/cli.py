@@ -22,9 +22,10 @@ loads the linear algebra, and no subcommand loads Python's rational
 arithmetic: the toric LPs, like the linear algebra, run on Python ints.
 The toric layer is loaded by `toric`, and by `koszul` only for an algebra
 built from weight data, which a quiver file never is.  Only `resolve`
-builds a CellComplex; `realize` names the cells from the quotient rows and
-writes them a chunk at a time, as json.dump would.  A layer imported by
-name at the top of this module would be loaded by every subcommand.
+numbers the cells (resolution.BimoduleComplex); `realize` names them from
+the quotient rows and writes them a chunk at a time, as json.dump would.
+A layer imported by name at the top of this module would be loaded by
+every subcommand.
 Importing this module registers every layer not yet imported as a lazy
 module (`LAYERS`), which runs its code on first attribute access, so that
 in-process tools that look layers up in sys.modules, such as the tracer
@@ -183,13 +184,11 @@ def cmd_homology(args):
 
 
 def cmd_resolve(args):
-    from .realization import build_realization
     from .resolution import cellular_resolution, check_resolution
-    a = _load_hpa(args.input)
-    x = build_realization(a, max_dim=args.max_dim)
-    d2, homotopy = check_resolution(cellular_resolution(a, x))
-    payload = {'generators': x.counts(),
-               'truncated': x.truncated,
+    c = cellular_resolution(_load_hpa(args.input), args.max_dim)
+    d2, homotopy = check_resolution(c)
+    payload = {'generators': c.counts(),
+               'truncated': c.truncated,
                'd_squared': _check_json(d2, "d^2 = 0"),
                'contracting_homotopy': None if homotopy is None else
                    _check_json(homotopy, "d h + h d = id")}

@@ -237,17 +237,16 @@ def koszul_check(a):
     if not a.graded:
         raise ValueError("koszul_check requires a length-graded algebra")
 
-    res = None
+    order = None
     if getattr(a, 'toric_monomials', None) is not None:
         from .toric import check_directable
         try:
-            res = check_directable(a)
+            order = check_directable(a)
         except ValueError:  # an arrow that is not a single variable
             pass
-    if res and res.order:
+    if order:
         return KoszulVerdict('koszul-certified', 'directable',
-                             {'variable_order': res.order,
-                              'exhaustive': res.exhaustive})
+                             {'variable_order': order})
 
     chains = interval_chains(a)
     shellable = [el_shellable(a, ranks, chains)

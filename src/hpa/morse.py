@@ -10,7 +10,7 @@ chains, and its Morse complex into theirs (Kozlov, Combinatorial Algebraic
 Topology, 2008, ch. 11).  A Matching is a partner rule built one stratum
 (the cells that end at one class) at a time, and MorseComplex walks its
 critical cells by the one gradient-flow walk, realization.gradient_terms.
-No CellComplex is built.
+Cells are chains throughout: no numbered cell is built.
 """
 
 import json

@@ -119,19 +119,15 @@ class Quiver:
             raise QuiverError(f"unknown arrow label {labels[0]!r}")
         return self.word(first.tail, labels)
 
-    def word_key(self, w):
-        """Deterministic sort key: tails in topological order, then the label
-        sequence compared by arrow declaration index (lexicographic)."""
-        return (self.topo_rank[w.tail],
-                tuple(self.arrow_index[l] for l in w.labels))
-
 
 def enumerate_paths(q):
     """All path words of an acyclic quiver, including one trivial word per
-    vertex, in word_key order (so downstream grouping is reproducible): a
-    preorder walk from the tails in topological order along the arrows in
-    declaration order lists each word once, right after its prefix less
-    the last arrow, and lists them in that order with no sort."""
+    vertex, ordered by tail in topological order and then by label sequence,
+    arrows compared by declaration index (so downstream grouping is
+    reproducible): a preorder walk from the tails in topological order
+    along the arrows in declaration order lists each word once, right after
+    its prefix less the last arrow, and lists them in that order with no
+    sort."""
     words = []
     for v in sorted(q.vertices, key=q.topo_rank.__getitem__):
         stack = [trivial_word(v)]

@@ -7,28 +7,25 @@ entry.  Face i deletes the i-th entry; deleting the trivial head rebases the
 chain by dividing through p_1.  Regularity makes every incidence number
 (-1)^i, so boundary matrices have entries in {-1, 0, 1}.
 
-A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014): cell
-c is the chain of parent[c], its top face, extended by the class last[c].
-`x.chain(c)` is the tuple of class ids of a cell.  Of the subcommands,
-only `hpa resolve` builds this CellComplex.  The functions below
-build_realization take cells as chains and build none: `cell_names` names
-every cell (`hpa realize`) from the quotient rows, a level at a time.
+Everything here works on chains (tuples of class ids) and builds no
+numbered cells: those live in `resolution.BimoduleComplex`, which only `hpa
+resolve` builds.  `cell_names` names every cell (`hpa realize`) from the
+quotient rows, a level at a time, and `cell_counts` counts them.
 
 `lex_shelling` checks the lexicographic shelling of an interval facet by
 facet along least covers (`_Least`, one table per algebra), keeping only
 `spheres`, and the maximal chains of an interval that does not shell.
-`gradient_terms` is the one gradient-flow walk: on chains (tuples of class
-ids), with the coefficients of the cellular resolution, under a partner
-rule, such as the Babson-Hersh matching (`partner`, whose unmatched cells
-`shelled_critical` lists).  A stratum is the set of cells that end at one
-class (`stratum`).
-`realization_homology` builds no CellComplex: it counts the cells, lists
-the critical ones from the shellings, walks from them and hands that Morse
-complex to `linalg.homology`, the one path from a chain complex to its
-homology, which it loads only then: nothing else here eliminates.
+`gradient_terms` is the one gradient-flow walk, with the coefficients of
+the cellular resolution (`_terms`), under a partner rule, such as the
+Babson-Hersh matching (`partner`, whose unmatched cells `shelled_critical`
+lists).  A stratum is the set of cells that end at one class (`stratum`).
+`realization_homology` counts the cells, lists the critical ones from the
+shellings, walks from them and hands that Morse complex to
+`linalg.homology`, the one path from a chain complex to its homology, which
+it loads only then: nothing else here eliminates.
 """
 
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations
 
 from . import RING_Z
 from .algebra import require_cancellative
@@ -37,110 +34,6 @@ from .algebra import require_cancellative
 class MatchingError(ValueError):
     """A matching that cannot be cancelled: not internal, not acyclic, or
     pairing a cell with a face that is not a middle one."""
-
-
-class CellComplex:
-    """The chains of a cancellative algebra, capped at dimension max_dim if
-    given (a truncation: homology above the cap is not defined from it).
-    Cells are numbered dimension by dimension, taking parents in id order
-    and each one's children by increasing class id, so the range cells[k]
-    of the k-cells runs in sorted chain order.  Per cell: `parent` (-1 for
-    a vertex cell) and `last`, built a level at a time from the quotient
-    rows; `vertex` maps each vertex to its cell.  The child table and the
-    face table are filled on first use: `children[c]` is {class: child} or
-    None, cell c has faces face[at[c]:at[c + 1]], and p_1 = first[c].
-    It holds no names: `cell_names` lists them in the same order."""
-
-    def __init__(self, hpa, max_dim=None):
-        a = self.hpa = hpa
-        last = self.last = sorted(a.trivial_class.values())
-        self.vertex = {a.tail(e): c for c, e in enumerate(last)}
-        parent = self.parent = [-1] * len(last)
-        ups = {}  # the classes above each class, by id
-        self.cells = [range(len(last))]
-        self.truncated = False
-        while self.cells[-1]:
-            level = self.cells[-1]
-            for p in set(last[level.start:]) - ups.keys():
-                ups[p] = sorted(q for q in a.quotients(p) if q != p)
-            rows = list(map(ups.__getitem__, last[level.start:]))
-            if max_dim is not None and len(self.cells) > max_dim:
-                self.truncated = any(rows)
-                break
-            parent += chain.from_iterable(map(repeat, level, map(len, rows)))
-            last += chain.from_iterable(rows)
-            self.cells.append(range(level.stop, len(last)))
-        if len(self.cells) > 1 and not self.cells[-1]:
-            self.cells.pop()
-
-    def __getattr__(self, name):
-        # called only while the child table or the face table is missing
-        if name == 'children':
-            self._fill_children()
-        elif name in ('face', 'at', 'first'):
-            self._fill_faces()
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
-
-    def _fill_children(self):
-        """{class: child} of each cell, None for a leaf: the children of a
-        cell are the run of cells that name it as parent."""
-        last, stop = self.last, len(self.cells[0])
-        children = self.children = [None] * len(last)
-        for up, run in groupby(self.parent[stop:]):
-            start, stop = stop, stop + len(list(run))
-            children[up] = dict(zip(last[start:stop], range(start, stop)))
-
-    def _fill_faces(self):
-        """All faces, in one pass in id order.  Face k of a k-cell c is
-        parent[c]; face i, 0 < i < k, is the child by last[c] of face i of
-        the parent; face 0 is the child by p_1\\p_k of face 0 of the
-        parent, for a 1-cell the vertex cell at the head of last[c]."""
-        a, children = self.hpa, self.children
-        face = self.face = []
-        at = self.at = [0] * (len(self.cells[0]) + 1)
-        first = self.first = list(self.last)
-        for c in self.cells[1] if len(self.cells) > 1 else ():
-            face += (self.vertex[a.head(first[c])], self.parent[c])
-            at.append(len(face))
-        for k in range(2, len(self.cells)):
-            # children parent by parent, sharing the parent's faces
-            for up in self.cells[k - 1]:
-                if not children[up]:
-                    continue
-                below = children[face[at[up]]]
-                rest = [children[f] for f in face[at[up] + 1:at[up + 1]]]
-                quot = a.quotients(first[up])
-                for q, c in children[up].items():
-                    face.append(below[quot[q]])
-                    face += [r[q] for r in rest]
-                    face.append(up)
-                    at.append(len(face))
-                    first[c] = first[up]
-
-    @property
-    def max_dim(self):
-        return len(self.cells) - 1
-
-    def counts(self):
-        return [len(cs) for cs in self.cells]
-
-    def chain(self, cell):
-        """The chain (e_v, p_1, ..., p_k) of class ids of a cell."""
-        last, parent, out = self.last, self.parent, []
-        while cell >= 0:
-            out.append(last[cell])
-            cell = parent[cell]
-        return tuple(reversed(out))
-
-    def child(self, cell, *classes):
-        """The cell of chain(cell) extended by `classes`, or None."""
-        for q in classes:
-            cell = (self.children[cell] or {}).get(q)
-            if cell is None:
-                break
-        return cell
 
 
 def class_name(cl):
@@ -152,14 +45,6 @@ def format_chain(a, chain):
     """A chain of class ids as [e_v < p_1 < ... < p_k], each class by the
     labels of its representative."""
     return '[' + ' < '.join(class_name(a.classes[c]) for c in chain) + ']'
-
-
-def build_realization(a, max_dim=None):
-    """The CellComplex of all canonical chains of the path poset of `a`,
-    capped at max_dim.  A non-cancellative algebra is refused with
-    NotCancellativeError: there face 0 of a chain need not be a chain."""
-    require_cancellative(a)
-    return CellComplex(a, max_dim)
 
 
 def maximal_chains(a, u, w):
@@ -266,7 +151,7 @@ def euler_characteristic(counts):
 
 
 def cell_counts(a):
-    """The number of cells per dimension of build_realization(a), without
+    """The number of cells per dimension of the realization of `a`, without
     its cells: the number of k-cells that end at each class is pushed along
     the quotient rows, a k-cell ending at p giving a (k+1)-cell ending at
     each q > p, one level per dimension.  Capped at c, the realization has
@@ -288,10 +173,11 @@ def cell_counts(a):
 
 
 def cell_names(a, max_dim=None, name=class_name):
-    """(names, truncated): format_chain of every cell of
-    build_realization(a, max_dim), each class named by `name`, by dimension
-    in id order (parents in order, each one's children by increasing class
-    id), and whether the cap truncates, without building its cells."""
+    """(names, truncated): format_chain of every cell of the realization
+    of `a` capped at max_dim, each class named by `name`, by dimension in
+    sorted chain order (parents in order, each one's children by increasing
+    class id: the id order of `resolution.BimoduleComplex`), and whether
+    the cap truncates, without building its cells."""
     require_cancellative(a)
     ends = [name(c) + ']' for c in a.classes]
     lasts = sorted(a.trivial_class.values())
@@ -364,7 +250,7 @@ def shelled_critical(a, p, top):
 
 def by_dimension(a, cells, top, counts):
     """The vertex cells and the chains `cells` of dimension 1 to top, by
-    dimension, each sorted (the id order of build_realization); refused
+    dimension, each sorted (the order of `cell_names`); refused
     (ValueError) unless they have the Euler characteristic of `counts`."""
     out = [[(e,) for e in sorted(a.trivial_class.values())]]
     out += [[] for _ in range(top)]
@@ -426,7 +312,7 @@ def faces(a, c):
 
 def realization_homology(a, ring=RING_Z, max_dim=None):
     """(homology, counts, truncated) of the realization of `a` capped at
-    max_dim, with no CellComplex: the cell counts below the cap, whether
+    max_dim, on chains: the cell counts below the cap, whether
     the cap truncates, and the homology of the degrees below a cap that
     truncates (which the cap determines), (0, []) where it has no group.
     It is that of the Morse complex of the Babson-Hersh matching of the

@@ -4,17 +4,20 @@ Degree-k generators are the k-cells of the realization; the generator for a
 cell spans P_{t(cell)} (x) P^op_{h(cell)}.  The differential carries the face
 maps: face 0 emits the left coefficient p_1, the top face emits the right
 coefficient p_k / p_{k-1}, middle faces have trivial coefficients, and the
-sign of face i is (-1)^i.  Elements are stored as dicts
-{(left class, cell, right class): integer coefficient}, the cell an id of
-the realization; check witnesses name cells by their chains (`x.chain`).
-check_resolution decides d^2 = 0 and d h + h d = id in one walk up the
-dimensions; verify_d_squared decides d^2 = 0 term by term on any complex.
+sign of face i is (-1)^i.  This module owns the id-numbered cells: one
+BimoduleComplex, built by cellular_resolution, holds them in a simplex tree
+with its child and face tables, which `hpa resolve` alone reads; every other
+layer works on chains.  Elements are stored as dicts {(left class, cell,
+right class): integer coefficient}, the cell an id; check witnesses name
+cells by their chains (`c.chain`).  check_resolution decides d^2 = 0 and
+d h + h d = id in one walk up the dimensions; verify_d_squared decides
+d^2 = 0 term by term on any complex.
 """
 
-from itertools import chain
+from itertools import chain, groupby, repeat
 
 from .algebra import Report, require_cancellative
-from .realization import accumulate, build_realization
+from .realization import accumulate
 
 
 class ResolutionError(ValueError):
@@ -22,15 +25,76 @@ class ResolutionError(ValueError):
 
 
 class BimoduleComplex:
-    """Generators cells[k] in degree k, over the cells of complex_."""
+    """The cellular resolution of a cancellative algebra over the chains
+    of its path poset, capped at dimension max_dim if given (a truncation,
+    which is no resolution).  Built by `cellular_resolution`.
 
-    def __init__(self, hpa, complex_):
-        self.hpa = hpa
-        self.complex = complex_
-        self.cells = complex_.cells
+    A cell is an int, kept in a simplex tree (Boissonnat and Maria 2014):
+    cell c is the chain of parent[c] (-1 for a vertex cell), its top face,
+    extended by the class last[c]; `vertex` maps each vertex to its cell.
+    Cells are numbered dimension by dimension, taking parents in id order
+    and each one's children by increasing class id, so the range cells[k]
+    of the k-cells, the generators of degree k, runs in sorted chain order
+    (the order of `realization.cell_names`).  `children[c]` is {class:
+    child} or None, cell c has faces face[at[c]:at[c + 1]], and p_1 =
+    first[c].  The cells are built a level at a time from the quotient
+    rows, then the child table, then the faces a level at a time."""
+
+    def __init__(self, hpa, max_dim=None):
+        a = self.hpa = hpa
+        last = self.last = sorted(a.trivial_class.values())
+        vertex = self.vertex = {a.tail(e): c for c, e in enumerate(last)}
+        parent = self.parent = [-1] * len(last)
         # the trivial classes at the tail and at the head of each class
-        self.units = [(hpa.trivial_class[cl.tail], hpa.trivial_class[cl.head])
-                      for cl in hpa.classes]
+        self.units = [(a.trivial_class[cl.tail], a.trivial_class[cl.head])
+                      for cl in a.classes]
+        ups = {}  # the classes above each class, by id
+        self.cells = [range(len(last))]
+        self.truncated = False
+        while self.cells[-1]:
+            level = self.cells[-1]
+            for p in set(last[level.start:]) - ups.keys():
+                ups[p] = sorted(q for q in a.quotients(p) if q != p)
+            rows = list(map(ups.__getitem__, last[level.start:]))
+            if max_dim is not None and len(self.cells) > max_dim:
+                self.truncated = any(rows)
+                break
+            parent += chain.from_iterable(map(repeat, level, map(len, rows)))
+            last += chain.from_iterable(rows)
+            self.cells.append(range(level.stop, len(last)))
+        if len(self.cells) > 1 and not self.cells[-1]:
+            self.cells.pop()
+        ups = rows = None  # freed before the tables, which outlive them
+        # the children of a cell are the run of cells that name it as parent
+        children = self.children = [None] * len(last)
+        stop = len(self.cells[0])
+        for up, run in groupby(parent[stop:]):
+            start, stop = stop, stop + len(list(run))
+            children[up] = dict(zip(last[start:stop], range(start, stop)))
+        # the faces, a level at a time: face k of a k-cell c is parent[c];
+        # face i, 0 < i < k, is the child by last[c] of face i of the
+        # parent; face 0 is the child by p_1\p_k of face 0 of the parent,
+        # for a 1-cell the vertex cell at the head of last[c]
+        face = self.face = []
+        at = self.at = [0] * (len(self.cells[0]) + 1)
+        first = self.first = list(last)
+        for c in self.cells[1] if len(self.cells) > 1 else ():
+            face += (vertex[a.head(last[c])], parent[c])
+            at.append(len(face))
+        for k in range(2, len(self.cells)):
+            # children parent by parent, sharing the parent's faces
+            for up in self.cells[k - 1]:
+                if not children[up]:
+                    continue
+                below = children[face[at[up]]]
+                rest = [children[f] for f in face[at[up] + 1:at[up + 1]]]
+                quot = a.quotients(first[up])
+                for q, c in children[up].items():
+                    face.append(below[quot[q]])
+                    face += [r[q] for r in rest]
+                    face.append(up)
+                    at.append(len(face))
+                    first[c] = first[up]
 
     @property
     def top(self):
@@ -43,35 +107,42 @@ class BimoduleComplex:
         return [len(cs) for cs in self.cells]
 
     def chain(self, cell):
-        return self.complex.chain(cell)
+        """The chain (e_v, p_1, ..., p_k) of class ids of a cell."""
+        last, parent, out = self.last, self.parent, []
+        while cell >= 0:
+            out.append(last[cell])
+            cell = parent[cell]
+        return tuple(reversed(out))
 
     def terms(self, cell):
         """Differential of a generator: list of (coef, l, face, r)."""
-        x = self.complex
-        faces = x.face[x.at[cell]:x.at[cell + 1]]
+        faces = self.face[self.at[cell]:self.at[cell + 1]]
         if not faces:
             return []
-        p = x.last[cell]
+        p = self.last[cell]
         el, er = self.units[p]
         sign = 1
-        out = [(1, x.first[cell], faces[0], er)]
+        out = [(1, self.first[cell], faces[0], er)]
         for f in faces[1:-1]:
             sign = -sign
             out.append((sign, el, f, er))
         out.append((-sign, el, faces[-1],
-                    self.hpa.quotients(x.last[faces[-1]])[p]))
+                    self.hpa.quotients(self.last[faces[-1]])[p]))
         return out
 
     def h_cell(self, ac, cell):
         """Target of the contracting homotopy on ac (x) cell for a
-        nontrivial ac: the cell of the chain (e, ac, ac.p_1, ..., ac.p_k).
+        nontrivial ac: the cell of the chain (e, ac, ac.p_1, ..., ac.p_k),
+        walked down the child table from the vertex cell at the tail of ac.
         Raises ResolutionError when the chain is not a cell."""
-        a, x = self.hpa, self.complex
-        up = [a.mult(ac, p) for p in x.chain(cell)[1:]]
-        new = x.child(x.vertex[a.tail(ac)], ac, *up)
-        if new is None:
-            raise ResolutionError("homotopy left the complex: " + str(
-                (a.trivial_class[a.tail(ac)], ac, *up)))
+        a = self.hpa
+        up = [a.mult(ac, p) for p in self.chain(cell)[1:]]
+        new = self.vertex[a.tail(ac)]
+        for q in (ac, *up):
+            new = (self.children[new] or {}).get(q)
+            if new is None:
+                raise ResolutionError("homotopy left the complex: " + str(
+                    (a.trivial_class[a.tail(ac)], ac, *up)))
         return new
 
     def h_element(self, elem):
@@ -86,13 +157,12 @@ class BimoduleComplex:
         return out
 
 
-def cellular_resolution(a, x=None):
-    """Bimodule resolution supported on the cell complex x (built from a when
-    omitted).  Refuses a non-cancellative algebra."""
+def cellular_resolution(a, max_dim=None):
+    """The bimodule resolution of `a` supported on its realization, capped
+    at max_dim.  A non-cancellative algebra is refused with
+    NotCancellativeError: there face 0 of a chain need not be a chain."""
     require_cancellative(a)
-    if x is None:
-        x = build_realization(a)
-    return BimoduleComplex(a, x)
+    return BimoduleComplex(a, max_dim)
 
 
 def _failing(test, n):
@@ -119,7 +189,7 @@ def _shapes(c, k, trivial):
         s, l, f, r = zip(*chain.from_iterable(ts))
         p, t, u, q = l[::n1], l[1::n1], r[::n1], r[k::n1]
         ends = zip(*map(c.units.__getitem__,
-                        map(c.complex.last.__getitem__, cells[i:j])))
+                        map(c.last.__getitem__, cells[i:j])))
         ok = (s == alt * (j - i) and all(l[m::n1] == t for m in range(2, n1))
               and all(r[m::n1] == u for m in range(1, k)) and
               [t, u] == list(ends) and
@@ -200,7 +270,7 @@ def multiply_augmentation(c, elem):
     a = c.hpa
     out = {}
     for (ac, cell, bc), coef in elem.items():
-        accumulate(out, a.mult(a.mult(ac, c.complex.last[cell]), bc), coef)
+        accumulate(out, a.mult(a.mult(ac, c.last[cell]), bc), coef)
     return out
 
 
@@ -210,7 +280,7 @@ def h_minus_one(c, alg_elem):
     out = {}
     for cls, coef in alg_elem.items():
         v = a.tail(cls)
-        accumulate(out, (a.trivial_class[v], c.complex.vertex[v], cls), coef)
+        accumulate(out, (a.trivial_class[v], c.vertex[v], cls), coef)
     return out
 
 
@@ -220,10 +290,10 @@ def _homotopy(c, rows, checked):
     maps of right modules, so only the triples of the given rows (cell, ac)
     are evaluated, and a failing one gives its value as witness, cells
     written as chains."""
-    a, x, mult = c.hpa, c.complex, c.hpa.mult
+    a, mult = c.hpa, c.hpa.mult
     failures = []
     for cell, ac in rows:
-        for bc in a.classes_by_tail[a.head(x.last[cell])]:
+        for bc in a.classes_by_tail[a.head(c.last[cell])]:
             # d h + h d (d h + h_{-1} m in degree 0), collected in the
             # order that applying d and h element-wise gives
             got = {}
@@ -231,7 +301,7 @@ def _homotopy(c, rows, checked):
                 e = a.trivial_class[a.tail(ac)]
                 for sign, l, face, r in c.terms(c.h_cell(ac, cell)):
                     accumulate(got, (mult(e, l), face, mult(r, bc)), sign)
-            if x.parent[cell] < 0:
+            if c.parent[cell] < 0:
                 hd = h_minus_one(c, multiply_augmentation(
                     c, {(ac, cell, bc): 1}))
             else:
@@ -242,8 +312,8 @@ def _homotopy(c, rows, checked):
             for key, coef in hd.items():
                 accumulate(got, key, coef)
             if got != {(ac, cell, bc): 1}:
-                failures.append(((ac, x.chain(cell), bc), {
-                    (l, x.chain(f), r): v for (l, f, r), v in got.items()}))
+                failures.append(((ac, c.chain(cell), bc), {
+                    (l, c.chain(f), r): v for (l, f, r), v in got.items()}))
     for cls in range(len(a.classes)):
         out = multiply_augmentation(c, h_minus_one(c, {cls: 1}))
         if out != {cls: 1}:
@@ -254,7 +324,7 @@ def _homotopy(c, rows, checked):
 def check_resolution(c):
     """(d^2 report, homotopy report) of the cellular resolution c, decided
     in one walk up the dimensions; the homotopy report, d h + h d = id, is
-    None when c.complex is truncated, which is no resolution.  At degree k
+    None when c is truncated, which is no resolution.  At degree k
     the shapes of the k- and (k+1)-cells clear the face identities of d^2 on
     the (k+1)-cells (_unpaired) and each row (cell, ac) of degree k where
     they show (d h + h d)(ac (x) cell (x) e) = ac (x) cell (x) e, e the
@@ -269,8 +339,8 @@ def check_resolution(c):
     a time: h_cell of a cell is the child by ac.last[cell] of that of its
     parent (ResolutionError, through h_cell, when it is not a cell).  What
     the shapes do not clear is evaluated term by term."""
-    a, x, units = c.hpa, c.complex, c.units
-    mult, children, tails = a.mult, x.children, [cl.tail for cl in a.classes]
+    a, units, last, children = c.hpa, c.units, c.last, c.children
+    mult, tails = a.mult, [cl.tail for cl in a.classes]
     trivial = [cl.is_trivial for cl in a.classes]
     unpaired, unfixed, triples = [], [], 0
     h = shapes = None
@@ -279,8 +349,8 @@ def check_resolution(c):
         if 0 < k < c.top:
             unpaired += _unpaired(c, k + 1, shapes, above)
         below, h = h, {ac: {} for ac, t in enumerate(trivial) if not t}
-        for cell in () if x.truncated else c.generators(k):
-            p = x.last[cell]
+        for cell in () if c.truncated else c.generators(k):
+            p = last[cell]
             e = units[p][1]
             s = shapes.get(cell) if k else None
             fixed = s is not None
@@ -293,8 +363,8 @@ def check_resolution(c):
                                   below[s[1]].get(s[0][0]) == cell):
                         unfixed.append((cell, ac))
                     continue
-                up, q = (below[ac][x.parent[cell]], mult(ac, p)) if k \
-                    else (x.vertex[tails[ac]], ac)
+                up, q = (below[ac][c.parent[cell]], mult(ac, p)) if k \
+                    else (c.vertex[tails[ac]], ac)
                 tau = (children[up] or {}).get(q)
                 tau = h[ac][cell] = c.h_cell(ac, cell) if tau is None else tau
                 want = ((cell, up), ac, ac, units[ac][0], e) if not k else \
@@ -305,7 +375,7 @@ def check_resolution(c):
                     unfixed.append((cell, ac))
         shapes = above
     return (_d_squared(c, unpaired),
-            None if x.truncated else _homotopy(c, unfixed, triples))
+            None if c.truncated else _homotopy(c, unfixed, triples))
 
 
 def simple_tensor_complex(source):

@@ -7,9 +7,9 @@ collection of degrees is a quiver with monomial congruence relations.  The
 half-open zonotope mu([0,1)^(n+k)) cuts out the canonical finite collection.
 """
 
+import heapq
 import itertools
 import operator
-from collections import namedtuple
 
 from .quiver import Quiver
 from .algebra import HPA, RelationSet, require_cancellative
@@ -537,19 +537,15 @@ def bondal_ruan_hpa(w):
     return a
 
 
-# variable counts up to which check_directable tries every order
-EXHAUSTIVE_VARIABLES = 8
-
-Directability = namedtuple('Directability', ['order', 'exhaustive'])
-
-
 def check_directable(a):
-    """Search for a variable order under which every out-of-order length-2
-    composition also exists with its variables sorted (same endpoints, same
-    monomial).  Exhaustive over all orders for at most EXHAUSTIVE_VARIABLES
-    variables; beyond that only a few heuristic orders are tried and the
-    result says so.  Only an algebra built from weight data carries the
-    monomials of its arrows; any other raises ValueError."""
+    """The lexicographically least variable order under which every
+    composite x_i x_j of two arrows with x_j before x_i also exists swapped,
+    as x_j x_i with the same ends, as variable names; None when there is
+    none.  A composite x_i x_j without that swap puts x_i before x_j, and
+    the order is the topological sort of these constraints that always
+    takes the least variable available.  Only an algebra built from weight
+    data carries the monomials of its arrows; any other raises
+    ValueError."""
     monomials = getattr(a, 'toric_monomials', None)
     if monomials is None:
         raise ValueError("directability needs an algebra built from weight "
@@ -561,32 +557,25 @@ def check_directable(a):
         var_of[label] = m.index(1)
     nvars = a.toric_weights.ncols
 
-    head_of = {}
-    for ar in a.quiver.arrows:
-        head_of[ar.tail, var_of[ar.label]] = ar.head
-    comps = []
+    head_of = {(ar.tail, var_of[ar.label]): ar.head for ar in a.quiver.arrows}
+    after = [set() for _ in range(nvars)]  # the variables each must precede
     for a1 in a.quiver.arrows:
+        i = var_of[a1.label]
         for a2 in a.quiver.out.get(a1.head, []):
-            comps.append((var_of[a1.label], var_of[a2.label],
-                          a1.tail, a2.head))
-
-    def works(perm):
-        pos = {v: i for i, v in enumerate(perm)}
-        for i, j, tail, head in comps:
-            if pos[i] > pos[j]:
-                mid = head_of.get((tail, j))
-                if mid is None or head_of.get((mid, i)) != head:
-                    return False
-        return True
-
-    if nvars <= EXHAUSTIVE_VARIABLES:
-        for perm in itertools.permutations(range(nvars)):
-            if works(perm):
-                return Directability([f"x{v + 1}" for v in perm], True)
-        return Directability(None, True)
-
-    candidates = [tuple(range(nvars)), tuple(reversed(range(nvars)))]
-    for perm in candidates:
-        if works(perm):
-            return Directability([f"x{v + 1}" for v in perm], False)
-    return Directability(None, False)
+            j = var_of[a2.label]
+            if i != j and \
+                    head_of.get((head_of.get((a1.tail, j)), i)) != a2.head:
+                after[i].add(j)
+    before = [0] * nvars
+    for j in itertools.chain.from_iterable(after):
+        before[j] += 1
+    ready = [v for v in range(nvars) if not before[v]]
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(f"x{v + 1}")
+        for j in after[v]:
+            before[j] -= 1
+            if not before[j]:
+                heapq.heappush(ready, j)
+    return order if len(order) == nvars else None

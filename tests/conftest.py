@@ -16,8 +16,8 @@ from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.morse import Matching
 from hpa.realization import accumulate, class_name, faces, maximal_chains
-from hpa.resolution import (BimoduleComplex, h_minus_one,
-                            multiply_augmentation, simple_tensor_complex)
+from hpa.resolution import (h_minus_one, multiply_augmentation,
+                            simple_tensor_complex)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
 BENCHMARK_INPUTS = FIXTURES.parent / 'perfbench' / 'inputs'
@@ -272,21 +272,33 @@ def matrix_complex(*ds):
 
 
 def cell_faces(x, cell):
-    """The k+1 facets of a k-cell of the CellComplex x, position i giving
-    the i-th face, read off its face table; none for a vertex cell."""
+    """The k+1 facets of a k-cell of the cellular resolution x, position i
+    giving the i-th face, read off its face table; none for a vertex
+    cell."""
     return x.face[x.at[cell]:x.at[cell + 1]]
 
 
+def child(x, cell, *classes):
+    """The cell of the cellular resolution x whose chain is that of `cell`
+    extended by `classes`, down the child table, or None."""
+    for q in classes:
+        cell = (x.children[cell] or {}).get(q)
+        if cell is None:
+            break
+    return cell
+
+
 def cell_of(x, chain):
-    """The cell of the CellComplex x with the given chain, or None."""
+    """The cell of the cellular resolution x with the given chain, or
+    None."""
     cell = x.vertex.get(x.hpa.tail(chain[0]))
     if cell is not None and x.last[cell] == chain[0]:
-        return x.child(cell, *chain[1:])
+        return child(x, cell, *chain[1:])
 
 
 def cell_names(x):
-    """The name of every cell of the CellComplex x, by dimension, each from
-    its parent's: format_chain of its chain."""
+    """The name of every cell of the cellular resolution x, by dimension,
+    each from its parent's: format_chain of its chain."""
     names = [class_name(c) for c in x.hpa.classes]
     out = [['[' + names[x.last[c]] + ']' for c in x.cells[0]]]
     for k, cs in enumerate(x.cells[1:]):
@@ -297,11 +309,11 @@ def cell_names(x):
 
 
 def cell_matching(x, pairs):
-    """The pairs (top, bottom) of chains over the cells of the CellComplex
-    x: `top[b]` is the top matched with bottom b and `bottom[t]` the bottom
-    matched with top t, -1 for a cell not matched that way, and `pairs`
-    the pairs of ids.  A pair whose top x does not hold is left out (a
-    bottom at the cap whose top lies above it)."""
+    """The pairs (top, bottom) of chains over the cells of the cellular
+    resolution x: `top[b]` is the top matched with bottom b and
+    `bottom[t]` the bottom matched with top t, -1 for a cell not matched
+    that way, and `pairs` the pairs of ids.  A pair whose top x does not
+    hold is left out (a bottom at the cap whose top lies above it)."""
     top, bottom = [-1] * len(x.last), [-1] * len(x.last)
     ids = [(cell_of(x, t), cell_of(x, b)) for t, b in pairs]
     ids = [(t, b) for t, b in ids if t is not None]
@@ -312,7 +324,7 @@ def cell_matching(x, pairs):
 
 def morse_pairs(m, x):
     """The pairs (top, bottom) of chains that the partner rule of the
-    matching m matches among the cells of the CellComplex x."""
+    matching m matches among the cells of the cellular resolution x."""
     return [(match[0], c) for c in map(x.chain, range(len(x.last)))
             if (match := m.partner(c)) and cell_of(x, match[0]) is not None]
 
@@ -333,24 +345,22 @@ def morse_homology(m, ring=RING_Z):
     bad = d_squared_degree(x)
     if bad is not None:
         raise ValueError(f"d^2 != 0 at degree {bad}")
-    c = BimoduleComplex(x.hpa, x)
     h = homology(critical_cells(m), lambda tau: [
-        (cf, tgt) for cf, _, tgt, _ in reference_morse_terms(c, m, tau)],
+        (cf, tgt) for cf, _, tgt, _ in reference_morse_terms(x, m, tau)],
         ring)
-    return {k: h.get(k, (0, [])) for k in range(x.max_dim + 1 - x.truncated)}
+    return {k: h.get(k, (0, [])) for k in range(x.top + 1 - x.truncated)}
 
 
 def d_squared_degree(x):
-    """The first degree k with d(d(cell)) != 0 for some k-cell of the
-    CellComplex x, or None.  Symbolic: the faces of faces that enter with
-    sign +1 and those with sign -1 must agree as multisets.  The face
-    identities d_i d_j = d_{j-1} d_i (i < j) pair every face of a face with
-    one of opposite sign, so a dimension whose cells all satisfy them
-    passes; they are tested a column at a time (identities_hold).  A
-    dimension where some column differs is decided cell by cell, by
-    comparing the two multisets."""
+    """The first degree k with d(d(cell)) != 0 for some k-cell of the cellular
+    resolution x, or None.  Symbolic: the faces of faces that enter with sign
+    +1 and those with sign -1 must agree as multisets.  The face identities d_i
+    d_j = d_{j-1} d_i (i < j) pair every face of a face with one of opposite
+    sign, so a dimension whose cells all satisfy them passes; they are tested a
+    column at a time (identities_hold).  A dimension where some column differs
+    is decided cell by cell, by comparing the two multisets."""
     face, at = x.face, x.at
-    for k in range(2, x.max_dim + 1):
+    for k in range(2, x.top + 1):
         if identities_hold(face, at, k, *x.cells[k - 1:k + 1]):
             continue
         for cell in x.cells[k]:
@@ -389,8 +399,8 @@ def identities_hold(face, at, k, below, cells):
 
 
 def cellular_homology(x, ring=RING_Z):
-    """Reference for `morse_homology`: the cellular chain complex of
-    the CellComplex x, facet i of a cell entering its boundary with sign
+    """Reference for `morse_homology`: the cellular chain complex of the
+    cellular resolution x, facet i of a cell entering its boundary with sign
     (-1)^i, eliminated degree by degree.  A truncated complex omits its top
     degree, whose homology the cap does not determine."""
     def boundary(cell):
@@ -398,6 +408,33 @@ def cellular_homology(x, ring=RING_Z):
                 for i, f in enumerate(cell_faces(x, cell))]
     h = homology(x.cells, boundary, ring)
     return {k: h[k] for k in range(len(h) - x.truncated)}
+
+
+def directable_by_permutations(a):
+    """Reference for `toric.check_directable`: the first variable order,
+    in the order itertools.permutations lists them, under which every
+    composite x_i x_j of two arrows with x_j before x_i also exists as
+    x_j x_i with the same ends, as variable names; None when no order
+    works.  Each arrow of `a`, built from weight data, is one variable."""
+    var_of = {label: m.index(1) for label, m in a.toric_monomials.items()}
+    head_of = {(x.tail, var_of[x.label]): x.head for x in a.quiver.arrows}
+    comps = [(var_of[x.label], var_of[y.label], x.tail, y.head)
+             for x in a.quiver.arrows for y in a.quiver.out[x.head]]
+    for perm in permutations(range(a.toric_weights.ncols)):
+        pos = {v: i for i, v in enumerate(perm)}
+        if all(pos[i] <= pos[j] or
+               head_of.get((head_of.get((tail, j)), i)) == head
+               for i, j, tail, head in comps):
+            return [f"x{v + 1}" for v in perm]
+    return None
+
+
+def word_key(q, w):
+    """The order of the path words of the quiver q that `enumerate_paths`
+    lists and whose least word of a class `HPA` takes as its representative:
+    tails in topological order, then the label sequence compared by arrow
+    declaration index (lexicographic)."""
+    return (q.topo_rank[w.tail], tuple(q.arrow_index[l] for l in w.labels))
 
 
 def words_by_class(a):
@@ -438,7 +475,7 @@ def check_semisimplicial(complex_):
     """Exhaustively verify the face identities d_i d_j = d_{j-1} d_i (i < j)
     and regularity (pairwise distinct facets).  Returns list of violations."""
     bad = []
-    for k in range(2, complex_.max_dim + 1):
+    for k in range(2, complex_.top + 1):
         for cell in complex_.cells[k]:
             faces = cell_faces(complex_, cell)
             if len(set(faces)) != len(faces):
@@ -449,7 +486,7 @@ def check_semisimplicial(complex_):
                     fi = cell_faces(complex_, faces[i])
                     if fj[i] != fi[j - 1]:
                         bad.append(('identity fails', cell, i, j))
-    for cell in complex_.cells[1] if complex_.max_dim >= 1 else []:
+    for cell in complex_.cells[1] if complex_.top >= 1 else []:
         faces = cell_faces(complex_, cell)
         if len(set(faces)) != len(faces):
             bad.append(('facets not distinct', cell))
@@ -481,7 +518,6 @@ def gradient_path_counts(c, m):
     {(top cell, target cell): count}: every path from a face of a critical
     cell down to a critical cell, through matched bottoms and up to their
     tops, each path counted once."""
-    x = c.complex
     counts = {}
 
     def count_from(s, tau):
@@ -490,13 +526,13 @@ def gradient_path_counts(c, m):
         if m.top[s] < 0:
             accumulate(counts, (tau, s), 1)
             return
-        for f in cell_faces(x, m.top[s]):
+        for f in cell_faces(c, m.top[s]):
             if f != s:
                 count_from(f, tau)
 
     for cells in critical_cells(m)[1:]:
         for tau in cells:
-            for f in cell_faces(x, tau):
+            for f in cell_faces(c, tau):
                 count_from(f, tau)
     return counts
 
@@ -506,7 +542,7 @@ def critical_cells(m):
     dimension."""
     x = m.complex
     return [[c for c in x.cells[k] if m.top[c] < 0 and m.bottom[c] < 0]
-            for k in range(x.max_dim + 1)]
+            for k in range(x.top + 1)]
 
 
 def reference_morse_terms(c, m, tau):
@@ -574,8 +610,8 @@ def basis(c, k):
     """All degree-k module basis triples (a, cell, b) of a bimodule complex."""
     a = c.hpa
     for cell in c.generators(k):
-        t = a.tail(c.complex.last[cell])
-        h = a.head(c.complex.last[cell])
+        t = a.tail(c.last[cell])
+        h = a.head(c.last[cell])
         for ac in a.classes_by_head[t]:
             for bc in a.classes_by_tail[h]:
                 yield (ac, cell, bc)
@@ -606,7 +642,7 @@ def reference_d_squared_degree(complex_):
     """Reference for `d_squared_degree`: on every cell, the faces
     of faces that enter with sign +1 and those with sign -1 agree as
     multisets."""
-    for k in range(2, complex_.max_dim + 1):
+    for k in range(2, complex_.top + 1):
         for cell in complex_.cells[k]:
             signed = ([], [])
             for i, f in enumerate(cell_faces(complex_, cell)):
@@ -712,15 +748,14 @@ def reference_bh_pairs_by_sets(a, x):
 
 def reference_bh_pairs(a, x):
     """Reference for the pairs `morse.babson_hersh_matching` lifts from the
-    shellings, by selection.  For each facet F_j with restriction set R_j,
-    a selection keeps R_j and some free elements (sorted by word, as ids
-    are); doubling on the toggle, the least, last puts the bottoms in the
-    first half and their tops in the second, and each face is walked from
-    the root e_{t(p)} to p with x.child.  With R_j empty the first bottom
-    is the empty face, [e < p], which keeps no pair when p is the class of
-    an arrow.  On a truncated complex only the pairs whose top x holds are
-    kept; classes that do not shell give no pairs here.  Pairs are of
-    chains."""
+    shellings, by selection.  For each facet F_j with restriction set R_j, a
+    selection keeps R_j and some free elements (sorted by word, as ids are);
+    doubling on the toggle, the least, last puts the bottoms in the first half
+    and their tops in the second, and each face is walked from the root
+    e_{t(p)} to p down the child table.  With R_j empty the first bottom is the
+    empty face, [e < p], which keeps no pair when p is the class of an arrow.
+    On a truncated complex only the pairs whose top x holds are kept; classes
+    that do not shell give no pairs here.  Pairs are of chains."""
     pairs = []
     for p in range(len(a.classes)):
         shelling = None if a.is_trivial(p) else reference_lex_shelling(a, p)
@@ -738,9 +773,9 @@ def reference_bh_pairs(a, x):
             half = len(sels) // 2
             skip = arrow and not rj
             for low, high in zip(sels[skip:half], sels[half + skip:]):
-                top = x.child(root, *compress(ch, high), p)
+                top = child(x, root, *compress(ch, high), p)
                 if top is not None:
-                    bottom = x.child(root, *compress(ch, low), p)
+                    bottom = child(x, root, *compress(ch, low), p)
                     pairs.append((x.chain(top), x.chain(bottom)))
     return pairs
 
@@ -772,8 +807,8 @@ def augment_by_rechecking(a, cells, pairs):
 
 def reference_coreduction(x, p):
     """Reference for `morse._coreduce`, as it ran on cell ids: greedy
-    coreduction on the cells of the CellComplex x of dimension >= 1 that
-    end at the class p (but [e < p] of an arrow's class), their middle
+    coreduction on the cells of the cellular resolution x of dimension >= 1
+    that end at the class p (but [e < p] of an arrow's class), their middle
     faces read off the face table; when stuck, the least id is set aside.
     Returns the pairs (top, bottom) as chains."""
     cells = [c for cs in x.cells[1:] for c in cs if x.last[c] == p]
@@ -934,7 +969,7 @@ def reference_homotopy_check(a, c):
     """Reference for the homotopy report of `resolution.check_resolution`:
     d h + h d (d h + h_{-1} m in degree 0) evaluated afresh on every basis
     triple."""
-    chain = c.complex.chain
+    chain = c.chain
     failures = []
     checked = 0
     for k in range(0, c.top + 1):

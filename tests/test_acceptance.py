@@ -18,7 +18,7 @@ from hpa.invariants import betti_table, koszul_check
 from hpa.morse import (Matching, MorseComplex, babson_hersh_matching,
                        check_acyclic, check_internal, check_linear,
                        check_minimal, load_matching)
-from hpa.realization import build_realization, euler_characteristic
+from hpa.realization import euler_characteristic
 from hpa.resolution import (cellular_resolution, check_resolution,
                             verify_d_squared)
 from hpa.toric import WeightData, bondal_ruan_hpa, check_directable
@@ -65,7 +65,7 @@ def _monomial_chain(a, cell, nvars):
 def test_01_p2_torus_homology(p2):
     budget = Budget(10)
     assert check_hpa(p2).ok
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     h = cellular_homology(x, RING_Z)
     assert h[0] == (1, [])
     assert h[1] == (2, [])
@@ -79,7 +79,7 @@ def test_02_f3_fixture_matching(f3):
     budget = Budget(30)
     raw = json.loads((FIXTURES / 'f3_matching.json').read_text())
     assert len(raw['pairs']) == 19 + 11
-    x = build_realization(f3)
+    x = cellular_resolution(f3)
     m = load_matching(FIXTURES / 'f3_matching.json', f3)
     assert check_internal(m).ok
     assert check_acyclic(m).ok
@@ -120,8 +120,7 @@ def test_03_contracting_homotopy(p2, f3, p113, a3a3):
 def test_04_tor_oracle_triangle(p2, f3, p113, a3a3):
     budget = Budget(60)
     for a in (p2, f3, p113, a3a3):
-        x = build_realization(a)
-        c = cellular_resolution(a, x)
+        c = cellular_resolution(a)
         mc = MorseComplex(babson_hersh_matching(a))
         for ring in (RING_Z, ring_fp(2)):
             for v in a.quiver.vertices:
@@ -153,11 +152,10 @@ def test_06_koszul_verdicts():
     verdict = koszul_check(beilinson)
     assert verdict.status == 'koszul-certified'
     assert verdict.method == 'directable'
-    assert verdict.payload['exhaustive'] is True
+    assert verdict.payload == {'variable_order': ['x1', 'x2', 'x3']}
 
     f1 = bondal_ruan_hpa(WeightData([[1, 0, 1, 1], [0, 1, 0, 1]]))
-    res = check_directable(f1)
-    assert res.order is None and res.exhaustive
+    assert check_directable(f1) is None
     verdict = koszul_check(f1)
     assert verdict.status == 'not-koszul'
     assert verdict.method == 'minimal-nonlinear'
@@ -192,8 +190,8 @@ def test_07_toric_generation(p2, p113):
     assert len(beilinson.quiver.arrows) == 6
     assert len(beilinson.relations.groups) == 3
     assert _degree_profile(beilinson) == _degree_profile(p2)
-    assert build_realization(beilinson).counts() == \
-        build_realization(p2).counts()
+    assert cellular_resolution(beilinson).counts() == \
+        cellular_resolution(p2).counts()
 
     wps = bondal_ruan_hpa(WeightData([[1, 1, 3]]))
     assert len(wps.quiver.vertices) == 5
@@ -210,12 +208,12 @@ def test_07_toric_generation(p2, p113):
 def test_08_euler_characteristic_zero(p2, f3, p113):
     budget = Budget(10)
     for a in (p2, f3, p113):
-        assert euler_characteristic(build_realization(a).counts()) == 0
+        assert euler_characteristic(cellular_resolution(a).counts()) == 0
     budget.check()
 
 
 def _q_betti(a):
-    x = build_realization(a)
+    x = cellular_resolution(a)
     h = cellular_homology(x, RING_Q)
     top = max(h) if h else 0
     return [h.get(k, (0, []))[0] for k in range(top + 1)]
@@ -294,7 +292,6 @@ class _SignFlip:
         self._c = c
         self._cell = cell
         self.hpa = c.hpa
-        self.complex = c.complex
         self.top = c.top
         self.units = c.units
         self.chain = c.chain
@@ -312,15 +309,14 @@ class _SignFlip:
 
 def test_10_mutation_robustness(p2):
     budget = Budget(5)
-    x = build_realization(p2)
-    c = cellular_resolution(p2, x)
+    c = cellular_resolution(p2)
     assert verify_d_squared(c).ok
-    flipped = _SignFlip(c, x.cells[2][0])
+    flipped = _SignFlip(c, c.cells[2][0])
     rep = verify_d_squared(flipped)
     assert not rep.ok
-    assert any(cell == x.chain(x.cells[2][0]) for cell, _ in rep.witnesses)
+    assert any(cell == c.chain(c.cells[2][0]) for cell, _ in rep.witnesses)
 
-    edge = x.chain(x.cells[1][0])
+    edge = c.chain(c.cells[1][0])
     bad = Matching(p2, [(edge, edge[:1])])
     internal = check_internal(bad)
     assert not internal.ok

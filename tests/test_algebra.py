@@ -8,14 +8,13 @@ from hpa.morse import babson_hersh_matching, greedy_internal_matching
 from hpa.dsl import parse_quiver
 from hpa.quiver import (Arrow, CycleError, PathWord, Quiver, QuiverError,
                         enumerate_paths, trivial_word)
-from hpa.realization import build_realization
 from hpa.resolution import cellular_resolution
 from hpa.toric import (WeightData, bondal_ruan_hpa, build_toric_hpa,
                        check_cohomologically_proper, image_phi)
 
 from conftest import (BENCHMARK_INPUTS, FIXTURES, RP2_TRIANGLES, algebras,
                       bhk_algebra, exit_path_dsl, forward_sweep, free_algebra,
-                      linear_quiver, load_algebra, open_interval,
+                      linear_quiver, load_algebra, open_interval, word_key,
                       words_by_class)
 
 
@@ -29,13 +28,13 @@ def test_single_arrow_words():
 
 def words_in_key_order(q):
     """Every path word, grown an arrow at a time from each vertex, then
-    sorted by `Quiver.word_key`."""
+    sorted by `word_key`."""
     words, frontier = [], [trivial_word(v) for v in q.vertices]
     while frontier:
         words += frontier
         frontier = [PathWord(w.tail, x.head, w.labels + (x.label,))
                     for w in frontier for x in q.out[w.head]]
-    return sorted(words, key=q.word_key)
+    return sorted(words, key=lambda w: word_key(q, w))
 
 
 @settings(max_examples=100, deadline=None)
@@ -132,7 +131,7 @@ def test_library_entry_points_refuse_non_cancellative():
         relations:
           x z = y z
     """)
-    for entry in (build_realization, cellular_resolution,
+    for entry in (cellular_resolution,
                   babson_hersh_matching, greedy_internal_matching,
                   betti_table, koszul_check):
         with pytest.raises(NotCancellativeError,

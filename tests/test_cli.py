@@ -15,7 +15,7 @@ from hpa.cli import main, _header, _load, _schema
 from hpa.dsl import emit_quiver
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching, load_matching)
-from hpa.realization import build_realization
+from hpa.resolution import cellular_resolution
 
 from conftest import (BENCHMARK_INPUTS, UNGRADED, Mutant, algebras,
                       cell_names, cell_of, cellular_homology, free_algebra,
@@ -174,8 +174,8 @@ def test_realize_truncation(capsys):
 
 def _realize_bytes(a, max_dim=None):
     """What hpa realize writes: json.dumps of the report, its cells named
-    by the oracle on the CellComplex."""
-    x = build_realization(a, max_dim=max_dim)
+    by the oracle on the cellular resolution."""
+    x = cellular_resolution(a, max_dim=max_dim)
     counts = x.counts()
     report = {'header': _header('realize'), 'cells': cell_names(x),
               'counts': counts, 'truncated': x.truncated,
@@ -206,7 +206,7 @@ def test_realize_writes_the_bytes_of_json_dump(capsys, tmp_path, path):
     a, out = _load(path), tmp_path / 'realize.json'
     for max_dim in (None, 0, 1, 2, 3):
         cap = [] if max_dim is None else ['--max-dim', str(max_dim)]
-        want, x = _realize_bytes(a, max_dim), build_realization(a, max_dim)
+        want, x = _realize_bytes(a, max_dim), cellular_resolution(a, max_dim)
         assert realization.cell_names(a, max_dim) == (cell_names(x),
                                                      x.truncated)
         assert run(capsys, 'realize', str(path), *cap) == (0, want)
@@ -251,12 +251,12 @@ def test_realize_writes_the_bytes_of_json_dump_on_random_algebras(
 
 
 def test_realize_builds_no_cell_complex(monkeypatch, capsys):
-    from hpa import realization
+    from hpa import resolution
     want = {p: _realize_bytes(_load(p)) for p in (P2, F1, F3)}
 
     def refuse(*args, **kwargs):
-        raise AssertionError('a CellComplex was built')
-    monkeypatch.setattr(realization, 'CellComplex', refuse)
+        raise AssertionError('a cell complex was built')
+    monkeypatch.setattr(resolution.BimoduleComplex, '__init__', refuse)
     for path, report in want.items():
         assert run(capsys, 'realize', path) == (0, report)
 
@@ -295,7 +295,7 @@ def test_morse_max_dim_with_the_default_matching(capsys, path, max_dim):
     # full run's values when the cap cuts nothing off
     _, full = run_json(capsys, 'morse', path)
     assert full['minimal'] is True and full['linear'] is True
-    truncated = build_realization(_load(path), max_dim=int(max_dim)).truncated
+    truncated = cellular_resolution(_load(path), int(max_dim)).truncated
     assert truncated == (path != P2 or max_dim != '2')
     for got in (bh, greedy):
         assert (got['minimal'], got['linear']) == \
@@ -726,7 +726,7 @@ def test_morse_refuses_matching_of_arrow_cell(capsys, tmp_path, matching):
     build = {'bh': babson_hersh_matching,
              'greedy': greedy_internal_matching}[matching]
     a = _load(str(p))
-    pairs = morse_pairs(build(a), build_realization(a))
+    pairs = morse_pairs(build(a), cellular_resolution(a))
     f = tmp_path / 'arrow.json'
     f.write_text(json.dumps({'pairs': matching_to_json(a, pairs)['pairs']
                              + [ARROW_PAIR]}))
@@ -772,14 +772,14 @@ def test_morse_checks_the_matching_once(monkeypatch, capsys, name, matching):
 def test_resolve_prints_a_typed_error_without_traceback(monkeypatch, capsys):
     # a 1-skeleton that claims to be whole sends the contracting homotopy
     # out of the complex
-    from hpa import realization
-    real = realization.build_realization
+    from hpa import resolution
+    real = resolution.cellular_resolution
 
     def skeleton(a, max_dim=None):
-        x = real(a, max_dim=1)
-        x.truncated = False
-        return x
-    monkeypatch.setattr(realization, 'build_realization', skeleton)
+        c = real(a, max_dim=1)
+        c.truncated = False
+        return c
+    monkeypatch.setattr(resolution, 'cellular_resolution', skeleton)
     assert main(['resolve', P2]) == 1
     out, err = capsys.readouterr()
     assert out == ''
@@ -797,18 +797,17 @@ def test_witness_and_error_texts_name_chains(p2):
                                 cellular_resolution, check_resolution,
                                 verify_d_squared)
 
-    x = build_realization(p2)
-    c = cellular_resolution(p2, x)
+    c = cellular_resolution(p2)
     # the sign of face 0 of the first 2-cell flipped
-    flipped = Mutant(c, x.cells[2][0],
+    flipped = Mutant(c, c.cells[2][0],
                      lambda ts: [(-ts[0][0], *ts[0][1:]), *ts[1:]])
     for d2 in (verify_d_squared(flipped), check_resolution(flipped)[0]):
         assert _check_json(d2, "d^2 = 0") == {
             'ok': False, 'checked': 9, 'label': 'd^2 = 0', 'failures': [
                 '((0, 1, 2), {(2, (14,), 14): -2, (1, (10,), 11): 2})']}
 
-    edge = x.cells[1][3]
-    assert x.chain(edge) == (0, 4)
+    edge = c.cells[1][3]
+    assert c.chain(edge) == (0, 4)
 
     class FaceZeroFlipped(BimoduleComplex):
         def terms(self, cell):
@@ -817,7 +816,7 @@ def test_witness_and_error_texts_name_chains(p2):
                 s, l, f, r = out[0]
                 out = [(-s, l, f, r)] + out[1:]
             return out
-    assert _check_json(check_resolution(FaceZeroFlipped(p2, x))[1],
+    assert _check_json(check_resolution(FaceZeroFlipped(p2))[1],
                        "d h + h d = id") == {
         'ok': False, 'checked': 90, 'label': 'd h + h d = id', 'failures': [
             '((4, (14,), 14), {(4, (14,), 14): -1})',
@@ -829,9 +828,9 @@ def test_witness_and_error_texts_name_chains(p2):
             'top': {'tail': 'v0', 'chain': [[], ['x'], ['x']]},
             'bottom': {'tail': 'v0', 'chain': [[]]}}]}, p2)
 
-    skeleton = cellular_resolution(p2, build_realization(p2, max_dim=1))
-    below = cell_of(skeleton.complex, (p2.trivial_class['v1'],
-                                       p2.arrow_class["y'"]))
+    skeleton = cellular_resolution(p2, max_dim=1)
+    below = cell_of(skeleton, (p2.trivial_class['v1'],
+                               p2.arrow_class["y'"]))
     with pytest.raises(ResolutionError, match=(
             r'^homotopy left the complex: \(0, 1, 3\)$')):
         skeleton.h_element({(p2.arrow_class['x'], below,
@@ -873,7 +872,7 @@ def _morse_route(path, max_dim=None):
 
 
 def _elimination_homology(path, ring, max_dim=None):
-    x = build_realization(_load(path), max_dim=max_dim)
+    x = cellular_resolution(_load(path), max_dim=max_dim)
     h = cellular_homology(x, parse_ring(ring))
     return {str(k): [r, t] for k, (r, t) in h.items()}
 
@@ -1124,12 +1123,12 @@ def test_morse_and_koszul_never_build_the_realization(monkeypatch, capsys,
     # every matching is a partner rule on chains: hpa morse under bh (F1's
     # unshelled interval included), greedy and a matching file, and
     # koszul_check (F1's minimal-nonlinear certificate), build no cells
-    from hpa import realization
+    from hpa import resolution
     from hpa.invariants import koszul_check
 
     def refuse(*args, **kwargs):
-        raise AssertionError('a CellComplex was built')
-    monkeypatch.setattr(realization.CellComplex, '__init__', refuse)
+        raise AssertionError('a cell complex was built')
+    monkeypatch.setattr(resolution.BimoduleComplex, '__init__', refuse)
     runs = [[], ['--matching', 'greedy']]
     if path == F3:
         runs.append(['--matching', str(FIXTURES / 'f3_matching.json')])

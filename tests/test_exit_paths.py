@@ -20,7 +20,8 @@ from hpa.algebra import from_document
 from hpa.cli import main
 from hpa.invariants import tor_table
 from hpa.morse import babson_hersh_matching
-from hpa.realization import build_realization, realization_homology
+from hpa.realization import realization_homology
+from hpa.resolution import cellular_resolution
 
 from conftest import (RP2_TRIANGLES, bounded_rp2_dsl, cell_matching,
                       exit_path_dsl, morse_homology, morse_pairs,
@@ -102,7 +103,7 @@ def test_rp2_sd1_keeps_its_torsion_whole_and_capped():
     a = from_document(exit_path_dsl(RP2_TRIANGLES, 1))
     assert realization_homology(a)[0][1] == (0, [2])
     for max_dim in (None, 0, 1, 2, 3):
-        x = build_realization(a, max_dim=max_dim)
+        x = cellular_resolution(a, max_dim=max_dim)
         for ring in (RING_Z, RING_Q, ring_fp(2)):
             h, counts, truncated = realization_homology(a, ring, max_dim)
             assert (counts, truncated) == (x.counts(), x.truncated)

@@ -3,8 +3,7 @@ import pathlib
 
 from hpa.morse import (MorseComplex, load_matching, check_internal,
                        check_acyclic)
-from hpa.realization import build_realization
-from hpa.resolution import verify_d_squared
+from hpa.resolution import cellular_resolution, verify_d_squared
 from hpa.toric import weight_data_from_json, image_phi
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / 'fixtures'
@@ -14,7 +13,7 @@ def test_f3_fixture_shape(f3):
     assert len(f3.quiver.vertices) == 4
     assert len(f3.quiver.arrows) == 9
     assert len(f3.classes) == 28
-    x = build_realization(f3)
+    x = cellular_resolution(f3)
     assert x.counts() == [4, 24, 32, 12]
 
 

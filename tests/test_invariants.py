@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
-from hpa.realization import (build_realization, euler_characteristic,
-                             lex_shelling, maximal_chains, spheres)
+from hpa.realization import (euler_characteristic, lex_shelling,
+                             maximal_chains, spheres)
 from hpa.resolution import cellular_resolution, check_resolution
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching)
@@ -142,8 +142,7 @@ def test_oracle_triangle_p2(p2):
 def test_oracle_triangle_on_random_algebras(a):
     if not check_hpa(a).ok:
         return
-    x = build_realization(a)
-    c = cellular_resolution(a, x)
+    c = cellular_resolution(a)
     d2, homotopy = check_resolution(c)
     assert d2.ok and homotopy.ok
     # both constructions leave arrow cells unmatched, so they are internal
@@ -185,7 +184,7 @@ def test_euler_count_through_tor(p2, cubic):
             for w in a.quiver.vertices:
                 for i, (rank, _) in tor_via_intervals(a, v, w).items():
                     total += (-1) ** i * rank
-        assert total == euler_characteristic(build_realization(a).counts())
+        assert total == euler_characteristic(cellular_resolution(a).counts())
 
 
 def test_elementary_divisors():
@@ -326,7 +325,7 @@ def test_babson_hersh_falls_back_on_cubic(cubic):
     m = babson_hersh_matching(cubic)
     p = _class(cubic, 'p0', ('a1', 'c', 'b2'))
     assert unshelled_classes(cubic) == [p]
-    x = build_realization(cubic)
+    x = cellular_resolution(cubic)
     crit = critical_cells(cell_matching(x, morse_pairs(m, x)))
     assert MorseComplex(m).counts() == [len(cs) for cs in crit[:3]]
     # minimal: 4 vertices, 5 arrows, 1 generator for the cubic relation

@@ -14,10 +14,8 @@ from hpa.cli import main
 from hpa.dsl import emit_quiver
 from hpa.quiver import Quiver
 from hpa.linalg import homology
-from hpa.realization import (build_realization, faces, format_chain,
-                             lex_shelling, spheres)
-from hpa.resolution import (BimoduleComplex, cellular_resolution,
-                            verify_d_squared)
+from hpa.realization import faces, format_chain, lex_shelling, spheres
+from hpa.resolution import cellular_resolution, verify_d_squared
 from hpa.morse import (Matching, MatchingError, MorseComplex, check_internal,
                        check_acyclic, babson_hersh_matching,
                        greedy_internal_matching, check_minimal, check_linear,
@@ -59,8 +57,7 @@ def _explicit(m, x):
 
 
 def test_empty_matching_reproduces_resolution(p2):
-    c = cellular_resolution(p2)
-    x = c.complex
+    c = x = cellular_resolution(p2)
     mc = MorseComplex(Matching(p2, []))
     assert mc.counts() == x.counts()
     for k in range(1, mc.top + 1):
@@ -165,7 +162,7 @@ def test_babson_hersh_p2_criticals(p2):
     m = babson_hersh_matching(p2)
     mc = MorseComplex(m)
     assert not unshelled_classes(p2)
-    _explicit(m, build_realization(p2))
+    _explicit(m, cellular_resolution(p2))
     crit = mc.cells
     assert [len(cs) for cs in crit] == [3, 6, 3]
     # critical 1-cells are exactly the arrow cells
@@ -183,10 +180,10 @@ def test_babson_hersh_on_a_truncated_complex(request, name):
     # a subset of the full matching: the pairs whose top the capped
     # complex holds
     a = request.getfixturevalue(name)
-    whole = build_realization(a)
+    whole = cellular_resolution(a)
     full = morse_pairs(babson_hersh_matching(a), whole)
-    for max_dim in range(whole.max_dim):
-        x = build_realization(a, max_dim=max_dim)
+    for max_dim in range(whole.top):
+        x = cellular_resolution(a, max_dim=max_dim)
         m = _explicit(babson_hersh_matching(a, max_dim), x)
         assert sorted(m.pairs) == \
             sorted(pr for pr in full if cell_of(x, pr[0]) is not None)
@@ -199,7 +196,7 @@ def test_babson_hersh_fallback_on_a_truncated_complex(f1):
         m = babson_hersh_matching(f1, max_dim)
         assert unshelled_classes(f1) and m.internal.ok and m.acyclic.ok
         assert bool(m.pairs) == (max_dim > 1)
-        _explicit(m, build_realization(f1, max_dim=max_dim))
+        _explicit(m, cellular_resolution(f1, max_dim=max_dim))
 
 
 def test_babson_hersh_p2_morse_complex(p2):
@@ -210,7 +207,7 @@ def test_babson_hersh_p2_morse_complex(p2):
     assert check_minimal(mc).ok
     assert check_linear(mc).ok
     # euler characteristic is preserved
-    cell_chi = sum((-1) ** k * n for k, n in enumerate(c.complex.counts()))
+    cell_chi = sum((-1) ** k * n for k, n in enumerate(c.counts()))
     crit_chi = sum((-1) ** k * n for k, n in enumerate(mc.counts()))
     assert cell_chi == crit_chi == 0
 
@@ -236,7 +233,7 @@ def test_greedy_free_quiver_criticals():
                                   ('c', 'u', 'v')])):
         a = free_algebra(q)
         m = greedy_internal_matching(a)
-        _explicit(m, build_realization(a))
+        _explicit(m, cellular_resolution(a))
         crit = MorseComplex(m).cells
         assert len(crit[0]) == len(q.vertices)
         assert len(crit[1]) == len(q.arrows)
@@ -260,17 +257,17 @@ def test_gradient_path_counts_p2(p2):
     m = babson_hersh_matching(p2)
     mc = MorseComplex(m)
     counts = gradient_path_counts(
-        c, cell_matching(c.complex, morse_pairs(m, c.complex)))
+        c, cell_matching(c, morse_pairs(m, c)))
     # each critical 2-cell [e < y < x*y'] reaches the arrow cell [e < y]
     # directly and [e < x] through exactly one alternating path
-    for cell in (cell_of(c.complex, tau) for tau in mc.generators(2)):
+    for cell in (cell_of(c, tau) for tau in mc.generators(2)):
         targets = {t for (tau, t), n in counts.items() if tau == cell}
         assert len(targets) >= 2
         assert all(n >= 1 for (tau, t), n in counts.items() if tau == cell)
 
 
 def test_matching_roundtrip_and_rebasing(p2):
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     pairs = morse_pairs(babson_hersh_matching(p2), x)
     m2 = matching_from_json(matching_to_json(p2, pairs), p2)
     assert sorted(m2.pairs) == sorted(pairs)
@@ -315,14 +312,13 @@ def test_check_linear_requires_grading():
 def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
                                                           build, max_dim):
     a = request.getfixturevalue(name)
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     if isinstance(build, str):
         m = load_matching(FIXTURES / build, a, max_dim)
     else:
         m = build(a, max_dim)
     assert x.truncated == (max_dim is not None)
     assert bool(unshelled_classes(a)) == (name == 'f1')
-    c = BimoduleComplex(a, x)
     mc = MorseComplex(m)
     pairs = _explicit(m, x).pairs
     cm = cell_matching(x, pairs)
@@ -335,7 +331,7 @@ def test_morse_differential_is_the_sum_over_gradient_paths(request, name,
     for tau in critical:
         assert mc.terms(x.chain(tau)) == [
             (cf, l, x.chain(tgt), r)
-            for cf, l, tgt, r in reference_morse_terms(c, cm, tau)]
+            for cf, l, tgt, r in reference_morse_terms(x, cm, tau)]
     # where every class shells, the partner rule read off the shellings
     # matches the pairs of the definition
     if build is babson_hersh_matching and name != 'f1':
@@ -395,7 +391,7 @@ def test_morse_homology_matches_elimination(a, max_dim):
     # unmatched, and a capped complex reports the degrees below its cap
     if not check_hpa(a).ok:
         return
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     for build in (babson_hersh_matching, greedy_internal_matching):
         m = _explicit(build(a, max_dim), x)
         assert _acyclic_on_face_graph(m)
@@ -407,7 +403,7 @@ def test_morse_homology_matches_elimination(a, max_dim):
 @pytest.mark.parametrize('name', ['p2', 'f3', 'p113', 'a3a3'])
 def test_morse_homology_fixtures(request, name):
     a = request.getfixturevalue(name)
-    x = build_realization(a)
+    x = cellular_resolution(a)
     m = _explicit(babson_hersh_matching(a), x)
     assert _acyclic_on_face_graph(m)
     for ring in (RING_Z, ring_fp(2)):
@@ -420,12 +416,12 @@ def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
     # one face of the last cell of each dimension corrupted: caught at that
     # dimension, before any reduction
     def matching(a):
-        x = build_realization(a)
+        x = cellular_resolution(a)
         return cell_matching(x, morse_pairs(babson_hersh_matching(a), x))
     for a in (p2, p113):
         m = matching(a)
         x = m.complex
-        for k in range(2, x.max_dim + 1):
+        for k in range(2, x.top + 1):
             face = list(x.face)
             i = x.at[x.cells[k][-1]] + 1
             face[i] = next(c for c in x.cells[k - 1] if c != face[i])
@@ -453,9 +449,9 @@ def test_morse_homology_checks_d_squared_on_every_cell(p2, p113,
 def test_morse_homology_of_a_truncated_complex(request, name):
     # the degrees below the cap, as elimination gives them
     a = request.getfixturevalue(name)
-    top = build_realization(a).max_dim
+    top = cellular_resolution(a).top
     for max_dim in range(top + 1):
-        x = build_realization(a, max_dim=max_dim)
+        x = cellular_resolution(a, max_dim=max_dim)
         assert x.truncated == (max_dim < top)
         m = _explicit(babson_hersh_matching(a, max_dim), x)
         h = morse_homology(cell_matching(x, m.pairs))
@@ -476,7 +472,7 @@ def test_split_intervals_match_as_the_cells_did(a, max_dim):
                for v in a.quiver.vertices for w in a.quiver.vertices)
     unshelled = unshelled_classes(a)
     assert unshelled and a.graded
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     cells = [x.chain(c) for cs in x.cells[1:] for c in cs]
     every = [p for p in range(len(a.classes)) if not a.is_trivial(p)]
     for build, coreduced in ((babson_hersh_matching, unshelled),
@@ -495,7 +491,7 @@ def test_split_intervals_match_as_the_cells_did(a, max_dim):
 def _check_shellings_and_pairs(a, max_dim):
     """lex_shelling and the Babson-Hersh pairs against their references, on
     the realization capped at max_dim."""
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     shelled = True
     for p in range(len(a.classes)):
         if not a.is_trivial(p):
@@ -543,7 +539,7 @@ def test_shellings_and_pairs_match_references_on_fixtures(request, name):
     _check_shellings_and_pairs(a, None)
     # F1 has the one interval that its lexicographic order does not shell
     assert bool(unshelled_classes(a)) == (name == 'f1')
-    for max_dim in range(max(4, build_realization(a).max_dim)):
+    for max_dim in range(max(4, cellular_resolution(a).top)):
         _check_shellings_and_pairs(a, max_dim)
 
 
@@ -566,13 +562,13 @@ def _check_partner(a, x):
        st.one_of(st.none(), st.integers(0, 3)))
 def test_partner_matches_the_scan_of_the_facets(a, max_dim):
     if check_hpa(a).ok:
-        _check_partner(a, build_realization(a, max_dim=max_dim))
+        _check_partner(a, cellular_resolution(a, max_dim=max_dim))
 
 
 @pytest.mark.parametrize('name', ['p2', 'f3', 'f1', 'p113', 'ungraded'])
 def test_partner_matches_the_scan_of_the_facets_on_fixtures(request, name):
     a = request.getfixturevalue(name)
-    _check_partner(a, build_realization(a))
+    _check_partner(a, cellular_resolution(a))
 
 
 def _random_internal_matching(x, rng):
@@ -583,7 +579,7 @@ def _random_internal_matching(x, rng):
     a = x.hpa
     arrows = set(a.arrow_class.values())
     ends = [(cl.tail, cl.head) for cl in a.classes]
-    tops = [c for k in range(2, x.max_dim + 1) for c in x.cells[k]]
+    tops = [c for k in range(2, x.top + 1) for c in x.cells[k]]
     if rng.random() < 0.8:
         c = rng.choice([c for c in tops if len(x.chain(c)) >= 4])
         tops = [t for t in tops if ends[x.last[t]] == ends[x.last[c]]]
@@ -605,7 +601,7 @@ def _random_internal_matching(x, rng):
 def test_check_acyclic_matches_reference_on_random_matchings(request, name):
     a = free_algebra(linear_quiver(4)) if name == 'a4' else \
         request.getfixturevalue(name)
-    x = build_realization(a)
+    x = cellular_resolution(a)
     rng = random.Random(name)
     cyclic = 0
     for _ in range(200):
@@ -630,7 +626,7 @@ def test_find_cycle_decides_alike_from_every_start_order(request, name):
     # each search starts afresh
     a = free_algebra(linear_quiver(4)) if name == 'a4' else \
         request.getfixturevalue(name)
-    x = build_realization(a)
+    x = cellular_resolution(a)
     rng = random.Random(name)
     outcomes = set()
     for _ in range(100):
@@ -650,9 +646,9 @@ def test_only_the_middle_faces_keep_the_stratum(a):
     # what lets check_acyclic step along middle faces only
     if not check_hpa(a).ok:
         return
-    x = build_realization(a)
+    x = cellular_resolution(a)
     ends = [(cl.tail, cl.head) for cl in a.classes]
-    for k in range(2, x.max_dim + 1):
+    for k in range(2, x.top + 1):
         for cell in x.cells[k]:
             fs = [ends[x.last[f]] for f in cell_faces(x, cell)]
             tail, head = ends[x.last[cell]]
@@ -664,26 +660,25 @@ def test_only_the_middle_faces_keep_the_stratum(a):
 def test_babson_hersh_pairs_match_the_reference_on_benchmark_inputs(name):
     # P(1,1,1,1,2), the third benchmark input, is among the fixtures above
     a = load_algebra(f'{name}.quiver', BENCHMARK_INPUTS)
-    x = build_realization(a)
+    x = cellular_resolution(a)
     m = _explicit(babson_hersh_matching(a), x)
     assert not unshelled_classes(a)
     assert sorted(m.pairs) == sorted(reference_bh_pairs(a, x))
 
 
 class _ReferenceMorse:
-    """The Morse complex of the CellComplex x under the pairs of chains
-    `pairs`, its differential summed over the gradient paths
+    """The Morse complex of the cellular resolution x under the pairs of
+    chains `pairs`, its differential summed over the gradient paths
     (reference_morse_terms), cells written as chains."""
 
     def __init__(self, x, pairs):
         m = cell_matching(x, pairs)
-        c = BimoduleComplex(x.hpa, x)
         self.hpa, self.cells = x.hpa, critical_cells(m)
         while len(self.cells) > 1 and not self.cells[-1]:
             self.cells.pop()
         self._terms = {x.chain(tau): [
             (cf, l, x.chain(tgt), r)
-            for cf, l, tgt, r in reference_morse_terms(c, m, tau)]
+            for cf, l, tgt, r in reference_morse_terms(x, m, tau)]
             for cells in self.cells[1:] for tau in cells}
         self.cells = [list(map(x.chain, cells)) for cells in self.cells]
         self.top = len(self.cells) - 1
@@ -702,11 +697,11 @@ def _check_morse_report_on_chains(a, max_dim, ring):
     """hpa morse with the default matching, on an algebra whose classes all
     shell, walks on chains; its report must be that of the complex built
     from the cells, the reference pairs and the sum over gradient paths."""
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     pairs = reference_bh_pairs(a, x)
     ref = _ReferenceMorse(x, pairs)
     d2 = reference_d_squared(ref)
-    below = x.max_dim if x.truncated else float('inf')
+    below = x.top if x.truncated else float('inf')
     quasi_iso = all(
         {i: g for i, g in tor_via_resolution(a, ref, v, w, ring).items()
          if i < below} ==
@@ -754,7 +749,7 @@ def test_morse_report_on_chains_matches_the_reference(a, max_dim, ring):
 def test_morse_report_on_chains_matches_the_reference_on_fixtures(request,
                                                                  name):
     a = request.getfixturevalue(name)
-    top = build_realization(a).max_dim
+    top = cellular_resolution(a).top
     for max_dim in (None, *range(top)):
         for ring in (RING_Z, ring_fp(2)):
             _check_morse_report_on_chains(a, max_dim, ring)

@@ -10,7 +10,8 @@ from hpa.morse import (Matching, _coreduce, _grow, greedy_internal_matching)
 from hpa.quiver import PathWord, enumerate_paths
 from hpa.realization import maximal_chains, stratum
 
-from conftest import algebras, augment_by_rechecking, words_by_class
+from conftest import (algebras, augment_by_rechecking, word_key,
+                      words_by_class)
 
 
 def word_level_closure(rels):
@@ -60,7 +61,7 @@ def word_level_closure(rels):
     groups = {}
     for i, w in enumerate(words):
         groups.setdefault(find(i), []).append(w)
-    return sorted(groups.values(), key=lambda ws: q.word_key(ws[0]))
+    return sorted(groups.values(), key=lambda ws: word_key(q, ws[0]))
 
 
 @settings(max_examples=150, deadline=None)

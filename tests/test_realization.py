@@ -10,8 +10,9 @@ from hpa.algebra import NotCancellativeError, check_hpa, from_document, tensor
 from hpa.quiver import Quiver
 from hpa.morse import babson_hersh_matching
 from hpa.linalg import homology
-from hpa.realization import (build_realization, euler_characteristic, faces,
+from hpa.realization import (euler_characteristic, faces,
                              realization_homology, stratum)
+from hpa.resolution import cellular_resolution
 
 from conftest import (algebras, cell_faces, cell_matching, cell_of,
                       cellular_homology, check_semisimplicial,
@@ -62,14 +63,14 @@ def test_parse_ring_agrees_with_trial_division():
 
 
 def test_p2_cells(p2):
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     assert x.counts() == [3, 12, 9]
     assert euler_characteristic(x.counts()) == 0
     assert check_semisimplicial(x) == []
 
 
 def test_p2_homology(p2):
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     h = cellular_homology(x, RING_Z)
     assert h == {0: (1, []), 1: (2, []), 2: (1, [])}
     hq = cellular_homology(x, RING_Q)
@@ -80,7 +81,7 @@ def test_p2_homology(p2):
 
 def test_a3_free_tree(p2):
     a = free_algebra(linear_quiver(3))
-    x = build_realization(a)
+    x = cellular_resolution(a)
     assert x.counts() == [4, 6, 4, 1]
     assert euler_characteristic(x.counts()) == 1
     h = cellular_homology(x, RING_Z)
@@ -92,14 +93,14 @@ def test_free_parallel_arrows_graph_homology():
     # free algebra on a 3-arrow Kronecker-type quiver: wedge of two circles
     a = free_algebra(Quiver(['u', 'v'], [('a', 'u', 'v'), ('b', 'u', 'v'),
                                          ('c', 'u', 'v')]))
-    x = build_realization(a)
+    x = cellular_resolution(a)
     assert x.counts() == [2, 3]
     h = cellular_homology(x, RING_Z)
     assert h == {0: (1, []), 1: (2, [])}
 
 
 def test_tree_stratum(p2):
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     strata = {p2.tail(x.last[c]) for c in x.cells[2]}
     assert strata == {'v0'}  # all 2-cells live over the root vertex
 
@@ -107,8 +108,8 @@ def test_tree_stratum(p2):
 def test_kunneth_euler_and_betti(p2):
     a2 = free_algebra(linear_quiver(1))
     t = tensor(p2, a2)
-    xt = build_realization(t)
-    xp = build_realization(p2)
+    xt = cellular_resolution(t)
+    xp = cellular_resolution(p2)
     assert euler_characteristic(xt.counts()) == \
         euler_characteristic(xp.counts()) * 1  # interval has chi = 1
     hq = cellular_homology(xt, RING_Q)
@@ -117,7 +118,7 @@ def test_kunneth_euler_and_betti(p2):
 
 
 def test_truncation(p2):
-    x = build_realization(p2, max_dim=1)
+    x = cellular_resolution(p2, max_dim=1)
     assert x.counts() == [3, 12]
     assert x.truncated
     h = cellular_homology(x, RING_Z)
@@ -150,7 +151,7 @@ def test_homology_refuses_an_unknown_ring_before_building():
 def test_homology_calls_boundary_once_per_cell(p2):
     # each d_k is built once, also when the d^2 check and the elimination
     # both read it; a trailing empty degree adds no call
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     calls = Counter()
 
     def boundary(cell):
@@ -163,8 +164,8 @@ def test_homology_calls_boundary_once_per_cell(p2):
 
 
 def test_face_edges(p2):
-    x = build_realization(p2)
-    edges = [(cell, f) for k in range(1, x.max_dim + 1)
+    x = cellular_resolution(p2)
+    edges = [(cell, f) for k in range(1, x.top + 1)
              for cell in x.cells[k] for f in cell_faces(x, cell)]
     assert all(p2.tail(x.last[f]) in (p2.tail(x.last[cell]),
                                       p2.head(x.chain(cell)[1]))
@@ -177,7 +178,7 @@ def test_semisimplicial_identities_f3_would_go_here_small_grid():
     t = tensor(free_algebra(linear_quiver(1)),
                free_algebra(linear_quiver(1, vertex_prefix='w',
                                           arrow_prefix='b')))
-    x = build_realization(t)
+    x = cellular_resolution(t)
     assert x.counts() == [4, 5, 2]  # square split along the diagonal class
     assert check_semisimplicial(x) == []
     assert euler_characteristic(x.counts()) == 1
@@ -191,8 +192,8 @@ def test_faces_and_d_squared_degree_match_definitions(a):
     # face 0 of a chain need not be a chain when a is not cancellative
     if not check_hpa(a).ok:
         return
-    x = build_realization(a)
-    for k in range(1, x.max_dim + 1):
+    x = cellular_resolution(a)
+    for k in range(1, x.top + 1):
         for cell in x.cells[k]:
             chain = x.chain(cell)
             p1 = chain[1]
@@ -208,7 +209,7 @@ def _check_tree(a, max_dim):
     no cell for a tuple that is no chain), and the face table and
     realization.faces agree with the slicing rule.  realization.stratum
     lists the cells that end at each class, in id order."""
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     for k, cells in enumerate(x.cells):
         chains = [x.chain(c) for c in cells]
         assert chains == sorted(chains)
@@ -224,7 +225,7 @@ def _check_tree(a, max_dim):
         if not a.is_trivial(p):
             assert cell_of(x, (p,)) is None
             assert cell_of(x, (a.trivial_class[a.tail(p)], p, p)) is None
-            assert stratum(a, p, x.max_dim) == [
+            assert stratum(a, p, x.top) == [
                 x.chain(c) for cells in x.cells[1:] for c in cells
                 if x.last[c] == p]
 
@@ -244,22 +245,12 @@ def test_simplex_tree_matches_the_chains_on_fixtures(request, name):
         _check_tree(a, max_dim)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)))
-def test_build_realization_refuses_exactly_the_non_cancellative(a):
-    if check_hpa(a).ok:
-        assert d_squared_degree(build_realization(a)) is None
-    else:
-        with pytest.raises(NotCancellativeError):
-            build_realization(a)
-
-
 def _facet_corrupted(base, victim, edit):
     """A copy of the complex base whose face table lists edit(faces) for
     the cell victim, deliberately corrupted."""
     rows = [cell_faces(base, c) for c in range(sum(base.counts()))]
     rows[victim] = edit(rows[victim])
-    broken = build_realization(base.hpa, max_dim=base.max_dim)
+    broken = cellular_resolution(base.hpa, max_dim=base.top)
     broken.face = [f for row in rows for f in row]
     broken.at = list(itertools.accumulate(map(len, rows), initial=0))
     return broken
@@ -269,7 +260,7 @@ def test_d_squared_degree_finds_a_corrupted_facet(p2, a3a3):
     edits = [lambda fs: [fs[0], fs[2]] + fs[2:],  # facet 1 becomes facet 2
              lambda fs: fs[:-1]]  # the top facet is missing
     for a, k in ((p2, 2), (a3a3, 2), (a3a3, 3)):
-        x = build_realization(a)
+        x = cellular_resolution(a)
         assert d_squared_degree(x) is None
         for victim in x.cells[k][:5]:
             for edit in edits:
@@ -282,10 +273,10 @@ def test_d_squared_degree_finds_swapped_adjacent_faces(p2, a3a3):
     # adjacent faces enter with opposite signs, so swapping them in the
     # face table breaks both the face identities and the multisets
     for a in (p2, a3a3):
-        x = build_realization(a)
+        x = cellular_resolution(a)
         fs = x.face
         assert d_squared_degree(x) is None
-        for k in range(2, x.max_dim + 1):
+        for k in range(2, x.top + 1):
             for victim in x.cells[k][:4]:
                 for i in range(x.at[victim], x.at[victim] + k):
                     fs[i], fs[i + 1] = fs[i + 1], fs[i]
@@ -306,11 +297,11 @@ def test_faces_of_one_sign_swapped_are_cleared_cell_by_cell(request, name):
     # faces i and i + 2 enter with the same sign, so swapping them breaks
     # the face identities, a column at a time, but not the multisets: the
     # cell-by-cell comparison clears the dimension, as the reference does
-    x = build_realization(request.getfixturevalue(name))
+    x = cellular_resolution(request.getfixturevalue(name))
     fs = x.face
     assert all(identities_hold(fs, x.at, k, *x.cells[k - 1:k + 1])
-               for k in range(2, x.max_dim + 1))
-    for k in range(3, x.max_dim + 1):
+               for k in range(2, x.top + 1))
+    for k in range(3, x.top + 1):
         for victim in (x.cells[k][0], x.cells[k][-1]):
             for i in range(x.at[victim], x.at[victim] + k - 1):
                 fs[i], fs[i + 2] = fs[i + 2], fs[i]
@@ -326,9 +317,9 @@ def test_faces_of_one_sign_swapped_are_cleared_cell_by_cell(request, name):
 def test_d_squared_degree_finds_a_corrupted_last_cell(request, name):
     # the last k-cell closes every column of dimension k: one face of it
     # replaced by another (k-1)-cell is caught at k
-    x = build_realization(request.getfixturevalue(name))
+    x = cellular_resolution(request.getfixturevalue(name))
     fs = x.face
-    for k in range(2, x.max_dim + 1):
+    for k in range(2, x.top + 1):
         i = x.at[x.cells[k][-1]] + 1
         good = fs[i]
         fs[i] = next(c for c in x.cells[k - 1] if c != good)
@@ -342,7 +333,7 @@ def test_d_squared_degree_reads_faces_of_the_right_dimension(p2):
     # first edge's: with the top face of [e_v0 < x < x x'] so replaced the
     # columns agree, and only the check that the faces are (k-1)-cells
     # sends the dimension to the multisets, which differ
-    x = build_realization(p2)
+    x = cellular_resolution(p2)
     fs = x.face
     for victim in x.cells[2]:
         for i in range(x.at[victim], x.at[victim + 1]):
@@ -367,7 +358,7 @@ def test_realization_homology_matches_the_eager_route(a, max_dim, ring):
         with pytest.raises(NotCancellativeError):
             realization_homology(a, ring, max_dim)
         return
-    x = build_realization(a, max_dim=max_dim)
+    x = cellular_resolution(a, max_dim=max_dim)
     h, counts, truncated = realization_homology(a, ring, max_dim)
     assert counts == x.counts()
     assert truncated == x.truncated
@@ -381,9 +372,9 @@ def test_realization_homology_on_fixtures_whole_and_capped(request, name):
     # every cap from 0 to above the top, F1's unshelled interval and the
     # ungraded arrow cell included, against elimination over every cell
     a = request.getfixturevalue(name)
-    top = build_realization(a).max_dim
+    top = cellular_resolution(a).top
     for max_dim in (None, *range(top + 2)):
-        x = build_realization(a, max_dim=max_dim)
+        x = cellular_resolution(a, max_dim=max_dim)
         for ring in (RING_Z, RING_Q, ring_fp(2)):
             h, counts, truncated = realization_homology(a, ring, max_dim)
             assert (counts, truncated) == (x.counts(), x.truncated)

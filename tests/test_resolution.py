@@ -4,10 +4,9 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hpa import RING_Q, ring_fp
-from hpa.algebra import check_hpa, tensor
+from hpa import RING_Q, realization, ring_fp
+from hpa.algebra import NotCancellativeError, check_hpa, tensor
 from hpa.linalg import homology
-from hpa.realization import build_realization
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching)
 from hpa.resolution import (ResolutionError, cellular_resolution,
@@ -15,9 +14,9 @@ from hpa.resolution import (ResolutionError, cellular_resolution,
                             multiply_augmentation, verify_d_squared)
 
 from conftest import (Mutant, algebras, bimodule_chain_complex, cell_faces,
-                      cell_of, classes_between, free_algebra, linear_quiver,
-                      reference_d_squared, reference_homotopy_check,
-                      tensor_simples)
+                      cell_of, classes_between, d_squared_degree,
+                      free_algebra, linear_quiver, reference_d_squared,
+                      reference_homotopy_check, tensor_simples)
 
 
 @pytest.fixture(scope='module')
@@ -25,12 +24,50 @@ def res_p2(p2):
     return cellular_resolution(p2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)))
+def test_cellular_resolution_refuses_exactly_the_non_cancellative(a):
+    if check_hpa(a).ok:
+        assert d_squared_degree(cellular_resolution(a)) is None
+    else:
+        with pytest.raises(NotCancellativeError):
+            cellular_resolution(a)
+
+
+def _check_terms_on_chains(a, max_dim):
+    """The differential coded twice, on ids (the face table and `first`)
+    and on chains (`realization._terms`), agrees on every cell of the
+    resolution capped at max_dim."""
+    c = cellular_resolution(a, max_dim)
+    assert all(c.terms(cell) == [] for cell in c.generators(0))
+    for k in range(1, c.top + 1):
+        for cell in c.generators(k):
+            assert [(s, l, c.chain(f), r) for s, l, f, r in c.terms(cell)] \
+                == realization._terms(a, c.chain(cell))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_terms_on_ids_match_the_terms_on_chains(a, max_dim):
+    if check_hpa(a).ok:
+        _check_terms_on_chains(a, max_dim)
+
+
+@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3',
+                                  'ungraded'])
+def test_terms_on_ids_match_the_terms_on_chains_on_fixtures(request, name):
+    a = request.getfixturevalue(name)
+    for max_dim in (None, 0, 1, 2, 3):
+        _check_terms_on_chains(a, max_dim)
+
+
 def test_degree_one_differential(p2, res_p2):
     # d [e_v < p] = p.[e_{h(p)}] - [e_v].p
     x = p2.arrow_class['x']
     e0 = p2.trivial_class['v0']
     e1 = p2.trivial_class['v1']
-    cell = functools.partial(cell_of, res_p2.complex)
+    cell = functools.partial(cell_of, res_p2)
     assert res_p2.terms(cell((e0, x))) == [
         (1, x, cell((e1,)), e1),
         (-1, e0, cell((e0,)), x),
@@ -41,8 +78,8 @@ def test_middle_faces_trivial(p2, res_p2):
     x = p2.arrow_class['x']
     xy = p2.mult(x, p2.arrow_class["y'"])
     e0 = p2.trivial_class['v0']
-    chain = res_p2.complex.chain
-    terms = res_p2.terms(cell_of(res_p2.complex, (e0, x, xy)))
+    chain = res_p2.chain
+    terms = res_p2.terms(cell_of(res_p2, (e0, x, xy)))
     assert len(terms) == 3
     s, l, f, r = terms[1]  # middle face
     assert s == -1 and p2.is_trivial(l) and p2.is_trivial(r)
@@ -98,7 +135,7 @@ def test_d_squared_sign_flip_detected(p2, res_p2):
     broken = _sign_flipped(res_p2, victim)
     report = verify_d_squared(broken)
     assert not report.ok
-    assert report.witnesses[0][0] == res_p2.complex.chain(victim)
+    assert report.witnesses[0][0] == res_p2.chain(victim)
 
 
 def _same_report(got, ref):
@@ -110,11 +147,11 @@ def _same_report(got, ref):
 def _checked(c):
     """check_resolution(c), after asserting that its reports and
     verify_d_squared(c) match the references, the homotopy report None
-    exactly when c.complex is truncated."""
+    exactly when c is truncated."""
     d2, homotopy = check_resolution(c)
     assert _same_report(d2, reference_d_squared(c))
     assert _same_report(verify_d_squared(c), d2)
-    if c.complex.truncated:
+    if c.truncated:
         assert homotopy is None
     else:
         assert _same_report(homotopy, reference_homotopy_check(c.hpa, c))
@@ -136,7 +173,7 @@ def test_checks_match_references(a, max_dim, data):
     # whole or capped; a capped complex is no resolution, so only d^2
     if not check_hpa(a).ok:
         return
-    c = cellular_resolution(a, build_realization(a, max_dim=max_dim))
+    c = cellular_resolution(a, max_dim=max_dim)
     assert _all_ok(_checked(c))
     cells = [cell for k in range(1, c.top + 1) for cell in c.generators(k)]
     if cells:
@@ -153,7 +190,7 @@ def test_morse_d_squared_matches_the_reference(a, max_dim, data):
     # them term by term, whole, capped and with one sign flipped
     if not check_hpa(a).ok:
         return
-    c = cellular_resolution(a, build_realization(a, max_dim=max_dim))
+    c = cellular_resolution(a, max_dim=max_dim)
     for build in (babson_hersh_matching, greedy_internal_matching):
         mc = MorseComplex(build(a, max_dim))
         got = verify_d_squared(mc)
@@ -178,8 +215,7 @@ def test_one_walk_reads_each_dimension_once(p113, monkeypatch):
         return real(c, k, trivial)
     monkeypatch.setattr(resolution, '_shapes', shapes)
     for max_dim in (None, 2, 1, 0):
-        c = cellular_resolution(p113, build_realization(p113,
-                                                        max_dim=max_dim))
+        c = cellular_resolution(p113, max_dim=max_dim)
         mc = MorseComplex(babson_hersh_matching(p113, max_dim))
         check_resolution(c)
         assert calls == list(range(1, c.top + 1))
@@ -207,7 +243,7 @@ def _left_to_terms(c, monkeypatch):
 def test_reordered_terms_are_decided_by_accumulation(p2, res_p2,
                                                      monkeypatch):
     x, y_ = p2.arrow_class['x'], p2.arrow_class["y'"]
-    cell = functools.partial(cell_of, res_p2.complex)
+    cell = functools.partial(cell_of, res_p2)
     one = cell((p2.trivial_class['v1'], y_))
     two = cell((p2.trivial_class['v0'], x, p2.mult(x, y_)))  # face 0: `one`
 
@@ -231,7 +267,7 @@ def test_reordered_terms_are_decided_by_accumulation(p2, res_p2,
 def test_checks_match_references_on_mutants(p2, res_p2):
     x, y = p2.arrow_class['x'], p2.arrow_class['y']
     x_, y_, z_ = (p2.arrow_class[n] for n in ("x'", "y'", "z'"))
-    cell = functools.partial(cell_of, res_p2.complex)
+    cell = functools.partial(cell_of, res_p2)
     victim = cell((p2.trivial_class['v0'], x))
     assert res_p2.terms(victim)[-1][3] == x
     # x ahead of `below` is a nontrivial ac; `square` is h_cell(x, below)
@@ -292,11 +328,10 @@ def _outcome(c):
 
 
 def _capped(c):
-    """c over a copy of its complex flagged truncated, on which
-    check_resolution decides d^2 alone."""
+    """A copy of c flagged truncated, on which check_resolution decides d^2
+    alone."""
     out = copy.copy(c)
-    out.complex = copy.copy(c.complex)
-    out.complex.truncated = True
+    out.truncated = True
     return out
 
 
@@ -309,7 +344,7 @@ def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
     # t and p show there too.
     from hpa import resolution
     c = cellular_resolution(p113)
-    victim = c.complex.parent[c.generators(dim + 1)[-1]]
+    victim = c.parent[c.generators(dim + 1)[-1]]
     (_, p, _, _), (_, el, _, er) = c.terms(victim)[:2]
     wrong = next(p113.trivial_class[v] for v in p113.quiver.vertices
                  if p113.trivial_class[v] not in (el, er))
@@ -340,8 +375,7 @@ def test_trivial_coefficient_at_a_wrong_vertex_is_zero(p113, w):
     # another vertex: a product with that unit is zero in the algebra, so
     # the cell and its cofaces fail with the terms that remain, where the
     # reference cannot compose it at all
-    c = cellular_resolution(p113)
-    x = c.complex
+    c = x = cellular_resolution(p113)
     victim = cell_of(x, (29, 30, 31))
     assert p113.tail(x.last[victim]) == 'd(2)'
     broken = _term_edited(c, victim, 1, 'left', p113.trivial_class[w])
@@ -411,10 +445,10 @@ def test_h0_is_the_algebra(p2, res_p2):
 def test_homotopy_leaving_the_complex_is_a_typed_error(p2):
     # on the 1-skeleton, h of x.[e_v1 < y'] is the missing 2-cell
     # [e_v0 < x < x y']
-    c = cellular_resolution(p2, build_realization(p2, max_dim=1))
+    c = cellular_resolution(p2, max_dim=1)
     x = p2.arrow_class['x']
     e1 = p2.trivial_class['v1']
-    cell = cell_of(c.complex, (e1, p2.arrow_class["y'"]))
+    cell = cell_of(c, (e1, p2.arrow_class["y'"]))
     with pytest.raises(ResolutionError, match="homotopy left the complex"):
         c.h_element({(x, cell, p2.trivial_class['v2']): 1})
     assert issubclass(ResolutionError, ValueError)

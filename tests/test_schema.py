@@ -205,7 +205,7 @@ def test_a_report_off_its_schema_writes_nothing(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize('certificate, ok', [
-    ({'variable_order': ['x2', 'x1'], 'exhaustive': True}, True),
+    ({'variable_order': ['x2', 'x1']}, True),
     ({'intervals': 12}, True),
     ({'criticals': [3, 6, 3]}, True),
     ({'cell': '[e_v0 < x]', 'target': '[e_v1]',
@@ -213,7 +213,7 @@ def test_a_report_off_its_schema_writes_nothing(monkeypatch, capsys,
     ({'reason': 'no minimal Morse complex found'}, True),
     ({}, False),
     ({'intervals': 12, 'reason': 'both'}, False),
-    ({'variable_order': ['x1'], 'exhaustive': 'yes'}, False),
+    ({'variable_order': ['x1'], 'exhaustive': True}, False),
     ({'cell': '[e_v0 < x]', 'target': '[e_v1]',
       'coefficient_lengths': [1, 1, 0]}, False),
     ({'criticals': 3}, False)])

@@ -14,11 +14,12 @@ from hpa.toric import (WeightData, Degree, weight_data_from_json,
                        lp_maximize)
 from hpa.algebra import check_hpa, from_document
 from hpa.dsl import emit_quiver
-from hpa.realization import build_realization, realization_homology
+from hpa.realization import realization_homology
+from hpa.resolution import cellular_resolution
 from hpa.invariants import koszul_check, betti_table
 
-from conftest import (cellular_homology, reference_lp_maximize,
-                      words_by_class)
+from conftest import (cellular_homology, directable_by_permutations,
+                      reference_lp_maximize, words_by_class)
 
 
 P2 = WeightData([[1, 1, 1]])
@@ -186,11 +187,12 @@ def test_build_p2_beilinson():
 
 def test_bondal_ruan_p2_koszul_via_directability():
     a = bondal_ruan_hpa(P2)
-    res = check_directable(a)
-    assert res.order is not None and res.exhaustive
+    assert check_directable(a) == directable_by_permutations(a) == \
+        ['x1', 'x2', 'x3']
     v = koszul_check(a)
     assert v.status == 'koszul-certified'
     assert v.method == 'directable'
+    assert v.payload == {'variable_order': ['x1', 'x2', 'x3']}
 
 
 def test_bondal_ruan_p113():
@@ -201,7 +203,7 @@ def test_bondal_ruan_p113():
     # the z arrow repeats on two vertex pairs, so both copies are tagged
     zs = [ar.label for ar in a.quiver.arrows if ar.label.startswith('x3')]
     assert sorted(zs) == ['x3@d(0)', 'x3@d(1)']
-    x = build_realization(a)
+    x = cellular_resolution(a)
     h = cellular_homology(x)
     assert h[0] == (1, []) and h[1] == (2, []) and h[2] == (1, [])
     assert all(h[k] == (0, []) for k in h if k >= 3)
@@ -252,8 +254,7 @@ def test_bondal_ruan_f1_not_koszul():
     a = bondal_ruan_hpa(F1)
     assert len(a.quiver.vertices) == 4
     assert len(a.quiver.arrows) == 7
-    res = check_directable(a)
-    assert res.order is None and res.exhaustive
+    assert check_directable(a) is directable_by_permutations(a) is None
     v = koszul_check(a)
     assert v.status == 'not-koszul'
     assert v.method == 'minimal-nonlinear'
@@ -277,7 +278,52 @@ def test_product_weights_directable():
     a = bondal_ruan_hpa(w)
     assert len(a.quiver.vertices) == 4
     assert len(a.quiver.arrows) == 8
-    assert check_directable(a).order is not None
+    assert check_directable(a) == directable_by_permutations(a) == \
+        ['x1', 'x2', 'x3', 'x4']
+
+
+# three unit weights e_A, e_B, e_C, each carried by three variables (A by
+# x1-x3, B by x4-x6, C by x7-x9), on the staircase 0 < e_A < e_A + e_C <
+# e_A + e_B + e_C: every arrow is a variable, and a composite x_a x_c or
+# x_c x_b has no swap, so A comes before C and C before B
+STAIRCASE = (WeightData([[1, 1, 1, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 1, 1, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 1, 1, 1]]),
+             [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
+
+
+def test_directability_beyond_eight_variables():
+    # neither the identity order nor its reverse, the two orders once tried
+    # above eight variables, directs the staircase; the least order that
+    # does is found, as the search over every permutation finds it first
+    a = build_toric_hpa(*STAIRCASE)
+    assert a.toric_weights.ncols == 9
+    want = ['x1', 'x2', 'x3', 'x7', 'x8', 'x9', 'x4', 'x5', 'x6']
+    assert check_directable(a) == directable_by_permutations(a) == want
+    v = koszul_check(a)
+    assert (v.status, v.method) == ('koszul-certified', 'directable')
+    assert v.payload == {'variable_order': want}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, k - 1), min_size=1, max_size=6),
+    st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=1, max_size=8,
+             unique=True))))
+def test_directability_matches_the_search_over_permutations(data):
+    # unit weights, each variable on one of k directions, over any set of
+    # corners of the unit k-cube: the topological sort gives the first
+    # order the search over every permutation finds, or None with it; an
+    # arrow that is not a single variable is refused by both
+    direction, corners = data
+    k = len(corners[0])
+    w = WeightData([[int(d == r) for d in direction] for r in range(k)])
+    a = build_toric_hpa(w, sorted(corners))
+    if all(sum(m) == 1 for m in a.toric_monomials.values()):
+        assert check_directable(a) == directable_by_permutations(a)
+    else:
+        with pytest.raises(ValueError, match='not variable-labeled'):
+            check_directable(a)
 
 
 def test_check_directable_refuses_loaded_quiver(f1):
