@@ -275,6 +275,15 @@ class Report:
         return self.ok
 
 
+def accumulate(acc, key, v):
+    """acc[key] += v on a sparse dict, dropping the entry when it cancels."""
+    nv = acc.get(key, 0) + v
+    if nv:
+        acc[key] = nv
+    else:
+        acc.pop(key, None)
+
+
 class Violation(namedtuple('Violation', ['side', 'r', 'p', 'p2'])):
     """r p ~ r p' (side 'left') or p r ~ p' r (side 'right') with p, p' not
     congruent; r is an arrow word, p and p' class representatives."""

@@ -16,8 +16,8 @@ Import rule: at the top, this module imports only the standard library and
 the package root.  Each `cmd_*` function imports the layers it runs, so a
 process loads (and, without cached bytecode, compiles) only those:
 `--version` none, `check` and `tensor` the algebra, quiver, DSL and schema
-modules, `realize` those and the realization, `resolve` also resolution,
-and `homology` the realization and linear algebra.  Only what eliminates
+modules, `realize` those and the realization, `resolve` those and the
+resolution, and `homology` the realization and linear algebra.  Only what eliminates
 loads the linear algebra, and no subcommand loads Python's rational
 arithmetic: the toric LPs, like the linear algebra, run on Python ints.
 The toric layer is loaded by `toric`, and by `koszul` only for an algebra

@@ -28,7 +28,7 @@ it loads only then: nothing else here eliminates.
 from itertools import chain, combinations
 
 from . import RING_Z
-from .algebra import require_cancellative
+from .algebra import accumulate, require_cancellative
 
 
 class MatchingError(ValueError):
@@ -359,15 +359,6 @@ def gradient_terms(a, critical, partner):
             out[tau] = [(cf, l, tgt, r) for (l, tgt, r), cf in
                         sorted(_compose(a, ts, flow).items())]
     return out
-
-
-def accumulate(acc, key, v):
-    """acc[key] += v on a sparse dict, dropping the entry when it cancels."""
-    nv = acc.get(key, 0) + v
-    if nv:
-        acc[key] = nv
-    else:
-        acc.pop(key, None)
 
 
 def _compose(a, ts, flow, i=None):

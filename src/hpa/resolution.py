@@ -10,14 +10,16 @@ with its child and face tables, which `hpa resolve` alone reads; every other
 layer works on chains.  Elements are stored as dicts {(left class, cell,
 right class): integer coefficient}, the cell an id; check witnesses name
 cells by their chains (`c.chain`).  check_resolution decides d^2 = 0 and
-d h + h d = id in one walk up the dimensions; verify_d_squared decides
-d^2 = 0 term by term on any complex.
+d h + h d = id in one walk up the dimensions, h the inverse of the key map
+(first, face 0); verify_d_squared decides d^2 = 0 term by term on any
+complex.
 """
 
-from itertools import chain, groupby, repeat
+from collections import Counter
+from itertools import chain, groupby, islice, repeat
+from operator import eq
 
-from .algebra import Report, require_cancellative
-from .realization import accumulate
+from .algebra import Report, accumulate, require_cancellative
 
 
 class ResolutionError(ValueError):
@@ -71,30 +73,35 @@ class BimoduleComplex:
         for up, run in groupby(parent[stop:]):
             start, stop = stop, stop + len(list(run))
             children[up] = dict(zip(last[start:stop], range(start, stop)))
-        # the faces, a level at a time: face k of a k-cell c is parent[c];
-        # face i, 0 < i < k, is the child by last[c] of face i of the
-        # parent; face 0 is the child by p_1\p_k of face 0 of the parent,
+        # the faces, a level at a time, a column each: face k of a k-cell c
+        # is parent[c]; face i, 0 < i < k, the child by last[c] of face i of
+        # the parent; face 0 the child by p_1\p_k of face 0 of the parent,
         # for a 1-cell the vertex cell at the head of last[c]
         face = self.face = []
         at = self.at = [0] * (len(self.cells[0]) + 1)
         first = self.first = list(last)
-        for c in self.cells[1] if len(self.cells) > 1 else ():
-            face += (vertex[a.head(last[c])], parent[c])
-            at.append(len(face))
-        for k in range(2, len(self.cells)):
-            # children parent by parent, sharing the parent's faces
-            for up in self.cells[k - 1]:
-                if not children[up]:
-                    continue
-                below = children[face[at[up]]]
-                rest = [children[f] for f in face[at[up] + 1:at[up + 1]]]
-                quot = a.quotients(first[up])
-                for q, c in children[up].items():
-                    face.append(below[quot[q]])
-                    face += [r[q] for r in rest]
-                    face.append(up)
-                    at.append(len(face))
-                    first[c] = first[up]
+        for k, level in enumerate(self.cells[1:], 1):
+            ups = parent[level.start:level.stop]
+            qs = last[level.start:level.stop]
+            n1, base = k + 1, len(face)
+            face += repeat(0, len(level) * n1)
+            face[base + k::n1] = ups
+            if k == 1:
+                face[base::2] = map(vertex.__getitem__, map(a.head, qs))
+            else:
+                first[level.start:level.stop] = ups_first = list(
+                    map(first.__getitem__, ups))
+                quot = {p: a.quotients(p) for p in set(ups_first)}
+                lo = self.cells[k - 1].start
+                rel = list(map((-lo).__add__, ups))
+                for i in range(k):  # children of face i of each (k-1)-cell
+                    kids = list(map(children.__getitem__,
+                                    face[at[lo] + i:base:k]))
+                    face[base + i::n1] = map(
+                        dict.__getitem__, map(kids.__getitem__, rel),
+                        qs if i else map(dict.__getitem__, map(
+                            quot.__getitem__, ups_first), qs))
+            at += range(base + n1, len(face) + 1, n1)
 
     @property
     def top(self):
@@ -178,7 +185,8 @@ def _shapes(c, k, trivial):
     1, -1, 1, ...; left coefficients p, t, ..., t and right ones u, ..., u,
     q, with p and q nontrivial and (t, u) = c.units[last class], the
     trivial classes at the cell's tail and head, so that a product with
-    them is the other factor."""
+    them is the other factor; and whose faces and p are the tables' (c.face
+    and c.first)."""
     n1, out, cells = k + 1, {}, c.generators(k)
     alt = ((1, -1) * n1)[:n1]
 
@@ -190,10 +198,13 @@ def _shapes(c, k, trivial):
         p, t, u, q = l[::n1], l[1::n1], r[::n1], r[k::n1]
         ends = zip(*map(c.units.__getitem__,
                         map(c.last.__getitem__, cells[i:j])))
+        lo, hi = cells[i], cells[j - 1] + 1
         ok = (s == alt * (j - i) and all(l[m::n1] == t for m in range(2, n1))
               and all(r[m::n1] == u for m in range(1, k)) and
               [t, u] == list(ends) and
-              not any(map(trivial.__getitem__, p + q)))
+              not any(map(trivial.__getitem__, p + q)) and
+              list(p) == c.first[lo:hi] and
+              list(f) == c.face[c.at[lo]:c.at[hi]])
         if ok:
             out.update(zip(cells[i:j], zip(zip(*[iter(f)] * n1), p, q, t, u)))
         return ok
@@ -324,56 +335,58 @@ def _homotopy(c, rows, checked):
 def check_resolution(c):
     """(d^2 report, homotopy report) of the cellular resolution c, decided
     in one walk up the dimensions; the homotopy report, d h + h d = id, is
-    None when c is truncated, which is no resolution.  At degree k
-    the shapes of the k- and (k+1)-cells clear the face identities of d^2 on
-    the (k+1)-cells (_unpaired) and each row (cell, ac) of degree k where
-    they show (d h + h d)(ac (x) cell (x) e) = ac (x) cell (x) e, e the
-    trivial class at the cell's head.  For a nontrivial ac, tau = h_cell(ac,
-    cell) is (e_0, ac, ac.p_1, ..., ac.p_k): term 0 of d tau is ac (x) cell
-    and term i + 1 cancels h of term i of d(ac (x) cell) when tau's shape is
-    ((cell, h(ac.p, face 0), h(ac, face 1), ...), ac, q, e_0, e), the cell's
-    being (faces, p, q, t, e); in degree 0, h_{-1} m cancels term 1 of d tau
-    when it is ((cell, [e_0]), ac, ac, e_0, e).  For the trivial ac, h d
-    keeps face 0 only, which gives the cell back when h(p, face 0) is the
-    cell (in degree 0 h_{-1} m is the identity).  h[ac] is built a level at
-    a time: h_cell of a cell is the child by ac.last[cell] of that of its
-    parent (ResolutionError, through h_cell, when it is not a cell).  What
-    the shapes do not clear is evaluated term by term."""
-    a, units, last, children = c.hpa, c.units, c.last, c.children
-    mult, tails = a.mult, [cl.tail for cl in a.classes]
+    None when c is truncated, which is no resolution.  At degree k the
+    shapes of the k- and (k+1)-cells (faces and p_1 the tables') clear d^2
+    on the (k+1)-cells (_unpaired) and the rows (cell, ac) of degree k.  On
+    the tables h is the inverse of the key map tau -> (first[tau], face 0),
+    checked to be a bijection onto the rows with ac nontrivial.  For tau =
+    h(ac, cell), term 0 of d tau is ac (x) cell and term i + 1 cancels h of
+    term i of d(ac (x) cell) once tau passes: d_0 d_{i+1} = d_i d_0 keys
+    face i + 1 (ac, F_i(cell)), d_0 d_1 = d_0 d_0 keys face 1 (ac.p,
+    F_0(cell)), and tau's q is its face 0's.  A 1-cell, which no d^2 test
+    covers, passes when its p and q are its last class.  For the trivial
+    ac, h d keeps face 0 only, which h takes back to the cell when the cell
+    passes.  What the tests do not clear, and every row of a degree whose
+    key map is no bijection, is evaluated term by term, in (cell, ac)
+    order."""
+    a, first, last, face, at = c.hpa, c.first, c.last, c.face, c.at
+    by_head, by_tail = a.classes_by_head, a.classes_by_tail
+    tails = [cl.tail for cl in a.classes]
+    heads = [cl.head for cl in a.classes]
     trivial = [cl.is_trivial for cl in a.classes]
     unpaired, unfixed, triples = [], [], 0
-    h = shapes = None
+    shapes = failed = None  # of the k-cells: the shapes, those that fail
     for k in range(c.top + 1):
+        level, up = c.cells[k], c.cells[k + 1] if k < c.top else range(0)
         above = _shapes(c, k + 1, trivial) if k < c.top else {}
-        if 0 < k < c.top:
-            unpaired += _unpaired(c, k + 1, shapes, above)
-        below, h = h, {ac: {} for ac, t in enumerate(trivial) if not t}
-        for cell in () if c.truncated else c.generators(k):
-            p = last[cell]
-            e = units[p][1]
-            s = shapes.get(cell) if k else None
-            fixed = s is not None
-            # a row of triples per left class, one per right class
-            row = a.classes_by_head[tails[p]]
-            triples += len(row) * len(a.classes_by_tail[a.head(p)])
-            for ac in row:
-                if trivial[ac]:
-                    if k and not (fixed and
-                                  below[s[1]].get(s[0][0]) == cell):
-                        unfixed.append((cell, ac))
-                    continue
-                up, q = (below[ac][c.parent[cell]], mult(ac, p)) if k \
-                    else (c.vertex[tails[ac]], ac)
-                tau = (children[up] or {}).get(q)
-                tau = h[ac][cell] = c.h_cell(ac, cell) if tau is None else tau
-                want = ((cell, up), ac, ac, units[ac][0], e) if not k else \
-                    fixed and ((cell, below[mult(ac, s[1])].get(s[0][0]),
-                                *map(below[ac].get, s[0][1:])), ac, s[2],
-                               units[ac][0], e)
-                if above.get(tau) != want:
-                    unfixed.append((cell, ac))
-        shapes = above
+        if k:
+            fails = _unpaired(c, k + 1, shapes, above) if k < c.top else []
+            unpaired += fails
+        else:  # a 1-cell passes when its p and q are its last class
+            fails = [t for t in up
+                     if above.get(t, ())[1:3] != (last[t], last[t])]
+        if not c.truncated:
+            rows = 0
+            for p, n in Counter(last[level.start:level.stop]).items():
+                rows += n * (len(by_head[tails[p]]) - 1)
+                triples += n * len(by_head[tails[p]]) * len(by_tail[heads[p]])
+            ps = first[up.start:up.stop]
+            keys = list(map(face.__getitem__, islice(at, up.start, up.stop)))
+            # the keys of passing cells differ, as h takes each back to its
+            # cell; those of failing ones must differ from every other key
+            todo = {(first[t], face[at[t]]) for t in fails}
+            if (len(up) == rows and len(todo) == len(fails) and
+                    not any(map(trivial.__getitem__, ps)) and
+                    all(map(eq, map(heads.__getitem__, ps), map(
+                        tails.__getitem__, map(last.__getitem__, keys)))) and
+                    (not todo or len(todo) == sum(
+                        map(todo.__contains__, zip(ps, keys))))):
+                unfixed += sorted([(cell, ac) for ac, cell in todo] + [
+                    (cell, c.units[last[cell]][0]) for cell in failed or ()])
+            else:
+                unfixed += [(cell, ac) for cell in level
+                            for ac in by_head[tails[last[cell]]]]
+        shapes, failed = above, fails
     return (_d_squared(c, unpaired),
             None if c.truncated else _homotopy(c, unfixed, triples))
 

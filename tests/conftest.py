@@ -9,13 +9,14 @@ import pytest
 from hypothesis import strategies as st
 
 from hpa import RING_Z
-from hpa.algebra import HPA, PathClass, RelationSet, Report, tensor
+from hpa.algebra import (HPA, PathClass, RelationSet, Report, accumulate,
+                         tensor)
 from hpa.dsl import parse_quiver
 from hpa.invariants import nonzero_groups
 from hpa.linalg import homology
 from hpa.quiver import Arrow, PathWord, Quiver, enumerate_paths
 from hpa.morse import Matching
-from hpa.realization import accumulate, class_name, faces, maximal_chains
+from hpa.realization import class_name, faces, maximal_chains
 from hpa.resolution import (h_minus_one, multiply_augmentation,
                             simple_tensor_complex)
 

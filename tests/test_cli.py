@@ -972,8 +972,8 @@ _RATIONALS = {'fractions', 'decimal'}
                        'toric', *_RATIONALS}),
     (['homology', P2], {'resolution', 'morse', 'invariants', 'toric',
                         *_RATIONALS}),
-    (['resolve', P2], {'linalg', 'morse', 'toric', 'invariants',
-                       *_RATIONALS}),
+    (['resolve', P2], {'realization', 'linalg', 'morse', 'toric',
+                       'invariants', *_RATIONALS}),
     (['morse', P2], {'toric', *_RATIONALS}),
     (['betti', P2], {'morse', 'toric', 'resolution', *_RATIONALS}),
     (['koszul', P2], {'toric', 'morse', 'resolution', *_RATIONALS}),

@@ -1,5 +1,6 @@
 import copy
 import functools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +181,28 @@ def test_checks_match_references(a, max_dim, data):
         victim = data.draw(st.sampled_from(cells))
         _checked(_sign_flipped(c, victim))
         assert _all_ok(_checked(_terms_reordered(c, victim)))
+        # the fields the key map reads: face 0's face and p, the top face,
+        # and one entry of `first` on a copy of the tables
+        def draw(options):
+            return data.draw(st.sampled_from(options))
+        k, terms = len(c.chain(victim)) - 1, c.terms(victim)
+        mutants = [_term_edited(c, victim, 0, 'left', draw(
+            [q for q in range(len(a.classes)) if q != terms[0][1]]))]
+        for at in (0, -1):
+            others = [f for f in c.generators(k - 1) if f != terms[at][2]]
+            if others:
+                mutants.append(_term_edited(c, victim, at, 'face',
+                                            draw(others)))
+        # (with the ends of the true one: another would stop the shape
+        # tests at a product that the full evaluation never forms)
+        p = c.first[victim]
+        others = [q for q in classes_between(a, a.tail(p), a.head(p))
+                  if q != p]
+        if others:
+            mutants.append(_first_tampered(c, victim, draw(others)))
+            _checked(mutants[-1])
+        for broken in mutants:
+            assert _outcome(broken) == _fully_evaluated(broken)
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,6 +248,28 @@ def test_one_walk_reads_each_dimension_once(p113, monkeypatch):
         assert calls == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True)),
+       st.one_of(st.none(), st.integers(0, 3)))
+def test_the_key_map_inverts_the_homotopy(a, max_dim):
+    # on every level, tau -> (first[tau], face 0 of tau) is injective, hits
+    # exactly the rows (ac, cell) of the level below with ac nontrivial, and
+    # h_cell(ac, cell) is tau; the top level of a capped complex has no
+    # level above it
+    if not check_hpa(a).ok:
+        return
+    c = cellular_resolution(a, max_dim)
+    for k in range(c.top if c.truncated else c.top + 1):
+        up = c.generators(k + 1)
+        keys = [(c.first[t], c.face[c.at[t]]) for t in up]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {(ac, cell) for cell in c.generators(k)
+                             for ac in a.classes_by_head[
+                                 a.tail(c.last[cell])]
+                             if not a.is_trivial(ac)}
+        assert [c.h_cell(ac, cell) for ac, cell in keys] == list(up)
+
+
 def _left_to_terms(c, monkeypatch):
     """[cells, rows]: what check_resolution(c) leaves to the term-by-term
     evaluation of d^2 and of the homotopy."""
@@ -238,6 +283,19 @@ def _left_to_terms(c, monkeypatch):
             m.setattr(resolution, name, spy)
         check_resolution(c)
     return seen
+
+
+@pytest.mark.parametrize('name', ['p2', 'f1', 'f3', 'p113', 'a3a3',
+                                  'ungraded'])
+def test_a_passing_complex_leaves_nothing_to_terms(request, name,
+                                                   monkeypatch):
+    # every shape, face-identity and key test passes, so no cell and no
+    # row (cell, ac) is evaluated term by term, whole or capped
+    a = request.getfixturevalue(name)
+    for max_dim in (None, 0, 1, 2):
+        c = cellular_resolution(a, max_dim)
+        assert _left_to_terms(c, monkeypatch) == [[]] * (
+            1 if c.truncated else 2)
 
 
 def test_reordered_terms_are_decided_by_accumulation(p2, res_p2,
@@ -335,14 +393,32 @@ def _capped(c):
     return out
 
 
-@pytest.mark.parametrize('dim', [1, 2, 3])
-def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
-    # trivial coefficients at the wrong vertex, which the references cannot
-    # multiply out, and a trivial or another face-0 coefficient: every
-    # verdict, witness and error is the one that evaluating every cell and
-    # row term by term gives.  The victim is the top face of a cell, so its
-    # t and p show there too.
+def _first_tampered(c, victim, cls):
+    """A copy of c whose `first` table, and so p in the victim's terms, says
+    cls for the victim."""
+    out = copy.copy(c)
+    out.first = list(c.first)
+    out.first[victim] = cls
+    return out
+
+
+def _fully_evaluated(c):
+    """_outcome(c) with every cell and row failing the shape tests, so that
+    all of them are evaluated term by term."""
     from hpa import resolution
+    with mock.patch.object(resolution, '_failing',
+                           lambda test, n: list(range(n))):
+        return _outcome(c)
+
+
+@pytest.mark.parametrize('dim', [1, 2, 3])
+def test_shape_tests_decide_as_the_full_evaluation(p113, dim):
+    # trivial coefficients at the wrong vertex, which the references cannot
+    # multiply out, a trivial or another face-0 coefficient, and another
+    # class in the `first` table: every verdict, witness and error is the
+    # one that evaluating every cell and row term by term gives, and the
+    # last one's reports are the references'.  The victim is the top face
+    # of a cell, so its t and p show there too.
     c = cellular_resolution(p113)
     victim = c.parent[c.generators(dim + 1)[-1]]
     (_, p, _, _), (_, el, _, er) = c.terms(victim)[:2]
@@ -357,15 +433,13 @@ def test_shape_tests_decide_as_the_full_evaluation(p113, dim, monkeypatch):
                units(3, range(dim)),  # every u
                units(1, [dim]), units(3, [dim - 1]),  # one t, one u
                _term_edited(c, victim, 0, 'left', el),
-               _term_edited(c, victim, 0, 'left', _other_class(p113, p))]
-
-    def outcomes():
+               _term_edited(c, victim, 0, 'left', _other_class(p113, p)),
+               _first_tampered(c, victim, _other_class(p113, p))]
+    for m in mutants:
         # d^2 also on its own, as the homotopy raises on most of them
-        return [(_outcome(m), _outcome(_capped(m))) for m in mutants]
-    shaped = outcomes()
-    monkeypatch.setattr(resolution, '_failing',
-                        lambda test, n: list(range(n)))
-    assert shaped == outcomes()
+        for broken in (m, _capped(m)):
+            assert _outcome(broken) == _fully_evaluated(broken)
+    assert _none_ok(_checked(mutants[-1]))
 
 
 @pytest.mark.parametrize('w', ['d(0)', 'd(1)', 'd(3)', 'd(4)'])
