@@ -170,7 +170,6 @@ class HPA:
         self._covers = {}
         self._spheres = {}  # realization.spheres, by class
         self._least = None  # realization._Least, made on first use
-        self._unshelled = {}  # realization.lex_shelling, by class
         self._cancellation = None  # require_cancellative's check_hpa report
 
     # -- basic queries ------------------------------------------------------

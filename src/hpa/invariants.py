@@ -4,11 +4,12 @@ intervals, and Koszulity verdicts.
 The central fact: Tor_i(S_v, S_w) is the direct sum, over nontrivial path
 classes p from v to w, of the reduced homology H~_{i-2} of the order complex
 of the open interval (e_{t(p)}, p), with the convention H~_{-1}(empty) = R.
+The cells (e, *G, p) of the realization that end at p are that order
+complex, (e, p) its empty simplex, so its simplices lie two degrees up.
 `tor_table` reads a summand off the lexicographic shelling of its interval,
 the one the Babson-Hersh matching uses, and only where that order is not a
-shelling takes the reduced homology of the complex that the interval's
-maximal chains generate.  `hpa morse` checks the resolution side against
-`tor_table`.
+shelling eliminates those cells (`OrderComplex`).  `hpa morse` checks the
+resolution side against `tor_table`.
 
 The Morse and toric layers are imported inside the functions that use
 them, so that `betti_table` loads neither.
@@ -16,38 +17,33 @@ them, so that `betti_table` loads neither.
 
 import csv
 import io
-from itertools import combinations
+from itertools import groupby
 
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import homology
-from .realization import (format_chain, maximal_chains, spheres,
-                          unshelled_chains)
+from .realization import format_chain, maximal_chains, spheres, stratum
 
 
 class OrderComplex:
-    """The simplicial complex that the chains `facets` of a poset generate,
-    each a tuple in poset order (an interval's maximal chains generate its
-    order complex): simplices[k] holds the sorted k-element subchains."""
+    """The order complex of the open interval (e_{t(p)}, p) as the cells
+    (e, *G, p) of `realization.stratum`: cells[i] holds those of dimension
+    i, that is the simplices G with i - 1 elements, (e, p) the empty one."""
 
-    def __init__(self, facets):
-        top = max(map(len, facets), default=0)
-        self.simplices = [sorted({s for f in facets for s in
-                                  combinations(f, k)}) for k in range(top + 1)]
+    def __init__(self, a, p):
+        self.cells = [[]] + [list(cs) for _, cs in
+                             groupby(stratum(a, p, len(a.classes)), len)]
 
     def counts(self):
-        return [len(s) for s in self.simplices]
+        """Simplices per dimension, the empty simplex first."""
+        return [len(cs) for cs in self.cells[1:]]
 
-
-def reduced_homology(facets, ring=RING_Z):
-    """{k: (rank, torsion)} for k >= -1 of `OrderComplex(facets)`.  Degree
-    j of the chain complex holds the (j-1)-simplices, so a vertex's boundary
-    is the augmentation and facets [()] give H~_{-1} = R."""
-    def boundary(s):
-        return [((-1) ** i, s[:i] + s[i + 1:]) for i in range(len(s))]
-    h = homology(OrderComplex(facets).simplices, boundary, ring)
-    return {j - 1: (rank, tors) for j, (rank, tors) in h.items()
-            if rank or tors}
+    def homology(self, ring=RING_Z):
+        """{i: (rank, torsion)} under the middle faces, face i with sign
+        (-1)^i for 0 < i < k: H~_{i-2} of the interval in degree i."""
+        return homology(self.cells, lambda c: [
+            (-1 if i % 2 else 1, c[:i] + c[i + 1:])
+            for i in range(1, len(c) - 1)], ring)
 
 
 def _elementary_divisors(factors):
@@ -85,16 +81,16 @@ def tor_table(a, ring=RING_Z):
     lexicographic order is a shelling is a wedge of spheres, one
     S^{|F_j|-1} per facet with R_j = F_j (Bjorner-Wachs, nonpure shellings
     included; `realization.spheres`), so it adds a free generator in degree
-    |F_j| + 1 for each; any other interval adds H~_{i-2} of the complex its
-    maximal chains (`realization.unshelled_chains`) generate in degree i."""
+    |F_j| + 1 for each; any other interval adds the homology of its
+    `OrderComplex` in degree i."""
     pos = {v: n for n, v in enumerate(a.quiver.vertices)}
     acc = {}
     for c in sorted(a.classes, key=lambda c: (pos[c.tail], pos[c.head])):
         if c.is_trivial:
             summands = [(0, 1, [])]
         elif (sizes := spheres(a, c.id)) is None:
-            h = reduced_homology(unshelled_chains(a, c.id), ring)
-            summands = [(k + 2, rank, tors) for k, (rank, tors) in h.items()]
+            summands = [(i, rank, tors) for i, (rank, tors) in
+                        OrderComplex(a, c.id).homology(ring).items()]
         else:
             summands = [(n + 1, 1, []) for n in sizes]
         cur = acc.setdefault((c.tail, c.head), {})

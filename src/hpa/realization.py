@@ -14,11 +14,13 @@ quotient rows, a level at a time, and `cell_counts` counts them.
 
 `lex_shelling` checks the lexicographic shelling of an interval facet by
 facet along least covers (`_Least`, one table per algebra), keeping only
-`spheres`, and the maximal chains of an interval that does not shell.
+`spheres`, None for an interval that does not shell.
 `gradient_terms` is the one gradient-flow walk, with the coefficients of
 the cellular resolution (`_terms`), under a partner rule, such as the
 Babson-Hersh matching (`partner`, whose unmatched cells `shelled_critical`
-lists).  A stratum is the set of cells that end at one class (`stratum`).
+lists).  A stratum is the set of cells that end at one class (`stratum`):
+under its middle faces, the order complex of the interval below that class,
+which `invariants.tor_table` eliminates where the interval does not shell.
 `realization_homology` counts the cells, lists the critical ones from the
 shellings, walks from them and hands that Morse complex to
 `linalg.homology`, the one path from a chain complex to its homology, which
@@ -116,15 +118,15 @@ def lex_shelling(a, p):
     class ids); None when that order is not a shelling: when the faces of
     some F_j that no earlier facet holds are not [R_j, F_j], that is (a face
     without v in R_j lies in F_j - {v}) when R_j lies in an earlier facet
-    (`_Least.restriction`), and its maximal chains are then kept for
-    `unshelled_chains`.  The empty interval gives [((), ())]."""
+    (`_Least.restriction`), which `spheres` then records.  The empty
+    interval gives [((), ())]."""
     if a._least is None:  # one table, shared by every shelling and partner
         a._least = _Least(a)
     e, least = a.trivial_class[a.tail(p)], a._least
-    chains = maximal_chains(a, e, p)
-    out = [(ch, least.restriction((e, *ch, p))) for ch in chains]
+    out = [(ch, least.restriction((e, *ch, p)))
+           for ch in maximal_chains(a, e, p)]
     if any(rj is None for _, rj in out):
-        a._spheres[p], a._unshelled[p] = None, chains
+        a._spheres[p] = None
         return None
     a._spheres[p] = tuple(len(ch) for ch, rj in out if rj == ch)
     return out
@@ -137,12 +139,6 @@ def spheres(a, p):
     if p not in a._spheres:
         lex_shelling(a, p)
     return a._spheres[p]
-
-
-def unshelled_chains(a, p):
-    """The maximal chains of the interval below p, as lex_shelling walked
-    them, when spheres(a, p) is None."""
-    return a._unshelled[p]
 
 
 def euler_characteristic(counts):

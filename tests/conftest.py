@@ -98,7 +98,7 @@ def interval_order_complex(a, p):
 
 
 def order_complex_homology(simplices, ring=RING_Z):
-    """Reference for `invariants.reduced_homology`: {k: (rank, torsion)},
+    """Reference for `invariants.OrderComplex`: {k: (rank, torsion)},
     k >= -1, of the complex with the given simplices per dimension, the
     empty simplex added in degree 0."""
     def boundary(s):

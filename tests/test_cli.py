@@ -1047,9 +1047,9 @@ def test_each_command_walks_the_chains_of_a_class_once(monkeypatch, capsys,
     # homology, morse under bh, greedy and a matching file, and betti walk
     # the maximal chains of each class at most once: the matching lists its
     # critical cells in the pass that shells, and partner and tor_table read
-    # the verdict kept per class.  A class whose order does not shell (F1
-    # has one) keeps the chains of that walk, from which tor_table
-    # eliminates the complex they generate.  koszul is left out: its Morse
+    # the verdict kept per class.  For a class whose order does not shell
+    # (F1 has one) tor_table eliminates its stratum, which walks the covers
+    # and no maximal chain.  koszul is left out: its Morse
     # fallback shells the classes that interval_chains has walked already
     from hpa import invariants, realization
     calls = []

@@ -126,7 +126,9 @@ def test_sphere_and_torus_exit_paths(capsys, tmp_path, facets, counts,
                                      euler):
     # the realization is the barycentric subdivision of K: f0 + f1 + f2,
     # 2 f1 + 6 f2 and 6 f2 cells, K's f-vector being (4, 6, 4) and
-    # (7, 21, 14); hpa homology gives H(K) over each ring
+    # (7, 21, 14); hpa homology gives H(K) over each ring, and the paper's
+    # cellular resolution and its Morse complex pass their checks on
+    # spaces with free homology in degree 2
     path = write(tmp_path, 'k.quiver', exit_path_dsl(facets))
     for ring, name in ((RING_Z, 'Z'), (RING_Q, 'Q'), (ring_fp(2), 'Fp:2')):
         code, data = run_json(capsys, 'homology', path, '--ring', name)
@@ -137,6 +139,11 @@ def test_sphere_and_torus_exit_paths(capsys, tmp_path, facets, counts,
     assert code == 0
     assert (data['counts'], data['euler']) == (counts, euler)
     assert list(map(len, data['cells'])) == counts
+    code, data = run_json(capsys, 'resolve', path)
+    assert (code, data['generators']) == (0, counts)
+    assert data['d_squared']['ok'] and data['contracting_homotopy']['ok']
+    code, data = run_json(capsys, 'morse', path)
+    assert code == 0 and data['d_squared']['ok'] and data['quasi_iso']['ok']
 
 
 def klein_bottle(n):

@@ -1,25 +1,23 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
-from hpa.realization import (euler_characteristic, lex_shelling,
-                             maximal_chains, spheres)
+from hpa.realization import euler_characteristic, lex_shelling, spheres
 from hpa.resolution import cellular_resolution, check_resolution
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching)
-from hpa.invariants import (OrderComplex, reduced_homology, tor_table,
+from hpa.invariants import (OrderComplex, tor_table,
                             betti_table, el_shellable, interval_chains,
                             koszul_check, _elementary_divisors)
 
-from conftest import (RP2_TRIANGLES, algebras, bounded_rp2_dsl,
+from conftest import (algebras, bounded_rp2_dsl,
                       cell_matching, classes_between, critical_cells,
                       el_every_subinterval, free_algebra,
                       interval_order_complex, linear_quiver, morse_pairs,
-                      order_complex_homology, tor_via_intervals,
-                      tor_via_resolution, unshelled_classes)
+                      order_complex_homology, split_interval_algebras,
+                      tor_via_intervals, tor_via_resolution,
+                      unshelled_classes)
 
 
 CUBIC = """
@@ -44,60 +42,48 @@ def _class(a, tail, labels):
     return a.word_class(a.quiver.word(tail, tuple(labels)))
 
 
-def test_reduced_homology_empty_and_points():
-    # the facets are chains of a poset; the empty chain alone is the empty
-    # complex
-    assert reduced_homology([()]) == {-1: (1, [])}
-    assert reduced_homology([('a',), ('b',)]) == {0: (1, [])}
-    assert reduced_homology([('a',)]) == {}
-
-
-def test_reduced_homology_circle():
-    # a, b both below c, d: the four maximal chains span a 4-cycle
-    facets = [('a', 'c'), ('a', 'd'), ('b', 'c'), ('b', 'd')]
-    assert OrderComplex(facets).counts() == [1, 4, 4]
-    assert reduced_homology(facets) == {1: (1, [])}
-    assert reduced_homology(facets, ring_fp(2)) == {1: (1, [])}
+def _nonzero(h, shift=0):
+    return {i + shift: g for i, g in h.items() if g != (0, [])}
 
 
 def test_reduced_homology_rp2():
-    # the 6-vertex RP^2: its face poset has one maximal chain (vertex,
-    # edge, triangle) per flag, faces written as sorted digit strings, and
-    # its order complex is the barycentric subdivision
-    facets = [(v, e, t) for t in RP2_TRIANGLES
-              for e in map(''.join, combinations(t, 2)) for v in e]
-    assert len(facets) == 60
-    assert OrderComplex(facets).counts() == [1, 31, 90, 60]
-    assert reduced_homology(facets) == {1: (0, [2])}
-    assert reduced_homology(facets, RING_Q) == {}
-    assert reduced_homology(facets, ring_fp(2)) == {1: (1, []),
-                                                    2: (1, [])}
+    # the top class of the bounded RP^2: its open interval is the face
+    # poset of the 6-vertex RP^2, whose order complex is the barycentric
+    # subdivision, 31 vertices, 90 edges and 60 triangles; H~_1 = Z/2
+    # shows in degree 3
+    a = from_document(bounded_rp2_dsl())
+    top = _class(a, 'bot', ('bot<1', '1<1.2', '1.2<1.2.4', '1.2.4<topA'))
+    oc = OrderComplex(a, top)
+    assert oc.counts() == [1, 31, 90, 60]
+    assert _nonzero(oc.homology()) == {3: (0, [2])}
+    assert _nonzero(oc.homology(RING_Q)) == {}
+    assert _nonzero(oc.homology(ring_fp(2))) == {3: (1, []), 4: (1, [])}
 
 
-def _check_reduced_homology_against_dfs(a):
+def _check_order_complex_against_dfs(a):
+    # degree i of the cells under their middle faces is H~_{i-2} of the
+    # interval's order complex, which the DFS over all chains finds
     for p in range(len(a.classes)):
         if a.is_trivial(p):
             continue
-        facets = maximal_chains(a, a.trivial_class[a.tail(p)], p)
+        oc = OrderComplex(a, p)
         simplices = interval_order_complex(a, p)
-        assert OrderComplex(facets).simplices[1:] == simplices
+        assert oc.counts() == [1] + [len(s) for s in simplices]
         for ring in (RING_Z, ring_fp(2)):
-            assert (reduced_homology(facets, ring) ==
+            assert (_nonzero(oc.homology(ring), -2) ==
                     order_complex_homology(simplices, ring))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(algebras(), algebras(with_relations=True)))
-def test_reduced_homology_of_maximal_chains_matches_dfs(a):
-    # every chain of an interval lies in a maximal chain, so the maximal
-    # chains generate the order complex that the DFS over all chains finds
-    _check_reduced_homology_against_dfs(a)
+def test_reduced_homology_of_the_stratum_matches_dfs(a):
+    _check_order_complex_against_dfs(a)
 
 
-def test_reduced_homology_of_maximal_chains_matches_dfs_on_fixtures(
-        f1, ungraded):
+def test_reduced_homology_of_the_stratum_matches_dfs_on_fixtures(f1,
+                                                                ungraded):
     for a in (f1, ungraded):
-        _check_reduced_homology_against_dfs(a)
+        _check_order_complex_against_dfs(a)
 
 
 def test_interval_order_complex_p2(p2):
@@ -274,8 +260,11 @@ def _check_tor_table_against_intervals(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)))
+@given(st.one_of(algebras(), algebras(with_relations=True),
+                 split_interval_algebras()))
 def test_tor_table_matches_interval_elimination(a):
+    # a split-interval draw has an interval whose order does not shell,
+    # which tor_table eliminates as its OrderComplex
     if check_hpa(a).ok:
         _check_tor_table_against_intervals(a)
 
