@@ -9,7 +9,8 @@ complex, (e, p) its empty simplex, so its simplices lie two degrees up.
 `tor_table` reads a summand off the lexicographic shelling of its interval,
 the one the Babson-Hersh matching uses, and only where that order is not a
 shelling eliminates those cells (`OrderComplex`).  `hpa morse` checks the
-resolution side against `tor_table`.
+resolution side against `tor_table`.  `el_shellable` decides the
+EL-shellability of every interval in one pass over the covers.
 
 The Morse and toric layers are imported inside the functions that use
 them, so that `betti_table` loads neither.
@@ -22,7 +23,7 @@ from itertools import groupby
 from . import RING_Z
 from .algebra import require_cancellative
 from .linalg import homology
-from .realization import format_chain, maximal_chains, spheres, stratum
+from .realization import format_chain, spheres, stratum
 
 
 class OrderComplex:
@@ -153,41 +154,46 @@ def betti_table(a):
 # Shellability
 
 
-def interval_chains(a):
-    """{p: the maximal chains of the open interval (e_{t(p)}, p)} over the
-    nontrivial classes p, as `realization.maximal_chains` gives them."""
-    return {p: maximal_chains(a, a.trivial_class[a.tail(p)], p)
-            for p in range(len(a.classes)) if not a.is_trivial(p)}
-
-
-def el_shellable(a, ranks, chains):
-    """The predicate 'the closed interval [e_{t(p)}, p] is EL-shellable',
-    memoized per class: every closed subinterval has exactly one weakly
-    increasing maximal chain, and its labels are strictly lexicographically
-    least (Bjorner-Wachs).  A cover is labeled by the rank (`ranks`, keyed
-    by arrow label) of the least arrow label of its class; `chains` is
-    `interval_chains(a)`.  Division by u maps a subinterval [u, w] onto
-    [e, u\\w] and keeps the labels, so [e, p] passes when it does itself
-    and, recursively, [e, a\\p] does for each atom a and [e, c] for each
-    coatom c.  A failure means 'unknown', not a disproof."""
-    rank_of = {}
-    for label in sorted(a.arrow_class):
-        rank_of.setdefault(a.arrow_class[label], ranks[label])
-    memo = {}
-
-    def shellable(p):
-        if p not in memo:
-            e = a.trivial_class[a.tail(p)]
-            labels = [tuple(rank_of[a.divide(z1, z2)]
-                            for z1, z2 in zip((e,) + ch, ch + (p,)))
-                      for ch in chains[p]]
-            rising = [t for t in labels
-                      if all(x <= y for x, y in zip(t, t[1:]))]
-            memo[p] = (len(rising) == 1 and rising[0] == min(labels) and
-                       all(shellable(a.divide(ch[0], p)) and shellable(ch[-1])
-                           for ch in chains[p] if ch))
-        return memo[p]
-    return shellable
+def el_shellable(a, labelings):
+    """(chains, verdicts) of a graded algebra, in one pass over its covers
+    z < z.x by length: chains[q] counts the maximal chains of [e_{t(q)}, q]
+    up to 2; verdicts[k][q] says if that interval is EL-shellable
+    (Bjorner-Wachs) under labelings[k], a rank map keyed by arrow label, read
+    at the least label of the class of x.  [e, q] passes itself when one
+    maximal chain rises and its least label sequence does.  Division by u
+    maps [u, w] onto [e, u\\w] and keeps the labels, so q also needs the
+    verdicts of its lower covers and of a\\q for each atom a < q.  A failure
+    means 'unknown', not a disproof."""
+    n = len(a.classes)
+    below = [{} for _ in range(n)]  # {lower cover z: the arrow class z\\q}
+    for (z, x), q in a.step.items():
+        below[q][z] = a.arrow_class[x]
+    order = [q for q in sorted(range(n), key=a.length) if below[q]]
+    rows = {v: [a.quotients(a.arrow_class[x.label]) for x in a.quiver.out[v]]
+            for v in a.quiver.vertices}  # the rows of the atoms from v
+    chains = [1] * n
+    for q in order:
+        chains[q] = min(2, sum(chains[z] for z in below[q]))
+    verdicts = []
+    for ranks in labelings:
+        rank_of = {c: ranks[label] for label, c in
+                   sorted(a.arrow_class.items(), reverse=True)}
+        # rising chains by last label, up to 2; e has (), below every label
+        rising, least, ok = [{float('-inf'): 1}] * n, [()] * n, [True] * n
+        for q in order:
+            up = rising[q] = {}
+            for z, x in below[q].items():
+                lam = rank_of[x]
+                up[lam] = min(2, up.get(lam, 0) + sum(
+                    k for last, k in rising[z].items() if last <= lam))
+            s = least[q] = min(least[z] + (rank_of[x],)
+                               for z, x in below[q].items())
+            ok[q] = (sum(up.values()) == 1 and
+                     all(x <= y for x, y in zip(s, s[1:])) and
+                     all(ok[z] for z in below[q]) and
+                     all(ok[row[q]] for row in rows[a.tail(q)] if q in row))
+        verdicts.append(ok)
+    return chains, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +205,6 @@ class KoszulVerdict:
         self.status = status  # koszul-certified | not-koszul | unknown
         self.method = method
         self.payload = payload or {}
-
-    def __repr__(self):
-        return f"KoszulVerdict({self.status!r}, method={self.method!r})"
 
     def to_json(self):
         return {'status': self.status, 'method': self.method,
@@ -226,8 +229,9 @@ def koszul_check(a):
     Tried in order: (i) a directable toric presentation (when the algebra
     was built from weight data, the only case that loads the toric layer),
     (ii) every interval shellable: a single maximal chain, an antichain, or
-    EL-shellable under some candidate labeling, (iii) the lexicographic
-    Morse complex is minimal, in which case linearity decides outright.
+    EL-shellable under some candidate labeling (`el_shellable`, all in one
+    pass over the covers), (iii) the lexicographic Morse complex is
+    minimal, in which case linearity decides outright.
     """
     require_cancellative(a)
     if not a.graded:
@@ -244,19 +248,15 @@ def koszul_check(a):
         return KoszulVerdict('koszul-certified', 'directable',
                              {'variable_order': order})
 
-    chains = interval_chains(a)
-    shellable = [el_shellable(a, ranks, chains)
-                 for ranks in _default_labelings(a)]
-    # structural shellability, independent of any labeling, is tested on
-    # the top interval only: a single maximal chain (the empty interval
-    # included) or an antichain
-    if all(len(chs) == 1 or all(len(ch) == 1 for ch in chs) or
-           any(el(p) for el in shellable) for p, chs in chains.items()):
-        return KoszulVerdict('koszul-certified', 'shellable-intervals',
-                             {'intervals': len(chains)})
+    chains, verdicts = el_shellable(a, _default_labelings(a))
+    # structural shellability, on the top interval only: one maximal chain
+    # (the empty interval included), or an antichain, that is length 2
+    if all(c == 1 or a.length(q) == 2 or any(ok[q] for ok in verdicts)
+           for q, c in enumerate(chains)):
+        return KoszulVerdict('koszul-certified', 'shellable-intervals', {
+            'intervals': len(chains) - len(a.trivial_class)})
 
-    # only this last certificate needs the Morse complex, walked on chains
-    # (see hpa.morse)
+    # only this last certificate needs the Morse complex (see hpa.morse)
     from .morse import (MorseComplex, babson_hersh_matching, check_linear,
                         check_minimal)
     mc = MorseComplex(babson_hersh_matching(a))

@@ -1009,6 +1009,36 @@ def bimodule_chain_complex(c):
     return [list(basis(c, k)) for k in range(c.top + 1)], boundary
 
 
+def reference_el_shellable(a, ranks):
+    """Reference for `invariants.el_shellable`, from the maximal chains of
+    every interval: the predicate 'the closed interval [e_{t(p)}, p] is
+    EL-shellable', memoized per class.  [e, p] passes when it has exactly
+    one weakly increasing maximal chain, its labels lexicographically least,
+    and, recursively, [e, a\\p] does for each atom a and [e, c] for each
+    coatom c.  A cover is labeled by the rank (`ranks`, keyed by arrow
+    label) of the least arrow label of its class."""
+    chains = {p: maximal_chains(a, a.trivial_class[a.tail(p)], p)
+              for p in range(len(a.classes)) if not a.is_trivial(p)}
+    rank_of = {}
+    for label in sorted(a.arrow_class):
+        rank_of.setdefault(a.arrow_class[label], ranks[label])
+    memo = {}
+
+    def shellable(p):
+        if p not in memo:
+            e = a.trivial_class[a.tail(p)]
+            labels = [tuple(rank_of[a.divide(z1, z2)]
+                            for z1, z2 in zip((e,) + ch, ch + (p,)))
+                      for ch in chains[p]]
+            rising = [t for t in labels
+                      if all(x <= y for x, y in zip(t, t[1:]))]
+            memo[p] = (len(rising) == 1 and rising[0] == min(labels) and
+                       all(shellable(a.divide(ch[0], p)) and shellable(ch[-1])
+                           for ch in chains[p] if ch))
+        return memo[p]
+    return shellable
+
+
 def el_every_subinterval(a, p, ranks):
     """Reference for `invariants.el_shellable`, checked on every closed
     subinterval [u, w] of [e_{t(p)}, p] directly: exactly one weakly

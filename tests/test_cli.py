@@ -1044,14 +1044,15 @@ def test_morse_shells_each_class_once(capsys, monkeypatch, tmp_path):
     ids=['p2', 'f1', 'f3', 'p113', 'p11112'])
 def test_each_command_walks_the_chains_of_a_class_once(monkeypatch, capsys,
                                                        path):
-    # homology, morse under bh, greedy and a matching file, and betti walk
-    # the maximal chains of each class at most once: the matching lists its
-    # critical cells in the pass that shells, and partner and tor_table read
-    # the verdict kept per class.  For a class whose order does not shell
-    # (F1 has one) tor_table eliminates its stratum, which walks the covers
-    # and no maximal chain.  koszul is left out: its Morse
-    # fallback shells the classes that interval_chains has walked already
-    from hpa import invariants, realization
+    # homology, morse under bh, greedy and a matching file, betti and
+    # koszul walk the maximal chains of each class at most once: the
+    # matching lists its critical cells in the pass that shells, and
+    # partner and tor_table read the verdict kept per class.  For a class
+    # whose order does not shell (F1 has one) tor_table eliminates its
+    # stratum, which walks the covers and no maximal chain.  koszul decides
+    # shellable intervals in one pass over the covers, with no maximal
+    # chain, and its Morse fallback (F1 and F3) shells each class once
+    from hpa import realization
     calls = []
     chains = realization.maximal_chains
 
@@ -1059,17 +1060,18 @@ def test_each_command_walks_the_chains_of_a_class_once(monkeypatch, capsys,
         calls.append(w)
         return chains(a, u, w)
     monkeypatch.setattr(realization, 'maximal_chains', counted)
-    monkeypatch.setattr(invariants, 'maximal_chains', counted)
     runs = [['homology'], ['morse'], ['morse', '--matching', 'greedy'],
-            ['betti']]
+            ['betti'], ['koszul']]
     if path == F3:
         runs.append(['morse', '--matching',
                      str(FIXTURES / 'f3_matching.json')])
     assert bool(unshelled_classes(_load(path))) == (path == F1)
     for command, *extra in runs:
         calls.clear()
-        code, _ = run_json(capsys, command, path, *extra)
-        assert code == 0 and calls
+        code, data = run_json(capsys, command, path, *extra)
+        assert code == 0
+        # a shellable-intervals verdict walks no maximal chain at all
+        assert bool(calls) != (data.get('method') == 'shellable-intervals')
         assert all(calls.count(w) <= 1 for w in calls), (command, extra)
 
 

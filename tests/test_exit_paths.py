@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import from_document
 from hpa.cli import main
-from hpa.invariants import tor_table
+from hpa.invariants import koszul_check, tor_table
 from hpa.morse import babson_hersh_matching
 from hpa.realization import realization_homology
 from hpa.resolution import cellular_resolution
@@ -144,6 +144,19 @@ def test_sphere_and_torus_exit_paths(capsys, tmp_path, facets, counts,
     assert data['d_squared']['ok'] and data['contracting_homotopy']['ok']
     code, data = run_json(capsys, 'morse', path)
     assert code == 0 and data['d_squared']['ok'] and data['quasi_iso']['ok']
+
+
+@pytest.mark.parametrize('facets, k', [
+    (SPHERE, 0), (TORUS, 0), (RP2_TRIANGLES, 1)],
+    ids=['sphere', 'torus', 'rp2_sd1'])
+def test_exit_path_intervals_are_shellable(facets, k):
+    # every interval of a face poset is boolean, so koszul_check certifies
+    # each nontrivial class by its shellable interval
+    a = from_document(exit_path_dsl(facets, k))
+    verdict = koszul_check(a)
+    assert (verdict.status, verdict.method, verdict.payload) == (
+        'koszul-certified', 'shellable-intervals',
+        {'intervals': len(a.classes) - len(a.quiver.vertices)})
 
 
 def klein_bottle(n):

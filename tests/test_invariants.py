@@ -3,21 +3,22 @@ from hypothesis import given, settings, strategies as st
 
 from hpa import RING_Q, RING_Z, ring_fp
 from hpa.algebra import check_hpa, from_document, tensor
-from hpa.realization import euler_characteristic, lex_shelling, spheres
+from hpa.realization import (euler_characteristic, lex_shelling,
+                              maximal_chains, spheres)
 from hpa.resolution import cellular_resolution, check_resolution
 from hpa.morse import (MorseComplex, babson_hersh_matching,
                        greedy_internal_matching)
 from hpa.invariants import (OrderComplex, tor_table,
-                            betti_table, el_shellable, interval_chains,
-                            koszul_check, _elementary_divisors)
+                            betti_table, el_shellable, koszul_check,
+                            _elementary_divisors)
 
 from conftest import (algebras, bounded_rp2_dsl,
                       cell_matching, classes_between, critical_cells,
                       el_every_subinterval, free_algebra,
                       interval_order_complex, linear_quiver, morse_pairs,
-                      order_complex_homology, split_interval_algebras,
-                      tor_via_intervals, tor_via_resolution,
-                      unshelled_classes)
+                      order_complex_homology, reference_el_shellable,
+                      split_interval_algebras, tor_via_intervals,
+                      tor_via_resolution, unshelled_classes)
 
 
 CUBIC = """
@@ -188,44 +189,72 @@ def _ranks(order):
 
 def test_el_certificate_p2(p2):
     xy = _class(p2, 'v0', ('x', "y'"))
-    chains = interval_chains(p2)
     grouped = _ranks([['x', "x'"], ['y', "y'"], ['z', "z'"]])
-    assert el_shellable(p2, grouped, chains)(xy)
     # a flat order on all six arrows makes both chains increasing, so the
     # interval is not EL under it; it is certified structurally instead,
     # as an antichain
     flat = _ranks([ar.label for ar in p2.quiver.arrows])
-    assert not el_shellable(p2, flat, chains)(xy)
-    assert [len(ch) for ch in chains[xy]] == [1, 1]
+    chains, (by_group, by_arrow) = el_shellable(p2, [grouped, flat])
+    assert by_group[xy]
+    assert not by_arrow[xy]
+    e = p2.trivial_class['v0']
+    assert [len(ch) for ch in maximal_chains(p2, e, xy)] == [1, 1]
+    assert chains[xy] == 2 and p2.length(xy) == 2
     assert koszul_check(p2).method == 'shellable-intervals'
 
 
 def test_el_certificate_unknown_on_cubic(cubic):
     p = _class(cubic, 'p0', ('a1', 'c', 'b2'))
-    chains = interval_chains(cubic)
     # the interval is two disjoint edges; both candidate orders leave two
     # increasing maximal chains in [bottom, top]
-    for order in (['a1', 'b1', 'c', 'a2', 'b2'],
-                  ['b1', 'a1', 'c', 'b2', 'a2']):
-        assert not el_shellable(cubic, _ranks(order), chains)(p)
+    orders = (['a1', 'b1', 'c', 'a2', 'b2'], ['b1', 'a1', 'c', 'b2', 'a2'])
+    _, verdicts = el_shellable(cubic, [_ranks(order) for order in orders])
+    for ok in verdicts:
+        assert not ok[p]
+
+
+def _random_ranks(a, data):
+    """A rank map on the arrows of a, with ties."""
+    return {ar.label: data.draw(st.integers(0, 3)) for ar in a.quiver.arrows}
 
 
 def _check_el_against_every_subinterval(a, data):
-    ranks = {ar.label: data.draw(st.integers(0, 3))
-             for ar in a.quiver.arrows}
-    chains = interval_chains(a)
-    el = el_shellable(a, ranks, chains)
-    for p in chains:
-        assert el(p) == el_every_subinterval(a, p, ranks)
+    ranks = _random_ranks(a, data)
+    _, (ok,) = el_shellable(a, [ranks])
+    for p, c in enumerate(a.classes):
+        if not c.is_trivial:
+            assert ok[p] == el_every_subinterval(a, p, ranks)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(algebras(), algebras(with_relations=True)), st.data())
+@given(st.one_of(algebras(), algebras(with_relations=True),
+                 split_interval_algebras()), st.data())
 def test_el_shellable_matches_every_subinterval(a, data):
-    # the recursion over atoms and coatoms gives the verdict of checking
-    # every subinterval, under random rank maps with ties
+    # the recursion over atoms and lower covers gives the verdict of
+    # checking every subinterval, under random rank maps with ties
     if a.graded and check_hpa(a).ok:
         _check_el_against_every_subinterval(a, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(algebras(), algebras(with_relations=True),
+                 split_interval_algebras()), st.data())
+def test_el_shellable_matches_the_chain_enumerating_oracle(a, data):
+    # the pass over the covers gives, class by class, the verdict of the
+    # certificate that labels every maximal chain of every interval, under
+    # up to two random rank maps with ties, and counts the maximal chains
+    # up to 2
+    if not (a.graded and check_hpa(a).ok):
+        return
+    labelings = [_random_ranks(a, data)
+                 for _ in range(data.draw(st.integers(1, 2)))]
+    chains, verdicts = el_shellable(a, labelings)
+    oracles = [reference_el_shellable(a, ranks) for ranks in labelings]
+    for p, c in enumerate(a.classes):
+        if not c.is_trivial:
+            e = a.trivial_class[c.tail]
+            assert chains[p] == min(2, len(maximal_chains(a, e, p)))
+            assert [ok[p] for ok in verdicts] == [el(p) for el in oracles]
 
 
 @pytest.fixture(scope='module')
